@@ -15,7 +15,7 @@ from .analysis import (PositivityResult, PurityCurve, linear_entropy,
 from .errors import (AsymptoticInvalid, ConfigError, GridTooCoarse,
                      LindquadError, NonSymplectic, NotPositiveDefinite,
                      QuadratureNotConverged, SingularFrame, TruncationLeak,
-                     UnsupportedForm, Unstable)
+                     Unstable)
 from .grid import (GridField, GridSpec, centered_grid, grid_from_dict,
                    read_field_csv, write_field_csv)
 from .langevin import (SdeSpec, TrajectoryEnsemble, ensemble_moments,
@@ -27,13 +27,12 @@ from .model import (HamiltonianForm, J, LindbladChannel, OpenSystem, Regime,
                     symplectic_transform, system_from_dict, system_to_dict,
                     wedge)
 from .oracle import (FockDensity, cat_fock_dim, coherent_fock_dim,
-                     fock_cat, fock_coherent, fock_mean, fock_operators,
-                     fock_thermal, fokker_planck_max_dt,
-                     integrate_fock_lindblad, integrate_fokker_planck,
-                     wigner_from_fock)
+                     damping_matrix_quadrature, fock_cat, fock_coherent,
+                     fock_mean, fock_operators, fock_thermal,
+                     fokker_planck_max_dt, integrate_fock_lindblad,
+                     integrate_fokker_planck, wigner_from_fock)
 from .propagator import (DampingMatrix, FlowMatrix, chord_flow,
-                         chord_pde_residual, damping_matrix,
-                         damping_matrix_closed, evolve_chord,
+                         chord_pde_residual, damping_matrix, evolve_chord,
                          evolve_wigner_grid, evolved_state, flow,
                          gaussian_factor, point_flow)
 from .states import (CatParameters, ChordState, cat_fringe_wavenumber,
@@ -50,12 +49,12 @@ __all__ = [
     "LindquadError", "NonSymplectic", "NotPositiveDefinite", "OpenSystem",
     "PositivityResult", "PurityCurve", "QuadratureNotConverged", "Regime",
     "SdeSpec", "SingularFrame", "TrajectoryEnsemble", "TruncationLeak",
-    "UnsupportedForm", "Unstable",
+    "Unstable",
     "cat_fock_dim", "cat_fringe_wavenumber", "cat_fringe_zero", "cat_state",
     "cat_wigner_line", "cat_zero_crossing_time", "centered_grid",
     "characteristic_timescale", "chord_flow", "chord_pde_residual",
     "classify", "coherent_fock_dim", "coherent_state", "damping_matrix",
-    "damping_matrix_closed", "dissipation_coefficient", "ensemble_moments",
+    "damping_matrix_quadrature", "dissipation_coefficient", "ensemble_moments",
     "evolve_chord", "evolve_wigner_grid", "evolved_state", "exact_moments",
     "flow", "fock_cat", "fock_coherent", "fock_mean", "fock_operators",
     "fock_thermal", "fokker_planck_max_dt", "gaussian_factor",

@@ -3,8 +3,8 @@
 Two flavours used throughout the package:
 
 * a globally adaptive panel integrator for matrix-valued integrands on an
-  interval (used for the damping matrix, where the integrand mixes decaying
-  exponentials with oscillation or hyperbolic growth), and
+  interval (the damping-matrix audit in ``oracle``, where the integrand
+  mixes decaying exponentials with oscillation or hyperbolic growth), and
 * tensor-product rules on a 2D box with order doubling (used for purity
   integrals of |chord|^2-type densities).
 
@@ -58,7 +58,6 @@ def gauss_legendre_adaptive(
     enough.
     """
     if a == b:
-        nodes, _ = _leggauss(order)
         return np.zeros_like(np.asarray(f(np.array([a]))[0], dtype=float))
     sign = 1.0
     if b < a:

@@ -22,10 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._quadrature import adaptive_tensor_gl
-from .errors import AsymptoticInvalid, ConfigError
+from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import DampingMatrix, damping_matrix, flow
+from .propagator import damping_matrix, flow
 from .states import ChordState
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _THRESHOLD = 0.25
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class PositivityResult:
 
     ``reached`` with the crossing time ``t_p`` and the verified determinant,
     or not reached within ``horizon`` with the supremum ``limit`` of
-    det M(-t) observed on the scan.
+    det M(-t) observed on the scan, less its round-off (so at most 1/4).
     """
 
     reached: bool
@@ -68,71 +69,76 @@ class PositivityResult:
                 "horizon": self.horizon, "iterations": self.iterations}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
-def _det_reversed(system: OpenSystem, t: float, rtol: float) -> float:
-    det = damping_matrix(system, -t, rtol=rtol).det
-    if not math.isfinite(det):
-        # overflow far beyond the crossing; treat as past threshold
-        return math.inf
-    return det
-
-
-def positivity_time(system: OpenSystem, horizon: float = 100.0, *,
-                    rtol: float = 1e-12) -> PositivityResult:
+def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityResult:
     """First t with det M(-t) = 1/4, or the supremum reached by ``horizon``.
 
     det M(-t) is nondecreasing (its derivative is a congruence of the
-    positive-semidefinite K), so a forward scan with geometric-then-linear
-    steps brackets the unique crossing and bisection refines it to ~1e-12
-    relative. The returned determinant is re-evaluated at t_p as an
-    invariant check.
+    positive-semidefinite K). A point counts as crossed only where det - 1/4
+    exceeds its round-off 4 eps (|m00 m11| + m01^2), so ``limit`` <= 1/4.
+    The scan doubles from 1e-3 of the characteristic timescale up to
+    ``horizon``; where round-off first hides the sign it rescans from the
+    last resolved point in steps of 1/20 of the timescale, since in weakly
+    damped hyperbolic systems the resolved window can be short. Bisection
+    refines the crossing to ~1e-13 relative. An overflowed M counts as
+    crossed, but :class:`Unstable` is raised if the crossing lands on it.
     """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ConfigError("horizon must be positive and finite")
     if not np.any(system.k_matrix):
         return PositivityResult(reached=False, horizon=horizon, iterations=0,
                                 limit=0.0)
-    scale = characteristic_timescale(system)
-    scale = min(scale, horizon)
+    scale = min(characteristic_timescale(system), horizon)
     evals = 0
 
-    def gap(t: float) -> float:
+    def above(t: float) -> tuple[bool, float, float]:
+        """(crossed, det M(-t) - 1/4, round-off); (True, inf, 0) on overflow."""
         nonlocal evals
         evals += 1
-        return _det_reversed(system, t, rtol) - _THRESHOLD
+        try:
+            (m00, m01), (m10, m11) = damping_matrix(system, -t).m.tolist()
+            diag, off = m00 * m11, m01 * m10
+        except Unstable:
+            diag = off = math.inf
+        margin = 4.0 * _EPS * (abs(diag) + off)
+        if not math.isfinite(margin):
+            return True, math.inf, 0.0
+        d = diag - off - _THRESHOLD
+        return d > margin, d, margin
 
-    lo, hi = 0.0, None
+    lo, hi, step = 0.0, 1e-3 * scale, 0.0
     best = -_THRESHOLD
-    t = 1e-3 * scale
-    while t < horizon:
-        g = gap(t)
-        best = max(best, g)
-        if g >= 0.0:
-            hi = t
+    while True:
+        crossed, d, margin = above(hi)
+        if crossed:
             break
-        lo = t
-        t = min(1.5 * t, t + scale / 20.0)
-    if hi is None:
-        g = gap(horizon)
-        best = max(best, g)
-        if g >= 0.0:
-            hi = horizon
-        else:
+        best = max(best, d - margin)
+        if not step and d >= -margin:
+            step, hi = scale / 20.0, lo
+        elif hi >= horizon:
             return PositivityResult(reached=False, horizon=horizon,
                                     iterations=evals, limit=best + _THRESHOLD)
+        else:
+            lo = hi
+        hi = min(hi + step if step else 2.0 * hi, horizon)
 
+    upper = d
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0.0:
-            hi = mid
+        crossed, d, _ = above(mid)
+        if crossed:
+            hi, upper = mid, d
         else:
             lo = mid
         if hi - lo <= 1e-13 * hi:
             break
     t_p = 0.5 * (lo + hi)
-    det_value = _det_reversed(system, t_p, rtol)
+    if upper == math.inf:
+        raise Unstable(f"det M(-t) overflows near t={t_p!r} before it is "
+                       f"resolved above 1/4")
+    det_value = damping_matrix(system, -t_p).det
     return PositivityResult(reached=True, horizon=horizon, iterations=evals,
                             t_p=t_p, det_value=det_value)
 
@@ -151,7 +157,7 @@ def purity(system: OpenSystem, state: ChordState, t: float, *,
     if not math.isfinite(state.chord_radius):
         raise ConfigError("state must carry a finite chord_radius")
     hbar = system.hbar
-    shrink = -damping_matrix(system, -t, rtol=1e-12).m  # PSD
+    shrink = -damping_matrix(system, -t).m  # PSD
     lam, basis = np.linalg.eigh(shrink)
     lam = np.clip(lam, 0.0, None)
     halves = []
@@ -190,7 +196,7 @@ def purity_asymptotic(system: OpenSystem, t: float, *,
     """
     if t < 0:
         raise ConfigError("purity_asymptotic requires t >= 0")
-    shrink = -damping_matrix(system, -t, rtol=1e-12).m
+    shrink = -damping_matrix(system, -t).m
     lam = np.linalg.eigvalsh(shrink)
     if lam[0] < eigen_floor:
         raise AsymptoticInvalid(

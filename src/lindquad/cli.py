@@ -13,9 +13,10 @@ stdout (JSON commands) or to ``--out`` (CSV commands; grids get a
 ``<path>.json`` sidecar). All files are written atomically and all floats
 are serialized via repr, so reruns are byte-identical.
 
-Exit codes: 0 success; 2 configuration/validation error; 3 positivity not
-reached under ``--require-reached``; 4 grid too coarse; 5 numerical failure
-(quadrature non-convergence, integrator instability, truncation leak).
+Exit codes: 0 success; 2 configuration/validation error (including NaN or
+Infinity in a config); 3 positivity not reached under ``--require-reached``;
+4 grid too coarse; 5 numerical failure (overflow, quadrature
+non-convergence, integrator instability, truncation leak, NaN results).
 """
 
 from __future__ import annotations
@@ -86,7 +87,16 @@ def _float_field(data: dict, key: str, default: float | None = None) -> float:
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be finite, got {value!r}")
     return float(value)
+
+
+def _json(payload: dict) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or Infinity in the results
+        raise Unstable(f"non-finite value in the output: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -118,7 +128,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "timescale": scale if math.isfinite(scale) else None,
         "hbar": system.hbar,
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json(payload), args.out)
     return _EXIT_OK
 
 
@@ -181,7 +191,7 @@ def cmd_positivity(args: argparse.Namespace) -> int:
     system = _system(data)
     horizon = _float_field(data, "horizon", 100.0)
     result = analysis.positivity_time(system, horizon=horizon)
-    _emit(result.to_json(), args.out)
+    _emit(_json(result.to_dict()), args.out)
     if not result.reached and args.require_reached:
         return _EXIT_UNREACHED
     return _EXIT_OK
@@ -222,8 +232,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     times = data["times"]
     if (not isinstance(times, list) or not times
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in times)):
-        raise ConfigError("'times' must be a non-empty list of numbers")
+                       and math.isfinite(v) for v in times)):
+        raise ConfigError("'times' must be a non-empty list of finite numbers")
     include = data.get("include_asymptotic", True)
     if not isinstance(include, bool):
         raise ConfigError("'include_asymptotic' must be a boolean")
@@ -295,8 +305,7 @@ def cmd_langevin(args: argparse.Namespace) -> int:
         "exact_cov": [[float(v) for v in row] for row in exact_cov],
         "sample_cov": [[float(v) for v in row] for row in sample_cov],
     }
-    atomic_write_text(out + ".json",
-                      json.dumps(report, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(out + ".json", _json(report))
     return _EXIT_OK
 
 
@@ -321,6 +330,23 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _fock_initial(data: dict, system: OpenSystem) -> oracle.FockDensity:
+    """Number-basis initial state for the Fock comparison (coherent or cat)."""
+    state, hbar = data["state"], system.hbar
+    kind, center = state.get("type"), state.get("center", (0.0, 0.0))
+    if kind not in ("cat", "coherent"):
+        raise ConfigError("fock comparison supports coherent or cat states")
+    dim = data.get("fock_dim")
+    if dim is None:
+        dim = (oracle.cat_fock_dim(float(state["zeta"]), hbar) if kind == "cat"
+               else oracle.coherent_fock_dim(center, hbar))
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
+        raise ConfigError("'fock_dim' must be an integer >= 2")
+    if kind == "cat":
+        return oracle.fock_cat(float(state["zeta"]), dim, hbar)
+    return oracle.fock_coherent(center, dim, hbar)
+
+
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     data = _load_config(
         args.config,
@@ -333,15 +359,16 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     with_fock = data.get("with_fock", True)
     if not isinstance(with_fock, bool):
         raise ConfigError("'with_fock' must be a boolean")
-
-    exact = propagator.evolve_wigner_grid(system, state, t, grid)
     if state.wigner is None:
         raise ConfigError("oracle comparison needs a state with an analytic "
                           "Wigner evaluator (built-in states)")
-    initial = GridField(spec=grid, values=state.wigner(grid.points()))
     fp_dt = data.get("fp_dt")
     if fp_dt is not None:
         fp_dt = _float_field(data, "fp_dt")
+    rho0 = _fock_initial(data, system) if with_fock else None
+
+    exact = propagator.evolve_wigner_grid(system, state, t, grid)
+    initial = GridField(spec=grid, values=state.wigner(grid.points()))
     fp = oracle.integrate_fokker_planck(system, initial, t, dt=fp_dt)
 
     cell = grid.cell_area
@@ -358,34 +385,15 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         "linf": {"exact_vs_fp": linf(exact, fp)},
         "tv": {"exact_vs_fp": tv(exact, fp)},
     }
-    if with_fock:
-        dim = data.get("fock_dim")
-        if dim is None:
-            if state.label.startswith("cat"):
-                zeta = float(data["state"]["zeta"])
-                dim = oracle.cat_fock_dim(zeta, system.hbar)
-            else:
-                center = data["state"].get("center", (0.0, 0.0))
-                dim = oracle.coherent_fock_dim(center, system.hbar)
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-            raise ConfigError("'fock_dim' must be an integer >= 2")
-        kind = data["state"].get("type")
-        if kind == "cat":
-            rho0 = oracle.fock_cat(float(data["state"]["zeta"]), dim,
-                                   system.hbar)
-        elif kind == "coherent":
-            rho0 = oracle.fock_coherent(data["state"].get("center", (0.0, 0.0)),
-                                        dim, system.hbar)
-        else:
-            raise ConfigError("fock comparison supports coherent or cat states")
+    if rho0 is not None:
         rho_t = oracle.integrate_fock_lindblad(system, rho0, t)
         fock_field = oracle.wigner_from_fock(rho_t, grid)
-        report["fock_dim"] = dim
+        report["fock_dim"] = rho0.dim
         report["linf"]["exact_vs_fock"] = linf(exact, fock_field)
         report["linf"]["fp_vs_fock"] = linf(fp, fock_field)
         report["tv"]["exact_vs_fock"] = tv(exact, fock_field)
         report["tv"]["fp_vs_fock"] = tv(fp, fock_field)
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json(report), args.out)
     return _EXIT_OK
 
 

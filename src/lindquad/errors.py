@@ -28,14 +28,6 @@ class SingularFrame(ConfigError):
     """The momentum-dissipation frame change needs H_11 != 0."""
 
 
-class UnsupportedForm(ConfigError):
-    """No canonical closed-form reduction applies to this system.
-
-    Kept for API completeness: the closed-form damping matrix used here is
-    total over all regimes, so the current implementation never raises it.
-    """
-
-
 class GridTooCoarse(LindquadError, ValueError):
     """A sampling grid cannot represent the field to the required tail mass."""
 

@@ -1,6 +1,9 @@
 """Brute-force reference integrators, independent of the exact solution.
 
-Two deliberately different routes re-derive the dynamics from scratch:
+Three deliberately different routes re-derive the dynamics from scratch:
+
+* :func:`damping_matrix_quadrature` — M(t) by adaptive Gauss–Legendre
+  quadrature of its integral, with a generic matrix exponential for the flow.
 
 * :func:`integrate_fokker_planck` — the Wigner transport equation as a
   classical PDE on a rectangular grid: flux-form advection plus constant
@@ -36,6 +39,7 @@ from .grid import GridField, GridSpec
 from .model import J, LindbladChannel, OpenSystem
 
 __all__ = [
+    "damping_matrix_quadrature",
     "FockDensity",
     "fokker_planck_max_dt",
     "integrate_fokker_planck",
@@ -49,6 +53,28 @@ __all__ = [
     "wigner_from_fock",
     "fock_mean",
 ]
+
+# ---------------------------------------------------------------------------
+# Damping-matrix quadrature
+
+
+def damping_matrix_quadrature(system: OpenSystem, t: float, *,
+                              rtol: float = 1e-12) -> NDArray[np.float64]:
+    """M(t) = Integral_{-t}^{0} E^T K E d tau, E = expm((2 J H + alpha) tau)."""
+    from scipy.linalg import expm
+
+    from ._quadrature import gauss_legendre_adaptive
+
+    k = system.k_matrix
+    gen = 2.0 * J @ system.hamiltonian.matrix + system.alpha * np.eye(2)
+
+    def integrand(taus: NDArray[np.float64]) -> np.ndarray:
+        e = expm(taus[:, None, None] * gen)
+        return np.einsum("nji,jk,nkl->nil", e, k, e)
+
+    m = gauss_legendre_adaptive(integrand, -float(t), 0.0, rtol=rtol)
+    return 0.5 * (m + m.T)
+
 
 # ---------------------------------------------------------------------------
 # Fokker-Planck route

@@ -16,10 +16,8 @@ and the Wigner function follows by a symplectic Fourier transform carried
 out as an explicit (non-FFT) midpoint-node DFT so the chord mesh can be
 centered and oversampled independently of the target grid.
 
-``damping_matrix`` integrates numerically (the default route used by the
-evolution helpers); ``damping_matrix_closed`` evaluates the same matrix
-through exponential moment integrals and must agree to near machine
-precision — the two routes are kept separate so each can audit the other.
+``damping_matrix`` evaluates M(t) in closed form in the eigenbasis of B;
+the adaptive quadrature of the same integral is an audit in ``oracle``.
 """
 
 from __future__ import annotations
@@ -27,20 +25,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-from ._quadrature import gauss_legendre_adaptive
-from .errors import ConfigError, GridTooCoarse
+from .errors import ConfigError, GridTooCoarse, Unstable
 from .grid import GridField, GridSpec
-from .model import J, HamiltonianForm, OpenSystem
+from .model import J, HamiltonianForm, OpenSystem, _inv2
 from .states import ChordState
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 __all__ = [
     "FlowMatrix",
@@ -49,7 +42,6 @@ __all__ = [
     "chord_flow",
     "point_flow",
     "damping_matrix",
-    "damping_matrix_closed",
     "gaussian_factor",
     "evolve_chord",
     "evolved_state",
@@ -76,11 +68,10 @@ class FlowMatrix:
 
 @dataclass(frozen=True)
 class DampingMatrix:
-    """Symmetric damping matrix M(t) with its evaluation route recorded."""
+    """Symmetric damping matrix M(t)."""
 
     m: NDArray[np.float64]
     time: float
-    method: str
 
     @property
     def det(self) -> float:
@@ -115,22 +106,6 @@ def flow(hamiltonian: HamiltonianForm, t: float) -> FlowMatrix:
     return FlowMatrix(matrix=c * np.eye(2) + s * b, time=float(t))
 
 
-def _orbits_many(hamiltonian: HamiltonianForm, ts: NDArray[np.float64]) -> np.ndarray:
-    """Stack of R_t for an array of times, shape (len(ts), 2, 2)."""
-    b = 2.0 * J @ hamiltonian.matrix
-    minus4det = -4.0 * hamiltonian.det
-    ts = np.asarray(ts, dtype=float)
-    if minus4det == 0.0:
-        c, s = np.ones_like(ts), ts
-    elif minus4det > 0.0:
-        w = math.sqrt(minus4det)
-        c, s = np.cosh(w * ts), np.sinh(w * ts) / w
-    else:
-        w = math.sqrt(-minus4det)
-        c, s = np.cos(w * ts), np.sin(w * ts) / w
-    return c[:, None, None] * np.eye(2) + s[:, None, None] * b
-
-
 def chord_flow(system: OpenSystem, t: float, xi) -> np.ndarray:
     """Chord characteristic flow xi -> e^{alpha t} R_t xi (batched)."""
     xi = np.asarray(xi, dtype=float)
@@ -157,28 +132,6 @@ def point_flow(system: OpenSystem, t: float, x) -> np.ndarray:
         linear = e[:2, :2]
         offset = e[:2, 2]
     return x @ linear.T + offset
-
-
-def damping_matrix(system: OpenSystem, t: float, *, rtol: float = 1e-10) -> DampingMatrix:
-    """M(t) by adaptive Gauss–Legendre quadrature of e^{2 a tau} R^T K R.
-
-    Positive semidefinite for t >= 0, negative semidefinite for t <= 0,
-    M(0) = 0. This is the default route; see :func:`damping_matrix_closed`
-    for the independent closed form.
-    """
-    k = system.k_matrix
-    alpha = system.alpha
-    if not np.any(k):
-        return DampingMatrix(m=np.zeros((2, 2)), time=float(t), method="Quadrature")
-
-    def integrand(taus: NDArray[np.float64]) -> np.ndarray:
-        rs = _orbits_many(system.hamiltonian, taus)
-        weights = np.exp(2.0 * alpha * taus)
-        return weights[:, None, None] * np.einsum("nji,jk,nkl->nil", rs, k, rs)
-
-    m = gauss_legendre_adaptive(integrand, -float(t), 0.0, rtol=rtol)
-    m = 0.5 * (m + m.T)
-    return DampingMatrix(m=m, time=float(t), method="Quadrature")
 
 
 def _phi(x: complex, t: float) -> complex:
@@ -214,63 +167,85 @@ def _poly_exp_integrals(a: float, t: float, nmax: int) -> list[float]:
     return js
 
 
-def damping_matrix_closed(system: OpenSystem, t: float) -> DampingMatrix:
-    """M(t) in closed form via exponential moment integrals.
+def _near_parabolic(k: np.ndarray, bmat: np.ndarray, s2: float, a: float,
+                    t: float) -> np.ndarray:
+    """M(t) from polynomial-exponential moments, for |sigma^2| t^2 small.
 
     Writing R_tau = c I + s B gives M = K I_cc + (B^T K + K B) I_cs +
-    B^T K B I_ss with I_cc, I_cs, I_ss reducible to phi(x) =
-    Integral e^{x tau} d tau at x = 2 alpha, 2 alpha ± 2 sigma. Near the
-    parabolic regime (|sigma^2| t^2 small) the expression degrades
-    gracefully through series in polynomial-times-exponential moments, so
-    no system shape is excluded. Valid for either sign of t.
+    B^T K B I_ss, with the even/odd Taylor series of c and s integrated
+    term by term against e^{a tau}.
+    """
+    js = _poly_exp_integrals(a, t, 14)
+    u4 = 4.0 * s2
+    i_cs, i_ss, power = 0.0, 0.0, 1.0
+    for order in range(7):
+        i_cs += power * js[2 * order + 1] / math.factorial(2 * order + 1)
+        i_ss += 2.0 * power * js[2 * order + 2] / math.factorial(2 * order + 2)
+        power *= u4
+    i_cc = js[0] + s2 * i_ss
+    return k * i_cc + (bmat.T @ k + k @ bmat) * i_cs + (bmat.T @ k @ bmat) * i_ss
+
+
+def _eigenbasis(k: np.ndarray, bmat: np.ndarray, s2: float, a: float,
+                t: float) -> np.ndarray:
+    """M(t) = Re[V^{-T} ((V^T K V) o Phi) V^{-1}] with B = V diag(sigma, -sigma) V^{-1}.
+
+    Phi_ij = phi(a + lambda_i + lambda_j, t). Each eigenvector is the
+    larger column of adj(B - lambda I), nonzero whenever sigma != 0.
+    """
+    sigma = cmath.sqrt(complex(s2))
+    (b00, b01), (b10, _) = bmat
+    v = np.array([max([(b01, lam - b00), (lam + b00, b10)],
+                      key=lambda col: abs(col[0]) + abs(col[1]))
+                  for lam in (sigma, -sigma)]).T
+    v_inv = _inv2(v)
+    phi_0 = _phi(complex(a), t)
+    phi = np.array([[_phi(a + 2.0 * sigma, t), phi_0],
+                    [phi_0, _phi(a - 2.0 * sigma, t)]])
+    return (v_inv.T @ ((v.T @ k @ v) * phi) @ v_inv).real
+
+
+def damping_matrix(system: OpenSystem, t: float) -> DampingMatrix:
+    """M(t) = Integral_{-t}^{0} e^{2 alpha tau} R_tau^T K R_tau d tau, closed form.
+
+    Positive semidefinite for t >= 0, negative semidefinite for t <= 0,
+    M(0) = 0. Polynomial-moment series take over where |sigma^2| t^2 is
+    small and the eigenbasis of B is ill-conditioned. Raises
+    :class:`Unstable` when the exponentials overflow.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise ConfigError(f"damping matrix needs a finite time, got {t!r}")
     k = system.k_matrix
     if not np.any(k):
-        return DampingMatrix(m=np.zeros((2, 2)), time=t, method="ClosedForm")
+        return DampingMatrix(m=np.zeros((2, 2)), time=t)
     bmat = 2.0 * J @ system.hamiltonian.matrix
     s2 = -4.0 * system.hamiltonian.det
     a = 2.0 * system.alpha
-
-    if abs(4.0 * s2) * t * t < 1e-2:
-        js = _poly_exp_integrals(a, t, 14)
-        u4 = 4.0 * s2
-        i_cs = 0.0
-        i_ss = 0.0
-        power = 1.0
-        for order in range(7):
-            i_cs += power * js[2 * order + 1] / math.factorial(2 * order + 1)
-            i_ss += 2.0 * power * js[2 * order + 2] / math.factorial(2 * order + 2)
-            power *= u4
-        i_cc = js[0] + s2 * i_ss
-    else:
-        sigma = cmath.sqrt(complex(s2))
-        phi_p = _phi(a + 2.0 * sigma, t)
-        phi_m = _phi(a - 2.0 * sigma, t)
-        phi_0 = _phi(complex(a), t)
-        i_cc = ((phi_p + phi_m + 2.0 * phi_0) / 4.0).real
-        i_ss = ((phi_p + phi_m - 2.0 * phi_0) / (4.0 * s2)).real
-        i_cs = ((phi_p - phi_m) / (4.0 * sigma)).real
-
-    m = k * i_cc + (bmat.T @ k + k @ bmat) * i_cs + (bmat.T @ k @ bmat) * i_ss
-    m = 0.5 * (m + m.T)
-    return DampingMatrix(m=m, time=t, method="ClosedForm")
+    route = _near_parabolic if abs(4.0 * s2) * t * t < 1e-2 else _eigenbasis
+    try:
+        m = route(k, bmat, s2, a, t)
+    except OverflowError:
+        m = np.full((2, 2), math.inf)
+    if not np.all(np.isfinite(m)):
+        raise Unstable(f"damping matrix overflows at t={t!r}")
+    return DampingMatrix(m=0.5 * (m + m.T), time=t)
 
 
-def gaussian_factor(system: OpenSystem, t: float, xi,
-                    damping: Optional[DampingMatrix] = None) -> np.ndarray:
+def _attenuation(m: NDArray[np.float64], hbar: float, xi: np.ndarray) -> np.ndarray:
+    quad = np.einsum("...i,ij,...j->...", xi, m, xi)
+    return np.exp(-quad / (2.0 * hbar))
+
+
+def gaussian_factor(system: OpenSystem, t: float, xi) -> np.ndarray:
     """exp(-xi . M(t) xi / 2 hbar), the chord attenuation envelope.
 
-    Lies in (0, 1] for t >= 0. Pass a precomputed ``damping`` to amortize
-    the quadrature over many chords.
+    Lies in (0, 1] for t >= 0.
     """
     if t < 0:
         raise ConfigError("gaussian_factor requires t >= 0")
-    if damping is None:
-        damping = damping_matrix(system, t)
-    xi = np.asarray(xi, dtype=float)
-    quad = np.einsum("...i,ij,...j->...", xi, damping.m, xi)
-    return np.exp(-quad / (2.0 * system.hbar))
+    m = damping_matrix(system, t).m
+    return _attenuation(m, system.hbar, np.asarray(xi, dtype=float))
 
 
 def _check_state(system: OpenSystem, state: ChordState) -> None:
@@ -279,8 +254,7 @@ def _check_state(system: OpenSystem, state: ChordState) -> None:
             f"state hbar {state.hbar} does not match system hbar {system.hbar}")
 
 
-def evolve_chord(system: OpenSystem, state: ChordState, t: float, xi,
-                 damping: Optional[DampingMatrix] = None) -> np.ndarray:
+def evolve_chord(system: OpenSystem, state: ChordState, t: float, xi) -> np.ndarray:
     """Evolved chord function at chords ``xi`` (batched, complex).
 
     Pure composition: the initial evaluator is pulled back along the
@@ -289,12 +263,10 @@ def evolve_chord(system: OpenSystem, state: ChordState, t: float, xi,
     if t < 0:
         raise ConfigError("evolve_chord requires t >= 0")
     _check_state(system, state)
-    if damping is None:
-        damping = damping_matrix(system, t)
+    m = damping_matrix(system, t).m
     xi = np.asarray(xi, dtype=float)
     back = math.exp(-system.alpha * t) * flow(system.hamiltonian, -t).matrix
-    pulled = state.evaluator(xi @ back.T)
-    return pulled * gaussian_factor(system, t, xi, damping=damping)
+    return state.evaluator(xi @ back.T) * _attenuation(m, system.hbar, xi)
 
 
 def evolved_state(system: OpenSystem, state: ChordState, t: float) -> ChordState:
@@ -314,8 +286,7 @@ def evolved_state(system: OpenSystem, state: ChordState, t: float) -> ChordState
 
     def evaluator(xi):
         xi = np.asarray(xi, dtype=float)
-        quad = np.einsum("...i,ij,...j->...", xi, damping.m, xi)
-        return initial(xi @ back.T) * np.exp(-quad / (2.0 * hbar))
+        return initial(xi @ back.T) * _attenuation(damping.m, hbar, xi)
 
     radius = float(np.linalg.norm(fwd, 2)) * state.chord_radius
     lam_min = float(np.linalg.eigvalsh(damping.m)[0])
@@ -359,8 +330,7 @@ def evolve_wigner_grid(system: OpenSystem, state: ChordState, t: float,
     xi_q = _chord_mesh(count_q, 2.0 * math.pi * hbar / d_p)
     mesh = np.stack(np.meshgrid(xi_p, xi_q, indexing="ij"), axis=-1)
 
-    damping = damping_matrix(system, t)
-    vals = evolve_chord(system, state, t, mesh, damping=damping)
+    vals = evolve_chord(system, state, t, mesh)
 
     mags = np.abs(vals)
     peak = float(mags.max())
@@ -399,12 +369,11 @@ def chord_pde_residual(system: OpenSystem, state: ChordState, t: float, xi,
     w_minus = complex(evolve_chord(system, state, t - h, xi))
     dt_w = (w_plus - w_minus) / (2.0 * h)
 
-    damping = damping_matrix(system, t)
     offsets = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    w_near = evolve_chord(system, state, t, xi + offsets, damping=damping)
+    w_near = evolve_chord(system, state, t, xi + offsets)
     grad = np.array([(w_near[0] - w_near[1]) / (2.0 * h),
                      (w_near[2] - w_near[3]) / (2.0 * h)])
-    w_here = complex(evolve_chord(system, state, t, xi, damping=damping))
+    w_here = complex(evolve_chord(system, state, t, xi))
 
     drift = 2.0 * J @ system.hamiltonian.matrix @ xi + system.alpha * xi
     damp_rate = float(xi @ system.k_matrix @ xi) / (2.0 * system.hbar)

@@ -132,6 +132,22 @@ def test_threshold_saturates_for_pure_gain() -> None:
     assert reported["limit"] == pytest.approx(result.limit)
 
 
+def test_threshold_found_in_short_resolved_window() -> None:
+    # sigma = 1: det M(-t) ~ alpha^2 (cosh 2t - 1) / 2 while the entries of M
+    # grow like alpha e^{2t}, so det M(-t) is resolved above 1/4 only for t
+    # in about (16.5, 17.6); doubling alone steps from 16.4 to 32.8
+    alpha = 7e-8
+    r = np.sqrt(alpha)
+    ham = HamiltonianForm(matrix=[[0.5, 0.0], [0.0, -0.5]])
+    sys = OpenSystem(hamiltonian=ham,
+                     channels=(LindbladChannel(l_re=[0.0, r], l_im=[r, 0.0]),))
+    for horizon in (100.0, 250.0):
+        result = positivity_time(sys, horizon=horizon)
+        assert result.reached
+        assert result.t_p == pytest.approx(np.log(1.0 / alpha), abs=0.1)
+        assert 0.25 < result.det_value < 0.35
+
+
 def test_threshold_reported_as_json() -> None:
     result = positivity_time(photon_bath(gamma=1.0))
     data = json.loads(result.to_json())

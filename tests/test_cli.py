@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from lindquad import (cat_state, coherent_state, photon_bath, purity,
+from lindquad import (cat_state, coherent_state, oracle, photon_bath, purity,
                       read_field_csv, system_to_dict)
 from lindquad.cli import main
 
@@ -69,6 +69,28 @@ def test_positivity_single_system(tmp_path, capsys) -> None:
     assert payload["status"] == "reached"
     assert payload["t_p"] == pytest.approx(math.log(2.0), rel=1e-9)
     assert payload["det_value"] == pytest.approx(0.25, abs=1e-9)
+
+
+def test_positivity_pure_gain_is_unreached(tmp_path, capsys) -> None:
+    # alpha = -0.09, K = 0.09 I: det M(-t) = (1 - e^{-0.18 t})^2 / 4 only
+    # approaches 1/4 from below
+    gain = {"hamiltonian": {"matrix": [[0.5, 0.0], [0.0, 0.5]]},
+            "channels": [{"l_re": [0.0, 0.3], "l_im": [-0.3, 0.0]}]}
+    cfg = _config(tmp_path, {"system": gain, "horizon": 300.0})
+    assert main(["positivity", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "unreached"
+    assert payload["limit"] <= 0.25
+
+
+def test_positivity_overflow_exits_five(tmp_path) -> None:
+    # alpha = 1e-100 on a sigma = 1 saddle: M(-t) overflows before its
+    # determinant is resolved above 1/4
+    r = 1e-50
+    saddle = {"hamiltonian": {"matrix": [[0.5, 0.0], [0.0, -0.5]]},
+              "channels": [{"l_re": [0.0, r], "l_im": [r, 0.0]}]}
+    cfg = _config(tmp_path, {"system": saddle, "horizon": 1000.0})
+    assert main(["positivity", "--config", cfg]) == 5
 
 
 def test_positivity_require_reached_exit_code(tmp_path, capsys) -> None:
@@ -161,6 +183,18 @@ def test_evolve_chord_representation(tmp_path) -> None:
     assert np.max(np.abs(field.values.imag)) > 1e-3  # genuinely complex
     # the origin carries the conserved trace 1/(2 pi hbar)
     assert field.values[8, 8] == pytest.approx(1.0 / (2.0 * math.pi))
+
+
+def test_evolve_overflow_exits_five(tmp_path) -> None:
+    # sigma = 5: e^{2 sigma t} overflows the damping matrix at t = 100
+    unstable = {"hamiltonian": {"matrix": [[0.0, 2.5], [2.5, 0.0]]},
+                "channels": [{"l_re": [0.0, 1.0], "l_im": [0.01, 0.0]}]}
+    cfg = _config(tmp_path, {
+        "system": unstable, "state": COHERENT, "t": 100.0,
+        "grid": {"center": [0.0, 0.0], "half_extent": [4.0, 4.0],
+                 "shape": [17, 17]}})
+    assert main(["evolve", "--config", cfg, "--out",
+                 str(tmp_path / "w.csv")]) == 5
 
 
 def test_evolve_rejects_undersized_grid(tmp_path) -> None:
@@ -282,6 +316,24 @@ def test_oracle_compare_report(tmp_path) -> None:
     assert report["tv"]["exact_vs_fp"] < 1e-3
 
 
+def test_oracle_compare_rejects_gaussian_before_integrating(
+        tmp_path, monkeypatch) -> None:
+    def no_integration(*args, **kwargs):
+        raise AssertionError("Fokker-Planck run before validation")
+
+    monkeypatch.setattr(oracle, "integrate_fokker_planck", no_integration)
+    cfg = _config(tmp_path, {
+        "system": PHOTON,
+        "state": {"type": "gaussian", "mean": [0.0, 0.0],
+                  "cov": [[0.8, 0.1], [0.1, 0.7]]},
+        "t": 0.1,
+        "grid": {"center": [0.0, 0.0], "half_extent": [5.0, 5.0],
+                 "shape": [33, 33]},
+    })
+    assert main(["oracle-compare", "--config", cfg, "--out",
+                 str(tmp_path / "r.json")]) == 2
+
+
 def test_oracle_compare_truncation_exit_code(tmp_path) -> None:
     cfg = _config(tmp_path, {
         "system": PHOTON,
@@ -329,6 +381,22 @@ def test_evolve_validation_errors(tmp_path) -> None:
     cfg = _config(tmp_path, bad_t, name="t.json")
     assert main(["evolve", "--config", cfg, "--out",
                  str(tmp_path / "y.csv")]) == 2
+
+
+def test_non_finite_numbers_exit_two(tmp_path) -> None:
+    grid = {"center": [0.0, 0.0], "half_extent": [4.0, 4.0], "shape": [17, 17]}
+    cfg = _config(tmp_path, {"system": PHOTON, "state": COHERENT,
+                             "t": math.nan, "grid": grid}, name="t.json")
+    out = tmp_path / "w.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    cfg = _config(tmp_path, {"system": PHOTON, "state": COHERENT,
+                             "times": [math.nan]}, name="times.json")
+    assert main(["entropy", "--config", cfg, "--out",
+                 str(tmp_path / "p.csv")]) == 2
+    cfg = _config(tmp_path, {"system": PHOTON, "horizon": math.inf},
+                  name="h.json")
+    assert main(["positivity", "--config", cfg]) == 2
 
 
 def test_entropy_validation_errors(tmp_path) -> None:

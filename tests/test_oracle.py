@@ -1,6 +1,9 @@
 """Tests for the two brute-force reference integrators."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from lindquad import (CatParameters, ConfigError, GridField, GridTooCoarse,
                       fock_thermal, fokker_planck_max_dt, gaussian_state,
                       integrate_fock_lindblad, integrate_fokker_planck,
                       photon_bath, point_flow, purity, wigner_from_fock)
+from lindquad import oracle
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +217,21 @@ def test_density_integration_flags_non_finite_fields() -> None:
     values[16, 16] = np.nan
     with pytest.raises(Unstable):
         integrate_fokker_planck(sys, GridField(spec=grid, values=values), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# independence
+
+
+def test_oracle_imports_neither_propagator_nor_analysis() -> None:
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}"
+                            for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"propagator", "analysis"}

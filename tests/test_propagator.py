@@ -10,9 +10,10 @@ from lindquad import (CatParameters, ConfigError, GridTooCoarse,
                       HamiltonianForm, J, LindbladChannel, OpenSystem,
                       cat_state, cat_wigner_line, centered_grid, chord_flow,
                       chord_pde_residual, coherent_state, damping_matrix,
-                      damping_matrix_closed, evolve_chord, evolve_wigner_grid,
-                      evolved_state, flow, gaussian_factor, photon_bath,
-                      point_flow, symplectic_transform)
+                      damping_matrix_quadrature, evolve_chord,
+                      evolve_wigner_grid, evolved_state, flow,
+                      gaussian_factor, photon_bath, point_flow,
+                      symplectic_transform)
 
 
 def _random_hamiltonians(rng: np.random.Generator, n: int) -> list[HamiltonianForm]:
@@ -108,18 +109,47 @@ def test_chord_flow_grows_when_point_flow_contracts() -> None:
 # damping matrix
 
 
+def _near_parabolic_system(rng: np.random.Generator, det: float) -> OpenSystem:
+    h = np.array([[rng.uniform(0.3, 1.5), 0.0], [0.0, 0.0]])
+    h[1, 1] = det / h[0, 0]
+    theta = rng.uniform(0, 2 * np.pi)
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    channels = tuple(LindbladChannel(l_re=rng.normal(size=2),
+                                     l_im=rng.normal(size=2))
+                     for _ in range(2))
+    return OpenSystem(hamiltonian=HamiltonianForm(matrix=rot @ h @ rot.T),
+                      channels=channels)
+
+
 def test_damping_quadrature_agrees_with_closed_form() -> None:
     rng = np.random.default_rng(12)
+    times = (-5.0, -0.9, -1e-3, 1e-3, 0.6, 2.3, 5.0)
+    cases = [(random_system(rng, regime, alpha=rng.uniform(-0.6, 0.8)), times)
+             for regime in ("elliptic", "hyperbolic", "parabolic")
+             for _ in range(25)]
+    # near-parabolic Hamiltonians (det H ~ 1e-9) with random channels
+    for ham in _random_hamiltonians(rng, 70)[3::7]:
+        channels = tuple(LindbladChannel(l_re=rng.normal(size=2),
+                                         l_im=rng.normal(size=2))
+                         for _ in range(2))
+        cases.append((OpenSystem(hamiltonian=ham, channels=channels), times))
+    # small |sigma| at times on both sides of the switch from the moment
+    # series (|sigma| t < 0.05) to the eigenbasis, where its eigenvectors
+    # are worst conditioned
+    for det in (-1e-2, -1e-4, 1e-4, 1e-2):
+        for _ in range(3):
+            sys = _near_parabolic_system(rng, det)
+            sigma = abs(sys.sigma)
+            cases.append((sys, tuple(sign * f / sigma for sign in (-1.0, 1.0)
+                                     for f in (0.04, 0.06, 1.0))))
     worst = 0.0
-    for regime in ("elliptic", "hyperbolic", "parabolic"):
-        for _ in range(25):
-            sys = random_system(rng, regime,
-                                alpha=rng.uniform(-0.6, 0.8))
-            for t in (-0.9, 0.6, 2.3):
-                mq = damping_matrix(sys, t, rtol=1e-12).m
-                mc = damping_matrix_closed(sys, t).m
-                scale = max(1.0, float(np.max(np.abs(mc))))
-                worst = max(worst, float(np.max(np.abs(mq - mc))) / scale)
+    for sys, ts in cases:
+        for t in ts:
+            mq = damping_matrix_quadrature(sys, t, rtol=1e-12)
+            mc = damping_matrix(sys, t).m
+            scale = max(1.0, float(np.max(np.abs(mc))))
+            worst = max(worst, float(np.max(np.abs(mq - mc))) / scale)
     assert worst < 1e-9
 
 
@@ -192,7 +222,7 @@ def test_elliptic_determinant_closed_form() -> None:
             c2 = (np.exp(4 * alpha * t) - 2 * np.exp(2 * alpha * t) + 1) \
                 / (4 * alpha ** 2)
             expect = (c1 * a[0, 0] * a[1, 1] - c2 * a[0, 1] * a[1, 0]).real
-            got = damping_matrix_closed(sys, -t).det
+            got = damping_matrix(sys, -t).det
             assert got == pytest.approx(expect, rel=1e-9)
 
 
@@ -216,7 +246,7 @@ def test_hyperbolic_determinant_closed_form() -> None:
             c2 = (np.exp(4 * alpha * t) - 2 * np.exp(2 * alpha * t) + 1) \
                 / (4 * alpha ** 2)
             expect = c1 * k[0, 0] * k[1, 1] - c2 * k[0, 1] * k[1, 0]
-            got = damping_matrix_closed(sys, -t).det
+            got = damping_matrix(sys, -t).det
             assert got == pytest.approx(expect, rel=1e-9)
 
 
@@ -237,7 +267,7 @@ def test_parabolic_determinant_closed_form() -> None:
                     - np.exp(2 * eps * dbar * t)
                     * (d_prime / d_second * t ** 2 + 1 / (2 * d_second ** 2) + 2)
                     + 1 + 1 / (4 * d_second ** 2))
-                got = damping_matrix_closed(sys, -t).det
+                got = damping_matrix(sys, -t).det
                 assert got == pytest.approx(expect, rel=1e-9)
 
 
