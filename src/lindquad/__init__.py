@@ -30,7 +30,8 @@ from .oracle import (FockDensity, cat_fock_dim, coherent_fock_dim,
                      damping_matrix_quadrature, fock_cat, fock_coherent,
                      fock_mean, fock_operators, fock_thermal,
                      fokker_planck_max_dt, integrate_fock_lindblad,
-                     integrate_fokker_planck, wigner_from_fock)
+                     integrate_fokker_planck, purity_quadrature,
+                     wigner_from_fock)
 from .propagator import (DampingMatrix, FlowMatrix, chord_flow,
                          chord_pde_residual, damping_matrix, evolve_chord,
                          evolve_wigner_grid, evolved_state, flow,
@@ -61,8 +62,9 @@ __all__ = [
     "gaussian_state", "grid_from_dict", "integrate_fock_lindblad",
     "integrate_fokker_planck", "linear_entropy", "momentum_dissipation_frame",
     "photon_bath", "point_flow", "positivity_time", "purity",
-    "purity_asymptotic", "purity_curve", "read_field_csv", "reconstruct",
-    "sde_from_system", "sigma", "simulate", "state_from_dict",
+    "purity_asymptotic", "purity_curve", "purity_quadrature",
+    "read_field_csv", "reconstruct", "sde_from_system", "sigma", "simulate",
+    "state_from_dict",
     "symplectic_transform", "system_from_dict", "system_to_dict", "wedge",
     "wigner_from_fock", "write_field_csv", "write_purity_csv",
 ]

@@ -5,8 +5,8 @@ Two flavours used throughout the package:
 * a globally adaptive panel integrator for matrix-valued integrands on an
   interval (the damping-matrix audit in ``oracle``, where the integrand
   mixes decaying exponentials with oscillation or hyperbolic growth), and
-* tensor-product rules on a 2D box with order doubling (used for purity
-  integrals of |chord|^2-type densities).
+* tensor-product rules on a 2D box with order doubling (the purity audit
+  in ``oracle``).
 
 Both demand vectorized integrands: ``f(nodes)`` receives all nodes at once.
 """

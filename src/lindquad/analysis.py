@@ -6,10 +6,10 @@ first time it reaches 1/4 the evolved Wigner function of *every* initial
 state becomes pointwise nonnegative — the attenuation Gaussian is then at
 least as wide as a pure-state chord function can be. :func:`positivity_time`
 locates that threshold; :func:`purity` evaluates the exact trace-square
-integral in the chord plane; :func:`purity_asymptotic` is its late-time
-saddle value; :func:`reconstruct` inverts the evolution (with a reliability
-mask, since division by the attenuation Gaussian amplifies whatever noise
-lives at large chords).
+integral in closed form over the state's Gaussian terms;
+:func:`purity_asymptotic` is its late-time saddle value; :func:`reconstruct`
+inverts the evolution (with a reliability mask, since division by the
+attenuation Gaussian amplifies whatever noise lives at large chords).
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._quadrature import adaptive_tensor_gl
 from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import damping_matrix, flow
+from .propagator import damping_matrix, flow, gaussian_factor
 from .states import ChordState
 
 __all__ = [
@@ -143,45 +142,24 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
                             t_p=t_p, det_value=det_value)
 
 
-def purity(system: OpenSystem, state: ChordState, t: float, *,
-           rtol: float = 1e-8) -> float:
+def purity(system: OpenSystem, state: ChordState, t: float) -> float:
     """Tr rho_t^2 = 2 pi hbar e^{2 alpha t} Int |Wt_0|^2 e^{xi.M(-t)xi/hbar}.
 
-    The reversed damping matrix is negative semidefinite, so the integrand
-    is the initial chord intensity times a decaying Gaussian; it is
-    integrated in the Gaussian's eigenbasis on a box sized so the truncated
-    tail mass is below 1e-10 of the peak.
+    The reversed damping matrix is negative semidefinite, so this is the
+    average of a narrowing Gaussian over the initial chord intensity; over
+    the state's Gaussian terms it is the closed-form pair sum
+    :meth:`ChordState.norm_squared` with E = -2 M(-t)/hbar.
     """
     if t < 0:
         raise ConfigError("purity requires t >= 0")
-    if not math.isfinite(state.chord_radius):
-        raise ConfigError("state must carry a finite chord_radius")
-    hbar = system.hbar
-    shrink = -damping_matrix(system, -t).m  # PSD
-    lam, basis = np.linalg.eigh(shrink)
-    lam = np.clip(lam, 0.0, None)
-    halves = []
-    for eig in lam:
-        half = state.chord_radius
-        if eig > 0.0:
-            half = min(half, math.sqrt(hbar * math.log(1e10) / eig))
-        halves.append(half)
-    evaluator = state.evaluator
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        xi = pts @ basis.T
-        weight = np.exp(-(pts ** 2 @ lam) / hbar)
-        return np.abs(evaluator(xi)) ** 2 * weight
-
-    box = ((-halves[0], halves[0]), (-halves[1], halves[1]))
-    integral = adaptive_tensor_gl(f, box, rtol=rtol).real
-    return 2.0 * math.pi * hbar * math.exp(2.0 * system.alpha * t) * integral
+    shrink = damping_matrix(system, -t).m  # NSD
+    return (math.exp(2.0 * system.alpha * t)
+            * state.norm_squared(-2.0 * shrink / system.hbar))
 
 
-def linear_entropy(system: OpenSystem, state: ChordState, t: float, *,
-                   rtol: float = 1e-8) -> float:
+def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
     """1 - Tr rho_t^2."""
-    return 1.0 - purity(system, state, t, rtol=rtol)
+    return 1.0 - purity(system, state, t)
 
 
 def purity_asymptotic(system: OpenSystem, t: float, *,
@@ -210,10 +188,12 @@ def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
                 floor: float = 1e-8) -> ChordState:
     """Invert the evolution: recover the initial chord function from time t.
 
-    Exact where the attenuation Gaussian is appreciable; ``reliability``
-    marks chords whose Gaussian factor is at least ``floor`` — beyond that
-    the division amplifies anything (noise, truncation) by more than
-    1/floor and the recovered values should not be trusted.
+    Dividing by the attenuation Gaussian maps each term back:
+    A -> F^T (A - M(t)/hbar) F and b -> F^T b with F = e^{alpha t} R_t.
+    ``reliability`` marks chords whose Gaussian factor is at least
+    ``floor`` — beyond that the division amplifies anything (noise,
+    truncation) by more than 1/floor and the recovered values should not be
+    trusted.
     """
     if t < 0:
         raise ConfigError("reconstruct requires t >= 0")
@@ -222,29 +202,18 @@ def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
     hbar = system.hbar
     if abs(evolved.hbar - hbar) > 1e-12 * hbar:
         raise ConfigError("evolved state hbar does not match the system")
-    damping = damping_matrix(system, t)
+    m = damping_matrix(system, t).m
     forward = math.exp(system.alpha * t) * flow(system.hamiltonian, t).matrix
-    evolved_eval = evolved.evaluator
-
-    def gauss(eta: np.ndarray) -> np.ndarray:
-        quad = np.einsum("...i,ij,...j->...", eta, damping.m, eta)
-        return np.exp(-quad / (2.0 * hbar))
-
-    def evaluator(xi):
-        xi = np.asarray(xi, dtype=float)
-        eta = xi @ forward.T
-        return evolved_eval(eta) / gauss(eta)
 
     def reliability(xi):
-        xi = np.asarray(xi, dtype=float)
-        return gauss(xi @ forward.T) >= floor
+        eta = np.asarray(xi, dtype=float) @ forward.T
+        return gaussian_factor(system, t, eta) >= floor
 
-    backward = math.exp(-system.alpha * t) * flow(system.hamiltonian, -t).matrix
-    radius = float(np.linalg.norm(backward, 2)) * evolved.chord_radius
-    return ChordState(evaluator=evaluator,
+    return ChordState(weights=evolved.weights,
+                      forms=forward.T @ (evolved.forms - m / hbar) @ forward,
+                      shifts=evolved.shifts @ forward,
                       label=f"reconstructed({evolved.label})", pure=False,
-                      hbar=hbar, chord_radius=radius, wigner=None,
-                      reliability=reliability)
+                      hbar=hbar, reliability=reliability)
 
 
 @dataclass(frozen=True)
@@ -261,13 +230,16 @@ class PurityCurve:
 
 
 def purity_curve(system: OpenSystem, state: ChordState,
-                 times: Sequence[float], *, rtol: float = 1e-8,
+                 times: Sequence[float], *,
                  include_asymptotic: bool = True) -> PurityCurve:
-    """Quadrature purity at every time, plus asymptotic rows where valid."""
+    """Exact purity at every time, plus asymptotic rows where valid.
+
+    The exact rows keep the method name "quadrature" of the CSV format.
+    """
     ts, vals, methods = [], [], []
     for t in times:
         ts.append(float(t))
-        vals.append(purity(system, state, t, rtol=rtol))
+        vals.append(purity(system, state, t))
         methods.append("quadrature")
     if include_asymptotic:
         for t in times:

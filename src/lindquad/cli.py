@@ -16,7 +16,8 @@ are serialized via repr, so reruns are byte-identical.
 Exit codes: 0 success; 2 configuration/validation error (including NaN or
 Infinity in a config); 3 positivity not reached under ``--require-reached``;
 4 grid too coarse; 5 numerical failure (overflow, quadrature
-non-convergence, integrator instability, truncation leak, NaN results).
+non-convergence, integrator instability, truncation leak, a non-real
+Wigner function, NaN results).
 """
 
 from __future__ import annotations
@@ -92,6 +93,15 @@ def _float_field(data: dict, key: str, default: float | None = None) -> float:
     return float(value)
 
 
+def _number_list(data: dict, key: str, default: list | None = None) -> list:
+    value = data.get(key, default)
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and math.isfinite(v) for v in value)):
+        raise ConfigError(f"'{key}' must be a non-empty list of finite numbers")
+    return value
+
+
 def _json(payload: dict) -> str:
     try:
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -156,8 +166,8 @@ def cmd_positivity(args: argparse.Namespace) -> int:
                             {"d_prime", "d_second", "epsilons", "horizon"},
                             set()) if args.config else {}
         d_prime = _float_field(data, "d_prime", 2.0)
-        d_seconds = data.get("d_second", [0.0, 0.1, 1.0, 10.0, 100.0])
-        epsilons = data.get("epsilons", [-1.0, 1.0])
+        d_seconds = _number_list(data, "d_second", [0.0, 0.1, 1.0, 10.0, 100.0])
+        epsilons = _number_list(data, "epsilons", [-1.0, 1.0])
         horizon = _float_field(data, "horizon", 100.0)
         rows = _sweep_rows(d_prime, epsilons, d_seconds, horizon)
         unreached = any(not r.reached for _, _, r in rows)
@@ -200,7 +210,7 @@ def cmd_positivity(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     data = _load_config(
         args.config,
-        {"system", "state", "t", "grid", "representation", "oversample"},
+        {"system", "state", "t", "grid", "representation"},
         {"system", "state", "t", "grid"})
     system = _system(data)
     state = _state(data, system)
@@ -209,11 +219,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     representation = data.get("representation", "wigner")
     out = _require_out(args.out)
     if representation == "wigner":
-        oversample = data.get("oversample", 2)
-        if not isinstance(oversample, int) or isinstance(oversample, bool):
-            raise ConfigError("'oversample' must be an integer")
-        field = propagator.evolve_wigner_grid(system, state, t, grid,
-                                              oversample=oversample)
+        field = propagator.evolve_wigner_grid(system, state, t, grid)
     elif representation == "chord":
         values = propagator.evolve_chord(system, state, t, grid.points())
         field = GridField(spec=grid, values=values)
@@ -229,11 +235,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
                         {"system", "state", "times"})
     system = _system(data)
     state = _state(data, system)
-    times = data["times"]
-    if (not isinstance(times, list) or not times
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and math.isfinite(v) for v in times)):
-        raise ConfigError("'times' must be a non-empty list of finite numbers")
+    times = _number_list(data, "times")
     include = data.get("include_asymptotic", True)
     if not isinstance(include, bool):
         raise ConfigError("'include_asymptotic' must be a boolean")
@@ -321,7 +323,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     evolved = propagator.evolved_state(system, state, t)
     recovered = analysis.reconstruct(system, evolved, t, floor=floor)
     pts = grid.points()
-    values = recovered.evaluator(pts)
+    values = recovered(pts)
     reliable = recovered.reliability(pts)
     out = _require_out(args.out)
     write_field_csv(GridField(spec=grid, values=values), out)
@@ -359,9 +361,6 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     with_fock = data.get("with_fock", True)
     if not isinstance(with_fock, bool):
         raise ConfigError("'with_fock' must be a boolean")
-    if state.wigner is None:
-        raise ConfigError("oracle comparison needs a state with an analytic "
-                          "Wigner evaluator (built-in states)")
     fp_dt = data.get("fp_dt")
     if fp_dt is not None:
         fp_dt = _float_field(data, "fp_dt")

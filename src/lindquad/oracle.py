@@ -3,7 +3,9 @@
 Three deliberately different routes re-derive the dynamics from scratch:
 
 * :func:`damping_matrix_quadrature` — M(t) by adaptive Gauss–Legendre
-  quadrature of its integral, with a generic matrix exponential for the flow.
+  quadrature of its integral, with a generic matrix exponential for the flow;
+  :func:`purity_quadrature` integrates the trace-square of any chord callable
+  with it on a tensor Gauss–Legendre rule.
 
 * :func:`integrate_fokker_planck` — the Wigner transport equation as a
   classical PDE on a rectangular grid: flux-form advection plus constant
@@ -21,8 +23,9 @@ Three deliberately different routes re-derive the dynamics from scratch:
 function through the closed-form Laguerre kernel, which closes the loop:
 exact propagation, PDE, and operator routes can all be compared pointwise.
 
-None of this imports the propagator: agreement between these integrators
-and the exact evolution is evidence, not construction.
+None of this imports the propagator or the Gaussian state terms: agreement
+between these integrators and the exact evolution is evidence, not
+construction.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import eval_genlaguerre
 
+from ._quadrature import adaptive_tensor_gl, gauss_legendre_adaptive
 from .errors import ConfigError, GridTooCoarse, TruncationLeak, Unstable
 from .grid import GridField, GridSpec
 from .model import J, LindbladChannel, OpenSystem
 
 __all__ = [
     "damping_matrix_quadrature",
+    "purity_quadrature",
     "FockDensity",
     "fokker_planck_max_dt",
     "integrate_fokker_planck",
@@ -55,15 +60,13 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# Damping-matrix quadrature
+# Damping-matrix and purity quadrature
 
 
 def damping_matrix_quadrature(system: OpenSystem, t: float, *,
                               rtol: float = 1e-12) -> NDArray[np.float64]:
     """M(t) = Integral_{-t}^{0} E^T K E d tau, E = expm((2 J H + alpha) tau)."""
     from scipy.linalg import expm
-
-    from ._quadrature import gauss_legendre_adaptive
 
     k = system.k_matrix
     gen = 2.0 * J @ system.hamiltonian.matrix + system.alpha * np.eye(2)
@@ -74,6 +77,27 @@ def damping_matrix_quadrature(system: OpenSystem, t: float, *,
 
     m = gauss_legendre_adaptive(integrand, -float(t), 0.0, rtol=rtol)
     return 0.5 * (m + m.T)
+
+
+def purity_quadrature(system: OpenSystem, chord, t: float,
+                      half_width: float) -> float:
+    """Tr rho_t^2 = 2 pi hbar e^{2 alpha t} Int |chord|^2 e^{xi.M(-t)xi/hbar} d xi.
+
+    ``chord`` is the initial chord function, any callable vectorized over
+    (..., 2) chords. Tensor Gauss–Legendre with order doubling to rtol 1e-8
+    over the square |xi_p|, |xi_q| <= ``half_width``, with M(-t) from
+    :func:`damping_matrix_quadrature`.
+    """
+    m = damping_matrix_quadrature(system, -t)
+    hbar = system.hbar
+
+    def f(xi: NDArray[np.float64]) -> np.ndarray:
+        quad = np.einsum("...i,ij,...j->...", xi, m, xi)
+        return np.abs(chord(xi)) ** 2 * np.exp(quad / hbar)
+
+    box = ((-half_width, half_width), (-half_width, half_width))
+    integral = adaptive_tensor_gl(f, box, rtol=1e-8).real
+    return 2.0 * math.pi * hbar * math.exp(2.0 * system.alpha * t) * integral
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ A chord function then evolves by exact composition,
 
     Wt_t(xi) = Wt_0(e^{-alpha t} R_{-t} xi) * exp(-xi . M(t) xi / 2 hbar),
 
-and the Wigner function follows by a symplectic Fourier transform carried
-out as an explicit (non-FFT) midpoint-node DFT so the chord mesh can be
-centered and oversampled independently of the target grid.
+which maps each Gaussian term of a :class:`~lindquad.states.ChordState` to
+another Gaussian term, so the evolved Wigner function is closed form too.
 
 ``damping_matrix`` evaluates M(t) in closed form in the eigenbasis of B;
 the adaptive quadrature of the same integral is an audit in ``oracle``.
@@ -49,7 +48,7 @@ __all__ = [
     "chord_pde_residual",
 ]
 
-# |W_boundary| / |W_peak| above which a chord mesh cannot be trusted
+# |Wt| on the dual-mesh rim / Wt(0) above which a grid is too coarse
 _TAIL_RATIO = 1e-8
 
 
@@ -102,7 +101,10 @@ def flow(hamiltonian: HamiltonianForm, t: float) -> FlowMatrix:
     (parabolic) — the same two scalars in every regime.
     """
     b = 2.0 * J @ hamiltonian.matrix
-    c, s = _orbit_scalars(-4.0 * hamiltonian.det, float(t))
+    try:
+        c, s = _orbit_scalars(-4.0 * hamiltonian.det, float(t))
+    except OverflowError:
+        raise Unstable(f"orbit matrix overflows at t={t!r}") from None
     return FlowMatrix(matrix=c * np.eye(2) + s * b, time=float(t))
 
 
@@ -232,11 +234,6 @@ def damping_matrix(system: OpenSystem, t: float) -> DampingMatrix:
     return DampingMatrix(m=0.5 * (m + m.T), time=t)
 
 
-def _attenuation(m: NDArray[np.float64], hbar: float, xi: np.ndarray) -> np.ndarray:
-    quad = np.einsum("...i,ij,...j->...", xi, m, xi)
-    return np.exp(-quad / (2.0 * hbar))
-
-
 def gaussian_factor(system: OpenSystem, t: float, xi) -> np.ndarray:
     """exp(-xi . M(t) xi / 2 hbar), the chord attenuation envelope.
 
@@ -245,7 +242,8 @@ def gaussian_factor(system: OpenSystem, t: float, xi) -> np.ndarray:
     if t < 0:
         raise ConfigError("gaussian_factor requires t >= 0")
     m = damping_matrix(system, t).m
-    return _attenuation(m, system.hbar, np.asarray(xi, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    return np.exp(-np.einsum("...i,ij,...j->...", xi, m, xi) / (2.0 * system.hbar))
 
 
 def _check_state(system: OpenSystem, state: ChordState) -> None:
@@ -254,100 +252,55 @@ def _check_state(system: OpenSystem, state: ChordState) -> None:
             f"state hbar {state.hbar} does not match system hbar {system.hbar}")
 
 
-def evolve_chord(system: OpenSystem, state: ChordState, t: float, xi) -> np.ndarray:
-    """Evolved chord function at chords ``xi`` (batched, complex).
-
-    Pure composition: the initial evaluator is pulled back along the
-    reversed chord flow and attenuated by the Gaussian factor.
-    """
-    if t < 0:
-        raise ConfigError("evolve_chord requires t >= 0")
-    _check_state(system, state)
-    m = damping_matrix(system, t).m
-    xi = np.asarray(xi, dtype=float)
-    back = math.exp(-system.alpha * t) * flow(system.hamiltonian, -t).matrix
-    return state.evaluator(xi @ back.T) * _attenuation(m, system.hbar, xi)
-
-
 def evolved_state(system: OpenSystem, state: ChordState, t: float) -> ChordState:
-    """Package the evolved chord function as a :class:`ChordState`.
+    """The evolved chord function as a :class:`ChordState`.
 
-    The support radius combines the flowed initial support with the
-    attenuation envelope (whichever is smaller).
+    Each term is pulled back along the reversed chord flow and absorbs the
+    Gaussian factor: A -> back^T A back + M(t)/hbar and b -> back^T b, with
+    back = e^{-alpha t} R_{-t}; the weights are unchanged.
     """
     if t < 0:
         raise ConfigError("evolved_state requires t >= 0")
     _check_state(system, state)
-    damping = damping_matrix(system, t)
+    m = damping_matrix(system, t).m
     back = math.exp(-system.alpha * t) * flow(system.hamiltonian, -t).matrix
-    fwd = math.exp(system.alpha * t) * flow(system.hamiltonian, t).matrix
-    initial = state.evaluator
-    hbar = system.hbar
-
-    def evaluator(xi):
-        xi = np.asarray(xi, dtype=float)
-        return initial(xi @ back.T) * _attenuation(damping.m, hbar, xi)
-
-    radius = float(np.linalg.norm(fwd, 2)) * state.chord_radius
-    lam_min = float(np.linalg.eigvalsh(damping.m)[0])
-    if lam_min > 0.0:
-        radius = min(radius, math.sqrt(2.0 * hbar * math.log(1e20) / lam_min))
-    return ChordState(evaluator=evaluator, label=f"{state.label}@t={t:g}",
-                      pure=state.pure and t == 0.0, hbar=hbar, chord_radius=radius,
-                      wigner=None, reliability=state.reliability)
+    return ChordState(weights=state.weights,
+                      forms=back.T @ state.forms @ back + m / system.hbar,
+                      shifts=state.shifts @ back, label=f"{state.label}@t={t:g}",
+                      pure=state.pure and t == 0.0, hbar=system.hbar,
+                      reliability=state.reliability)
 
 
-def _chord_mesh(axis_count: int, extent: float) -> NDArray[np.float64]:
-    """Midpoint-symmetric nodes covering (-extent/2, extent/2)."""
-    step = extent / axis_count
-    return (np.arange(axis_count) - (axis_count - 1) / 2.0) * step
+def evolve_chord(system: OpenSystem, state: ChordState, t: float, xi) -> np.ndarray:
+    """Evolved chord function at chords ``xi`` (batched, complex)."""
+    return evolved_state(system, state, t)(xi)
 
 
 def evolve_wigner_grid(system: OpenSystem, state: ChordState, t: float,
-                       grid: GridSpec, *, oversample: int = 2) -> GridField:
-    """Evolved Wigner function sampled on ``grid``.
+                       grid: GridSpec) -> GridField:
+    """Evolved Wigner function sampled on ``grid``, in closed form.
 
-    Evaluates the evolved chord function on the dual chord mesh (extent
-    2 pi hbar / spacing per axis — the target grid's Nyquist window — with
-    ``oversample`` times as many nodes as the target axis to push the
-    periodization artifacts out to twice the window) and applies the
-    symplectic Fourier transform as two dense matrix products. Raises
-    :class:`GridTooCoarse` when the chord function has not decayed at the
-    mesh boundary, i.e. when the requested spacing cannot resolve the state.
+    Raises :class:`GridTooCoarse` when the requested spacing cannot resolve
+    the state: the evolved chord function must have decayed to 1e-8 of its
+    peak 1/(2 pi hbar) on the rim of the dual chord mesh, which spans
+    2 pi hbar / spacing per axis with twice the target's node count at
+    midpoint-symmetric nodes.
     """
-    if t < 0:
-        raise ConfigError("evolve_wigner_grid requires t >= 0")
-    if oversample < 1:
-        raise ConfigError("oversample must be >= 1")
-    _check_state(system, state)
+    evolved = evolved_state(system, state, t)
     hbar = system.hbar
-    n_p, n_q = grid.shape
-    d_p, d_q = grid.spacing
     # xi_p is conjugate to q and xi_q to p (wedge pairing)
-    count_p = oversample * n_q
-    count_q = oversample * n_p
-    xi_p = _chord_mesh(count_p, 2.0 * math.pi * hbar / d_q)
-    xi_q = _chord_mesh(count_q, 2.0 * math.pi * hbar / d_p)
-    mesh = np.stack(np.meshgrid(xi_p, xi_q, indexing="ij"), axis=-1)
-
-    vals = evolve_chord(system, state, t, mesh)
-
-    mags = np.abs(vals)
-    peak = float(mags.max())
-    boundary = float(max(mags[0, :].max(), mags[-1, :].max(),
-                         mags[:, 0].max(), mags[:, -1].max()))
-    if peak == 0.0 or boundary > _TAIL_RATIO * peak:
+    xi_p, xi_q = [(np.arange(2 * n) - n + 0.5) * (math.pi * hbar / (n * d))
+                  for n, d in zip(grid.shape[::-1], grid.spacing[::-1])]
+    rim = np.concatenate([
+        np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
+        for rows, cols in ((xi_p[[0, -1]], xi_q), (xi_p, xi_q[[0, -1]]))])
+    edge = float(np.max(np.abs(evolved(rim))))
+    peak = 1.0 / (2.0 * math.pi * hbar)
+    if edge > _TAIL_RATIO * peak:
         raise GridTooCoarse(
-            f"chord function magnitude {boundary:.3e} at the dual-mesh edge "
-            f"(peak {peak:.3e}); decrease the grid spacing or enlarge oversample")
-
-    p_axis, q_axis = grid.p_axis, grid.q_axis
-    u = np.exp(1j * np.outer(p_axis, xi_q) / hbar)          # (n_p, count_q)
-    v = np.exp(-1j * np.outer(xi_p, q_axis) / hbar)         # (count_p, n_q)
-    step_p = xi_p[1] - xi_p[0]
-    step_q = xi_q[1] - xi_q[0]
-    w = (step_p * step_q / (2.0 * math.pi * hbar)) * (u @ (vals.T @ v))
-    return GridField(spec=grid, values=np.ascontiguousarray(w.real))
+            f"chord function magnitude {edge:.3e} at the dual-mesh edge "
+            f"(peak {peak:.3e}); decrease the grid spacing")
+    return GridField(spec=grid, values=evolved.wigner(grid.points()))
 
 
 def chord_pde_residual(system: OpenSystem, state: ChordState, t: float, xi,

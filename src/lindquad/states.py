@@ -1,4 +1,4 @@
-"""Initial states in the chord representation.
+"""Initial states in the chord representation, held as sums of Gaussians.
 
 A chord function here is the symplectic Fourier transform of the Wigner
 function,
@@ -6,9 +6,14 @@ function,
     Wt(xi) = (1/2 pi hbar) Integral e^{+(i/hbar) xi ^ x} W(x) dx,
 
 so Wt(0) = 1/(2 pi hbar) encodes unit trace and Wt(-xi) = conj(Wt(xi))
-encodes hermiticity. Built-in factories return :class:`ChordState` objects
-whose evaluators are vectorized over trailing-(2) point arrays and carry an
-analytic Wigner evaluator where one exists (used to seed grids and oracles).
+encodes hermiticity. Every built-in state (coherent, Gaussian, cat) is a
+finite sum of complex Gaussians,
+
+    Wt(xi) = sum_k w_k exp(-xi . A_k xi / 2 + i xi . b_k),
+
+and the exact evolution maps that family to itself. A :class:`ChordState`
+is therefore plain term data, and its Wigner function and trace-square
+integrals are closed-form Gaussian integrals over the terms.
 
 The cat-state helpers also expose the closed-form q=0 Wigner section of the
 photon-bath evolution (damping rate ``gamma``, occupancy ``nbar``), including
@@ -25,8 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ._quadrature import adaptive_tensor_gl
-from .errors import ConfigError, NotPositiveDefinite
+from .errors import ConfigError, NotPositiveDefinite, Unstable
+from .model import J, _as_vector, _inv2
 
 __all__ = [
     "ChordState",
@@ -41,72 +46,112 @@ __all__ = [
     "state_from_dict",
 ]
 
-# |value| / peak below which a built-in state is treated as supported;
-# chord_radius fields are calibrated against this.
-_SUPPORT_EPS = 1e-10
-_LOG_SUPPORT = math.log(1.0 / _SUPPORT_EPS)
+
+def _quadratic(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v . A v for a symmetric 2x2 ``a``, batched over the leading axes of ``v``."""
+    return (a[0, 0] * v[..., 0] ** 2 + 2.0 * a[0, 1] * v[..., 0] * v[..., 1]
+            + a[1, 1] * v[..., 1] ** 2)
 
 
 @dataclass(frozen=True, eq=False)
 class ChordState:
-    """A complex-valued chord function with evaluation metadata.
+    """Chord function Wt(xi) = sum_k w_k exp(-xi . A_k xi / 2 + i xi . b_k).
 
-    ``evaluator`` maps an (..., 2) array of chords to complex values.
-    ``chord_radius`` bounds the support: |values| <= ~1e-10 * peak outside.
-    ``wigner``, when present, evaluates the corresponding Wigner function on
-    (..., 2) phase-space points. ``reliability`` (used by reconstruction)
-    maps chords to booleans; None means everywhere reliable.
+    ``weights`` (n,) complex w_k, ``forms`` (n, 2, 2) real positive definite
+    A_k, ``shifts`` (n, 2) complex b_k. ``reliability`` (used by
+    reconstruction) maps chords to booleans; None means everywhere reliable.
     """
 
-    evaluator: Callable[[NDArray[np.float64]], np.ndarray]
+    weights: NDArray[np.complex128]
+    forms: NDArray[np.float64]
+    shifts: NDArray[np.complex128]
     label: str
     pure: bool
     hbar: float = 1.0
-    chord_radius: float = math.inf
-    wigner: Optional[Callable[[NDArray[np.float64]], np.ndarray]] = None
     reliability: Optional[Callable[[NDArray[np.float64]], np.ndarray]] = None
 
+    def __post_init__(self) -> None:
+        weights = np.asarray(self.weights, dtype=complex)
+        forms = np.asarray(self.forms, dtype=float)
+        shifts = np.asarray(self.shifts, dtype=complex)
+        n = weights.shape[0] if weights.ndim == 1 else -1
+        if forms.shape != (n, 2, 2) or shifts.shape != (n, 2):
+            raise ConfigError("a chord state needs (n,) weights, (n, 2, 2) forms "
+                              "and (n, 2) shifts")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "forms", 0.5 * (forms + forms.transpose(0, 2, 1)))
+        object.__setattr__(self, "shifts", shifts)
+
+    def _log_terms(self):
+        # log weights: a cat lobe's e^{-zeta^2/hbar} offsets an e^{+zeta^2/hbar}
+        return zip(np.log(self.weights), self.forms, self.shifts)
+
     def __call__(self, xi) -> np.ndarray:
-        return self.evaluator(np.asarray(xi, dtype=float))
+        """Wt at chords ``xi`` of shape (..., 2), complex."""
+        xi = np.asarray(xi, dtype=float)
+        out = np.zeros(xi.shape[:-1], dtype=complex)
+        for log_w, a, b in self._log_terms():
+            out += np.exp(log_w - 0.5 * _quadratic(a, xi) + 1j * (xi @ b))
+        return out
 
+    def wigner(self, x) -> np.ndarray:
+        """W(x) = (1/hbar) sum_k w_k det(A_k)^{-1/2} exp(-beta . A_k^{-1} beta / 2).
 
-def _chord_norm_squared(state: ChordState) -> float:
-    """2 pi hbar Integral |Wt|^2 d xi over the state's support box."""
-    r = state.chord_radius
-    if not math.isfinite(r):
-        raise ConfigError("cannot integrate a state without a finite chord_radius")
+        Here beta = b_k - (x_q, -x_p)/hbar, for phase-space points ``x`` of
+        shape (..., 2). Raises :class:`Unstable` when a value is not finite
+        or max|Im W| exceeds 1e-9 max|W| (a non-hermitian chord function).
+        """
+        x = np.asarray(x, dtype=float)
+        dual = (x @ J) / self.hbar  # x @ J = (x_q, -x_p)
+        out = np.zeros(x.shape[:-1], dtype=complex)
+        for log_w, a, b in self._log_terms():
+            out += np.exp(log_w - 0.5 * (np.log(np.linalg.det(a))
+                                         + _quadratic(_inv2(a), b - dual)))
+        out /= self.hbar
+        imag = float(np.max(np.abs(out.imag), initial=0.0))
+        if (not np.all(np.isfinite(out))
+                or imag > 1e-9 * float(np.max(np.abs(out), initial=0.0))):
+            raise Unstable(f"Wigner function of '{self.label}' is not finite or "
+                           f"not real: max|Im W| = {imag:.3e}")
+        return np.ascontiguousarray(out.real)
 
-    def f(pts):
-        return np.abs(state.evaluator(pts)) ** 2
+    def norm_squared(self, extra: np.ndarray | float = 0.0) -> float:
+        """2 pi hbar Integral |Wt(xi)|^2 exp(-xi . E xi / 2) d xi, E = ``extra``.
 
-    box = ((-r, r), (-r, r))
-    val = adaptive_tensor_gl(f, box, rtol=1e-9)
-    return 2.0 * math.pi * state.hbar * val.real
+        Tr rho^2 for E = 0 (the default). Over pairs of terms this is
+        4 pi^2 hbar Re sum_kl w_k conj(w_l) det(S)^{-1/2} exp(-beta . S^{-1} beta / 2)
+        with S = A_k + A_l + E and beta = b_k - conj(b_l). Raises
+        :class:`Unstable` when the sum is not finite.
+        """
+        terms = list(self._log_terms())
+        total = 0j
+        for log_wk, ak, bk in terms:
+            for log_wl, al, bl in terms:
+                s = ak + al + extra
+                total += np.exp(log_wk + np.conj(log_wl) - 0.5 * (
+                    np.log(np.linalg.det(s)) + _quadratic(_inv2(s), bk - np.conj(bl))))
+        value = 4.0 * math.pi ** 2 * self.hbar * float(total.real)
+        if not math.isfinite(value):
+            raise Unstable(f"trace-square integral of '{self.label}' is not finite")
+        return value
 
 
 def _validate_builtin(state: ChordState) -> ChordState:
     peak = 1.0 / (2.0 * math.pi * state.hbar)
-    at_zero = complex(state.evaluator(np.zeros(2)))
+    at_zero = complex(np.sum(state.weights))
     if abs(at_zero - peak) > 1e-12 * peak:
         raise ConfigError(
             f"state '{state.label}' violates Wt(0) = 1/(2 pi hbar): {at_zero}")
     probes = np.array([[0.3, -0.7], [1.1, 0.4], [-0.2, 0.9]]) * math.sqrt(state.hbar)
-    fwd = state.evaluator(probes)
-    bwd = state.evaluator(-probes)
-    if np.max(np.abs(np.conj(fwd) - bwd)) > 1e-12 * peak:
+    if np.max(np.abs(np.conj(state(probes)) - state(-probes))) > 1e-12 * peak:
         raise ConfigError(f"state '{state.label}' violates Wt(-xi) = conj(Wt(xi))")
     if state.pure:
-        norm2 = _chord_norm_squared(state)
+        norm2 = state.norm_squared()
         if abs(norm2 - 1.0) > 1e-6:
             raise ConfigError(
                 f"pure state '{state.label}' has 2 pi hbar |Wt|^2 integral "
                 f"{norm2!r}, expected 1")
     return state
-
-
-def _wedge_with(xi: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """xi ^ point = xi_p * point_q - xi_q * point_p, batched over xi."""
-    return xi[..., 0] * point[1] - xi[..., 1] * point[0]
 
 
 def coherent_state(center, hbar: float = 1.0) -> ChordState:
@@ -115,25 +160,11 @@ def coherent_state(center, hbar: float = 1.0) -> ChordState:
     Chord function (1/2 pi hbar) exp(-xi^2/4 hbar) exp((i/hbar) xi ^ center);
     Wigner function is the round Gaussian of width sqrt(hbar/2) per axis.
     """
-    c = np.asarray(center, dtype=float)
-    if c.shape != (2,):
-        raise ConfigError("center must be a 2-vector")
-    peak = 1.0 / (2.0 * math.pi * hbar)
-
-    def evaluator(xi):
-        xi = np.asarray(xi, dtype=float)
-        sq = xi[..., 0] ** 2 + xi[..., 1] ** 2
-        return peak * np.exp(-sq / (4.0 * hbar) + 1j * _wedge_with(xi, c) / hbar)
-
-    def wigner(x):
-        x = np.asarray(x, dtype=float)
-        sq = (x[..., 0] - c[0]) ** 2 + (x[..., 1] - c[1]) ** 2
-        return np.exp(-sq / hbar) / (math.pi * hbar)
-
-    radius = 2.0 * math.sqrt(hbar * _LOG_SUPPORT)
+    c = _as_vector(center, "center")
     return _validate_builtin(ChordState(
-        evaluator=evaluator, label=f"coherent@({c[0]:g},{c[1]:g})", pure=True,
-        hbar=hbar, chord_radius=radius, wigner=wigner))
+        weights=[1.0 / (2.0 * math.pi * hbar)], forms=[np.eye(2) / (2.0 * hbar)],
+        shifts=[(c @ J) / hbar], label=f"coherent@({c[0]:g},{c[1]:g})",
+        pure=True, hbar=hbar))
 
 
 def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
@@ -141,10 +172,10 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
 
     Pure iff det cov = (hbar/2)^2; purity is (hbar/2)/sqrt(det cov).
     """
-    mean = np.asarray(mean, dtype=float)
+    mean = _as_vector(mean, "mean")
     cov = np.asarray(cov, dtype=float)
-    if mean.shape != (2,) or cov.shape != (2, 2):
-        raise NotPositiveDefinite("mean must be a 2-vector and cov a 2x2 matrix")
+    if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
+        raise NotPositiveDefinite(f"cov is not a finite 2x2 matrix: {cov.tolist()}")
     if float(np.max(np.abs(cov - cov.T))) > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
         raise NotPositiveDefinite("covariance must be symmetric")
     cov = 0.5 * (cov + cov.T)
@@ -154,29 +185,10 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
         raise NotPositiveDefinite(f"covariance is not positive definite: {cov.tolist()}")
     det = float(np.linalg.det(cov))
     pure = abs(det - (hbar / 2.0) ** 2) <= 1e-9 * (hbar / 2.0) ** 2
-    peak = 1.0 / (2.0 * math.pi * hbar)
-
-    # chord quadratic form: J cov J^T, so the Wigner transform has covariance cov
-    jcj = np.array([[cov[1, 1], -cov[0, 1]], [-cov[0, 1], cov[0, 0]]])
-    cov_inv = np.linalg.inv(cov)
-
-    def evaluator(xi):
-        xi = np.asarray(xi, dtype=float)
-        quad = np.einsum("...i,ij,...j->...", xi, jcj, xi)
-        return peak * np.exp(-quad / (2.0 * hbar ** 2)
-                             + 1j * _wedge_with(xi, mean) / hbar)
-
-    def wigner(x):
-        x = np.asarray(x, dtype=float)
-        d = x - mean
-        quad = np.einsum("...i,ij,...j->...", d, cov_inv, d)
-        return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-    lam_min = float(np.linalg.eigvalsh(jcj)[0])
-    radius = hbar * math.sqrt(2.0 * _LOG_SUPPORT / lam_min)
+    # chord form J cov J^T / hbar^2, so the Wigner transform has covariance cov
     return _validate_builtin(ChordState(
-        evaluator=evaluator, label="gaussian", pure=pure, hbar=hbar,
-        chord_radius=radius, wigner=wigner))
+        weights=[1.0 / (2.0 * math.pi * hbar)], forms=[J @ cov @ J.T / hbar ** 2],
+        shifts=[(mean @ J) / hbar], label="gaussian", pure=pure, hbar=hbar))
 
 
 @dataclass(frozen=True)
@@ -193,10 +205,10 @@ class CatParameters:
     nbar: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.zeta < 0:
-            raise ConfigError("zeta must be nonnegative")
-        if self.gamma < 0 or self.nbar < 0:
-            raise ConfigError("gamma and nbar must be nonnegative")
+        if not 0.0 <= self.zeta < math.inf:  # false for NaN too
+            raise ConfigError("zeta must be finite and nonnegative")
+        if not (0.0 <= self.gamma < math.inf and 0.0 <= self.nbar < math.inf):
+            raise ConfigError("gamma and nbar must be finite and nonnegative")
 
     def normalization(self, hbar: float = 1.0) -> float:
         """N = 1/(1 + exp(-zeta^2/hbar)), in (1/2, 1] — the overlap norm."""
@@ -207,35 +219,20 @@ def cat_state(params: CatParameters, hbar: float = 1.0) -> ChordState:
     """Cat state chord function: central fringe lobe plus lobes at ±2 x_zeta.
 
     The two displaced-Gaussian components at x = (0, ±zeta) interfere; in the
-    chord plane that appears as an oscillating central lobe cos(zeta xi_p /
-    hbar) plus two real coherence lobes displaced to xi = (0, ±2 zeta). The
+    chord plane that appears as an oscillating central lobe 2 cos(zeta xi_p /
+    hbar) e^{-xi^2/4 hbar}, written as two terms with shifts ±(zeta/hbar, 0),
+    plus two real coherence lobes at xi = (0, ±2 zeta): the same Gaussian
+    with shifts ∓i(0, zeta/hbar) and weight times e^{-zeta^2/hbar}. The
     normalization keeps Wt(0) = 1/(2 pi hbar) exactly.
     """
-    z = params.zeta
-    scriptn = 0.5 * params.normalization(hbar)
-    pref = scriptn / (2.0 * math.pi * hbar)
-
-    def evaluator(xi):
-        xi = np.asarray(xi, dtype=float)
-        xp, xq = xi[..., 0], xi[..., 1]
-        sq = xp ** 2 + xq ** 2
-        central = 2.0 * np.exp(-sq / (4.0 * hbar)) * np.cos(z * xp / hbar)
-        lobe_up = np.exp(-(xp ** 2 + (xq - 2.0 * z) ** 2) / (4.0 * hbar))
-        lobe_dn = np.exp(-(xp ** 2 + (xq + 2.0 * z) ** 2) / (4.0 * hbar))
-        return (pref * (central + lobe_up + lobe_dn)).astype(complex)
-
-    def wigner(x):
-        x = np.asarray(x, dtype=float)
-        p, q = x[..., 0], x[..., 1]
-        up = np.exp(-(p ** 2 + (q - z) ** 2) / hbar)
-        dn = np.exp(-(p ** 2 + (q + z) ** 2) / hbar)
-        fringe = 2.0 * np.exp(-(p ** 2 + q ** 2) / hbar) * np.cos(2.0 * z * p / hbar)
-        return scriptn / (math.pi * hbar) * (up + dn + fringe)
-
-    radius = 2.0 * z + 2.0 * math.sqrt(hbar * _LOG_SUPPORT)
+    z = params.zeta / hbar
+    central = 0.5 * params.normalization(hbar) / (2.0 * math.pi * hbar)
+    lobe = central * math.exp(-params.zeta * z)
     return _validate_builtin(ChordState(
-        evaluator=evaluator, label=f"cat(zeta={z:g})", pure=True, hbar=hbar,
-        chord_radius=radius, wigner=wigner))
+        weights=[central, central, lobe, lobe],
+        forms=np.broadcast_to(np.eye(2) / (2.0 * hbar), (4, 2, 2)),
+        shifts=[(z, 0.0), (-z, 0.0), (0.0, -1j * z), (0.0, 1j * z)],
+        label=f"cat(zeta={params.zeta:g})", pure=True, hbar=hbar))
 
 
 def _beta(params: CatParameters, t: float) -> float:

@@ -399,6 +399,32 @@ def test_non_finite_numbers_exit_two(tmp_path) -> None:
     assert main(["positivity", "--config", cfg]) == 2
 
 
+def test_non_finite_state_fields_exit_two(tmp_path) -> None:
+    grid = {"center": [0.0, 0.0], "half_extent": [4.0, 4.0], "shape": [17, 17]}
+    out = tmp_path / "w.csv"
+    for state in ({"type": "coherent", "center": [math.nan, 0.0]},
+                  {"type": "gaussian", "cov": [[1.0, 0.0], [0.0, math.inf]]},
+                  {"type": "cat", "zeta": 1.0, "nbar": math.nan}):
+        cfg = _config(tmp_path, {"system": PHOTON, "state": state, "t": 0.4,
+                                 "grid": grid})
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+    cfg = _config(tmp_path, {"system": PHOTON, "times": [0.5],
+                             "state": {"type": "coherent",
+                                       "center": [0.0, math.nan]}})
+    assert main(["entropy", "--config", cfg, "--out",
+                 str(tmp_path / "p.csv")]) == 2
+
+
+def test_positivity_sweep_lists_are_validated(tmp_path) -> None:
+    for payload in ({"epsilons": ["a"]}, {"epsilons": []},
+                    {"d_second": [1.0, math.inf]}, {"d_second": 0.5}):
+        cfg = _config(tmp_path, payload)
+        for flag in ("--sweep", "--paper-table"):
+            assert main(["positivity", flag, "--config", cfg, "--out",
+                         str(tmp_path / "s.csv")]) == 2
+
+
 def test_entropy_validation_errors(tmp_path) -> None:
     cfg = _config(tmp_path, {"system": PHOTON, "state": COHERENT,
                              "times": []}, name="e1.json")
@@ -408,6 +434,16 @@ def test_entropy_validation_errors(tmp_path) -> None:
                              "times": [0.1, True]}, name="e2.json")
     assert main(["entropy", "--config", cfg, "--out",
                  str(tmp_path / "q.csv")]) == 2
+
+
+def test_langevin_orbit_overflow_exits_five(tmp_path) -> None:
+    # sigma = 5: cosh(sigma t) overflows the exact moments at t = 200
+    cfg = _langevin_config(
+        tmp_path, system={"hamiltonian": {"matrix": [[0.0, 2.5], [2.5, 0.0]]},
+                          "channels": []},
+        t=200.0, dt=100.0, n_paths=16, store_stride=1)
+    assert main(["langevin", "--config", cfg, "--out",
+                 str(tmp_path / "p.csv")]) == 5
 
 
 def test_langevin_validation_errors(tmp_path) -> None:

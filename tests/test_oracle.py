@@ -235,3 +235,15 @@ def test_oracle_imports_neither_propagator_nor_analysis() -> None:
                             for alias in node.names)
     parts = {part for name in imported for part in name.split(".")}
     assert not parts & {"propagator", "analysis"}
+
+
+def test_oracle_imports_no_state_terms() -> None:
+    # purity_quadrature audits the Gaussian-term purity only while it takes
+    # the chord function as an opaque callable
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    assert not any("states" in name.split(".") for name in names)

@@ -346,15 +346,6 @@ def test_wigner_grid_matches_fringe_line() -> None:
         assert np.max(np.abs(line - expect)) < 1e-10
 
 
-def test_wigner_grid_oversample_consistency() -> None:
-    sys = photon_bath(gamma=1.0, nbar=0.2)
-    state = cat_state(CatParameters(zeta=1.0))
-    grid = centered_grid((0.0, 0.0), (5.5, 5.5), (48, 48))
-    a = evolve_wigner_grid(sys, state, 0.5, grid, oversample=2).values
-    b = evolve_wigner_grid(sys, state, 0.5, grid, oversample=3).values
-    assert np.max(np.abs(a - b)) < 1e-9
-
-
 def test_wigner_grid_rejects_coarse_grids() -> None:
     sys = photon_bath(gamma=1.0)
     state = cat_state(CatParameters(zeta=2.0))
@@ -375,7 +366,6 @@ def test_evolved_state_metadata() -> None:
     state = cat_state(CatParameters(zeta=1.0))
     out = evolved_state(sys, state, 0.7)
     assert not out.pure
-    assert np.isfinite(out.chord_radius)
     assert "0.7" in out.label
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lindquad import (CatParameters, ConfigError, NotPositiveDefinite,
-                      cat_fringe_zero, cat_state, cat_wigner_line,
-                      cat_zero_crossing_time, coherent_state, gaussian_state,
-                      state_from_dict)
+from lindquad import (CatParameters, ChordState, ConfigError,
+                      NotPositiveDefinite, Unstable, cat_fringe_zero,
+                      cat_state, cat_wigner_line, cat_zero_crossing_time,
+                      coherent_state, gaussian_state, state_from_dict)
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,6 +84,24 @@ def test_gaussian_chord_and_wigner_are_transform_pairs() -> None:
     assert np.max(np.abs(field.values - expect)) < 1e-10
 
 
+def test_wigner_rejects_non_hermitian_and_non_finite_terms() -> None:
+    x = np.random.default_rng(34).normal(size=(20, 2))
+    round_ = np.eye(2) / 2.0
+    tilted = ChordState(weights=[np.exp(0.1j) / TWO_PI], forms=[round_],
+                        shifts=[[0.0, 0.0]], label="tilted", pure=False)
+    with pytest.raises(Unstable):
+        tilted.wigner(x)
+    broken = ChordState(weights=[1.0 / TWO_PI], forms=[round_],
+                        shifts=[[np.nan, 0.0]], label="broken", pure=False)
+    with pytest.raises(Unstable):
+        broken.wigner(x)
+    # the same single term with a real weight is the vacuum
+    vacuum = ChordState(weights=[1.0 / TWO_PI], forms=[round_],
+                        shifts=[[0.0, 0.0]], label="vacuum", pure=True)
+    assert np.max(np.abs(vacuum.wigner(x)
+                         - coherent_state((0.0, 0.0)).wigner(x))) < 1e-15
+
+
 def test_cat_reduces_to_coherent_at_zero_separation() -> None:
     cat = cat_state(CatParameters(zeta=0.0))
     coh = coherent_state((0.0, 0.0))
@@ -108,6 +126,18 @@ def test_cat_wigner_structure() -> None:
     # fringes oscillate along p with wavenumber 2*zeta/hbar
     p_node = np.pi * hbar / (2.0 * zeta)
     assert cat.wigner(np.array([p_node, 0.0])) < 0.0
+
+
+def test_widely_separated_cat_stays_finite() -> None:
+    # each lobe weight e^{-zeta^2/hbar} meets a factor e^{+zeta^2/hbar}
+    # that overflows on its own once zeta^2/hbar passes ~355
+    cat = cat_state(CatParameters(zeta=20.0))
+    assert cat.norm_squared() == pytest.approx(1.0, rel=1e-11)
+    assert cat.wigner(np.zeros(2)) == pytest.approx(1.0 / np.pi, rel=1e-11)
+    # a full-depth fringe minimum, cos(2 zeta p / hbar) = -1
+    p_min = np.pi / 40.0
+    assert cat.wigner(np.array([p_min, 0.0])) == pytest.approx(
+        -np.exp(-p_min ** 2) / np.pi, rel=1e-11)
 
 
 def test_cat_line_matches_wigner_at_t_zero() -> None:
