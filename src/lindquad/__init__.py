@@ -32,10 +32,10 @@ from .oracle import (FockDensity, cat_fock_dim, coherent_fock_dim,
                      fokker_planck_max_dt, integrate_fock_lindblad,
                      integrate_fokker_planck, purity_quadrature,
                      wigner_from_fock)
-from .propagator import (DampingMatrix, FlowMatrix, chord_flow,
+from .propagator import (DampingMatrix, FlowMatrix, affine_flow, chord_flow,
                          chord_pde_residual, damping_matrix, evolve_chord,
                          evolve_wigner_grid, evolved_state, flow,
-                         gaussian_factor, point_flow)
+                         gaussian_factor, map_state, point_flow)
 from .states import (CatParameters, ChordState, cat_fringe_wavenumber,
                      cat_fringe_zero, cat_state, cat_wigner_line,
                      cat_zero_crossing_time, coherent_state, gaussian_state,
@@ -50,7 +50,7 @@ __all__ = [
     "LindquadError", "NonSymplectic", "NotPositiveDefinite", "OpenSystem",
     "PositivityResult", "PurityCurve", "QuadratureNotConverged", "Regime",
     "SdeSpec", "SingularFrame", "TrajectoryEnsemble", "TruncationLeak",
-    "Unstable",
+    "Unstable", "affine_flow",
     "cat_fock_dim", "cat_fringe_wavenumber", "cat_fringe_zero", "cat_state",
     "cat_wigner_line", "cat_zero_crossing_time", "centered_grid",
     "characteristic_timescale", "chord_flow", "chord_pde_residual",
@@ -60,7 +60,8 @@ __all__ = [
     "flow", "fock_cat", "fock_coherent", "fock_mean", "fock_operators",
     "fock_thermal", "fokker_planck_max_dt", "gaussian_factor",
     "gaussian_state", "grid_from_dict", "integrate_fock_lindblad",
-    "integrate_fokker_planck", "linear_entropy", "momentum_dissipation_frame",
+    "integrate_fokker_planck", "linear_entropy", "map_state",
+    "momentum_dissipation_frame",
     "photon_bath", "point_flow", "positivity_time", "purity",
     "purity_asymptotic", "purity_curve", "purity_quadrature",
     "read_field_csv", "reconstruct", "sde_from_system", "sigma", "simulate",

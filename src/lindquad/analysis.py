@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import damping_matrix, flow, gaussian_factor
+from .propagator import chord_flow, damping_matrix, gaussian_factor, map_state
 from .states import ChordState
 
 __all__ = [
@@ -188,8 +188,8 @@ def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
                 floor: float = 1e-8) -> ChordState:
     """Invert the evolution: recover the initial chord function from time t.
 
-    Dividing by the attenuation Gaussian maps each term back:
-    A -> F^T (A - M(t)/hbar) F and b -> F^T b with F = e^{alpha t} R_t.
+    This is :func:`~lindquad.propagator.map_state` at -t, which divides out
+    the attenuation Gaussian and undoes the affine flow term by term.
     ``reliability`` marks chords whose Gaussian factor is at least
     ``floor`` — beyond that the division amplifies anything (noise,
     truncation) by more than 1/floor and the recovered values should not be
@@ -199,21 +199,12 @@ def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
         raise ConfigError("reconstruct requires t >= 0")
     if not 0.0 < floor <= 1.0:
         raise ConfigError("floor must lie in (0, 1]")
-    hbar = system.hbar
-    if abs(evolved.hbar - hbar) > 1e-12 * hbar:
-        raise ConfigError("evolved state hbar does not match the system")
-    m = damping_matrix(system, t).m
-    forward = math.exp(system.alpha * t) * flow(system.hamiltonian, t).matrix
 
     def reliability(xi):
-        eta = np.asarray(xi, dtype=float) @ forward.T
-        return gaussian_factor(system, t, eta) >= floor
+        return gaussian_factor(system, t, chord_flow(system, t, xi)) >= floor
 
-    return ChordState(weights=evolved.weights,
-                      forms=forward.T @ (evolved.forms - m / hbar) @ forward,
-                      shifts=evolved.shifts @ forward,
-                      label=f"reconstructed({evolved.label})", pure=False,
-                      hbar=hbar, reliability=reliability)
+    return map_state(system, evolved, -t, label=f"reconstructed({evolved.label})",
+                     reliability=reliability)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ from .errors import (ConfigError, GridTooCoarse, QuadratureNotConverged,
                      TruncationLeak, Unstable)
 from .grid import GridField, atomic_write_text, grid_from_dict, write_field_csv
 from .model import (HamiltonianForm, LindbladChannel, OpenSystem,
-                    characteristic_timescale, photon_bath, system_from_dict)
+                    characteristic_timescale, finite_array, photon_bath,
+                    system_from_dict, whole_number)
 from .states import ChordState, state_from_dict
 
 __all__ = ["main"]
@@ -85,20 +86,14 @@ def _float_field(data: dict, key: str, default: float | None = None) -> float:
         if default is None:
             raise ConfigError(f"config needs '{key}'")
         return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{key}' must be a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"'{key}' must be finite, got {value!r}")
-    return float(value)
+    return float(finite_array(data[key], (), f"'{key}'"))
 
 
 def _number_list(data: dict, key: str, default: list | None = None) -> list:
     value = data.get(key, default)
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and math.isfinite(v) for v in value)):
+    if not isinstance(value, list) or not value:
         raise ConfigError(f"'{key}' must be a non-empty list of finite numbers")
+    finite_array(value, (len(value),), f"'{key}'")
     return value
 
 
@@ -246,45 +241,19 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _gaussian_initial(data: dict, system: OpenSystem
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    state = data.get("state")
-    if not isinstance(state, dict):
-        raise ConfigError("config needs a 'state' object")
-    kind = state.get("type")
-    if kind == "coherent":
-        mean = np.asarray(state.get("center", (0.0, 0.0)), dtype=float)
-        cov = 0.5 * system.hbar * np.eye(2)
-        return mean, cov
-    if kind == "gaussian":
-        built = state_from_dict(state, hbar=system.hbar)  # validates cov
-        del built
-        mean = np.asarray(state.get("mean", (0.0, 0.0)), dtype=float)
-        cov = np.asarray(state["cov"], dtype=float)
-        return mean, cov
-    raise ConfigError(
-        "langevin sampling needs a gaussian-family initial state "
-        "(type 'coherent' or 'gaussian')")
-
-
 def cmd_langevin(args: argparse.Namespace) -> int:
     data = _load_config(
         args.config,
         {"system", "state", "t", "dt", "n_paths", "store_stride", "seed"},
         {"system", "state", "t", "dt", "n_paths"})
     system = _system(data)
-    mean0, cov0 = _gaussian_initial(data, system)
+    mean0, cov0 = _state(data, system).moments()
     t = _float_field(data, "t")
     dt = _float_field(data, "dt")
-    n_paths = data["n_paths"]
-    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 1:
-        raise ConfigError("'n_paths' must be a positive integer")
-    stride = data.get("store_stride", 1)
-    if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
-        raise ConfigError("'store_stride' must be a positive integer")
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    n_paths = whole_number(data["n_paths"], "'n_paths'", 1)
+    stride = whole_number(data.get("store_stride", 1), "'store_stride'", 1)
+    seed = whole_number(args.seed if args.seed is not None else data.get("seed", 0),
+                        "seed", 0)
 
     spec = langevin.sde_from_system(system)
     ensemble = langevin.simulate(spec, mean0, cov0, t, dt, n_paths, seed,
@@ -342,8 +311,7 @@ def _fock_initial(data: dict, system: OpenSystem) -> oracle.FockDensity:
     if dim is None:
         dim = (oracle.cat_fock_dim(float(state["zeta"]), hbar) if kind == "cat"
                else oracle.coherent_fock_dim(center, hbar))
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-        raise ConfigError("'fock_dim' must be an integer >= 2")
+    dim = whole_number(dim, "'fock_dim'", 2)
     if kind == "cat":
         return oracle.fock_cat(float(state["zeta"]), dim, hbar)
     return oracle.fock_coherent(center, dim, hbar)

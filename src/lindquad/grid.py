@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError
+from .model import finite_array, whole_number
 
 __all__ = ["GridSpec", "GridField", "centered_grid", "grid_from_dict",
            "write_field_csv", "read_field_csv", "atomic_write_text"]
@@ -37,20 +37,13 @@ class GridSpec:
     shape: tuple[int, int]
 
     def __post_init__(self) -> None:
-        origin = tuple(float(v) for v in self.origin)
-        spacing = tuple(float(v) for v in self.spacing)
-        shape = tuple(int(v) for v in self.shape)
-        if len(origin) != 2 or len(spacing) != 2 or len(shape) != 2:
-            raise ConfigError("origin, spacing and shape must each have two entries")
-        if not all(math.isfinite(v) for v in origin + spacing):
-            raise ConfigError("grid origin and spacing must be finite")
+        origin = tuple(finite_array(self.origin, (2,), "grid origin").tolist())
+        spacing = tuple(finite_array(self.spacing, (2,), "grid spacing").tolist())
         if spacing[0] <= 0 or spacing[1] <= 0:
             raise ConfigError("grid spacing must be positive")
-        if shape[0] < 2 or shape[1] < 2:
-            raise ConfigError("grid needs at least 2 points per axis")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "shape", _grid_shape(self.shape))
 
     @property
     def p_axis(self) -> NDArray[np.float64]:
@@ -74,11 +67,24 @@ class GridSpec:
                 "shape": list(self.shape)}
 
 
+def _grid_shape(value) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
+        raise ConfigError(f"grid shape must have two entries, got {value!r}")
+    return tuple(whole_number(v, "grid shape entry", 2) for v in value)
+
+
 def centered_grid(center, half_extent, shape) -> GridSpec:
-    """Grid whose node lattice is symmetric about ``center``."""
-    center = np.asarray(center, dtype=float)
-    half = np.broadcast_to(np.asarray(half_extent, dtype=float), (2,))
-    npts = np.broadcast_to(np.asarray(shape, dtype=int), (2,))
+    """Grid whose node lattice is symmetric about ``center``.
+
+    A scalar ``half_extent`` or ``shape`` applies to both axes.
+    """
+    if np.isscalar(half_extent):
+        half_extent = (half_extent, half_extent)
+    if np.isscalar(shape):
+        shape = (shape, shape)
+    center = finite_array(center, (2,), "grid center")
+    half = finite_array(half_extent, (2,), "grid half_extent")
+    npts = np.asarray(_grid_shape(shape))
     spacing = 2.0 * half / (npts - 1)
     origin = center - half
     return GridSpec(origin=(origin[0], origin[1]),
@@ -101,8 +107,8 @@ def grid_from_dict(data: dict) -> GridSpec:
     for key in ("origin", "spacing", "shape"):
         if key not in data:
             raise ConfigError(f"grid needs '{key}'")
-    return GridSpec(origin=tuple(data["origin"]), spacing=tuple(data["spacing"]),
-                    shape=tuple(data["shape"]))
+    return GridSpec(origin=data["origin"], spacing=data["spacing"],
+                    shape=data["shape"])
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ with one independent Wiener process per real/imaginary channel component
 and noise vectors v = sqrt(hbar) J l. The diffusion matrix is then
 D = (hbar/2) J K J^T, and the exact moment transport
 
-    mean_t = centre flow of mean_0,
-    cov_t  = e^{-2 alpha t} R_t cov_0 R_t^T + hbar (-J M(t) J)
+    mean_t = F mean_0 + o,
+    cov_t  = F cov_0 F^T + hbar (-J M(t) J),
 
-is available in closed form for validation of the sampler.
+with (F, o) the affine flow of the drift, is available in closed form for
+validation of the sampler.
 
 Sampling uses Euler–Maruyama over counter-based (Philox) streams keyed by
 ``(seed, block)`` with a fixed block of 1024 paths: path i always consumes
@@ -31,7 +32,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, NotPositiveDefinite, SingularFrame
 from .model import J, OpenSystem, symplectic_transform
-from .propagator import damping_matrix, flow, point_flow
+from .propagator import affine_flow, damping_matrix
 
 __all__ = [
     "SdeSpec",
@@ -182,11 +183,11 @@ def ensemble_moments(ensemble: TrajectoryEnsemble, index: int = -1
 def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float
                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Closed-form first and second moments of the SDE (= Wigner moments)."""
-    mean = point_flow(system, t, np.asarray(initial_mean, dtype=float))
-    r = flow(system.hamiltonian, t).matrix
-    decay = math.exp(-2.0 * system.alpha * t)
-    cov0 = np.asarray(initial_cov, dtype=float)
-    cov = decay * r @ cov0 @ r.T + system.hbar * damping_matrix(system, t).mj
+    # M(t) first: where it overflows it raises Unstable before F does
+    noise = system.hbar * damping_matrix(system, t).mj
+    linear, offset = affine_flow(system, t)
+    mean = np.asarray(initial_mean, dtype=float) @ linear.T + offset
+    cov = linear @ np.asarray(initial_cov, dtype=float) @ linear.T + noise
     return mean, 0.5 * (cov + cov.T)
 
 

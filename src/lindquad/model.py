@@ -51,13 +51,37 @@ J.setflags(write=False)
 _SYM_RTOL = 1e-12
 
 
+def finite_array(value, shape: tuple[int, ...], name: str) -> NDArray[np.float64]:
+    """Outside input ``value`` as a new finite float array of ``shape``.
+
+    Every entry must be an int or a float (booleans, strings and misshapen
+    nesting are refused) and finite; anything else raises :class:`ConfigError`.
+    """
+    try:
+        arr = np.asarray(value, dtype=object)
+    except ValueError:  # ragged nesting numpy cannot hold
+        arr = np.asarray(None, dtype=object)
+    if arr.shape != shape or not all(
+            isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) for v in arr.flat):
+        kind = f"numbers of shape {shape}" if shape else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be finite, got {arr.tolist()}")
+    return arr
+
+
+def whole_number(value, name: str, low: int) -> int:
+    """Outside input ``value`` as an int >= ``low`` (booleans and floats refused)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _as_vector(value, name: str) -> NDArray[np.float64]:
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (2,):
-        raise ConfigError(f"{name} must be a 2-vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"{name} must be finite, got {vec}")
-    vec = vec.copy()
+    vec = finite_array(value, (2,), name)
     vec.setflags(write=False)
     return vec
 
@@ -79,11 +103,7 @@ class HamiltonianForm:
     linear: NDArray[np.float64] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ConfigError(f"H matrix must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ConfigError("H matrix must be finite")
+        m = finite_array(self.matrix, (2, 2), "H matrix")
         scale = max(1.0, float(np.max(np.abs(m))))
         if float(np.max(np.abs(m - m.T))) > _SYM_RTOL * scale:
             raise ConfigError(
@@ -295,8 +315,7 @@ def system_from_dict(data: dict) -> OpenSystem:
     if not isinstance(ham, dict):
         raise ConfigError("'hamiltonian' must be an object")
     _require_keys(ham, {"matrix", "linear"}, {"matrix"}, "'hamiltonian'")
-    h = HamiltonianForm(matrix=np.asarray(ham["matrix"], dtype=float),
-                        linear=ham.get("linear"))
+    h = HamiltonianForm(matrix=ham["matrix"], linear=ham.get("linear"))
     raw_channels = data.get("channels", [])
     if not isinstance(raw_channels, list):
         raise ConfigError("'channels' must be a list")
@@ -309,10 +328,8 @@ def system_from_dict(data: dict) -> OpenSystem:
             raise ConfigError(f"channel {i} is empty")
         channels.append(LindbladChannel(l_re=ch.get("l_re", np.zeros(2)),
                                         l_im=ch.get("l_im")))
-    hbar = data.get("hbar", 1.0)
-    if not isinstance(hbar, (int, float)) or isinstance(hbar, bool):
-        raise ConfigError("'hbar' must be a number")
-    return OpenSystem(hamiltonian=h, channels=tuple(channels), hbar=float(hbar))
+    hbar = float(finite_array(data.get("hbar", 1.0), (), "'hbar'"))
+    return OpenSystem(hamiltonian=h, channels=tuple(channels), hbar=hbar)
 
 
 def system_to_dict(sys: OpenSystem) -> dict:

@@ -2,18 +2,21 @@
 
 Everything here rests on two closed-form objects:
 
-* the symplectic orbit ``R_t = cosh(sigma t) I + sinh(sigma t)/sigma * B``
-  with ``B = 2 J H`` and ``sigma^2 = -4 det H`` (trace-free B makes this the
-  full matrix exponential), and
+* the affine flow ``x -> F x + o`` of the drift ``(2 J H - alpha) x + J b``,
+  ``F = e^{-alpha t} R_t`` with the symplectic orbit ``R_t = cosh(sigma t) I
+  + sinh(sigma t)/sigma * B``, ``B = 2 J H`` and ``sigma^2 = -4 det H``
+  (trace-free B makes this the full matrix exponential), and
 * the damping matrix ``M(t) = Integral_{-t}^{0} e^{2 alpha tau} R_tau^T K
   R_tau d tau`` built from the channel second moments ``K``.
 
 A chord function then evolves by exact composition,
 
-    Wt_t(xi) = Wt_0(e^{-alpha t} R_{-t} xi) * exp(-xi . M(t) xi / 2 hbar),
+    Wt_t(xi) = Wt_0(e^{-alpha t} R_{-t} xi) * exp(-xi . M(t) xi / 2 hbar)
+               * exp((i/hbar) xi ^ o),
 
-which maps each Gaussian term of a :class:`~lindquad.states.ChordState` to
-another Gaussian term, so the evolved Wigner function is closed form too.
+which :func:`map_state` applies to each Gaussian term of a
+:class:`~lindquad.states.ChordState`, for either sign of t, so the evolved
+Wigner function is closed form too and reconstruction is the map at -t.
 
 ``damping_matrix`` evaluates M(t) in closed form in the eigenbasis of B;
 the adaptive quadrature of the same integral is an audit in ``oracle``.
@@ -39,10 +42,12 @@ __all__ = [
     "DampingMatrix",
     "flow",
     "chord_flow",
+    "affine_flow",
     "point_flow",
     "damping_matrix",
     "gaussian_factor",
     "evolve_chord",
+    "map_state",
     "evolved_state",
     "evolve_wigner_grid",
     "chord_pde_residual",
@@ -115,25 +120,32 @@ def chord_flow(system: OpenSystem, t: float, xi) -> np.ndarray:
     return math.exp(system.alpha * t) * (xi @ r.T)
 
 
-def point_flow(system: OpenSystem, t: float, x) -> np.ndarray:
-    """Phase-space centre flow: solves xdot = (2 J H - alpha) x + J b.
+def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, o) with x(t) = F x(0) + o, the flow of xdot = (2 J H - alpha) x + J b.
 
-    The homogeneous part is e^{-alpha t} R_t in closed form; a linear
-    Hamiltonian term adds an affine offset, obtained from the augmented
-    3x3 exponential so it stays exact in every regime.
+    Without a linear Hamiltonian term F = e^{-alpha t} R_t in closed form and
+    o = 0; with one, both come from the augmented 3x3 exponential, exact in
+    every regime. Valid for t of either sign; raises :class:`Unstable` when
+    the flow overflows.
     """
-    x = np.asarray(x, dtype=float)
-    linear = math.exp(-system.alpha * t) * flow(system.hamiltonian, t).matrix
-    offset = np.zeros(2)
     drive = system.drift_offset
     if np.any(drive != 0.0):
         aug = np.zeros((3, 3))
-        aug[:2, :2] = system.drift_matrix
-        aug[:2, 2] = drive
+        aug[:2, :2], aug[:2, 2] = system.drift_matrix, drive
         e = expm(aug * t)
-        linear = e[:2, :2]
-        offset = e[:2, 2]
-    return x @ linear.T + offset
+        linear, offset = e[:2, :2], e[:2, 2]
+    else:
+        linear = math.exp(-system.alpha * t) * flow(system.hamiltonian, t).matrix
+        offset = np.zeros(2)
+    if not (np.all(np.isfinite(linear)) and np.all(np.isfinite(offset))):
+        raise Unstable(f"affine flow overflows at t={t!r}")
+    return linear, offset
+
+
+def point_flow(system: OpenSystem, t: float, x) -> np.ndarray:
+    """Phase-space centre flow x -> F x + o (batched), see :func:`affine_flow`."""
+    linear, offset = affine_flow(system, t)
+    return np.asarray(x, dtype=float) @ linear.T + offset
 
 
 def _phi(x: complex, t: float) -> complex:
@@ -246,29 +258,35 @@ def gaussian_factor(system: OpenSystem, t: float, xi) -> np.ndarray:
     return np.exp(-np.einsum("...i,ij,...j->...", xi, m, xi) / (2.0 * system.hbar))
 
 
-def _check_state(system: OpenSystem, state: ChordState) -> None:
+def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,
+              reliability=None) -> ChordState:
+    """Carry every term of ``state`` along the affine flow over t (either sign).
+
+    With (F, o) from :func:`affine_flow` and the chord pull-back
+    back = -J F^T J: A -> back^T A back + M(t)/hbar, b -> back^T b + (o J)/hbar,
+    weights unchanged. The map at -t inverts the map at t, since
+    M(-t) = -back^T M(t) back with back taken at -t.
+    """
     if abs(state.hbar - system.hbar) > 1e-12 * system.hbar:
         raise ConfigError(
             f"state hbar {state.hbar} does not match system hbar {system.hbar}")
+    # M first: where it overflows it raises Unstable before the pull-back can
+    m = damping_matrix(system, t).m
+    linear, offset = affine_flow(system, t)
+    back = -J @ linear.T @ J
+    return ChordState(weights=state.weights,
+                      forms=back.T @ state.forms @ back + m / system.hbar,
+                      shifts=state.shifts @ back + (offset @ J) / system.hbar,
+                      label=label, pure=state.pure and t == 0.0,
+                      hbar=system.hbar, reliability=reliability)
 
 
 def evolved_state(system: OpenSystem, state: ChordState, t: float) -> ChordState:
-    """The evolved chord function as a :class:`ChordState`.
-
-    Each term is pulled back along the reversed chord flow and absorbs the
-    Gaussian factor: A -> back^T A back + M(t)/hbar and b -> back^T b, with
-    back = e^{-alpha t} R_{-t}; the weights are unchanged.
-    """
+    """The evolved chord function, :func:`map_state` at t >= 0."""
     if t < 0:
         raise ConfigError("evolved_state requires t >= 0")
-    _check_state(system, state)
-    m = damping_matrix(system, t).m
-    back = math.exp(-system.alpha * t) * flow(system.hamiltonian, -t).matrix
-    return ChordState(weights=state.weights,
-                      forms=back.T @ state.forms @ back + m / system.hbar,
-                      shifts=state.shifts @ back, label=f"{state.label}@t={t:g}",
-                      pure=state.pure and t == 0.0, hbar=system.hbar,
-                      reliability=state.reliability)
+    return map_state(system, state, t, label=f"{state.label}@t={t:g}",
+                     reliability=state.reliability)
 
 
 def evolve_chord(system: OpenSystem, state: ChordState, t: float, xi) -> np.ndarray:
@@ -305,7 +323,8 @@ def evolve_wigner_grid(system: OpenSystem, state: ChordState, t: float,
 
 def chord_pde_residual(system: OpenSystem, state: ChordState, t: float, xi,
                        h: float = 1e-2) -> float:
-    """|d_t Wt + (2 J H xi + alpha xi) . grad Wt + (xi . K xi / 2 hbar) Wt|.
+    """|d_t Wt + (2 J H xi + alpha xi) . grad Wt + (xi . K xi / 2 hbar) Wt
+    - (i/hbar) (J xi . J b) Wt|.
 
     Central differences of step ``h`` in both time and chord directions
     (O(h^2) bias), evaluated on the exact evolution — a direct check that
@@ -330,5 +349,7 @@ def chord_pde_residual(system: OpenSystem, state: ChordState, t: float, xi,
 
     drift = 2.0 * J @ system.hamiltonian.matrix @ xi + system.alpha * xi
     damp_rate = float(xi @ system.k_matrix @ xi) / (2.0 * system.hbar)
-    residual = dt_w + drift @ grad + damp_rate * w_here
+    # the drive J b turns the phase at the rate (J xi . J b)/hbar
+    phase_rate = float((J @ xi) @ system.drift_offset) / system.hbar
+    residual = dt_w + drift @ grad + (damp_rate - 1j * phase_rate) * w_here
     return abs(residual)

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, NotPositiveDefinite, Unstable
-from .model import J, _as_vector, _inv2
+from .model import J, _as_vector, _inv2, _require_keys, finite_array
 
 __all__ = [
     "ChordState",
@@ -115,6 +115,16 @@ class ChordState:
                            f"not real: max|Im W| = {imag:.3e}")
         return np.ascontiguousarray(out.real)
 
+    def moments(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Wigner mean hbar (Re b) J^T and covariance hbar^2 J^T A J of a
+        one-term (Gaussian) state; :class:`ConfigError` for any other."""
+        if self.weights.shape != (1,):
+            raise ConfigError(
+                "langevin sampling needs a gaussian-family initial state "
+                "(type 'coherent' or 'gaussian')")
+        return (self.hbar * (self.shifts[0].real @ J.T),
+                self.hbar ** 2 * J.T @ self.forms[0] @ J)
+
     def norm_squared(self, extra: np.ndarray | float = 0.0) -> float:
         """2 pi hbar Integral |Wt(xi)|^2 exp(-xi . E xi / 2) d xi, E = ``extra``.
 
@@ -173,9 +183,7 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
     Pure iff det cov = (hbar/2)^2; purity is (hbar/2)/sqrt(det cov).
     """
     mean = _as_vector(mean, "mean")
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
-        raise NotPositiveDefinite(f"cov is not a finite 2x2 matrix: {cov.tolist()}")
+    cov = finite_array(cov, (2, 2), "cov")
     if float(np.max(np.abs(cov - cov.T))) > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
         raise NotPositiveDefinite("covariance must be symmetric")
     cov = 0.5 * (cov + cov.T)
@@ -323,34 +331,20 @@ def cat_zero_crossing_time(params: CatParameters, hbar: float = 1.0) -> float:
 def state_from_dict(data: dict, hbar: float = 1.0) -> ChordState:
     """Parse a JSON state descriptor.
 
-    ``{"type": "coherent", "center": [p, q]}``,
-    ``{"type": "cat", "zeta": z, "gamma": g, "nbar": n}`` (bath fields
-    optional, defaults 1 and 0), or
-    ``{"type": "gaussian", "mean": [p, q], "cov": [[..], [..]]}``.
+    ``{"type": "coherent", "center": [p, q]}``, ``{"type": "cat", "zeta": z}``
+    or ``{"type": "gaussian", "mean": [p, q], "cov": [[..], [..]]}``.
     """
     if not isinstance(data, dict):
         raise ConfigError("state descriptor must be a JSON object")
     kind = data.get("type")
     if kind == "coherent":
-        extra = set(data) - {"type", "center"}
-        if extra:
-            raise ConfigError(f"unknown field(s) in coherent state: {sorted(extra)}")
+        _require_keys(data, {"type", "center"}, set(), "coherent state")
         return coherent_state(data.get("center", (0.0, 0.0)), hbar=hbar)
     if kind == "cat":
-        extra = set(data) - {"type", "zeta", "gamma", "nbar"}
-        if extra:
-            raise ConfigError(f"unknown field(s) in cat state: {sorted(extra)}")
-        if "zeta" not in data:
-            raise ConfigError("cat state needs 'zeta'")
-        params = CatParameters(zeta=float(data["zeta"]),
-                               gamma=float(data.get("gamma", 1.0)),
-                               nbar=float(data.get("nbar", 0.0)))
-        return cat_state(params, hbar=hbar)
+        _require_keys(data, {"type", "zeta"}, {"zeta"}, "cat state")
+        zeta = float(finite_array(data["zeta"], (), "cat zeta"))
+        return cat_state(CatParameters(zeta=zeta), hbar=hbar)
     if kind == "gaussian":
-        extra = set(data) - {"type", "mean", "cov"}
-        if extra:
-            raise ConfigError(f"unknown field(s) in gaussian state: {sorted(extra)}")
-        if "cov" not in data:
-            raise ConfigError("gaussian state needs 'cov'")
+        _require_keys(data, {"type", "mean", "cov"}, {"cov"}, "gaussian state")
         return gaussian_state(data.get("mean", (0.0, 0.0)), data["cov"], hbar=hbar)
     raise ConfigError(f"unknown state type: {kind!r}")

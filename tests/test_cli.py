@@ -316,6 +316,25 @@ def test_oracle_compare_report(tmp_path) -> None:
     assert report["tv"]["exact_vs_fp"] < 1e-3
 
 
+def test_oracle_compare_honours_linear_drive(tmp_path) -> None:
+    # H = (p^2 + q^2)/2 + q moves the coherent state off the origin
+    c = math.sqrt(0.2)
+    cfg = _config(tmp_path, {
+        "system": {"hamiltonian": {"matrix": [[0.5, 0.0], [0.0, 0.5]],
+                                   "linear": [0.0, 1.0]},
+                   "channels": [{"l_re": [0.0, c], "l_im": [c, 0.0]}]},
+        "state": {"type": "coherent", "center": [0.0, 0.0]},
+        "t": 1.0,
+        "grid": {"center": [0.0, 0.0], "half_extent": [7.0, 7.0],
+                 "shape": [81, 81]},
+    })
+    out = tmp_path / "report.json"
+    assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 0
+    linf = json.loads(out.read_text())["linf"]
+    assert linf["exact_vs_fock"] < 1e-6
+    assert linf["exact_vs_fp"] <= 2.0 * linf["fp_vs_fock"]
+
+
 def test_oracle_compare_rejects_gaussian_before_integrating(
         tmp_path, monkeypatch) -> None:
     def no_integration(*args, **kwargs):
@@ -414,6 +433,44 @@ def test_non_finite_state_fields_exit_two(tmp_path) -> None:
                                        "center": [0.0, math.nan]}})
     assert main(["entropy", "--config", cfg, "--out",
                  str(tmp_path / "p.csv")]) == 2
+
+
+_GRID = {"center": [0.0, 0.0], "half_extent": [4.0, 4.0], "shape": [17, 17]}
+_BASE = {
+    "evolve": {"system": PHOTON, "state": COHERENT, "t": 0.4, "grid": _GRID},
+    "entropy": {"system": PHOTON, "state": COHERENT, "times": [0.5]},
+    "langevin": {"system": PHOTON, "state": COHERENT, "t": 0.1, "dt": 0.05,
+                 "n_paths": 8},
+}
+_BAD_VALUES = {
+    "cat-zeta": ("entropy", {"state": {"type": "cat", "zeta": "a"}}),
+    "cat-gamma": ("entropy", {"state": {"type": "cat", "zeta": 1.0, "gamma": 1.0}}),
+    "cat-nbar": ("entropy", {"state": {"type": "cat", "zeta": 1.0, "nbar": 0.0}}),
+    "center-string": ("evolve", {"state": {"type": "coherent", "center": "ab"}}),
+    "center-entry": ("evolve", {"state": {"type": "coherent", "center": ["a", 0]}}),
+    "cov-entry": ("evolve", {"state": {"type": "gaussian",
+                                       "cov": [[1.0, 0.0], [0.0, "a"]]}}),
+    "h-matrix-entry": ("evolve", {"system": {
+        "hamiltonian": {"matrix": [[0.5, 0.0], [0.0, "a"]]}}}),
+    "l-re-entry": ("evolve", {"system": dict(
+        PHOTON, channels=[{"l_re": ["x", 0], "l_im": [0.5, 0.0]}])}),
+    "half-extent": ("evolve", {"grid": dict(_GRID, half_extent="a")}),
+    "fractional-shape": ("evolve", {"grid": dict(_GRID, shape=[17.5, 17])}),
+    "boolean-shape": ("evolve", {"grid": dict(_GRID, shape=[True, 17])}),
+    "langevin-center-string": ("langevin", {
+        "state": {"type": "coherent", "center": "ab"}}),
+    "langevin-nan-center": ("langevin", {
+        "state": {"type": "coherent", "center": [math.nan, 0.0]}}),
+}
+
+
+@pytest.mark.parametrize("command, override", list(_BAD_VALUES.values()),
+                         ids=list(_BAD_VALUES))
+def test_non_numeric_config_values_exit_two(tmp_path, command, override) -> None:
+    cfg = _config(tmp_path, dict(_BASE[command], **override))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_positivity_sweep_lists_are_validated(tmp_path) -> None:

@@ -16,6 +16,14 @@ from lindquad import (CatParameters, ConfigError, GridTooCoarse,
                       symplectic_transform)
 
 
+def _driven_oscillator() -> OpenSystem:
+    """H = (p^2 + q^2)/2 + q with one damping channel (alpha = 0.2)."""
+    c = np.sqrt(0.2)
+    return OpenSystem(
+        hamiltonian=HamiltonianForm(matrix=0.5 * np.eye(2), linear=[0.0, 1.0]),
+        channels=(LindbladChannel(l_re=[0.0, c], l_im=[c, 0.0]),))
+
+
 def _random_hamiltonians(rng: np.random.Generator, n: int) -> list[HamiltonianForm]:
     """Mix of regimes, including nearly degenerate determinants."""
     out = []
@@ -321,6 +329,26 @@ def test_wigner_grid_reproduces_initial_coherent_state() -> None:
     assert field.integral == pytest.approx(1.0, abs=1e-9)
 
 
+def test_evolved_wigner_mean_follows_point_flow() -> None:
+    # the linear Hamiltonian term drives the centre off the origin
+    sys = _driven_oscillator()
+    grid = centered_grid((0.0, 0.0), 7.0, 81)
+    for center in ((0.0, 0.0), (0.5, -0.3)):
+        field = evolve_wigner_grid(sys, coherent_state(center), 1.0, grid)
+        mean = np.einsum("ijk,ij->k", grid.points(), field.values) * grid.cell_area
+        assert np.max(np.abs(mean - point_flow(sys, 1.0, center))) < 1e-8
+
+
+def test_wigner_grid_tail_ratio_threshold() -> None:
+    # at t = 0 a coherent state's chord function on the dual-mesh rim is
+    # 6.8e-6 of its peak at spacing 0.45 and 2.9e-9 at spacing 0.35
+    sys = photon_bath(gamma=1.0)
+    state = coherent_state((0.0, 0.0))
+    with pytest.raises(GridTooCoarse):
+        evolve_wigner_grid(sys, state, 0.0, centered_grid((0.0, 0.0), 20 * 0.45, 41))
+    evolve_wigner_grid(sys, state, 0.0, centered_grid((0.0, 0.0), 20 * 0.35, 41))
+
+
 def test_wigner_grid_is_deterministic() -> None:
     sys = photon_bath(gamma=1.0)
     state = cat_state(CatParameters(zeta=1.0))
@@ -374,13 +402,13 @@ def test_evolved_state_metadata() -> None:
 
 
 def test_chord_residual_is_second_order_in_h() -> None:
-    sys = photon_bath(gamma=1.0, nbar=0.5, omega=1.2)
     state = cat_state(CatParameters(zeta=1.5))
     xi = np.array([0.8, -0.4])
-    r_coarse = chord_pde_residual(sys, state, 0.6, xi, h=0.04)
-    r_fine = chord_pde_residual(sys, state, 0.6, xi, h=0.02)
-    assert r_fine < 1e-4
-    assert r_coarse / r_fine == pytest.approx(4.0, abs=0.4)
+    for sys in (photon_bath(gamma=1.0, nbar=0.5, omega=1.2), _driven_oscillator()):
+        r_coarse = chord_pde_residual(sys, state, 0.6, xi, h=0.04)
+        r_fine = chord_pde_residual(sys, state, 0.6, xi, h=0.02)
+        assert r_fine < 1e-4
+        assert r_coarse / r_fine == pytest.approx(4.0, abs=0.4)
 
 
 def test_chord_residual_validates_step() -> None:

@@ -1,9 +1,10 @@
 """Property tests over random systems, frames and sum-of-Gaussian states.
 
 Systems come from the shared random builders in all three regimes (either
-sign of the dissipation coefficient); states are cats and squeezed, possibly
-mixed, Gaussians. Times are scaled by the stretching rate so hyperbolic
-frames stay on grids of a few hundred nodes per axis.
+sign of the dissipation coefficient), with a random linear Hamiltonian term;
+states are cats and squeezed, possibly mixed, Gaussians. Times are scaled by
+the stretching rate so hyperbolic frames stay on grids of a few hundred
+nodes per axis.
 """
 from __future__ import annotations
 
@@ -13,17 +14,27 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system
-from lindquad import (CatParameters, J, cat_state, centered_grid,
+from conftest import random_symplectic, random_system
+from lindquad import (CatParameters, HamiltonianForm, J, OpenSystem,
+                      affine_flow, cat_state, centered_grid, damping_matrix,
                       evolve_chord, evolve_wigner_grid, evolved_state,
-                      gaussian_state, purity, purity_quadrature, reconstruct)
+                      gaussian_state, purity, purity_quadrature, reconstruct,
+                      symplectic_transform)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
-systems = st.builds(
-    lambda regime, seed: random_system(np.random.default_rng(seed), regime),
-    st.sampled_from(["elliptic", "hyperbolic", "parabolic"]),
-    st.integers(0, 2 ** 32 - 1))
+
+def _driven_system(regime: str, seed: int) -> OpenSystem:
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, regime)
+    ham = HamiltonianForm(matrix=system.hamiltonian.matrix,
+                          linear=rng.normal(size=2))
+    return OpenSystem(hamiltonian=ham, channels=system.channels)
+
+
+systems = st.builds(_driven_system,
+                    st.sampled_from(["elliptic", "hyperbolic", "parabolic"]),
+                    st.integers(0, 2 ** 32 - 1))
 
 cats = st.builds(lambda zeta: cat_state(CatParameters(zeta=zeta)),
                  st.floats(0.0, 2.5))
@@ -99,3 +110,60 @@ def test_reconstruction_inverts_evolution(system, state, t, seed) -> None:
     reliable = recovered.reliability(xi)
     error = np.abs(recovered(xi[reliable]) - state(xi[reliable]))
     assert np.max(error, initial=0.0) <= 1e-8 / (2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# the damping matrix M(t)
+
+
+def _scale(m: np.ndarray) -> float:
+    return max(1.0, float(np.max(np.abs(m))))
+
+
+@PROPERTY
+@given(systems)
+def test_damping_matrix_vanishes_at_zero(system) -> None:
+    assert np.all(damping_matrix(system, 0.0).m == 0.0)
+
+
+@PROPERTY
+@given(systems, times)
+def test_damping_matrix_sign_follows_time(system, t) -> None:
+    t = _scaled_time(system, t)
+    forward = damping_matrix(system, t).m
+    reverse = damping_matrix(system, -t).m
+    assert np.linalg.eigvalsh(forward)[0] >= -1e-12 * _scale(forward)
+    assert np.linalg.eigvalsh(reverse)[1] <= 1e-12 * _scale(reverse)
+
+
+@PROPERTY
+@given(systems, times, times)
+def test_reversed_determinant_is_nondecreasing(system, t1, t2) -> None:
+    early, late = sorted((_scaled_time(system, t1), _scaled_time(system, t2)))
+    lo, hi = damping_matrix(system, -early), damping_matrix(system, -late)
+    (m00, m01), (_, m11) = hi.m
+    assert lo.det <= hi.det + 1e-12 * (abs(m00 * m11) + m01 ** 2)
+
+
+@PROPERTY
+@given(systems, times, st.integers(0, 2 ** 32 - 1))
+def test_damping_matrix_is_symplectically_covariant(system, t, seed) -> None:
+    t = _scaled_time(system, t)
+    c = random_symplectic(np.random.default_rng(seed))
+    cinv = np.linalg.inv(c)
+    m = damping_matrix(system, t).m
+    moved = damping_matrix(symplectic_transform(system, c), t).m
+    assert np.max(np.abs(moved - cinv.T @ m @ cinv)) <= 1e-9 * _scale(m)
+
+
+@PROPERTY
+@given(systems, times)
+def test_damping_matrix_reversal_identity(system, t) -> None:
+    # M(-t) = -back^T M(t) back with back = -J F^T J taken at -t, the
+    # identity that makes reconstruction the evolution map at -t
+    t = _scaled_time(system, t)
+    linear, _ = affine_flow(system, -t)
+    back = -J @ linear.T @ J
+    reverse = damping_matrix(system, -t).m
+    expect = -back.T @ damping_matrix(system, t).m @ back
+    assert np.max(np.abs(reverse - expect)) <= 1e-9 * _scale(reverse)
