@@ -1,11 +1,19 @@
 """Tests for grid descriptors and the CSV field format."""
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lindquad import (ConfigError, GridField, GridSpec, centered_grid,
                       grid_from_dict, read_field_csv, write_field_csv)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
 
 def test_axes_and_points_layout() -> None:
@@ -97,3 +105,82 @@ def test_field_csv_rewrite_is_byte_identical(tmp_path) -> None:
     first = (tmp_path / "field.csv").read_bytes()
     write_field_csv(GridField(spec=spec, values=values), path)
     assert (tmp_path / "field.csv").read_bytes() == first
+
+
+_GOLDEN_SPEC = GridSpec(origin=(-1.0, 0.25), spacing=(0.5, 0.125), shape=(2, 3))
+_GOLDEN = [
+    (np.array([[-0.0, 1e-20, 1.5e16], [0.1, -2.5, 3.0]]),
+     "p,q,value_re,value_im\n"
+     "-1.0,0.25,-0.0,0.0\n"
+     "-1.0,0.375,1e-20,0.0\n"
+     "-1.0,0.5,1.5e+16,0.0\n"
+     "-0.5,0.25,0.1,0.0\n"
+     "-0.5,0.375,-2.5,0.0\n"
+     "-0.5,0.5,3.0,0.0\n"),
+    (np.array([[1, 0, 2], [-3, 0, 1]]),
+     "p,q,value_re,value_im\n"
+     "-1.0,0.25,1.0,0.0\n"
+     "-1.0,0.375,0.0,0.0\n"
+     "-1.0,0.5,2.0,0.0\n"
+     "-0.5,0.25,-3.0,0.0\n"
+     "-0.5,0.375,0.0,0.0\n"
+     "-0.5,0.5,1.0,0.0\n"),
+    (np.array([[True, False, True], [False, False, True]]),
+     "p,q,value_re,value_im\n"
+     "-1.0,0.25,1.0,0.0\n"
+     "-1.0,0.375,0.0,0.0\n"
+     "-1.0,0.5,1.0,0.0\n"
+     "-0.5,0.25,0.0,0.0\n"
+     "-0.5,0.375,0.0,0.0\n"
+     "-0.5,0.5,1.0,0.0\n"),
+    (np.array([[complex(1.0, -0.0), 2j, complex(-1e-20, 1.5e16)],
+               [complex(-0.0, 0.5), 0j, complex(3.0, -2.5)]]),
+     "p,q,value_re,value_im\n"
+     "-1.0,0.25,1.0,-0.0\n"
+     "-1.0,0.375,0.0,2.0\n"
+     "-1.0,0.5,-1e-20,1.5e+16\n"
+     "-0.5,0.25,-0.0,0.5\n"
+     "-0.5,0.375,0.0,0.0\n"
+     "-0.5,0.5,3.0,-2.5\n"),
+]
+
+
+@pytest.mark.parametrize("values,expected", _GOLDEN,
+                         ids=["float", "int", "bool", "complex"])
+def test_field_csv_golden_format(tmp_path, values, expected) -> None:
+    path = tmp_path / "field.csv"
+    write_field_csv(GridField(spec=_GOLDEN_SPEC, values=values), str(path))
+    assert path.read_bytes() == expected.encode()
+
+
+def _per_node_csv(field: GridField) -> str:
+    """The field CSV formatted one node at a time, the reference layout."""
+    values = np.asarray(field.values, dtype=complex)
+    lines = ["p,q,value_re,value_im"]
+    for i, p in enumerate(field.spec.p_axis):
+        for j, q in enumerate(field.spec.q_axis):
+            v = values[i, j]
+            lines.append(f"{float(p)!r},{float(q)!r},"
+                         f"{float(v.real)!r},{float(v.imag)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fields(draw) -> GridField:
+    shape = (draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    origin = draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    spacing = draw(st.tuples(st.floats(1e-3, 1e2), st.floats(1e-3, 1e2)))
+    dtype = draw(st.sampled_from([np.float64, np.complex128, np.float32,
+                                  np.int64, np.bool_]))
+    return GridField(spec=GridSpec(origin=origin, spacing=spacing, shape=shape),
+                     values=draw(arrays(dtype, shape)))
+
+
+@PROPERTY
+@given(fields())
+def test_field_csv_matches_per_node_format(field) -> None:
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "field.csv")
+        write_field_csv(field, path)
+        with open(path, "rb") as handle:
+            assert handle.read() == _per_node_csv(field).encode()
