@@ -5,16 +5,18 @@ A grid is row-major over (p, q): ``values[i, j]`` is the field at
 Fields are written as ``p,q,value_re,value_im`` CSV rows (row-major, floats
 via repr for byte-stable round trips) with a JSON sidecar at ``<path>.json``
 recording origin, spacing, and shape so files are self-describing.
+
+The bytes of a field CSV are unchanged from the per-node layout of earlier
+versions, ``f"{p!r},{q!r},{re!r},{im!r}"`` for every node with the values
+widened to complex; the writer only builds that text one grid row at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -131,15 +133,6 @@ class GridField:
         total = complex(np.sum(self.values) * self.spec.cell_area)
         return total.real if not np.iscomplexobj(self.values) else total
 
-    def rows(self) -> Iterator[tuple[float, float, float, float]]:
-        p_axis, q_axis = self.spec.p_axis, self.spec.q_axis
-        vals = np.asarray(self.values, dtype=complex)
-        for i in range(self.spec.shape[0]):
-            for j in range(self.spec.shape[1]):
-                v = vals[i, j]
-                yield (float(p_axis[i]), float(q_axis[j]),
-                       float(v.real), float(v.imag))
-
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a same-directory temp file + rename."""
@@ -156,30 +149,57 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_field_csv(field: GridField, path: str) -> None:
-    """Write ``p,q,value_re,value_im`` rows plus a ``<path>.json`` sidecar."""
-    lines = [",".join(_HEADER)]
-    for p, q, re, im in field.rows():
-        lines.append(f"{p!r},{q!r},{re!r},{im!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write ``p,q,value_re,value_im`` rows plus a ``<path>.json`` sidecar.
+
+    Each node is six cells: ``p,``, ``q,``, ``value_re``, ``,``,
+    ``value_im`` and a newline. The q cells are formatted once per grid and
+    the p cell once per row; each row's value cells are filled by strided
+    slices. Values are widened to complex first, so integer, boolean and
+    float32 fields print as float64 reprs, and a real field's imaginary
+    cell is always ``0.0``.
+    """
+    values = np.asarray(field.values, dtype=complex)
+    has_imag = field.values.dtype.kind not in "biuf"
+    nq = field.spec.shape[1]
+    cells = ["", "", "", ",", "0.0", "\n"] * nq
+    cells[1::6] = [repr(q) + "," for q in field.spec.q_axis.tolist()]
+    chunks = [",".join(_HEADER) + "\n"]
+    for p, row in zip(field.spec.p_axis.tolist(), values):
+        cells[0::6] = [repr(p) + ","] * nq
+        cells[2::6] = map(repr, row.real.tolist())
+        if has_imag:
+            cells[4::6] = map(repr, row.imag.tolist())
+        chunks.append("".join(cells))
+    atomic_write_text(path, "".join(chunks))
     sidecar = json.dumps(field.spec.to_dict(), indent=2, sort_keys=True)
     atomic_write_text(path + ".json", sidecar + "\n")
 
 
 def read_field_csv(path: str) -> GridField:
-    """Inverse of :func:`write_field_csv` (requires the JSON sidecar)."""
+    """Inverse of :func:`write_field_csv` (requires the JSON sidecar).
+
+    Values are parsed with ``float``, so a written field reads back exactly.
+    A header, row count or row that does not fit the sidecar's grid raises
+    :class:`ConfigError` naming the file.
+    """
     with open(path + ".json") as handle:
         spec = grid_from_dict(json.load(handle))
-    re_parts: list[float] = []
-    im_parts: list[float] = []
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != _HEADER:
-            raise ConfigError(f"unexpected field CSV header: {header}")
-        for row in reader:
-            re_parts.append(float(row[2]))
-            im_parts.append(float(row[3]))
-    values = np.asarray(re_parts) + 1j * np.asarray(im_parts)
+        header = handle.readline().rstrip("\r\n")
+        rows = handle.read().splitlines()
+    if tuple(header.split(",")) != _HEADER:
+        raise ConfigError(f"{path}: unexpected field CSV header {header!r}")
+    if len(rows) != spec.shape[0] * spec.shape[1]:
+        raise ConfigError(f"{path}: {len(rows)} data rows, grid {spec.shape} "
+                          f"needs {spec.shape[0] * spec.shape[1]}")
+    values = np.empty(len(rows), dtype=complex)
+    for k, row in enumerate(rows):
+        try:
+            _, _, re, im = row.split(",")
+            values[k] = complex(float(re), float(im))
+        except ValueError:
+            raise ConfigError(f"{path}, line {k + 2}: expected four numbers, "
+                              f"got {row!r}") from None
     if np.all(values.imag == 0.0):
         values = values.real
     return GridField(spec=spec, values=values.reshape(spec.shape))

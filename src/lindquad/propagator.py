@@ -113,11 +113,19 @@ def flow(hamiltonian: HamiltonianForm, t: float) -> FlowMatrix:
     return FlowMatrix(matrix=c * np.eye(2) + s * b, time=float(t))
 
 
+def _exp_at(exponent: float, t: float) -> float:
+    """e^exponent for a flow at time t, or :class:`Unstable` where it overflows."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise Unstable(f"flow factor e^({exponent!r}) overflows at t={t!r}") from None
+
+
 def chord_flow(system: OpenSystem, t: float, xi) -> np.ndarray:
     """Chord characteristic flow xi -> e^{alpha t} R_t xi (batched)."""
     xi = np.asarray(xi, dtype=float)
     r = flow(system.hamiltonian, t).matrix
-    return math.exp(system.alpha * t) * (xi @ r.T)
+    return _exp_at(system.alpha * t, t) * (xi @ r.T)
 
 
 def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +143,7 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
         e = expm(aug * t)
         linear, offset = e[:2, :2], e[:2, 2]
     else:
-        linear = math.exp(-system.alpha * t) * flow(system.hamiltonian, t).matrix
+        linear = _exp_at(-system.alpha * t, t) * flow(system.hamiltonian, t).matrix
         offset = np.zeros(2)
     if not (np.all(np.isfinite(linear)) and np.all(np.isfinite(offset))):
         raise Unstable(f"affine flow overflows at t={t!r}")

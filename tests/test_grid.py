@@ -153,6 +153,15 @@ def test_field_csv_golden_format(tmp_path, values, expected) -> None:
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("values,expected", [_GOLDEN[0], _GOLDEN[3]],
+                         ids=["float", "complex"])
+def test_field_csv_read_keeps_signed_zeros(tmp_path, values, expected) -> None:
+    path, again = tmp_path / "field.csv", tmp_path / "again.csv"
+    write_field_csv(GridField(spec=_GOLDEN_SPEC, values=values), str(path))
+    write_field_csv(read_field_csv(str(path)), str(again))
+    assert again.read_bytes() == expected.encode()
+
+
 def _per_node_csv(field: GridField) -> str:
     """The field CSV formatted one node at a time, the reference layout."""
     values = np.asarray(field.values, dtype=complex)
@@ -184,3 +193,20 @@ def test_field_csv_matches_per_node_format(field) -> None:
         write_field_csv(field, path)
         with open(path, "rb") as handle:
             assert handle.read() == _per_node_csv(field).encode()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "short row", "non-numeric"])
+def test_read_field_csv_rejects_damaged_files(tmp_path, damage) -> None:
+    spec = GridSpec(origin=(0.0, 0.0), spacing=(0.5, 0.5), shape=(3, 4))
+    path = tmp_path / "field.csv"
+    write_field_csv(GridField(spec=spec, values=np.ones((3, 4))), str(path))
+    lines = path.read_text().splitlines()
+    if damage == "truncated":
+        lines = lines[:-2]
+    elif damage == "short row":
+        lines[5] = "0.5,0.0,1.0"
+    else:
+        lines[5] = "0.5,0.0,abc,0.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="field.csv"):
+        read_field_csv(str(path))

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from conftest import damping_bath, random_symplectic, random_system
 from lindquad import (CatParameters, ConfigError, GridTooCoarse,
                       HamiltonianForm, J, LindbladChannel, OpenSystem,
-                      cat_state, cat_wigner_line, centered_grid, chord_flow,
+                      Unstable, affine_flow, cat_state, cat_wigner_line, centered_grid, chord_flow,
                       chord_pde_residual, coherent_state, damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
                       evolve_wigner_grid, evolved_state, flow,
@@ -111,6 +111,14 @@ def test_chord_flow_grows_when_point_flow_contracts() -> None:
     grown = chord_flow(sys, t, xi)
     assert np.linalg.norm(grown) == pytest.approx(
         np.exp(sys.alpha * t) * np.linalg.norm(xi), rel=1e-12)
+
+
+def test_flows_raise_unstable_when_the_damping_factor_overflows() -> None:
+    sys = photon_bath(gamma=1.0)
+    with pytest.raises(Unstable):
+        affine_flow(sys, -2000.0)
+    with pytest.raises(Unstable):
+        chord_flow(sys, 2000.0, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
