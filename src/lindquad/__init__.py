@@ -21,19 +21,22 @@ from .grid import (GridField, GridSpec, centered_grid, grid_from_dict,
 from .langevin import (SdeSpec, TrajectoryEnsemble, ensemble_moments,
                        exact_moments, momentum_dissipation_frame,
                        sde_from_system, simulate)
-from .model import (HamiltonianForm, J, LindbladChannel, OpenSystem, Regime,
+from .model import (DampingKernel, HamiltonianForm, J, LindbladChannel,
+                    OpenSystem, Regime,
                     characteristic_timescale, classify,
                     dissipation_coefficient, photon_bath, sigma,
                     symplectic_transform, system_from_dict, system_to_dict,
                     wedge)
-from .oracle import (FockDensity, cat_fock_dim, coherent_fock_dim,
+from .oracle import (FockDensity, affine_flow_expm, cat_fock_dim,
+                     coherent_fock_dim,
                      damping_matrix_quadrature, fock_cat, fock_coherent,
                      fock_mean, fock_operators, fock_thermal,
                      fokker_planck_max_dt, integrate_fock_lindblad,
                      integrate_fokker_planck, purity_quadrature,
                      wigner_from_fock)
 from .propagator import (DampingMatrix, FlowMatrix, affine_flow, chord_flow,
-                         chord_pde_residual, damping_matrix, evolve_chord,
+                         chord_pde_residual, damping_matrices, damping_matrix,
+                         evolve_chord,
                          evolve_wigner_grid, evolved_state, flow,
                          gaussian_factor, map_state, point_flow)
 from .states import (CatParameters, ChordState, cat_fringe_wavenumber,
@@ -45,16 +48,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticInvalid", "CatParameters", "ChordState", "ConfigError",
-    "DampingMatrix", "FlowMatrix", "FockDensity", "GridField", "GridSpec",
+    "DampingKernel", "DampingMatrix", "FlowMatrix", "FockDensity", "GridField", "GridSpec",
     "GridTooCoarse", "HamiltonianForm", "J", "LindbladChannel",
     "LindquadError", "NonSymplectic", "NotPositiveDefinite", "OpenSystem",
     "PositivityResult", "PurityCurve", "QuadratureNotConverged", "Regime",
     "SdeSpec", "SingularFrame", "TrajectoryEnsemble", "TruncationLeak",
-    "Unstable", "affine_flow",
+    "Unstable", "affine_flow", "affine_flow_expm",
     "cat_fock_dim", "cat_fringe_wavenumber", "cat_fringe_zero", "cat_state",
     "cat_wigner_line", "cat_zero_crossing_time", "centered_grid",
     "characteristic_timescale", "chord_flow", "chord_pde_residual",
-    "classify", "coherent_fock_dim", "coherent_state", "damping_matrix",
+    "classify", "coherent_fock_dim", "coherent_state", "damping_matrices", "damping_matrix",
     "damping_matrix_quadrature", "dissipation_coefficient", "ensemble_moments",
     "evolve_chord", "evolve_wigner_grid", "evolved_state", "exact_moments",
     "flow", "fock_cat", "fock_coherent", "fock_mean", "fock_operators",

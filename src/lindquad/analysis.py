@@ -24,7 +24,8 @@ import numpy as np
 from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import chord_flow, damping_matrix, gaussian_factor, map_state
+from .propagator import (_damping_stack, chord_flow, damping_matrices,
+                         damping_matrix, flow, gaussian_factor, map_state)
 from .states import ChordState
 
 __all__ = [
@@ -41,6 +42,10 @@ __all__ = [
 
 _THRESHOLD = 0.25
 _EPS = float(np.finfo(float).eps)
+# times per batched evaluation of the positivity scan
+_BATCH = 6
+# -M(-t) eigenvalue above which the state-free late-time purity is used
+_EIGEN_FLOOR = 50.0
 
 
 @dataclass(frozen=True)
@@ -71,68 +76,132 @@ class PositivityResult:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
+def _newton_step(system: OpenSystem, t: float, m: np.ndarray, d: float,
+                 margin: float) -> Optional[float]:
+    """Newton correction dx (next iterate t - dx) towards det M(-t) = 1/4 + margin.
+
+    The step is taken in s = sqrt(det M(-t)), which grows like t where det
+    grows like t^2. Its slope is closed form: d/dt M(-t) = -e^{2 alpha t}
+    R_t^T K R_t and d det/dt = tr(adj M dM). None where det or the slope is
+    not finite and positive.
+    """
+    det = d + _THRESHOLD
+    if not 0.0 < det < math.inf:
+        return None
+    try:
+        r = flow(system.hamiltonian, t).matrix
+        grow = math.exp(2.0 * system.alpha * t)
+    except (OverflowError, Unstable):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        (d00, d01), (d10, d11) = (-grow * (r.T @ system.k_matrix @ r)).tolist()
+    (m00, m01), (m10, m11) = m.tolist()
+    slope = m11 * d00 + m00 * d11 - m01 * d10 - m10 * d01
+    if not 0.0 < slope < math.inf:
+        return None
+    # (s - s*) / s' with s' = slope / 2s and s - s* = (d - margin) / (s + s*)
+    root = math.sqrt(det)
+    return (d - margin) / slope * (2.0 * root / (root + math.sqrt(_THRESHOLD + margin)))
+
+
 def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityResult:
     """First t with det M(-t) = 1/4, or the supremum reached by ``horizon``.
 
     det M(-t) is nondecreasing (its derivative is a congruence of the
     positive-semidefinite K). A point counts as crossed only where det - 1/4
     exceeds its round-off 4 eps (|m00 m11| + m01^2), so ``limit`` <= 1/4.
+
     The scan doubles from 1e-3 of the characteristic timescale up to
     ``horizon``; where round-off first hides the sign it rescans from the
     last resolved point in steps of 1/20 of the timescale, since in weakly
-    damped hyperbolic systems the resolved window can be short. Bisection
-    refines the crossing to ~1e-13 relative. An overflowed M counts as
-    crossed, but :class:`Unstable` is raised if the crossing lands on it.
+    damped hyperbolic systems the resolved window can be short. Both go
+    through the system's cached damping kernel in batches of six times
+    (:func:`~lindquad.propagator.damping_matrices` without its overflow
+    check) and use only what the point-by-point walk would have seen.
+
+    A safeguarded Newton search (rtsafe) then refines the bracket to 1e-13
+    relative, starting from the crossed scan point. It takes Newton steps in
+    sqrt(det M(-t)), with the closed-form slope, while they land inside the
+    bracket and at most half as long as the step before last, and bisects
+    otherwise. A step shorter than the tolerance is lengthened to land just
+    past the root and close the bracket from the other side; should it fall
+    short, the length test turns the next step into bisection.
+
+    ``iterations`` counts every time at which det M(-t) was evaluated, in
+    batches or alone (the scan's last batch may run past the crossing); the
+    reported ``det_value`` at t_p is one evaluation more. An overflowed M
+    counts as crossed, but :class:`Unstable` is raised if the crossing lands
+    on it.
     """
     if not 0.0 < horizon < math.inf:
         raise ConfigError("horizon must be positive and finite")
-    if not np.any(system.k_matrix):
+    if system.damping_kernel.vanishes:
         return PositivityResult(reached=False, horizon=horizon, iterations=0,
                                 limit=0.0)
     scale = min(characteristic_timescale(system), horizon)
     evals = 0
 
-    def above(t: float) -> tuple[bool, float, float]:
-        """(crossed, det M(-t) - 1/4, round-off); (True, inf, 0) on overflow."""
+    def dets(ts: list) -> tuple:
+        """(M(-t), det M(-t) - 1/4, round-off) at ``ts``; (inf, 0) on overflow."""
         nonlocal evals
-        evals += 1
-        try:
-            (m00, m01), (m10, m11) = damping_matrix(system, -t).m.tolist()
-            diag, off = m00 * m11, m01 * m10
-        except Unstable:
-            diag = off = math.inf
-        margin = 4.0 * _EPS * (abs(diag) + off)
-        if not math.isfinite(margin):
-            return True, math.inf, 0.0
-        d = diag - off - _THRESHOLD
-        return d > margin, d, margin
+        evals += len(ts)
+        m = _damping_stack(system, -np.array(ts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, off = m[:, 0, 0] * m[:, 1, 1], m[:, 0, 1] * m[:, 1, 0]
+            margin = 4.0 * _EPS * (np.abs(diag) + off)
+            d = diag - off - _THRESHOLD
+        overflow = ~np.isfinite(margin)
+        d[overflow], margin[overflow] = math.inf, 0.0
+        return m, d.tolist(), margin.tolist()
 
-    lo, hi, step = 0.0, 1e-3 * scale, 0.0
+    def advance(t: float, step: float) -> float:
+        return min(t + step if step else 2.0 * t, horizon)
+
+    lo, t, step = 0.0, 1e-3 * scale, 0.0
     best = -_THRESHOLD
-    while True:
-        crossed, d, margin = above(hi)
-        if crossed:
-            break
-        best = max(best, d - margin)
-        if not step and d >= -margin:
-            step, hi = scale / 20.0, lo
-        elif hi >= horizon:
-            return PositivityResult(reached=False, horizon=horizon,
-                                    iterations=evals, limit=best + _THRESHOLD)
+    high = None
+    while high is None:
+        ts = [t]
+        while len(ts) < _BATCH and ts[-1] < horizon:
+            ts.append(advance(ts[-1], step))
+        m, d, margin = dets(ts)
+        for point in zip(ts, m, d, margin):
+            ti, _, di, mi = point
+            if di > mi:
+                high = point
+                break
+            best = max(best, di - mi)
+            if not step and di >= -mi:
+                step = scale / 20.0
+                t = advance(lo, step)
+                break
+            if ti >= horizon:
+                return PositivityResult(reached=False, horizon=horizon,
+                                        iterations=evals, limit=best + _THRESHOLD)
+            lo = ti
         else:
-            lo = hi
-        hi = min(hi + step if step else 2.0 * hi, horizon)
+            t = advance(ts[-1], step)
 
-    upper = d
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        crossed, d, _ = above(mid)
-        if crossed:
-            hi, upper = mid, d
+    # safeguarded Newton (rtsafe) from the crossed scan point
+    hi, upper = high[0], high[2]
+    point, moved, before = high, hi - lo, hi - lo
+    while hi - lo > 1e-13 * hi:
+        x = point[0]
+        dx = _newton_step(system, *point)
+        if dx is not None and abs(dx) < 0.25e-13 * hi:
+            # converged: step just past the root to close the bracket
+            dx += 0.25e-13 * hi if x == hi else -0.25e-13 * hi
+        if dx is not None and lo < x - dx < hi and 2.0 * abs(dx) <= before:
+            x -= dx
         else:
-            lo = mid
-        if hi - lo <= 1e-13 * hi:
-            break
+            x = 0.5 * (lo + hi)
+        before, moved = moved, abs(x - point[0])
+        m, d, margin = dets([x])
+        if d[0] > margin[0]:
+            hi, upper = x, d[0]
+        else:
+            lo = x
+        point = (x, m[0], d[0], margin[0])
     t_p = 0.5 * (lo + hi)
     if upper == math.inf:
         raise Unstable(f"det M(-t) overflows near t={t_p!r} before it is "
@@ -140,6 +209,12 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     det_value = damping_matrix(system, -t_p).det
     return PositivityResult(reached=True, horizon=horizon, iterations=evals,
                             t_p=t_p, det_value=det_value)
+
+
+def _purity(system: OpenSystem, state: ChordState, t: float,
+            shrink: np.ndarray) -> float:
+    return (math.exp(2.0 * system.alpha * t)
+            * state.norm_squared(-2.0 * shrink / system.hbar))
 
 
 def purity(system: OpenSystem, state: ChordState, t: float) -> float:
@@ -152,9 +227,7 @@ def purity(system: OpenSystem, state: ChordState, t: float) -> float:
     """
     if t < 0:
         raise ConfigError("purity requires t >= 0")
-    shrink = damping_matrix(system, -t).m  # NSD
-    return (math.exp(2.0 * system.alpha * t)
-            * state.norm_squared(-2.0 * shrink / system.hbar))
+    return _purity(system, state, t, damping_matrix(system, -t).m)
 
 
 def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
@@ -162,8 +235,19 @@ def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
     return 1.0 - purity(system, state, t)
 
 
+def _purity_asymptotic(system: OpenSystem, t: float, shrink: np.ndarray,
+                       eigen_floor: float) -> float:
+    lam = np.linalg.eigvalsh(-shrink)
+    if lam[0] < eigen_floor:
+        raise AsymptoticInvalid(
+            f"-M(-t) eigenvalue {lam[0]:.6g} below floor {eigen_floor:g}; "
+            f"the state-free purity formula is not yet controlled",
+            eigenvalue=lam[0])
+    return math.exp(2.0 * system.alpha * t) / (2.0 * math.sqrt(lam[0] * lam[1]))
+
+
 def purity_asymptotic(system: OpenSystem, t: float, *,
-                      eigen_floor: float = 50.0) -> float:
+                      eigen_floor: float = _EIGEN_FLOOR) -> float:
     """Late-time purity e^{2 alpha t} / (2 sqrt(det M(-t))), state-free.
 
     Valid once the attenuation Gaussian is much narrower than any initial
@@ -174,14 +258,7 @@ def purity_asymptotic(system: OpenSystem, t: float, *,
     """
     if t < 0:
         raise ConfigError("purity_asymptotic requires t >= 0")
-    shrink = -damping_matrix(system, -t).m
-    lam = np.linalg.eigvalsh(shrink)
-    if lam[0] < eigen_floor:
-        raise AsymptoticInvalid(
-            f"-M(-t) eigenvalue {lam[0]:.6g} below floor {eigen_floor:g}; "
-            f"the state-free purity formula is not yet controlled",
-            eigenvalue=lam[0])
-    return math.exp(2.0 * system.alpha * t) / (2.0 * math.sqrt(lam[0] * lam[1]))
+    return _purity_asymptotic(system, t, damping_matrix(system, -t).m, eigen_floor)
 
 
 def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
@@ -225,21 +302,23 @@ def purity_curve(system: OpenSystem, state: ChordState,
                  include_asymptotic: bool = True) -> PurityCurve:
     """Exact purity at every time, plus asymptotic rows where valid.
 
-    The exact rows keep the method name "quadrature" of the CSV format.
+    M(-t) for the whole time list is one batched kernel evaluation, equal
+    bit for bit to the per-time :func:`purity`. The exact rows keep the
+    method name "quadrature" of the CSV format.
     """
-    ts, vals, methods = [], [], []
-    for t in times:
-        ts.append(float(t))
-        vals.append(purity(system, state, t))
-        methods.append("quadrature")
+    ts = [float(t) for t in times]
+    if any(t < 0 for t in ts):
+        raise ConfigError("purity requires t >= 0")
+    shrinks = damping_matrices(system, [-t for t in ts])
+    vals = [_purity(system, state, t, m) for t, m in zip(ts, shrinks)]
+    methods = ["quadrature"] * len(ts)
     if include_asymptotic:
-        for t in times:
+        for t, m in zip(list(ts), shrinks):
             try:
-                val = purity_asymptotic(system, t)
+                vals.append(_purity_asymptotic(system, t, m, _EIGEN_FLOOR))
             except AsymptoticInvalid:
                 continue
-            ts.append(float(t))
-            vals.append(val)
+            ts.append(t)
             methods.append("asymptotic")
     return PurityCurve(times=np.asarray(ts), values=np.asarray(vals),
                        methods=tuple(methods))

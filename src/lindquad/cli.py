@@ -23,6 +23,7 @@ Wigner function, NaN results).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -367,7 +368,9 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="lindquad",
         description="Exact phase-space evolution of quadratic open systems")

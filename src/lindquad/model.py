@@ -20,9 +20,12 @@ with ``J = [[0, -1], [1, 0]]`` the matrix of the wedge product,
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,6 +37,7 @@ __all__ = [
     "HamiltonianForm",
     "LindbladChannel",
     "OpenSystem",
+    "DampingKernel",
     "Regime",
     "classify",
     "dissipation_coefficient",
@@ -171,9 +175,80 @@ def sigma(hamiltonian: HamiltonianForm) -> complex:
     return complex(2.0 * np.sqrt(complex(-hamiltonian.det)))
 
 
+def _symmetric(m: np.ndarray) -> np.ndarray:
+    out = 0.5 * (m + m.swapaxes(-1, -2))
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class DampingKernel:
+    """The time-independent parts of the damping matrix, built once per system.
+
+    M(t) = Integral_{-t}^{0} e^{a tau} R_tau^T K R_tau d tau with a = 2 alpha
+    and R_tau = c(tau) I + s(tau) B. Two routes evaluate it from these arrays,
+    each a sum of three time-dependent scalars times constant matrices:
+
+    * moments: M = I_cc K + I_cs (B^T K + K B) + I_ss B^T K B, the integrals
+      of e^{a tau} against c^2, c s and s^2 taken as series in sigma^2 tau^2
+      (``moment_forms`` stacks the three matrices);
+    * eigenbasis, when sigma != 0: with B = V diag(sigma, -sigma) V^{-1},
+      M = Re[V^{-T} ((V^T K V) o Phi) V^{-1}], Phi_ij = phi(a + lambda_i +
+      lambda_j, t) = -expm1(-x t)/x. Phi has three distinct entries, at the
+      exponents x = (a + 2 sigma, a, a - 2 sigma), so
+      M = Re sum_r expm1(-x_r t) D_r, with ``rates`` -x_r and D_r the part of
+      V^{-T} (V^T K V) V^{-1} that carries x_r, divided by -x_r. An exponent
+      that vanishes contributes t times its part, ``linear_form``, instead.
+
+    Every matrix is exactly symmetric, so M is too. ``vanishes`` marks K = 0.
+    """
+
+    a: float
+    sigma_squared: float
+    vanishes: bool
+    moment_forms: NDArray[np.float64]
+    rates: Optional[NDArray[np.complex128]] = None
+    eigen_forms: Optional[NDArray[np.complex128]] = None
+    linear_form: Optional[NDArray[np.float64]] = None
+
+    @classmethod
+    def build(cls, b: NDArray[np.float64], s2: float, k: NDArray[np.float64],
+              a: float) -> "DampingKernel":
+        """Kernel of the generator ``b`` (b^2 = s2 I), channel moments ``k``
+        and rate ``a``. Each eigenvector is the larger column of
+        adj(B - lambda I), nonzero whenever sigma != 0."""
+        base = dict(a=a, sigma_squared=s2, vanishes=not np.any(k),
+                    moment_forms=_symmetric(np.stack([k, b.T @ k + k @ b, b.T @ k @ b])))
+        if s2 == 0.0:
+            return cls(**base)
+        sigma = cmath.sqrt(complex(s2))
+        (b00, b01), (b10, _) = b
+        v = np.array([max([(b01, lam - b00), (lam + b00, b10)],
+                          key=lambda col: abs(col[0]) + abs(col[1]))
+                      for lam in (sigma, -sigma)]).T
+        rows = _inv2(v)
+        w = v.T @ k @ v
+        parts = _symmetric(np.stack([
+            w[0, 0] * np.outer(rows[0], rows[0]),
+            w[0, 1] * np.outer(rows[0], rows[1]) + w[1, 0] * np.outer(rows[1], rows[0]),
+            w[1, 1] * np.outer(rows[1], rows[1])]))
+        exponents = np.array([a + 2.0 * sigma, complex(a), a - 2.0 * sigma])
+        still = exponents == 0.0
+        return cls(**base, rates=-exponents[:, None],
+                   eigen_forms=_symmetric(np.stack([
+                       0.0 * part if x == 0.0 else -part / x
+                       for x, part in zip(exponents, parts)])),
+                   linear_form=(_symmetric(parts[still].real.sum(axis=0))
+                                if still.any() else None))
+
+
 @dataclass(frozen=True, eq=False)
 class OpenSystem:
-    """Immutable system description; all derived scalars are recomputed."""
+    """Immutable system description.
+
+    Derived quantities are computed on first use and cached on the instance
+    (the fields never change); cached arrays are read-only.
+    """
 
     hamiltonian: HamiltonianForm
     channels: tuple[LindbladChannel, ...] = ()
@@ -184,7 +259,7 @@ class OpenSystem:
             raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
         object.__setattr__(self, "channels", tuple(self.channels))
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         return dissipation_coefficient(self.channels)
 
@@ -196,18 +271,37 @@ class OpenSystem:
     def regime(self) -> Regime:
         return classify(self.hamiltonian)
 
-    @property
+    @cached_property
     def k_matrix(self) -> NDArray[np.float64]:
         """K = sum_j (l' l'^T + l'' l''^T), the channel second-moment matrix."""
         k = np.zeros((2, 2))
         for ch in self.channels:
             k += np.outer(ch.l_re, ch.l_re) + np.outer(ch.l_im, ch.l_im)
+        k.setflags(write=False)
         return k
+
+    @cached_property
+    def generator(self) -> NDArray[np.float64]:
+        """B = 2 J H, the generator of the orbit R_t = exp(t B)."""
+        b = 2.0 * J @ self.hamiltonian.matrix
+        b.setflags(write=False)
+        return b
+
+    @cached_property
+    def sigma_squared(self) -> float:
+        """sigma^2 = -4 det H, so that B^2 = sigma^2 I."""
+        return -4.0 * self.hamiltonian.det
+
+    @cached_property
+    def damping_kernel(self) -> DampingKernel:
+        """The time-independent parts of M(t), see :class:`DampingKernel`."""
+        return DampingKernel.build(self.generator, self.sigma_squared,
+                                   self.k_matrix, 2.0 * self.alpha)
 
     @property
     def drift_matrix(self) -> NDArray[np.float64]:
         """A = 2 J H - alpha I, the linear part of the dissipative flow."""
-        return 2.0 * J @ self.hamiltonian.matrix - self.alpha * np.eye(2)
+        return self.generator - self.alpha * np.eye(2)
 
     @property
     def drift_offset(self) -> NDArray[np.float64]:

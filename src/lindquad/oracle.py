@@ -4,6 +4,7 @@ Three deliberately different routes re-derive the dynamics from scratch:
 
 * :func:`damping_matrix_quadrature` — M(t) by adaptive Gauss–Legendre
   quadrature of its integral, with a generic matrix exponential for the flow;
+  :func:`affine_flow_expm` takes the affine flow from the same exponential;
   :func:`purity_quadrature` integrates the trace-square of any chord callable
   with it on a tensor Gauss–Legendre rule.
 
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import eval_genlaguerre
 
 from ._quadrature import adaptive_tensor_gl, gauss_legendre_adaptive
 from .errors import ConfigError, GridTooCoarse, TruncationLeak, Unstable
@@ -43,6 +43,7 @@ from .grid import GridField, GridSpec
 from .model import J, LindbladChannel, OpenSystem
 
 __all__ = [
+    "affine_flow_expm",
     "damping_matrix_quadrature",
     "purity_quadrature",
     "FockDensity",
@@ -60,7 +61,21 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# Damping-matrix and purity quadrature
+# Affine flow, damping-matrix and purity quadrature
+
+
+def affine_flow_expm(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, o) of xdot = A x + J b from the augmented 3x3 matrix exponential.
+
+    exp(t [[A, J b], [0, 0]]) = [[F, o], [0, 1]] with A = 2 J H - alpha I,
+    by a generic Pade exponential rather than the closed form.
+    """
+    from scipy.linalg import expm
+
+    aug = np.zeros((3, 3))
+    aug[:2, :2], aug[:2, 2] = system.drift_matrix, system.drift_offset
+    e = expm(aug * float(t))
+    return e[:2, :2], e[:2, 2]
 
 
 def damping_matrix_quadrature(system: OpenSystem, t: float, *,
@@ -447,6 +462,8 @@ def wigner_from_fock(rho: FockDensity, grid: GridSpec) -> GridField:
     z = (q + i p)/sqrt(2 hbar); the result is real by hermiticity and
     integrates to the trace.
     """
+    from scipy.special import eval_genlaguerre
+
     hbar = rho.hbar
     pts = grid.points()
     z = (pts[..., 1] + 1j * pts[..., 0]) / math.sqrt(2.0 * hbar)

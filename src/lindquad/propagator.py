@@ -18,8 +18,16 @@ which :func:`map_state` applies to each Gaussian term of a
 :class:`~lindquad.states.ChordState`, for either sign of t, so the evolved
 Wigner function is closed form too and reconstruction is the map at -t.
 
-``damping_matrix`` evaluates M(t) in closed form in the eigenbasis of B;
-the adaptive quadrature of the same integral is an audit in ``oracle``.
+Both are closed form. The offset o of a linear Hamiltonian term is
+t phi_1(t A) J b = (c1 I + s1 B) J b with two scalar integrals. M(t) comes
+from the system's cached :class:`~lindquad.model.DampingKernel` (K, alpha,
+B, sigma^2 and the eigenbasis data, built once per system), evaluated for
+an array of times at once by :func:`damping_matrices`: expm1 of three
+exponents times three constant matrices in the eigenbasis of B, or
+polynomial-moment series times three others where |sigma^2| t^2 is small.
+:func:`damping_matrix` is its batch of one. The adaptive quadrature of the
+same integral and the matrix exponential of the affine flow are audits in
+``oracle``.
 """
 
 from __future__ import annotations
@@ -30,11 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
 
 from .errors import ConfigError, GridTooCoarse, Unstable
 from .grid import GridField, GridSpec
-from .model import J, HamiltonianForm, OpenSystem, _inv2
+from .model import J, DampingKernel, HamiltonianForm, OpenSystem
 from .states import ChordState
 
 __all__ = [
@@ -45,6 +52,7 @@ __all__ = [
     "affine_flow",
     "point_flow",
     "damping_matrix",
+    "damping_matrices",
     "gaussian_factor",
     "evolve_chord",
     "map_state",
@@ -121,33 +129,57 @@ def _exp_at(exponent: float, t: float) -> float:
         raise Unstable(f"flow factor e^({exponent!r}) overflows at t={t!r}") from None
 
 
+def _finite(value: np.ndarray, what: str, t: float) -> np.ndarray:
+    if not np.all(np.isfinite(value)):
+        raise Unstable(f"{what} overflows at t={t!r}")
+    return value
+
+
 def chord_flow(system: OpenSystem, t: float, xi) -> np.ndarray:
     """Chord characteristic flow xi -> e^{alpha t} R_t xi (batched)."""
     xi = np.asarray(xi, dtype=float)
     r = flow(system.hamiltonian, t).matrix
-    return _exp_at(system.alpha * t, t) * (xi @ r.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_exp_at(system.alpha * t, t) * (xi @ r.T), "chord flow", t)
+
+
+def _offset_scalars(system: OpenSystem, t: float) -> tuple[float, float]:
+    """(c1, s1) with Integral_0^t e^{tau A} d tau = t phi_1(t A) = c1 I + s1 B.
+
+    A = B - alpha I and e^{tau A} = e^{-alpha tau} (c(tau) I + s(tau) B), so
+    c1 and s1 are integrals of e^{-alpha tau} cosh(sigma tau) and
+    e^{-alpha tau} sinh(sigma tau)/sigma: sums and divided differences of
+    :func:`_phi` at alpha -+ sigma, or their series in sigma^2 t^2 where the
+    divided difference would cancel.
+    """
+    alpha, s2 = system.alpha, system.sigma_squared
+    if abs(s2) * t * t < _SERIES_REACH:
+        j0, odd, even = _moment_sums(alpha, s2, np.array([float(t)]))
+        return float(j0[0] + s2 * even[0]), float(-odd[0])
+    sigma = cmath.sqrt(complex(s2))
+    plus, minus = _phi(alpha + sigma, t), _phi(alpha - sigma, t)
+    return (0.5 * (plus + minus)).real, ((minus - plus) / (2.0 * sigma)).real
 
 
 def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(F, o) with x(t) = F x(0) + o, the flow of xdot = (2 J H - alpha) x + J b.
 
-    Without a linear Hamiltonian term F = e^{-alpha t} R_t in closed form and
-    o = 0; with one, both come from the augmented 3x3 exponential, exact in
-    every regime. Valid for t of either sign; raises :class:`Unstable` when
-    the flow overflows.
+    Closed form in every regime: F = e^{-alpha t} R_t, and with a linear
+    Hamiltonian term o = t phi_1(t A) J b = (c1 I + s1 B) J b, see
+    :func:`_offset_scalars` (``oracle.affine_flow_expm`` is the matrix
+    exponential audit). Valid for t of either sign; raises :class:`Unstable`
+    when the flow overflows.
     """
     drive = system.drift_offset
-    if np.any(drive != 0.0):
-        aug = np.zeros((3, 3))
-        aug[:2, :2], aug[:2, 2] = system.drift_matrix, drive
-        e = expm(aug * t)
-        linear, offset = e[:2, :2], e[:2, 2]
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
         linear = _exp_at(-system.alpha * t, t) * flow(system.hamiltonian, t).matrix
-        offset = np.zeros(2)
-    if not (np.all(np.isfinite(linear)) and np.all(np.isfinite(offset))):
-        raise Unstable(f"affine flow overflows at t={t!r}")
-    return linear, offset
+        if np.any(drive != 0.0):
+            c1, s1 = _offset_scalars(system, t)
+            offset = c1 * drive + s1 * (system.generator @ drive)
+        else:
+            offset = np.zeros(2)
+    _finite(linear, "affine flow", t)
+    return linear, _finite(offset, "affine flow", t)
 
 
 def point_flow(system: OpenSystem, t: float, x) -> np.ndarray:
@@ -156,102 +188,160 @@ def point_flow(system: OpenSystem, t: float, x) -> np.ndarray:
     return np.asarray(x, dtype=float) @ linear.T + offset
 
 
+# ---------------------------------------------------------------------------
+# The damping kernel: M at an array of times from the system's DampingKernel.
+# Overflow shows as non-finite entries here and is reported by the callers.
+
+# (w t)^2 below which series in w^2 t^2 replace divided differences of
+# _phi at exponents -+ w (w = 2 sigma in M, sigma in the affine offset)
+_SERIES_REACH = 1e-2
+# at most this many orders of those series: (w t)^14 / 15! < 1e-26 on the reach
+_SERIES_ORDERS = 7
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(2 * _SERIES_ORDERS + 1)])
+# _poly_exp_integrals: row n of _RATIOS[m] is (n + m) / (m (n + m + 1));
+# its series needs m <= 21 for |a t| < 1
+_N = np.arange(2 * _SERIES_ORDERS + 1.0)[:, None]
+_RATIOS = [None] + [(_N + m) / (m * (_N + m + 1)) for m in range(1, 40)]
+
+
 def _phi(x: complex, t: float) -> complex:
-    """Integral of e^{x tau} over [-t, 0], smooth through x = 0."""
-    xt = x * t
-    if abs(xt) < 1e-4:
-        return t * (1.0 + xt * (-0.5 + xt * (1.0 / 6.0 + xt * (-1.0 / 24.0 + xt / 120.0))))
-    if x.imag == 0.0:
-        return -math.expm1(-x.real * t) / x.real
-    return -(cmath.exp(-xt) - 1.0) / x
+    """Integral of e^{x tau} over [-t, 0]: -expm1(-x t)/x, or t where x = 0."""
+    return complex(-np.expm1(-x * t) / x) if x else complex(t)
 
 
-def _poly_exp_integrals(a: float, t: float, nmax: int) -> list[float]:
-    """J_n = Integral_{-t}^{0} e^{a tau} tau^n d tau for n = 0..nmax."""
-    if abs(a * t) < 1.0:
-        out = []
-        for n in range(nmax + 1):
-            total = 0.0
-            term = -((-t) ** (n + 1)) / (n + 1)  # m = 0
-            m = 0
-            while True:
-                total += term
-                m += 1
-                term *= a * (-t) * (n + m) / (m * (n + m + 1))
-                if abs(term) <= 1e-18 * abs(total) or m > 80:
-                    break
-            out.append(total)
-        return out
-    js = [-math.expm1(-a * t) / a]
-    decay = math.exp(-a * t)
-    for n in range(1, nmax + 1):
-        js.append(-decay * (-t) ** n / a - (n / a) * js[n - 1])
+def _poly_exp_integrals(a: float, t: np.ndarray, nmax: int) -> np.ndarray:
+    """J_n = Integral_{-t}^{0} e^{a tau} tau^n d tau for n = 0..nmax, shape (nmax + 1, T).
+
+    A power series in a t where |a t| < 1, else the recurrence
+    J_n = -e^{-a t} (-t)^n / a - (n / a) J_{n-1}.
+    """
+    js = np.empty((nmax + 1, t.size))
+    near = np.abs(a * t) < 1.0
+    if near.any():
+        tn, x = t[near], -a * t[near]
+        n = _N[:nmax + 1]
+        # J_n = (-1)^n t^{n+1} sum_m (-a t)^m / (m! (n + m + 1)); the terms
+        # shrink like |a t|^m / m!, so stop once that is below 1e-19
+        term = -((-tn) ** (n + 1)) / (n + 1)
+        total, reach, m, bound = term, float(np.max(np.abs(x))), 1, 1.0
+        while (bound := bound * reach / m) > 1e-19:
+            term = term * (x * _RATIOS[m][:nmax + 1])
+            total = total + term
+            m += 1
+        js[:, near] = total
+    if not near.all():
+        tf = t[~near]
+        rec = np.empty((nmax + 1, tf.size))
+        decay, power = np.exp(-a * tf), np.ones_like(tf)
+        rec[0] = -np.expm1(-a * tf) / a
+        for k in range(1, nmax + 1):
+            power = power * -tf
+            rec[k] = -decay * power / a - (k / a) * rec[k - 1]
+        js[:, ~near] = rec
     return js
 
 
-def _near_parabolic(k: np.ndarray, bmat: np.ndarray, s2: float, a: float,
-                    t: float) -> np.ndarray:
-    """M(t) from polynomial-exponential moments, for |sigma^2| t^2 small.
+def _moment_sums(a: float, u: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(J_0, S_1, S_2) with S_p = sum_k u^k J_{2k+p} / (2k+p)!.
 
-    Writing R_tau = c I + s B gives M = K I_cc + (B^T K + K B) I_cs +
-    B^T K B I_ss, with the even/odd Taylor series of c and s integrated
-    term by term against e^{a tau}.
+    These are the integrals of e^{a tau} against 1, sinh(w tau)/w and
+    (cosh(w tau) - 1)/w^2 over [-t, 0], w^2 = u, as series in u t^2. Since
+    |J_n| <= |t|^{n-1} |J_1|, order k is below (|u| t^2)^k / (2k+1)! of the
+    leading term; orders under 1e-19 of it are left out. They are summed from
+    the lowest, so the orders a longer batch keeps add nothing to a time
+    that needs fewer.
     """
-    js = _poly_exp_integrals(a, t, 14)
-    u4 = 4.0 * s2
-    i_cs, i_ss, power = 0.0, 0.0, 1.0
-    for order in range(7):
-        i_cs += power * js[2 * order + 1] / math.factorial(2 * order + 1)
-        i_ss += 2.0 * power * js[2 * order + 2] / math.factorial(2 * order + 2)
-        power *= u4
-    i_cc = js[0] + s2 * i_ss
-    return k * i_cc + (bmat.T @ k + k @ bmat) * i_cs + (bmat.T @ k @ bmat) * i_ss
+    reach, orders, bound = abs(u) * float(np.max(t * t)), 1, 1.0
+    while orders < _SERIES_ORDERS:
+        bound *= reach / ((2 * orders) * (2 * orders + 1))
+        if bound < 1e-19:
+            break
+        orders += 1
+    js = _poly_exp_integrals(a, t, 2 * orders) / _FACTORIALS[:2 * orders + 1, None]
+    odd, even, power = js[1], js[2], 1.0
+    for k in range(1, orders):
+        power *= u
+        odd = odd + power * js[2 * k + 1]
+        even = even + power * js[2 * k + 2]
+    return js[0], odd, even
 
 
-def _eigenbasis(k: np.ndarray, bmat: np.ndarray, s2: float, a: float,
-                t: float) -> np.ndarray:
-    """M(t) = Re[V^{-T} ((V^T K V) o Phi) V^{-1}] with B = V diag(sigma, -sigma) V^{-1}.
+def _moment_route(kernel: DampingKernel, t: np.ndarray) -> np.ndarray:
+    """M = I_cc K + I_cs (B^T K + K B) + I_ss B^T K B from the moment series."""
+    s2 = kernel.sigma_squared
+    j0, i_cs, half_ss = _moment_sums(kernel.a, 4.0 * s2, t)
+    i_ss = 2.0 * half_ss
+    k, sym, bkb = kernel.moment_forms
+    return ((j0 + s2 * i_ss)[:, None, None] * k + i_cs[:, None, None] * sym
+            + i_ss[:, None, None] * bkb)
 
-    Phi_ij = phi(a + lambda_i + lambda_j, t). Each eigenvector is the
-    larger column of adj(B - lambda I), nonzero whenever sigma != 0.
+
+def _eigen_route(kernel: DampingKernel, t: np.ndarray) -> np.ndarray:
+    """M = Re sum_r expm1(-x_r t) D_r in the eigenbasis of B."""
+    grown = np.expm1(kernel.rates * t)[:, :, None, None]
+    d = kernel.eigen_forms
+    m = (grown[0] * d[0] + grown[1] * d[1] + grown[2] * d[2]).real
+    if kernel.linear_form is not None:
+        m += t[:, None, None] * kernel.linear_form
+    return m
+
+
+def _damping_stack(system: OpenSystem, t: np.ndarray) -> np.ndarray:
+    """M at the finite times ``t`` (T,), shape (T, 2, 2); entries that
+    overflow are left non-finite for the caller to report."""
+    kernel = system.damping_kernel
+    if kernel.vanishes or not t.size:
+        return np.zeros((t.size, 2, 2))
+    # the eigenbasis of B is ill-conditioned where |sigma^2| t^2 is small
+    near = np.abs(4.0 * kernel.sigma_squared) * t * t < _SERIES_REACH
+    with np.errstate(over="ignore", invalid="ignore"):
+        if near.all():
+            return _moment_route(kernel, t)
+        if not near.any():
+            return _eigen_route(kernel, t)
+        m = np.empty((t.size, 2, 2))
+        m[near] = _moment_route(kernel, t[near])
+        m[~near] = _eigen_route(kernel, t[~near])
+        return m
+
+
+def _checked(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    if not np.isfinite(m).all():
+        bad = ~np.isfinite(m).all(axis=(1, 2))
+        raise Unstable(f"damping matrix overflows at t={float(t[bad][0])!r}")
+    return m
+
+
+def damping_matrices(system: OpenSystem, times) -> np.ndarray:
+    """M(t) at every time in ``times``, shape (T, 2, 2); see :func:`damping_matrix`.
+
+    One batched evaluation of the system's cached
+    :class:`~lindquad.model.DampingKernel`; entry i equals
+    ``damping_matrix(system, times[i]).m`` bit for bit. Raises
+    :class:`Unstable` naming the first time whose exponentials overflow.
     """
-    sigma = cmath.sqrt(complex(s2))
-    (b00, b01), (b10, _) = bmat
-    v = np.array([max([(b01, lam - b00), (lam + b00, b10)],
-                      key=lambda col: abs(col[0]) + abs(col[1]))
-                  for lam in (sigma, -sigma)]).T
-    v_inv = _inv2(v)
-    phi_0 = _phi(complex(a), t)
-    phi = np.array([[_phi(a + 2.0 * sigma, t), phi_0],
-                    [phi_0, _phi(a - 2.0 * sigma, t)]])
-    return (v_inv.T @ ((v.T @ k @ v) * phi) @ v_inv).real
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ConfigError(f"damping matrices need a list of times, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ConfigError(f"damping matrix needs finite times, got {t.tolist()!r}")
+    return _checked(_damping_stack(system, t), t)
 
 
 def damping_matrix(system: OpenSystem, t: float) -> DampingMatrix:
     """M(t) = Integral_{-t}^{0} e^{2 alpha tau} R_tau^T K R_tau d tau, closed form.
 
     Positive semidefinite for t >= 0, negative semidefinite for t <= 0,
-    M(0) = 0. Polynomial-moment series take over where |sigma^2| t^2 is
-    small and the eigenbasis of B is ill-conditioned. Raises
-    :class:`Unstable` when the exponentials overflow.
+    M(0) = 0. The batch of one of :func:`damping_matrices`: the eigenbasis
+    of B, with moment series where |sigma^2| t^2 is small and the eigenbasis
+    is ill-conditioned. Raises :class:`Unstable` when the exponentials
+    overflow.
     """
     t = float(t)
     if not math.isfinite(t):
         raise ConfigError(f"damping matrix needs a finite time, got {t!r}")
-    k = system.k_matrix
-    if not np.any(k):
-        return DampingMatrix(m=np.zeros((2, 2)), time=t)
-    bmat = 2.0 * J @ system.hamiltonian.matrix
-    s2 = -4.0 * system.hamiltonian.det
-    a = 2.0 * system.alpha
-    route = _near_parabolic if abs(4.0 * s2) * t * t < 1e-2 else _eigenbasis
-    try:
-        m = route(k, bmat, s2, a, t)
-    except OverflowError:
-        m = np.full((2, 2), math.inf)
-    if not np.all(np.isfinite(m)):
-        raise Unstable(f"damping matrix overflows at t={t!r}")
-    return DampingMatrix(m=0.5 * (m + m.T), time=t)
+    ts = np.array([t])
+    return DampingMatrix(m=_checked(_damping_stack(system, ts), ts)[0], time=t)
 
 
 def gaussian_factor(system: OpenSystem, t: float, xi) -> np.ndarray:
@@ -282,7 +372,7 @@ def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,
     m = damping_matrix(system, t).m
     linear, offset = affine_flow(system, t)
     back = -J @ linear.T @ J
-    return ChordState(weights=state.weights,
+    return ChordState(log_weights=state.log_weights,
                       forms=back.T @ state.forms @ back + m / system.hbar,
                       shifts=state.shifts @ back + (offset @ J) / system.hbar,
                       label=label, pure=state.pure and t == 0.0,

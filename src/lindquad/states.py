@@ -57,12 +57,16 @@ def _quadratic(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 class ChordState:
     """Chord function Wt(xi) = sum_k w_k exp(-xi . A_k xi / 2 + i xi . b_k).
 
-    ``weights`` (n,) complex w_k, ``forms`` (n, 2, 2) real positive definite
-    A_k, ``shifts`` (n, 2) complex b_k. ``reliability`` (used by
-    reconstruction) maps chords to booleans; None means everywhere reliable.
+    ``log_weights`` (n,) complex log w_k, ``forms`` (n, 2, 2) real positive
+    definite A_k, ``shifts`` (n, 2) complex b_k. The weights are held as
+    logs because a term's weight can lie far below the smallest float while
+    its Gaussian factor is as far above the largest (a cat lobe's
+    e^{-zeta^2/hbar} against an e^{+zeta^2/hbar} from its imaginary shift).
+    ``reliability`` (used by reconstruction) maps chords to booleans; None
+    means everywhere reliable.
     """
 
-    weights: NDArray[np.complex128]
+    log_weights: NDArray[np.complex128]
     forms: NDArray[np.float64]
     shifts: NDArray[np.complex128]
     label: str
@@ -71,20 +75,24 @@ class ChordState:
     reliability: Optional[Callable[[NDArray[np.float64]], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=complex)
+        log_weights = np.asarray(self.log_weights, dtype=complex)
         forms = np.asarray(self.forms, dtype=float)
         shifts = np.asarray(self.shifts, dtype=complex)
-        n = weights.shape[0] if weights.ndim == 1 else -1
+        n = log_weights.shape[0] if log_weights.ndim == 1 else -1
         if forms.shape != (n, 2, 2) or shifts.shape != (n, 2):
-            raise ConfigError("a chord state needs (n,) weights, (n, 2, 2) forms "
-                              "and (n, 2) shifts")
-        object.__setattr__(self, "weights", weights)
+            raise ConfigError("a chord state needs (n,) log weights, (n, 2, 2) "
+                              "forms and (n, 2) shifts")
+        object.__setattr__(self, "log_weights", log_weights)
         object.__setattr__(self, "forms", 0.5 * (forms + forms.transpose(0, 2, 1)))
         object.__setattr__(self, "shifts", shifts)
 
+    @property
+    def weights(self) -> NDArray[np.complex128]:
+        """The weights w_k (those below the smallest float read 0)."""
+        return np.exp(self.log_weights)
+
     def _log_terms(self):
-        # log weights: a cat lobe's e^{-zeta^2/hbar} offsets an e^{+zeta^2/hbar}
-        return zip(np.log(self.weights), self.forms, self.shifts)
+        return zip(self.log_weights, self.forms, self.shifts)
 
     def __call__(self, xi) -> np.ndarray:
         """Wt at chords ``xi`` of shape (..., 2), complex."""
@@ -118,7 +126,7 @@ class ChordState:
     def moments(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """Wigner mean hbar (Re b) J^T and covariance hbar^2 J^T A J of a
         one-term (Gaussian) state; :class:`ConfigError` for any other."""
-        if self.weights.shape != (1,):
+        if self.log_weights.shape != (1,):
             raise ConfigError(
                 "langevin sampling needs a gaussian-family initial state "
                 "(type 'coherent' or 'gaussian')")
@@ -144,6 +152,10 @@ class ChordState:
         if not math.isfinite(value):
             raise Unstable(f"trace-square integral of '{self.label}' is not finite")
         return value
+
+
+def _log_weight(weight: float) -> complex:
+    return complex(np.log(complex(weight)))
 
 
 def _validate_builtin(state: ChordState) -> ChordState:
@@ -172,7 +184,8 @@ def coherent_state(center, hbar: float = 1.0) -> ChordState:
     """
     c = _as_vector(center, "center")
     return _validate_builtin(ChordState(
-        weights=[1.0 / (2.0 * math.pi * hbar)], forms=[np.eye(2) / (2.0 * hbar)],
+        log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
+        forms=[np.eye(2) / (2.0 * hbar)],
         shifts=[(c @ J) / hbar], label=f"coherent@({c[0]:g},{c[1]:g})",
         pure=True, hbar=hbar))
 
@@ -195,7 +208,8 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
     pure = abs(det - (hbar / 2.0) ** 2) <= 1e-9 * (hbar / 2.0) ** 2
     # chord form J cov J^T / hbar^2, so the Wigner transform has covariance cov
     return _validate_builtin(ChordState(
-        weights=[1.0 / (2.0 * math.pi * hbar)], forms=[J @ cov @ J.T / hbar ** 2],
+        log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
+        forms=[J @ cov @ J.T / hbar ** 2],
         shifts=[(mean @ J) / hbar], label="gaussian", pure=pure, hbar=hbar))
 
 
@@ -230,14 +244,15 @@ def cat_state(params: CatParameters, hbar: float = 1.0) -> ChordState:
     chord plane that appears as an oscillating central lobe 2 cos(zeta xi_p /
     hbar) e^{-xi^2/4 hbar}, written as two terms with shifts ±(zeta/hbar, 0),
     plus two real coherence lobes at xi = (0, ±2 zeta): the same Gaussian
-    with shifts ∓i(0, zeta/hbar) and weight times e^{-zeta^2/hbar}. The
-    normalization keeps Wt(0) = 1/(2 pi hbar) exactly.
+    with shifts ∓i(0, zeta/hbar) and weight times e^{-zeta^2/hbar}, kept as
+    a log weight so that it stays exact where e^{-zeta^2/hbar} underflows.
+    The normalization keeps Wt(0) = 1/(2 pi hbar) exactly.
     """
     z = params.zeta / hbar
-    central = 0.5 * params.normalization(hbar) / (2.0 * math.pi * hbar)
-    lobe = central * math.exp(-params.zeta * z)
+    central = _log_weight(0.5 * params.normalization(hbar) / (2.0 * math.pi * hbar))
+    lobe = central - params.zeta * z
     return _validate_builtin(ChordState(
-        weights=[central, central, lobe, lobe],
+        log_weights=[central, central, lobe, lobe],
         forms=np.broadcast_to(np.eye(2) / (2.0 * hbar), (4, 2, 2)),
         shifts=[(z, 0.0), (-z, 0.0), (0.0, -1j * z), (0.0, 1j * z)],
         label=f"cat(zeta={params.zeta:g})", pure=True, hbar=hbar))

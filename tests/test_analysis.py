@@ -148,6 +148,16 @@ def test_threshold_found_in_short_resolved_window() -> None:
         assert 0.25 < result.det_value < 0.35
 
 
+def test_short_window_rescan_starts_at_the_last_resolved_point() -> None:
+    # the system above: the rescan in steps of 1/20 starts at t = 16.4, not
+    # at 0, and Newton refines the crossing it finds
+    alpha = 7e-8
+    r = np.sqrt(alpha)
+    sys = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.5, 0.0], [0.0, -0.5]]),
+                     channels=(LindbladChannel(l_re=[0.0, r], l_im=[r, 0.0]),))
+    assert positivity_time(sys).iterations <= 60
+
+
 def test_threshold_reported_as_json() -> None:
     result = positivity_time(photon_bath(gamma=1.0))
     data = json.loads(result.to_json())

@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindquad
 from lindquad import (cat_state, coherent_state, oracle, photon_bath, purity,
                       read_field_csv, system_to_dict)
-from lindquad.cli import main
+from lindquad.cli import _build_parser, main
 
 # full-precision values behind the three-decimal sweep table
 FROZEN_SWEEP = {
@@ -100,6 +105,42 @@ def test_positivity_require_reached_exit_code(tmp_path, capsys) -> None:
     assert main(["positivity", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "unreached"
     assert main(["positivity", "--config", cfg, "--require-reached"]) == 3
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path) -> None:
+    photon = _config(tmp_path, {"system": PHOTON}, "photon.json")
+    quiet = _config(tmp_path, {"system": {"hamiltonian": {"matrix": [[0.5, 0.0],
+                                                                      [0.0, 0.5]]}}},
+                    "quiet.json")
+    calls = [["positivity", "--config", photon], ["positivity", "--sweep"],
+             ["classify", "--config", photon],
+             ["positivity", "--config", quiet, "--require-reached"]]
+
+    def run(tag: str, fresh: bool) -> list:
+        results = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                _build_parser.cache_clear()
+            out = tmp_path / f"{tag}-{i}.out"
+            results.append((main(argv + ["--out", str(out)]), out.read_bytes()))
+        return results
+
+    cached = run("cached", fresh=False)
+    assert _build_parser() is _build_parser()
+    assert cached == run("fresh", fresh=True)
+    assert [code for code, _ in cached] == [0, 0, 0, 3]
+
+
+def test_cli_import_loads_no_scipy() -> None:
+    # scipy serves only the audits in oracle, which import it when called
+    src = str(Path(lindquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, lindquad.cli; print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_reproduces_frozen_thresholds(tmp_path) -> None:

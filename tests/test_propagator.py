@@ -1,6 +1,8 @@
 """Tests for flows, damping matrices and chord/Wigner evolution."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,7 +11,8 @@ from conftest import damping_bath, random_symplectic, random_system
 from lindquad import (CatParameters, ConfigError, GridTooCoarse,
                       HamiltonianForm, J, LindbladChannel, OpenSystem,
                       Unstable, affine_flow, cat_state, cat_wigner_line, centered_grid, chord_flow,
-                      chord_pde_residual, coherent_state, damping_matrix,
+                      chord_pde_residual, coherent_state, damping_matrices,
+                      damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
                       evolve_wigner_grid, evolved_state, flow,
                       gaussian_factor, photon_bath, point_flow,
@@ -121,6 +124,19 @@ def test_flows_raise_unstable_when_the_damping_factor_overflows() -> None:
         chord_flow(sys, 2000.0, [1.0, 0.0])
 
 
+def test_flows_raise_unstable_when_the_orbit_product_overflows() -> None:
+    # e^{-+alpha t} and R_t are finite here but their product is not: the
+    # flows must say Unstable, not warn or hand back infinities
+    saddle = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.diag([1.0, -1.0])),
+                        channels=photon_bath(gamma=1.0).channels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Unstable):
+            affine_flow(saddle, -300.0)
+        with pytest.raises(Unstable):
+            chord_flow(saddle, 300.0, [1.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # damping matrix
 
@@ -167,6 +183,36 @@ def test_damping_quadrature_agrees_with_closed_form() -> None:
             scale = max(1.0, float(np.max(np.abs(mc))))
             worst = max(worst, float(np.max(np.abs(mq - mc))) / scale)
     assert worst < 1e-9
+
+
+def test_damping_kernel_handles_vanishing_exponents() -> None:
+    # alpha = -sigma makes the exponent 2 alpha + 2 sigma vanish, alpha = 0
+    # the middle one; those parts of M grow like t instead of expm1
+    rng = np.random.default_rng(5)
+    saddle = HamiltonianForm(matrix=np.diag([0.5, -0.5]))
+    for ham, gain in ((saddle, 1.0), (saddle, 0.0),
+                      (HamiltonianForm(matrix=0.5 * np.eye(2)), 0.0)):
+        sys = OpenSystem(hamiltonian=ham, channels=(
+            LindbladChannel(l_re=[0.0, gain], l_im=[-gain, 0.0]),
+            LindbladChannel(l_re=rng.normal(size=2)),
+            LindbladChannel(l_re=rng.normal(size=2))))
+        assert sys.alpha == -gain ** 2
+        assert sys.damping_kernel.linear_form is not None
+        for t in (-2.0, -0.3, 0.7, 2.0):
+            mc = damping_matrix(sys, t).m
+            mq = damping_matrix_quadrature(sys, t, rtol=1e-12)
+            assert np.max(np.abs(mc - mq)) <= 1e-9 * max(1.0, np.max(np.abs(mc)))
+
+
+def test_damping_matrices_take_any_list_of_times() -> None:
+    sys = photon_bath(gamma=1.0)
+    assert damping_matrices(sys, []).shape == (0, 2, 2)
+    with pytest.raises(ConfigError):
+        damping_matrices(sys, [0.5, float("nan")])
+    with pytest.raises(ConfigError):
+        damping_matrices(sys, [[0.5]])
+    with pytest.raises(Unstable):
+        damping_matrices(sys, [0.5, -2000.0])
 
 
 def test_damping_basics() -> None:

@@ -11,15 +11,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_symplectic, random_system
 from lindquad import (CatParameters, HamiltonianForm, J, OpenSystem,
-                      affine_flow, cat_state, centered_grid, damping_matrix,
-                      evolve_chord, evolve_wigner_grid, evolved_state,
-                      gaussian_state, purity, purity_quadrature, reconstruct,
-                      symplectic_transform)
+                      affine_flow, affine_flow_expm, cat_state, centered_grid,
+                      damping_matrices, damping_matrix,
+                      damping_matrix_quadrature, evolve_chord,
+                      evolve_wigner_grid, evolved_state, gaussian_state,
+                      photon_bath, positivity_time, purity, purity_quadrature,
+                      reconstruct, symplectic_transform)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -167,3 +170,86 @@ def test_damping_matrix_reversal_identity(system, t) -> None:
     reverse = damping_matrix(system, -t).m
     expect = -back.T @ damping_matrix(system, t).m @ back
     assert np.max(np.abs(reverse - expect)) <= 1e-9 * _scale(reverse)
+
+
+# ---------------------------------------------------------------------------
+# the batched damping kernel, the closed-form affine offset and the
+# threshold search, also on near-parabolic systems where the moment series
+# and the eigenbasis meet
+
+
+def _near_parabolic(det: float, seed: int) -> OpenSystem:
+    """A driven random parabolic system whose det H is moved to ``det``."""
+    system = _driven_system("parabolic", seed)
+    values, vectors = np.linalg.eigh(system.hamiltonian.matrix)
+    big = values[np.argmax(np.abs(values))]
+    h = vectors @ np.diag([big, det / big]) @ vectors.T
+    return OpenSystem(hamiltonian=HamiltonianForm(matrix=h,
+                                                  linear=system.hamiltonian.linear),
+                      channels=system.channels)
+
+
+kernel_systems = systems | st.builds(
+    _near_parabolic, st.sampled_from([1e-9, -1e-9, 1e-4, -1e-4]),
+    st.integers(0, 2 ** 32 - 1))
+
+
+def _rate(system) -> float:
+    return abs(system.sigma) + abs(system.alpha) + 0.1
+
+
+def _crossed(system, t: float) -> bool:
+    """The search's crossing test: det M(-t) - 1/4 above its round-off."""
+    (m00, m01), (m10, m11) = damping_matrix(system, -t).m
+    return m00 * m11 - m01 * m10 - 0.25 > 4.0 * np.finfo(float).eps * (
+        abs(m00 * m11) + m01 * m10)
+
+
+@PROPERTY
+@given(kernel_systems, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
+def test_batched_damping_matrices_equal_per_time_calls(system, xs) -> None:
+    ts = [x / _rate(system) for x in xs]
+    batch = damping_matrices(system, ts)
+    for t, m in zip(ts, batch):
+        assert np.array_equal(m, damping_matrix(system, t).m)
+
+
+@PROPERTY
+@given(kernel_systems, st.floats(-3.0, 3.0))
+def test_damping_kernel_matches_quadrature_audit(system, x) -> None:
+    t = x / _rate(system)
+    m = damping_matrix(system, t).m
+    audit = damping_matrix_quadrature(system, t, rtol=1e-12)
+    assert np.max(np.abs(m - audit)) <= 1e-9 * _scale(m)
+
+
+@PROPERTY
+@given(kernel_systems, st.floats(-2.0, 2.0))
+def test_affine_offset_matches_exponential_audit(system, x) -> None:
+    # |t| (|sigma| + |alpha|) <= 2: beyond it the audit's scaling and
+    # squaring, not the closed form, drifts past 1e-13
+    t = x / _rate(system)
+    linear, offset = affine_flow(system, t)
+    audit_linear, audit_offset = affine_flow_expm(system, t)
+    assert np.linalg.norm(offset - audit_offset) <= 1e-13 * np.linalg.norm(audit_offset)
+    assert np.max(np.abs(linear - audit_linear)) <= 1e-13 * np.max(np.abs(audit_linear))
+
+
+@PROPERTY
+@given(kernel_systems)
+def test_threshold_brackets_the_crossing(system) -> None:
+    result = positivity_time(system)
+    if result.reached:
+        assert _crossed(system, result.t_p * (1.0 + 1e-12))
+        assert not _crossed(system, result.t_p * (1.0 - 1e-12))
+        # about 17 typically: two scan batches and a few Newton steps
+        assert result.iterations <= 30
+
+
+@PROPERTY
+@given(st.floats(0.5, 4.0), st.floats(0.0, 3.0))
+def test_photon_bath_threshold_takes_few_evaluations(gamma, nbar) -> None:
+    result = positivity_time(photon_bath(gamma=gamma, nbar=nbar))
+    assert result.t_p == pytest.approx(math.log1p(1.0 / (2.0 * nbar + 1.0)) / gamma,
+                                       rel=1e-12)
+    assert result.iterations <= 20

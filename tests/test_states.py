@@ -7,7 +7,8 @@ import pytest
 from lindquad import (CatParameters, ChordState, ConfigError,
                       NotPositiveDefinite, Unstable, cat_fringe_zero,
                       cat_state, cat_wigner_line, cat_zero_crossing_time,
-                      coherent_state, gaussian_state, state_from_dict)
+                      centered_grid, coherent_state, gaussian_state,
+                      photon_bath, purity, state_from_dict)
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,16 +88,16 @@ def test_gaussian_chord_and_wigner_are_transform_pairs() -> None:
 def test_wigner_rejects_non_hermitian_and_non_finite_terms() -> None:
     x = np.random.default_rng(34).normal(size=(20, 2))
     round_ = np.eye(2) / 2.0
-    tilted = ChordState(weights=[np.exp(0.1j) / TWO_PI], forms=[round_],
+    tilted = ChordState(log_weights=[0.1j - np.log(TWO_PI)], forms=[round_],
                         shifts=[[0.0, 0.0]], label="tilted", pure=False)
     with pytest.raises(Unstable):
         tilted.wigner(x)
-    broken = ChordState(weights=[1.0 / TWO_PI], forms=[round_],
+    broken = ChordState(log_weights=[-np.log(TWO_PI)], forms=[round_],
                         shifts=[[np.nan, 0.0]], label="broken", pure=False)
     with pytest.raises(Unstable):
         broken.wigner(x)
     # the same single term with a real weight is the vacuum
-    vacuum = ChordState(weights=[1.0 / TWO_PI], forms=[round_],
+    vacuum = ChordState(log_weights=[-np.log(TWO_PI)], forms=[round_],
                         shifts=[[0.0, 0.0]], label="vacuum", pure=True)
     assert np.max(np.abs(vacuum.wigner(x)
                          - coherent_state((0.0, 0.0)).wigner(x))) < 1e-15
@@ -212,3 +213,13 @@ def test_state_from_dict() -> None:
         state_from_dict({"type": "cat"})
     # center defaults to the origin
     assert state_from_dict({"type": "coherent"})(np.zeros(2)).imag == 0.0
+
+
+@pytest.mark.parametrize("zeta", [28.0, 40.0])
+def test_large_cats_keep_their_lobes_as_log_weights(zeta) -> None:
+    # the lobe weight e^{-zeta^2} is below the smallest float; the builder's
+    # pure-state check runs on the log weights
+    cat = cat_state(CatParameters(zeta=zeta))
+    assert purity(photon_bath(gamma=1.0), cat, 0.0) == pytest.approx(1.0, abs=1e-12)
+    grid = centered_grid((0.0, 0.0), (6.0, zeta + 6.0), (41, 121))
+    assert np.all(np.isfinite(cat.wigner(grid.points())))
