@@ -34,11 +34,9 @@ from .oracle import (FockDensity, affine_flow_expm, cat_fock_dim,
                      fokker_planck_max_dt, integrate_fock_lindblad,
                      integrate_fokker_planck, purity_quadrature,
                      wigner_from_fock)
-from .propagator import (DampingMatrix, FlowMatrix, affine_flow, chord_flow,
-                         chord_pde_residual, damping_matrices, damping_matrix,
-                         evolve_chord,
-                         evolve_wigner_grid, evolved_state, flow,
-                         gaussian_factor, map_state, point_flow)
+from .propagator import (affine_flow, chord_pde_residual, damping_matrices,
+                         damping_matrix, evolve_chord, evolve_wigner_grid,
+                         evolved_state, map_state)
 from .states import (CatParameters, ChordState, cat_fringe_wavenumber,
                      cat_fringe_zero, cat_state, cat_wigner_line,
                      cat_zero_crossing_time, coherent_state, gaussian_state,
@@ -48,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticInvalid", "CatParameters", "ChordState", "ConfigError",
-    "DampingKernel", "DampingMatrix", "FlowMatrix", "FockDensity", "GridField", "GridSpec",
+    "DampingKernel", "FockDensity", "GridField", "GridSpec",
     "GridTooCoarse", "HamiltonianForm", "J", "LindbladChannel",
     "LindquadError", "NonSymplectic", "NotPositiveDefinite", "OpenSystem",
     "PositivityResult", "PurityCurve", "QuadratureNotConverged", "Regime",
@@ -56,16 +54,16 @@ __all__ = [
     "Unstable", "affine_flow", "affine_flow_expm",
     "cat_fock_dim", "cat_fringe_wavenumber", "cat_fringe_zero", "cat_state",
     "cat_wigner_line", "cat_zero_crossing_time", "centered_grid",
-    "characteristic_timescale", "chord_flow", "chord_pde_residual",
+    "characteristic_timescale", "chord_pde_residual",
     "classify", "coherent_fock_dim", "coherent_state", "damping_matrices", "damping_matrix",
     "damping_matrix_quadrature", "dissipation_coefficient", "ensemble_moments",
     "evolve_chord", "evolve_wigner_grid", "evolved_state", "exact_moments",
-    "flow", "fock_cat", "fock_coherent", "fock_mean", "fock_operators",
-    "fock_thermal", "fokker_planck_max_dt", "gaussian_factor",
+    "fock_cat", "fock_coherent", "fock_mean", "fock_operators",
+    "fock_thermal", "fokker_planck_max_dt",
     "gaussian_state", "grid_from_dict", "integrate_fock_lindblad",
     "integrate_fokker_planck", "linear_entropy", "map_state",
     "momentum_dissipation_frame",
-    "photon_bath", "point_flow", "positivity_time", "purity",
+    "photon_bath", "positivity_time", "purity",
     "purity_asymptotic", "purity_curve", "purity_quadrature",
     "read_field_csv", "reconstruct", "sde_from_system", "sigma", "simulate",
     "state_from_dict",

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import (_damping_stack, chord_flow, damping_matrices,
-                         damping_matrix, flow, gaussian_factor, map_state)
+from .propagator import (_damping_stack, _orbit, damping_matrices,
+                         damping_matrix, map_state)
 from .states import ChordState
 
 __all__ = [
@@ -89,7 +89,7 @@ def _newton_step(system: OpenSystem, t: float, m: np.ndarray, d: float,
     if not 0.0 < det < math.inf:
         return None
     try:
-        r = flow(system.hamiltonian, t).matrix
+        r = _orbit(system, t)
         grow = math.exp(2.0 * system.alpha * t)
     except (OverflowError, Unstable):
         return None
@@ -206,7 +206,8 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     if upper == math.inf:
         raise Unstable(f"det M(-t) overflows near t={t_p!r} before it is "
                        f"resolved above 1/4")
-    det_value = damping_matrix(system, -t_p).det
+    (m00, m01), (m10, m11) = damping_matrix(system, -t_p)
+    det_value = float(m00 * m11 - m01 * m10)
     return PositivityResult(reached=True, horizon=horizon, iterations=evals,
                             t_p=t_p, det_value=det_value)
 
@@ -227,7 +228,7 @@ def purity(system: OpenSystem, state: ChordState, t: float) -> float:
     """
     if t < 0:
         raise ConfigError("purity requires t >= 0")
-    return _purity(system, state, t, damping_matrix(system, -t).m)
+    return _purity(system, state, t, damping_matrix(system, -t))
 
 
 def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
@@ -235,30 +236,28 @@ def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
     return 1.0 - purity(system, state, t)
 
 
-def _purity_asymptotic(system: OpenSystem, t: float, shrink: np.ndarray,
-                       eigen_floor: float) -> float:
+def _purity_asymptotic(system: OpenSystem, t: float, shrink: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(-shrink)
-    if lam[0] < eigen_floor:
+    if lam[0] < _EIGEN_FLOOR:
         raise AsymptoticInvalid(
-            f"-M(-t) eigenvalue {lam[0]:.6g} below floor {eigen_floor:g}; "
+            f"-M(-t) eigenvalue {lam[0]:.6g} below floor {_EIGEN_FLOOR:g}; "
             f"the state-free purity formula is not yet controlled",
             eigenvalue=lam[0])
     return math.exp(2.0 * system.alpha * t) / (2.0 * math.sqrt(lam[0] * lam[1]))
 
 
-def purity_asymptotic(system: OpenSystem, t: float, *,
-                      eigen_floor: float = _EIGEN_FLOOR) -> float:
+def purity_asymptotic(system: OpenSystem, t: float) -> float:
     """Late-time purity e^{2 alpha t} / (2 sqrt(det M(-t))), state-free.
 
     Valid once the attenuation Gaussian is much narrower than any initial
-    chord structure; concretely both eigenvalues of -M(-t) must exceed
-    ``eigen_floor`` (50 bounds the envelope correction of a coherent state
-    by ~1%). Otherwise raises :class:`AsymptoticInvalid` carrying the
-    offending eigenvalue.
+    chord structure; concretely both eigenvalues of -M(-t) must exceed 50,
+    which bounds the envelope correction of a coherent state by ~1%.
+    Otherwise raises :class:`AsymptoticInvalid` carrying the offending
+    eigenvalue.
     """
     if t < 0:
         raise ConfigError("purity_asymptotic requires t >= 0")
-    return _purity_asymptotic(system, t, damping_matrix(system, -t).m, eigen_floor)
+    return _purity_asymptotic(system, t, damping_matrix(system, -t))
 
 
 def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
@@ -267,18 +266,24 @@ def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
 
     This is :func:`~lindquad.propagator.map_state` at -t, which divides out
     the attenuation Gaussian and undoes the affine flow term by term.
-    ``reliability`` marks chords whose Gaussian factor is at least
-    ``floor`` — beyond that the division amplifies anything (noise,
-    truncation) by more than 1/floor and the recovered values should not be
-    trusted.
+    ``reliability`` marks initial chords xi whose Gaussian factor
+    exp(xi . M(-t) xi / 2 hbar) is at least ``floor`` — beyond that the
+    division amplifies anything (noise, truncation) by more than 1/floor and
+    the recovered values should not be trusted. By the reversal identity
+    M(-t) = -e^{2 alpha t} R_t^T M(t) R_t this is the forward factor at the
+    evolved chord, without building that chord.
     """
     if t < 0:
         raise ConfigError("reconstruct requires t >= 0")
     if not 0.0 < floor <= 1.0:
         raise ConfigError("floor must lie in (0, 1]")
 
+    shrink = damping_matrix(system, -t)
+
     def reliability(xi):
-        return gaussian_factor(system, t, chord_flow(system, t, xi)) >= floor
+        xi = np.asarray(xi, dtype=float)
+        quad = np.einsum("...i,ij,...j->...", xi, shrink, xi)
+        return np.exp(quad / (2.0 * system.hbar)) >= floor
 
     return map_state(system, evolved, -t, label=f"reconstructed({evolved.label})",
                      reliability=reliability)
@@ -315,7 +320,7 @@ def purity_curve(system: OpenSystem, state: ChordState,
     if include_asymptotic:
         for t, m in zip(list(ts), shrinks):
             try:
-                vals.append(_purity_asymptotic(system, t, m, _EIGEN_FLOOR))
+                vals.append(_purity_asymptotic(system, t, m))
             except AsymptoticInvalid:
                 continue
             ts.append(t)

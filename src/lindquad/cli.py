@@ -388,8 +388,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON configuration file")
         cmd.add_argument("--out", help="output file path")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the sampling seed")
+        if name == "langevin":
+            cmd.add_argument("--seed", type=int, default=None,
+                             help="override the sampling seed")
         if name == "positivity":
             cmd.add_argument("--sweep", action="store_true",
                              help="emit the parabolic threshold sweep CSV")

@@ -184,7 +184,7 @@ def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float
                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Closed-form first and second moments of the SDE (= Wigner moments)."""
     # M(t) first: where it overflows it raises Unstable before F does
-    noise = system.hbar * damping_matrix(system, t).mj
+    noise = system.hbar * (-J @ damping_matrix(system, t) @ J)
     linear, offset = affine_flow(system, t)
     mean = np.asarray(initial_mean, dtype=float) @ linear.T + offset
     cov = linear @ np.asarray(initial_cov, dtype=float) @ linear.T + noise

@@ -119,34 +119,24 @@ def purity_quadrature(system: OpenSystem, chord, t: float,
 # Fokker-Planck route
 
 
-def _d1(w: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """Fourth-order first derivative with zero ghost cells."""
+def _shifts(w: np.ndarray, axis: int) -> list[np.ndarray]:
+    """Views of w shifted by -2..2 cells along ``axis``, with zero ghost cells."""
     pad = [(0, 0), (0, 0)]
     pad[axis] = (2, 2)
-    p = np.pad(w, pad)
-    sl = [slice(None), slice(None)]
+    p, n = np.pad(w, pad), w.shape[axis]
+    return [p[(slice(None),) * axis + (slice(k, k + n),)] for k in range(5)]
 
-    def take(shift: int) -> np.ndarray:
-        s = list(sl)
-        s[axis] = slice(2 + shift, p.shape[axis] - 2 + shift)
-        return p[tuple(s)]
 
-    return (take(-2) - 8.0 * take(-1) + 8.0 * take(1) - take(2)) / (12.0 * step)
+def _d1(w: np.ndarray, axis: int, step: float) -> np.ndarray:
+    """Fourth-order first derivative with zero ghost cells."""
+    m2, m1, _, p1, p2 = _shifts(w, axis)
+    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * step)
 
 
 def _d2(w: np.ndarray, axis: int, step: float) -> np.ndarray:
     """Fourth-order second derivative with zero ghost cells."""
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (2, 2)
-    p = np.pad(w, pad)
-
-    def take(shift: int) -> np.ndarray:
-        s = [slice(None), slice(None)]
-        s[axis] = slice(2 + shift, p.shape[axis] - 2 + shift)
-        return p[tuple(s)]
-
-    return (-take(-2) + 16.0 * take(-1) - 30.0 * take(0) + 16.0 * take(1)
-            - take(2)) / (12.0 * step ** 2)
+    m2, m1, c, p1, p2 = _shifts(w, axis)
+    return (-m2 + 16.0 * m1 - 30.0 * c + 16.0 * p1 - p2) / (12.0 * step ** 2)
 
 
 def _wigner_diffusion(system: OpenSystem) -> NDArray[np.float64]:

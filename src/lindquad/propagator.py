@@ -18,7 +18,10 @@ which :func:`map_state` applies to each Gaussian term of a
 :class:`~lindquad.states.ChordState`, for either sign of t, so the evolved
 Wigner function is closed form too and reconstruction is the map at -t.
 
-Both are closed form. The offset o of a linear Hamiltonian term is
+:func:`affine_flow` returns (F, o) and :func:`damping_matrix` (or
+:func:`damping_matrices` for many times) returns M(t) as a plain array;
+they are the only routes to orbit and damping data. Both are closed form.
+The offset o of a linear Hamiltonian term is
 t phi_1(t A) J b = (c1 I + s1 B) J b with two scalar integrals. M(t) comes
 from the system's cached :class:`~lindquad.model.DampingKernel` (K, alpha,
 B, sigma^2 and the eigenbasis data, built once per system), evaluated for
@@ -34,26 +37,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import ConfigError, GridTooCoarse, Unstable
 from .grid import GridField, GridSpec
-from .model import J, DampingKernel, HamiltonianForm, OpenSystem
+from .model import J, DampingKernel, OpenSystem
 from .states import ChordState
 
 __all__ = [
-    "FlowMatrix",
-    "DampingMatrix",
-    "flow",
-    "chord_flow",
     "affine_flow",
-    "point_flow",
     "damping_matrix",
     "damping_matrices",
-    "gaussian_factor",
     "evolve_chord",
     "map_state",
     "evolved_state",
@@ -65,60 +60,26 @@ __all__ = [
 _TAIL_RATIO = 1e-8
 
 
-@dataclass(frozen=True)
-class FlowMatrix:
-    """Linear orbit matrix R_t of the Hamiltonian part (det R_t = 1)."""
+def _orbit(system: OpenSystem, t: float) -> np.ndarray:
+    """R_t = exp(t B) = c I + s B in closed form; :class:`Unstable` on overflow.
 
-    matrix: NDArray[np.float64]
-    time: float
-
-    @property
-    def symplectic_defect(self) -> float:
-        r = self.matrix
-        return float(np.max(np.abs(r.T @ J @ r - J)))
-
-
-@dataclass(frozen=True)
-class DampingMatrix:
-    """Symmetric damping matrix M(t)."""
-
-    m: NDArray[np.float64]
-    time: float
-
-    @property
-    def det(self) -> float:
-        return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
-
-    @property
-    def mj(self) -> NDArray[np.float64]:
-        """-J M J, the J-conjugate (PSD whenever M is)."""
-        return -J @ self.m @ J
-
-
-def _orbit_scalars(minus4det: float, t: float) -> tuple[float, float]:
-    """(c, s) with R_t = c I + s B; B^2 = minus4det * I."""
-    if minus4det == 0.0:
-        return 1.0, t
-    if minus4det > 0.0:
-        w = math.sqrt(minus4det)
-        return math.cosh(w * t), math.sinh(w * t) / w
-    w = math.sqrt(-minus4det)
-    return math.cos(w * t), math.sin(w * t) / w
-
-
-def flow(hamiltonian: HamiltonianForm, t: float) -> FlowMatrix:
-    """Orbit matrix R_t = exp(2 J H t) in closed form.
-
-    B = 2 J H is trace-free with B^2 = (-4 det H) I, so the exponential
+    B = 2 J H is trace-free with B^2 = sigma^2 I, so the exponential
     collapses to cosh/sinh (hyperbolic), cos/sin (elliptic) or I + t B
-    (parabolic) — the same two scalars in every regime.
+    (parabolic): the same two scalars in every regime.
     """
-    b = 2.0 * J @ hamiltonian.matrix
+    t, s2 = float(t), system.sigma_squared
     try:
-        c, s = _orbit_scalars(-4.0 * hamiltonian.det, float(t))
+        if s2 == 0.0:
+            c, s = 1.0, t
+        elif s2 > 0.0:
+            w = math.sqrt(s2)
+            c, s = math.cosh(w * t), math.sinh(w * t) / w
+        else:
+            w = math.sqrt(-s2)
+            c, s = math.cos(w * t), math.sin(w * t) / w
     except OverflowError:
         raise Unstable(f"orbit matrix overflows at t={t!r}") from None
-    return FlowMatrix(matrix=c * np.eye(2) + s * b, time=float(t))
+    return c * np.eye(2) + s * system.generator
 
 
 def _exp_at(exponent: float, t: float) -> float:
@@ -133,14 +94,6 @@ def _finite(value: np.ndarray, what: str, t: float) -> np.ndarray:
     if not np.all(np.isfinite(value)):
         raise Unstable(f"{what} overflows at t={t!r}")
     return value
-
-
-def chord_flow(system: OpenSystem, t: float, xi) -> np.ndarray:
-    """Chord characteristic flow xi -> e^{alpha t} R_t xi (batched)."""
-    xi = np.asarray(xi, dtype=float)
-    r = flow(system.hamiltonian, t).matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_exp_at(system.alpha * t, t) * (xi @ r.T), "chord flow", t)
 
 
 def _offset_scalars(system: OpenSystem, t: float) -> tuple[float, float]:
@@ -172,7 +125,7 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
     """
     drive = system.drift_offset
     with np.errstate(over="ignore", invalid="ignore"):
-        linear = _exp_at(-system.alpha * t, t) * flow(system.hamiltonian, t).matrix
+        linear = _exp_at(-system.alpha * t, t) * _orbit(system, t)
         if np.any(drive != 0.0):
             c1, s1 = _offset_scalars(system, t)
             offset = c1 * drive + s1 * (system.generator @ drive)
@@ -180,12 +133,6 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
             offset = np.zeros(2)
     _finite(linear, "affine flow", t)
     return linear, _finite(offset, "affine flow", t)
-
-
-def point_flow(system: OpenSystem, t: float, x) -> np.ndarray:
-    """Phase-space centre flow x -> F x + o (batched), see :func:`affine_flow`."""
-    linear, offset = affine_flow(system, t)
-    return np.asarray(x, dtype=float) @ linear.T + offset
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +264,7 @@ def damping_matrices(system: OpenSystem, times) -> np.ndarray:
 
     One batched evaluation of the system's cached
     :class:`~lindquad.model.DampingKernel`; entry i equals
-    ``damping_matrix(system, times[i]).m`` bit for bit. Raises
+    ``damping_matrix(system, times[i])`` bit for bit. Raises
     :class:`Unstable` naming the first time whose exponentials overflow.
     """
     t = np.asarray(times, dtype=float)
@@ -328,7 +275,7 @@ def damping_matrices(system: OpenSystem, times) -> np.ndarray:
     return _checked(_damping_stack(system, t), t)
 
 
-def damping_matrix(system: OpenSystem, t: float) -> DampingMatrix:
+def damping_matrix(system: OpenSystem, t: float) -> np.ndarray:
     """M(t) = Integral_{-t}^{0} e^{2 alpha tau} R_tau^T K R_tau d tau, closed form.
 
     Positive semidefinite for t >= 0, negative semidefinite for t <= 0,
@@ -341,19 +288,7 @@ def damping_matrix(system: OpenSystem, t: float) -> DampingMatrix:
     if not math.isfinite(t):
         raise ConfigError(f"damping matrix needs a finite time, got {t!r}")
     ts = np.array([t])
-    return DampingMatrix(m=_checked(_damping_stack(system, ts), ts)[0], time=t)
-
-
-def gaussian_factor(system: OpenSystem, t: float, xi) -> np.ndarray:
-    """exp(-xi . M(t) xi / 2 hbar), the chord attenuation envelope.
-
-    Lies in (0, 1] for t >= 0.
-    """
-    if t < 0:
-        raise ConfigError("gaussian_factor requires t >= 0")
-    m = damping_matrix(system, t).m
-    xi = np.asarray(xi, dtype=float)
-    return np.exp(-np.einsum("...i,ij,...j->...", xi, m, xi) / (2.0 * system.hbar))
+    return _checked(_damping_stack(system, ts), ts)[0]
 
 
 def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,
@@ -369,7 +304,7 @@ def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,
         raise ConfigError(
             f"state hbar {state.hbar} does not match system hbar {system.hbar}")
     # M first: where it overflows it raises Unstable before the pull-back can
-    m = damping_matrix(system, t).m
+    m = damping_matrix(system, t)
     linear, offset = affine_flow(system, t)
     back = -J @ linear.T @ J
     return ChordState(log_weights=state.log_weights,

@@ -3,7 +3,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from lindquad import HamiltonianForm, LindbladChannel, OpenSystem
+from lindquad import HamiltonianForm, LindbladChannel, OpenSystem, affine_flow
+
+
+def det2(m: np.ndarray) -> float:
+    """m00 m11 - m01 m10 of a 2x2 matrix, with no LU round-off."""
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def orbit(hamiltonian: HamiltonianForm, t: float) -> np.ndarray:
+    """R_t = exp(2 J H t): the affine flow's F of the closed system."""
+    return affine_flow(OpenSystem(hamiltonian=hamiltonian), t)[0]
+
+
+def centre_flow(system: OpenSystem, t: float, x) -> np.ndarray:
+    """Phase-space points x carried by the affine flow, F x + o (batched)."""
+    linear, offset = affine_flow(system, t)
+    return np.asarray(x, dtype=float) @ linear.T + offset
 
 
 def damping_bath(gamma: float, nbar: float = 0.0, hbar: float = 1.0) -> OpenSystem:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from conftest import damping_bath, random_symplectic, random_system
+from conftest import damping_bath, det2, random_symplectic, random_system
 from lindquad import (CatParameters, GridField, HamiltonianForm,
                       LindbladChannel, OpenSystem, Regime, cat_state,
                       centered_grid, chord_pde_residual, coherent_state,
@@ -92,7 +92,7 @@ def test_criterion_03_momentum_noise_limit() -> None:
                                   l_im=[0.0, 0.0]),))
     checks = []
     for t in (0.4, 0.9306):
-        det = damping_matrix(sys_, -t).det
+        det = det2(damping_matrix(sys_, -t))
         hand = d_prime ** 2 * t ** 4 / 12.0
         rel = abs(det - hand) / hand
         checks.append((f"det M(-{t:g}) rel={rel:.1e}<=1e-9", rel <= 1e-9))
@@ -272,7 +272,7 @@ def test_criterion_10_symplectic_invariance() -> None:
         channels=(LindbladChannel(l_re=[0.3, 0.4], l_im=[-0.2, 0.5]),
                   LindbladChannel(l_re=[0.1, -0.3], l_im=[0.25, 0.1])))
     ref_tp = positivity_time(base).t_p
-    ref_det = damping_matrix(base, -0.8).det
+    ref_det = det2(damping_matrix(base, -0.8))
     rng = np.random.default_rng(12)
     worst = {"t_p": 0.0, "alpha": 0.0, "sigma": 0.0, "detM": 0.0}
     for _ in range(100):
@@ -287,7 +287,7 @@ def test_criterion_10_symplectic_invariance() -> None:
                              abs(other.sigma - base.sigma)
                              / abs(base.sigma))
         worst["detM"] = max(worst["detM"],
-                            abs(damping_matrix(other, -0.8).det - ref_det)
+                            abs(det2(damping_matrix(other, -0.8)) - ref_det)
                             / abs(ref_det))
     checks = [(f"{name} worst rel dev={dev:.1e}<=1e-9", dev <= 1e-9)
               for name, dev in worst.items()]

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import damping_bath, random_symplectic
+from conftest import damping_bath, det2, random_symplectic
 from lindquad import (AsymptoticInvalid, CatParameters, ConfigError,
                       HamiltonianForm, LindbladChannel, OpenSystem,
                       cat_state, cat_zero_crossing_time, coherent_state,
@@ -82,7 +82,7 @@ def test_momentum_noise_hand_integral() -> None:
     for d_prime in (2.0, 0.7):
         sys = _parabolic_system(d_prime, 1.0, 0.0)
         for t in (0.4, 0.93):
-            det = damping_matrix(sys, -t).det
+            det = det2(damping_matrix(sys, -t))
             assert det == pytest.approx(d_prime ** 2 * t ** 4 / 12.0,
                                         rel=1e-10)
         result = positivity_time(sys)
@@ -319,6 +319,20 @@ def test_reconstruction_reliability_mask() -> None:
     far = np.array([[40.0, 0.0]])
     assert not recovered.reliability(far)[0]
     assert not recovered.pure
+
+
+def test_reconstruction_mask_follows_the_reversed_damping_matrix() -> None:
+    # saddle H = pq with one channel (alpha = 0.3): at t = 20 the chord
+    # (30, 0) has Gaussian factor exp(xi . M(-t) xi / 2) = e^{-96}, so it is
+    # not reliable, although the forward chord e^{alpha t} R_t xi rounds to
+    # a vector whose forward factor is 1
+    saddle = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.0, 0.5], [0.5, 0.0]]),
+                        channels=photon_bath(gamma=0.6).channels)
+    assert saddle.alpha == pytest.approx(0.3)
+    t = 20.0
+    recovered = reconstruct(saddle, evolved_state(saddle, coherent_state((0.0, 0.0)), t), t)
+    xi = np.array([[30.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert recovered.reliability(xi).tolist() == [False, True, False]
 
 
 def test_reconstruction_validation() -> None:

@@ -131,6 +131,14 @@ def test_cached_parser_matches_fresh_parsers(tmp_path) -> None:
     assert [code for code, _ in cached] == [0, 0, 0, 3]
 
 
+def test_seed_is_a_langevin_option_only(capsys) -> None:
+    # the other subcommands draw nothing, so argparse rejects --seed there
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy() -> None:
     # scipy serves only the audits in oracle, which import it when called
     src = str(Path(lindquad.__file__).resolve().parent.parent)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import damping_bath
+from conftest import centre_flow, damping_bath
 from lindquad import (CatParameters, ConfigError, GridField, GridTooCoarse,
                       HamiltonianForm, OpenSystem, TruncationLeak, Unstable,
                       cat_fock_dim, cat_state, cat_wigner_line, centered_grid,
@@ -15,7 +15,7 @@ from lindquad import (CatParameters, ConfigError, GridField, GridTooCoarse,
                       fock_cat, fock_coherent, fock_mean, fock_operators,
                       fock_thermal, fokker_planck_max_dt, gaussian_state,
                       integrate_fock_lindblad, integrate_fokker_planck,
-                      photon_bath, point_flow, purity, wigner_from_fock)
+                      photon_bath, purity, wigner_from_fock)
 from lindquad import oracle
 
 
@@ -92,7 +92,7 @@ def test_lindblad_integration_preserves_coherent_states() -> None:
         rho_t = integrate_fock_lindblad(sys, rho0, t)
         assert rho_t.trace == pytest.approx(1.0, abs=1e-9)
         assert rho_t.purity == pytest.approx(1.0, abs=1e-8)
-        assert np.allclose(fock_mean(rho_t), point_flow(sys, t, center),
+        assert np.allclose(fock_mean(rho_t), centre_flow(sys, t, center),
                            atol=1e-8)
 
 
@@ -106,7 +106,7 @@ def test_lindblad_integration_mean_with_linear_drive() -> None:
     rho0 = fock_coherent((0.5, 0.0), 34)
     t = 0.6
     rho_t = integrate_fock_lindblad(sys, rho0, t)
-    assert np.allclose(fock_mean(rho_t), point_flow(sys, t, (0.5, 0.0)),
+    assert np.allclose(fock_mean(rho_t), centre_flow(sys, t, (0.5, 0.0)),
                        atol=1e-7)
 
 

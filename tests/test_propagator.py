@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import damping_bath, random_symplectic, random_system
+from conftest import (centre_flow, damping_bath, det2, orbit, random_symplectic,
+                      random_system)
 from lindquad import (CatParameters, ConfigError, GridTooCoarse,
                       HamiltonianForm, J, LindbladChannel, OpenSystem,
-                      Unstable, affine_flow, cat_state, cat_wigner_line, centered_grid, chord_flow,
+                      Unstable, affine_flow, cat_state, cat_wigner_line, centered_grid,
                       chord_pde_residual, coherent_state, damping_matrices,
                       damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
-                      evolve_wigner_grid, evolved_state, flow,
-                      gaussian_factor, photon_bath, point_flow,
-                      symplectic_transform)
+                      evolve_wigner_grid, evolved_state, exact_moments,
+                      photon_bath, symplectic_transform)
 
 
 def _driven_oscillator() -> OpenSystem:
@@ -55,31 +55,31 @@ def test_flow_matches_matrix_exponential() -> None:
     for ham in _random_hamiltonians(rng, 60):
         b = 2.0 * J @ ham.matrix
         for t in (-1.3, 0.37, 2.0):
-            r = flow(ham, t)
+            r = orbit(ham, t)
             expect = expm(b * t)
             scale = max(1.0, float(np.max(np.abs(expect))))
-            assert np.max(np.abs(r.matrix - expect)) < 1e-11 * scale
+            assert np.max(np.abs(r - expect)) < 1e-11 * scale
 
 
 def test_flow_group_properties() -> None:
     rng = np.random.default_rng(11)
     for ham in _random_hamiltonians(rng, 10):
-        r1 = flow(ham, 0.6).matrix
-        r2 = flow(ham, -0.35).matrix
-        r12 = flow(ham, 0.25).matrix
+        r1 = orbit(ham, 0.6)
+        r2 = orbit(ham, -0.35)
+        r12 = orbit(ham, 0.25)
         assert np.allclose(r1 @ r2, r12, atol=1e-12 * max(1, np.abs(r12).max()))
         assert np.linalg.det(r1) == pytest.approx(1.0, abs=1e-12)
-        assert flow(ham, 0.6).symplectic_defect < 1e-12
-    assert np.allclose(flow(ham, 0.0).matrix, np.eye(2))
+        assert np.max(np.abs(r1.T @ J @ r1 - J)) < 1e-12
+    assert np.allclose(orbit(ham, 0.0), np.eye(2))
 
 
 def test_flow_is_continuous_across_parabolic() -> None:
     base = np.array([[0.8, 0.0], [0.0, 0.0]])
-    exact = flow(HamiltonianForm(matrix=base), 1.7).matrix
+    exact = orbit(HamiltonianForm(matrix=base), 1.7)
     for eps in (-1e-13, 1e-13):
         h = base.copy()
         h[1, 1] = eps
-        near = flow(HamiltonianForm(matrix=h), 1.7).matrix
+        near = orbit(HamiltonianForm(matrix=h), 1.7)
         assert np.max(np.abs(near - exact)) < 1e-10
 
 
@@ -90,12 +90,12 @@ def test_point_flow_linear_potential() -> None:
     sys = OpenSystem(hamiltonian=ham)
     x0 = np.array([0.7, -1.2])
     for t in (0.5, 1.8, -0.9):
-        got = point_flow(sys, t, x0)
+        got = centre_flow(sys, t, x0)
         expect = np.array([x0[0] - t,
                            x0[1] + x0[0] * t - 0.5 * t ** 2])
         assert np.allclose(got, expect, atol=1e-12)
     # the chord moves with the momentum-free part: R_t = [[1, 0], [t, 1]]
-    assert np.allclose(flow(ham, 2.0).matrix, [[1.0, 0.0], [2.0, 1.0]])
+    assert np.allclose(orbit(ham, 2.0), [[1.0, 0.0], [2.0, 1.0]])
 
 
 def test_point_flow_with_damping_matches_expm() -> None:
@@ -103,38 +103,25 @@ def test_point_flow_with_damping_matches_expm() -> None:
     a = sys.drift_matrix
     x0 = np.array([1.0, -0.5])
     for t in (0.4, 2.1):
-        assert np.allclose(point_flow(sys, t, x0), expm(a * t) @ x0,
+        assert np.allclose(centre_flow(sys, t, x0), expm(a * t) @ x0,
                            atol=1e-12)
-
-
-def test_chord_flow_grows_when_point_flow_contracts() -> None:
-    sys = photon_bath(gamma=1.0, nbar=0.0, omega=1.0)
-    xi = np.array([0.3, 1.1])
-    t = 0.9
-    grown = chord_flow(sys, t, xi)
-    assert np.linalg.norm(grown) == pytest.approx(
-        np.exp(sys.alpha * t) * np.linalg.norm(xi), rel=1e-12)
 
 
 def test_flows_raise_unstable_when_the_damping_factor_overflows() -> None:
     sys = photon_bath(gamma=1.0)
     with pytest.raises(Unstable):
         affine_flow(sys, -2000.0)
-    with pytest.raises(Unstable):
-        chord_flow(sys, 2000.0, [1.0, 0.0])
 
 
 def test_flows_raise_unstable_when_the_orbit_product_overflows() -> None:
-    # e^{-+alpha t} and R_t are finite here but their product is not: the
-    # flows must say Unstable, not warn or hand back infinities
+    # e^{-alpha t} and R_t are finite here but their product is not: the
+    # flow must say Unstable, not warn or hand back infinities
     saddle = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.diag([1.0, -1.0])),
                         channels=photon_bath(gamma=1.0).channels)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Unstable):
             affine_flow(saddle, -300.0)
-        with pytest.raises(Unstable):
-            chord_flow(saddle, 300.0, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +166,7 @@ def test_damping_quadrature_agrees_with_closed_form() -> None:
     for sys, ts in cases:
         for t in ts:
             mq = damping_matrix_quadrature(sys, t, rtol=1e-12)
-            mc = damping_matrix(sys, t).m
+            mc = damping_matrix(sys, t)
             scale = max(1.0, float(np.max(np.abs(mc))))
             worst = max(worst, float(np.max(np.abs(mq - mc))) / scale)
     assert worst < 1e-9
@@ -199,7 +186,7 @@ def test_damping_kernel_handles_vanishing_exponents() -> None:
         assert sys.alpha == -gain ** 2
         assert sys.damping_kernel.linear_form is not None
         for t in (-2.0, -0.3, 0.7, 2.0):
-            mc = damping_matrix(sys, t).m
+            mc = damping_matrix(sys, t)
             mq = damping_matrix_quadrature(sys, t, rtol=1e-12)
             assert np.max(np.abs(mc - mq)) <= 1e-9 * max(1.0, np.max(np.abs(mc)))
 
@@ -217,13 +204,14 @@ def test_damping_matrices_take_any_list_of_times() -> None:
 
 def test_damping_basics() -> None:
     sys = photon_bath(gamma=1.0, nbar=0.5, omega=0.7)
-    assert np.allclose(damping_matrix(sys, 0.0).m, 0.0)
-    m_fwd = damping_matrix(sys, 1.2).m
-    m_bwd = damping_matrix(sys, -1.2).m
+    assert np.allclose(damping_matrix(sys, 0.0), 0.0)
+    m_fwd = damping_matrix(sys, 1.2)
+    m_bwd = damping_matrix(sys, -1.2)
     assert np.all(np.linalg.eigvalsh(m_fwd) > 0)
     assert np.all(np.linalg.eigvalsh(m_bwd) < 0)
-    d = damping_matrix(sys, 1.2)
-    assert np.allclose(d.mj, -J @ d.m @ J)
+    # -J M J is the noise covariance of the exact moments (PSD whenever M is)
+    _, noise = exact_moments(sys, np.zeros(2), np.zeros((2, 2)), 1.2)
+    assert np.allclose(noise, -J @ m_fwd @ J)
 
 
 def test_photon_bath_damping_is_isotropic() -> None:
@@ -234,7 +222,7 @@ def test_photon_bath_damping_is_isotropic() -> None:
         sys = photon_bath(gamma=gamma, nbar=nbar, omega=omega)
         for t in (0.3, 1.7):
             expect = (2 * nbar + 1) / 2.0 * (1.0 - np.exp(-gamma * t))
-            assert np.allclose(damping_matrix(sys, t).m,
+            assert np.allclose(damping_matrix(sys, t),
                                expect * np.eye(2), atol=1e-11)
 
 
@@ -243,20 +231,20 @@ def test_damping_reversal_identity() -> None:
     rng = np.random.default_rng(13)
     for regime in ("elliptic", "hyperbolic"):
         sys = random_system(rng, regime, alpha=0.3)
-        r = flow(sys.hamiltonian, 0.8).matrix
-        lhs = damping_matrix(sys, -0.8).m
-        rhs = -np.exp(2 * sys.alpha * 0.8) * r.T @ damping_matrix(sys, 0.8).m @ r
+        r = orbit(sys.hamiltonian, 0.8)
+        lhs = damping_matrix(sys, -0.8)
+        rhs = -np.exp(2 * sys.alpha * 0.8) * r.T @ damping_matrix(sys, 0.8) @ r
         assert np.allclose(lhs, rhs, atol=1e-10 * max(1, np.abs(lhs).max()))
 
 
 def test_damping_symplectic_covariance() -> None:
     rng = np.random.default_rng(14)
     sys = random_system(rng, "elliptic", alpha=0.25)
-    m = damping_matrix(sys, 0.9).m
+    m = damping_matrix(sys, 0.9)
     for _ in range(5):
         c = random_symplectic(rng)
         cinv = np.linalg.inv(c)
-        m_new = damping_matrix(symplectic_transform(sys, c), 0.9).m
+        m_new = damping_matrix(symplectic_transform(sys, c), 0.9)
         assert np.allclose(m_new, cinv.T @ m @ cinv,
                            atol=1e-9 * max(1, np.abs(m).max()))
 
@@ -284,7 +272,7 @@ def test_elliptic_determinant_closed_form() -> None:
             c2 = (np.exp(4 * alpha * t) - 2 * np.exp(2 * alpha * t) + 1) \
                 / (4 * alpha ** 2)
             expect = (c1 * a[0, 0] * a[1, 1] - c2 * a[0, 1] * a[1, 0]).real
-            got = damping_matrix(sys, -t).det
+            got = det2(damping_matrix(sys, -t))
             assert got == pytest.approx(expect, rel=1e-9)
 
 
@@ -308,7 +296,7 @@ def test_hyperbolic_determinant_closed_form() -> None:
             c2 = (np.exp(4 * alpha * t) - 2 * np.exp(2 * alpha * t) + 1) \
                 / (4 * alpha ** 2)
             expect = c1 * k[0, 0] * k[1, 1] - c2 * k[0, 1] * k[1, 0]
-            got = damping_matrix(sys, -t).det
+            got = det2(damping_matrix(sys, -t))
             assert got == pytest.approx(expect, rel=1e-9)
 
 
@@ -329,24 +317,12 @@ def test_parabolic_determinant_closed_form() -> None:
                     - np.exp(2 * eps * dbar * t)
                     * (d_prime / d_second * t ** 2 + 1 / (2 * d_second ** 2) + 2)
                     + 1 + 1 / (4 * d_second ** 2))
-                got = damping_matrix(sys, -t).det
+                got = det2(damping_matrix(sys, -t))
                 assert got == pytest.approx(expect, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # chord evolution
-
-
-def test_gaussian_factor_range() -> None:
-    sys = photon_bath(gamma=1.0, nbar=1.0)
-    rng = np.random.default_rng(17)
-    xi = rng.normal(scale=2.0, size=(50, 2))
-    vals = gaussian_factor(sys, 0.7, xi)
-    assert np.all(vals > 0.0)
-    assert np.all(vals <= 1.0)
-    assert gaussian_factor(sys, 0.7, np.zeros(2)) == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
-        gaussian_factor(sys, -0.1, xi)
 
 
 def test_evolution_is_a_semigroup() -> None:
@@ -390,7 +366,7 @@ def test_evolved_wigner_mean_follows_point_flow() -> None:
     for center in ((0.0, 0.0), (0.5, -0.3)):
         field = evolve_wigner_grid(sys, coherent_state(center), 1.0, grid)
         mean = np.einsum("ijk,ij->k", grid.points(), field.values) * grid.cell_area
-        assert np.max(np.abs(mean - point_flow(sys, 1.0, center))) < 1e-8
+        assert np.max(np.abs(mean - centre_flow(sys, 1.0, center))) < 1e-8
 
 
 def test_wigner_grid_tail_ratio_threshold() -> None:

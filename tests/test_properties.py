@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_symplectic, random_system
+from conftest import det2, random_symplectic, random_system
 from lindquad import (CatParameters, HamiltonianForm, J, OpenSystem,
                       affine_flow, affine_flow_expm, cat_state, centered_grid,
                       damping_matrices, damping_matrix,
@@ -126,15 +126,15 @@ def _scale(m: np.ndarray) -> float:
 @PROPERTY
 @given(systems)
 def test_damping_matrix_vanishes_at_zero(system) -> None:
-    assert np.all(damping_matrix(system, 0.0).m == 0.0)
+    assert np.all(damping_matrix(system, 0.0) == 0.0)
 
 
 @PROPERTY
 @given(systems, times)
 def test_damping_matrix_sign_follows_time(system, t) -> None:
     t = _scaled_time(system, t)
-    forward = damping_matrix(system, t).m
-    reverse = damping_matrix(system, -t).m
+    forward = damping_matrix(system, t)
+    reverse = damping_matrix(system, -t)
     assert np.linalg.eigvalsh(forward)[0] >= -1e-12 * _scale(forward)
     assert np.linalg.eigvalsh(reverse)[1] <= 1e-12 * _scale(reverse)
 
@@ -144,8 +144,8 @@ def test_damping_matrix_sign_follows_time(system, t) -> None:
 def test_reversed_determinant_is_nondecreasing(system, t1, t2) -> None:
     early, late = sorted((_scaled_time(system, t1), _scaled_time(system, t2)))
     lo, hi = damping_matrix(system, -early), damping_matrix(system, -late)
-    (m00, m01), (_, m11) = hi.m
-    assert lo.det <= hi.det + 1e-12 * (abs(m00 * m11) + m01 ** 2)
+    (m00, m01), (_, m11) = hi
+    assert det2(lo) <= det2(hi) + 1e-12 * (abs(m00 * m11) + m01 ** 2)
 
 
 @PROPERTY
@@ -154,8 +154,8 @@ def test_damping_matrix_is_symplectically_covariant(system, t, seed) -> None:
     t = _scaled_time(system, t)
     c = random_symplectic(np.random.default_rng(seed))
     cinv = np.linalg.inv(c)
-    m = damping_matrix(system, t).m
-    moved = damping_matrix(symplectic_transform(system, c), t).m
+    m = damping_matrix(system, t)
+    moved = damping_matrix(symplectic_transform(system, c), t)
     assert np.max(np.abs(moved - cinv.T @ m @ cinv)) <= 1e-9 * _scale(m)
 
 
@@ -167,8 +167,8 @@ def test_damping_matrix_reversal_identity(system, t) -> None:
     t = _scaled_time(system, t)
     linear, _ = affine_flow(system, -t)
     back = -J @ linear.T @ J
-    reverse = damping_matrix(system, -t).m
-    expect = -back.T @ damping_matrix(system, t).m @ back
+    reverse = damping_matrix(system, -t)
+    expect = -back.T @ damping_matrix(system, t) @ back
     assert np.max(np.abs(reverse - expect)) <= 1e-9 * _scale(reverse)
 
 
@@ -200,7 +200,7 @@ def _rate(system) -> float:
 
 def _crossed(system, t: float) -> bool:
     """The search's crossing test: det M(-t) - 1/4 above its round-off."""
-    (m00, m01), (m10, m11) = damping_matrix(system, -t).m
+    (m00, m01), (m10, m11) = damping_matrix(system, -t)
     return m00 * m11 - m01 * m10 - 0.25 > 4.0 * np.finfo(float).eps * (
         abs(m00 * m11) + m01 * m10)
 
@@ -211,14 +211,14 @@ def test_batched_damping_matrices_equal_per_time_calls(system, xs) -> None:
     ts = [x / _rate(system) for x in xs]
     batch = damping_matrices(system, ts)
     for t, m in zip(ts, batch):
-        assert np.array_equal(m, damping_matrix(system, t).m)
+        assert np.array_equal(m, damping_matrix(system, t))
 
 
 @PROPERTY
 @given(kernel_systems, st.floats(-3.0, 3.0))
 def test_damping_kernel_matches_quadrature_audit(system, x) -> None:
     t = x / _rate(system)
-    m = damping_matrix(system, t).m
+    m = damping_matrix(system, t)
     audit = damping_matrix_quadrature(system, t, rtol=1e-12)
     assert np.max(np.abs(m - audit)) <= 1e-9 * _scale(m)
 
