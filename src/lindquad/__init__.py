@@ -21,13 +21,15 @@ from .grid import (GridField, GridSpec, centered_grid, grid_from_dict,
 from .langevin import (SdeSpec, TrajectoryEnsemble, ensemble_moments,
                        exact_moments, momentum_dissipation_frame,
                        sde_from_system, simulate)
-from .model import (DampingKernel, HamiltonianForm, J, LindbladChannel,
+from .model import (HamiltonianForm, J, LindbladChannel,
                     OpenSystem, Regime,
                     characteristic_timescale, classify,
                     dissipation_coefficient, photon_bath, sigma,
                     symplectic_transform, system_from_dict, system_to_dict,
                     wedge)
 from .oracle import (FockDensity, affine_flow_expm, cat_fock_dim,
+                     cat_fringe_wavenumber, cat_fringe_zero,
+                     cat_wigner_line, cat_zero_crossing_time,
                      coherent_fock_dim,
                      damping_matrix_quadrature, fock_cat, fock_coherent,
                      fock_mean, fock_operators, fock_thermal,
@@ -37,16 +39,14 @@ from .oracle import (FockDensity, affine_flow_expm, cat_fock_dim,
 from .propagator import (affine_flow, chord_pde_residual, damping_matrices,
                          damping_matrix, evolve_chord, evolve_wigner_grid,
                          evolved_state, map_state)
-from .states import (CatParameters, ChordState, cat_fringe_wavenumber,
-                     cat_fringe_zero, cat_state, cat_wigner_line,
-                     cat_zero_crossing_time, coherent_state, gaussian_state,
+from .states import (ChordState, cat_state, coherent_state, gaussian_state,
                      state_from_dict)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticInvalid", "CatParameters", "ChordState", "ConfigError",
-    "DampingKernel", "FockDensity", "GridField", "GridSpec",
+    "AsymptoticInvalid", "ChordState", "ConfigError",
+    "FockDensity", "GridField", "GridSpec",
     "GridTooCoarse", "HamiltonianForm", "J", "LindbladChannel",
     "LindquadError", "NonSymplectic", "NotPositiveDefinite", "OpenSystem",
     "PositivityResult", "PurityCurve", "QuadratureNotConverged", "Regime",

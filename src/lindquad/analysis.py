@@ -115,7 +115,7 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     ``horizon``; where round-off first hides the sign it rescans from the
     last resolved point in steps of 1/20 of the timescale, since in weakly
     damped hyperbolic systems the resolved window can be short. Both go
-    through the system's cached damping kernel in batches of six times
+    through the system's cached damping forms in batches of six times
     (:func:`~lindquad.propagator.damping_matrices` without its overflow
     check) and use only what the point-by-point walk would have seen.
 
@@ -135,7 +135,7 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     """
     if not 0.0 < horizon < math.inf:
         raise ConfigError("horizon must be positive and finite")
-    if system.damping_kernel.vanishes:
+    if not system.k_matrix.any():
         return PositivityResult(reached=False, horizon=horizon, iterations=0,
                                 limit=0.0)
     scale = min(characteristic_timescale(system), horizon)

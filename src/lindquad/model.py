@@ -16,6 +16,11 @@ Derived scalars:
 
 with ``J = [[0, -1], [1, 0]]`` the matrix of the wedge product,
 ``xi ^ x = (J xi) . x``.
+
+:class:`OpenSystem` caches ``B = 2 J H`` (``B^2 = sigma^2 I``), ``K`` and the
+constant, exactly symmetric matrices of the damping matrix M(t), so M is
+symmetric too: ``K, B^T K + K B, B^T K B`` and, for sigma != 0, the forms
+``P_i^T K P_j`` of the spectral projectors ``P+- = (I +- B/sigma)/2`` of B.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "HamiltonianForm",
     "LindbladChannel",
     "OpenSystem",
-    "DampingKernel",
     "Regime",
     "classify",
     "dissipation_coefficient",
@@ -182,67 +186,6 @@ def _symmetric(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DampingKernel:
-    """The time-independent parts of the damping matrix, built once per system.
-
-    M(t) = Integral_{-t}^{0} e^{a tau} R_tau^T K R_tau d tau with a = 2 alpha
-    and R_tau = c(tau) I + s(tau) B. Two routes evaluate it from these arrays,
-    each a sum of three time-dependent scalars times constant matrices:
-
-    * moments: M = I_cc K + I_cs (B^T K + K B) + I_ss B^T K B, the integrals
-      of e^{a tau} against c^2, c s and s^2 taken as series in sigma^2 tau^2
-      (``moment_forms`` stacks the three matrices);
-    * eigenbasis, when sigma != 0: with B = V diag(sigma, -sigma) V^{-1},
-      M = Re[V^{-T} ((V^T K V) o Phi) V^{-1}], Phi_ij = phi(a + lambda_i +
-      lambda_j, t) = -expm1(-x t)/x. Phi has three distinct entries, at the
-      exponents x = (a + 2 sigma, a, a - 2 sigma), so
-      M = Re sum_r expm1(-x_r t) D_r, with ``rates`` -x_r and D_r the part of
-      V^{-T} (V^T K V) V^{-1} that carries x_r, divided by -x_r. An exponent
-      that vanishes contributes t times its part, ``linear_form``, instead.
-
-    Every matrix is exactly symmetric, so M is too. ``vanishes`` marks K = 0.
-    """
-
-    a: float
-    sigma_squared: float
-    vanishes: bool
-    moment_forms: NDArray[np.float64]
-    rates: Optional[NDArray[np.complex128]] = None
-    eigen_forms: Optional[NDArray[np.complex128]] = None
-    linear_form: Optional[NDArray[np.float64]] = None
-
-    @classmethod
-    def build(cls, b: NDArray[np.float64], s2: float, k: NDArray[np.float64],
-              a: float) -> "DampingKernel":
-        """Kernel of the generator ``b`` (b^2 = s2 I), channel moments ``k``
-        and rate ``a``. Each eigenvector is the larger column of
-        adj(B - lambda I), nonzero whenever sigma != 0."""
-        base = dict(a=a, sigma_squared=s2, vanishes=not np.any(k),
-                    moment_forms=_symmetric(np.stack([k, b.T @ k + k @ b, b.T @ k @ b])))
-        if s2 == 0.0:
-            return cls(**base)
-        sigma = cmath.sqrt(complex(s2))
-        (b00, b01), (b10, _) = b
-        v = np.array([max([(b01, lam - b00), (lam + b00, b10)],
-                          key=lambda col: abs(col[0]) + abs(col[1]))
-                      for lam in (sigma, -sigma)]).T
-        rows = _inv2(v)
-        w = v.T @ k @ v
-        parts = _symmetric(np.stack([
-            w[0, 0] * np.outer(rows[0], rows[0]),
-            w[0, 1] * np.outer(rows[0], rows[1]) + w[1, 0] * np.outer(rows[1], rows[0]),
-            w[1, 1] * np.outer(rows[1], rows[1])]))
-        exponents = np.array([a + 2.0 * sigma, complex(a), a - 2.0 * sigma])
-        still = exponents == 0.0
-        return cls(**base, rates=-exponents[:, None],
-                   eigen_forms=_symmetric(np.stack([
-                       0.0 * part if x == 0.0 else -part / x
-                       for x, part in zip(exponents, parts)])),
-                   linear_form=(_symmetric(parts[still].real.sum(axis=0))
-                                if still.any() else None))
-
-
-@dataclass(frozen=True, eq=False)
 class OpenSystem:
     """Immutable system description.
 
@@ -293,10 +236,35 @@ class OpenSystem:
         return -4.0 * self.hamiltonian.det
 
     @cached_property
-    def damping_kernel(self) -> DampingKernel:
-        """The time-independent parts of M(t), see :class:`DampingKernel`."""
-        return DampingKernel.build(self.generator, self.sigma_squared,
-                                   self.k_matrix, 2.0 * self.alpha)
+    def moment_forms(self) -> NDArray[np.float64]:
+        """(K, B^T K + K B, B^T K B) stacked, the matrices of M's moment series."""
+        b, k = self.generator, self.k_matrix
+        return _symmetric(np.stack([k, b.T @ k + k @ b, b.T @ k @ b]))
+
+    @cached_property
+    def damping_spectrum(self) -> Optional[tuple]:
+        """(rates, forms, linear) with M(t) = Re sum_r expm1(rates_r t) forms_r
+        + t linear where sigma != 0, else None. R_tau = e^{sigma tau} P+ +
+        e^{-sigma tau} P-, so M's integrand has exponents x = 2 alpha + (2 sigma,
+        0, -2 sigma) on Q = (P+^T K P+, P+^T K P- + P-^T K P+, P-^T K P-):
+        rates = -x, forms_r = -Q_r/x_r (0 where x_r = 0), and linear sums the
+        Q_r with x_r = 0 (None if there are none)."""
+        if self.sigma_squared == 0.0:
+            return None
+        root = cmath.sqrt(complex(self.sigma_squared))
+        plus = (self.generator + root * np.eye(2)) / (2.0 * root)
+        minus = np.eye(2) - plus
+        k = self.k_matrix
+        cross = plus.T @ k @ minus  # Q_r at O(1), before any exponential
+        q = np.stack([plus.T @ k @ plus, cross + cross.T, minus.T @ k @ minus])
+        x = 2.0 * self.alpha + np.array([2.0 * root, 0.0, -2.0 * root])
+        still = x == 0.0
+        forms = -q / np.where(still, 1.0, x)[:, None, None]
+        forms[still] = 0.0
+        rates = -x[:, None]
+        rates.setflags(write=False)
+        linear = _symmetric(q[still].real.sum(axis=0)) if still.any() else None
+        return rates, _symmetric(forms), linear
 
     @property
     def drift_matrix(self) -> NDArray[np.float64]:

@@ -24,6 +24,10 @@ Three deliberately different routes re-derive the dynamics from scratch:
 function through the closed-form Laguerre kernel, which closes the loop:
 exact propagation, PDE, and operator routes can all be compared pointwise.
 
+:func:`cat_wigner_line` and its fringe helpers are the textbook photon-bath
+closed forms for an even cat on the line q = 0, derived by hand rather than
+from the Gaussian-term evolution, so they too check it from outside.
+
 None of this imports the propagator or the Gaussian state terms: agreement
 between these integrators and the exact evolution is evidence, not
 construction.
@@ -58,6 +62,10 @@ __all__ = [
     "integrate_fock_lindblad",
     "wigner_from_fock",
     "fock_mean",
+    "cat_wigner_line",
+    "cat_fringe_wavenumber",
+    "cat_fringe_zero",
+    "cat_zero_crossing_time",
 ]
 
 # ---------------------------------------------------------------------------
@@ -167,6 +175,15 @@ def fokker_planck_max_dt(system: OpenSystem, grid: GridSpec) -> float:
     return bound
 
 
+def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step of y' = rhs(y), shared by both integrators."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
                             *, dt: float | None = None,
                             check_every: int = 25) -> GridField:
@@ -229,11 +246,7 @@ def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
 
     sup0 = float(np.max(np.abs(w)))
     for step in range(1, steps + 1):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * dt_eff * k1)
-        k3 = rhs(w + 0.5 * dt_eff * k2)
-        k4 = rhs(w + dt_eff * k3)
-        w = w + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = _rk4_step(rhs, w, dt_eff)
         if step % check_every == 0 or step == steps:
             sup = float(np.max(np.abs(w)))
             if not math.isfinite(sup) or sup > 2.0 * sup0 + 1e-300:
@@ -305,17 +318,16 @@ def cat_fock_dim(zeta: float, hbar: float = 1.0) -> int:
 def _coherent_vector(center, dim: int, hbar: float) -> NDArray[np.complex128]:
     c = np.asarray(center, dtype=float)
     amp = (c[1] + 1j * c[0]) / math.sqrt(2.0 * hbar)
-    log_fact = np.cumsum(np.log(np.arange(1, dim, dtype=float)))
-    log_fact = np.concatenate([[0.0], log_fact])
-    n = np.arange(dim)
-    with np.errstate(divide="ignore"):
-        log_mag = n * np.log(max(abs(amp), 1e-300)) - 0.5 * log_fact
-    phase = np.exp(1j * n * np.angle(amp)) if amp != 0 else (n == 0).astype(complex)
-    vec = np.exp(-0.5 * abs(amp) ** 2 + log_mag) * phase
     if amp == 0:
         vec = np.zeros(dim, dtype=complex)
         vec[0] = 1.0
-    return vec
+        return vec
+    log_fact = np.cumsum(np.log(np.arange(1, dim, dtype=float)))
+    log_fact = np.concatenate([[0.0], log_fact])
+    n = np.arange(dim)
+    log_mag = n * np.log(abs(amp)) - 0.5 * log_fact
+    phase = np.exp(1j * n * np.angle(amp))
+    return np.exp(-0.5 * abs(amp) ** 2 + log_mag) * phase
 
 
 def fock_coherent(center, dim: int, hbar: float = 1.0) -> FockDensity:
@@ -414,11 +426,7 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
     rho = rho0.matrix.copy()
     sup0 = float(np.max(np.abs(rho)))
     for step in range(1, steps + 1):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt_eff * k1)
-        k3 = rhs(rho + 0.5 * dt_eff * k2)
-        k4 = rhs(rho + dt_eff * k3)
-        rho = rho + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = _rk4_step(rhs, rho, dt_eff)
         if step % check_every == 0 or step == steps:
             edge = float(rho[-1, -1].real + rho[-2, -2].real)
             if edge > 1e-8:
@@ -476,3 +484,102 @@ def wigner_from_fock(rho: FockDensity, grid: GridSpec) -> GridField:
             kern = scale * power * eval_genlaguerre(n, k, y)
             out += 2.0 * (coeff * kern).real
     return GridField(spec=grid, values=base * out)
+
+
+# ---------------------------------------------------------------------------
+# Photon-bath cat closed forms: the q = 0 Wigner section of an even cat of
+# half-separation ``zeta`` under damping rate ``gamma`` and occupancy ``nbar``
+# (in the frame co-rotating with the oscillator), with the fringe wavenumber
+# and the fringe zero that make the positivity threshold observable on one
+# line of the plane.
+
+
+def _beta(gamma: float, nbar: float, t: float) -> float:
+    """beta_t = 2 nbar (1 - e^{-gamma t}) + 1, the bath's width factor."""
+    if not (0.0 <= gamma < math.inf and 0.0 <= nbar < math.inf):
+        raise ConfigError("gamma and nbar must be finite and nonnegative")
+    return 2.0 * nbar * (1.0 - math.exp(-gamma * t)) + 1.0
+
+
+def cat_wigner_line(zeta: float, gamma: float, nbar: float, t: float, p,
+                    hbar: float = 1.0):
+    """Closed-form W_t(p, q=0) of the cat under the photon bath.
+
+    With s = e^{-gamma t} and beta_t = 2 nbar (1 - s) + 1:
+
+        W_t(p, 0) = (2 NN / pi hbar beta) e^{-p^2 / hbar beta}
+                    [ e^{-A} cos(k p) + e^{-B} ],
+        A = (zeta^2/hbar)(1 - s/beta),  B = (zeta^2/hbar) s/beta,
+        k = 2 sqrt(s) zeta / (hbar beta),  NN = 1/(2 (1 + e^{-zeta^2/hbar})).
+
+    The fringe envelope e^{-A} and the Gaussian-overlap term e^{-B} swap
+    dominance exactly at the positivity time (A = B there, independent of
+    zeta); the fringe wavenumber k shrinks as the two components merge.
+    """
+    if t < 0:
+        raise ConfigError("t must be nonnegative")
+    p = np.asarray(p, dtype=float)
+    s = math.exp(-gamma * t)
+    beta = _beta(gamma, nbar, t)
+    z2 = zeta ** 2 / hbar
+    a_exp = z2 * (1.0 - s / beta)
+    b_exp = z2 * s / beta
+    k = cat_fringe_wavenumber(zeta, gamma, nbar, t, hbar)
+    scriptn = 0.5 * (1.0 / (1.0 + math.exp(-zeta ** 2 / hbar)))
+    pref = 2.0 * scriptn / (math.pi * hbar * beta)
+    return pref * np.exp(-p ** 2 / (hbar * beta)) * (
+        math.exp(-a_exp) * np.cos(k * p) + math.exp(-b_exp))
+
+
+def cat_fringe_wavenumber(zeta: float, gamma: float, nbar: float, t: float,
+                          hbar: float = 1.0) -> float:
+    """k(t) = 2 e^{-gamma t/2} zeta / (hbar beta_t), the q=0 fringe frequency."""
+    s = math.exp(-gamma * t)
+    return 2.0 * math.sqrt(s) * zeta / (hbar * _beta(gamma, nbar, t))
+
+
+def cat_fringe_zero(zeta: float, gamma: float, nbar: float, t: float,
+                    hbar: float = 1.0) -> float | None:
+    """Smallest p > 0 with W_t(p, 0) = 0, or None once fringes cannot win.
+
+    Solves cos(k p) = -e^{A-B}; a zero exists iff e^{A-B} <= 1, i.e. up to
+    (and including) the positivity time, where the zero sits at p = pi/k.
+    """
+    s = math.exp(-gamma * t)
+    beta = _beta(gamma, nbar, t)
+    z2 = zeta ** 2 / hbar
+    contrast = math.exp(z2 * (1.0 - 2.0 * s / beta))
+    if contrast > 1.0 or zeta == 0.0:
+        return None
+    k = cat_fringe_wavenumber(zeta, gamma, nbar, t, hbar)
+    return math.acos(-contrast) / k
+
+
+def cat_zero_crossing_time(gamma: float, nbar: float) -> float:
+    """First t at which the cat's W_t(p, 0) loses its negative fringe minima.
+
+    Bisects the fringe-extinction condition A(t) = B(t) from
+    :func:`cat_wigner_line`; the result depends only on the bath, not on
+    zeta or hbar.
+    """
+    if gamma <= 0:
+        raise ConfigError("fringe extinction requires gamma > 0")
+
+    def contrast(t: float) -> float:
+        s = math.exp(-gamma * t)
+        return 1.0 - 2.0 * s / _beta(gamma, nbar, t)
+
+    lo, hi = 0.0, 1.0 / gamma
+    while contrast(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e6 / gamma:
+            raise ConfigError("fringe extinction not reached within 1e6/gamma")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if contrast(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)

@@ -23,11 +23,11 @@ Wigner function is closed form too and reconstruction is the map at -t.
 they are the only routes to orbit and damping data. Both are closed form.
 The offset o of a linear Hamiltonian term is
 t phi_1(t A) J b = (c1 I + s1 B) J b with two scalar integrals. M(t) comes
-from the system's cached :class:`~lindquad.model.DampingKernel` (K, alpha,
-B, sigma^2 and the eigenbasis data, built once per system), evaluated for
-an array of times at once by :func:`damping_matrices`: expm1 of three
-exponents times three constant matrices in the eigenbasis of B, or
-polynomial-moment series times three others where |sigma^2| t^2 is small.
+from matrices the system caches once, evaluated for an array of times by
+:func:`damping_matrices`: expm1(-x t), x = 2 alpha + (2 sigma, 0, -2 sigma),
+times the forms P_i^T K P_j of the spectral projectors of B (``damping_spectrum``),
+or moment series times K, B^T K + K B, B^T K B (``moment_forms``) where
+|sigma^2| t^2 is small.
 :func:`damping_matrix` is its batch of one. The adaptive quadrature of the
 same integral and the matrix exponential of the affine flow are audits in
 ``oracle``.
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, GridTooCoarse, Unstable
 from .grid import GridField, GridSpec
-from .model import J, DampingKernel, OpenSystem
+from .model import J, OpenSystem
 from .states import ChordState
 
 __all__ = [
@@ -136,7 +136,7 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The damping kernel: M at an array of times from the system's DampingKernel.
+# The damping kernel: M at an array of times from the system's cached forms.
 # Overflow shows as non-finite entries here and is reported by the callers.
 
 # (w t)^2 below which series in w^2 t^2 replace divided differences of
@@ -213,42 +213,41 @@ def _moment_sums(a: float, u: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
     return js[0], odd, even
 
 
-def _moment_route(kernel: DampingKernel, t: np.ndarray) -> np.ndarray:
+def _moment_route(system: OpenSystem, t: np.ndarray) -> np.ndarray:
     """M = I_cc K + I_cs (B^T K + K B) + I_ss B^T K B from the moment series."""
-    s2 = kernel.sigma_squared
-    j0, i_cs, half_ss = _moment_sums(kernel.a, 4.0 * s2, t)
+    s2 = system.sigma_squared
+    j0, i_cs, half_ss = _moment_sums(2.0 * system.alpha, 4.0 * s2, t)
     i_ss = 2.0 * half_ss
-    k, sym, bkb = kernel.moment_forms
+    k, sym, bkb = system.moment_forms
     return ((j0 + s2 * i_ss)[:, None, None] * k + i_cs[:, None, None] * sym
             + i_ss[:, None, None] * bkb)
 
 
-def _eigen_route(kernel: DampingKernel, t: np.ndarray) -> np.ndarray:
-    """M = Re sum_r expm1(-x_r t) D_r in the eigenbasis of B."""
-    grown = np.expm1(kernel.rates * t)[:, :, None, None]
-    d = kernel.eigen_forms
+def _eigen_route(system: OpenSystem, t: np.ndarray) -> np.ndarray:
+    """M = Re sum_r expm1(-x_r t) D_r from the spectral projectors of B."""
+    rates, d, linear = system.damping_spectrum
+    grown = np.expm1(rates * t)[:, :, None, None]
     m = (grown[0] * d[0] + grown[1] * d[1] + grown[2] * d[2]).real
-    if kernel.linear_form is not None:
-        m += t[:, None, None] * kernel.linear_form
+    if linear is not None:
+        m += t[:, None, None] * linear
     return m
 
 
 def _damping_stack(system: OpenSystem, t: np.ndarray) -> np.ndarray:
     """M at the finite times ``t`` (T,), shape (T, 2, 2); entries that
     overflow are left non-finite for the caller to report."""
-    kernel = system.damping_kernel
-    if kernel.vanishes or not t.size:
+    if not (system.k_matrix.any() and t.size):
         return np.zeros((t.size, 2, 2))
-    # the eigenbasis of B is ill-conditioned where |sigma^2| t^2 is small
-    near = np.abs(4.0 * kernel.sigma_squared) * t * t < _SERIES_REACH
+    # the projectors of B are ill-conditioned where |sigma^2| t^2 is small
+    near = np.abs(4.0 * system.sigma_squared) * t * t < _SERIES_REACH
     with np.errstate(over="ignore", invalid="ignore"):
         if near.all():
-            return _moment_route(kernel, t)
+            return _moment_route(system, t)
         if not near.any():
-            return _eigen_route(kernel, t)
+            return _eigen_route(system, t)
         m = np.empty((t.size, 2, 2))
-        m[near] = _moment_route(kernel, t[near])
-        m[~near] = _eigen_route(kernel, t[~near])
+        m[near] = _moment_route(system, t[near])
+        m[~near] = _eigen_route(system, t[~near])
         return m
 
 
@@ -262,10 +261,10 @@ def _checked(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 def damping_matrices(system: OpenSystem, times) -> np.ndarray:
     """M(t) at every time in ``times``, shape (T, 2, 2); see :func:`damping_matrix`.
 
-    One batched evaluation of the system's cached
-    :class:`~lindquad.model.DampingKernel`; entry i equals
-    ``damping_matrix(system, times[i])`` bit for bit. Raises
-    :class:`Unstable` naming the first time whose exponentials overflow.
+    One batched evaluation of the system's cached ``moment_forms`` and
+    ``damping_spectrum``; entry i equals ``damping_matrix(system, times[i])``
+    bit for bit. Raises :class:`Unstable` naming the first time whose
+    exponentials overflow.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
@@ -279,16 +278,12 @@ def damping_matrix(system: OpenSystem, t: float) -> np.ndarray:
     """M(t) = Integral_{-t}^{0} e^{2 alpha tau} R_tau^T K R_tau d tau, closed form.
 
     Positive semidefinite for t >= 0, negative semidefinite for t <= 0,
-    M(0) = 0. The batch of one of :func:`damping_matrices`: the eigenbasis
-    of B, with moment series where |sigma^2| t^2 is small and the eigenbasis
-    is ill-conditioned. Raises :class:`Unstable` when the exponentials
-    overflow.
+    M(0) = 0. The batch of one of :func:`damping_matrices`: three
+    exponentials times the projector forms of B, with moment series where
+    |sigma^2| t^2 is small and the projectors are ill-conditioned. Raises
+    :class:`Unstable` when the exponentials overflow.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ConfigError(f"damping matrix needs a finite time, got {t!r}")
-    ts = np.array([t])
-    return _checked(_damping_stack(system, ts), ts)[0]
+    return damping_matrices(system, [t])[0]
 
 
 def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,

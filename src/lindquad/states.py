@@ -14,11 +14,6 @@ finite sum of complex Gaussians,
 and the exact evolution maps that family to itself. A :class:`ChordState`
 is therefore plain term data, and its Wigner function and trace-square
 integrals are closed-form Gaussian integrals over the terms.
-
-The cat-state helpers also expose the closed-form q=0 Wigner section of the
-photon-bath evolution (damping rate ``gamma``, occupancy ``nbar``), including
-the fringe wavenumber and the location of the fringe zero — the quantities
-that make the positivity threshold observable on a single line of the plane.
 """
 
 from __future__ import annotations
@@ -35,14 +30,9 @@ from .model import J, _as_vector, _inv2, _require_keys, finite_array
 
 __all__ = [
     "ChordState",
-    "CatParameters",
     "coherent_state",
     "gaussian_state",
     "cat_state",
-    "cat_wigner_line",
-    "cat_fringe_wavenumber",
-    "cat_fringe_zero",
-    "cat_zero_crossing_time",
     "state_from_dict",
 ]
 
@@ -213,32 +203,8 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
         shifts=[(mean @ J) / hbar], label="gaussian", pure=pure, hbar=hbar))
 
 
-@dataclass(frozen=True)
-class CatParameters:
-    """Even cat along q: (|zeta> + |-zeta>)/sqrt(2)-type superposition.
-
-    ``zeta`` is the half-separation of the two Gaussian components on the
-    q axis; ``gamma`` and ``nbar`` parameterize the photon bath used by the
-    closed-form evolution helpers below.
-    """
-
-    zeta: float
-    gamma: float = 1.0
-    nbar: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.zeta < math.inf:  # false for NaN too
-            raise ConfigError("zeta must be finite and nonnegative")
-        if not (0.0 <= self.gamma < math.inf and 0.0 <= self.nbar < math.inf):
-            raise ConfigError("gamma and nbar must be finite and nonnegative")
-
-    def normalization(self, hbar: float = 1.0) -> float:
-        """N = 1/(1 + exp(-zeta^2/hbar)), in (1/2, 1] — the overlap norm."""
-        return 1.0 / (1.0 + math.exp(-self.zeta ** 2 / hbar))
-
-
-def cat_state(params: CatParameters, hbar: float = 1.0) -> ChordState:
-    """Cat state chord function: central fringe lobe plus lobes at ±2 x_zeta.
+def cat_state(zeta: float, hbar: float = 1.0) -> ChordState:
+    """Even cat along q, (|zeta> + |-zeta>)/norm with half-separation ``zeta``.
 
     The two displaced-Gaussian components at x = (0, ±zeta) interfere; in the
     chord plane that appears as an oscillating central lobe 2 cos(zeta xi_p /
@@ -246,101 +212,20 @@ def cat_state(params: CatParameters, hbar: float = 1.0) -> ChordState:
     plus two real coherence lobes at xi = (0, ±2 zeta): the same Gaussian
     with shifts ∓i(0, zeta/hbar) and weight times e^{-zeta^2/hbar}, kept as
     a log weight so that it stays exact where e^{-zeta^2/hbar} underflows.
-    The normalization keeps Wt(0) = 1/(2 pi hbar) exactly.
+    The normalization 1/(1 + e^{-zeta^2/hbar}) keeps Wt(0) = 1/(2 pi hbar)
+    exactly.
     """
-    z = params.zeta / hbar
-    central = _log_weight(0.5 * params.normalization(hbar) / (2.0 * math.pi * hbar))
-    lobe = central - params.zeta * z
+    if not 0.0 <= zeta < math.inf:  # false for NaN too
+        raise ConfigError("zeta must be finite and nonnegative")
+    z = zeta / hbar
+    norm = 1.0 / (1.0 + math.exp(-zeta ** 2 / hbar))
+    central = _log_weight(0.5 * norm / (2.0 * math.pi * hbar))
+    lobe = central - zeta * z
     return _validate_builtin(ChordState(
         log_weights=[central, central, lobe, lobe],
         forms=np.broadcast_to(np.eye(2) / (2.0 * hbar), (4, 2, 2)),
         shifts=[(z, 0.0), (-z, 0.0), (0.0, -1j * z), (0.0, 1j * z)],
-        label=f"cat(zeta={params.zeta:g})", pure=True, hbar=hbar))
-
-
-def _beta(params: CatParameters, t: float) -> float:
-    return 2.0 * params.nbar * (1.0 - math.exp(-params.gamma * t)) + 1.0
-
-
-def cat_wigner_line(params: CatParameters, t: float, p, hbar: float = 1.0):
-    """Closed-form W_t(p, q=0) of the cat under the photon bath.
-
-    With s = e^{-gamma t} and beta_t = 2 nbar (1 - s) + 1:
-
-        W_t(p, 0) = (2 NN / pi hbar beta) e^{-p^2 / hbar beta}
-                    [ e^{-A} cos(k p) + e^{-B} ],
-        A = (zeta^2/hbar)(1 - s/beta),  B = (zeta^2/hbar) s/beta,
-        k = 2 sqrt(s) zeta / (hbar beta),  NN = normalization/2.
-
-    The fringe envelope e^{-A} and the Gaussian-overlap term e^{-B} swap
-    dominance exactly at the positivity time (A = B there, independent of
-    zeta); the fringe wavenumber k shrinks as the two components merge.
-    """
-    if t < 0:
-        raise ConfigError("t must be nonnegative")
-    p = np.asarray(p, dtype=float)
-    s = math.exp(-params.gamma * t)
-    beta = _beta(params, t)
-    z2 = params.zeta ** 2 / hbar
-    a_exp = z2 * (1.0 - s / beta)
-    b_exp = z2 * s / beta
-    k = cat_fringe_wavenumber(params, t, hbar)
-    scriptn = 0.5 * params.normalization(hbar)
-    pref = 2.0 * scriptn / (math.pi * hbar * beta)
-    return pref * np.exp(-p ** 2 / (hbar * beta)) * (
-        math.exp(-a_exp) * np.cos(k * p) + math.exp(-b_exp))
-
-
-def cat_fringe_wavenumber(params: CatParameters, t: float, hbar: float = 1.0) -> float:
-    """k(t) = 2 e^{-gamma t/2} zeta / (hbar beta_t), the q=0 fringe frequency."""
-    s = math.exp(-params.gamma * t)
-    return 2.0 * math.sqrt(s) * params.zeta / (hbar * _beta(params, t))
-
-
-def cat_fringe_zero(params: CatParameters, t: float, hbar: float = 1.0) -> Optional[float]:
-    """Smallest p > 0 with W_t(p, 0) = 0, or None once fringes cannot win.
-
-    Solves cos(k p) = -e^{A-B}; a zero exists iff e^{A-B} <= 1, i.e. up to
-    (and including) the positivity time, where the zero sits at p = pi/k.
-    """
-    s = math.exp(-params.gamma * t)
-    beta = _beta(params, t)
-    z2 = params.zeta ** 2 / hbar
-    contrast = math.exp(z2 * (1.0 - 2.0 * s / beta))
-    if contrast > 1.0 or params.zeta == 0.0:
-        return None
-    k = cat_fringe_wavenumber(params, t, hbar)
-    return math.acos(-contrast) / k
-
-
-def cat_zero_crossing_time(params: CatParameters, hbar: float = 1.0) -> float:
-    """First t at which W_t(p, 0) loses its negative fringe minima.
-
-    Bisects the fringe-extinction condition A(t) = B(t) from
-    :func:`cat_wigner_line`; the result does not depend on zeta (or hbar) —
-    only on the bath parameters.
-    """
-    if params.gamma <= 0:
-        raise ConfigError("fringe extinction requires gamma > 0")
-
-    def contrast(t: float) -> float:
-        s = math.exp(-params.gamma * t)
-        return 1.0 - 2.0 * s / _beta(params, t)
-
-    lo, hi = 0.0, 1.0 / params.gamma
-    while contrast(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6 / params.gamma:
-            raise ConfigError("fringe extinction not reached within 1e6/gamma")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if contrast(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+        label=f"cat(zeta={zeta:g})", pure=True, hbar=hbar))
 
 
 def state_from_dict(data: dict, hbar: float = 1.0) -> ChordState:
@@ -358,7 +243,7 @@ def state_from_dict(data: dict, hbar: float = 1.0) -> ChordState:
     if kind == "cat":
         _require_keys(data, {"type", "zeta"}, {"zeta"}, "cat state")
         zeta = float(finite_array(data["zeta"], (), "cat zeta"))
-        return cat_state(CatParameters(zeta=zeta), hbar=hbar)
+        return cat_state(zeta, hbar=hbar)
     if kind == "gaussian":
         _require_keys(data, {"type", "mean", "cov"}, {"cov"}, "gaussian state")
         return gaussian_state(data.get("mean", (0.0, 0.0)), data["cov"], hbar=hbar)

@@ -22,7 +22,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from conftest import damping_bath, det2, random_symplectic, random_system
-from lindquad import (CatParameters, GridField, HamiltonianForm,
+from lindquad import (GridField, HamiltonianForm,
                       LindbladChannel, OpenSystem, Regime, cat_state,
                       centered_grid, chord_pde_residual, coherent_state,
                       damping_matrix, ensemble_moments, evolve_wigner_grid,
@@ -108,7 +108,7 @@ def test_criterion_03_momentum_noise_limit() -> None:
 
 def test_criterion_04_exact_vs_density_oracle() -> None:
     sys_ = photon_bath(gamma=1.0, nbar=0.0)
-    state = cat_state(CatParameters(zeta=2.0))
+    state = cat_state(2.0)
     t = 0.2
     start = time.perf_counter()
     errs = {}
@@ -130,7 +130,7 @@ def test_criterion_04_exact_vs_density_oracle() -> None:
 
 def test_criterion_05_exact_vs_fock_oracle() -> None:
     sys_ = photon_bath(gamma=1.0, nbar=0.0)
-    state = cat_state(CatParameters(zeta=2.0))
+    state = cat_state(2.0)
     start = time.perf_counter()
     rho0 = fock_cat(2.0, 40)
     checks = []
@@ -155,7 +155,7 @@ def test_criterion_06_cat_positivity_instance() -> None:
     t_p = positivity_time(sys_).t_p  # state-independent by construction
     checks = []
     for zeta in (1.0, 2.0, 4.0):
-        state = cat_state(CatParameters(zeta=zeta))
+        state = cat_state(zeta)
         half = zeta + 4.5
         grid = centered_grid((0.0, 0.0), (half, half), (257, 257))
         min09 = float(np.min(
@@ -249,7 +249,7 @@ def test_criterion_08_langevin_correspondence() -> None:
 
 def test_criterion_09_reconstruction_round_trip() -> None:
     sys_ = photon_bath(gamma=1.0, nbar=0.0)
-    state = cat_state(CatParameters(zeta=2.0))
+    state = cat_state(2.0)
     t = 0.5 * positivity_time(sys_).t_p
     rec = reconstruct(sys_, evolved_state(sys_, state, t), t, floor=1e-8)
     rng = np.random.default_rng(5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import damping_bath, det2, random_symplectic
-from lindquad import (AsymptoticInvalid, CatParameters, ConfigError,
+from lindquad import (AsymptoticInvalid, ConfigError,
                       HamiltonianForm, LindbladChannel, OpenSystem,
                       cat_state, cat_zero_crossing_time, coherent_state,
                       evolved_state, linear_entropy, photon_bath,
@@ -68,8 +68,7 @@ def test_threshold_equals_fringe_death_time() -> None:
     # last interference zero of an evolving cat
     for gamma, nbar in ((1.0, 0.0), (2.0, 3.0)):
         solver = positivity_time(photon_bath(gamma=gamma, nbar=nbar)).t_p
-        fringe = cat_zero_crossing_time(
-            CatParameters(zeta=2.0, gamma=gamma, nbar=nbar))
+        fringe = cat_zero_crossing_time(gamma, nbar)
         assert solver == pytest.approx(fringe, rel=1e-8)
 
 
@@ -218,7 +217,7 @@ def test_purity_thermal_limit() -> None:
 
 def test_cat_purity_dips_and_recovers_under_pure_loss() -> None:
     sys = photon_bath(gamma=1.0, nbar=0.0)
-    state = cat_state(CatParameters(zeta=2.0))
+    state = cat_state(2.0)
     early = purity(sys, state, 0.4)
     assert purity(sys, state, 0.0) == pytest.approx(1.0, rel=1e-8)
     assert early < 0.75
@@ -245,7 +244,7 @@ def test_purity_validation() -> None:
 def test_purity_asymptote_matches_quadrature() -> None:
     sys = photon_bath(gamma=1.0, nbar=0.5)
     for state in (coherent_state((0.4, 0.0)),
-                  cat_state(CatParameters(zeta=2.0, nbar=0.5))):
+                  cat_state(2.0)):
         exact = purity(sys, state, 7.0)
         approx = purity_asymptotic(sys, 7.0)
         assert abs(approx - exact) / exact < 1e-2
@@ -298,7 +297,7 @@ def test_purity_curve_rows_and_csv(tmp_path) -> None:
 
 def test_reconstruction_round_trip() -> None:
     sys = photon_bath(gamma=1.0, nbar=0.0)
-    state = cat_state(CatParameters(zeta=2.0))
+    state = cat_state(2.0)
     t = 0.3
     recovered = reconstruct(sys, evolved_state(sys, state, t), t)
     rng = np.random.default_rng(41)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import lindquad
@@ -14,6 +15,16 @@ _MODULES = ("analysis", "cli", "grid", "langevin", "model", "oracle",
 
 def test_every_exported_name_resolves() -> None:
     missing = [name for name in lindquad.__all__ if not hasattr(lindquad, name)]
+    assert missing == []
+
+
+def test_every_module_export_resolves() -> None:
+    # a deleted class or function must leave its module's __all__ too
+    missing = []
+    for info in pkgutil.iter_modules(lindquad.__path__):
+        module = importlib.import_module(f"lindquad.{info.name}")
+        missing += [f"{info.name}.{export}" for export in getattr(module, "__all__", ())
+                    if not hasattr(module, export)]
     assert missing == []
 
 

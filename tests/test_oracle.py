@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import centre_flow, damping_bath
-from lindquad import (CatParameters, ConfigError, GridField, GridTooCoarse,
+from lindquad import (ConfigError, GridField, GridTooCoarse,
                       HamiltonianForm, OpenSystem, TruncationLeak, Unstable,
                       cat_fock_dim, cat_state, cat_wigner_line, centered_grid,
                       coherent_fock_dim, coherent_state, evolve_wigner_grid,
@@ -69,7 +69,7 @@ def test_wigner_synthesis_cat() -> None:
     rho = fock_cat(zeta, cat_fock_dim(zeta))
     grid = centered_grid((0.0, 0.0), (5.0, 5.0), (41, 41))
     field = wigner_from_fock(rho, grid)
-    expect = cat_state(CatParameters(zeta=zeta)).wigner(grid.points())
+    expect = cat_state(zeta).wigner(grid.points())
     assert np.max(np.abs(field.values - expect)) < 1e-12
 
 
@@ -111,14 +111,13 @@ def test_lindblad_integration_mean_with_linear_drive() -> None:
 
 
 def test_lindblad_integration_matches_fringe_line() -> None:
-    params = CatParameters(zeta=2.0, gamma=1.0, nbar=0.0)
     sys = damping_bath(gamma=1.0)
     rho0 = fock_cat(2.0, cat_fock_dim(2.0))
     t = 0.3
     rho_t = integrate_fock_lindblad(sys, rho0, t, dt=2e-3)
     grid = centered_grid((0.0, 0.0), (4.0, 0.5), (61, 3))
     field = wigner_from_fock(rho_t, grid)
-    expect = cat_wigner_line(params, t, grid.p_axis)
+    expect = cat_wigner_line(2.0, 1.0, 0.0, t, grid.p_axis)
     assert np.max(np.abs(field.values[:, 1] - expect)) < 1e-8
 
 

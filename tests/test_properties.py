@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import det2, random_symplectic, random_system
-from lindquad import (CatParameters, HamiltonianForm, J, OpenSystem,
+from lindquad import (HamiltonianForm, J, OpenSystem,
                       affine_flow, affine_flow_expm, cat_state, centered_grid,
                       damping_matrices, damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
@@ -39,7 +39,7 @@ systems = st.builds(_driven_system,
                     st.sampled_from(["elliptic", "hyperbolic", "parabolic"]),
                     st.integers(0, 2 ** 32 - 1))
 
-cats = st.builds(lambda zeta: cat_state(CatParameters(zeta=zeta)),
+cats = st.builds(cat_state,
                  st.floats(0.0, 2.5))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lindquad import (CatParameters, ChordState, ConfigError,
+from lindquad import (ChordState, ConfigError,
                       NotPositiveDefinite, Unstable, cat_fringe_zero,
                       cat_state, cat_wigner_line, cat_zero_crossing_time,
                       centered_grid, coherent_state, gaussian_state,
@@ -104,7 +104,7 @@ def test_wigner_rejects_non_hermitian_and_non_finite_terms() -> None:
 
 
 def test_cat_reduces_to_coherent_at_zero_separation() -> None:
-    cat = cat_state(CatParameters(zeta=0.0))
+    cat = cat_state(0.0)
     coh = coherent_state((0.0, 0.0))
     rng = np.random.default_rng(33)
     xi = rng.normal(size=(30, 2))
@@ -114,7 +114,7 @@ def test_cat_reduces_to_coherent_at_zero_separation() -> None:
 def test_cat_wigner_structure() -> None:
     hbar = 1.0
     zeta = 2.0
-    cat = cat_state(CatParameters(zeta=zeta), hbar=hbar)
+    cat = cat_state(zeta, hbar=hbar)
     # the central interference peak always reaches the pure-state maximum
     assert cat.wigner(np.zeros(2)) == pytest.approx(1.0 / (np.pi * hbar),
                                                     rel=1e-12)
@@ -132,7 +132,7 @@ def test_cat_wigner_structure() -> None:
 def test_widely_separated_cat_stays_finite() -> None:
     # each lobe weight e^{-zeta^2/hbar} meets a factor e^{+zeta^2/hbar}
     # that overflows on its own once zeta^2/hbar passes ~355
-    cat = cat_state(CatParameters(zeta=20.0))
+    cat = cat_state(20.0)
     assert cat.norm_squared() == pytest.approx(1.0, rel=1e-11)
     assert cat.wigner(np.zeros(2)) == pytest.approx(1.0 / np.pi, rel=1e-11)
     # a full-depth fringe minimum, cos(2 zeta p / hbar) = -1
@@ -143,58 +143,54 @@ def test_widely_separated_cat_stays_finite() -> None:
 
 def test_cat_line_matches_wigner_at_t_zero() -> None:
     for nbar in (0.0, 0.9):
-        params = CatParameters(zeta=1.7, gamma=1.0, nbar=nbar)
-        cat = cat_state(params)
+        cat = cat_state(1.7)
         p = np.linspace(-4.0, 4.0, 41)
         x = np.stack([p, np.zeros_like(p)], axis=-1)
-        assert np.max(np.abs(cat_wigner_line(params, 0.0, p)
+        assert np.max(np.abs(cat_wigner_line(1.7, 1.0, nbar, 0.0, p)
                              - cat.wigner(x))) < 1e-13
 
 
 def test_cat_line_rejects_negative_time() -> None:
     with pytest.raises(ConfigError):
-        cat_wigner_line(CatParameters(zeta=1.0), -0.1, np.zeros(3))
+        cat_wigner_line(1.0, 1.0, 0.0, -0.1, np.zeros(3))
 
 
 def test_fringe_zero_is_a_sign_change() -> None:
-    params = CatParameters(zeta=2.0, gamma=1.0, nbar=0.3)
+    bath = (2.0, 1.0, 0.3)  # zeta, gamma, nbar
     t = 0.15
-    p0 = cat_fringe_zero(params, t)
+    p0 = cat_fringe_zero(*bath, t)
     assert p0 is not None
-    val = cat_wigner_line(params, t, np.array([p0]))[0]
+    val = cat_wigner_line(*bath, t, np.array([p0]))[0]
     assert abs(val) < 1e-12
-    before = cat_wigner_line(params, t, np.array([p0 - 0.05]))[0]
-    after = cat_wigner_line(params, t, np.array([p0 + 0.05]))[0]
+    before = cat_wigner_line(*bath, t, np.array([p0 - 0.05]))[0]
+    after = cat_wigner_line(*bath, t, np.array([p0 + 0.05]))[0]
     assert before * after < 0.0
 
 
 def test_fringe_zero_disappears_after_threshold() -> None:
-    params = CatParameters(zeta=2.0, gamma=1.0, nbar=0.0)
-    t_p = cat_zero_crossing_time(params)
-    assert cat_fringe_zero(params, 1.01 * t_p) is None
-    assert cat_fringe_zero(CatParameters(zeta=0.0), 0.1) is None
+    t_p = cat_zero_crossing_time(1.0, 0.0)
+    assert cat_fringe_zero(2.0, 1.0, 0.0, 1.01 * t_p) is None
+    assert cat_fringe_zero(0.0, 1.0, 0.0, 0.1) is None
 
 
 def test_zero_crossing_time_closed_form() -> None:
     # fringe death when the contrast drops to one: t = log(1 + 1/(2 nbar + 1))
     # divided by gamma, independent of the separation
     for gamma, nbar in ((1.0, 0.0), (2.0, 3.0), (0.7, 1.2)):
-        for zeta in (1.0, 2.5):
-            got = cat_zero_crossing_time(
-                CatParameters(zeta=zeta, gamma=gamma, nbar=nbar))
-            expect = np.log(1.0 + 1.0 / (2.0 * nbar + 1.0)) / gamma
-            assert got == pytest.approx(expect, rel=1e-9)
+        got = cat_zero_crossing_time(gamma, nbar)
+        expect = np.log(1.0 + 1.0 / (2.0 * nbar + 1.0)) / gamma
+        assert got == pytest.approx(expect, rel=1e-9)
 
 
 def test_cat_parameters_validation() -> None:
     with pytest.raises(ConfigError):
-        CatParameters(zeta=-1.0)
+        cat_state(-1.0)
     with pytest.raises(ConfigError):
-        CatParameters(zeta=1.0, gamma=-0.5)
+        cat_wigner_line(1.0, -0.5, 0.0, 0.1, np.zeros(3))
     with pytest.raises(ConfigError):
-        CatParameters(zeta=1.0, nbar=-0.1)
+        cat_wigner_line(1.0, 1.0, -0.1, 0.1, np.zeros(3))
     with pytest.raises(ConfigError):
-        cat_zero_crossing_time(CatParameters(zeta=1.0, gamma=0.0))
+        cat_zero_crossing_time(0.0, 0.0)
 
 
 def test_state_from_dict() -> None:
@@ -219,7 +215,7 @@ def test_state_from_dict() -> None:
 def test_large_cats_keep_their_lobes_as_log_weights(zeta) -> None:
     # the lobe weight e^{-zeta^2} is below the smallest float; the builder's
     # pure-state check runs on the log weights
-    cat = cat_state(CatParameters(zeta=zeta))
+    cat = cat_state(zeta)
     assert purity(photon_bath(gamma=1.0), cat, 0.0) == pytest.approx(1.0, abs=1e-12)
     grid = centered_grid((0.0, 0.0), (6.0, zeta + 6.0), (41, 121))
     assert np.all(np.isfinite(cat.wigner(grid.points())))
