@@ -24,8 +24,7 @@ import numpy as np
 from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import (_damping_stack, _orbit, damping_matrices,
-                         damping_matrix, map_state)
+from .propagator import _reversed_dets, damping_matrices, damping_matrix, map_state
 from .states import ChordState
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 _THRESHOLD = 0.25
-_EPS = float(np.finfo(float).eps)
 # times per batched evaluation of the positivity scan
 _BATCH = 6
 # -M(-t) eigenvalue above which the state-free late-time purity is used
@@ -52,9 +50,11 @@ _EIGEN_FLOOR = 50.0
 class PositivityResult:
     """Outcome of the positivity-threshold search.
 
-    ``reached`` with the crossing time ``t_p`` and the verified determinant,
-    or not reached within ``horizon`` with the supremum ``limit`` of
-    det M(-t) observed on the scan, less its round-off (so at most 1/4).
+    ``reached`` with ``t_p``, the first evaluated time whose det M(-t) is
+    resolved above 1/4, and ``det_value`` >= 1/4 there; or not reached
+    within ``horizon``, with the supremum ``limit`` of det M(-t) seen on the
+    scan less its round-off (so <= 1/4). ``iterations`` counts the times at
+    which det M(-t) was evaluated, t_p included.
     """
 
     reached: bool
@@ -76,62 +76,46 @@ class PositivityResult:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
-def _newton_step(system: OpenSystem, t: float, m: np.ndarray, d: float,
-                 margin: float) -> Optional[float]:
+def _newton_step(det: float, slope: float, margin: float) -> Optional[float]:
     """Newton correction dx (next iterate t - dx) towards det M(-t) = 1/4 + margin.
 
     The step is taken in s = sqrt(det M(-t)), which grows like t where det
-    grows like t^2. Its slope is closed form: d/dt M(-t) = -e^{2 alpha t}
-    R_t^T K R_t and d det/dt = tr(adj M dM). None where det or the slope is
-    not finite and positive.
+    grows like t^2, with the closed-form slope d det/dt. None where det or
+    the slope is not finite and positive.
     """
-    det = d + _THRESHOLD
-    if not 0.0 < det < math.inf:
+    if not (0.0 < det < math.inf and 0.0 < slope < math.inf):
         return None
-    try:
-        r = _orbit(system, t)
-        grow = math.exp(2.0 * system.alpha * t)
-    except (OverflowError, Unstable):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        (d00, d01), (d10, d11) = (-grow * (r.T @ system.k_matrix @ r)).tolist()
-    (m00, m01), (m10, m11) = m.tolist()
-    slope = m11 * d00 + m00 * d11 - m01 * d10 - m10 * d01
-    if not 0.0 < slope < math.inf:
-        return None
-    # (s - s*) / s' with s' = slope / 2s and s - s* = (d - margin) / (s + s*)
+    # (s - s*) / s' with s' = slope / 2s and s - s* = (det - 1/4 - margin) / (s + s*)
     root = math.sqrt(det)
-    return (d - margin) / slope * (2.0 * root / (root + math.sqrt(_THRESHOLD + margin)))
+    return ((det - _THRESHOLD - margin) / slope
+            * (2.0 * root / (root + math.sqrt(_THRESHOLD + margin))))
 
 
 def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityResult:
     """First t with det M(-t) = 1/4, or the supremum reached by ``horizon``.
 
     det M(-t) is nondecreasing (its derivative is a congruence of the
-    positive-semidefinite K). A point counts as crossed only where det - 1/4
-    exceeds its round-off 4 eps (|m00 m11| + m01^2), so ``limit`` <= 1/4.
+    positive-semidefinite K). A time counts as crossed only where det - 1/4
+    exceeds its round-off, so ``limit`` <= 1/4. Determinant, slope and
+    round-off come from scalar products of the system's cached forms
+    (:func:`~lindquad.propagator._reversed_dets`), never from an assembled
+    M(-t) whose m00 m11 - m01^2 would cancel.
 
     The scan doubles from 1e-3 of the characteristic timescale up to
-    ``horizon``; where round-off first hides the sign it rescans from the
-    last resolved point in steps of 1/20 of the timescale, since in weakly
-    damped hyperbolic systems the resolved window can be short. Both go
-    through the system's cached damping forms in batches of six times
-    (:func:`~lindquad.propagator.damping_matrices` without its overflow
-    check) and use only what the point-by-point walk would have seen.
+    ``horizon``, in batches of six times, using only what the
+    point-by-point walk would have seen. A safeguarded Newton search
+    (rtsafe) then refines the bracket to 1e-13 relative, starting from the
+    crossed scan point. It takes Newton steps in sqrt(det M(-t)) while they
+    land inside the bracket and at most half as long as the step before
+    last, and bisects otherwise. A step shorter than the tolerance is
+    lengthened to land just past the root and close the bracket from the
+    other side; should it fall short, the length test turns the next step
+    into bisection.
 
-    A safeguarded Newton search (rtsafe) then refines the bracket to 1e-13
-    relative, starting from the crossed scan point. It takes Newton steps in
-    sqrt(det M(-t)), with the closed-form slope, while they land inside the
-    bracket and at most half as long as the step before last, and bisects
-    otherwise. A step shorter than the tolerance is lengthened to land just
-    past the root and close the bracket from the other side; should it fall
-    short, the length test turns the next step into bisection.
-
-    ``iterations`` counts every time at which det M(-t) was evaluated, in
-    batches or alone (the scan's last batch may run past the crossing); the
-    reported ``det_value`` at t_p is one evaluation more. An overflowed M
-    counts as crossed, but :class:`Unstable` is raised if the crossing lands
-    on it.
+    ``t_p``, ``det_value`` and ``iterations`` are as in
+    :class:`PositivityResult` (the scan's last batch may run past the
+    crossing). An overflowed determinant counts as crossed, but
+    :class:`Unstable` is raised if the crossing lands on it.
     """
     if not 0.0 < horizon < math.inf:
         raise ConfigError("horizon must be positive and finite")
@@ -141,53 +125,38 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     scale = min(characteristic_timescale(system), horizon)
     evals = 0
 
-    def dets(ts: list) -> tuple:
-        """(M(-t), det M(-t) - 1/4, round-off) at ``ts``; (inf, 0) on overflow."""
+    def dets(ts: list) -> list:
+        """(t, det M(-t), slope, round-off) at ``ts``; (t, inf, slope, 0) on overflow."""
         nonlocal evals
         evals += len(ts)
-        m = _damping_stack(system, -np.array(ts))
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag, off = m[:, 0, 0] * m[:, 1, 1], m[:, 0, 1] * m[:, 1, 0]
-            margin = 4.0 * _EPS * (np.abs(diag) + off)
-            d = diag - off - _THRESHOLD
-        overflow = ~np.isfinite(margin)
-        d[overflow], margin[overflow] = math.inf, 0.0
-        return m, d.tolist(), margin.tolist()
+        rows = zip(ts, *_reversed_dets(system, np.array(ts)).T.tolist())
+        return [(ti, d, s, m) if math.isfinite(d) and math.isfinite(m)
+                else (ti, math.inf, s, 0.0) for ti, d, s, m in rows]
 
-    def advance(t: float, step: float) -> float:
-        return min(t + step if step else 2.0 * t, horizon)
-
-    lo, t, step = 0.0, 1e-3 * scale, 0.0
+    lo, t = 0.0, 1e-3 * scale
     best = -_THRESHOLD
     high = None
     while high is None:
         ts = [t]
         while len(ts) < _BATCH and ts[-1] < horizon:
-            ts.append(advance(ts[-1], step))
-        m, d, margin = dets(ts)
-        for point in zip(ts, m, d, margin):
-            ti, _, di, mi = point
-            if di > mi:
+            ts.append(min(2.0 * ts[-1], horizon))
+        for point in dets(ts):
+            if point[1] - _THRESHOLD > point[3]:  # crossed
                 high = point
                 break
-            best = max(best, di - mi)
-            if not step and di >= -mi:
-                step = scale / 20.0
-                t = advance(lo, step)
-                break
-            if ti >= horizon:
+            best = max(best, point[1] - _THRESHOLD - point[3])
+            if point[0] >= horizon:
                 return PositivityResult(reached=False, horizon=horizon,
                                         iterations=evals, limit=best + _THRESHOLD)
-            lo = ti
-        else:
-            t = advance(ts[-1], step)
+            lo = point[0]
+        t = min(2.0 * ts[-1], horizon)
 
     # safeguarded Newton (rtsafe) from the crossed scan point
-    hi, upper = high[0], high[2]
-    point, moved, before = high, hi - lo, hi - lo
+    hi, point = high[0], high
+    moved = before = hi - lo
     while hi - lo > 1e-13 * hi:
         x = point[0]
-        dx = _newton_step(system, *point)
+        dx = _newton_step(*point[1:])
         if dx is not None and abs(dx) < 0.25e-13 * hi:
             # converged: step just past the root to close the bracket
             dx += 0.25e-13 * hi if x == hi else -0.25e-13 * hi
@@ -196,20 +165,16 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
         else:
             x = 0.5 * (lo + hi)
         before, moved = moved, abs(x - point[0])
-        m, d, margin = dets([x])
-        if d[0] > margin[0]:
-            hi, upper = x, d[0]
+        (point,) = dets([x])
+        if point[1] - _THRESHOLD > point[3]:
+            hi, high = x, point
         else:
             lo = x
-        point = (x, m[0], d[0], margin[0])
-    t_p = 0.5 * (lo + hi)
-    if upper == math.inf:
-        raise Unstable(f"det M(-t) overflows near t={t_p!r} before it is "
+    if high[1] == math.inf:
+        raise Unstable(f"det M(-t) overflows near t={hi!r} before it is "
                        f"resolved above 1/4")
-    (m00, m01), (m10, m11) = damping_matrix(system, -t_p)
-    det_value = float(m00 * m11 - m01 * m10)
     return PositivityResult(reached=True, horizon=horizon, iterations=evals,
-                            t_p=t_p, det_value=det_value)
+                            t_p=hi, det_value=high[1])
 
 
 def _purity(system: OpenSystem, state: ChordState, t: float,

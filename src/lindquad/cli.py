@@ -392,10 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--seed", type=int, default=None,
                              help="override the sampling seed")
         if name == "positivity":
-            cmd.add_argument("--sweep", action="store_true",
-                             help="emit the parabolic threshold sweep CSV")
-            cmd.add_argument("--paper-table", action="store_true",
-                             help="emit the combined threshold table CSV")
+            table = cmd.add_mutually_exclusive_group()
+            table.add_argument("--sweep", action="store_true",
+                               help="emit the parabolic threshold sweep CSV")
+            table.add_argument("--paper-table", action="store_true",
+                               help="emit the combined threshold table CSV")
             cmd.add_argument("--require-reached", action="store_true",
                              help="exit 3 when the threshold is not reached")
         cmd.set_defaults(handler=handler)

@@ -20,7 +20,8 @@ with ``J = [[0, -1], [1, 0]]`` the matrix of the wedge product,
 :class:`OpenSystem` caches ``B = 2 J H`` (``B^2 = sigma^2 I``), ``K`` and the
 constant, exactly symmetric matrices of the damping matrix M(t), so M is
 symmetric too: ``K, B^T K + K B, B^T K B`` and, for sigma != 0, the forms
-``P_i^T K P_j`` of the spectral projectors ``P+- = (I +- B/sigma)/2`` of B.
+``P_i^T K P_j`` of the spectral projectors ``P+- = (I +- B/sigma)/2`` of B
+with the two coefficients that give det M from products of scalars.
 """
 
 from __future__ import annotations
@@ -243,28 +244,37 @@ class OpenSystem:
 
     @cached_property
     def damping_spectrum(self) -> Optional[tuple]:
-        """(rates, forms, linear) with M(t) = Re sum_r expm1(rates_r t) forms_r
-        + t linear where sigma != 0, else None. R_tau = e^{sigma tau} P+ +
-        e^{-sigma tau} P-, so M's integrand has exponents x = 2 alpha + (2 sigma,
-        0, -2 sigma) on Q = (P+^T K P+, P+^T K P- + P-^T K P+, P-^T K P-):
-        rates = -x, forms_r = -Q_r/x_r (0 where x_r = 0), and linear sums the
-        Q_r with x_r = 0 (None if there are none)."""
-        if self.sigma_squared == 0.0:
+        """(x, q, det_form) with M(t) = Re sum_r phi(x_r, t) q_r where sigma != 0,
+        else None; phi(x, t) is the integral of e^{x tau} over [-t, 0].
+
+        R_tau = e^{sigma tau} P+ + e^{-sigma tau} P-, so M's integrand has
+        exponents x = 2 alpha + (2 sigma, 0, -2 sigma) on q = (P+^T K P+,
+        P+^T K P- + P-^T K P+, P-^T K P-). P+- have rank one, so det q+- and
+        the mixed determinants of q0 with q+- vanish: det M = Re(e phi+ phi-
+        + f phi0^2), e = q+00 q-11 + q+11 q-00 - 2 q+01 q-01, f = det q0.
+        det_form = ((e, f), (e_scale, f_scale)), each scale the sum of the
+        magnitudes of the products in e or f, which bounds their round-off.
+        """
+        s2 = self.sigma_squared
+        if s2 == 0.0:
             return None
-        root = cmath.sqrt(complex(self.sigma_squared))
+        root = math.sqrt(s2) if s2 > 0.0 else cmath.sqrt(s2)  # real when hyperbolic
         plus = (self.generator + root * np.eye(2)) / (2.0 * root)
         minus = np.eye(2) - plus
         k = self.k_matrix
-        cross = plus.T @ k @ minus  # Q_r at O(1), before any exponential
-        q = np.stack([plus.T @ k @ plus, cross + cross.T, minus.T @ k @ minus])
+        cross = plus.T @ k @ minus  # q_r at O(1), before any exponential
+        q = _symmetric(np.stack([plus.T @ k @ plus, cross + cross.T,
+                                 minus.T @ k @ minus]))
         x = 2.0 * self.alpha + np.array([2.0 * root, 0.0, -2.0 * root])
-        still = x == 0.0
-        forms = -q / np.where(still, 1.0, x)[:, None, None]
-        forms[still] = 0.0
-        rates = -x[:, None]
-        rates.setflags(write=False)
-        linear = _symmetric(q[still].real.sum(axis=0)) if still.any() else None
-        return rates, _symmetric(forms), linear
+        (p00, p01, p11), (z00, z01, z11), (m00, m01, m11) = (
+            q.reshape(3, 4)[:, [0, 1, 3]].tolist())
+        e_terms = (p00 * m11, p11 * m00, -2.0 * p01 * m01)
+        f_terms = (z00 * z11, -z01 * z01)
+        det_form = np.array([[sum(e_terms).real, sum(f_terms).real],
+                             [sum(map(abs, e_terms)), sum(map(abs, f_terms))]])
+        for arr in (x, det_form):
+            arr.setflags(write=False)
+        return x, q, det_form
 
     @property
     def drift_matrix(self) -> NDArray[np.float64]:

@@ -20,17 +20,15 @@ Wigner function is closed form too and reconstruction is the map at -t.
 
 :func:`affine_flow` returns (F, o) and :func:`damping_matrix` (or
 :func:`damping_matrices` for many times) returns M(t) as a plain array;
-they are the only routes to orbit and damping data. Both are closed form.
-The offset o of a linear Hamiltonian term is
-t phi_1(t A) J b = (c1 I + s1 B) J b with two scalar integrals. M(t) comes
-from matrices the system caches once, evaluated for an array of times by
-:func:`damping_matrices`: expm1(-x t), x = 2 alpha + (2 sigma, 0, -2 sigma),
-times the forms P_i^T K P_j of the spectral projectors of B (``damping_spectrum``),
+they are the only routes to orbit and damping data. Both are closed form,
+from scalars and matrices the system caches once: the offset o of a linear
+Hamiltonian term is t phi_1(t A) J b = (c1 I + s1 B) J b, and M(t) is
+Re sum_r phi(x_r, t) q_r over the projector forms of B (``damping_spectrum``),
 or moment series times K, B^T K + K B, B^T K B (``moment_forms``) where
-|sigma^2| t^2 is small.
-:func:`damping_matrix` is its batch of one. The adaptive quadrature of the
-same integral and the matrix exponential of the affine flow are audits in
-``oracle``.
+|sigma^2| t^2 is small. det M(-t) and its slope, for the positivity search,
+come from two scalar products per time, never from an assembled M. The
+adaptive quadrature of the same integral and the matrix exponential of the
+affine flow are audits in ``oracle``.
 """
 
 from __future__ import annotations
@@ -58,36 +56,24 @@ __all__ = [
 
 # |Wt| on the dual-mesh rim / Wt(0) above which a grid is too coarse
 _TAIL_RATIO = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
-def _orbit(system: OpenSystem, t: float) -> np.ndarray:
-    """R_t = exp(t B) = c I + s B in closed form; :class:`Unstable` on overflow.
+def _cosh_sinh(s2: float, t):
+    """(c, s) with R_t = exp(t B) = c I + s B, elementwise in ``t``.
 
-    B = 2 J H is trace-free with B^2 = sigma^2 I, so the exponential
-    collapses to cosh/sinh (hyperbolic), cos/sin (elliptic) or I + t B
-    (parabolic): the same two scalars in every regime.
+    B = 2 J H is trace-free with B^2 = sigma^2 I = s2 I, so the exponential
+    collapses to (cosh w t, sinh w t / w) (hyperbolic, w^2 = s2),
+    (cos w t, sin w t / w) (elliptic, w^2 = -s2) or (1, t) (parabolic).
+    Overflow shows as non-finite values.
     """
-    t, s2 = float(t), system.sigma_squared
-    try:
-        if s2 == 0.0:
-            c, s = 1.0, t
-        elif s2 > 0.0:
-            w = math.sqrt(s2)
-            c, s = math.cosh(w * t), math.sinh(w * t) / w
-        else:
-            w = math.sqrt(-s2)
-            c, s = math.cos(w * t), math.sin(w * t) / w
-    except OverflowError:
-        raise Unstable(f"orbit matrix overflows at t={t!r}") from None
-    return c * np.eye(2) + s * system.generator
-
-
-def _exp_at(exponent: float, t: float) -> float:
-    """e^exponent for a flow at time t, or :class:`Unstable` where it overflows."""
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        raise Unstable(f"flow factor e^({exponent!r}) overflows at t={t!r}") from None
+    if s2 > 0.0:
+        w = math.sqrt(s2)
+        return np.cosh(w * t), np.sinh(w * t) / w
+    if s2 < 0.0:
+        w = math.sqrt(-s2)
+        return np.cos(w * t), np.sin(w * t) / w
+    return np.ones_like(t), t
 
 
 def _finite(value: np.ndarray, what: str, t: float) -> np.ndarray:
@@ -102,7 +88,7 @@ def _offset_scalars(system: OpenSystem, t: float) -> tuple[float, float]:
     A = B - alpha I and e^{tau A} = e^{-alpha tau} (c(tau) I + s(tau) B), so
     c1 and s1 are integrals of e^{-alpha tau} cosh(sigma tau) and
     e^{-alpha tau} sinh(sigma tau)/sigma: sums and divided differences of
-    :func:`_phi` at alpha -+ sigma, or their series in sigma^2 t^2 where the
+    :func:`_phis` at alpha -+ sigma, or their series in sigma^2 t^2 where the
     divided difference would cancel.
     """
     alpha, s2 = system.alpha, system.sigma_squared
@@ -110,7 +96,7 @@ def _offset_scalars(system: OpenSystem, t: float) -> tuple[float, float]:
         j0, odd, even = _moment_sums(alpha, s2, np.array([float(t)]))
         return float(j0[0] + s2 * even[0]), float(-odd[0])
     sigma = cmath.sqrt(complex(s2))
-    plus, minus = _phi(alpha + sigma, t), _phi(alpha - sigma, t)
+    plus, minus = _phis(np.array([alpha + sigma, alpha - sigma]), t)
     return (0.5 * (plus + minus)).real, ((minus - plus) / (2.0 * sigma)).real
 
 
@@ -125,7 +111,8 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
     """
     drive = system.drift_offset
     with np.errstate(over="ignore", invalid="ignore"):
-        linear = _exp_at(-system.alpha * t, t) * _orbit(system, t)
+        c, s = _cosh_sinh(system.sigma_squared, t)
+        linear = np.exp(-system.alpha * t) * (c * np.eye(2) + s * system.generator)
         if np.any(drive != 0.0):
             c1, s1 = _offset_scalars(system, t)
             offset = c1 * drive + s1 * (system.generator @ drive)
@@ -136,11 +123,12 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The damping kernel: M at an array of times from the system's cached forms.
-# Overflow shows as non-finite entries here and is reported by the callers.
+# The damping kernel: M and det M(-t) at an array of times from the system's
+# cached forms. Overflow shows as non-finite entries here and is reported by
+# the callers.
 
 # (w t)^2 below which series in w^2 t^2 replace divided differences of
-# _phi at exponents -+ w (w = 2 sigma in M, sigma in the affine offset)
+# _phis at exponents -+ w (w = 2 sigma in M, sigma in the affine offset)
 _SERIES_REACH = 1e-2
 # at most this many orders of those series: (w t)^14 / 15! < 1e-26 on the reach
 _SERIES_ORDERS = 7
@@ -151,9 +139,13 @@ _N = np.arange(2 * _SERIES_ORDERS + 1.0)[:, None]
 _RATIOS = [None] + [(_N + m) / (m * (_N + m + 1)) for m in range(1, 40)]
 
 
-def _phi(x: complex, t: float) -> complex:
-    """Integral of e^{x tau} over [-t, 0]: -expm1(-x t)/x, or t where x = 0."""
-    return complex(-np.expm1(-x * t) / x) if x else complex(t)
+def _phis(x, t):
+    """Integral of e^{x tau} over [-t, 0], -expm1(-x t)/x or t where x = 0,
+    broadcast over the arrays ``x`` and ``t``."""
+    still = x == 0
+    if np.count_nonzero(still):
+        return np.where(still, t, np.expm1(-x * t) / np.where(still, -1.0, -x))
+    return np.expm1(-x * t) / -x
 
 
 def _poly_exp_integrals(a: float, t: np.ndarray, nmax: int) -> np.ndarray:
@@ -224,38 +216,64 @@ def _moment_route(system: OpenSystem, t: np.ndarray) -> np.ndarray:
 
 
 def _eigen_route(system: OpenSystem, t: np.ndarray) -> np.ndarray:
-    """M = Re sum_r expm1(-x_r t) D_r from the spectral projectors of B."""
-    rates, d, linear = system.damping_spectrum
-    grown = np.expm1(rates * t)[:, :, None, None]
-    m = (grown[0] * d[0] + grown[1] * d[1] + grown[2] * d[2]).real
-    if linear is not None:
-        m += t[:, None, None] * linear
-    return m
+    """M = Re sum_r phi(x_r, t) q_r from the spectral projectors of B."""
+    x, q, _ = system.damping_spectrum
+    phi = _phis(x[:, None], t)[:, :, None, None]
+    return (phi[0] * q[0] + phi[1] * q[1] + phi[2] * q[2]).real
 
 
-def _damping_stack(system: OpenSystem, t: np.ndarray) -> np.ndarray:
-    """M at the finite times ``t`` (T,), shape (T, 2, 2); entries that
-    overflow are left non-finite for the caller to report."""
-    if not (system.k_matrix.any() and t.size):
-        return np.zeros((t.size, 2, 2))
-    # the projectors of B are ill-conditioned where |sigma^2| t^2 is small
-    near = np.abs(4.0 * system.sigma_squared) * t * t < _SERIES_REACH
+def _by_route(system: OpenSystem, t: np.ndarray, near_route, far_route) -> np.ndarray:
+    """``near_route`` at the times ``t`` where |2 sigma t|^2 is small and the
+    projectors of B ill-conditioned, ``far_route`` elsewhere, stacked on axis 0."""
+    near = abs(4.0 * system.sigma_squared) * (t * t) < _SERIES_REACH
+    count = np.count_nonzero(near)
     with np.errstate(over="ignore", invalid="ignore"):
-        if near.all():
-            return _moment_route(system, t)
-        if not near.any():
-            return _eigen_route(system, t)
-        m = np.empty((t.size, 2, 2))
-        m[near] = _moment_route(system, t[near])
-        m[~near] = _eigen_route(system, t[~near])
-        return m
+        if count == t.size:
+            return near_route(system, t)
+        if not count:
+            return far_route(system, t)
+        first = near_route(system, t[near])
+        out = np.empty((t.size,) + first.shape[1:])
+        out[near], out[~near] = first, far_route(system, t[~near])
+        return out
 
 
-def _checked(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    if not np.isfinite(m).all():
-        bad = ~np.isfinite(m).all(axis=(1, 2))
-        raise Unstable(f"damping matrix overflows at t={float(t[bad][0])!r}")
-    return m
+def _moment_dets(system: OpenSystem, t: np.ndarray) -> np.ndarray:
+    """(det, slope, round-off) of M(-t) from the moment series, shape (T, 3)."""
+    m = _moment_route(system, -t)
+    c, s = _cosh_sinh(system.sigma_squared, t)
+    # d/dt M(-t) = -e^{2 alpha t} R_t^T K R_t, entries (00, 01, 10, 11)
+    dm = (np.array([c * c, c * s, s * s]).T @ system.moment_forms.reshape(3, 4)
+          * -np.exp(2.0 * system.alpha * t)[:, None])
+    m00, m01, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+    diag, off = m00 * m11, m01 * m01
+    slope = m11 * dm[:, 0] + m00 * dm[:, 3] - 2.0 * m01 * dm[:, 1]
+    return np.array([diag - off, slope, 4.0 * _EPS * (np.abs(diag) + off)]).T
+
+
+def _spectral_dets(system: OpenSystem, t: np.ndarray) -> np.ndarray:
+    """(det, slope, round-off) of M(-t) from the cached det_form, shape (T, 3)."""
+    x, _, (weights, scales) = system.damping_spectrum
+    x = x[:, None]
+    phi = _phis(x, -t)
+    pairs = phi[:2] * phi[:0:-1]  # phi+ phi-, phi0^2
+    # d/dt phi(x, -t) = -e^{x t} = x phi - 1, times the partner in each pair
+    grown = (x * phi - 1.0) * phi[::-1]
+    slope = np.dot(weights, (grown + grown[::-1])[:2]).real
+    return np.array([np.dot(weights, pairs).real, slope,
+                     4.0 * _EPS * np.dot(scales, np.abs(pairs))]).T
+
+
+def _reversed_dets(system: OpenSystem, t: np.ndarray) -> np.ndarray:
+    """(det M(-t), d/dt det M(-t), round-off of det) at the times t >= 0, shape (T, 3).
+
+    Off the moment-series route, det M(-t) = Re(e phi+ phi- + f phi0^2) with
+    phi_r = phi(x_r, -t) and e, f from ``damping_spectrum``: two products
+    that keep their relative precision however far apart the exponentials
+    grow. On it, the series' m00 m11 - m01^2 does not cancel, and the slope
+    is tr(adj M dM/dt). Overflow is left non-finite for the caller to report.
+    """
+    return _by_route(system, t, _moment_dets, _spectral_dets)
 
 
 def damping_matrices(system: OpenSystem, times) -> np.ndarray:
@@ -271,7 +289,13 @@ def damping_matrices(system: OpenSystem, times) -> np.ndarray:
         raise ConfigError(f"damping matrices need a list of times, got shape {t.shape}")
     if not np.isfinite(t).all():
         raise ConfigError(f"damping matrix needs finite times, got {t.tolist()!r}")
-    return _checked(_damping_stack(system, t), t)
+    if not (system.k_matrix.any() and t.size):
+        return np.zeros((t.size, 2, 2))
+    m = _by_route(system, t, _moment_route, _eigen_route)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if not finite.all():
+        raise Unstable(f"damping matrix overflows at t={float(t[~finite][0])!r}")
+    return m
 
 
 def damping_matrix(system: OpenSystem, t: float) -> np.ndarray:

@@ -18,7 +18,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import multivariate_normal
 
 from conftest import damping_bath, det2, random_symplectic, random_system

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import damping_bath, det2, random_symplectic
+from conftest import det2, random_symplectic
 from lindquad import (AsymptoticInvalid, ConfigError,
                       HamiltonianForm, LindbladChannel, OpenSystem,
                       cat_state, cat_zero_crossing_time, coherent_state,
@@ -14,6 +14,7 @@ from lindquad import (AsymptoticInvalid, ConfigError,
                       positivity_time, purity, purity_asymptotic,
                       purity_curve, reconstruct, symplectic_transform,
                       write_purity_csv)
+from lindquad.propagator import _reversed_dets
 
 
 def _parabolic_system(d_prime: float, eps: float, d_second: float) -> OpenSystem:
@@ -133,8 +134,9 @@ def test_threshold_saturates_for_pure_gain() -> None:
 
 def test_threshold_found_in_short_resolved_window() -> None:
     # sigma = 1: det M(-t) ~ alpha^2 (cosh 2t - 1) / 2 while the entries of M
-    # grow like alpha e^{2t}, so det M(-t) is resolved above 1/4 only for t
-    # in about (16.5, 17.6); doubling alone steps from 16.4 to 32.8
+    # grow like alpha e^{2t}, so m00 m11 - m01^2 of an assembled M(-t) would
+    # resolve the determinant above 1/4 only for t in about (16.5, 17.6);
+    # the doubling scan steps from 16.4 to 32.8 and must still find t_p
     alpha = 7e-8
     r = np.sqrt(alpha)
     ham = HamiltonianForm(matrix=[[0.5, 0.0], [0.0, -0.5]])
@@ -147,14 +149,30 @@ def test_threshold_found_in_short_resolved_window() -> None:
         assert 0.25 < result.det_value < 0.35
 
 
-def test_short_window_rescan_starts_at_the_last_resolved_point() -> None:
-    # the system above: the rescan in steps of 1/20 starts at t = 16.4, not
-    # at 0, and Newton refines the crossing it finds
+def test_short_window_threshold_takes_few_evaluations() -> None:
+    # the system above: the crossed scan point at t = 32.8 is resolved, so
+    # Newton refines the bracket (16.4, 32.8) without a finer scan
     alpha = 7e-8
     r = np.sqrt(alpha)
     sys = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.5, 0.0], [0.0, -0.5]]),
                      channels=(LindbladChannel(l_re=[0.0, r], l_im=[r, 0.0]),))
     assert positivity_time(sys).iterations <= 60
+
+
+def test_crossing_test_changes_sign_once_near_a_weak_saddle_threshold() -> None:
+    # alpha = 1e-3 on a sigma = 1 saddle in a sheared frame: the entries of
+    # M(-t_p) reach 1e3, and m00 m11 - m01^2 of an assembled M(-t), which
+    # cancels products near 1e6, flips the crossing test 181 times across
+    # +-2e-10 t_p; det M(-t) from the two spectral products changes sign once
+    r = np.sqrt(1e-3)
+    saddle = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.diag([0.5, -0.5])),
+                        channels=(LindbladChannel(l_re=[0.0, r], l_im=[r, 0.0]),))
+    system = symplectic_transform(saddle, random_symplectic(np.random.default_rng(4)))
+    t_p = positivity_time(system, horizon=800.0).t_p
+    times = t_p * (1.0 + np.linspace(-2e-10, 2e-10, 4001))
+    det, _, margin = _reversed_dets(system, times).T
+    crossed = det - 0.25 > margin
+    assert np.count_nonzero(crossed[1:] != crossed[:-1]) == 1
 
 
 def test_threshold_reported_as_json() -> None:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lindquad
-from lindquad import (cat_state, coherent_state, oracle, photon_bath, purity,
+from lindquad import (coherent_state, oracle, photon_bath, purity,
                       read_field_csv, system_to_dict)
 from lindquad.cli import _build_parser, main
 
@@ -88,14 +88,28 @@ def test_positivity_pure_gain_is_unreached(tmp_path, capsys) -> None:
     assert payload["limit"] <= 0.25
 
 
+def _saddle(r: float) -> dict:
+    # one channel of amplitude r on a sigma = 1 saddle: alpha = r^2 and
+    # det M(-t) ~ r^4 sinh(t)^2, which reaches 1/4 at t = -2 ln r + O(r^2)
+    return {"hamiltonian": {"matrix": [[0.5, 0.0], [0.0, -0.5]]},
+            "channels": [{"l_re": [0.0, r], "l_im": [r, 0.0]}]}
+
+
 def test_positivity_overflow_exits_five(tmp_path) -> None:
-    # alpha = 1e-100 on a sigma = 1 saddle: M(-t) overflows before its
-    # determinant is resolved above 1/4
-    r = 1e-50
-    saddle = {"hamiltonian": {"matrix": [[0.5, 0.0], [0.0, -0.5]]},
-              "channels": [{"l_re": [0.0, r], "l_im": [r, 0.0]}]}
-    cfg = _config(tmp_path, {"system": saddle, "horizon": 1000.0})
+    # r = 1e-100: t_p = -2 ln r = 460.5 lies past the overflow of e^{2t}
+    # (t ~ 354.9), which the search meets before det M(-t) resolves above 1/4
+    cfg = _config(tmp_path, {"system": _saddle(1e-100), "horizon": 1000.0})
     assert main(["positivity", "--config", cfg]) == 5
+
+
+def test_positivity_resolves_a_weak_saddle_before_overflow(tmp_path, capsys) -> None:
+    # r = 1e-50: the entries of M(-t) near 1e-100 e^{2t} stay finite at t_p
+    cfg = _config(tmp_path, {"system": _saddle(1e-50), "horizon": 1000.0})
+    assert main(["positivity", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "reached"
+    assert payload["t_p"] == pytest.approx(-2.0 * math.log(1e-50), rel=1e-9)
+    assert payload["det_value"] >= 0.25
 
 
 def test_positivity_require_reached_exit_code(tmp_path, capsys) -> None:
@@ -137,6 +151,16 @@ def test_seed_is_a_langevin_option_only(capsys) -> None:
         main(["classify", "--seed", "1"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_sweep_and_paper_table_exclude_each_other(tmp_path, capsys) -> None:
+    # together, one of the two tables would be dropped without a word
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["positivity", "--sweep", "--paper-table", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy() -> None:

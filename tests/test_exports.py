@@ -1,6 +1,8 @@
-"""The package's public names and the benchmark's traced layers resolve."""
+"""The package's public names and the benchmark's traced layers resolve, and no
+module imports a name it never uses."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -41,3 +43,32 @@ def test_every_traced_layer_resolves() -> None:
     missing = [(module, func) for module, func, *_ in layers
                if not callable(getattr(modules[module], func, None))]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list:
+    """Names ``path`` imports but never reads; a name in ``__all__`` is read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports() -> None:
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "src" / "lindquad").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py"))
+    assert files
+    assert [hit for path in files for hit in _unused_imports(path)] == []

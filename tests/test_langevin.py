@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import damping_bath, random_system
+from conftest import random_system
 from lindquad import (ConfigError, HamiltonianForm, J, LindbladChannel,
                       NotPositiveDefinite, OpenSystem, SingularFrame,
                       ensemble_moments, exact_moments,

@@ -23,6 +23,7 @@ from lindquad import (HamiltonianForm, J, OpenSystem,
                       evolve_wigner_grid, evolved_state, gaussian_state,
                       photon_bath, positivity_time, purity, purity_quadrature,
                       reconstruct, symplectic_transform)
+from lindquad.propagator import _reversed_dets
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -200,9 +201,8 @@ def _rate(system) -> float:
 
 def _crossed(system, t: float) -> bool:
     """The search's crossing test: det M(-t) - 1/4 above its round-off."""
-    (m00, m01), (m10, m11) = damping_matrix(system, -t)
-    return m00 * m11 - m01 * m10 - 0.25 > 4.0 * np.finfo(float).eps * (
-        abs(m00 * m11) + m01 * m10)
+    det, _, margin = _reversed_dets(system, np.array([t]))[0]
+    return det - 0.25 > margin
 
 
 @PROPERTY
@@ -242,6 +242,7 @@ def test_threshold_brackets_the_crossing(system) -> None:
     if result.reached:
         assert _crossed(system, result.t_p * (1.0 + 1e-12))
         assert not _crossed(system, result.t_p * (1.0 - 1e-12))
+        assert result.det_value > 0.25
         # about 17 typically: two scan batches and a few Newton steps
         assert result.iterations <= 30
 
