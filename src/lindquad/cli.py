@@ -256,28 +256,30 @@ def cmd_langevin(args: argparse.Namespace) -> int:
     seed = whole_number(args.seed if args.seed is not None else data.get("seed", 0),
                         "seed", 0)
 
-    spec = langevin.sde_from_system(system)
-    ensemble = langevin.simulate(spec, mean0, cov0, t, dt, n_paths, seed,
-                                 store_stride=stride)
+    out = _require_out(args.out)
+
+    # every result first, so a failure leaves no file behind
+    ensemble = langevin.simulate(langevin.sde_from_system(system), mean0, cov0,
+                                 t, dt, n_paths, seed, store_stride=stride,
+                                 scheme="exact")
+    exact_mean, exact_cov = langevin.exact_moments(system, mean0, cov0, t)
     lines = ["t,mean_p,mean_q,cov_pp,cov_pq,cov_qq,n_paths"]
     for idx, time_val in enumerate(ensemble.times):
         mean, cov = langevin.ensemble_moments(ensemble, idx)
         lines.append(f"{float(time_val)!r},{float(mean[0])!r},{float(mean[1])!r},"
                      f"{float(cov[0, 0])!r},{float(cov[0, 1])!r},"
                      f"{float(cov[1, 1])!r},{n_paths}")
-    out = _require_out(args.out)
-    _emit("\n".join(lines) + "\n", out)
-
-    exact_mean, exact_cov = langevin.exact_moments(system, mean0, cov0, t)
     sample_mean, sample_cov = langevin.ensemble_moments(ensemble, -1)
-    report = {
+    report = _json({
         "t": t, "dt": ensemble.dt, "n_paths": n_paths, "seed": seed,
+        "scheme": ensemble.scheme,
         "exact_mean": [float(v) for v in exact_mean],
         "sample_mean": [float(v) for v in sample_mean],
         "exact_cov": [[float(v) for v in row] for row in exact_cov],
         "sample_cov": [[float(v) for v in row] for row in sample_cov],
-    }
-    atomic_write_text(out + ".json", _json(report))
+    })
+    _emit("\n".join(lines) + "\n", out)
+    atomic_write_text(out + ".json", report)
     return _EXIT_OK
 
 

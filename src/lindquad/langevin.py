@@ -13,13 +13,16 @@ D = (hbar/2) J K J^T, and the exact moment transport
     mean_t = F mean_0 + o,
     cov_t  = F cov_0 F^T + hbar (-J M(t) J),
 
-with (F, o) the affine flow of the drift, is available in closed form for
-validation of the sampler.
+with (F, o) the affine flow of the drift, is available in closed form. Over
+any interval the SDE therefore has an exact Gaussian transition,
+x -> F x + o + S z with S S^T = hbar (-J M J) and z standard normal.
 
-Sampling uses Euler–Maruyama over counter-based (Philox) streams keyed by
-``(seed, block)`` with a fixed block of 1024 paths: path i always consumes
-the same increments no matter how many paths are requested or how results
-are stored, so ensembles are bit-reproducible and extendable.
+:func:`simulate` samples either by that transition between consecutive
+stored times (``scheme="exact"``, what the CLI runs) or by Euler–Maruyama
+steps (the default, kept as an audit with an O(dt) bias). Both draw from
+counter-based (Philox) streams keyed by ``(seed, block)`` with a fixed block
+of 1024 paths: path i always consumes the same normals no matter how many
+paths are requested, so ensembles are bit-reproducible and extendable.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, NotPositiveDefinite, SingularFrame
+from .errors import ConfigError, NotPositiveDefinite, SingularFrame, Unstable
 from .model import J, OpenSystem, symplectic_transform
 from .propagator import affine_flow, damping_matrix
 
@@ -45,16 +48,22 @@ __all__ = [
 ]
 
 _BLOCK = 1024
+_SCHEMES = ("euler-maruyama", "exact")
 
 
 @dataclass(frozen=True)
 class SdeSpec:
-    """Drift and noise data of the equivalent classical SDE."""
+    """Drift and noise data of the equivalent classical SDE.
+
+    ``system`` is the open system the SDE came from; the exact scheme of
+    :func:`simulate` needs it for the closed-form transition.
+    """
 
     drift_matrix: NDArray[np.float64]
     drift_offset: NDArray[np.float64]
     noise_vectors: NDArray[np.float64]  # (2 * channels, 2), zero rows retained
     hbar: float
+    system: OpenSystem | None = None
 
     @property
     def diffusion(self) -> NDArray[np.float64]:
@@ -72,17 +81,22 @@ def sde_from_system(system: OpenSystem) -> SdeSpec:
     noise = np.array(vectors, dtype=float) if vectors else np.zeros((0, 2))
     return SdeSpec(drift_matrix=system.drift_matrix.copy(),
                    drift_offset=system.drift_offset.copy(),
-                   noise_vectors=noise, hbar=system.hbar)
+                   noise_vectors=noise, hbar=system.hbar, system=system)
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Euler–Maruyama sample paths at the stored times."""
+    """Sample paths at the stored times.
+
+    ``scheme`` says how they were drawn: ``"exact"`` Gaussian transitions
+    between stored times, or ``"euler-maruyama"`` steps of ``dt``. Either
+    way the stored times are multiples of ``dt``, the effective step.
+    """
 
     times: NDArray[np.float64]        # (n_stored,)
     paths: NDArray[np.float64]        # (n_paths, n_stored, 2)
     seed: int
-    dt: float                         # effective step actually used
+    dt: float                         # effective step of the time grid
     store_stride: int
     scheme: str = "euler-maruyama"
 
@@ -92,15 +106,72 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _transition(system: OpenSystem, t: float
+                ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """(F, o, C): over an interval t the SDE maps x to F x + o plus a centred
+    Gaussian of covariance C = hbar (-J M(t) J)."""
+    # M first: where it overflows it raises Unstable before F does
+    noise = system.hbar * (-J @ damping_matrix(system, t) @ J)
+    linear, offset = affine_flow(system, t)
+    return linear, offset, noise
+
+
+def _exact_advance(system: OpenSystem, dt: float, gaps):
+    """Advance by the exact transition over ``gap`` steps of ``dt``, one
+    (block, 2) normal array per call.
+
+    The maps are built once per distinct gap (a stored grid has at most
+    two). The noise factor S with S S^T = C comes from ``eigh`` with
+    eigenvalues clipped at 0, since C is singular wherever M is and then
+    has no Cholesky factor.
+    """
+    maps = {}
+    for gap in set(gaps):
+        linear, offset, noise = _transition(system, gap * dt)
+        w, v = np.linalg.eigh(noise)
+        maps[gap] = linear.T, offset, (v * np.sqrt(np.clip(w, 0.0, None))).T
+
+    def advance(x, rng, gap):
+        linear_t, offset, factor_t = maps[gap]
+        return x @ linear_t + offset + rng.standard_normal((_BLOCK, 2)) @ factor_t
+    return advance
+
+
+def _euler_advance(spec: SdeSpec, dt: float):
+    """Advance by ``gap`` Euler–Maruyama steps of ``dt``, one
+    (block, channels) normal array per step when there is noise."""
+    a_mat, offset, noise = spec.drift_matrix, spec.drift_offset, spec.noise_vectors
+    m_noise = noise.shape[0]
+    root_dt = math.sqrt(dt)
+
+    def advance(x, rng, gap):
+        for _ in range(gap):
+            if m_noise:
+                dw = rng.standard_normal((_BLOCK, m_noise))
+                kick = root_dt * dw @ noise
+            else:
+                kick = 0.0
+            x = x + dt * (x @ a_mat.T + offset) + kick
+        return x
+    return advance
+
+
 def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
-             n_paths: int, seed: int, *, store_stride: int = 1) -> TrajectoryEnsemble:
-    """Euler–Maruyama ensemble from a Gaussian initial condition.
+             n_paths: int, seed: int, *, store_stride: int = 1,
+             scheme: str = "euler-maruyama") -> TrajectoryEnsemble:
+    """Sample path ensemble from a Gaussian initial condition.
 
     The step count is round(t/dt) (at least 1) and the step is stretched to
-    land exactly on ``t``. Initial points are drawn first from each block's
-    stream, then one (block, m) normal array per step; partial final blocks
-    draw the full block and discard, keeping every path's noise independent
-    of ``n_paths``. ``store_stride`` keeps every k-th step (plus the last).
+    land exactly on ``t``; ``store_stride`` keeps every k-th step (plus the
+    last). ``scheme="exact"`` jumps between stored times by the exact
+    Gaussian transition (``spec`` must come from :func:`sde_from_system`),
+    so there ``dt`` and ``store_stride`` only place the stored times;
+    ``"euler-maruyama"`` takes every step. Initial points are drawn first
+    from each block's stream, then one (block, 2) normal array per stored
+    interval (exact) or one (block, channels) array per step (Euler);
+    partial final blocks draw the full block and discard, keeping every
+    path's noise independent of ``n_paths``. Raises :class:`Unstable` when
+    the paths overflow.
     """
     mean = np.asarray(initial_mean, dtype=float)
     cov = np.asarray(initial_cov, dtype=float)
@@ -124,6 +195,10 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
     if int(seed) != seed or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     seed = int(seed)
+    if scheme not in _SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
+    if scheme == "exact" and spec.system is None:
+        raise ConfigError("the exact scheme needs an SdeSpec built by sde_from_system")
 
     steps = max(1, round(t / dt)) if t > 0 else 0
     dt_eff = t / steps if steps else dt
@@ -136,16 +211,12 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
             f"ensemble storage would need ~{estimate/1e9:.1f} GB; "
             f"increase store_stride")
 
-    a_mat = spec.drift_matrix
-    offset = spec.drift_offset
-    noise = spec.noise_vectors
-    m_noise = noise.shape[0]
-    root_dt = math.sqrt(dt_eff)
-
+    gaps = np.diff(stored_steps).tolist()
+    advance = (_exact_advance(spec.system, dt_eff, gaps) if scheme == "exact"
+               else _euler_advance(spec, dt_eff))
     out = np.empty((n_paths, len(stored_steps), 2))
     times = dt_eff * np.asarray(stored_steps, dtype=float)
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
-    stored_set = {s: idx for idx, s in enumerate(stored_steps)}
 
     for block in range(n_blocks):
         rng = _block_rng(seed, block)
@@ -153,21 +224,18 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
         hi = min(lo + _BLOCK, n_paths)
         keep = hi - lo
         x = mean + rng.standard_normal((_BLOCK, 2)) @ chol.T
-        if 0 in stored_set:
-            out[lo:hi, stored_set[0]] = x[:keep]
-        for step in range(1, steps + 1):
-            if m_noise:
-                dw = rng.standard_normal((_BLOCK, m_noise))
-                kick = root_dt * dw @ noise
-            else:
-                kick = 0.0
-            x = x + dt_eff * (x @ a_mat.T + offset) + kick
-            idx = stored_set.get(step)
-            if idx is not None:
+        out[lo:hi, 0] = x[:keep]
+        # overflow shows as non-finite paths, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, gap in enumerate(gaps, start=1):
+                x = advance(x, rng, gap)
                 out[lo:hi, idx] = x[:keep]
+        finite = np.isfinite(out[lo:hi]).all(axis=(0, 2))
+        if not finite.all():
+            raise Unstable(f"Langevin paths overflow by t={float(times[~finite][0])!r}")
 
     return TrajectoryEnsemble(times=times, paths=out, seed=seed, dt=dt_eff,
-                              store_stride=store_stride)
+                              store_stride=store_stride, scheme=scheme)
 
 
 def ensemble_moments(ensemble: TrajectoryEnsemble, index: int = -1
@@ -183,9 +251,7 @@ def ensemble_moments(ensemble: TrajectoryEnsemble, index: int = -1
 def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float
                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Closed-form first and second moments of the SDE (= Wigner moments)."""
-    # M(t) first: where it overflows it raises Unstable before F does
-    noise = system.hbar * (-J @ damping_matrix(system, t) @ J)
-    linear, offset = affine_flow(system, t)
+    linear, offset, noise = _transition(system, t)
     mean = np.asarray(initial_mean, dtype=float) @ linear.T + offset
     cov = linear @ np.asarray(initial_cov, dtype=float) @ linear.T + noise
     return mean, 0.5 * (cov + cov.T)

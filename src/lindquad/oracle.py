@@ -457,11 +457,13 @@ def wigner_from_fock(rho: FockDensity, grid: GridSpec) -> GridField:
     """Wigner function of a number-basis density matrix on ``grid``.
 
     Uses the Laguerre closed form of the number-basis Wigner kernel with
-    z = (q + i p)/sqrt(2 hbar); the result is real by hermiticity and
+    z = (q + i p)/sqrt(2 hbar): W = e^{-2|z|^2}/(pi hbar) times the sum over
+    diagonals k >= 0 of (2 - [k = 0]) Re[(2 zbar)^k sum_n rho_{n+k,n}
+    (-1)^n sqrt(n!/(n+k)!) L_n^k(4|z|^2)]. Each L_n^k comes from the
+    three-term recurrence in n, n L_n^k = (2n - 1 + k - y) L_{n-1}^k
+    - (n - 1 + k) L_{n-2}^k. The result is real by hermiticity and
     integrates to the trace.
     """
-    from scipy.special import eval_genlaguerre
-
     hbar = rho.hbar
     pts = grid.points()
     z = (pts[..., 1] + 1j * pts[..., 0]) / math.sqrt(2.0 * hbar)
@@ -471,18 +473,27 @@ def wigner_from_fock(rho: FockDensity, grid: GridSpec) -> GridField:
     m = rho.matrix
     out = np.zeros(grid.shape)
     two_zbar = 2.0 * np.conj(z)
-    for n in range(dim):
-        out += m[n, n].real * ((-1.0) ** n) * eval_genlaguerre(n, 0, y)
-    for k in range(1, dim):
-        power = two_zbar ** k
-        for n in range(0, dim - k):
-            coeff = m[n + k, n]
-            if coeff == 0:
-                continue
-            scale = ((-1.0) ** n) * math.exp(
-                0.5 * (math.lgamma(n + 1) - math.lgamma(n + k + 1)))
-            kern = scale * power * eval_genlaguerre(n, k, y)
-            out += 2.0 * (coeff * kern).real
+    power = np.ones_like(two_zbar)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, dim)))])
+    for k in range(dim):
+        if k:
+            power = power * two_zbar
+        coeffs = np.diagonal(m, -k)  # rho_{n+k,n}, n = 0 .. dim-k-1
+        if not coeffs.any():
+            continue
+        n = np.arange(coeffs.size)
+        coeffs = coeffs * ((-1.0) ** n) * np.exp(
+            0.5 * (log_fact[n] - log_fact[n + k]))
+        acc_re, acc_im = np.zeros(grid.shape), np.zeros(grid.shape)
+        lag_prev, lag = np.zeros(grid.shape), np.ones(grid.shape)
+        for i, c in enumerate(coeffs):
+            if i:
+                lag_prev, lag = lag, ((2 * i - 1 + k - y) * lag
+                                      - (i - 1 + k) * lag_prev) / i
+            acc_re += c.real * lag
+            acc_im += c.imag * lag
+        weight = 2.0 if k else 1.0
+        out += weight * (power.real * acc_re - power.imag * acc_im)
     return GridField(spec=grid, values=base * out)
 
 

@@ -576,6 +576,33 @@ def test_langevin_orbit_overflow_exits_five(tmp_path) -> None:
                  str(tmp_path / "p.csv")]) == 5
 
 
+def test_langevin_failure_writes_no_file(tmp_path) -> None:
+    # the saddle's paths and exact moments overflow: exit 5 leaves nothing
+    cfg = _langevin_config(
+        tmp_path, system={"hamiltonian": {"matrix": [[0.0, 2.5], [2.5, 0.0]]},
+                          "channels": []},
+        t=200.0, dt=100.0, n_paths=16, store_stride=1)
+    out = tmp_path / "p.csv"
+    assert main(["langevin", "--config", cfg, "--out", str(out)]) == 5
+    assert list(tmp_path.glob("p.csv*")) == []
+
+
+def test_langevin_samples_by_exact_transitions(tmp_path) -> None:
+    cfg = _langevin_config(tmp_path, seed=5)
+    out = tmp_path / "paths.csv"
+    assert main(["langevin", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "paths.csv.json").read_text())
+    assert report["scheme"] == "exact"
+    # one exact jump per stored interval: the same seed through the library
+    system = photon_bath(gamma=1.0, nbar=0.0)
+    ensemble = lindquad.simulate(
+        lindquad.sde_from_system(system), [1.0, -0.5], [[0.7, 0.15], [0.15, 0.4]],
+        0.3, 1e-3, 400, 5, store_stride=100, scheme="exact")
+    mean, cov = lindquad.ensemble_moments(ensemble)
+    assert report["sample_mean"] == [float(v) for v in mean]
+    assert report["sample_cov"] == [[float(v) for v in row] for row in cov]
+
+
 def test_langevin_validation_errors(tmp_path) -> None:
     cfg = _langevin_config(tmp_path)
     out = str(tmp_path / "p.csv")

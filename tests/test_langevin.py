@@ -6,8 +6,8 @@ import pytest
 
 from conftest import random_system
 from lindquad import (ConfigError, HamiltonianForm, J, LindbladChannel,
-                      NotPositiveDefinite, OpenSystem, SingularFrame,
-                      ensemble_moments, exact_moments,
+                      NotPositiveDefinite, OpenSystem, SdeSpec, SingularFrame,
+                      Unstable, ensemble_moments, exact_moments,
                       momentum_dissipation_frame, photon_bath,
                       sde_from_system, simulate, symplectic_transform)
 
@@ -116,6 +116,106 @@ def test_euler_bias_shrinks_with_dt() -> None:
     coarse = cov_error(0.03)
     fine = cov_error(0.0075)
     assert fine < coarse / 2.0
+
+
+def _moment_z_scores(ens, system, mean0, cov0) -> np.ndarray:
+    """|sample - exact| / standard error of (mean_p, mean_q, cov_pp, cov_pq,
+    cov_qq) at every stored time after t = 0, shape (n_stored - 1, 5)."""
+    n = ens.paths.shape[0]
+    rows = []
+    for idx in range(1, ens.times.size):
+        mean, cov = ensemble_moments(ens, idx)
+        exact_mean, exact_cov = exact_moments(system, mean0, cov0, ens.times[idx])
+        var = np.diag(exact_cov)
+        se_cov = np.sqrt((np.outer(var, var) + exact_cov ** 2) / n)
+        rows.append(np.concatenate([np.abs(mean - exact_mean) / np.sqrt(var / n),
+                                    (np.abs(cov - exact_cov) / se_cov)[np.triu_indices(2)]]))
+    return np.array(rows)
+
+
+def _driven_system() -> OpenSystem:
+    ham = HamiltonianForm(matrix=[[0.5, 0.1], [0.1, 0.4]], linear=[0.3, -0.2])
+    c = np.sqrt(0.4)
+    return OpenSystem(hamiltonian=ham,
+                      channels=(LindbladChannel(l_re=[0.0, c], l_im=[c, 0.0]),))
+
+
+@pytest.mark.parametrize("regime, seed", [("elliptic", 4), ("hyperbolic", 5),
+                                          ("driven", 6)])
+def test_exact_scheme_moments_match_at_every_stored_time(regime, seed) -> None:
+    system = (_driven_system() if regime == "driven"
+              else random_system(np.random.default_rng(60 + seed), regime, alpha=0.3))
+    mean0 = np.array([0.8, -0.5])
+    cov0 = np.array([[0.6, 0.1], [0.1, 0.3]])
+    # 13 steps with stride 4: stored gaps 4, 4, 4 and a short last one
+    ens = simulate(sde_from_system(system), mean0, cov0, 1.3, 0.1, 20_000,
+                   seed=seed, store_stride=4, scheme="exact")
+    assert ens.scheme == "exact"
+    assert np.allclose(ens.times, [0.0, 0.4, 0.8, 1.2, 1.3])
+    assert np.max(_moment_z_scores(ens, system, mean0, cov0)) < 5.0
+
+
+def test_exact_scheme_paths_do_not_depend_on_path_count() -> None:
+    spec = sde_from_system(_driven_system())
+    small = simulate(spec, np.zeros(2), np.eye(2), 0.6, 0.1, 300, seed=3,
+                     store_stride=2, scheme="exact")
+    large = simulate(spec, np.zeros(2), np.eye(2), 0.6, 0.1, 1500, seed=3,
+                     store_stride=2, scheme="exact")
+    assert np.array_equal(large.paths[:300], small.paths)
+
+
+def test_exact_transitions_compose_across_strides() -> None:
+    # one jump over k steps has the law of k jumps of one step
+    system = photon_bath(gamma=1.0, nbar=0.4)
+    spec = sde_from_system(system)
+    mean0, cov0 = np.array([1.0, -0.5]), np.array([[0.7, 0.15], [0.15, 0.4]])
+    n = 20_000
+    fine = simulate(spec, mean0, cov0, 1.0, 0.05, n, seed=8, scheme="exact")
+    coarse = simulate(spec, mean0, cov0, 1.0, 0.05, n, seed=9, store_stride=7,
+                      scheme="exact")
+    for idx, t in enumerate(coarse.times):
+        fine_idx = int(np.argmin(np.abs(fine.times - t)))
+        assert fine.times[fine_idx] == pytest.approx(t, abs=1e-12)
+        mean_a, cov_a = ensemble_moments(fine, fine_idx)
+        mean_b, cov_b = ensemble_moments(coarse, idx)
+        _, exact_cov = exact_moments(system, mean0, cov0, t)
+        var = np.diag(exact_cov)
+        # two independent samples: the difference has twice the variance
+        assert np.all(np.abs(mean_a - mean_b) < 5.0 * np.sqrt(2.0 * var / n))
+        se_cov = np.sqrt(2.0 * (np.outer(var, var) + exact_cov ** 2) / n)
+        assert np.all(np.abs(cov_a - cov_b) < 5.0 * se_cov)
+
+
+def test_exact_scheme_samples_a_singular_damping_matrix() -> None:
+    # H = 0 keeps the rank-one K = l l^T, so M(t) = t K is singular and has
+    # no Cholesky factor; only q diffuses
+    system = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.zeros((2, 2))),
+                        channels=(LindbladChannel(l_re=[1.0, 0.0]),))
+    mean0, cov0 = np.array([0.3, -0.2]), 0.5 * np.eye(2)
+    ens = simulate(sde_from_system(system), mean0, cov0, 1.0, 0.25, 20_000,
+                   seed=2, scheme="exact")
+    assert np.array_equal(ens.paths[:, :, 0],
+                          np.broadcast_to(ens.paths[:, :1, 0], ens.paths.shape[:2]))
+    assert np.max(_moment_z_scores(ens, system, mean0, cov0)) < 5.0
+
+
+def test_exact_scheme_needs_the_system() -> None:
+    spec = sde_from_system(photon_bath(gamma=1.0))
+    bare = SdeSpec(drift_matrix=spec.drift_matrix, drift_offset=spec.drift_offset,
+                   noise_vectors=spec.noise_vectors, hbar=spec.hbar)
+    with pytest.raises(ConfigError, match="sde_from_system"):
+        simulate(bare, np.zeros(2), np.eye(2), 0.2, 0.1, 10, seed=0, scheme="exact")
+    with pytest.raises(ConfigError, match="scheme"):
+        simulate(spec, np.zeros(2), np.eye(2), 0.2, 0.1, 10, seed=0, scheme="milstein")
+
+
+@pytest.mark.parametrize("scheme, dt", [("exact", 100.0), ("euler-maruyama", 0.1)])
+def test_overflowing_paths_raise_unstable(scheme, dt) -> None:
+    # sigma = 5: the saddle carries every path past the float range by t = 200
+    saddle = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.0, 2.5], [2.5, 0.0]]))
+    with pytest.raises(Unstable, match="overflow"):
+        simulate(sde_from_system(saddle), np.zeros(2), np.eye(2), 200.0, dt, 16,
+                 seed=0, scheme=scheme)
 
 
 def test_initial_conditions() -> None:
