@@ -11,8 +11,12 @@ Three deliberately different routes re-derive the dynamics from scratch:
 * :func:`integrate_fokker_planck` — the Wigner transport equation as a
   classical PDE on a rectangular grid: flux-form advection plus constant
   diffusion, fourth-order central stencils, RK4 in time, zero-value ghost
-  cells. Flux form makes every stencil's coefficient sum vanish, so total
-  mass is conserved to roundoff as long as the state stays inside the box.
+  cells. The linear, time-independent operator is assembled once per
+  integration: each axis folds advection and its diffusion into per-node
+  five-point weights applied by one contraction, and cross-diffusion is a
+  constant stencil used only when D_pq != 0. Flux form makes the weights
+  each source node sends out, offset by offset, sum to zero, so total mass
+  is conserved to roundoff as long as the state stays inside the box.
 
 * :func:`integrate_fock_lindblad` — the operator master equation in a
   truncated number basis: build p and q from ladder operators, apply the
@@ -39,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from ._quadrature import adaptive_tensor_gl, gauss_legendre_adaptive
@@ -127,24 +132,10 @@ def purity_quadrature(system: OpenSystem, chord, t: float,
 # Fokker-Planck route
 
 
-def _shifts(w: np.ndarray, axis: int) -> list[np.ndarray]:
-    """Views of w shifted by -2..2 cells along ``axis``, with zero ghost cells."""
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (2, 2)
-    p, n = np.pad(w, pad), w.shape[axis]
-    return [p[(slice(None),) * axis + (slice(k, k + n),)] for k in range(5)]
-
-
-def _d1(w: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """Fourth-order first derivative with zero ghost cells."""
-    m2, m1, _, p1, p2 = _shifts(w, axis)
-    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * step)
-
-
-def _d2(w: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """Fourth-order second derivative with zero ghost cells."""
-    m2, m1, c, p1, p2 = _shifts(w, axis)
-    return (-m2 + 16.0 * m1 - 30.0 * c + 16.0 * p1 - p2) / (12.0 * step ** 2)
+# Fourth-order central weights on the offsets -2..2: first derivative (times
+# the step) and second derivative (times the squared step).
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 def _wigner_diffusion(system: OpenSystem) -> NDArray[np.float64]:
@@ -175,6 +166,80 @@ def fokker_planck_max_dt(system: OpenSystem, grid: GridSpec) -> float:
     return bound
 
 
+def _stencil_stack(v: np.ndarray, step: float,
+                   diff: float) -> NDArray[np.float64]:
+    """Per-node weights of flux-form advection plus diffusion along axis 0.
+
+    C[k, i, j] = -_D1[k] v[i + k - 2, j]/step + diff _D2[k]/step**2, so that
+    sum_k C[k, i, j] w[i + k - 2, j] = -d(v w)/dx + diff d2w/dx2 at node
+    (i, j). v is zero on the two ghost nodes each side; they only ever meet
+    the field's zero ghost cells.
+    """
+    n = v.shape[0]
+    v_pad = np.zeros((n + 4,) + v.shape[1:])
+    v_pad[2:-2] = v
+    out = np.empty((5,) + v.shape)
+    for k in range(5):
+        np.multiply(v_pad[k:k + n], -_D1[k] / step, out=out[k])
+        out[k] += diff * _D2[k] / step ** 2
+    return out
+
+
+def _transport_operator(system: OpenSystem, grid: GridSpec):
+    """The Wigner transport's right-hand side on ``grid``, assembled once.
+
+    Along each axis, advection and that axis's diffusion are one five-point
+    stencil with per-node weights (:func:`_stencil_stack`), applied as a
+    single contraction against a window over a buffer with two zero ghost
+    cells each side. The q buffer holds the transposed field, so both
+    contractions run along the slow axis. Cross-diffusion 2 D_pq d2w/dpdq is
+    the constant-coefficient product of the two first-derivative stencils,
+    applied only when D_pq != 0. The returned callable reuses the buffers,
+    so it serves one integration at a time.
+    """
+    n_p, n_q = grid.shape
+    h_p, h_q = grid.spacing
+    diff = _wigner_diffusion(system)
+    vel = grid.points() @ system.drift_matrix.T + system.drift_offset
+    c_p = _stencil_stack(vel[..., 0], h_p, diff[0, 0])
+    c_q = _stencil_stack(vel[..., 1].T, h_q, diff[1, 1])
+    del vel
+    buf_p = np.zeros((n_p + 4, n_q))
+    buf_q = np.zeros((n_q + 4, n_p))
+    win_p = sliding_window_view(buf_p, 5, axis=0)
+    win_q = sliding_window_view(buf_q, 5, axis=0)
+    cross = 2.0 * diff[0, 1] / (h_p * h_q)
+
+    def rhs(field: np.ndarray) -> np.ndarray:
+        buf_p[2:-2] = field
+        buf_q[2:-2] = field.T
+        out = np.einsum("kij,ijk->ij", c_p, win_p)
+        out += np.einsum("kij,ijk->ij", c_q, win_q).T
+        if cross != 0.0:
+            buf_p[2:-2] = np.einsum("k,ijk->ij", _D1, win_q).T
+            out += cross * np.einsum("k,ijk->ij", _D1, win_p)
+        return out
+
+    return rhs
+
+
+def _check_run(t: float, dt: float | None, check_every: int) -> None:
+    """Reject a time, an explicit step or a check interval no RK4 run honours."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ConfigError(f"t must be finite and nonnegative, got {t!r}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be finite and positive, got {dt!r}")
+    if check_every < 1:
+        raise ConfigError(
+            f"check_every must be at least 1, got {check_every!r}")
+
+
+def _step_count(t: float, dt: float) -> int:
+    """Equal steps of at most dt covering [0, t]; one for the infinite
+    default step of a system with neither drift nor diffusion."""
+    return 1 if math.isinf(dt) else max(1, math.ceil(t / dt))
+
+
 def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of y' = rhs(y), shared by both integrators."""
     k1 = rhs(y)
@@ -189,14 +254,20 @@ def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
                             check_every: int = 25) -> GridField:
     """Integrate the Wigner transport PDE on the grid of ``initial``.
 
-    Fourth-order flux-form stencils, RK4, zero ghost cells. The initial
+    The transport operator is assembled once: per-node five-point weights
+    for each axis (flux-form fourth-order advection plus diffusion) and,
+    when D_pq != 0, the constant cross-diffusion stencil, all with zero
+    ghost cells; RK4 then applies it as one contraction per axis. Each
+    stencil's weights that a source node sends out sum to zero, so mass is
+    conserved to roundoff while the field stays inside the box. The initial
     field must have negligible mass in the outer two-cell frame
-    (:class:`GridTooCoarse` otherwise — enlarge the box), ``dt`` must
-    respect :func:`fokker_planck_max_dt`, and sup-norm doubling or NaNs
-    raise :class:`Unstable`.
+    (:class:`GridTooCoarse` otherwise — enlarge the box), ``t`` must be
+    finite, an explicit ``dt`` finite and within
+    :func:`fokker_planck_max_dt`, ``check_every`` at least 1
+    (:class:`ConfigError` otherwise), and sup-norm doubling or NaNs raise
+    :class:`Unstable`.
     """
-    if t < 0:
-        raise ConfigError("integrate_fokker_planck requires t >= 0")
+    _check_run(t, dt, check_every)
     grid = initial.spec
     w = np.asarray(initial.values, dtype=float).copy()
 
@@ -213,36 +284,14 @@ def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
     bound = fokker_planck_max_dt(system, grid)
     if dt is None:
         dt = bound
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     if dt > bound:
         raise ConfigError(
             f"dt={dt:g} exceeds the stability bound {bound:g} for this grid")
     if t == 0.0:
         return GridField(spec=grid, values=w)
-    if not math.isfinite(dt):
-        steps = 1
-    else:
-        steps = max(1, math.ceil(t / dt))
+    steps = _step_count(t, dt)
     dt_eff = t / steps
-
-    d_p, d_q = grid.spacing
-    diff = _wigner_diffusion(system)
-    a_mat = system.drift_matrix
-    offset = system.drift_offset
-    pts = grid.points()
-    vel = pts @ a_mat.T + offset
-    v_p, v_q = vel[..., 0], vel[..., 1]
-
-    def rhs(field: np.ndarray) -> np.ndarray:
-        out = -_d1(v_p * field, 0, d_p) - _d1(v_q * field, 1, d_q)
-        if diff[0, 0] != 0.0:
-            out += diff[0, 0] * _d2(field, 0, d_p)
-        if diff[1, 1] != 0.0:
-            out += diff[1, 1] * _d2(field, 1, d_q)
-        if diff[0, 1] != 0.0:
-            out += 2.0 * diff[0, 1] * _d1(_d1(field, 1, d_q), 0, d_p)
-        return out
+    rhs = _transport_operator(system, grid)
 
     sup0 = float(np.max(np.abs(w)))
     for step in range(1, steps + 1):
@@ -389,10 +438,11 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
     (p, q), one operator per channel, dissipator (1/2 hbar) sum (2 L rho L+
     - L+L rho - rho L+L). Population accumulating in the top two levels
     raises :class:`TruncationLeak`; sup-norm blowup, NaNs, or end-time
-    trace/hermiticity drift beyond 1e-9 raise :class:`Unstable`.
+    trace/hermiticity drift beyond 1e-9 raise :class:`Unstable`. ``t`` must
+    be finite, an explicit ``dt`` finite and positive and ``check_every`` at
+    least 1 (:class:`ConfigError` otherwise).
     """
-    if t < 0:
-        raise ConfigError("integrate_fock_lindblad requires t >= 0")
+    _check_run(t, dt, check_every)
     if abs(rho0.hbar - system.hbar) > 1e-12 * system.hbar:
         raise ConfigError("rho0 hbar does not match the system")
     hbar = system.hbar
@@ -410,11 +460,9 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
     bound = 1.0 / rate if rate > 0 else math.inf
     if dt is None:
         dt = bound
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     if t == 0.0:
         return FockDensity(matrix=rho0.matrix.copy(), hbar=hbar)
-    steps = 1 if not math.isfinite(dt) else max(1, math.ceil(t / dt))
+    steps = _step_count(t, dt)
     dt_eff = t / steps
 
     def rhs(rho: np.ndarray) -> np.ndarray:

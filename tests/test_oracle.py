@@ -10,11 +10,12 @@ import pytest
 
 from conftest import centre_flow, damping_bath
 from lindquad import (ConfigError, GridField, GridTooCoarse,
-                      HamiltonianForm, OpenSystem, TruncationLeak, Unstable,
-                      cat_fock_dim, cat_state, cat_wigner_line, centered_grid,
-                      coherent_fock_dim, coherent_state, evolve_wigner_grid,
-                      fock_cat, fock_coherent, fock_mean, fock_operators,
-                      fock_thermal, fokker_planck_max_dt, gaussian_state,
+                      HamiltonianForm, LindbladChannel, OpenSystem,
+                      TruncationLeak, Unstable, cat_fock_dim, cat_state,
+                      cat_wigner_line, centered_grid, coherent_fock_dim,
+                      coherent_state, evolve_wigner_grid, fock_cat,
+                      fock_coherent, fock_mean, fock_operators, fock_thermal,
+                      fokker_planck_max_dt, gaussian_state,
                       integrate_fock_lindblad, integrate_fokker_planck,
                       photon_bath, purity, wigner_from_fock)
 from lindquad import oracle
@@ -217,6 +218,159 @@ def test_density_integration_flags_non_finite_fields() -> None:
     values[16, 16] = np.nan
     with pytest.raises(Unstable):
         integrate_fokker_planck(sys, GridField(spec=grid, values=values), 0.1)
+
+
+def test_integrators_reject_non_finite_dt() -> None:
+    # NaN fails every comparison, so the stability test alone cannot catch it
+    sys = photon_bath(gamma=1.0)
+    grid = centered_grid((0.0, 0.0), (6.0, 6.0), (33, 33))
+    initial = _coherent_field((0.0, 0.0), grid)
+    rho0 = fock_coherent((0.5, 0.0), 20)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            integrate_fokker_planck(sys, initial, 0.5, dt=dt)
+        with pytest.raises(ConfigError):
+            integrate_fock_lindblad(sys, rho0, 0.5, dt=dt)
+
+
+def test_integrators_reject_non_finite_t_and_zero_check_every() -> None:
+    sys = photon_bath(gamma=1.0)
+    grid = centered_grid((0.0, 0.0), (6.0, 6.0), (33, 33))
+    initial = _coherent_field((0.0, 0.0), grid)
+    rho0 = fock_coherent((0.5, 0.0), 20)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            integrate_fokker_planck(sys, initial, t)
+        with pytest.raises(ConfigError):
+            integrate_fock_lindblad(sys, rho0, t)
+    with pytest.raises(ConfigError):
+        integrate_fokker_planck(sys, initial, 0.1, check_every=0)
+    with pytest.raises(ConfigError):
+        integrate_fock_lindblad(sys, rho0, 0.1, check_every=0)
+
+
+def test_density_integration_without_transport_takes_one_step() -> None:
+    # no drift and no diffusion: the default step bound is infinite
+    still = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.zeros((2, 2))))
+    grid = centered_grid((0.0, 0.0), (6.0, 6.0), (33, 33))
+    initial = _coherent_field((0.5, 0.0), grid)
+    assert math.isinf(fokker_planck_max_dt(still, grid))
+    out = integrate_fokker_planck(still, initial, 2.0)
+    assert np.array_equal(out.values, initial.values)
+
+
+def _skew_system() -> OpenSystem:
+    """Driven elliptic system with one channel whose diffusion has D_pq != 0."""
+    return OpenSystem(
+        hamiltonian=HamiltonianForm(matrix=[[0.6, 0.2], [0.2, 0.4]],
+                                    linear=[0.3, -0.2]),
+        channels=(LindbladChannel(l_re=[0.3, 0.2], l_im=[-0.1, 0.4]),))
+
+
+def test_density_integration_with_cross_diffusion_is_fourth_order() -> None:
+    sys = _skew_system()
+    assert oracle._wigner_diffusion(sys)[0, 1] != 0.0
+    assert np.all(sys.drift_offset != 0.0)
+    state = coherent_state((1.2, 0.4))
+    t = 0.2
+    errors = {}
+    for n in (41, 81):
+        grid = centered_grid((0.0, 0.0), (6.0, 6.0), (n, n))
+        approx = integrate_fokker_planck(
+            sys, GridField(spec=grid, values=state.wigner(grid.points())), t,
+            dt=2e-4)
+        exact = evolve_wigner_grid(sys, state, t, grid)
+        errors[n] = float(np.max(np.abs(approx.values - exact.values)))
+    order = np.log2(errors[41] / errors[81])
+    assert 3.2 < order < 4.8
+    assert errors[81] < 2e-4
+
+
+def test_density_integration_with_cross_diffusion_conserves_mass() -> None:
+    sys = _skew_system()
+    grid = centered_grid((0.0, 0.0), (6.0, 6.0), (65, 65))
+    initial = _coherent_field((1.2, 0.4), grid)
+    out = integrate_fokker_planck(sys, initial, 0.25)
+    assert out.integral == pytest.approx(initial.integral, abs=1e-9)
+
+
+def _stencil_rhs(system: OpenSystem, grid):
+    """The transport right-hand side from padded shifts and separate
+    derivative stencils on every call: the reference the assembled operator
+    is pinned to."""
+
+    def shifts(w, axis):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (2, 2)
+        p, n = np.pad(w, pad), w.shape[axis]
+        return [p[(slice(None),) * axis + (slice(k, k + n),)] for k in range(5)]
+
+    def d1(w, axis, step):
+        m2, m1, _, p1, p2 = shifts(w, axis)
+        return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * step)
+
+    def d2(w, axis, step):
+        m2, m1, c, p1, p2 = shifts(w, axis)
+        return (-m2 + 16.0 * m1 - 30.0 * c + 16.0 * p1 - p2) / (12.0 * step ** 2)
+
+    d_p, d_q = grid.spacing
+    diff = oracle._wigner_diffusion(system)
+    vel = grid.points() @ system.drift_matrix.T + system.drift_offset
+    v_p, v_q = vel[..., 0], vel[..., 1]
+
+    def rhs(field):
+        out = -d1(v_p * field, 0, d_p) - d1(v_q * field, 1, d_q)
+        if diff[0, 0] != 0.0:
+            out += diff[0, 0] * d2(field, 0, d_p)
+        if diff[1, 1] != 0.0:
+            out += diff[1, 1] * d2(field, 1, d_q)
+        if diff[0, 1] != 0.0:
+            out += 2.0 * diff[0, 1] * d1(d1(field, 1, d_q), 0, d_p)
+        return out
+
+    return rhs
+
+
+_REGIMES = {"elliptic": [[0.5, 0.1], [0.1, 0.7]],
+            "hyperbolic": [[0.3, 0.5], [0.5, 0.1]],
+            "parabolic": [[0.5, 0.25], [0.25, 0.125]]}
+
+
+def _pinned_system(regime: str, cross: bool) -> OpenSystem:
+    channels = (_skew_system().channels if cross
+                else photon_bath(gamma=0.8, nbar=0.3).channels)
+    return OpenSystem(hamiltonian=HamiltonianForm(matrix=_REGIMES[regime],
+                                                  linear=[0.2, -0.1]),
+                      channels=channels)
+
+
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_transport_operator_matches_stencil_reference(regime, cross) -> None:
+    sys = _pinned_system(regime, cross)
+    assert (oracle._wigner_diffusion(sys)[0, 1] != 0.0) == cross
+    for shape, half in (((37, 53), (5.0, 6.5)), ((61, 29), (7.0, 4.0))):
+        grid = centered_grid((0.3, -0.2), half, shape)
+        field = cat_state(1.0).wigner(grid.points())
+        expect = _stencil_rhs(sys, grid)(field)
+        got = oracle._transport_operator(sys, grid)(field)
+        assert np.max(np.abs(got - expect)) < 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_density_integration_matches_stencil_reference(regime, cross) -> None:
+    sys = _pinned_system(regime, cross)
+    grid = centered_grid((0.0, 0.0), (6.0, 7.0), (41, 57))
+    initial = _coherent_field((0.6, -0.3), grid)
+    t = 0.2
+    steps = math.ceil(t / fokker_planck_max_dt(sys, grid))
+    rhs = _stencil_rhs(sys, grid)
+    expect = initial.values
+    for _ in range(steps):
+        expect = oracle._rk4_step(rhs, expect, t / steps)
+    got = integrate_fokker_planck(sys, initial, t).values
+    assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
 def _wigner_from_fock_scipy(rho, grid) -> np.ndarray:
