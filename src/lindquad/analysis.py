@@ -201,14 +201,21 @@ def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
     return 1.0 - purity(system, state, t)
 
 
-def _purity_asymptotic(system: OpenSystem, t: float, shrink: np.ndarray) -> float:
-    lam = np.linalg.eigvalsh(-shrink)
-    if lam[0] < _EIGEN_FLOOR:
+def _purity_asymptotic(system: OpenSystem, t: float, shrink: np.ndarray,
+                       det: float) -> float:
+    # eigenvalues of -M(-t) from its trace and the uncancelled det M(-t):
+    # eigvalsh of the dense matrix loses the small one where the entries
+    # cancel (sheared frames), and the trace squared can overflow
+    trace = -float(shrink[0, 0] + shrink[1, 1])
+    ratio = det / trace / trace if trace > 0.0 else 0.0
+    lam_max = 0.5 * trace * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * ratio)))
+    lam_min = det / lam_max if lam_max > 0.0 else 0.0
+    if not lam_min >= _EIGEN_FLOOR:
         raise AsymptoticInvalid(
-            f"-M(-t) eigenvalue {lam[0]:.6g} below floor {_EIGEN_FLOOR:g}; "
+            f"-M(-t) eigenvalue {lam_min:.6g} below floor {_EIGEN_FLOOR:g}; "
             f"the state-free purity formula is not yet controlled",
-            eigenvalue=lam[0])
-    return math.exp(2.0 * system.alpha * t) / (2.0 * math.sqrt(lam[0] * lam[1]))
+            eigenvalue=lam_min)
+    return math.exp(2.0 * system.alpha * t) / (2.0 * math.sqrt(det))
 
 
 def purity_asymptotic(system: OpenSystem, t: float) -> float:
@@ -218,11 +225,14 @@ def purity_asymptotic(system: OpenSystem, t: float) -> float:
     chord structure; concretely both eigenvalues of -M(-t) must exceed 50,
     which bounds the envelope correction of a coherent state by ~1%.
     Otherwise raises :class:`AsymptoticInvalid` carrying the offending
-    eigenvalue.
+    eigenvalue. The small eigenvalue is det M(-t) over the large one, with
+    the determinant from the uncancelled spectral products, so it holds in
+    every symplectic frame.
     """
     if t < 0:
         raise ConfigError("purity_asymptotic requires t >= 0")
-    return _purity_asymptotic(system, t, damping_matrix(system, -t))
+    return _purity_asymptotic(system, t, damping_matrix(system, -t),
+                              float(_reversed_dets(system, np.array([t]))[0, 0]))
 
 
 def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
@@ -273,8 +283,9 @@ def purity_curve(system: OpenSystem, state: ChordState,
     """Exact purity at every time, plus asymptotic rows where valid.
 
     M(-t) for the whole time list is one batched kernel evaluation, equal
-    bit for bit to the per-time :func:`purity`. The exact rows keep the
-    method name "quadrature" of the CSV format.
+    bit for bit to the per-time :func:`purity`, and so is det M(-t) for the
+    asymptotic rows. The exact rows keep the method name "quadrature" of the
+    CSV format.
     """
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts):
@@ -282,10 +293,11 @@ def purity_curve(system: OpenSystem, state: ChordState,
     shrinks = damping_matrices(system, [-t for t in ts])
     vals = [_purity(system, state, t, m) for t, m in zip(ts, shrinks)]
     methods = ["quadrature"] * len(ts)
-    if include_asymptotic:
-        for t, m in zip(list(ts), shrinks):
+    if include_asymptotic and ts:
+        dets = _reversed_dets(system, np.array(ts))[:, 0].tolist()
+        for t, m, det in zip(list(ts), shrinks, dets):
             try:
-                vals.append(_purity_asymptotic(system, t, m))
+                vals.append(_purity_asymptotic(system, t, m, det))
             except AsymptoticInvalid:
                 continue
             ts.append(t)

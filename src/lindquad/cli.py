@@ -15,9 +15,8 @@ are serialized via repr, so reruns are byte-identical.
 
 Exit codes: 0 success; 2 configuration/validation error (including NaN or
 Infinity in a config); 3 positivity not reached under ``--require-reached``;
-4 grid too coarse; 5 numerical failure (overflow, quadrature
-non-convergence, integrator instability, truncation leak, a non-real
-Wigner function, NaN results).
+4 grid too coarse; 5 numerical failure (overflow, integrator instability,
+truncation leak, a non-real Wigner function, NaN results).
 """
 
 from __future__ import annotations
@@ -32,13 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, langevin, oracle, propagator
-from .errors import (ConfigError, GridTooCoarse, QuadratureNotConverged,
-                     TruncationLeak, Unstable)
+from .errors import ConfigError, GridTooCoarse, TruncationLeak, Unstable
 from .grid import GridField, atomic_write_text, grid_from_dict, write_field_csv
 from .model import (HamiltonianForm, LindbladChannel, OpenSystem,
-                    characteristic_timescale, finite_array, photon_bath,
-                    system_from_dict, whole_number)
-from .states import ChordState, state_from_dict
+                    _require_keys, characteristic_timescale, finite_array,
+                    photon_bath, system_from_dict, whole_number)
+from .states import state_from_dict
 
 __all__ = ["main"]
 
@@ -61,33 +59,22 @@ def _load_config(path: str | None, allowed: set[str], required: set[str]) -> dic
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    extra = set(data) - allowed
-    if extra:
-        raise ConfigError(f"unknown config key(s): {sorted(extra)}")
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"missing config key(s): {sorted(missing)}")
+    _require_keys(data, allowed, required, "config")
     return data
 
 
-def _system(data: dict) -> OpenSystem:
-    if "system" not in data:
-        raise ConfigError("config needs a 'system' object")
-    return system_from_dict(data["system"])
-
-
-def _state(data: dict, system: OpenSystem) -> ChordState:
-    if "state" not in data:
-        raise ConfigError("config needs a 'state' object")
-    return state_from_dict(data["state"], hbar=system.hbar)
-
-
-def _float_field(data: dict, key: str, default: float | None = None) -> float:
+def _float_field(data: dict, key: str, default: float | None = None) -> float | None:
     if key not in data:
-        if default is None:
-            raise ConfigError(f"config needs '{key}'")
         return default
     return float(finite_array(data[key], (), f"'{key}'"))
+
+
+def _bool_field(data: dict, key: str) -> bool:
+    """``data[key]`` as a JSON boolean; true when absent."""
+    value = data.get(key, True)
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be a boolean")
+    return value
 
 
 def _number_list(data: dict, key: str, default: list | None = None) -> list:
@@ -123,7 +110,7 @@ def _require_out(out: str | None) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     data = _load_config(args.config, {"system"}, {"system"})
-    system = _system(data)
+    system = system_from_dict(data["system"])
     sig = system.sigma
     scale = characteristic_timescale(system)
     payload = {
@@ -145,56 +132,64 @@ def _parabolic_system(d_prime: float, eps: float, d_second: float) -> OpenSystem
     return OpenSystem(hamiltonian=ham, channels=(chan,))
 
 
-def _sweep_rows(d_prime: float, epsilons: Sequence[float],
-                d_seconds: Sequence[float], horizon: float) -> list[tuple]:
-    rows = []
-    for eps in epsilons:
-        for d_second in d_seconds:
-            result = analysis.positivity_time(
-                _parabolic_system(d_prime, eps, d_second), horizon=horizon)
-            rows.append((eps, d_second, result))
+def _threshold_rows(data: dict, photon: bool) -> list[tuple]:
+    """(case, param1, param2, result, formula) rows of both threshold tables.
+
+    The parabolic rows come in (epsilon, d_second) order; ``photon`` appends
+    the three photon-bath cases. ``formula`` is the closed-form t_p, or None
+    where there is none: d_second != 0, or d_prime = 0 (or so far from 1
+    that its square leaves the float range).
+    """
+    d_prime = _float_field(data, "d_prime", 2.0)
+    d_seconds = _number_list(data, "d_second", [0.0, 0.1, 1.0, 10.0, 100.0])
+    epsilons = _number_list(data, "epsilons", [-1.0, 1.0])
+    horizon = _float_field(data, "horizon", 100.0)
+    if d_prime < 0 or min(d_seconds) < 0:
+        raise ConfigError("'d_prime' and every 'd_second' must be nonnegative")
+    try:
+        closed = (3.0 / d_prime ** 2) ** 0.25
+    except (ZeroDivisionError, OverflowError):  # d' = 0, or d'^2 out of range
+        closed = None
+    rows = [("parabolic", eps, ds,
+             analysis.positivity_time(_parabolic_system(d_prime, eps, ds),
+                                      horizon=horizon),
+             closed if ds == 0.0 else None)
+            for eps in epsilons for ds in d_seconds]
+    if photon:
+        rows += [("photon", gamma, nbar,
+                  analysis.positivity_time(photon_bath(gamma=gamma, nbar=nbar),
+                                           horizon=horizon),
+                  math.log(1.0 + 1.0 / (2.0 * nbar + 1.0)) / gamma)
+                 for gamma, nbar in ((1.0, 0.0), (1.0, 0.5), (2.0, 3.0))]
     return rows
+
+
+def _cell(value: float | None) -> str:
+    return "" if value is None else repr(value)
 
 
 def cmd_positivity(args: argparse.Namespace) -> int:
     if args.sweep or args.paper_table:
+        out = _require_out(args.out)
         data = _load_config(args.config,
                             {"d_prime", "d_second", "epsilons", "horizon"},
                             set()) if args.config else {}
-        d_prime = _float_field(data, "d_prime", 2.0)
-        d_seconds = _number_list(data, "d_second", [0.0, 0.1, 1.0, 10.0, 100.0])
-        epsilons = _number_list(data, "epsilons", [-1.0, 1.0])
-        horizon = _float_field(data, "horizon", 100.0)
-        rows = _sweep_rows(d_prime, epsilons, d_seconds, horizon)
-        unreached = any(not r.reached for _, _, r in rows)
+        rows = _threshold_rows(data, photon=args.paper_table)
         if args.paper_table:
-            lines = ["case,param1,param2,t_p_solver,t_p_formula"]
-            by_key = {(eps, ds): r for eps, ds, r in rows}
-            for eps in epsilons:
-                for ds in d_seconds:
-                    r = by_key[(eps, ds)]
-                    solver = repr(r.t_p) if r.reached else ""
-                    formula = repr((3.0 / d_prime ** 2) ** 0.25) if ds == 0.0 else ""
-                    lines.append(f"parabolic,{eps!r},{ds!r},{solver},{formula}")
-            for gamma, nbar in ((1.0, 0.0), (1.0, 0.5), (2.0, 3.0)):
-                r = analysis.positivity_time(photon_bath(gamma=gamma, nbar=nbar),
-                                             horizon=horizon)
-                formula = math.log(1.0 + 1.0 / (2.0 * nbar + 1.0)) / gamma
-                lines.append(f"photon,{gamma!r},{nbar!r},{r.t_p!r},{formula!r}")
-            _emit("\n".join(lines) + "\n", _require_out(args.out))
+            lines = ["case,param1,param2,t_p_solver,t_p_formula"] + [
+                f"{case},{p1!r},{p2!r},{_cell(r.t_p)},{_cell(formula)}"
+                for case, p1, p2, r, formula in rows]
         else:
-            lines = ["epsilon,d_second,status,t_p"]
-            for eps, ds, r in rows:
-                t_p = repr(r.t_p) if r.reached else ""
-                status = "reached" if r.reached else "unreached"
-                lines.append(f"{eps!r},{ds!r},{status},{t_p}")
-            _emit("\n".join(lines) + "\n", _require_out(args.out))
-        if unreached and args.require_reached:
+            lines = ["epsilon,d_second,status,t_p"] + [
+                f"{eps!r},{ds!r},{'reached' if r.reached else 'unreached'},"
+                f"{_cell(r.t_p)}" for _, eps, ds, r, _ in rows]
+        _emit("\n".join(lines) + "\n", out)
+        if args.require_reached and not all(row[3].reached for row in rows):
             return _EXIT_UNREACHED
         return _EXIT_OK
 
     data = _load_config(args.config, {"system", "horizon"}, {"system"})
-    system = _system(data)
+    system = system_from_dict(data["system"])
     horizon = _float_field(data, "horizon", 100.0)
     result = analysis.positivity_time(system, horizon=horizon)
     _emit(_json(result.to_dict()), args.out)
@@ -208,8 +203,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         args.config,
         {"system", "state", "t", "grid", "representation"},
         {"system", "state", "t", "grid"})
-    system = _system(data)
-    state = _state(data, system)
+    system = system_from_dict(data["system"])
+    state = state_from_dict(data["state"], hbar=system.hbar)
     t = _float_field(data, "t")
     grid = grid_from_dict(data["grid"])
     representation = data.get("representation", "wigner")
@@ -229,14 +224,12 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     data = _load_config(args.config,
                         {"system", "state", "times", "include_asymptotic"},
                         {"system", "state", "times"})
-    system = _system(data)
-    state = _state(data, system)
+    system = system_from_dict(data["system"])
+    state = state_from_dict(data["state"], hbar=system.hbar)
     times = _number_list(data, "times")
-    include = data.get("include_asymptotic", True)
-    if not isinstance(include, bool):
-        raise ConfigError("'include_asymptotic' must be a boolean")
-    curve = analysis.purity_curve(system, state, [float(v) for v in times],
-                                  include_asymptotic=include)
+    curve = analysis.purity_curve(
+        system, state, [float(v) for v in times],
+        include_asymptotic=_bool_field(data, "include_asymptotic"))
     out = _require_out(args.out)
     analysis.write_purity_csv(curve, out)
     return _EXIT_OK
@@ -247,8 +240,8 @@ def cmd_langevin(args: argparse.Namespace) -> int:
         args.config,
         {"system", "state", "t", "dt", "n_paths", "store_stride", "seed"},
         {"system", "state", "t", "dt", "n_paths"})
-    system = _system(data)
-    mean0, cov0 = _state(data, system).moments()
+    system = system_from_dict(data["system"])
+    mean0, cov0 = state_from_dict(data["state"], hbar=system.hbar).moments()
     t = _float_field(data, "t")
     dt = _float_field(data, "dt")
     n_paths = whole_number(data["n_paths"], "'n_paths'", 1)
@@ -287,8 +280,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     data = _load_config(args.config,
                         {"system", "state", "t", "floor", "chord_grid"},
                         {"system", "state", "t", "chord_grid"})
-    system = _system(data)
-    state = _state(data, system)
+    system = system_from_dict(data["system"])
+    state = state_from_dict(data["state"], hbar=system.hbar)
     t = _float_field(data, "t")
     floor = _float_field(data, "floor", 1e-8)
     grid = grid_from_dict(data["chord_grid"])
@@ -325,17 +318,12 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         args.config,
         {"system", "state", "t", "grid", "fp_dt", "fock_dim", "with_fock"},
         {"system", "state", "t", "grid"})
-    system = _system(data)
-    state = _state(data, system)
+    system = system_from_dict(data["system"])
+    state = state_from_dict(data["state"], hbar=system.hbar)
     t = _float_field(data, "t")
     grid = grid_from_dict(data["grid"])
-    with_fock = data.get("with_fock", True)
-    if not isinstance(with_fock, bool):
-        raise ConfigError("'with_fock' must be a boolean")
-    fp_dt = data.get("fp_dt")
-    if fp_dt is not None:
-        fp_dt = _float_field(data, "fp_dt")
-    rho0 = _fock_initial(data, system) if with_fock else None
+    fp_dt = _float_field(data, "fp_dt")
+    rho0 = _fock_initial(data, system) if _bool_field(data, "with_fock") else None
 
     exact = propagator.evolve_wigner_grid(system, state, t, grid)
     initial = GridField(spec=grid, values=state.wigner(grid.points()))
@@ -416,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GridTooCoarse as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_GRID
-    except (QuadratureNotConverged, Unstable, TruncationLeak) as exc:
+    except (Unstable, TruncationLeak) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
 

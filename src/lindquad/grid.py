@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError
-from .model import finite_array, whole_number
+from .model import _require_keys, finite_array, whole_number
 
 __all__ = ["GridSpec", "GridField", "centered_grid", "grid_from_dict",
            "write_field_csv", "read_field_csv", "atomic_write_text"]
@@ -97,18 +97,12 @@ def centered_grid(center, half_extent, shape) -> GridSpec:
 def grid_from_dict(data: dict) -> GridSpec:
     if not isinstance(data, dict):
         raise ConfigError("grid descriptor must be a JSON object")
-    extra = set(data) - {"origin", "spacing", "shape", "center", "half_extent"}
-    if extra:
-        raise ConfigError(f"unknown field(s) in grid: {sorted(extra)}")
     if "center" in data or "half_extent" in data:
-        if not ("center" in data and "half_extent" in data and "shape" in data):
-            raise ConfigError("centered grid needs center, half_extent and shape")
-        if "origin" in data or "spacing" in data:
-            raise ConfigError("give either center/half_extent or origin/spacing")
+        keys = {"center", "half_extent", "shape"}
+        _require_keys(data, keys, keys, "centered grid")
         return centered_grid(data["center"], data["half_extent"], data["shape"])
-    for key in ("origin", "spacing", "shape"):
-        if key not in data:
-            raise ConfigError(f"grid needs '{key}'")
+    keys = {"origin", "spacing", "shape"}
+    _require_keys(data, keys, keys, "grid")
     return GridSpec(origin=data["origin"], spacing=data["spacing"],
                     shape=data["shape"])
 

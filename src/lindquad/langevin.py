@@ -170,8 +170,10 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
     from each block's stream, then one (block, 2) normal array per stored
     interval (exact) or one (block, channels) array per step (Euler);
     partial final blocks draw the full block and discard, keeping every
-    path's noise independent of ``n_paths``. Raises :class:`Unstable` when
-    the paths overflow.
+    path's noise independent of ``n_paths``. ``t`` and ``dt`` must be
+    finite, with t/dt finite too, and the stored paths at most ~2 GB
+    (:class:`ConfigError` otherwise). Raises :class:`Unstable` when the
+    paths overflow.
     """
     mean = np.asarray(initial_mean, dtype=float)
     cov = np.asarray(initial_cov, dtype=float)
@@ -186,8 +188,9 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
             chol = np.zeros((2, 2))
         else:
             raise NotPositiveDefinite("initial covariance is not positive semidefinite")
-    if t < 0 or dt <= 0:
-        raise ConfigError("need t >= 0 and dt > 0")
+    if not (0 <= t < math.inf and 0 < dt < math.inf and t / dt < math.inf):
+        raise ConfigError(
+            f"need finite t >= 0, dt > 0 and t/dt, got t={t!r}, dt={dt!r}")
     if n_paths < 1:
         raise ConfigError("n_paths must be at least 1")
     if store_stride < 1:
@@ -202,14 +205,15 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
 
     steps = max(1, round(t / dt)) if t > 0 else 0
     dt_eff = t / steps if steps else dt
-    stored_steps = list(range(0, steps + 1, store_stride))
-    if stored_steps[-1] != steps:
-        stored_steps.append(steps)
-    estimate = n_paths * len(stored_steps) * 2 * 8
+    # every store_stride-th step plus the last, counted before they are listed
+    estimate = n_paths * (-(-steps // store_stride) + 1) * 2 * 8
     if estimate > 2_000_000_000:
         raise ConfigError(
             f"ensemble storage would need ~{estimate/1e9:.1f} GB; "
             f"increase store_stride")
+    stored_steps = list(range(0, steps + 1, store_stride))
+    if stored_steps[-1] != steps:
+        stored_steps.append(steps)
 
     gaps = np.diff(stored_steps).tolist()
     advance = (_exact_advance(spec.system, dt_eff, gaps) if scheme == "exact"

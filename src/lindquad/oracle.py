@@ -132,6 +132,10 @@ def purity_quadrature(system: OpenSystem, chord, t: float,
 # Fokker-Planck route
 
 
+# Most RK4 steps one integration may plan, so that a large finite t fails at
+# once instead of running for hours; the audited runs take a few hundred.
+_MAX_STEPS = 1_000_000
+
 # Fourth-order central weights on the offsets -2..2: first derivative (times
 # the step) and second derivative (times the squared step).
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -236,8 +240,14 @@ def _check_run(t: float, dt: float | None, check_every: int) -> None:
 
 def _step_count(t: float, dt: float) -> int:
     """Equal steps of at most dt covering [0, t]; one for the infinite
-    default step of a system with neither drift nor diffusion."""
-    return 1 if math.isinf(dt) else max(1, math.ceil(t / dt))
+    default step of a system with neither drift nor diffusion. More than
+    ``_MAX_STEPS`` raises :class:`ConfigError` before any step is taken."""
+    if math.isinf(dt):
+        return 1
+    if t / dt > _MAX_STEPS:
+        raise ConfigError(f"t={t!r} at dt={dt:g} needs {t / dt:.3g} RK4 steps, "
+                          f"more than the budget of {_MAX_STEPS:,}")
+    return max(1, math.ceil(t / dt))
 
 
 def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
@@ -263,9 +273,9 @@ def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
     field must have negligible mass in the outer two-cell frame
     (:class:`GridTooCoarse` otherwise — enlarge the box), ``t`` must be
     finite, an explicit ``dt`` finite and within
-    :func:`fokker_planck_max_dt`, ``check_every`` at least 1
-    (:class:`ConfigError` otherwise), and sup-norm doubling or NaNs raise
-    :class:`Unstable`.
+    :func:`fokker_planck_max_dt`, ``check_every`` at least 1 and the run at
+    most a million steps (:class:`ConfigError` otherwise), and sup-norm
+    doubling or NaNs raise :class:`Unstable`.
     """
     _check_run(t, dt, check_every)
     grid = initial.spec
@@ -439,8 +449,9 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
     - L+L rho - rho L+L). Population accumulating in the top two levels
     raises :class:`TruncationLeak`; sup-norm blowup, NaNs, or end-time
     trace/hermiticity drift beyond 1e-9 raise :class:`Unstable`. ``t`` must
-    be finite, an explicit ``dt`` finite and positive and ``check_every`` at
-    least 1 (:class:`ConfigError` otherwise).
+    be finite, an explicit ``dt`` finite and positive, ``check_every`` at
+    least 1 and the run at most a million steps (:class:`ConfigError`
+    otherwise).
     """
     _check_run(t, dt, check_every)
     if abs(rho0.hbar - system.hbar) > 1e-12 * system.hbar:

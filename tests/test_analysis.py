@@ -291,6 +291,30 @@ def test_purity_asymptote_never_valid_for_weakly_damped_hyperbolic() -> None:
     assert eigenvalues[2] < 1.2 * eigenvalues[1]
 
 
+def test_purity_asymptote_holds_in_sheared_frames() -> None:
+    # saddle with alpha = 0.999 > sigma = 0.5: both eigenvalues of -M(-t)
+    # grow, but a shear makes the dense matrix cancel its small one to 0
+    a = np.sqrt(0.999)
+    sys = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.0, 0.5], [0.5, 0.0]]),
+                     channels=(LindbladChannel(l_re=[0.0, a], l_im=[a, 0.0]),))
+    sheared = symplectic_transform(sys, np.array([[1.0, 0.0], [0.5, 1.0]]))
+    expected = {100.0: 0.0951151, 150.0: 0.0756649}
+    for t, value in expected.items():
+        assert purity_asymptotic(sys, t) == pytest.approx(value, rel=1e-6)
+        assert purity_asymptotic(sheared, t) == pytest.approx(
+            purity_asymptotic(sys, t), rel=1e-12)
+    # the curve's batched determinants give the same rows
+    curve = purity_curve(sys, coherent_state((0.0, 0.0)), list(expected))
+    assert curve.methods == ("quadrature",) * 2 + ("asymptotic",) * 2
+    assert curve.values[2:].tolist() == [purity_asymptotic(sys, t) for t in expected]
+    # a stronger shear: the small eigenvalue (det over the large one) is
+    # really below the floor
+    steep = symplectic_transform(sys, np.array([[1.0, 0.0], [2.0, 1.0]]))
+    with pytest.raises(AsymptoticInvalid) as exc:
+        purity_asymptotic(steep, 100.0)
+    assert exc.value.eigenvalue == pytest.approx(18.1088, rel=1e-4)
+
+
 def test_purity_curve_rows_and_csv(tmp_path) -> None:
     sys = photon_bath(gamma=1.0, nbar=0.5)
     state = coherent_state((0.0, 0.0))

@@ -555,6 +555,79 @@ def test_positivity_sweep_lists_are_validated(tmp_path) -> None:
                          str(tmp_path / "s.csv")]) == 2
 
 
+def test_threshold_tables_reject_negative_couplings(tmp_path) -> None:
+    # both once reached math.sqrt and exited 1 with a ValueError
+    out = tmp_path / "s.csv"
+    for payload in ({"d_prime": -1.0}, {"d_second": [-1.0]}):
+        cfg = _config(tmp_path, payload)
+        for flag in ("--sweep", "--paper-table"):
+            assert main(["positivity", flag, "--config", cfg, "--out",
+                         str(out)]) == 2
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("d_prime", [0.0, 1e-170, 1e200])
+def test_paper_table_without_a_closed_form(tmp_path, d_prime) -> None:
+    # d' = 0 has no parabolic closed form, and d'^2 out of the float range
+    # none to print: empty cells, not a ZeroDivisionError or OverflowError
+    cfg = _config(tmp_path, {"d_prime": d_prime})
+    out = tmp_path / "table.csv"
+    assert main(["positivity", "--paper-table", "--config", cfg, "--out",
+                 str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["parabolic"] * 10 + ["photon"] * 3
+    assert all(row[4] == "" for row in rows[:10])
+    assert all(float(row[4]) > 0.0 for row in rows[10:])
+
+
+def test_paper_table_unreached_photon_row(tmp_path) -> None:
+    # ln 2 > 0.5: the nbar = 0 photon bath is not reached within the horizon
+    cfg = _config(tmp_path, {"horizon": 0.5, "d_prime": 100.0,
+                             "d_second": [0.0]})
+    out = tmp_path / "table.csv"
+    argv = ["positivity", "--paper-table", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 0
+    assert main(argv + ["--require-reached"]) == 3
+    lines = out.read_text().splitlines()
+    assert f"photon,1.0,0.0,,{math.log(2.0)!r}" in lines
+    assert "None" not in out.read_text()
+
+
+@pytest.mark.parametrize("flag", ["--sweep", "--paper-table"])
+def test_threshold_tables_need_out_before_solving(monkeypatch, flag) -> None:
+    calls = []
+    monkeypatch.setattr(lindquad.analysis, "positivity_time",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["positivity", flag]) == 2
+    assert calls == []
+
+
+_UNKNOWN_KEY = {
+    "classify": (["classify"], {"system": PHOTON, "bogus": 1}),
+    "positivity": (["positivity"], {"system": PHOTON, "bogus": 1}),
+    "sweep": (["positivity", "--sweep"], {"bogus": 1}),
+    "paper-table": (["positivity", "--paper-table"], {"bogus": 1}),
+    "evolve": (["evolve"], dict(_BASE["evolve"], bogus=1)),
+    "entropy": (["entropy"], dict(_BASE["entropy"], bogus=1)),
+    "langevin": (["langevin"], dict(_BASE["langevin"], bogus=1)),
+    "reconstruct": (["reconstruct"], {"system": PHOTON, "state": COHERENT,
+                                      "t": 0.4, "chord_grid": _GRID, "bogus": 1}),
+    "oracle-compare": (["oracle-compare"], {"system": PHOTON, "state": COHERENT,
+                                            "t": 0.1, "grid": _GRID, "bogus": 1}),
+    "grid": (["evolve"], dict(_BASE["evolve"], grid=dict(_GRID, bogus=1))),
+}
+
+
+@pytest.mark.parametrize("argv, payload", list(_UNKNOWN_KEY.values()),
+                         ids=list(_UNKNOWN_KEY))
+def test_unknown_config_keys_exit_two(tmp_path, capsys, argv, payload) -> None:
+    cfg = _config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_entropy_validation_errors(tmp_path) -> None:
     cfg = _config(tmp_path, {"system": PHOTON, "state": COHERENT,
                              "times": []}, name="e1.json")

@@ -254,6 +254,23 @@ def test_storage_guard_suggests_stride() -> None:
         simulate(spec, np.zeros(2), np.eye(2), 10.0, 1e-5, 1_000_000, seed=0)
 
 
+@pytest.mark.parametrize("scheme", ["euler-maruyama", "exact"])
+def test_simulation_rejects_non_finite_times(scheme) -> None:
+    # NaN t once stored one time, infinite dt took one step of size t
+    spec = sde_from_system(photon_bath(gamma=1.0))
+    for t, dt in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf),
+                  (1e10, 5e-324)):
+        with pytest.raises(ConfigError):
+            simulate(spec, np.zeros(2), np.eye(2), t, dt, 8, seed=0, scheme=scheme)
+
+
+def test_storage_guard_runs_before_the_stored_times_are_listed() -> None:
+    # 1e15 steps: listing them first would exhaust memory
+    spec = sde_from_system(photon_bath(gamma=1.0))
+    with pytest.raises(ConfigError, match="store_stride"):
+        simulate(spec, np.zeros(2), np.eye(2), 1e12, 1e-3, 8, seed=0)
+
+
 def test_momentum_dissipation_frame_isolates_damping() -> None:
     ham = HamiltonianForm(matrix=[[0.6, 0.15], [0.15, 0.35]])
     c = np.sqrt(0.5)

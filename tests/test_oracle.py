@@ -249,6 +249,21 @@ def test_integrators_reject_non_finite_t_and_zero_check_every() -> None:
         integrate_fock_lindblad(sys, rho0, 0.1, check_every=0)
 
 
+def test_integrators_refuse_runs_beyond_the_step_budget() -> None:
+    # t = 1e6 on a 33^2 photon-bath grid plans ~1e8 RK4 steps: refused at once
+    sys = photon_bath(gamma=1.0)
+    grid = centered_grid((0.0, 0.0), (6.0, 6.0), (33, 33))
+    initial = _coherent_field((0.0, 0.0), grid)
+    rho0 = fock_coherent((0.5, 0.0), 20)
+    with pytest.raises(ConfigError, match="budget"):
+        integrate_fokker_planck(sys, initial, 1e6)
+    with pytest.raises(ConfigError, match="budget"):
+        integrate_fock_lindblad(sys, rho0, 1e6)
+    # a tiny explicit step counts against the same budget
+    with pytest.raises(ConfigError, match="budget"):
+        integrate_fock_lindblad(sys, rho0, 1.0, dt=1e-7)
+
+
 def test_density_integration_without_transport_takes_one_step() -> None:
     # no drift and no diffusion: the default step bound is infinite
     still = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.zeros((2, 2))))
