@@ -8,7 +8,9 @@ recording origin, spacing, and shape so files are self-describing.
 
 The bytes of a field CSV are unchanged from the per-node layout of earlier
 versions, ``f"{p!r},{q!r},{re!r},{im!r}"`` for every node with the values
-widened to complex; the writer only builds that text one grid row at a time.
+widened to complex. The writer does not call ``repr``: ``_floatrepr``
+prints the same digits for whole arrays, and the writer lays a block of
+grid rows out as NUL-padded words and drops the NULs in one pass.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._floatrepr import repr_words
 from .errors import ConfigError
 from .model import _require_keys, finite_array, whole_number
 
@@ -28,6 +31,8 @@ __all__ = ["GridSpec", "GridField", "centered_grid", "grid_from_dict",
            "write_field_csv", "read_field_csv", "atomic_write_text"]
 
 _HEADER = ("p", "q", "value_re", "value_im")
+_BLOCK_NODES = 8192  # nodes formatted at once: more holds more memory
+_U = np.uint64
 
 
 @dataclass(frozen=True)
@@ -142,28 +147,58 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _axis_cells(spec: GridSpec) -> list[NDArray[np.uint64]]:
+    """The p and q cells, each node's ``repr`` and a comma in NUL-padded words.
+
+    The text of each cell is packed to the left, so the cells of an axis
+    are as few words wide as its longest one needs.
+    """
+    text = repr_words(np.concatenate([spec.p_axis, spec.q_axis])).view(np.uint8)
+    packed = np.take_along_axis(
+        text, np.argsort(text == 0, axis=1, kind="stable"), axis=1)
+    length = np.count_nonzero(text, axis=1)
+    packed[np.arange(len(text)), length] = ord(",")
+    cells = []
+    for axis in (slice(0, spec.shape[0]), slice(spec.shape[0], None)):
+        words = -(-(int(length[axis].max()) + 1) // 8)
+        cells.append(np.ascontiguousarray(packed[axis, :8 * words]).view("<u8"))
+    return cells
+
+
 def write_field_csv(field: GridField, path: str) -> None:
     """Write ``p,q,value_re,value_im`` rows plus a ``<path>.json`` sidecar.
 
-    Each node is six cells: ``p,``, ``q,``, ``value_re``, ``,``,
-    ``value_im`` and a newline. The q cells are formatted once per grid and
-    the p cell once per row; each row's value cells are filled by strided
-    slices. Values are widened to complex first, so integer, boolean and
-    float32 fields print as float64 reprs, and a real field's imaginary
-    cell is always ``0.0``.
+    Values are widened to float64, or to complex when they are not real, so
+    integer, boolean and float32 fields print as float64 reprs, and a real
+    field's imaginary cell is always ``0.0``. Blocks of whole grid rows are
+    laid out as NUL-padded words, one line per node: the p cell, the q cell
+    (both formatted once per axis), ``value_re``, ``,``, ``value_im`` and a
+    newline. Dropping the NULs gives the text.
     """
-    values = np.asarray(field.values, dtype=complex)
     has_imag = field.values.dtype.kind not in "biuf"
-    nq = field.spec.shape[1]
-    cells = ["", "", "", ",", "0.0", "\n"] * nq
-    cells[1::6] = [repr(q) + "," for q in field.spec.q_axis.tolist()]
+    values = np.asarray(field.values, dtype=complex if has_imag else float)
+    p_cells, q_cells = _axis_cells(field.spec)
+    wp, wq = p_cells.shape[1], q_cells.shape[1]
+    width = wp + wq + (8 if has_imag else 5)
+    blocks = -(-values.size // _BLOCK_NODES)
+    rows = -(-len(values) // blocks)  # whole grid rows per block
     chunks = [",".join(_HEADER) + "\n"]
-    for p, row in zip(field.spec.p_axis.tolist(), values):
-        cells[0::6] = [repr(p) + ","] * nq
-        cells[2::6] = map(repr, row.real.tolist())
+    for start in range(0, len(values), rows):
+        block = values[start:start + rows]
+        lines = np.empty(block.shape + (width,), dtype="<u8")
+        lines[:, :, wp:wp + wq] = q_cells
+        for j in range(wp):
+            lines[:, :, j] = p_cells[start:start + len(block), j, None]
+        nodes = lines.reshape(block.size, width)
+        cells = nodes[:, wp + wq:]
+        repr_words(block.real, out=cells[:, :4])
+        cells[:, 3] |= _U(ord(",") << 56)
         if has_imag:
-            cells[4::6] = map(repr, row.imag.tolist())
-        chunks.append("".join(cells))
+            repr_words(block.imag, out=cells[:, 4:])
+            cells[:, 7] |= _U(ord("\n") << 56)
+        else:
+            cells[:, 4] = _U(int.from_bytes(b"0.0\n", "little"))
+        chunks.append(nodes.tobytes().translate(None, b"\0").decode("ascii"))
     atomic_write_text(path, "".join(chunks))
     sidecar = json.dumps(field.spec.to_dict(), indent=2, sort_keys=True)
     atomic_write_text(path + ".json", sidecar + "\n")
@@ -172,8 +207,10 @@ def write_field_csv(field: GridField, path: str) -> None:
 def read_field_csv(path: str) -> GridField:
     """Inverse of :func:`write_field_csv` (requires the JSON sidecar).
 
-    Values are parsed with ``float``, so a written field reads back exactly.
-    A header, row count or row that does not fit the sidecar's grid raises
+    Values are parsed with ``float``, so a written field reads back exactly;
+    it reads back real when every imaginary cell is ``0.0``. A header, row
+    count or row that does not fit the sidecar's grid, including p and q
+    cells other than the ``repr`` of the row's node, raises
     :class:`ConfigError` naming the file.
     """
     with open(path + ".json") as handle:
@@ -186,14 +223,20 @@ def read_field_csv(path: str) -> GridField:
     if len(rows) != spec.shape[0] * spec.shape[1]:
         raise ConfigError(f"{path}: {len(rows)} data rows, grid {spec.shape} "
                           f"needs {spec.shape[0] * spec.shape[1]}")
+    p_cells = [repr(p) for p in spec.p_axis.tolist()]
+    q_cells = [repr(q) for q in spec.q_axis.tolist()]
     values = np.empty(len(rows), dtype=complex)
     for k, row in enumerate(rows):
         try:
-            _, _, re, im = row.split(",")
+            p, q, re, im = row.split(",")
             values[k] = complex(float(re), float(im))
         except ValueError:
             raise ConfigError(f"{path}, line {k + 2}: expected four numbers, "
                               f"got {row!r}") from None
-    if np.all(values.imag == 0.0):
+        node = p_cells[k // spec.shape[1]], q_cells[k % spec.shape[1]]
+        if (p, q) != node:
+            raise ConfigError(f"{path}, line {k + 2}: node ({p}, {q}) is not the "
+                              f"grid's ({node[0]}, {node[1]})")
+    if not np.any(values.imag) and not np.any(np.signbit(values.imag)):
         values = values.real
     return GridField(spec=spec, values=values.reshape(spec.shape))

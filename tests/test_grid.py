@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from lindquad import (ConfigError, GridField, GridSpec, centered_grid,
                       grid_from_dict, read_field_csv, write_field_csv)
+from lindquad import grid
+from lindquad.grid import atomic_write_text
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -210,3 +212,64 @@ def test_read_field_csv_rejects_damaged_files(tmp_path, damage) -> None:
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="field.csv"):
         read_field_csv(str(path))
+
+
+def test_field_csv_keeps_an_all_negative_zero_imaginary_part(tmp_path) -> None:
+    spec = GridSpec(origin=(0.0, 0.0), spacing=(1.0, 1.0), shape=(2, 2))
+    values = np.array([[complex(1.0, -0.0), complex(0.5, -0.0)],
+                       [complex(-2.0, -0.0), complex(0.0, -0.0)]])
+    path, again = tmp_path / "field.csv", tmp_path / "again.csv"
+    write_field_csv(GridField(spec=spec, values=values), str(path))
+    back = read_field_csv(str(path))
+    assert back.values.dtype == np.complex128
+    assert np.all(np.signbit(back.values.imag))
+    write_field_csv(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("line,row", [(6, "abc,,1.0,0.0"), (6, "7.0,-3.0,5.0,0.0"),
+                                      (2, "0.0,0.5,1.0,0.0"), (13, "1.0,1.0,1.0,0.0")])
+def test_read_field_csv_checks_node_coordinates(tmp_path, line, row) -> None:
+    spec = GridSpec(origin=(0.0, 0.0), spacing=(0.5, 0.5), shape=(3, 4))
+    path = tmp_path / "field.csv"
+    write_field_csv(GridField(spec=spec, values=np.ones((3, 4))), str(path))
+    lines = path.read_text().splitlines()
+    lines[line - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"field.csv, line {line}:"):
+        read_field_csv(str(path))
+
+
+def test_field_csv_larger_than_a_block_matches_per_node_format(tmp_path) -> None:
+    # more than two blocks of whole rows, and a prime row count, so the
+    # last block is short; values are any bit pattern, infinities and NaNs
+    rng = np.random.default_rng(14)
+    shape = (191, 97)
+    assert np.prod(shape) > 2 * grid._BLOCK_NODES
+    bits = rng.integers(0, 2 ** 64, size=(2,) + shape, dtype=np.uint64)
+    bits[:, ::7, ::5] |= np.uint64(0x7FF << 52)  # inf and nan
+    values = np.empty(shape, dtype=complex)
+    values.real, values.imag = bits.view(np.float64)
+    spec = GridSpec(origin=(-3.7, 1e-5), spacing=(0.0371, 1.3e3), shape=shape)
+    for field in (GridField(spec=spec, values=values),
+                  GridField(spec=spec, values=values.real)):
+        path = tmp_path / "field.csv"
+        write_field_csv(field, str(path))
+        assert path.read_bytes() == _per_node_csv(field).encode()
+
+
+def test_write_field_csv_hands_whole_texts_to_atomic_write(tmp_path, monkeypatch) -> None:
+    writes = []
+
+    def recording(path, text):
+        writes.append((path, type(text), len(text.encode("utf-8"))))
+        atomic_write_text(path, text)
+
+    monkeypatch.setattr(grid, "atomic_write_text", recording)
+    spec = GridSpec(origin=(0.0, 0.0), spacing=(0.5, 0.25), shape=(40, 600))
+    path = str(tmp_path / "field.csv")
+    write_field_csv(GridField(spec=spec, values=np.ones(spec.shape)), path)
+    assert [w[0] for w in writes] == [path, path + ".json"]
+    for written, kind, size in writes:
+        assert kind is str
+        assert size == os.path.getsize(written)
