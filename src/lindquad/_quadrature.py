@@ -29,9 +29,9 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                    order: int) -> np.ndarray:
-    nodes, weights = _leggauss(order)
+def _panel_integral(f: Callable[[np.ndarray], np.ndarray], a: float,
+                    b: float) -> np.ndarray:
+    nodes, weights = _leggauss(15)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     values = f(mid + half * nodes)
@@ -44,15 +44,14 @@ def gauss_legendre_adaptive(
     b: float,
     *,
     rtol: float = 1e-10,
-    atol: float = 0.0,
-    order: int = 15,
     max_splits: int = 2000,
 ) -> np.ndarray:
     """Integrate a vectorized (possibly matrix-valued) ``f`` over [a, b].
 
-    Globally adaptive: the panel with the worst whole-vs-halves discrepancy is
-    bisected until the summed discrepancy meets ``rtol``/``atol`` (max-abs norm
-    over components). Orientation follows the sign of ``b - a``.
+    Globally adaptive: order-15 panels, the one with the worst
+    whole-vs-halves discrepancy bisected until the summed discrepancy meets
+    ``rtol`` (max-abs norm over components). Orientation follows the sign of
+    ``b - a``.
 
     Raises QuadratureNotConverged when ``max_splits`` bisections are not
     enough.
@@ -69,21 +68,20 @@ def gauss_legendre_adaptive(
     # the one that enters the total.
     def make_panel(lo: float, hi: float, whole: np.ndarray):
         mid = 0.5 * (lo + hi)
-        left = _panel_integral(f, lo, mid, order)
-        right = _panel_integral(f, mid, hi, order)
+        left = _panel_integral(f, lo, mid)
+        right = _panel_integral(f, mid, hi)
         refined = left + right
         err = float(np.max(np.abs(refined - whole)))
         return {"lo": lo, "hi": hi, "left": left, "right": right,
                 "refined": refined, "err": err}
 
-    panels = [make_panel(a, b, _panel_integral(f, a, b, order))]
+    panels = [make_panel(a, b, _panel_integral(f, a, b))]
     for _ in range(max_splits):
         total = panels[0]["refined"].copy()
         for p in panels[1:]:
             total += p["refined"]
         err_sum = sum(p["err"] for p in panels)
-        tol = rtol * float(np.max(np.abs(total))) + atol
-        if err_sum <= max(tol, 1e-300):
+        if err_sum <= max(rtol * float(np.max(np.abs(total))), 1e-300):
             return sign * total
         worst = max(range(len(panels)), key=lambda i: panels[i]["err"])
         p = panels.pop(worst)
@@ -120,7 +118,6 @@ def adaptive_tensor_gl(
     box: tuple[tuple[float, float], tuple[float, float]],
     *,
     rtol: float = 1e-8,
-    atol: float = 0.0,
     start_order: int = 32,
     max_order: int = 2048,
 ) -> complex:
@@ -130,7 +127,7 @@ def adaptive_tensor_gl(
     while order <= max_order:
         order *= 2
         cur = tensor_gauss_legendre(f, box, order)
-        if abs(cur - prev) <= rtol * abs(cur) + atol:
+        if abs(cur - prev) <= rtol * abs(cur):
             return cur
         prev = cur
     raise QuadratureNotConverged(

@@ -159,7 +159,7 @@ def _threshold_rows(data: dict, photon: bool) -> list[tuple]:
         rows += [("photon", gamma, nbar,
                   analysis.positivity_time(photon_bath(gamma=gamma, nbar=nbar),
                                            horizon=horizon),
-                  math.log(1.0 + 1.0 / (2.0 * nbar + 1.0)) / gamma)
+                  oracle.cat_zero_crossing_time(gamma, nbar))
                  for gamma, nbar in ((1.0, 0.0), (1.0, 0.5), (2.0, 3.0))]
     return rows
 
@@ -224,13 +224,13 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     data = _load_config(args.config,
                         {"system", "state", "times", "include_asymptotic"},
                         {"system", "state", "times"})
+    out = _require_out(args.out)
     system = system_from_dict(data["system"])
     state = state_from_dict(data["state"], hbar=system.hbar)
     times = _number_list(data, "times")
     curve = analysis.purity_curve(
         system, state, [float(v) for v in times],
         include_asymptotic=_bool_field(data, "include_asymptotic"))
-    out = _require_out(args.out)
     analysis.write_purity_csv(curve, out)
     return _EXIT_OK
 
@@ -280,6 +280,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     data = _load_config(args.config,
                         {"system", "state", "t", "floor", "chord_grid"},
                         {"system", "state", "t", "chord_grid"})
+    out = _require_out(args.out)
     system = system_from_dict(data["system"])
     state = state_from_dict(data["state"], hbar=system.hbar)
     t = _float_field(data, "t")
@@ -290,24 +291,23 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     pts = grid.points()
     values = recovered(pts)
     reliable = recovered.reliability(pts)
-    out = _require_out(args.out)
     write_field_csv(GridField(spec=grid, values=values), out)
     write_field_csv(GridField(spec=grid, values=reliable.astype(float)),
                     out + ".reliability.csv")
     return _EXIT_OK
 
 
-def _fock_initial(data: dict, system: OpenSystem) -> oracle.FockDensity:
-    """Number-basis initial state for the Fock comparison (coherent or cat)."""
+def _fock_initial(data: dict, system: OpenSystem, dim: int | None
+                  ) -> oracle.FockDensity:
+    """Number-basis initial state for the Fock comparison (coherent or cat),
+    of dimension ``dim`` or, when None, the state's default."""
     state, hbar = data["state"], system.hbar
     kind, center = state.get("type"), state.get("center", (0.0, 0.0))
     if kind not in ("cat", "coherent"):
         raise ConfigError("fock comparison supports coherent or cat states")
-    dim = data.get("fock_dim")
     if dim is None:
         dim = (oracle.cat_fock_dim(float(state["zeta"]), hbar) if kind == "cat"
                else oracle.coherent_fock_dim(center, hbar))
-    dim = whole_number(dim, "'fock_dim'", 2)
     if kind == "cat":
         return oracle.fock_cat(float(state["zeta"]), dim, hbar)
     return oracle.fock_coherent(center, dim, hbar)
@@ -323,7 +323,10 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     t = _float_field(data, "t")
     grid = grid_from_dict(data["grid"])
     fp_dt = _float_field(data, "fp_dt")
-    rho0 = _fock_initial(data, system) if _bool_field(data, "with_fock") else None
+    dim = data.get("fock_dim")
+    dim = None if dim is None else whole_number(dim, "'fock_dim'", 2)
+    rho0 = (_fock_initial(data, system, dim) if _bool_field(data, "with_fock")
+            else None)
 
     exact = propagator.evolve_wigner_grid(system, state, t, grid)
     initial = GridField(spec=grid, values=state.wigner(grid.points()))

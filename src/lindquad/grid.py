@@ -8,9 +8,10 @@ recording origin, spacing, and shape so files are self-describing.
 
 The bytes of a field CSV are unchanged from the per-node layout of earlier
 versions, ``f"{p!r},{q!r},{re!r},{im!r}"`` for every node with the values
-widened to complex. The writer does not call ``repr``: ``_floatrepr``
-prints the same digits for whole arrays, and the writer lays a block of
-grid rows out as NUL-padded words and drops the NULs in one pass.
+widened to complex. The writer calls ``repr`` only once per axis node;
+``_floatrepr`` prints the same digits for whole arrays of values, and the
+writer lays a block of grid rows out as NUL-padded words and drops the
+NULs in one pass.
 """
 
 from __future__ import annotations
@@ -148,20 +149,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _axis_cells(spec: GridSpec) -> list[NDArray[np.uint64]]:
-    """The p and q cells, each node's ``repr`` and a comma in NUL-padded words.
-
-    The text of each cell is packed to the left, so the cells of an axis
-    are as few words wide as its longest one needs.
-    """
-    text = repr_words(np.concatenate([spec.p_axis, spec.q_axis])).view(np.uint8)
-    packed = np.take_along_axis(
-        text, np.argsort(text == 0, axis=1, kind="stable"), axis=1)
-    length = np.count_nonzero(text, axis=1)
-    packed[np.arange(len(text)), length] = ord(",")
+    """The p and q cells, each node's ``repr`` and a comma in NUL-padded
+    words, as few words wide as the axis's longest cell needs."""
     cells = []
-    for axis in (slice(0, spec.shape[0]), slice(spec.shape[0], None)):
-        words = -(-(int(length[axis].max()) + 1) // 8)
-        cells.append(np.ascontiguousarray(packed[axis, :8 * words]).view("<u8"))
+    for axis in (spec.p_axis, spec.q_axis):
+        text = np.array([repr(v) + "," for v in axis.tolist()], dtype=np.bytes_)
+        words = text.astype(f"S{-(-text.itemsize // 8) * 8}").view("<u8")
+        cells.append(words.reshape(len(text), -1))
     return cells
 
 

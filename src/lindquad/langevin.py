@@ -33,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, NotPositiveDefinite, SingularFrame, Unstable
-from .model import J, OpenSystem, symplectic_transform
-from .propagator import affine_flow, damping_matrix
+from .errors import ConfigError, SingularFrame, Unstable
+from .model import (J, OpenSystem, _covariance, _psd_root, finite_array,
+                    symplectic_transform)
+from .propagator import _exact_step
 
 __all__ = [
     "SdeSpec",
@@ -106,30 +107,19 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _transition(system: OpenSystem, t: float
-                ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """(F, o, C): over an interval t the SDE maps x to F x + o plus a centred
-    Gaussian of covariance C = hbar (-J M(t) J)."""
-    # M first: where it overflows it raises Unstable before F does
-    noise = system.hbar * (-J @ damping_matrix(system, t) @ J)
-    linear, offset = affine_flow(system, t)
-    return linear, offset, noise
-
-
 def _exact_advance(system: OpenSystem, dt: float, gaps):
     """Advance by the exact transition over ``gap`` steps of ``dt``, one
     (block, 2) normal array per call.
 
     The maps are built once per distinct gap (a stored grid has at most
-    two). The noise factor S with S S^T = C comes from ``eigh`` with
-    eigenvalues clipped at 0, since C is singular wherever M is and then
-    has no Cholesky factor.
+    two). The noise factor S with S S^T = C = hbar (-J M J) is the clipped
+    ``eigh`` root, since C is singular wherever M is and then has no
+    Cholesky factor.
     """
     maps = {}
     for gap in set(gaps):
-        linear, offset, noise = _transition(system, gap * dt)
-        w, v = np.linalg.eigh(noise)
-        maps[gap] = linear.T, offset, (v * np.sqrt(np.clip(w, 0.0, None))).T
+        linear, offset, m = _exact_step(system, gap * dt)
+        maps[gap] = linear.T, offset, _psd_root(system.hbar * (-J @ m @ J)).T
 
     def advance(x, rng, gap):
         linear_t, offset, factor_t = maps[gap]
@@ -170,24 +160,15 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
     from each block's stream, then one (block, 2) normal array per stored
     interval (exact) or one (block, channels) array per step (Euler);
     partial final blocks draw the full block and discard, keeping every
-    path's noise independent of ``n_paths``. ``t`` and ``dt`` must be
-    finite, with t/dt finite too, and the stored paths at most ~2 GB
-    (:class:`ConfigError` otherwise). Raises :class:`Unstable` when the
-    paths overflow.
+    path's noise independent of ``n_paths``; a singular ``initial_cov``
+    draws through its clipped ``eigh`` root, a definite one through its
+    Cholesky factor. The initial moments are read as in
+    :func:`exact_moments`. ``t`` and ``dt`` must be finite, with t/dt
+    finite too, and the stored paths at most ~2 GB (:class:`ConfigError`
+    otherwise). Raises :class:`Unstable` when the paths overflow.
     """
-    mean = np.asarray(initial_mean, dtype=float)
-    cov = np.asarray(initial_cov, dtype=float)
-    if mean.shape != (2,) or cov.shape != (2, 2):
-        raise ConfigError("initial_mean must be a 2-vector, initial_cov 2x2")
-    if float(np.max(np.abs(cov - cov.T))) > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
-        raise NotPositiveDefinite("initial covariance must be symmetric")
-    try:
-        chol = np.linalg.cholesky(0.5 * (cov + cov.T))
-    except np.linalg.LinAlgError:
-        if np.allclose(cov, 0.0):
-            chol = np.zeros((2, 2))
-        else:
-            raise NotPositiveDefinite("initial covariance is not positive semidefinite")
+    mean = finite_array(initial_mean, (2,), "initial_mean")
+    _, root = _covariance(initial_cov, "initial_cov", definite=False)
     if not (0 <= t < math.inf and 0 < dt < math.inf and t / dt < math.inf):
         raise ConfigError(
             f"need finite t >= 0, dt > 0 and t/dt, got t={t!r}, dt={dt!r}")
@@ -227,7 +208,7 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
         lo = block * _BLOCK
         hi = min(lo + _BLOCK, n_paths)
         keep = hi - lo
-        x = mean + rng.standard_normal((_BLOCK, 2)) @ chol.T
+        x = mean + rng.standard_normal((_BLOCK, 2)) @ root.T
         out[lo:hi, 0] = x[:keep]
         # overflow shows as non-finite paths, reported below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -254,10 +235,16 @@ def ensemble_moments(ensemble: TrajectoryEnsemble, index: int = -1
 
 def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float
                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Closed-form first and second moments of the SDE (= Wigner moments)."""
-    linear, offset, noise = _transition(system, t)
-    mean = np.asarray(initial_mean, dtype=float) @ linear.T + offset
-    cov = linear @ np.asarray(initial_cov, dtype=float) @ linear.T + noise
+    """Closed-form first and second moments of the SDE (= Wigner moments).
+
+    The initial moments must be finite (:class:`ConfigError`), with a
+    symmetric positive semidefinite covariance (:class:`NotPositiveDefinite`).
+    """
+    mean = finite_array(initial_mean, (2,), "initial_mean")
+    cov, _ = _covariance(initial_cov, "initial_cov", definite=False)
+    linear, offset, m = _exact_step(system, t)
+    mean = mean @ linear.T + offset
+    cov = linear @ cov @ linear.T + system.hbar * (-J @ m @ J)
     return mean, 0.5 * (cov + cov.T)
 
 

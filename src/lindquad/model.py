@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, NonSymplectic
+from .errors import ConfigError, NonSymplectic, NotPositiveDefinite
 
 __all__ = [
     "J",
@@ -87,6 +87,39 @@ def whole_number(value, name: str, low: int) -> int:
             or value < low):
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _psd_root(c: NDArray[np.float64]) -> NDArray[np.float64]:
+    """S with S S^T = c for a symmetric c, from ``eigh`` with eigenvalues
+    clipped at 0 (c may be singular and then has no Cholesky factor)."""
+    w, v = np.linalg.eigh(c)
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def _covariance(value, name: str, definite: bool = True
+                ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Outside input ``value`` as a symmetric 2x2 covariance C and a factor
+    S with S S^T = C.
+
+    Entries must be finite (:class:`ConfigError`) and symmetric within
+    round-off. S is the Cholesky factor; where there is none, C must be
+    only semidefinite (``definite=False``) with no eigenvalue below
+    -1e-12 max|C_ij|, and S is :func:`_psd_root`'s. Anything else raises
+    :class:`NotPositiveDefinite`.
+    """
+    cov = finite_array(value, (2, 2), name)
+    scale = float(np.max(np.abs(cov)))
+    if float(np.max(np.abs(cov - cov.T))) > _SYM_RTOL * max(1.0, scale):
+        raise NotPositiveDefinite(f"{name} must be symmetric")
+    cov = 0.5 * (cov + cov.T)
+    try:
+        return cov, np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        if definite or np.linalg.eigvalsh(cov)[0] < -_SYM_RTOL * scale:
+            kind = "definite" if definite else "semidefinite"
+            raise NotPositiveDefinite(
+                f"{name} is not positive {kind}: {cov.tolist()}") from None
+    return cov, _psd_root(cov)
 
 
 def _as_vector(value, name: str) -> NDArray[np.float64]:
@@ -152,16 +185,13 @@ class Regime(enum.Enum):
     PARABOLIC = "Parabolic"
 
 
-def classify(hamiltonian: HamiltonianForm, tol: float | None = None) -> Regime:
-    """Classify by the sign of det H against ``tol``.
+def classify(hamiltonian: HamiltonianForm) -> Regime:
+    """Classify by the sign of det H against 1e-12 * max|H_ij|.
 
-    Default tolerance 1e-12 * max|H_ij| keeps the parabolic set detectable
-    in scaled units while staying below any representable curvature.
+    That tolerance keeps the parabolic set detectable in scaled units while
+    staying below any representable curvature.
     """
-    if tol is None:
-        tol = 1e-12 * float(np.max(np.abs(hamiltonian.matrix)))
-    if tol < 0:
-        raise ConfigError("classification tolerance must be nonnegative")
+    tol = 1e-12 * float(np.max(np.abs(hamiltonian.matrix)))
     det = hamiltonian.det
     if det > tol:
         return Regime.ELLIPTIC

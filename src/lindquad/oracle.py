@@ -628,28 +628,11 @@ def cat_fringe_zero(zeta: float, gamma: float, nbar: float, t: float,
 def cat_zero_crossing_time(gamma: float, nbar: float) -> float:
     """First t at which the cat's W_t(p, 0) loses its negative fringe minima.
 
-    Bisects the fringe-extinction condition A(t) = B(t) from
-    :func:`cat_wigner_line`; the result depends only on the bath, not on
-    zeta or hbar.
+    The fringe-extinction condition A(t) = B(t) of :func:`cat_wigner_line`,
+    e^{-gamma t} = beta_t / 2, solved: t = ln(1 + 1/(2 nbar + 1)) / gamma.
+    It depends only on the bath, not on zeta or hbar.
     """
-    if gamma <= 0:
-        raise ConfigError("fringe extinction requires gamma > 0")
-
-    def contrast(t: float) -> float:
-        s = math.exp(-gamma * t)
-        return 1.0 - 2.0 * s / _beta(gamma, nbar, t)
-
-    lo, hi = 0.0, 1.0 / gamma
-    while contrast(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6 / gamma:
-            raise ConfigError("fringe extinction not reached within 1e6/gamma")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if contrast(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+    if not 0.0 < gamma < math.inf:
+        raise ConfigError("fringe extinction requires a finite gamma > 0")
+    _beta(gamma, nbar, 0.0)  # rejects a negative or non-finite nbar
+    return math.log(1.0 + 1.0 / (2.0 * nbar + 1.0)) / gamma

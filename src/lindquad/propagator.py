@@ -310,6 +310,12 @@ def damping_matrix(system: OpenSystem, t: float) -> np.ndarray:
     return damping_matrices(system, [t])[0]
 
 
+def _exact_step(system: OpenSystem, t: float) -> tuple[np.ndarray, ...]:
+    """(F, o, M(t)) over t; M first, so that it reports an overflow of both."""
+    m = damping_matrix(system, t)
+    return (*affine_flow(system, t), m)
+
+
 def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,
               reliability=None) -> ChordState:
     """Carry every term of ``state`` along the affine flow over t (either sign).
@@ -322,9 +328,7 @@ def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,
     if abs(state.hbar - system.hbar) > 1e-12 * system.hbar:
         raise ConfigError(
             f"state hbar {state.hbar} does not match system hbar {system.hbar}")
-    # M first: where it overflows it raises Unstable before the pull-back can
-    m = damping_matrix(system, t)
-    linear, offset = affine_flow(system, t)
+    linear, offset, m = _exact_step(system, t)
     back = -J @ linear.T @ J
     return ChordState(log_weights=state.log_weights,
                       forms=back.T @ state.forms @ back + m / system.hbar,

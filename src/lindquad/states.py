@@ -25,8 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, NotPositiveDefinite, Unstable
-from .model import J, _as_vector, _inv2, _require_keys, finite_array
+from .errors import ConfigError, Unstable
+from .model import J, _as_vector, _covariance, _inv2, _require_keys, finite_array
 
 __all__ = [
     "ChordState",
@@ -186,14 +186,7 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
     Pure iff det cov = (hbar/2)^2; purity is (hbar/2)/sqrt(det cov).
     """
     mean = _as_vector(mean, "mean")
-    cov = finite_array(cov, (2, 2), "cov")
-    if float(np.max(np.abs(cov - cov.T))) > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
-        raise NotPositiveDefinite("covariance must be symmetric")
-    cov = 0.5 * (cov + cov.T)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"covariance is not positive definite: {cov.tolist()}")
+    cov, _ = _covariance(cov, "covariance")
     det = float(np.linalg.det(cov))
     pure = abs(det - (hbar / 2.0) ** 2) <= 1e-9 * (hbar / 2.0) ** 2
     # chord form J cov J^T / hbar^2, so the Wigner transform has covariance cov

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lindquad
-from lindquad import (coherent_state, oracle, photon_bath, purity,
+from lindquad import (analysis, coherent_state, oracle, photon_bath, purity,
                       read_field_csv, system_to_dict)
 from lindquad.cli import _build_parser, main
 
@@ -173,6 +173,45 @@ def test_cli_import_loads_no_scipy() -> None:
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_runs_every_subcommand_without_scipy(tmp_path) -> None:
+    # scipy is blocked from import: only the audits in oracle may need it
+    grid = {"center": [0.0, 0.0], "half_extent": [5.0, 5.0], "shape": [49, 49]}
+    table = _config(tmp_path, {"d_second": [0.0, 1.0], "epsilons": [1.0]},
+                    name="table.json")
+    evolve = {"system": PHOTON, "state": COHERENT, "t": 0.2, "grid": grid}
+    configs = {
+        "classify": {"system": PHOTON},
+        "positivity": {"system": PHOTON},
+        "evolve": evolve,
+        "chord": dict(evolve, representation="chord"),
+        "entropy": {"system": PHOTON, "state": COHERENT, "times": [0.2, 8.0]},
+        "langevin": {"system": PHOTON, "state": COHERENT, "t": 0.3, "dt": 0.1,
+                     "n_paths": 64},
+        "reconstruct": {"system": PHOTON, "state": COHERENT, "t": 0.2,
+                        "chord_grid": dict(grid, shape=[17, 17])},
+        "oracle-compare": {"system": PHOTON, "t": 0.15, "grid": grid,
+                           "state": {"type": "coherent", "center": [0.6, 0.0]},
+                           "with_fock": True},
+    }
+    runs = [["evolve" if name == "chord" else name, "--config",
+             _config(tmp_path, payload, name=f"{name}.json"),
+             "--out", str(tmp_path / f"{name}.out")]
+            for name, payload in configs.items()]
+    runs += [["positivity", flag, "--config", table, "--out",
+              str(tmp_path / f"table{flag}.csv")]
+             for flag in ("--sweep", "--paper-table")]
+    code = ("import json, sys; sys.modules['scipy'] = None; "
+            "from lindquad.cli import main; "
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+    src = str(Path(lindquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
 
 
 def test_sweep_reproduces_frozen_thresholds(tmp_path) -> None:
@@ -637,6 +676,36 @@ def test_entropy_validation_errors(tmp_path) -> None:
                              "times": [0.1, True]}, name="e2.json")
     assert main(["entropy", "--config", cfg, "--out",
                  str(tmp_path / "q.csv")]) == 2
+
+
+@pytest.mark.parametrize("command, key, payload", [
+    ("entropy", "purity_curve", {"times": [0.2, 8.0]}),
+    ("reconstruct", "reconstruct", {
+        "t": 0.2, "chord_grid": {"center": [0.0, 0.0], "half_extent": [3.0, 3.0],
+                                 "shape": [17, 17]}}),
+])
+def test_missing_out_is_reported_before_computing(
+        tmp_path, monkeypatch, command, key, payload) -> None:
+    calls = []
+    monkeypatch.setattr(analysis, key, lambda *a, **k: calls.append(a))
+    cfg = _config(tmp_path, dict(payload, system=PHOTON, state=COHERENT))
+    assert main([command, "--config", cfg]) == 2
+    assert calls == []
+
+
+def test_oracle_compare_checks_fock_dim_without_fock(tmp_path, monkeypatch) -> None:
+    def no_integration(*args, **kwargs):
+        raise AssertionError("Fokker-Planck run before validation")
+
+    monkeypatch.setattr(oracle, "integrate_fokker_planck", no_integration)
+    for dim in ("lots", 1, 2.5, True):
+        cfg = _config(tmp_path, {
+            "system": PHOTON, "state": COHERENT, "t": 0.1, "with_fock": False,
+            "fock_dim": dim, "grid": {"center": [0.0, 0.0],
+                                      "half_extent": [5.0, 5.0], "shape": [33, 33]},
+        })
+        assert main(["oracle-compare", "--config", cfg, "--out",
+                     str(tmp_path / "r.json")]) == 2
 
 
 def test_langevin_orbit_overflow_exits_five(tmp_path) -> None:

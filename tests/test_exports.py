@@ -72,3 +72,34 @@ def test_no_unused_imports() -> None:
         (root / "tests").glob("*.py"))
     assert files
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """Module-level names ``tree`` defines that start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {leaf.id for target in targets for leaf in ast.walk(target)
+                      if isinstance(leaf, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_is_read() -> None:
+    # a helper that a merge leaves behind, defined but never called, fails here
+    root = Path(__file__).resolve().parent.parent / "src" / "lindquad"
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(root.glob("*.py"))}
+    assert trees
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [f"{name}: {private}" for name, tree in trees.items()
+            for private in sorted(_private_definitions(tree))
+            if private not in read] == []

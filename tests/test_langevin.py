@@ -247,6 +247,56 @@ def test_simulation_validation() -> None:
         simulate(spec, mean0, [[1.0, 2.0], [2.0, 1.0]], 0.1, 1e-2, 10, seed=0)
 
 
+@pytest.mark.parametrize("mean0, cov0", [
+    ([np.nan, 0.0], np.eye(2)),
+    ([0.0, np.inf], np.eye(2)),
+    ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+    ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+    ([0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+])
+def test_non_finite_initial_moments_are_config_errors(mean0, cov0) -> None:
+    # NaN once surfaced as an overflow at t = 0, inf as a RuntimeWarning, and
+    # exact_moments returned NaN moments
+    system = photon_bath(gamma=1.0)
+    with pytest.raises(ConfigError):
+        simulate(sde_from_system(system), mean0, cov0, 0.1, 0.05, 8, seed=0)
+    with pytest.raises(ConfigError):
+        exact_moments(system, mean0, cov0, 0.1)
+
+
+def test_initial_covariance_may_be_singular_but_not_negative() -> None:
+    system = photon_bath(gamma=1.0, nbar=0.5)
+    spec = sde_from_system(system)
+    mean0 = np.array([0.3, -0.8])
+    for cov0 in ([[1.0, 0.0], [0.0, 0.0]], [[1e-300, 0.0], [0.0, 0.0]],
+                 [[1.0, 1.0], [1.0, 1.0]]):
+        ens = simulate(spec, mean0, cov0, 0.2, 0.1, 4000, seed=3, scheme="exact")
+        start = ens.paths[:, 0]
+        # the draws lie on the covariance's range through the mean
+        null = np.linalg.eigh(np.asarray(cov0))[1][:, 0]
+        assert np.max(np.abs((start - mean0) @ null)) < 1e-12
+        assert np.allclose(np.cov(start.T), cov0, atol=0.1)
+        _, cov_t = exact_moments(system, mean0, cov0, 0.2)
+        assert np.all(np.linalg.eigvalsh(cov_t) > 0.0)
+    for cov0 in ([[1.0, 0.0], [0.0, -1e-6]], [[1.0, 2.0], [2.0, 1.0]]):
+        with pytest.raises(NotPositiveDefinite):
+            simulate(spec, mean0, cov0, 0.2, 0.1, 8, seed=3)
+        with pytest.raises(NotPositiveDefinite):
+            exact_moments(system, mean0, cov0, 0.2)
+    with pytest.raises(NotPositiveDefinite):
+        exact_moments(system, mean0, [[1.0, 0.5], [0.2, 1.0]], 0.2)
+
+
+def test_definite_initial_covariance_draws_through_cholesky() -> None:
+    # seeded ensembles stay bit-identical: x0 = mean + z L^T, L L^T = cov
+    spec = sde_from_system(photon_bath(gamma=1.0))
+    mean0, cov0 = np.array([0.1, 0.2]), np.array([[1.0, 0.3], [0.3, 0.5]])
+    ens = simulate(spec, mean0, cov0, 0.1, 0.1, 100, seed=7, scheme="exact")
+    z = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+    expect = mean0 + z.standard_normal((1024, 2)) @ np.linalg.cholesky(cov0).T
+    assert np.array_equal(ens.paths[:, 0], expect[:100])
+
+
 def test_storage_guard_suggests_stride() -> None:
     sys = photon_bath(gamma=1.0)
     spec = sde_from_system(sys)

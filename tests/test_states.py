@@ -182,6 +182,32 @@ def test_zero_crossing_time_closed_form() -> None:
         assert got == pytest.approx(expect, rel=1e-9)
 
 
+@pytest.mark.parametrize("gamma, nbar", [(1.0, 0.0), (0.3, 0.5), (2.0, 3.0),
+                                         (0.05, 10.0), (7.0, 0.1)])
+def test_zero_crossing_time_is_where_the_fringe_zero_ends(gamma, nbar) -> None:
+    # the closed form against the hand-derived fringe condition of
+    # cat_fringe_zero, just before and just after
+    t_p = cat_zero_crossing_time(gamma, nbar)
+    for zeta in (0.5, 1.0, 4.0):
+        assert cat_fringe_zero(zeta, gamma, nbar, t_p * (1.0 - 1e-9)) is not None
+        assert cat_fringe_zero(zeta, gamma, nbar, t_p * (1.0 + 1e-9)) is None
+
+
+def test_zero_crossing_time_rejects_a_bad_bath() -> None:
+    for gamma, nbar in ((-1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
+                        (1.0, -0.5), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ConfigError):
+            cat_zero_crossing_time(gamma, nbar)
+
+
+def test_gaussian_state_checks_its_covariance() -> None:
+    # a state needs a definite covariance; a singular one is refused
+    with pytest.raises(NotPositiveDefinite):
+        gaussian_state((0.0, 0.0), [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ConfigError):
+        gaussian_state((0.0, 0.0), [[1.0, np.inf], [np.inf, 1.0]])
+
+
 def test_cat_parameters_validation() -> None:
     with pytest.raises(ConfigError):
         cat_state(-1.0)
