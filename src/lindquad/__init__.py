@@ -18,13 +18,11 @@ from .errors import (AsymptoticInvalid, ConfigError, GridTooCoarse,
                      Unstable)
 from .grid import (GridField, GridSpec, centered_grid, grid_from_dict,
                    read_field_csv, write_field_csv)
-from .langevin import (SdeSpec, TrajectoryEnsemble, ensemble_moments,
-                       exact_moments, momentum_dissipation_frame,
-                       sde_from_system, simulate)
+from .langevin import (TrajectoryEnsemble, ensemble_moments, exact_moments,
+                       momentum_dissipation_frame, simulate)
 from .model import (HamiltonianForm, J, LindbladChannel,
                     OpenSystem, Regime,
-                    characteristic_timescale, classify,
-                    dissipation_coefficient, photon_bath, sigma,
+                    characteristic_timescale, classify, photon_bath,
                     symplectic_transform, system_from_dict, system_to_dict,
                     wedge)
 from .oracle import (FockDensity, affine_flow_expm, cat_fock_dim,
@@ -50,13 +48,13 @@ __all__ = [
     "GridTooCoarse", "HamiltonianForm", "J", "LindbladChannel",
     "LindquadError", "NonSymplectic", "NotPositiveDefinite", "OpenSystem",
     "PositivityResult", "PurityCurve", "QuadratureNotConverged", "Regime",
-    "SdeSpec", "SingularFrame", "TrajectoryEnsemble", "TruncationLeak",
+    "SingularFrame", "TrajectoryEnsemble", "TruncationLeak",
     "Unstable", "affine_flow", "affine_flow_expm",
     "cat_fock_dim", "cat_fringe_wavenumber", "cat_fringe_zero", "cat_state",
     "cat_wigner_line", "cat_zero_crossing_time", "centered_grid",
     "characteristic_timescale", "chord_pde_residual",
     "classify", "coherent_fock_dim", "coherent_state", "damping_matrices", "damping_matrix",
-    "damping_matrix_quadrature", "dissipation_coefficient", "ensemble_moments",
+    "damping_matrix_quadrature", "ensemble_moments",
     "evolve_chord", "evolve_wigner_grid", "evolved_state", "exact_moments",
     "fock_cat", "fock_coherent", "fock_mean", "fock_operators",
     "fock_thermal", "fokker_planck_max_dt",
@@ -65,7 +63,7 @@ __all__ = [
     "momentum_dissipation_frame",
     "photon_bath", "positivity_time", "purity",
     "purity_asymptotic", "purity_curve", "purity_quadrature",
-    "read_field_csv", "reconstruct", "sde_from_system", "sigma", "simulate",
+    "read_field_csv", "reconstruct", "simulate",
     "state_from_dict",
     "symplectic_transform", "system_from_dict", "system_to_dict", "wedge",
     "wigner_from_fock", "write_field_csv", "write_purity_csv",

@@ -244,7 +244,7 @@ def cmd_langevin(args: argparse.Namespace) -> int:
     mean0, cov0 = state_from_dict(data["state"], hbar=system.hbar).moments()
     t = _float_field(data, "t")
     dt = _float_field(data, "dt")
-    n_paths = whole_number(data["n_paths"], "'n_paths'", 1)
+    n_paths = whole_number(data["n_paths"], "'n_paths'", 2)
     stride = whole_number(data.get("store_stride", 1), "'store_stride'", 1)
     seed = whole_number(args.seed if args.seed is not None else data.get("seed", 0),
                         "seed", 0)
@@ -252,9 +252,8 @@ def cmd_langevin(args: argparse.Namespace) -> int:
     out = _require_out(args.out)
 
     # every result first, so a failure leaves no file behind
-    ensemble = langevin.simulate(langevin.sde_from_system(system), mean0, cov0,
-                                 t, dt, n_paths, seed, store_stride=stride,
-                                 scheme="exact")
+    ensemble = langevin.simulate(system, mean0, cov0, t, dt, n_paths, seed,
+                                 store_stride=stride, scheme="exact")
     exact_mean, exact_cov = langevin.exact_moments(system, mean0, cov0, t)
     lines = ["t,mean_p,mean_q,cov_pp,cov_pq,cov_qq,n_paths"]
     for idx, time_val in enumerate(ensemble.times):

@@ -8,7 +8,8 @@ second moments — the generator is identical) by the Ito SDE
 
 with one independent Wiener process per real/imaginary channel component
 and noise vectors v = sqrt(hbar) J l. The diffusion matrix is then
-D = (hbar/2) J K J^T, and the exact moment transport
+D = (hbar/2) J K J^T; :class:`OpenSystem` holds the drift, the noise
+vectors and D. The exact moment transport
 
     mean_t = F mean_0 + o,
     cov_t  = F cov_0 F^T + hbar (-J M(t) J),
@@ -39,9 +40,7 @@ from .model import (J, OpenSystem, _covariance, _psd_root, finite_array,
 from .propagator import _exact_step
 
 __all__ = [
-    "SdeSpec",
     "TrajectoryEnsemble",
-    "sde_from_system",
     "simulate",
     "ensemble_moments",
     "exact_moments",
@@ -50,39 +49,6 @@ __all__ = [
 
 _BLOCK = 1024
 _SCHEMES = ("euler-maruyama", "exact")
-
-
-@dataclass(frozen=True)
-class SdeSpec:
-    """Drift and noise data of the equivalent classical SDE.
-
-    ``system`` is the open system the SDE came from; the exact scheme of
-    :func:`simulate` needs it for the closed-form transition.
-    """
-
-    drift_matrix: NDArray[np.float64]
-    drift_offset: NDArray[np.float64]
-    noise_vectors: NDArray[np.float64]  # (2 * channels, 2), zero rows retained
-    hbar: float
-    system: OpenSystem | None = None
-
-    @property
-    def diffusion(self) -> NDArray[np.float64]:
-        """D = (1/2) sum_j v_j v_j^T."""
-        return 0.5 * self.noise_vectors.T @ self.noise_vectors
-
-
-def sde_from_system(system: OpenSystem) -> SdeSpec:
-    """Build the SDE whose Fokker–Planck equation is the Wigner transport."""
-    root = math.sqrt(system.hbar)
-    vectors = []
-    for chan in system.channels:
-        vectors.append(root * J @ chan.l_re)
-        vectors.append(root * J @ chan.l_im)
-    noise = np.array(vectors, dtype=float) if vectors else np.zeros((0, 2))
-    return SdeSpec(drift_matrix=system.drift_matrix.copy(),
-                   drift_offset=system.drift_offset.copy(),
-                   noise_vectors=noise, hbar=system.hbar, system=system)
 
 
 @dataclass(frozen=True)
@@ -127,10 +93,11 @@ def _exact_advance(system: OpenSystem, dt: float, gaps):
     return advance
 
 
-def _euler_advance(spec: SdeSpec, dt: float):
+def _euler_advance(system: OpenSystem, dt: float):
     """Advance by ``gap`` Euler–Maruyama steps of ``dt``, one
     (block, channels) normal array per step when there is noise."""
-    a_mat, offset, noise = spec.drift_matrix, spec.drift_offset, spec.noise_vectors
+    a_mat, offset = system.drift_matrix, system.drift_offset
+    noise = system.noise_vectors
     m_noise = noise.shape[0]
     root_dt = math.sqrt(dt)
 
@@ -146,7 +113,7 @@ def _euler_advance(spec: SdeSpec, dt: float):
     return advance
 
 
-def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
+def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
              n_paths: int, seed: int, *, store_stride: int = 1,
              scheme: str = "euler-maruyama") -> TrajectoryEnsemble:
     """Sample path ensemble from a Gaussian initial condition.
@@ -154,9 +121,9 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
     The step count is round(t/dt) (at least 1) and the step is stretched to
     land exactly on ``t``; ``store_stride`` keeps every k-th step (plus the
     last). ``scheme="exact"`` jumps between stored times by the exact
-    Gaussian transition (``spec`` must come from :func:`sde_from_system`),
-    so there ``dt`` and ``store_stride`` only place the stored times;
-    ``"euler-maruyama"`` takes every step. Initial points are drawn first
+    Gaussian transition, so there ``dt`` and ``store_stride`` only place
+    the stored times; ``"euler-maruyama"`` takes every step with the
+    system's drift and ``noise_vectors``. Initial points are drawn first
     from each block's stream, then one (block, 2) normal array per stored
     interval (exact) or one (block, channels) array per step (Euler);
     partial final blocks draw the full block and discard, keeping every
@@ -181,8 +148,6 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
     seed = int(seed)
     if scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
-    if scheme == "exact" and spec.system is None:
-        raise ConfigError("the exact scheme needs an SdeSpec built by sde_from_system")
 
     steps = max(1, round(t / dt)) if t > 0 else 0
     dt_eff = t / steps if steps else dt
@@ -197,8 +162,8 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
         stored_steps.append(steps)
 
     gaps = np.diff(stored_steps).tolist()
-    advance = (_exact_advance(spec.system, dt_eff, gaps) if scheme == "exact"
-               else _euler_advance(spec, dt_eff))
+    advance = (_exact_advance(system, dt_eff, gaps) if scheme == "exact"
+               else _euler_advance(system, dt_eff))
     out = np.empty((n_paths, len(stored_steps), 2))
     times = dt_eff * np.asarray(stored_steps, dtype=float)
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
@@ -225,12 +190,12 @@ def simulate(spec: SdeSpec, initial_mean, initial_cov, t: float, dt: float,
 
 def ensemble_moments(ensemble: TrajectoryEnsemble, index: int = -1
                      ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Sample mean and covariance (ddof=1) at a stored time index."""
+    """Sample mean and covariance (ddof=1) at a stored time index; the
+    covariance needs at least two paths (:class:`ConfigError`)."""
     snap = ensemble.paths[:, index, :]
-    mean = snap.mean(axis=0)
     if snap.shape[0] < 2:
-        return mean, np.zeros((2, 2))
-    return mean, np.cov(snap.T, ddof=1)
+        raise ConfigError("a sample covariance needs at least 2 paths")
+    return snap.mean(axis=0), np.cov(snap.T, ddof=1)
 
 
 def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float

@@ -7,7 +7,7 @@ encoded by two real 2-vectors. Everything downstream — flows, damping matrix,
 positivity threshold, entropy — is a deterministic function of these fields,
 hbar, and time.
 
-Derived scalars:
+Derived scalars, both properties of :class:`OpenSystem`:
 
 * the dissipation coefficient ``alpha = sum_j (J l''_j) . l'_j`` (positive
   means friction: phase-space points contract),
@@ -21,7 +21,11 @@ with ``J = [[0, -1], [1, 0]]`` the matrix of the wedge product,
 constant, exactly symmetric matrices of the damping matrix M(t), so M is
 symmetric too: ``K, B^T K + K B, B^T K B`` and, for sigma != 0, the forms
 ``P_i^T K P_j`` of the spectral projectors ``P+- = (I +- B/sigma)/2`` of B
-with the two coefficients that give det M from products of scalars.
+with the two coefficients that give det M from products of scalars. It also
+holds the Wigner transport's data, used by the Langevin sampler and the
+Fokker–Planck oracle alike: the drift ``2 J H - alpha I`` with offset
+``J b``, the noise vectors ``sqrt(hbar) J l`` and the diffusion
+``D = (hbar/2) J K J^T``.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ __all__ = [
     "OpenSystem",
     "Regime",
     "classify",
-    "dissipation_coefficient",
-    "sigma",
     "symplectic_transform",
     "photon_bath",
     "characteristic_timescale",
@@ -200,16 +202,6 @@ def classify(hamiltonian: HamiltonianForm) -> Regime:
     return Regime.PARABOLIC
 
 
-def dissipation_coefficient(channels: tuple[LindbladChannel, ...] | list[LindbladChannel]) -> float:
-    """alpha = sum_j (J l''_j) . l'_j, additive over channels."""
-    return float(sum((J @ ch.l_im) @ ch.l_re for ch in channels))
-
-
-def sigma(hamiltonian: HamiltonianForm) -> complex:
-    """sigma = 2 sqrt(-det H), branch with Re >= 0, then Im >= 0."""
-    return complex(2.0 * np.sqrt(complex(-hamiltonian.det)))
-
-
 def _symmetric(m: np.ndarray) -> np.ndarray:
     out = 0.5 * (m + m.swapaxes(-1, -2))
     out.setflags(write=False)
@@ -235,11 +227,13 @@ class OpenSystem:
 
     @cached_property
     def alpha(self) -> float:
-        return dissipation_coefficient(self.channels)
+        """alpha = sum_j (J l''_j) . l'_j, additive over channels."""
+        return float(sum((J @ ch.l_im) @ ch.l_re for ch in self.channels))
 
     @property
     def sigma(self) -> complex:
-        return sigma(self.hamiltonian)
+        """sigma = 2 sqrt(-det H), branch with Re >= 0, then Im >= 0."""
+        return complex(2.0 * np.sqrt(complex(-self.hamiltonian.det)))
 
     @property
     def regime(self) -> Regime:
@@ -315,6 +309,23 @@ class OpenSystem:
     def drift_offset(self) -> NDArray[np.float64]:
         """Constant drift J b contributed by the linear Hamiltonian term."""
         return J @ self.hamiltonian.linear
+
+    @cached_property
+    def noise_vectors(self) -> NDArray[np.float64]:
+        """Rows sqrt(hbar) J l'_j, sqrt(hbar) J l''_j per channel in turn,
+        shape (2 * channels, 2) with zero rows kept: the Langevin noise."""
+        root = math.sqrt(self.hbar)
+        v = np.array([root * J @ l for ch in self.channels
+                      for l in (ch.l_re, ch.l_im)], dtype=float).reshape(-1, 2)
+        v.setflags(write=False)
+        return v
+
+    @cached_property
+    def diffusion(self) -> NDArray[np.float64]:
+        """D = (hbar/2) J K J^T, the diffusion matrix of the Wigner transport."""
+        d = 0.5 * self.hbar * J @ self.k_matrix @ J.T
+        d.setflags(write=False)
+        return d
 
 
 def characteristic_timescale(sys: OpenSystem) -> float:

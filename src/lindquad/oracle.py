@@ -142,16 +142,10 @@ _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
-def _wigner_diffusion(system: OpenSystem) -> NDArray[np.float64]:
-    """D = (hbar/2) J K J^T, the diffusion matrix of the Wigner transport."""
-    return 0.5 * system.hbar * J @ system.k_matrix @ J.T
-
-
 def fokker_planck_max_dt(system: OpenSystem, grid: GridSpec) -> float:
     """Conservative RK4 step bound for :func:`integrate_fokker_planck`."""
     d_p, d_q = grid.spacing
-    diff = _wigner_diffusion(system)
-    d_norm = float(np.linalg.norm(diff, 2))
+    d_norm = float(np.linalg.norm(system.diffusion, 2))
     a_mat = system.drift_matrix
     offset = system.drift_offset
     p_lo, p_hi = grid.p_axis[0], grid.p_axis[-1]
@@ -203,7 +197,7 @@ def _transport_operator(system: OpenSystem, grid: GridSpec):
     """
     n_p, n_q = grid.shape
     h_p, h_q = grid.spacing
-    diff = _wigner_diffusion(system)
+    diff = system.diffusion
     vel = grid.points() @ system.drift_matrix.T + system.drift_offset
     c_p = _stencil_stack(vel[..., 0], h_p, diff[0, 0])
     c_q = _stencil_stack(vel[..., 1].T, h_q, diff[1, 1])

@@ -403,7 +403,7 @@ def chord_pde_residual(system: OpenSystem, state: ChordState, t: float, xi,
                      (w_near[2] - w_near[3]) / (2.0 * h)])
     w_here = complex(evolve_chord(system, state, t, xi))
 
-    drift = 2.0 * J @ system.hamiltonian.matrix @ xi + system.alpha * xi
+    drift = system.generator @ xi + system.alpha * xi
     damp_rate = float(xi @ system.k_matrix @ xi) / (2.0 * system.hbar)
     # the drive J b turns the phase at the rate (J xi . J b)/hbar
     phase_rate = float((J @ xi) @ system.drift_offset) / system.hbar

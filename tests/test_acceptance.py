@@ -28,7 +28,7 @@ from lindquad import (GridField, HamiltonianForm,
                       evolved_state, exact_moments, fock_cat,
                       integrate_fock_lindblad, integrate_fokker_planck,
                       photon_bath, positivity_time, purity, reconstruct,
-                      sde_from_system, simulate, symplectic_transform)
+                      simulate, symplectic_transform)
 
 PRINTED_TABLE = {
     (-1.0, 0.0): 0.930, (-1.0, 0.1): 0.640, (-1.0, 1.0): 0.244,
@@ -205,7 +205,7 @@ def test_criterion_08_langevin_correspondence() -> None:
     cov0 = np.array([[0.7, 0.15], [0.15, 0.4]])
     n, dt, t = 100_000, 1e-3, 1.0
     start = time.perf_counter()
-    ens = simulate(sde_from_system(sys_), mean0, cov0, t, dt, n, seed=2,
+    ens = simulate(sys_, mean0, cov0, t, dt, n, seed=2,
                    store_stride=1000)
     mean, cov = ensemble_moments(ens, -1)
     exact_mean, exact_cov = exact_moments(sys_, mean0, cov0, t)

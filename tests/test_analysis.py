@@ -257,6 +257,10 @@ def test_purity_validation() -> None:
     state = coherent_state((0.0, 0.0))
     with pytest.raises(ConfigError):
         purity(sys, state, -0.1)
+    with pytest.raises(ConfigError):
+        purity_curve(sys, state, [0.5, -0.1])
+    with pytest.raises(ConfigError):
+        purity_asymptotic(sys, -0.1)
 
 
 def test_purity_asymptote_matches_quadrature() -> None:
@@ -382,3 +386,5 @@ def test_reconstruction_validation() -> None:
     for floor in (0.0, -1.0, 1.5):
         with pytest.raises(ConfigError):
             reconstruct(sys, evolved, 0.5, floor=floor)
+    with pytest.raises(ConfigError):
+        reconstruct(sys, evolved, -0.5)

@@ -465,6 +465,19 @@ def test_oracle_compare_rejects_gaussian_before_integrating(
                  str(tmp_path / "r.json")]) == 2
 
 
+def test_oracle_compare_runs_a_cat_through_the_fock_basis(tmp_path) -> None:
+    cfg = _config(tmp_path, {
+        "system": PHOTON, "state": {"type": "cat", "zeta": 1.0}, "t": 0.1,
+        "grid": {"center": [0.0, 0.0], "half_extent": [6.0, 6.0],
+                 "shape": [65, 65]},
+    })
+    out = tmp_path / "report.json"
+    assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["fock_dim"] == oracle.cat_fock_dim(1.0)
+    assert report["linf"]["exact_vs_fock"] < 1e-8
+
+
 def test_oracle_compare_truncation_exit_code(tmp_path) -> None:
     cfg = _config(tmp_path, {
         "system": PHOTON,
@@ -490,6 +503,10 @@ def test_config_errors_exit_two(tmp_path) -> None:
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["classify", "--config", str(broken)]) == 2
+    # valid JSON that is not an object
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["classify", "--config", str(listed)]) == 2
     # config file absent
     assert main(["classify", "--config", str(tmp_path / "missing.json")]) == 2
     # --config omitted entirely
@@ -553,6 +570,10 @@ _BASE = {
     "entropy": {"system": PHOTON, "state": COHERENT, "times": [0.5]},
     "langevin": {"system": PHOTON, "state": COHERENT, "t": 0.1, "dt": 0.05,
                  "n_paths": 8},
+    "reconstruct": {"system": PHOTON, "state": COHERENT, "t": 0.4,
+                    "chord_grid": _GRID},
+    "oracle-compare": {"system": PHOTON, "state": COHERENT, "t": 0.1,
+                       "grid": _GRID},
 }
 _BAD_VALUES = {
     "cat-zeta": ("entropy", {"state": {"type": "cat", "zeta": "a"}}),
@@ -569,6 +590,13 @@ _BAD_VALUES = {
     "half-extent": ("evolve", {"grid": dict(_GRID, half_extent="a")}),
     "fractional-shape": ("evolve", {"grid": dict(_GRID, shape=[17.5, 17])}),
     "boolean-shape": ("evolve", {"grid": dict(_GRID, shape=[True, 17])}),
+    "three-entry-shape": ("evolve", {"grid": dict(_GRID, shape=[17, 17, 17])}),
+    "channels-object": ("evolve", {"system": dict(PHOTON, channels={})}),
+    "ragged-h-matrix": ("evolve", {"system": {
+        "hamiltonian": {"matrix": [[0.5, 0.0], [0.0]]}}}),
+    "evolve-negative-t": ("evolve", {"t": -0.1}),
+    "reconstruct-negative-t": ("reconstruct", {"t": -0.1}),
+    "oracle-compare-negative-t": ("oracle-compare", {"t": -0.1}),
     "langevin-center-string": ("langevin", {
         "state": {"type": "coherent", "center": "ab"}}),
     "langevin-nan-center": ("langevin", {
@@ -649,10 +677,8 @@ _UNKNOWN_KEY = {
     "evolve": (["evolve"], dict(_BASE["evolve"], bogus=1)),
     "entropy": (["entropy"], dict(_BASE["entropy"], bogus=1)),
     "langevin": (["langevin"], dict(_BASE["langevin"], bogus=1)),
-    "reconstruct": (["reconstruct"], {"system": PHOTON, "state": COHERENT,
-                                      "t": 0.4, "chord_grid": _GRID, "bogus": 1}),
-    "oracle-compare": (["oracle-compare"], {"system": PHOTON, "state": COHERENT,
-                                            "t": 0.1, "grid": _GRID, "bogus": 1}),
+    "reconstruct": (["reconstruct"], dict(_BASE["reconstruct"], bogus=1)),
+    "oracle-compare": (["oracle-compare"], dict(_BASE["oracle-compare"], bogus=1)),
     "grid": (["evolve"], dict(_BASE["evolve"], grid=dict(_GRID, bogus=1))),
 }
 
@@ -676,6 +702,10 @@ def test_entropy_validation_errors(tmp_path) -> None:
                              "times": [0.1, True]}, name="e2.json")
     assert main(["entropy", "--config", cfg, "--out",
                  str(tmp_path / "q.csv")]) == 2
+    cfg = _config(tmp_path, {"system": PHOTON, "state": COHERENT, "times": [0.1],
+                             "include_asymptotic": "yes"}, name="e3.json")
+    assert main(["entropy", "--config", cfg, "--out",
+                 str(tmp_path / "r.csv")]) == 2
 
 
 @pytest.mark.parametrize("command, key, payload", [
@@ -738,11 +768,23 @@ def test_langevin_samples_by_exact_transitions(tmp_path) -> None:
     # one exact jump per stored interval: the same seed through the library
     system = photon_bath(gamma=1.0, nbar=0.0)
     ensemble = lindquad.simulate(
-        lindquad.sde_from_system(system), [1.0, -0.5], [[0.7, 0.15], [0.15, 0.4]],
+        system, [1.0, -0.5], [[0.7, 0.15], [0.15, 0.4]],
         0.3, 1e-3, 400, 5, store_stride=100, scheme="exact")
     mean, cov = lindquad.ensemble_moments(ensemble)
     assert report["sample_mean"] == [float(v) for v in mean]
     assert report["sample_cov"] == [[float(v) for v in row] for row in cov]
+
+
+def test_langevin_refuses_one_path_before_sampling(tmp_path, monkeypatch) -> None:
+    # a ddof = 1 covariance needs two paths; one once wrote zeros as sample_cov
+    calls = []
+    monkeypatch.setattr(lindquad.langevin, "simulate",
+                        lambda *a, **k: calls.append(a))
+    out = tmp_path / "p.csv"
+    cfg = _langevin_config(tmp_path, n_paths=1)
+    assert main(["langevin", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == []
+    assert list(tmp_path.glob("p.csv*")) == []
 
 
 def test_langevin_validation_errors(tmp_path) -> None:

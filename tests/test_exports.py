@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
@@ -30,19 +31,72 @@ def test_every_module_export_resolves() -> None:
     assert missing == []
 
 
-def test_every_traced_layer_resolves() -> None:
-    # bench/tracing.py wraps these functions by name; a deleted or renamed
-    # one would break the traced benchmark
+def _bench_tracing():
+    """bench/tracing.py and the module dict its Tracer is built over."""
     spec = importlib.util.spec_from_file_location("bench_tracing", _BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     modules = {name: importlib.import_module(f"lindquad.{name}") for name in _MODULES}
     modules["lindquad"] = lindquad
+    return tracing, modules
+
+
+def test_every_traced_layer_resolves() -> None:
+    # bench/tracing.py wraps these functions by name; a deleted or renamed
+    # one would break the traced benchmark
+    tracing, modules = _bench_tracing()
     layers = tracing.layers(modules)
     assert layers
     missing = [(module, func) for module, func, *_ in layers
                if not callable(getattr(modules[module], func, None))]
     assert missing == []
+
+
+def test_traced_jobs_count_work_and_write_the_same_bytes(tmp_path) -> None:
+    # the count hooks read the arguments and results of the functions they
+    # wrap, so a changed signature shows only when a traced run calls them
+    photon = lindquad.system_to_dict(lindquad.photon_bath(gamma=1.0, nbar=0.2))
+    coherent = {"type": "coherent", "center": [0.6, 0.0]}
+    grid = {"center": [0.0, 0.0], "half_extent": [6.0, 6.0], "shape": [49, 49]}
+    jobs = {
+        "positivity": {"system": photon, "horizon": 5.0},
+        "evolve": {"system": photon, "state": coherent, "t": 0.3, "grid": grid},
+        "langevin": {"system": photon, "state": coherent, "t": 0.1, "dt": 0.05,
+                     "n_paths": 64, "seed": 1},
+        "oracle-compare": {"system": photon, "state": coherent, "t": 0.05,
+                           "grid": grid},
+    }
+    for command, payload in jobs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(payload))
+    tracing, modules = _bench_tracing()
+    cli = modules["cli"]
+
+    def run_all(out_dir: Path) -> dict:
+        # through the module attribute, as bench/run.py calls it
+        out_dir.mkdir()
+        for command in jobs:
+            argv = [command, "--config", str(tmp_path / f"{command}.json"),
+                    "--out", str(out_dir / command)]
+            assert cli.main(argv) == 0, command
+        return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+    main = cli.main
+    plain = run_all(tmp_path / "plain")
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        traced = run_all(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert cli.main is main
+    assert traced == plain
+    counts = dict(tracer.counts)
+    assert counts["cli.calls"] == len(jobs)
+    for key in ("langevin.simulate.normals", "oracle.integrate_fokker_planck.steps",
+                "analysis.positivity_time.det_evals", "grid.write.bytes"):
+        assert counts.get(key, 0) > 0, key
+    assert all(value > 0 for key, value in counts.items()
+               if key.endswith(".calls")), counts
 
 
 def _unused_imports(path: Path) -> list:

@@ -197,7 +197,8 @@ def test_field_csv_matches_per_node_format(field) -> None:
             assert handle.read() == _per_node_csv(field).encode()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "short row", "non-numeric"])
+@pytest.mark.parametrize("damage", ["truncated", "short row", "non-numeric",
+                                    "header"])
 def test_read_field_csv_rejects_damaged_files(tmp_path, damage) -> None:
     spec = GridSpec(origin=(0.0, 0.0), spacing=(0.5, 0.5), shape=(3, 4))
     path = tmp_path / "field.csv"
@@ -205,6 +206,8 @@ def test_read_field_csv_rejects_damaged_files(tmp_path, damage) -> None:
     lines = path.read_text().splitlines()
     if damage == "truncated":
         lines = lines[:-2]
+    elif damage == "header":
+        lines[0] = "q,p,re,im"
     elif damage == "short row":
         lines[5] = "0.5,0.0,1.0"
     else:
@@ -273,3 +276,10 @@ def test_write_field_csv_hands_whole_texts_to_atomic_write(tmp_path, monkeypatch
     for written, kind, size in writes:
         assert kind is str
         assert size == os.path.getsize(written)
+
+
+def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path) -> None:
+    path = tmp_path / "out.csv"
+    with pytest.raises(TypeError):
+        atomic_write_text(str(path), 123)  # not a str: the write itself raises
+    assert list(tmp_path.iterdir()) == []

@@ -6,20 +6,20 @@ import pytest
 
 from conftest import random_system
 from lindquad import (ConfigError, HamiltonianForm, J, LindbladChannel,
-                      NotPositiveDefinite, OpenSystem, SdeSpec, SingularFrame,
+                      NotPositiveDefinite, OpenSystem, SingularFrame,
                       Unstable, ensemble_moments, exact_moments,
                       momentum_dissipation_frame, photon_bath,
-                      sde_from_system, simulate, symplectic_transform)
+                      simulate, symplectic_transform)
 
 
 def test_diffusion_matches_noise_matrix() -> None:
     rng = np.random.default_rng(50)
     for regime in ("elliptic", "hyperbolic"):
         sys = random_system(rng, regime, alpha=0.2)
-        spec = sde_from_system(sys)
         expect = 0.5 * sys.hbar * J @ sys.k_matrix @ J.T
-        assert np.allclose(spec.diffusion, expect, atol=1e-12)
-        assert np.allclose(spec.drift_matrix, sys.drift_matrix)
+        noise = sys.noise_vectors
+        assert np.allclose(0.5 * noise.T @ noise, expect, atol=1e-12)
+        assert np.allclose(sys.diffusion, expect, atol=1e-12)
 
 
 def test_noise_vectors_per_channel_component() -> None:
@@ -27,37 +27,33 @@ def test_noise_vectors_per_channel_component() -> None:
     ch = LindbladChannel(l_re=[1.0, 0.0])
     sys = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.eye(2)),
                      channels=(ch,))
-    spec = sde_from_system(sys)
-    assert spec.noise_vectors.shape == (2, 2)
-    assert np.allclose(spec.noise_vectors[1], 0.0)
+    assert sys.noise_vectors.shape == (2, 2)
+    assert np.allclose(sys.noise_vectors[1], 0.0)
 
 
 def test_simulation_is_reproducible() -> None:
     sys = photon_bath(gamma=1.0, nbar=0.5)
-    spec = sde_from_system(sys)
     mean0 = np.array([1.0, 0.0])
     cov0 = 0.5 * np.eye(2)
-    a = simulate(spec, mean0, cov0, 0.5, 1e-2, 500, seed=7)
-    b = simulate(spec, mean0, cov0, 0.5, 1e-2, 500, seed=7)
+    a = simulate(sys, mean0, cov0, 0.5, 1e-2, 500, seed=7)
+    b = simulate(sys, mean0, cov0, 0.5, 1e-2, 500, seed=7)
     assert np.array_equal(a.paths, b.paths)
-    c = simulate(spec, mean0, cov0, 0.5, 1e-2, 500, seed=8)
+    c = simulate(sys, mean0, cov0, 0.5, 1e-2, 500, seed=8)
     assert not np.array_equal(a.paths, c.paths)
 
 
 def test_path_count_does_not_reshuffle_draws() -> None:
     # path i consumes the same noise regardless of how many paths run
     sys = photon_bath(gamma=1.0)
-    spec = sde_from_system(sys)
-    small = simulate(spec, np.zeros(2), np.eye(2), 0.3, 1e-2, 300, seed=3)
-    large = simulate(spec, np.zeros(2), np.eye(2), 0.3, 1e-2, 1500, seed=3)
+    small = simulate(sys, np.zeros(2), np.eye(2), 0.3, 1e-2, 300, seed=3)
+    large = simulate(sys, np.zeros(2), np.eye(2), 0.3, 1e-2, 1500, seed=3)
     assert np.array_equal(large.paths[:300], small.paths)
 
 
 def test_store_stride_subsamples_the_same_run() -> None:
     sys = photon_bath(gamma=1.0, nbar=0.2)
-    spec = sde_from_system(sys)
-    full = simulate(spec, np.zeros(2), np.eye(2), 0.4, 1e-2, 200, seed=5)
-    thin = simulate(spec, np.zeros(2), np.eye(2), 0.4, 1e-2, 200, seed=5,
+    full = simulate(sys, np.zeros(2), np.eye(2), 0.4, 1e-2, 200, seed=5)
+    thin = simulate(sys, np.zeros(2), np.eye(2), 0.4, 1e-2, 200, seed=5,
                     store_stride=8)
     for idx, t in enumerate(thin.times):
         full_idx = int(np.argmin(np.abs(full.times - t)))
@@ -71,11 +67,10 @@ def test_moments_match_exact_evolution() -> None:
     c = np.sqrt(0.4)
     sys = OpenSystem(hamiltonian=ham,
                      channels=(LindbladChannel(l_re=[0.0, c], l_im=[c, 0.0]),))
-    spec = sde_from_system(sys)
     mean0 = np.array([0.8, -0.5])
     cov0 = np.array([[0.6, 0.1], [0.1, 0.3]])
     t = 0.7
-    ens = simulate(spec, mean0, cov0, t, 5e-4, 40_000, seed=11)
+    ens = simulate(sys, mean0, cov0, t, 5e-4, 40_000, seed=11)
     mean, cov = ensemble_moments(ens)
     exact_mean, exact_cov = exact_moments(sys, mean0, cov0, t)
     n = 40_000
@@ -102,14 +97,13 @@ def test_exact_moments_photon_bath_closed_form() -> None:
 
 def test_euler_bias_shrinks_with_dt() -> None:
     sys = photon_bath(gamma=2.0, nbar=0.0)
-    spec = sde_from_system(sys)
     mean0 = np.zeros(2)
     cov0 = np.eye(2)
     t = 0.6
     _, exact_cov = exact_moments(sys, mean0, cov0, t)
 
     def cov_error(dt: float) -> float:
-        ens = simulate(spec, mean0, cov0, t, dt, 300_000, seed=21)
+        ens = simulate(sys, mean0, cov0, t, dt, 300_000, seed=21)
         _, cov = ensemble_moments(ens)
         return float(np.max(np.abs(cov - exact_cov)))
 
@@ -148,7 +142,7 @@ def test_exact_scheme_moments_match_at_every_stored_time(regime, seed) -> None:
     mean0 = np.array([0.8, -0.5])
     cov0 = np.array([[0.6, 0.1], [0.1, 0.3]])
     # 13 steps with stride 4: stored gaps 4, 4, 4 and a short last one
-    ens = simulate(sde_from_system(system), mean0, cov0, 1.3, 0.1, 20_000,
+    ens = simulate(system, mean0, cov0, 1.3, 0.1, 20_000,
                    seed=seed, store_stride=4, scheme="exact")
     assert ens.scheme == "exact"
     assert np.allclose(ens.times, [0.0, 0.4, 0.8, 1.2, 1.3])
@@ -156,10 +150,10 @@ def test_exact_scheme_moments_match_at_every_stored_time(regime, seed) -> None:
 
 
 def test_exact_scheme_paths_do_not_depend_on_path_count() -> None:
-    spec = sde_from_system(_driven_system())
-    small = simulate(spec, np.zeros(2), np.eye(2), 0.6, 0.1, 300, seed=3,
+    system = _driven_system()
+    small = simulate(system, np.zeros(2), np.eye(2), 0.6, 0.1, 300, seed=3,
                      store_stride=2, scheme="exact")
-    large = simulate(spec, np.zeros(2), np.eye(2), 0.6, 0.1, 1500, seed=3,
+    large = simulate(system, np.zeros(2), np.eye(2), 0.6, 0.1, 1500, seed=3,
                      store_stride=2, scheme="exact")
     assert np.array_equal(large.paths[:300], small.paths)
 
@@ -167,11 +161,10 @@ def test_exact_scheme_paths_do_not_depend_on_path_count() -> None:
 def test_exact_transitions_compose_across_strides() -> None:
     # one jump over k steps has the law of k jumps of one step
     system = photon_bath(gamma=1.0, nbar=0.4)
-    spec = sde_from_system(system)
     mean0, cov0 = np.array([1.0, -0.5]), np.array([[0.7, 0.15], [0.15, 0.4]])
     n = 20_000
-    fine = simulate(spec, mean0, cov0, 1.0, 0.05, n, seed=8, scheme="exact")
-    coarse = simulate(spec, mean0, cov0, 1.0, 0.05, n, seed=9, store_stride=7,
+    fine = simulate(system, mean0, cov0, 1.0, 0.05, n, seed=8, scheme="exact")
+    coarse = simulate(system, mean0, cov0, 1.0, 0.05, n, seed=9, store_stride=7,
                       scheme="exact")
     for idx, t in enumerate(coarse.times):
         fine_idx = int(np.argmin(np.abs(fine.times - t)))
@@ -192,7 +185,7 @@ def test_exact_scheme_samples_a_singular_damping_matrix() -> None:
     system = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.zeros((2, 2))),
                         channels=(LindbladChannel(l_re=[1.0, 0.0]),))
     mean0, cov0 = np.array([0.3, -0.2]), 0.5 * np.eye(2)
-    ens = simulate(sde_from_system(system), mean0, cov0, 1.0, 0.25, 20_000,
+    ens = simulate(system, mean0, cov0, 1.0, 0.25, 20_000,
                    seed=2, scheme="exact")
     assert np.array_equal(ens.paths[:, :, 0],
                           np.broadcast_to(ens.paths[:, :1, 0], ens.paths.shape[:2]))
@@ -200,13 +193,9 @@ def test_exact_scheme_samples_a_singular_damping_matrix() -> None:
 
 
 def test_exact_scheme_needs_the_system() -> None:
-    spec = sde_from_system(photon_bath(gamma=1.0))
-    bare = SdeSpec(drift_matrix=spec.drift_matrix, drift_offset=spec.drift_offset,
-                   noise_vectors=spec.noise_vectors, hbar=spec.hbar)
-    with pytest.raises(ConfigError, match="sde_from_system"):
-        simulate(bare, np.zeros(2), np.eye(2), 0.2, 0.1, 10, seed=0, scheme="exact")
+    system = photon_bath(gamma=1.0)
     with pytest.raises(ConfigError, match="scheme"):
-        simulate(spec, np.zeros(2), np.eye(2), 0.2, 0.1, 10, seed=0, scheme="milstein")
+        simulate(system, np.zeros(2), np.eye(2), 0.2, 0.1, 10, seed=0, scheme="milstein")
 
 
 @pytest.mark.parametrize("scheme, dt", [("exact", 100.0), ("euler-maruyama", 0.1)])
@@ -214,15 +203,14 @@ def test_overflowing_paths_raise_unstable(scheme, dt) -> None:
     # sigma = 5: the saddle carries every path past the float range by t = 200
     saddle = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.0, 2.5], [2.5, 0.0]]))
     with pytest.raises(Unstable, match="overflow"):
-        simulate(sde_from_system(saddle), np.zeros(2), np.eye(2), 200.0, dt, 16,
+        simulate(saddle, np.zeros(2), np.eye(2), 200.0, dt, 16,
                  seed=0, scheme=scheme)
 
 
 def test_initial_conditions() -> None:
     sys = photon_bath(gamma=1.0)
-    spec = sde_from_system(sys)
     mean0 = np.array([0.3, -0.8])
-    ens = simulate(spec, mean0, np.zeros((2, 2)), 0.2, 1e-2, 50, seed=1)
+    ens = simulate(sys, mean0, np.zeros((2, 2)), 0.2, 1e-2, 50, seed=1)
     # zero covariance: every path starts exactly at the mean
     assert np.array_equal(ens.paths[:, 0],
                           np.broadcast_to(mean0, (50, 2)))
@@ -233,18 +221,30 @@ def test_initial_conditions() -> None:
 
 def test_simulation_validation() -> None:
     sys = photon_bath(gamma=1.0)
-    spec = sde_from_system(sys)
     mean0, cov0 = np.zeros(2), np.eye(2)
     with pytest.raises(ConfigError):
-        simulate(spec, mean0, cov0, -0.1, 1e-2, 10, seed=0)
+        simulate(sys, mean0, cov0, -0.1, 1e-2, 10, seed=0)
     with pytest.raises(ConfigError):
-        simulate(spec, mean0, cov0, 0.1, 0.0, 10, seed=0)
+        simulate(sys, mean0, cov0, 0.1, 0.0, 10, seed=0)
     with pytest.raises(ConfigError):
-        simulate(spec, mean0, cov0, 0.1, 1e-2, 0, seed=0)
+        simulate(sys, mean0, cov0, 0.1, 1e-2, 0, seed=0)
     with pytest.raises(ConfigError):
-        simulate(spec, mean0, cov0, 0.1, 1e-2, 10, seed=-1)
+        simulate(sys, mean0, cov0, 0.1, 1e-2, 10, seed=-1)
+    with pytest.raises(ConfigError):
+        simulate(sys, mean0, cov0, 0.1, 1e-2, 10, seed=0, store_stride=0)
     with pytest.raises(NotPositiveDefinite):
-        simulate(spec, mean0, [[1.0, 2.0], [2.0, 1.0]], 0.1, 1e-2, 10, seed=0)
+        simulate(sys, mean0, [[1.0, 2.0], [2.0, 1.0]], 0.1, 1e-2, 10, seed=0)
+
+
+@pytest.mark.parametrize("scheme", ["euler-maruyama", "exact"])
+def test_one_path_has_no_sample_covariance(scheme) -> None:
+    # ddof = 1 needs two paths; one path once reported a zero covariance
+    ens = simulate(photon_bath(gamma=1.0), np.zeros(2), np.eye(2), 0.2, 0.1, 1,
+                   seed=0, scheme=scheme)
+    assert ens.paths.shape == (1, 3, 2)
+    for index in (0, -1):
+        with pytest.raises(ConfigError, match="2 paths"):
+            ensemble_moments(ens, index)
 
 
 @pytest.mark.parametrize("mean0, cov0", [
@@ -259,18 +259,17 @@ def test_non_finite_initial_moments_are_config_errors(mean0, cov0) -> None:
     # exact_moments returned NaN moments
     system = photon_bath(gamma=1.0)
     with pytest.raises(ConfigError):
-        simulate(sde_from_system(system), mean0, cov0, 0.1, 0.05, 8, seed=0)
+        simulate(system, mean0, cov0, 0.1, 0.05, 8, seed=0)
     with pytest.raises(ConfigError):
         exact_moments(system, mean0, cov0, 0.1)
 
 
 def test_initial_covariance_may_be_singular_but_not_negative() -> None:
     system = photon_bath(gamma=1.0, nbar=0.5)
-    spec = sde_from_system(system)
     mean0 = np.array([0.3, -0.8])
     for cov0 in ([[1.0, 0.0], [0.0, 0.0]], [[1e-300, 0.0], [0.0, 0.0]],
                  [[1.0, 1.0], [1.0, 1.0]]):
-        ens = simulate(spec, mean0, cov0, 0.2, 0.1, 4000, seed=3, scheme="exact")
+        ens = simulate(system, mean0, cov0, 0.2, 0.1, 4000, seed=3, scheme="exact")
         start = ens.paths[:, 0]
         # the draws lie on the covariance's range through the mean
         null = np.linalg.eigh(np.asarray(cov0))[1][:, 0]
@@ -280,7 +279,7 @@ def test_initial_covariance_may_be_singular_but_not_negative() -> None:
         assert np.all(np.linalg.eigvalsh(cov_t) > 0.0)
     for cov0 in ([[1.0, 0.0], [0.0, -1e-6]], [[1.0, 2.0], [2.0, 1.0]]):
         with pytest.raises(NotPositiveDefinite):
-            simulate(spec, mean0, cov0, 0.2, 0.1, 8, seed=3)
+            simulate(system, mean0, cov0, 0.2, 0.1, 8, seed=3)
         with pytest.raises(NotPositiveDefinite):
             exact_moments(system, mean0, cov0, 0.2)
     with pytest.raises(NotPositiveDefinite):
@@ -289,9 +288,9 @@ def test_initial_covariance_may_be_singular_but_not_negative() -> None:
 
 def test_definite_initial_covariance_draws_through_cholesky() -> None:
     # seeded ensembles stay bit-identical: x0 = mean + z L^T, L L^T = cov
-    spec = sde_from_system(photon_bath(gamma=1.0))
+    system = photon_bath(gamma=1.0)
     mean0, cov0 = np.array([0.1, 0.2]), np.array([[1.0, 0.3], [0.3, 0.5]])
-    ens = simulate(spec, mean0, cov0, 0.1, 0.1, 100, seed=7, scheme="exact")
+    ens = simulate(system, mean0, cov0, 0.1, 0.1, 100, seed=7, scheme="exact")
     z = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
     expect = mean0 + z.standard_normal((1024, 2)) @ np.linalg.cholesky(cov0).T
     assert np.array_equal(ens.paths[:, 0], expect[:100])
@@ -299,26 +298,25 @@ def test_definite_initial_covariance_draws_through_cholesky() -> None:
 
 def test_storage_guard_suggests_stride() -> None:
     sys = photon_bath(gamma=1.0)
-    spec = sde_from_system(sys)
     with pytest.raises(ConfigError, match="store_stride"):
-        simulate(spec, np.zeros(2), np.eye(2), 10.0, 1e-5, 1_000_000, seed=0)
+        simulate(sys, np.zeros(2), np.eye(2), 10.0, 1e-5, 1_000_000, seed=0)
 
 
 @pytest.mark.parametrize("scheme", ["euler-maruyama", "exact"])
 def test_simulation_rejects_non_finite_times(scheme) -> None:
     # NaN t once stored one time, infinite dt took one step of size t
-    spec = sde_from_system(photon_bath(gamma=1.0))
+    system = photon_bath(gamma=1.0)
     for t, dt in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf),
                   (1e10, 5e-324)):
         with pytest.raises(ConfigError):
-            simulate(spec, np.zeros(2), np.eye(2), t, dt, 8, seed=0, scheme=scheme)
+            simulate(system, np.zeros(2), np.eye(2), t, dt, 8, seed=0, scheme=scheme)
 
 
 def test_storage_guard_runs_before_the_stored_times_are_listed() -> None:
     # 1e15 steps: listing them first would exhaust memory
-    spec = sde_from_system(photon_bath(gamma=1.0))
+    system = photon_bath(gamma=1.0)
     with pytest.raises(ConfigError, match="store_stride"):
-        simulate(spec, np.zeros(2), np.eye(2), 1e12, 1e-3, 8, seed=0)
+        simulate(system, np.zeros(2), np.eye(2), 1e12, 1e-3, 8, seed=0)
 
 
 def test_momentum_dissipation_frame_isolates_damping() -> None:

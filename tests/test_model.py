@@ -8,7 +8,7 @@ from conftest import channel_with_alpha, random_symplectic, random_system
 from lindquad import (ConfigError, HamiltonianForm, J, LindbladChannel,
                       NonSymplectic, OpenSystem, Regime,
                       characteristic_timescale, classify,
-                      dissipation_coefficient, photon_bath, sigma,
+                      photon_bath,
                       symplectic_transform, system_from_dict, system_to_dict,
                       wedge)
 
@@ -63,11 +63,11 @@ def test_classify_regimes() -> None:
 
 def test_sigma_convention() -> None:
     # hyperbolic p*q form: det H = -1/4, so sigma = 1 (real)
-    assert sigma(HamiltonianForm(matrix=[[0.0, 0.5], [0.5, 0.0]])) \
+    assert OpenSystem(HamiltonianForm(matrix=[[0.0, 0.5], [0.5, 0.0]])).sigma \
         == pytest.approx(1.0)
     # elliptic oscillator at frequency omega: sigma = i*omega
     omega = 0.7
-    s = sigma(HamiltonianForm(matrix=(omega / 2.0) * np.eye(2)))
+    s = OpenSystem(HamiltonianForm(matrix=(omega / 2.0) * np.eye(2))).sigma
     assert s == pytest.approx(1j * omega)
 
 
@@ -75,7 +75,8 @@ def test_dissipation_coefficient_targets() -> None:
     rng = np.random.default_rng(2)
     for alpha in (-0.3, 0.0, 0.45):
         ch = channel_with_alpha(rng, alpha)
-        assert dissipation_coefficient((ch,)) == pytest.approx(alpha, abs=1e-12)
+        assert OpenSystem(HamiltonianForm(matrix=np.eye(2)), (ch,)).alpha \
+            == pytest.approx(alpha, abs=1e-12)
 
 
 def test_photon_bath_parameters() -> None:
@@ -119,7 +120,8 @@ def test_cached_arrays_refuse_writes() -> None:
     assert 0.0 in saddle.damping_spectrum[0]  # 2 alpha + 2 sigma = 0
     for sys in (photon_bath(1.0, nbar=0.5), saddle):
         x, q, det_form = sys.damping_spectrum
-        cached = [sys.k_matrix, sys.generator, sys.moment_forms, x, q, det_form]
+        cached = [sys.k_matrix, sys.generator, sys.moment_forms, x, q, det_form,
+                  sys.noise_vectors, sys.diffusion]
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -154,6 +156,8 @@ def test_symplectic_transform_rejects_non_symplectic() -> None:
     sys = photon_bath(gamma=1.0)
     with pytest.raises(NonSymplectic):
         symplectic_transform(sys, 2.0 * np.eye(2))
+    with pytest.raises(NonSymplectic, match="2x2"):
+        symplectic_transform(sys, np.eye(3))
 
 
 def test_system_dict_round_trip() -> None:

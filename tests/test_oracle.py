@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import centre_flow, damping_bath
-from lindquad import (ConfigError, GridField, GridTooCoarse,
+from lindquad import (ConfigError, FockDensity, GridField, GridTooCoarse,
                       HamiltonianForm, LindbladChannel, OpenSystem,
                       TruncationLeak, Unstable, cat_fock_dim, cat_state,
                       cat_wigner_line, centered_grid, coherent_fock_dim,
@@ -47,6 +47,36 @@ def test_coherent_density_orientation() -> None:
 def test_coherent_density_needs_enough_levels() -> None:
     with pytest.raises(TruncationLeak):
         fock_coherent((3.0, 0.0), 6)
+    with pytest.raises(TruncationLeak, match="cat"):
+        fock_cat(3.0, 10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FockDensity(np.ones((2, 3))),
+    lambda: FockDensity(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    lambda: FockDensity(np.array([[1.0, 1j], [1j, 0.0]])),
+    lambda: FockDensity(np.eye(2), hbar=0.0),
+    lambda: fock_cat(-1.0, 10),
+    lambda: fock_thermal(-1.0, 10),
+    lambda: integrate_fock_lindblad(photon_bath(gamma=1.0),
+                                    fock_coherent((0.5, 0.0), 20, hbar=0.5), 0.1),
+], ids=["non-square", "non-finite", "non-hermitian", "zero-hbar",
+        "negative-zeta", "negative-nbar", "hbar-mismatch"])
+def test_number_basis_inputs_are_validated(build) -> None:
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_integrators_return_the_initial_data_at_t_zero() -> None:
+    sys = photon_bath(gamma=1.0, nbar=0.3)
+    grid = centered_grid((0.0, 0.0), (6.0, 6.0), (33, 33))
+    initial = _coherent_field((0.5, 0.0), grid)
+    assert np.array_equal(integrate_fokker_planck(sys, initial, 0.0).values,
+                          initial.values)
+    rho0 = fock_coherent((0.5, 0.0), 20)
+    rho = integrate_fock_lindblad(sys, rho0, 0.0)
+    assert np.array_equal(rho.matrix, rho0.matrix)
+    assert rho.matrix is not rho0.matrix
 
 
 def test_thermal_density_purity() -> None:
@@ -284,7 +314,7 @@ def _skew_system() -> OpenSystem:
 
 def test_density_integration_with_cross_diffusion_is_fourth_order() -> None:
     sys = _skew_system()
-    assert oracle._wigner_diffusion(sys)[0, 1] != 0.0
+    assert sys.diffusion[0, 1] != 0.0
     assert np.all(sys.drift_offset != 0.0)
     state = coherent_state((1.2, 0.4))
     t = 0.2
@@ -329,7 +359,7 @@ def _stencil_rhs(system: OpenSystem, grid):
         return (-m2 + 16.0 * m1 - 30.0 * c + 16.0 * p1 - p2) / (12.0 * step ** 2)
 
     d_p, d_q = grid.spacing
-    diff = oracle._wigner_diffusion(system)
+    diff = system.diffusion
     vel = grid.points() @ system.drift_matrix.T + system.drift_offset
     v_p, v_q = vel[..., 0], vel[..., 1]
 
@@ -363,7 +393,7 @@ def _pinned_system(regime: str, cross: bool) -> OpenSystem:
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
 def test_transport_operator_matches_stencil_reference(regime, cross) -> None:
     sys = _pinned_system(regime, cross)
-    assert (oracle._wigner_diffusion(sys)[0, 1] != 0.0) == cross
+    assert (sys.diffusion[0, 1] != 0.0) == cross
     for shape, half in (((37, 53), (5.0, 6.5)), ((61, 29), (7.0, 4.0))):
         grid = centered_grid((0.3, -0.2), half, shape)
         field = cat_state(1.0).wigner(grid.points())

@@ -448,3 +448,5 @@ def test_chord_residual_validates_step() -> None:
         chord_pde_residual(sys, state, 0.1, np.array([0.5, 0.5]), h=0.1)
     with pytest.raises(ConfigError):
         chord_pde_residual(sys, state, 0.1, np.array([0.5, 0.5]), h=0.0)
+    with pytest.raises(ConfigError, match="2-vector"):
+        chord_pde_residual(sys, state, 0.5, np.array([0.5, 0.5, 0.5]))

@@ -103,6 +103,18 @@ def test_wigner_rejects_non_hermitian_and_non_finite_terms() -> None:
                          - coherent_state((0.0, 0.0)).wigner(x))) < 1e-15
 
 
+@pytest.mark.parametrize("log_weights, forms, shifts", [
+    ([0.0, 0.0], [np.eye(2)], [[0.0, 0.0]]),        # two weights, one term
+    ([0.0], [np.eye(3)], [[0.0, 0.0]]),             # 3x3 form
+    ([0.0], [np.eye(2)], [[0.0, 0.0, 0.0]]),        # 3-vector shift
+    ([[0.0]], [np.eye(2)], [[0.0, 0.0]]),           # weights not a vector
+])
+def test_chord_state_checks_term_shapes(log_weights, forms, shifts) -> None:
+    with pytest.raises(ConfigError, match="a chord state needs"):
+        ChordState(log_weights=log_weights, forms=forms, shifts=shifts,
+                   label="misshapen", pure=False)
+
+
 def test_cat_reduces_to_coherent_at_zero_separation() -> None:
     cat = cat_state(0.0)
     coh = coherent_state((0.0, 0.0))
