@@ -11,7 +11,8 @@ Fokker–Planck and truncated number-basis integrators as independent checks.
 
 from .analysis import (PositivityResult, PurityCurve, linear_entropy,
                        positivity_time, purity, purity_asymptotic,
-                       purity_curve, reconstruct, write_purity_csv)
+                       purity_curve, reconstruct, reliable_chords,
+                       write_purity_csv)
 from .errors import (AsymptoticInvalid, ConfigError, GridTooCoarse,
                      LindquadError, NonSymplectic, NotPositiveDefinite,
                      QuadratureNotConverged, SingularFrame, TruncationLeak,
@@ -63,7 +64,7 @@ __all__ = [
     "momentum_dissipation_frame",
     "photon_bath", "positivity_time", "purity",
     "purity_asymptotic", "purity_curve", "purity_quadrature",
-    "read_field_csv", "reconstruct", "simulate",
+    "read_field_csv", "reconstruct", "reliable_chords", "simulate",
     "state_from_dict",
     "symplectic_transform", "system_from_dict", "system_to_dict", "wedge",
     "wigner_from_fock", "write_field_csv", "write_purity_csv",

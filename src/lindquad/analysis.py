@@ -8,13 +8,13 @@ least as wide as a pure-state chord function can be. :func:`positivity_time`
 locates that threshold; :func:`purity` evaluates the exact trace-square
 integral in closed form over the state's Gaussian terms;
 :func:`purity_asymptotic` is its late-time saddle value; :func:`reconstruct`
-inverts the evolution (with a reliability mask, since division by the
-attenuation Gaussian amplifies whatever noise lives at large chords).
+inverts the evolution, and :func:`reliable_chords` is its reliability mask,
+since division by the attenuation Gaussian amplifies whatever noise lives
+at large chords.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AsymptoticInvalid, ConfigError, Unstable
-from .grid import atomic_write_text
+from .grid import _csv_text, atomic_write_text
 from .model import OpenSystem, characteristic_timescale
 from .propagator import _reversed_dets, damping_matrices, damping_matrix, map_state
 from .states import ChordState
@@ -34,6 +34,7 @@ __all__ = [
     "linear_entropy",
     "purity_asymptotic",
     "reconstruct",
+    "reliable_chords",
     "PurityCurve",
     "purity_curve",
     "write_purity_csv",
@@ -71,9 +72,6 @@ class PositivityResult:
                     "iterations": self.iterations}
         return {"status": "unreached", "limit": self.limit,
                 "horizon": self.horizon, "iterations": self.iterations}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
 def _newton_step(det: float, slope: float, margin: float) -> Optional[float]:
@@ -235,33 +233,34 @@ def purity_asymptotic(system: OpenSystem, t: float) -> float:
                               float(_reversed_dets(system, np.array([t]))[0, 0]))
 
 
-def reconstruct(system: OpenSystem, evolved: ChordState, t: float, *,
-                floor: float = 1e-8) -> ChordState:
+def reconstruct(system: OpenSystem, evolved: ChordState, t: float) -> ChordState:
     """Invert the evolution: recover the initial chord function from time t.
 
     This is :func:`~lindquad.propagator.map_state` at -t, which divides out
     the attenuation Gaussian and undoes the affine flow term by term.
-    ``reliability`` marks initial chords xi whose Gaussian factor
-    exp(xi . M(-t) xi / 2 hbar) is at least ``floor`` — beyond that the
-    division amplifies anything (noise, truncation) by more than 1/floor and
-    the recovered values should not be trusted. By the reversal identity
-    M(-t) = -e^{2 alpha t} R_t^T M(t) R_t this is the forward factor at the
-    evolved chord, without building that chord.
+    :func:`reliable_chords` marks where the result can be trusted.
+    """
+    if t < 0:
+        raise ConfigError("reconstruct requires t >= 0")
+    return map_state(system, evolved, -t, label=f"reconstructed({evolved.label})")
+
+
+def reliable_chords(system: OpenSystem, t: float, xi,
+                    floor: float = 1e-8) -> np.ndarray:
+    """Whether :func:`reconstruct` from time t can be trusted at chords ``xi``.
+
+    True where the Gaussian factor exp(xi . M(-t) xi / 2 hbar) it divides
+    out is at least ``floor``; below it, the division amplifies any noise by
+    more than 1/floor. By M(-t) = -e^{2 alpha t} R_t^T M(t) R_t this is the
+    forward factor at the evolved chord. The mask depends on no state.
     """
     if t < 0:
         raise ConfigError("reconstruct requires t >= 0")
     if not 0.0 < floor <= 1.0:
         raise ConfigError("floor must lie in (0, 1]")
-
-    shrink = damping_matrix(system, -t)
-
-    def reliability(xi):
-        xi = np.asarray(xi, dtype=float)
-        quad = np.einsum("...i,ij,...j->...", xi, shrink, xi)
-        return np.exp(quad / (2.0 * system.hbar)) >= floor
-
-    return map_state(system, evolved, -t, label=f"reconstructed({evolved.label})",
-                     reliability=reliability)
+    xi = np.asarray(xi, dtype=float)
+    quad = np.einsum("...i,ij,...j->...", xi, damping_matrix(system, -t), xi)
+    return np.exp(quad / (2.0 * system.hbar)) >= floor
 
 
 @dataclass(frozen=True)
@@ -271,10 +270,6 @@ class PurityCurve:
     times: np.ndarray
     values: np.ndarray
     methods: tuple[str, ...]
-
-    def rows(self):
-        for t, v, m in zip(self.times, self.values, self.methods):
-            yield float(t), float(v), 1.0 - float(v), m
 
 
 def purity_curve(system: OpenSystem, state: ChordState,
@@ -307,7 +302,7 @@ def purity_curve(system: OpenSystem, state: ChordState,
 
 
 def write_purity_csv(curve: PurityCurve, path: str) -> None:
-    lines = ["t,purity,linear_entropy,method"]
-    for t, v, s, m in curve.rows():
-        lines.append(f"{t!r},{v!r},{s!r},{m}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _csv_text(
+        ("t", "purity", "linear_entropy", "method"),
+        [(float(t), float(v), 1.0 - float(v), m)
+         for t, v, m in zip(curve.times, curve.values, curve.methods)]))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import Sequence
@@ -32,7 +31,8 @@ import numpy as np
 
 from . import analysis, langevin, oracle, propagator
 from .errors import ConfigError, GridTooCoarse, TruncationLeak, Unstable
-from .grid import GridField, atomic_write_text, grid_from_dict, write_field_csv
+from .grid import (GridField, _csv_text, _json_text, _read_json,
+                   atomic_write_text, grid_from_dict, write_field_csv)
 from .model import (HamiltonianForm, LindbladChannel, OpenSystem,
                     _require_keys, characteristic_timescale, finite_array,
                     photon_bath, system_from_dict, whole_number)
@@ -50,13 +50,7 @@ _EXIT_NUMERIC = 5
 def _load_config(path: str | None, allowed: set[str], required: set[str]) -> dict:
     if path is None:
         raise ConfigError("--config is required for this command")
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, allowed, required, "config")
@@ -77,19 +71,11 @@ def _bool_field(data: dict, key: str) -> bool:
     return value
 
 
-def _number_list(data: dict, key: str, default: list | None = None) -> list:
+def _number_list(data: dict, key: str, default: list | None = None) -> list[float]:
     value = data.get(key, default)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"'{key}' must be a non-empty list of finite numbers")
-    finite_array(value, (len(value),), f"'{key}'")
-    return value
-
-
-def _json(payload: dict) -> str:
-    try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # a NaN or Infinity in the results
-        raise Unstable(f"non-finite value in the output: {exc}") from None
+    return finite_array(value, (len(value),), f"'{key}'").tolist()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -121,7 +107,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "timescale": scale if math.isfinite(scale) else None,
         "hbar": system.hbar,
     }
-    _emit(_json(payload), args.out)
+    _emit(_json_text(payload), args.out)
     return _EXIT_OK
 
 
@@ -164,10 +150,6 @@ def _threshold_rows(data: dict, photon: bool) -> list[tuple]:
     return rows
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def cmd_positivity(args: argparse.Namespace) -> int:
     if args.sweep or args.paper_table:
         out = _require_out(args.out)
@@ -176,14 +158,16 @@ def cmd_positivity(args: argparse.Namespace) -> int:
                             set()) if args.config else {}
         rows = _threshold_rows(data, photon=args.paper_table)
         if args.paper_table:
-            lines = ["case,param1,param2,t_p_solver,t_p_formula"] + [
-                f"{case},{p1!r},{p2!r},{_cell(r.t_p)},{_cell(formula)}"
-                for case, p1, p2, r, formula in rows]
+            text = _csv_text(
+                ("case", "param1", "param2", "t_p_solver", "t_p_formula"),
+                [(case, p1, p2, r.t_p, formula)
+                 for case, p1, p2, r, formula in rows])
         else:
-            lines = ["epsilon,d_second,status,t_p"] + [
-                f"{eps!r},{ds!r},{'reached' if r.reached else 'unreached'},"
-                f"{_cell(r.t_p)}" for _, eps, ds, r, _ in rows]
-        _emit("\n".join(lines) + "\n", out)
+            text = _csv_text(
+                ("epsilon", "d_second", "status", "t_p"),
+                [(eps, ds, "reached" if r.reached else "unreached", r.t_p)
+                 for _, eps, ds, r, _ in rows])
+        _emit(text, out)
         if args.require_reached and not all(row[3].reached for row in rows):
             return _EXIT_UNREACHED
         return _EXIT_OK
@@ -192,7 +176,7 @@ def cmd_positivity(args: argparse.Namespace) -> int:
     system = system_from_dict(data["system"])
     horizon = _float_field(data, "horizon", 100.0)
     result = analysis.positivity_time(system, horizon=horizon)
-    _emit(_json(result.to_dict()), args.out)
+    _emit(_json_text(result.to_dict()), args.out)
     if not result.reached and args.require_reached:
         return _EXIT_UNREACHED
     return _EXIT_OK
@@ -227,9 +211,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     out = _require_out(args.out)
     system = system_from_dict(data["system"])
     state = state_from_dict(data["state"], hbar=system.hbar)
-    times = _number_list(data, "times")
     curve = analysis.purity_curve(
-        system, state, [float(v) for v in times],
+        system, state, _number_list(data, "times"),
         include_asymptotic=_bool_field(data, "include_asymptotic"))
     analysis.write_purity_csv(curve, out)
     return _EXIT_OK
@@ -255,14 +238,14 @@ def cmd_langevin(args: argparse.Namespace) -> int:
     ensemble = langevin.simulate(system, mean0, cov0, t, dt, n_paths, seed,
                                  store_stride=stride, scheme="exact")
     exact_mean, exact_cov = langevin.exact_moments(system, mean0, cov0, t)
-    lines = ["t,mean_p,mean_q,cov_pp,cov_pq,cov_qq,n_paths"]
+    rows = []
     for idx, time_val in enumerate(ensemble.times):
         mean, cov = langevin.ensemble_moments(ensemble, idx)
-        lines.append(f"{float(time_val)!r},{float(mean[0])!r},{float(mean[1])!r},"
-                     f"{float(cov[0, 0])!r},{float(cov[0, 1])!r},"
-                     f"{float(cov[1, 1])!r},{n_paths}")
+        rows.append((float(time_val), float(mean[0]), float(mean[1]),
+                     float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]),
+                     n_paths))
     sample_mean, sample_cov = langevin.ensemble_moments(ensemble, -1)
-    report = _json({
+    report = _json_text({
         "t": t, "dt": ensemble.dt, "n_paths": n_paths, "seed": seed,
         "scheme": ensemble.scheme,
         "exact_mean": [float(v) for v in exact_mean],
@@ -270,7 +253,8 @@ def cmd_langevin(args: argparse.Namespace) -> int:
         "exact_cov": [[float(v) for v in row] for row in exact_cov],
         "sample_cov": [[float(v) for v in row] for row in sample_cov],
     })
-    _emit("\n".join(lines) + "\n", out)
+    _emit(_csv_text(("t", "mean_p", "mean_q", "cov_pp", "cov_pq", "cov_qq",
+                      "n_paths"), rows), out)
     atomic_write_text(out + ".json", report)
     return _EXIT_OK
 
@@ -285,11 +269,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     t = _float_field(data, "t")
     floor = _float_field(data, "floor", 1e-8)
     grid = grid_from_dict(data["chord_grid"])
-    evolved = propagator.evolved_state(system, state, t)
-    recovered = analysis.reconstruct(system, evolved, t, floor=floor)
     pts = grid.points()
-    values = recovered(pts)
-    reliable = recovered.reliability(pts)
+    reliable = analysis.reliable_chords(system, t, pts, floor)
+    evolved = propagator.evolved_state(system, state, t)
+    values = analysis.reconstruct(system, evolved, t)(pts)
     write_field_csv(GridField(spec=grid, values=values), out)
     write_field_csv(GridField(spec=grid, values=reliable.astype(float)),
                     out + ".reliability.csv")
@@ -353,7 +336,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         report["linf"]["fp_vs_fock"] = linf(fp, fock_field)
         report["tv"]["exact_vs_fock"] = tv(exact, fock_field)
         report["tv"]["fp_vs_fock"] = tv(fp, fock_field)
-    _emit(_json(report), args.out)
+    _emit(_json_text(report), args.out)
     return _EXIT_OK
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._floatrepr import repr_words
-from .errors import ConfigError
+from .errors import ConfigError, Unstable
 from .model import _require_keys, finite_array, whole_number
 
 __all__ = ["GridSpec", "GridField", "centered_grid", "grid_from_dict",
@@ -101,12 +101,14 @@ def centered_grid(center, half_extent, shape) -> GridSpec:
 
 
 def grid_from_dict(data: dict) -> GridSpec:
+    """Parse a JSON grid descriptor; ``shape`` and ``half_extent`` are pairs."""
     if not isinstance(data, dict):
         raise ConfigError("grid descriptor must be a JSON object")
     if "center" in data or "half_extent" in data:
         keys = {"center", "half_extent", "shape"}
         _require_keys(data, keys, keys, "centered grid")
-        return centered_grid(data["center"], data["half_extent"], data["shape"])
+        half = finite_array(data["half_extent"], (2,), "grid half_extent")
+        return centered_grid(data["center"], half, _grid_shape(data["shape"]))
     keys = {"origin", "spacing", "shape"}
     _require_keys(data, keys, keys, "grid")
     return GridSpec(origin=data["origin"], spacing=data["spacing"],
@@ -146,6 +148,36 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in the file at ``path``; :class:`ConfigError` naming
+    ``what`` when it cannot be read or is not JSON."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _json_text(payload) -> str:
+    """Result text as strict JSON (sorted keys, indent 2, a trailing
+    newline); a NaN or infinity in ``payload`` raises :class:`Unstable`."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise Unstable(f"non-finite value in the output: {exc}") from None
+
+
+def _csv_text(header, rows) -> str:
+    """A header line and one line per row: numbers by ``repr``, None as an
+    empty cell and strings as they are."""
+    lines = [header] + [[cell if isinstance(cell, str)
+                         else "" if cell is None else repr(cell) for cell in row]
+                        for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _axis_cells(spec: GridSpec) -> list[NDArray[np.uint64]]:
@@ -194,8 +226,7 @@ def write_field_csv(field: GridField, path: str) -> None:
             cells[:, 4] = _U(int.from_bytes(b"0.0\n", "little"))
         chunks.append(nodes.tobytes().translate(None, b"\0").decode("ascii"))
     atomic_write_text(path, "".join(chunks))
-    sidecar = json.dumps(field.spec.to_dict(), indent=2, sort_keys=True)
-    atomic_write_text(path + ".json", sidecar + "\n")
+    atomic_write_text(path + ".json", _json_text(field.spec.to_dict()))
 
 
 def read_field_csv(path: str) -> GridField:
@@ -205,10 +236,10 @@ def read_field_csv(path: str) -> GridField:
     it reads back real when every imaginary cell is ``0.0``. A header, row
     count or row that does not fit the sidecar's grid, including p and q
     cells other than the ``repr`` of the row's node, raises
-    :class:`ConfigError` naming the file.
+    :class:`ConfigError` naming the file; so does a sidecar that is missing
+    or not JSON.
     """
-    with open(path + ".json") as handle:
-        spec = grid_from_dict(json.load(handle))
+    spec = grid_from_dict(_read_json(path + ".json", f"grid sidecar {path}.json"))
     with open(path, newline="") as handle:
         header = handle.readline().rstrip("\r\n")
         rows = handle.read().splitlines()

@@ -91,8 +91,7 @@ def affine_flow_expm(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarr
     return e[:2, :2], e[:2, 2]
 
 
-def damping_matrix_quadrature(system: OpenSystem, t: float, *,
-                              rtol: float = 1e-12) -> NDArray[np.float64]:
+def damping_matrix_quadrature(system: OpenSystem, t: float) -> NDArray[np.float64]:
     """M(t) = Integral_{-t}^{0} E^T K E d tau, E = expm((2 J H + alpha) tau)."""
     from scipy.linalg import expm
 
@@ -103,7 +102,7 @@ def damping_matrix_quadrature(system: OpenSystem, t: float, *,
         e = expm(taus[:, None, None] * gen)
         return np.einsum("nji,jk,nkl->nil", e, k, e)
 
-    m = gauss_legendre_adaptive(integrand, -float(t), 0.0, rtol=rtol)
+    m = gauss_legendre_adaptive(integrand, -float(t), 0.0, rtol=1e-12)
     return 0.5 * (m + m.T)
 
 
@@ -135,6 +134,8 @@ def purity_quadrature(system: OpenSystem, chord, t: float,
 # Most RK4 steps one integration may plan, so that a large finite t fails at
 # once instead of running for hours; the audited runs take a few hundred.
 _MAX_STEPS = 1_000_000
+# RK4 steps between two health checks of a run (and one after the last)
+_CHECK_EVERY = 20
 
 # Fourth-order central weights on the offsets -2..2: first derivative (times
 # the step) and second derivative (times the squared step).
@@ -221,41 +222,40 @@ def _transport_operator(system: OpenSystem, grid: GridSpec):
     return rhs
 
 
-def _check_run(t: float, dt: float | None, check_every: int) -> None:
-    """Reject a time, an explicit step or a check interval no RK4 run honours."""
+def _check_run(t: float, dt: float | None) -> None:
+    """Reject a time or an explicit step no RK4 run honours."""
     if not (math.isfinite(t) and t >= 0):
         raise ConfigError(f"t must be finite and nonnegative, got {t!r}")
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"dt must be finite and positive, got {dt!r}")
-    if check_every < 1:
-        raise ConfigError(
-            f"check_every must be at least 1, got {check_every!r}")
 
 
-def _step_count(t: float, dt: float) -> int:
-    """Equal steps of at most dt covering [0, t]; one for the infinite
-    default step of a system with neither drift nor diffusion. More than
-    ``_MAX_STEPS`` raises :class:`ConfigError` before any step is taken."""
-    if math.isinf(dt):
-        return 1
+def _rk4(rhs, y: np.ndarray, t: float, dt: float, check) -> np.ndarray:
+    """Classical RK4 for y' = rhs(y) over [0, t], shared by both integrators.
+
+    Equal steps of at most ``dt`` (one for an infinite ``dt``); more than
+    ``_MAX_STEPS`` raises :class:`ConfigError` before any step is taken.
+    ``check(y, step, steps)`` runs every ``_CHECK_EVERY`` steps and after
+    the last one, and raises to stop the run.
+    """
     if t / dt > _MAX_STEPS:
         raise ConfigError(f"t={t!r} at dt={dt:g} needs {t / dt:.3g} RK4 steps, "
                           f"more than the budget of {_MAX_STEPS:,}")
-    return max(1, math.ceil(t / dt))
-
-
-def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = rhs(y), shared by both integrators."""
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    steps = 1 if math.isinf(dt) else max(1, math.ceil(t / dt))
+    h = t / steps
+    for step in range(1, steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % _CHECK_EVERY == 0 or step == steps:
+            check(y, step, steps)
+    return y
 
 
 def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
-                            *, dt: float | None = None,
-                            check_every: int = 25) -> GridField:
+                            *, dt: float | None = None) -> GridField:
     """Integrate the Wigner transport PDE on the grid of ``initial``.
 
     The transport operator is assembled once: per-node five-point weights
@@ -267,11 +267,11 @@ def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
     field must have negligible mass in the outer two-cell frame
     (:class:`GridTooCoarse` otherwise — enlarge the box), ``t`` must be
     finite, an explicit ``dt`` finite and within
-    :func:`fokker_planck_max_dt`, ``check_every`` at least 1 and the run at
-    most a million steps (:class:`ConfigError` otherwise), and sup-norm
-    doubling or NaNs raise :class:`Unstable`.
+    :func:`fokker_planck_max_dt` and the run at most a million steps
+    (:class:`ConfigError` otherwise), and sup-norm doubling or NaNs at a
+    periodic check raise :class:`Unstable`.
     """
-    _check_run(t, dt, check_every)
+    _check_run(t, dt)
     grid = initial.spec
     w = np.asarray(initial.values, dtype=float).copy()
 
@@ -293,19 +293,16 @@ def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
             f"dt={dt:g} exceeds the stability bound {bound:g} for this grid")
     if t == 0.0:
         return GridField(spec=grid, values=w)
-    steps = _step_count(t, dt)
-    dt_eff = t / steps
-    rhs = _transport_operator(system, grid)
-
     sup0 = float(np.max(np.abs(w)))
-    for step in range(1, steps + 1):
-        w = _rk4_step(rhs, w, dt_eff)
-        if step % check_every == 0 or step == steps:
-            sup = float(np.max(np.abs(w)))
-            if not math.isfinite(sup) or sup > 2.0 * sup0 + 1e-300:
-                raise Unstable(
-                    f"field sup-norm {sup:.3e} vs initial {sup0:.3e} at "
-                    f"step {step}/{steps}; decrease dt or refine the grid")
+
+    def check(field: np.ndarray, step: int, steps: int) -> None:
+        sup = float(np.max(np.abs(field)))
+        if not math.isfinite(sup) or sup > 2.0 * sup0 + 1e-300:
+            raise Unstable(
+                f"field sup-norm {sup:.3e} vs initial {sup0:.3e} at "
+                f"step {step}/{steps}; decrease dt or refine the grid")
+
+    w = _rk4(_transport_operator(system, grid), w, t, dt, check)
     return GridField(spec=grid, values=w)
 
 
@@ -383,33 +380,34 @@ def _coherent_vector(center, dim: int, hbar: float) -> NDArray[np.complex128]:
     return np.exp(-0.5 * abs(amp) ** 2 + log_mag) * phase
 
 
+def _pure(vec: np.ndarray, expect: float, what: str, need: int,
+          hbar: float) -> FockDensity:
+    """|vec><vec| normalised, or :class:`TruncationLeak` when the squared
+    norm of ``vec`` misses its exact value ``expect`` by more than 1e-8 of
+    it; the message names the state and the basis size ``need`` to use."""
+    norm2 = float(np.real(vec @ vec.conj()))
+    if abs(norm2 - expect) > 1e-8 * expect:
+        raise TruncationLeak(
+            f"{what} norm {norm2:.12f} vs exact {expect:.12f} at "
+            f"dim={vec.size}; use dim >= {need}")
+    vec = vec / math.sqrt(norm2)
+    return FockDensity(matrix=np.outer(vec, vec.conj()), hbar=hbar)
+
+
 def fock_coherent(center, dim: int, hbar: float = 1.0) -> FockDensity:
     """Coherent state at phase-space point ``center`` = (p, q)."""
-    vec = _coherent_vector(center, dim, hbar)
-    tail = 1.0 - float(np.real(vec @ vec.conj()))
-    if tail > 1e-8:
-        raise TruncationLeak(
-            f"coherent state loses {tail:.3e} norm at dim={dim}; "
-            f"use dim >= {coherent_fock_dim(center, hbar)}")
-    vec = vec / math.sqrt(float(np.real(vec @ vec.conj())))
-    return FockDensity(matrix=np.outer(vec, vec.conj()), hbar=hbar)
+    return _pure(_coherent_vector(center, dim, hbar), 1.0, "coherent state",
+                 coherent_fock_dim(center, hbar), hbar)
 
 
 def fock_cat(zeta: float, dim: int, hbar: float = 1.0) -> FockDensity:
     """Even cat (|+zeta> + |-zeta>)/norm along the q axis."""
     if zeta < 0:
         raise ConfigError("zeta must be nonnegative")
-    up = _coherent_vector((0.0, zeta), dim, hbar)
-    dn = _coherent_vector((0.0, -zeta), dim, hbar)
-    vec = up + dn
-    norm2 = float(np.real(vec @ vec.conj()))
-    expect = 2.0 * (1.0 + math.exp(-zeta ** 2 / hbar))
-    if abs(norm2 - expect) > 1e-8 * expect:
-        raise TruncationLeak(
-            f"cat state norm {norm2:.12f} vs exact {expect:.12f} at dim={dim}; "
-            f"use dim >= {cat_fock_dim(zeta, hbar)}")
-    vec = vec / math.sqrt(norm2)
-    return FockDensity(matrix=np.outer(vec, vec.conj()), hbar=hbar)
+    vec = (_coherent_vector((0.0, zeta), dim, hbar)
+           + _coherent_vector((0.0, -zeta), dim, hbar))
+    return _pure(vec, 2.0 * (1.0 + math.exp(-zeta ** 2 / hbar)), "cat state",
+                 cat_fock_dim(zeta, hbar), hbar)
 
 
 def fock_thermal(nbar: float, dim: int, hbar: float = 1.0) -> FockDensity:
@@ -434,20 +432,19 @@ def _channel_matrix(chan: LindbladChannel, p: np.ndarray, q: np.ndarray
 
 
 def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
-                            *, dt: float | None = None,
-                            check_every: int = 20) -> FockDensity:
+                            *, dt: float | None = None) -> FockDensity:
     """RK4 integration of the master equation in the truncated basis.
 
     The generator is assembled literally: H from the quadratic form on
     (p, q), one operator per channel, dissipator (1/2 hbar) sum (2 L rho L+
     - L+L rho - rho L+L). Population accumulating in the top two levels
-    raises :class:`TruncationLeak`; sup-norm blowup, NaNs, or end-time
-    trace/hermiticity drift beyond 1e-9 raise :class:`Unstable`. ``t`` must
-    be finite, an explicit ``dt`` finite and positive, ``check_every`` at
-    least 1 and the run at most a million steps (:class:`ConfigError`
-    otherwise).
+    raises :class:`TruncationLeak` and sup-norm blowup or NaNs raise
+    :class:`Unstable`, both at a periodic check; so does end-time
+    trace/hermiticity drift beyond 1e-9. ``t`` must be finite, an explicit
+    ``dt`` finite and positive and the run at most a million steps
+    (:class:`ConfigError` otherwise).
     """
-    _check_run(t, dt, check_every)
+    _check_run(t, dt)
     if abs(rho0.hbar - system.hbar) > 1e-12 * system.hbar:
         raise ConfigError("rho0 hbar does not match the system")
     hbar = system.hbar
@@ -467,8 +464,6 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
         dt = bound
     if t == 0.0:
         return FockDensity(matrix=rho0.matrix.copy(), hbar=hbar)
-    steps = _step_count(t, dt)
-    dt_eff = t / steps
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         out = (-1j / hbar) * (ham @ rho - rho @ ham)
@@ -476,20 +471,20 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
             out += (0.5 / hbar) * (2.0 * c @ rho @ c.conj().T - dd @ rho - rho @ dd)
         return out
 
-    rho = rho0.matrix.copy()
-    sup0 = float(np.max(np.abs(rho)))
-    for step in range(1, steps + 1):
-        rho = _rk4_step(rhs, rho, dt_eff)
-        if step % check_every == 0 or step == steps:
-            edge = float(rho[-1, -1].real + rho[-2, -2].real)
-            if edge > 1e-8:
-                raise TruncationLeak(
-                    f"population {edge:.3e} reached the truncation edge at "
-                    f"step {step}/{steps}; increase dim={dim}")
-            sup = float(np.max(np.abs(rho)))
-            if not math.isfinite(sup) or sup > 4.0 * sup0 + 1e-300:
-                raise Unstable(
-                    f"density matrix sup-norm {sup:.3e} at step {step}/{steps}")
+    sup0 = float(np.max(np.abs(rho0.matrix)))
+
+    def check(rho: np.ndarray, step: int, steps: int) -> None:
+        edge = float(rho[-1, -1].real + rho[-2, -2].real)
+        if edge > 1e-8:
+            raise TruncationLeak(
+                f"population {edge:.3e} reached the truncation edge at "
+                f"step {step}/{steps}; increase dim={dim}")
+        sup = float(np.max(np.abs(rho)))
+        if not math.isfinite(sup) or sup > 4.0 * sup0 + 1e-300:
+            raise Unstable(
+                f"density matrix sup-norm {sup:.3e} at step {step}/{steps}")
+
+    rho = _rk4(rhs, rho0.matrix.copy(), t, dt, check)
     trace_drift = abs(float(np.trace(rho).real) - rho0.trace)
     herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
     if trace_drift > 1e-9 or herm_defect > 1e-9:

@@ -316,8 +316,8 @@ def _exact_step(system: OpenSystem, t: float) -> tuple[np.ndarray, ...]:
     return (*affine_flow(system, t), m)
 
 
-def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,
-              reliability=None) -> ChordState:
+def map_state(system: OpenSystem, state: ChordState, t: float, *,
+              label: str) -> ChordState:
     """Carry every term of ``state`` along the affine flow over t (either sign).
 
     With (F, o) from :func:`affine_flow` and the chord pull-back
@@ -334,15 +334,14 @@ def map_state(system: OpenSystem, state: ChordState, t: float, *, label: str,
                       forms=back.T @ state.forms @ back + m / system.hbar,
                       shifts=state.shifts @ back + (offset @ J) / system.hbar,
                       label=label, pure=state.pure and t == 0.0,
-                      hbar=system.hbar, reliability=reliability)
+                      hbar=system.hbar)
 
 
 def evolved_state(system: OpenSystem, state: ChordState, t: float) -> ChordState:
     """The evolved chord function, :func:`map_state` at t >= 0."""
     if t < 0:
         raise ConfigError("evolved_state requires t >= 0")
-    return map_state(system, state, t, label=f"{state.label}@t={t:g}",
-                     reliability=state.reliability)
+    return map_state(system, state, t, label=f"{state.label}@t={t:g}")
 
 
 def evolve_chord(system: OpenSystem, state: ChordState, t: float, xi) -> np.ndarray:

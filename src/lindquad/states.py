@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -52,8 +50,6 @@ class ChordState:
     logs because a term's weight can lie far below the smallest float while
     its Gaussian factor is as far above the largest (a cat lobe's
     e^{-zeta^2/hbar} against an e^{+zeta^2/hbar} from its imaginary shift).
-    ``reliability`` (used by reconstruction) maps chords to booleans; None
-    means everywhere reliable.
     """
 
     log_weights: NDArray[np.complex128]
@@ -62,7 +58,6 @@ class ChordState:
     label: str
     pure: bool
     hbar: float = 1.0
-    reliability: Optional[Callable[[NDArray[np.float64]], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         log_weights = np.asarray(self.log_weights, dtype=complex)

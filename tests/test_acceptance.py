@@ -28,7 +28,7 @@ from lindquad import (GridField, HamiltonianForm,
                       evolved_state, exact_moments, fock_cat,
                       integrate_fock_lindblad, integrate_fokker_planck,
                       photon_bath, positivity_time, purity, reconstruct,
-                      simulate, symplectic_transform)
+                      reliable_chords, simulate, symplectic_transform)
 
 PRINTED_TABLE = {
     (-1.0, 0.0): 0.930, (-1.0, 0.1): 0.640, (-1.0, 1.0): 0.244,
@@ -250,10 +250,10 @@ def test_criterion_09_reconstruction_round_trip() -> None:
     sys_ = photon_bath(gamma=1.0, nbar=0.0)
     state = cat_state(2.0)
     t = 0.5 * positivity_time(sys_).t_p
-    rec = reconstruct(sys_, evolved_state(sys_, state, t), t, floor=1e-8)
+    rec = reconstruct(sys_, evolved_state(sys_, state, t), t)
     rng = np.random.default_rng(5)
     xi = rng.normal(scale=1.5, size=(400, 2))
-    mask = rec.reliability(xi)
+    mask = reliable_chords(sys_, t, xi, 1e-8)
     orig = state(xi[mask])
     back = rec(xi[mask])
     rel = float(np.max(np.abs(back - orig)) / np.max(np.abs(orig)))

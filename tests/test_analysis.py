@@ -12,8 +12,9 @@ from lindquad import (AsymptoticInvalid, ConfigError,
                       cat_state, cat_zero_crossing_time, coherent_state,
                       evolved_state, linear_entropy, photon_bath,
                       positivity_time, purity, purity_asymptotic,
-                      purity_curve, reconstruct, symplectic_transform,
-                      write_purity_csv)
+                      purity_curve, reconstruct, reliable_chords,
+                      symplectic_transform, write_purity_csv)
+from lindquad.grid import _json_text
 from lindquad.propagator import _reversed_dets
 
 
@@ -128,7 +129,7 @@ def test_threshold_saturates_for_pure_gain() -> None:
     assert not result.reached
     assert 0.2 < result.limit < 0.25
     assert result.limit == pytest.approx(0.25, abs=1e-3)
-    reported = json.loads(result.to_json())
+    reported = json.loads(_json_text(result.to_dict()))
     assert reported["limit"] == pytest.approx(result.limit)
 
 
@@ -177,7 +178,7 @@ def test_crossing_test_changes_sign_once_near_a_weak_saddle_threshold() -> None:
 
 def test_threshold_reported_as_json() -> None:
     result = positivity_time(photon_bath(gamma=1.0))
-    data = json.loads(result.to_json())
+    data = json.loads(_json_text(result.to_dict()))
     assert data["status"] == "reached"
     assert data["t_p"] == pytest.approx(np.log(2.0), rel=1e-10)
 
@@ -348,7 +349,7 @@ def test_reconstruction_round_trip() -> None:
     recovered = reconstruct(sys, evolved_state(sys, state, t), t)
     rng = np.random.default_rng(41)
     xi = rng.normal(scale=1.5, size=(200, 2))
-    reliable = recovered.reliability(xi)
+    reliable = reliable_chords(sys, t, xi)
     assert reliable.any()
     orig = state(xi[reliable])
     back = recovered(xi[reliable])
@@ -358,11 +359,10 @@ def test_reconstruction_round_trip() -> None:
 def test_reconstruction_reliability_mask() -> None:
     sys = photon_bath(gamma=1.0, nbar=1.0)
     state = coherent_state((0.0, 0.0))
-    recovered = reconstruct(sys, evolved_state(sys, state, 1.0), 1.0,
-                            floor=1e-6)
-    assert recovered.reliability(np.zeros((1, 2)))[0]
+    recovered = reconstruct(sys, evolved_state(sys, state, 1.0), 1.0)
+    assert reliable_chords(sys, 1.0, np.zeros((1, 2)), 1e-6)[0]
     far = np.array([[40.0, 0.0]])
-    assert not recovered.reliability(far)[0]
+    assert not reliable_chords(sys, 1.0, far, 1e-6)[0]
     assert not recovered.pure
 
 
@@ -375,9 +375,9 @@ def test_reconstruction_mask_follows_the_reversed_damping_matrix() -> None:
                         channels=photon_bath(gamma=0.6).channels)
     assert saddle.alpha == pytest.approx(0.3)
     t = 20.0
-    recovered = reconstruct(saddle, evolved_state(saddle, coherent_state((0.0, 0.0)), t), t)
+    reconstruct(saddle, evolved_state(saddle, coherent_state((0.0, 0.0)), t), t)
     xi = np.array([[30.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert recovered.reliability(xi).tolist() == [False, True, False]
+    assert reliable_chords(saddle, t, xi).tolist() == [False, True, False]
 
 
 def test_reconstruction_validation() -> None:
@@ -385,6 +385,8 @@ def test_reconstruction_validation() -> None:
     evolved = evolved_state(sys, coherent_state((0.0, 0.0)), 0.5)
     for floor in (0.0, -1.0, 1.5):
         with pytest.raises(ConfigError):
-            reconstruct(sys, evolved, 0.5, floor=floor)
+            reliable_chords(sys, 0.5, np.zeros((1, 2)), floor)
     with pytest.raises(ConfigError):
         reconstruct(sys, evolved, -0.5)
+    with pytest.raises(ConfigError):
+        reliable_chords(sys, -0.5, np.zeros((1, 2)))

@@ -237,6 +237,22 @@ def test_sweep_reruns_byte_identical(tmp_path) -> None:
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--sweep", "--paper-table"])
+def test_threshold_tables_print_integers_as_floats(tmp_path, flag) -> None:
+    # every number is a float64 repr: -1 and 0 in a config print as -1.0
+    # and 0.0, the same bytes as the float spelling
+    texts = []
+    for payload in ({"epsilons": [-1, 1], "d_second": [0, 1], "d_prime": 2},
+                    {"epsilons": [-1.0, 1.0], "d_second": [0.0, 1.0],
+                     "d_prime": 2.0}):
+        out = tmp_path / "table.csv"
+        assert main(["positivity", flag, "--config", _config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert "-1.0,0.0," in texts[0].splitlines()[1]
+
+
 def test_threshold_table_preset(tmp_path) -> None:
     out = tmp_path / "table.csv"
     assert main(["positivity", "--paper-table", "--out", str(out)]) == 0

@@ -157,3 +157,18 @@ def test_every_private_name_is_read() -> None:
     assert [f"{name}: {private}" for name, tree in trees.items()
             for private in sorted(_private_definitions(tree))
             if private not in read] == []
+
+
+def test_only_grid_writes_json() -> None:
+    # result text has one writer: grid._json_text, for reports and sidecars
+    root = Path(__file__).resolve().parent.parent / "src" / "lindquad"
+    callers = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [path.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "json"]
+    assert callers == ["grid.py"]

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lindquad import (ConfigError, GridField, GridSpec, centered_grid,
+from lindquad import (ConfigError, GridField, GridSpec, Unstable, centered_grid,
                       grid_from_dict, read_field_csv, write_field_csv)
 from lindquad import grid
-from lindquad.grid import atomic_write_text
+from lindquad.grid import _csv_text, _json_text, atomic_write_text
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -60,6 +60,19 @@ def test_grid_dict_round_trip() -> None:
                         "shape": [4, 4], "bogus": 1})
     with pytest.raises(ConfigError):
         grid_from_dict({"shape": [4, 4]})
+
+
+@pytest.mark.parametrize("data", [
+    {"center": [0, 0], "half_extent": 7.0, "shape": [5, 5]},
+    {"center": [0, 0], "half_extent": [7.0, 7.0], "shape": 5},
+    {"origin": [0, 0], "spacing": [1, 1], "shape": 5},
+])
+def test_grid_descriptors_take_pairs_only(data) -> None:
+    # a scalar once gave a square centred grid but was refused in the
+    # origin form; the Python centered_grid keeps its scalar convenience
+    with pytest.raises(ConfigError, match="grid"):
+        grid_from_dict(data)
+    assert centered_grid((0.0, 0.0), 7.0, 5).shape == (5, 5)
 
 
 def test_field_integral_and_shape_check() -> None:
@@ -215,6 +228,34 @@ def test_read_field_csv_rejects_damaged_files(tmp_path, damage) -> None:
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="field.csv"):
         read_field_csv(str(path))
+
+
+@pytest.mark.parametrize("sidecar", [None, "{not json"])
+def test_read_field_csv_rejects_a_missing_or_broken_sidecar(tmp_path, sidecar) -> None:
+    spec = GridSpec(origin=(0.0, 0.0), spacing=(0.5, 0.5), shape=(3, 4))
+    path = tmp_path / "field.csv"
+    write_field_csv(GridField(spec=spec, values=np.ones((3, 4))), str(path))
+    meta = tmp_path / "field.csv.json"
+    if sidecar is None:
+        meta.unlink()
+    else:
+        meta.write_text(sidecar)
+    with pytest.raises(ConfigError, match="field.csv.json"):
+        read_field_csv(str(path))
+
+
+def test_csv_text_prints_each_kind_of_cell() -> None:
+    assert _csv_text(("a", "b", "c", "d"), [(None, 3, 0.1, "quadrature"),
+                                            (-0.0, 1e-300, None, "")]) == (
+        "a,b,c,d\n,3,0.1,quadrature\n-0.0,1e-300,,\n")
+
+
+def test_json_text_is_strict_and_sorted() -> None:
+    assert _json_text({"b": 1.0, "a": [None, 2]}) == (
+        '{\n  "a": [\n    null,\n    2\n  ],\n  "b": 1.0\n}\n')
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(Unstable):
+            _json_text({"t": bad})
 
 
 def test_field_csv_keeps_an_all_negative_zero_imaginary_part(tmp_path) -> None:
