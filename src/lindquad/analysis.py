@@ -176,9 +176,10 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
 
 
 def _purity(system: OpenSystem, state: ChordState, t: float,
-            shrink: np.ndarray) -> float:
-    return (math.exp(2.0 * system.alpha * t)
-            * state.norm_squared(-2.0 * shrink / system.hbar))
+            shrink: np.ndarray, det: float) -> float:
+    # E = -2 M(-t)/hbar, with det E from the uncancelled det M(-t)
+    return (math.exp(2.0 * system.alpha * t) * state.norm_squared(
+        -2.0 * shrink / system.hbar, 4.0 * det / system.hbar ** 2))
 
 
 def purity(system: OpenSystem, state: ChordState, t: float) -> float:
@@ -187,11 +188,14 @@ def purity(system: OpenSystem, state: ChordState, t: float) -> float:
     The reversed damping matrix is negative semidefinite, so this is the
     average of a narrowing Gaussian over the initial chord intensity; over
     the state's Gaussian terms it is the closed-form pair sum
-    :meth:`ChordState.norm_squared` with E = -2 M(-t)/hbar.
+    :meth:`ChordState.norm_squared` with E = -2 M(-t)/hbar, whose
+    determinant takes det M(-t) from :func:`_reversed_dets` (exact in
+    sheared frames, where the dense E cancels).
     """
     if t < 0:
         raise ConfigError("purity requires t >= 0")
-    return _purity(system, state, t, damping_matrix(system, -t))
+    return _purity(system, state, t, damping_matrix(system, -t),
+                   float(_reversed_dets(system, np.array([t]))[0, 0]))
 
 
 def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
@@ -255,7 +259,7 @@ def reliable_chords(system: OpenSystem, t: float, xi,
     forward factor at the evolved chord. The mask depends on no state.
     """
     if t < 0:
-        raise ConfigError("reconstruct requires t >= 0")
+        raise ConfigError("reliable_chords requires t >= 0")
     if not 0.0 < floor <= 1.0:
         raise ConfigError("floor must lie in (0, 1]")
     xi = np.asarray(xi, dtype=float)
@@ -277,19 +281,18 @@ def purity_curve(system: OpenSystem, state: ChordState,
                  include_asymptotic: bool = True) -> PurityCurve:
     """Exact purity at every time, plus asymptotic rows where valid.
 
-    M(-t) for the whole time list is one batched kernel evaluation, equal
-    bit for bit to the per-time :func:`purity`, and so is det M(-t) for the
-    asymptotic rows. The exact rows keep the method name "quadrature" of the
-    CSV format.
+    M(-t) and det M(-t) for the whole time list are one batched kernel
+    evaluation each, equal bit for bit to the per-time :func:`purity`. The
+    exact rows keep the method name "quadrature" of the CSV format.
     """
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts):
         raise ConfigError("purity requires t >= 0")
     shrinks = damping_matrices(system, [-t for t in ts])
-    vals = [_purity(system, state, t, m) for t, m in zip(ts, shrinks)]
+    dets = _reversed_dets(system, np.array(ts))[:, 0].tolist()
+    vals = [_purity(system, state, t, m, det) for t, m, det in zip(ts, shrinks, dets)]
     methods = ["quadrature"] * len(ts)
     if include_asymptotic and ts:
-        dets = _reversed_dets(system, np.array(ts))[:, 0].tolist()
         for t, m, det in zip(list(ts), shrinks, dets):
             try:
                 vals.append(_purity_asymptotic(system, t, m, det))

@@ -392,6 +392,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (Unstable, TruncationLeak) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
+    except MemoryError as exc:
+        # a grid, basis or ensemble too large for this machine is refused
+        print(f"error: {args.command}: out of memory ({exc})", file=sys.stderr)
+        return _EXIT_CONFIG
 
 
 if __name__ == "__main__":

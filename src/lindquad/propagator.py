@@ -190,7 +190,7 @@ def _moment_sums(a: float, u: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
     the lowest, so the orders a longer batch keeps add nothing to a time
     that needs fewer.
     """
-    reach, orders, bound = abs(u) * float(np.max(t * t)), 1, 1.0
+    reach, orders, bound = abs(u) * float(np.max(t * t, initial=0.0)), 1, 1.0
     while orders < _SERIES_ORDERS:
         bound *= reach / ((2 * orders) * (2 * orders + 1))
         if bound < 1e-19:
@@ -318,12 +318,12 @@ def _exact_step(system: OpenSystem, t: float) -> tuple[np.ndarray, ...]:
 
 def map_state(system: OpenSystem, state: ChordState, t: float, *,
               label: str) -> ChordState:
-    """Carry every term of ``state`` along the affine flow over t (either sign).
+    """Carry ``state`` along the affine flow over t (either sign).
 
     With (F, o) from :func:`affine_flow` and the chord pull-back
-    back = -J F^T J: A -> back^T A back + M(t)/hbar, b -> back^T b + (o J)/hbar,
-    weights unchanged. The map at -t inverts the map at t, since
-    M(-t) = -back^T M(t) back with back taken at -t.
+    back = -J F^T J: the shared form A -> back^T A back + M(t)/hbar, each
+    shift b -> back^T b + (o J)/hbar, weights unchanged. The map at -t
+    inverts the map at t, since M(-t) = -back^T M(t) back with back at -t.
     """
     if abs(state.hbar - system.hbar) > 1e-12 * system.hbar:
         raise ConfigError(
@@ -331,7 +331,7 @@ def map_state(system: OpenSystem, state: ChordState, t: float, *,
     linear, offset, m = _exact_step(system, t)
     back = -J @ linear.T @ J
     return ChordState(log_weights=state.log_weights,
-                      forms=back.T @ state.forms @ back + m / system.hbar,
+                      form=back.T @ state.form @ back + m / system.hbar,
                       shifts=state.shifts @ back + (offset @ J) / system.hbar,
                       label=label, pure=state.pure and t == 0.0,
                       hbar=system.hbar)

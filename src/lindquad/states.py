@@ -9,11 +9,11 @@ so Wt(0) = 1/(2 pi hbar) encodes unit trace and Wt(-xi) = conj(Wt(xi))
 encodes hermiticity. Every built-in state (coherent, Gaussian, cat) is a
 finite sum of complex Gaussians,
 
-    Wt(xi) = sum_k w_k exp(-xi . A_k xi / 2 + i xi . b_k),
+    Wt(xi) = sum_k w_k exp(-xi . A xi / 2 + i xi . b_k),
 
-and the exact evolution maps that family to itself. A :class:`ChordState`
-is therefore plain term data, and its Wigner function and trace-square
-integrals are closed-form Gaussian integrals over the terms.
+with one form A for all terms, and the exact evolution maps that family to
+itself. A :class:`ChordState` is therefore plain term data, and its Wigner
+function and trace-square integrals are closed-form Gaussian integrals.
 """
 
 from __future__ import annotations
@@ -43,52 +43,53 @@ def _quadratic(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChordState:
-    """Chord function Wt(xi) = sum_k w_k exp(-xi . A_k xi / 2 + i xi . b_k).
+    """Chord function Wt(xi) = sum_k w_k exp(-xi . A xi / 2 + i xi . b_k).
 
-    ``log_weights`` (n,) complex log w_k, ``forms`` (n, 2, 2) real positive
-    definite A_k, ``shifts`` (n, 2) complex b_k. The weights are held as
-    logs because a term's weight can lie far below the smallest float while
-    its Gaussian factor is as far above the largest (a cat lobe's
-    e^{-zeta^2/hbar} against an e^{+zeta^2/hbar} from its imaginary shift).
+    ``log_weights`` (n,) complex log w_k, ``form`` (2, 2) the real positive
+    definite A that every term shares, ``shifts`` (n, 2) complex b_k. The
+    weights are held as logs because a term's weight can lie far below the
+    smallest float while its Gaussian factor is as far above the largest (a
+    cat lobe's e^{-zeta^2/hbar} against an e^{+zeta^2/hbar} from its
+    imaginary shift).
     """
 
     log_weights: NDArray[np.complex128]
-    forms: NDArray[np.float64]
+    form: NDArray[np.float64]
     shifts: NDArray[np.complex128]
     label: str
     pure: bool
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        log_weights = np.asarray(self.log_weights, dtype=complex)
-        forms = np.asarray(self.forms, dtype=float)
-        shifts = np.asarray(self.shifts, dtype=complex)
+        log_weights = np.array(self.log_weights, dtype=complex)
+        form = np.asarray(self.form, dtype=float)
+        shifts = np.array(self.shifts, dtype=complex)
         n = log_weights.shape[0] if log_weights.ndim == 1 else -1
-        if forms.shape != (n, 2, 2) or shifts.shape != (n, 2):
-            raise ConfigError("a chord state needs (n,) log weights, (n, 2, 2) "
-                              "forms and (n, 2) shifts")
-        object.__setattr__(self, "log_weights", log_weights)
-        object.__setattr__(self, "forms", 0.5 * (forms + forms.transpose(0, 2, 1)))
-        object.__setattr__(self, "shifts", shifts)
+        if form.shape != (2, 2) or shifts.shape != (n, 2):
+            raise ConfigError("a chord state needs (n,) log weights, a (2, 2) "
+                              "form and (n, 2) shifts")
+        form = 0.5 * (form + form.T)
+        for name, value in (("log_weights", log_weights), ("form", form),
+                            ("shifts", shifts)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def weights(self) -> NDArray[np.complex128]:
         """The weights w_k (those below the smallest float read 0)."""
         return np.exp(self.log_weights)
 
-    def _log_terms(self):
-        return zip(self.log_weights, self.forms, self.shifts)
-
     def __call__(self, xi) -> np.ndarray:
         """Wt at chords ``xi`` of shape (..., 2), complex."""
         xi = np.asarray(xi, dtype=float)
+        quad = 0.5 * _quadratic(self.form, xi)
         out = np.zeros(xi.shape[:-1], dtype=complex)
-        for log_w, a, b in self._log_terms():
-            out += np.exp(log_w - 0.5 * _quadratic(a, xi) + 1j * (xi @ b))
+        for log_w, b in zip(self.log_weights, self.shifts):
+            out += np.exp(log_w - quad + 1j * (xi @ b))
         return out
 
     def wigner(self, x) -> np.ndarray:
-        """W(x) = (1/hbar) sum_k w_k det(A_k)^{-1/2} exp(-beta . A_k^{-1} beta / 2).
+        """W(x) = (1/hbar) sum_k w_k det(A)^{-1/2} exp(-beta . A^{-1} beta / 2).
 
         Here beta = b_k - (x_q, -x_p)/hbar, for phase-space points ``x`` of
         shape (..., 2). Raises :class:`Unstable` when a value is not finite
@@ -96,10 +97,10 @@ class ChordState:
         """
         x = np.asarray(x, dtype=float)
         dual = (x @ J) / self.hbar  # x @ J = (x_q, -x_p)
+        log_det, inv = np.log(np.linalg.det(self.form)), _inv2(self.form)
         out = np.zeros(x.shape[:-1], dtype=complex)
-        for log_w, a, b in self._log_terms():
-            out += np.exp(log_w - 0.5 * (np.log(np.linalg.det(a))
-                                         + _quadratic(_inv2(a), b - dual)))
+        for log_w, b in zip(self.log_weights, self.shifts):
+            out += np.exp(log_w - 0.5 * (log_det + _quadratic(inv, b - dual)))
         out /= self.hbar
         imag = float(np.max(np.abs(out.imag), initial=0.0))
         if (not np.all(np.isfinite(out))
@@ -116,23 +117,31 @@ class ChordState:
                 "langevin sampling needs a gaussian-family initial state "
                 "(type 'coherent' or 'gaussian')")
         return (self.hbar * (self.shifts[0].real @ J.T),
-                self.hbar ** 2 * J.T @ self.forms[0] @ J)
+                self.hbar ** 2 * J.T @ self.form @ J)
 
-    def norm_squared(self, extra: np.ndarray | float = 0.0) -> float:
+    def norm_squared(self, extra: np.ndarray | None = None,
+                     det_extra: float = 0.0) -> float:
         """2 pi hbar Integral |Wt(xi)|^2 exp(-xi . E xi / 2) d xi, E = ``extra``.
 
         Tr rho^2 for E = 0 (the default). Over pairs of terms this is
         4 pi^2 hbar Re sum_kl w_k conj(w_l) det(S)^{-1/2} exp(-beta . S^{-1} beta / 2)
-        with S = A_k + A_l + E and beta = b_k - conj(b_l). Raises
-        :class:`Unstable` when the sum is not finite.
+        with S = 2A + E, S^{-1} = adj(S)/det S and beta = b_k - conj(b_l).
+        ``det_extra`` is det E, which the caller knows without the
+        cancellation of a dense E, so det S = det 2A + det E + tr(adj(2A) E)
+        holds in sheared frames. Raises :class:`Unstable` when the sum is
+        not finite.
         """
-        terms = list(self._log_terms())
+        a2 = 2.0 * self.form
+        e = np.zeros((2, 2)) if extra is None else np.asarray(extra, dtype=float)
+        # adj(X) = J X J^T for a symmetric 2x2 X
+        det_s = (a2[0, 0] * a2[1, 1] - a2[0, 1] ** 2 + det_extra
+                 + float(np.sum(J @ a2 @ J.T * e)))
+        log_det, adj = np.log(det_s), J @ (a2 + e) @ J.T
         total = 0j
-        for log_wk, ak, bk in terms:
-            for log_wl, al, bl in terms:
-                s = ak + al + extra
+        for log_wk, bk in zip(self.log_weights, self.shifts):
+            for log_wl, bl in zip(self.log_weights, self.shifts):
                 total += np.exp(log_wk + np.conj(log_wl) - 0.5 * (
-                    np.log(np.linalg.det(s)) + _quadratic(_inv2(s), bk - np.conj(bl))))
+                    log_det + _quadratic(adj, bk - np.conj(bl)) / det_s))
         value = 4.0 * math.pi ** 2 * self.hbar * float(total.real)
         if not math.isfinite(value):
             raise Unstable(f"trace-square integral of '{self.label}' is not finite")
@@ -170,7 +179,7 @@ def coherent_state(center, hbar: float = 1.0) -> ChordState:
     c = _as_vector(center, "center")
     return _validate_builtin(ChordState(
         log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
-        forms=[np.eye(2) / (2.0 * hbar)],
+        form=np.eye(2) / (2.0 * hbar),
         shifts=[(c @ J) / hbar], label=f"coherent@({c[0]:g},{c[1]:g})",
         pure=True, hbar=hbar))
 
@@ -187,7 +196,7 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
     # chord form J cov J^T / hbar^2, so the Wigner transform has covariance cov
     return _validate_builtin(ChordState(
         log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
-        forms=[J @ cov @ J.T / hbar ** 2],
+        form=J @ cov @ J.T / hbar ** 2,
         shifts=[(mean @ J) / hbar], label="gaussian", pure=pure, hbar=hbar))
 
 
@@ -211,7 +220,7 @@ def cat_state(zeta: float, hbar: float = 1.0) -> ChordState:
     lobe = central - zeta * z
     return _validate_builtin(ChordState(
         log_weights=[central, central, lobe, lobe],
-        forms=np.broadcast_to(np.eye(2) / (2.0 * hbar), (4, 2, 2)),
+        form=np.eye(2) / (2.0 * hbar),
         shifts=[(z, 0.0), (-z, 0.0), (0.0, -1j * z), (0.0, 1j * z)],
         label=f"cat(zeta={zeta:g})", pure=True, hbar=hbar))
 

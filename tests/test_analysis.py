@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import det2, random_symplectic
-from lindquad import (AsymptoticInvalid, ConfigError,
+from lindquad import (AsymptoticInvalid, ChordState, ConfigError,
                       HamiltonianForm, LindbladChannel, OpenSystem,
                       cat_state, cat_zero_crossing_time, coherent_state,
-                      evolved_state, linear_entropy, photon_bath,
+                      evolved_state, gaussian_state, linear_entropy, photon_bath,
                       positivity_time, purity, purity_asymptotic,
                       purity_curve, reconstruct, reliable_chords,
                       symplectic_transform, write_purity_csv)
@@ -318,6 +318,29 @@ def test_purity_asymptote_holds_in_sheared_frames() -> None:
     with pytest.raises(AsymptoticInvalid) as exc:
         purity_asymptotic(steep, 100.0)
     assert exc.value.eigenvalue == pytest.approx(18.1088, rel=1e-4)
+
+
+def test_purity_holds_in_sheared_saddle_frames() -> None:
+    # the saddle above: det(2A - 2M(-t)/hbar) of the dense matrix cancels in
+    # a sheared frame, so the determinant takes det M(-t) from its products
+    a = np.sqrt(0.999)
+    sys = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.0, 0.5], [0.5, 0.0]]),
+                     channels=(LindbladChannel(l_re=[0.0, a], l_im=[a, 0.0]),))
+    cat = cat_state(1.5)
+    for k in (0.5, 2.0):
+        c = np.array([[1.0, 0.0], [k, 1.0]])
+        c_inv = np.linalg.inv(c)
+        sheared = symplectic_transform(sys, c)
+        # the states move with the frame: W'(x) = W(C^-1 x), Wt'(xi) = Wt(C^-1 xi)
+        pairs = [(coherent_state((0.0, 0.0)), gaussian_state((0.0, 0.0), 0.5 * c @ c.T)),
+                 (cat, ChordState(log_weights=cat.log_weights,
+                                  form=c_inv.T @ cat.form @ c_inv,
+                                  shifts=cat.shifts @ c_inv, label="moved cat",
+                                  pure=True))]
+        for t in (5.0, 20.0, 40.0):
+            for state, moved in pairs:
+                assert purity(sheared, moved, t) == pytest.approx(
+                    purity(sys, state, t), rel=1e-10)
 
 
 def test_purity_curve_rows_and_csv(tmp_path) -> None:

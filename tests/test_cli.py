@@ -335,6 +335,23 @@ def test_evolve_rejects_undersized_grid(tmp_path) -> None:
                  str(tmp_path / "x.csv")]) == 4
 
 
+def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys) -> None:
+    # the allocation site fails as numpy's would, without allocating
+    def refuse(self):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(lindquad.GridSpec, "points", refuse)
+    cfg = _config(tmp_path, {
+        "system": PHOTON, "state": COHERENT, "t": 0.4,
+        "grid": {"center": [0.0, 0.0], "half_extent": [4.0, 4.0],
+                 "shape": [33, 33]},
+    })
+    out = tmp_path / "field.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: evolve: out of memory")
+
+
 def test_entropy_curve_csv(tmp_path) -> None:
     cfg = _config(tmp_path, {
         "system": PHOTON, "state": COHERENT, "times": [0.2, 8.0],

@@ -7,9 +7,13 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import sys
 from pathlib import Path
 
+import pytest
+
 import lindquad
+import lindquad.cli
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 _MODULES = ("analysis", "cli", "grid", "langevin", "model", "oracle",
@@ -31,11 +35,18 @@ def test_every_module_export_resolves() -> None:
     assert missing == []
 
 
+def _bench_module(name: str):
+    """bench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_tracing():
     """bench/tracing.py and the module dict its Tracer is built over."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", _BENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module("tracing")
     modules = {name: importlib.import_module(f"lindquad.{name}") for name in _MODULES}
     modules["lindquad"] = lindquad
     return tracing, modules
@@ -97,6 +108,22 @@ def test_traced_jobs_count_work_and_write_the_same_bytes(tmp_path) -> None:
         assert counts.get(key, 0) > 0, key
     assert all(value > 0 for key, value in counts.items()
                if key.endswith(".calls")), counts
+
+
+@pytest.mark.parametrize("workload", ["thresholds", "fields", "crosscheck"])
+def test_every_bench_job_passes_the_bench_checks(workload, tmp_path, monkeypatch) -> None:
+    # one round of the workload at seed 1, run and judged as bench/run.py does
+    monkeypatch.syspath_prepend(str(_BENCH))  # workloads imports reference
+    workloads, run = _bench_module("workloads"), _bench_module("run")
+    jobs = workloads.build(workload, 1)
+    cfg_dir, out_dir = tmp_path / "config", tmp_path / "out"
+    workloads.write_configs(jobs, cfg_dir)
+    out_dir.mkdir()
+    results = [run.run_job(lindquad.cli, job.argv(cfg_dir, out_dir)) for job in jobs]
+    verdicts = run.check_jobs(jobs, [{"codes": [r[0] for r in results]}], out_dir)
+    problems = {job.name: (found, result[3][-500:])
+                for job, found, result in zip(jobs, verdicts, results) if found}
+    assert problems == {}
 
 
 def _unused_imports(path: Path) -> list:

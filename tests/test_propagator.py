@@ -427,6 +427,20 @@ def test_evolved_state_metadata() -> None:
     assert "0.7" in out.label
 
 
+def test_state_arrays_are_read_only_and_unshared() -> None:
+    # a write through the evolved state must not reach the initial one
+    cat = cat_state(1.0)
+    out = evolved_state(photon_bath(gamma=1.0, nbar=0.2), cat, 0.5)
+    for state in (cat, out):
+        for array in (state.log_weights, state.form, state.shifts):
+            with pytest.raises(ValueError):
+                array[0] += 1
+    for mine, theirs in zip((out.log_weights, out.form, out.shifts),
+                            (cat.log_weights, cat.form, cat.shifts)):
+        assert not np.shares_memory(mine, theirs)
+    assert cat.norm_squared() == pytest.approx(1.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # equation-of-motion residual
 

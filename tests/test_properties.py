@@ -64,9 +64,9 @@ def _scaled_time(system, t: float) -> float:
 
 def _chord_reach(state) -> float:
     """Chord radius beyond which every term is below e^-30 of its peak."""
+    a = state.form
     return max(float(np.linalg.norm(np.linalg.solve(a, b.imag)))
-               + math.sqrt(60.0 / np.linalg.eigvalsh(a)[0])
-               for a, b in zip(state.forms, state.shifts))
+               + math.sqrt(60.0 / np.linalg.eigvalsh(a)[0]) for b in state.shifts)
 
 
 @PROPERTY
@@ -96,8 +96,8 @@ def test_evolved_wigner_grid_has_unit_mass(system, state, t) -> None:
     # each Wigner term is centred at hbar Re(b) J^T with covariance
     # hbar^2 J A J^T; the chord reach sets the spacing the grid needs
     half = max(float(np.max(np.abs(b.real @ J.T)))
-               + 9.0 * math.sqrt(np.linalg.eigvalsh(a)[1])
-               for a, b in zip(evolved.forms, evolved.shifts))
+               + 9.0 * math.sqrt(np.linalg.eigvalsh(evolved.form)[1])
+               for b in evolved.shifts)
     spacing = math.pi / (1.1 * _chord_reach(evolved))
     n = 2 * math.ceil(half / spacing) + 1
     assert n <= 801

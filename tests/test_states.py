@@ -88,30 +88,32 @@ def test_gaussian_chord_and_wigner_are_transform_pairs() -> None:
 def test_wigner_rejects_non_hermitian_and_non_finite_terms() -> None:
     x = np.random.default_rng(34).normal(size=(20, 2))
     round_ = np.eye(2) / 2.0
-    tilted = ChordState(log_weights=[0.1j - np.log(TWO_PI)], forms=[round_],
+    tilted = ChordState(log_weights=[0.1j - np.log(TWO_PI)], form=round_,
                         shifts=[[0.0, 0.0]], label="tilted", pure=False)
     with pytest.raises(Unstable):
         tilted.wigner(x)
-    broken = ChordState(log_weights=[-np.log(TWO_PI)], forms=[round_],
+    broken = ChordState(log_weights=[-np.log(TWO_PI)], form=round_,
                         shifts=[[np.nan, 0.0]], label="broken", pure=False)
     with pytest.raises(Unstable):
         broken.wigner(x)
     # the same single term with a real weight is the vacuum
-    vacuum = ChordState(log_weights=[-np.log(TWO_PI)], forms=[round_],
+    vacuum = ChordState(log_weights=[-np.log(TWO_PI)], form=round_,
                         shifts=[[0.0, 0.0]], label="vacuum", pure=True)
     assert np.max(np.abs(vacuum.wigner(x)
                          - coherent_state((0.0, 0.0)).wigner(x))) < 1e-15
 
 
+# the argument keeps the name "forms" so that the cases keep their ids
 @pytest.mark.parametrize("log_weights, forms, shifts", [
-    ([0.0, 0.0], [np.eye(2)], [[0.0, 0.0]]),        # two weights, one term
-    ([0.0], [np.eye(3)], [[0.0, 0.0]]),             # 3x3 form
-    ([0.0], [np.eye(2)], [[0.0, 0.0, 0.0]]),        # 3-vector shift
-    ([[0.0]], [np.eye(2)], [[0.0, 0.0]]),           # weights not a vector
+    ([0.0, 0.0], np.eye(2), [[0.0, 0.0]]),          # two weights, one term
+    ([0.0], np.eye(3), [[0.0, 0.0]]),               # 3x3 form
+    ([0.0], np.eye(2), [[0.0, 0.0, 0.0]]),          # 3-vector shift
+    ([[0.0]], np.eye(2), [[0.0, 0.0]]),             # weights not a vector
+    ([0.0], [np.eye(2)], [[0.0, 0.0]]),             # a stack of one form
 ])
 def test_chord_state_checks_term_shapes(log_weights, forms, shifts) -> None:
     with pytest.raises(ConfigError, match="a chord state needs"):
-        ChordState(log_weights=log_weights, forms=forms, shifts=shifts,
+        ChordState(log_weights=log_weights, form=forms, shifts=shifts,
                    label="misshapen", pure=False)
 
 
