@@ -5,12 +5,12 @@ time-reversed damping matrix. It starts at zero, never decreases, and the
 first time it reaches 1/4 the evolved Wigner function of *every* initial
 state becomes pointwise nonnegative — the attenuation Gaussian is then at
 least as wide as a pure-state chord function can be. :func:`positivity_time`
-locates that threshold; :func:`purity` evaluates the exact trace-square
-integral in closed form over the state's Gaussian terms;
-:func:`purity_asymptotic` is its late-time saddle value; :func:`reconstruct`
-inverts the evolution, and :func:`reliable_chords` is its reliability mask,
-since division by the attenuation Gaussian amplifies whatever noise lives
-at large chords.
+locates that threshold; :func:`purity_curve` evaluates the exact
+trace-square integral in closed form over the state's Gaussian terms
+(:func:`purity` is its one-row case); :func:`purity_asymptotic` is its
+late-time saddle value; :func:`reconstruct` inverts the evolution, and
+:func:`reliable_chords` is its reliability mask, since division by the
+attenuation Gaussian amplifies whatever noise lives at large chords.
 """
 
 from __future__ import annotations
@@ -175,27 +175,9 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
                             t_p=hi, det_value=high[1])
 
 
-def _purity(system: OpenSystem, state: ChordState, t: float,
-            shrink: np.ndarray, det: float) -> float:
-    # E = -2 M(-t)/hbar, with det E from the uncancelled det M(-t)
-    return (math.exp(2.0 * system.alpha * t) * state.norm_squared(
-        -2.0 * shrink / system.hbar, 4.0 * det / system.hbar ** 2))
-
-
 def purity(system: OpenSystem, state: ChordState, t: float) -> float:
-    """Tr rho_t^2 = 2 pi hbar e^{2 alpha t} Int |Wt_0|^2 e^{xi.M(-t)xi/hbar}.
-
-    The reversed damping matrix is negative semidefinite, so this is the
-    average of a narrowing Gaussian over the initial chord intensity; over
-    the state's Gaussian terms it is the closed-form pair sum
-    :meth:`ChordState.norm_squared` with E = -2 M(-t)/hbar, whose
-    determinant takes det M(-t) from :func:`_reversed_dets` (exact in
-    sheared frames, where the dense E cancels).
-    """
-    if t < 0:
-        raise ConfigError("purity requires t >= 0")
-    return _purity(system, state, t, damping_matrix(system, -t),
-                   float(_reversed_dets(system, np.array([t]))[0, 0]))
+    """Tr rho_t^2 at one time: the exact row of :func:`purity_curve` at [t]."""
+    return float(purity_curve(system, state, [t], include_asymptotic=False).values[0])
 
 
 def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
@@ -281,16 +263,22 @@ def purity_curve(system: OpenSystem, state: ChordState,
                  include_asymptotic: bool = True) -> PurityCurve:
     """Exact purity at every time, plus asymptotic rows where valid.
 
-    M(-t) and det M(-t) for the whole time list are one batched kernel
-    evaluation each, equal bit for bit to the per-time :func:`purity`. The
-    exact rows keep the method name "quadrature" of the CSV format.
+    Tr rho_t^2 = 2 pi hbar e^{2 alpha t} Int |Wt_0|^2 e^{xi.M(-t)xi/hbar},
+    the average of a narrowing Gaussian (M(-t) is negative semidefinite)
+    over the initial chord intensity: the closed-form pair sum
+    :meth:`ChordState.norm_squared` with E = -2 M(-t)/hbar and det E from
+    the uncancelled :func:`_reversed_dets`, exact in sheared frames. M(-t)
+    and det M(-t) for the whole time list are one batched kernel evaluation
+    each. The exact rows keep the method name "quadrature" of the CSV format.
     """
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts):
         raise ConfigError("purity requires t >= 0")
     shrinks = damping_matrices(system, [-t for t in ts])
     dets = _reversed_dets(system, np.array(ts))[:, 0].tolist()
-    vals = [_purity(system, state, t, m, det) for t, m, det in zip(ts, shrinks, dets)]
+    vals = [math.exp(2.0 * system.alpha * t) * state.norm_squared(
+                -2.0 * m / system.hbar, 4.0 * det / system.hbar ** 2)
+            for t, m, det in zip(ts, shrinks, dets)]
     methods = ["quadrature"] * len(ts)
     if include_asymptotic and ts:
         for t, m, det in zip(list(ts), shrinks, dets):

@@ -16,7 +16,8 @@ are serialized via repr, so reruns are byte-identical.
 Exit codes: 0 success; 2 configuration/validation error (including NaN or
 Infinity in a config); 3 positivity not reached under ``--require-reached``;
 4 grid too coarse; 5 numerical failure (overflow, integrator instability,
-truncation leak, a non-real Wigner function, NaN results).
+truncation leak, a non-real Wigner function, a non-finite chord value, NaN
+results).
 """
 
 from __future__ import annotations
@@ -282,17 +283,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def _fock_initial(data: dict, system: OpenSystem, dim: int | None
                   ) -> oracle.FockDensity:
     """Number-basis initial state for the Fock comparison (coherent or cat),
-    of dimension ``dim`` or, when None, the state's default."""
+    of dimension ``dim`` or, when None, the oracle's default for the state."""
     state, hbar = data["state"], system.hbar
-    kind, center = state.get("type"), state.get("center", (0.0, 0.0))
-    if kind not in ("cat", "coherent"):
-        raise ConfigError("fock comparison supports coherent or cat states")
-    if dim is None:
-        dim = (oracle.cat_fock_dim(float(state["zeta"]), hbar) if kind == "cat"
-               else oracle.coherent_fock_dim(center, hbar))
+    kind = state.get("type")
     if kind == "cat":
         return oracle.fock_cat(float(state["zeta"]), dim, hbar)
-    return oracle.fock_coherent(center, dim, hbar)
+    if kind == "coherent":
+        return oracle.fock_coherent(state.get("center", (0.0, 0.0)), dim, hbar)
+    raise ConfigError("fock comparison supports coherent or cat states")
 
 
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
@@ -311,7 +309,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
             else None)
 
     exact = propagator.evolve_wigner_grid(system, state, t, grid)
-    initial = GridField(spec=grid, values=state.wigner(grid.points()))
+    initial = propagator.evolve_wigner_grid(system, state, 0.0, grid)
     fp = oracle.integrate_fokker_planck(system, initial, t, dt=fp_dt)
 
     cell = grid.cell_area

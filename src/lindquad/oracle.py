@@ -394,20 +394,25 @@ def _pure(vec: np.ndarray, expect: float, what: str, need: int,
     return FockDensity(matrix=np.outer(vec, vec.conj()), hbar=hbar)
 
 
-def fock_coherent(center, dim: int, hbar: float = 1.0) -> FockDensity:
-    """Coherent state at phase-space point ``center`` = (p, q)."""
-    return _pure(_coherent_vector(center, dim, hbar), 1.0, "coherent state",
-                 coherent_fock_dim(center, hbar), hbar)
+def fock_coherent(center, dim: int | None = None, hbar: float = 1.0) -> FockDensity:
+    """Coherent state at phase-space point ``center`` = (p, q), in ``dim``
+    number states (default :func:`coherent_fock_dim`)."""
+    need = coherent_fock_dim(center, hbar)
+    return _pure(_coherent_vector(center, need if dim is None else dim, hbar),
+                 1.0, "coherent state", need, hbar)
 
 
-def fock_cat(zeta: float, dim: int, hbar: float = 1.0) -> FockDensity:
-    """Even cat (|+zeta> + |-zeta>)/norm along the q axis."""
+def fock_cat(zeta: float, dim: int | None = None, hbar: float = 1.0) -> FockDensity:
+    """Even cat (|+zeta> + |-zeta>)/norm along the q axis, in ``dim`` number
+    states (default :func:`cat_fock_dim`)."""
     if zeta < 0:
         raise ConfigError("zeta must be nonnegative")
+    need = cat_fock_dim(zeta, hbar)
+    dim = need if dim is None else dim
     vec = (_coherent_vector((0.0, zeta), dim, hbar)
            + _coherent_vector((0.0, -zeta), dim, hbar))
     return _pure(vec, 2.0 * (1.0 + math.exp(-zeta ** 2 / hbar)), "cat state",
-                 cat_fock_dim(zeta, hbar), hbar)
+                 need, hbar)
 
 
 def fock_thermal(nbar: float, dim: int, hbar: float = 1.0) -> FockDensity:

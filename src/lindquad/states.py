@@ -80,12 +80,19 @@ class ChordState:
         return np.exp(self.log_weights)
 
     def __call__(self, xi) -> np.ndarray:
-        """Wt at chords ``xi`` of shape (..., 2), complex."""
+        """Wt at chords ``xi`` of shape (..., 2), complex.
+
+        Raises :class:`Unstable` when a value is not finite, as a form that
+        is not positive definite gives at large chords.
+        """
         xi = np.asarray(xi, dtype=float)
-        quad = 0.5 * _quadratic(self.form, xi)
         out = np.zeros(xi.shape[:-1], dtype=complex)
-        for log_w, b in zip(self.log_weights, self.shifts):
-            out += np.exp(log_w - quad + 1j * (xi @ b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = 0.5 * _quadratic(self.form, xi)
+            for log_w, b in zip(self.log_weights, self.shifts):
+                out += np.exp(log_w - quad + 1j * (xi @ b))
+        if not np.all(np.isfinite(out)):
+            raise Unstable(f"chord function of '{self.label}' is not finite")
         return out
 
     def wigner(self, x) -> np.ndarray:
@@ -120,19 +127,21 @@ class ChordState:
                 self.hbar ** 2 * J.T @ self.form @ J)
 
     def norm_squared(self, extra: np.ndarray | None = None,
-                     det_extra: float = 0.0) -> float:
+                     det_extra: float | None = None) -> float:
         """2 pi hbar Integral |Wt(xi)|^2 exp(-xi . E xi / 2) d xi, E = ``extra``.
 
         Tr rho^2 for E = 0 (the default). Over pairs of terms this is
         4 pi^2 hbar Re sum_kl w_k conj(w_l) det(S)^{-1/2} exp(-beta . S^{-1} beta / 2)
         with S = 2A + E, S^{-1} = adj(S)/det S and beta = b_k - conj(b_l).
-        ``det_extra`` is det E, which the caller knows without the
+        ``det_extra`` is det E, which a caller may know without the
         cancellation of a dense E, so det S = det 2A + det E + tr(adj(2A) E)
-        holds in sheared frames. Raises :class:`Unstable` when the sum is
-        not finite.
+        holds in sheared frames; None takes the dense determinant of E.
+        Raises :class:`Unstable` when the sum is not finite.
         """
         a2 = 2.0 * self.form
         e = np.zeros((2, 2)) if extra is None else np.asarray(extra, dtype=float)
+        if det_extra is None:
+            det_extra = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
         # adj(X) = J X J^T for a symmetric 2x2 X
         det_s = (a2[0, 0] * a2[1, 1] - a2[0, 1] ** 2 + det_extra
                  + float(np.sum(J @ a2 @ J.T * e)))

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import det2, random_symplectic
 from lindquad import (AsymptoticInvalid, ChordState, ConfigError,
-                      HamiltonianForm, LindbladChannel, OpenSystem,
+                      HamiltonianForm, LindbladChannel, OpenSystem, Unstable,
                       cat_state, cat_zero_crossing_time, coherent_state,
                       evolved_state, gaussian_state, linear_entropy, photon_bath,
                       positivity_time, purity, purity_asymptotic,
@@ -256,8 +256,10 @@ def test_linear_entropy_complements_purity() -> None:
 def test_purity_validation() -> None:
     sys = photon_bath(gamma=1.0)
     state = coherent_state((0.0, 0.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="t >= 0"):
         purity(sys, state, -0.1)
+    with pytest.raises(ConfigError, match="finite times"):
+        purity(sys, state, float("nan"))
     with pytest.raises(ConfigError):
         purity_curve(sys, state, [0.5, -0.1])
     with pytest.raises(ConfigError):
@@ -401,6 +403,19 @@ def test_reconstruction_mask_follows_the_reversed_damping_matrix() -> None:
     reconstruct(saddle, evolved_state(saddle, coherent_state((0.0, 0.0)), t), t)
     xi = np.array([[30.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert reliable_chords(saddle, t, xi).tolist() == [False, True, False]
+
+
+def test_reconstruction_raises_where_its_chord_values_are_not_finite() -> None:
+    # on the saddle H = pq at t = 20 the reversed map's dense M(-t) cancels
+    # to a form with a large negative entry, whose chord values overflow
+    saddle = OpenSystem(
+        hamiltonian=HamiltonianForm(matrix=[[0.0, 0.5], [0.5, 0.0]]),
+        channels=(LindbladChannel(l_re=[0.0, 0.5], l_im=[0.5, 0.0]),))
+    t = 20.0
+    recovered = reconstruct(
+        saddle, evolved_state(saddle, coherent_state((0.3, 0.1)), t), t)
+    with pytest.raises(Unstable, match="not finite"):
+        recovered(np.array([[-30.0, -30.0], [0.0, 0.0]]))
 
 
 def test_reconstruction_validation() -> None:

@@ -212,6 +212,8 @@ def test_cli_runs_every_subcommand_without_scipy(tmp_path) -> None:
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
+    # a numpy warning outside pytest's error::RuntimeWarning filter shows here
+    assert proc.stderr == ""
 
 
 def test_sweep_reproduces_frozen_thresholds(tmp_path) -> None:
@@ -441,6 +443,21 @@ def test_reconstruct_outputs(tmp_path) -> None:
                                                 rel=1e-9)
 
 
+def test_reconstruct_refuses_non_finite_chord_values(tmp_path) -> None:
+    # saddle H = pq at t = 20: the recovered form cancels to a large negative
+    # entry, so chords far out overflow; nothing is written
+    cfg = _config(tmp_path, {
+        "system": {"hamiltonian": {"matrix": [[0.0, 0.5], [0.5, 0.0]]},
+                   "channels": [{"l_re": [0.0, 0.5], "l_im": [0.5, 0.0]}]},
+        "state": {"type": "coherent", "center": [0.3, 0.1]}, "t": 20.0,
+        "chord_grid": {"center": [0.0, 0.0], "half_extent": [30.0, 30.0],
+                       "shape": [9, 9]},
+    })
+    out = tmp_path / "recon.csv"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 5
+    assert list(tmp_path.glob("recon.csv*")) == []
+
+
 def test_oracle_compare_report(tmp_path) -> None:
     cfg = _config(tmp_path, {
         "system": PHOTON,
@@ -496,6 +513,25 @@ def test_oracle_compare_rejects_gaussian_before_integrating(
     })
     assert main(["oracle-compare", "--config", cfg, "--out",
                  str(tmp_path / "r.json")]) == 2
+
+
+def test_oracle_compare_checks_the_initial_grid_before_integrating(
+        tmp_path, monkeypatch) -> None:
+    # spacing 0.5 resolves the state at t = 0.5 under the thermal bath but
+    # not at t = 0, where the Fokker-Planck run would start
+    def no_integration(*args, **kwargs):
+        raise AssertionError("Fokker-Planck run from an unresolved grid")
+
+    monkeypatch.setattr(oracle, "integrate_fokker_planck", no_integration)
+    cfg = _config(tmp_path, {
+        "system": system_to_dict(photon_bath(gamma=1.0, nbar=2.0)),
+        "state": {"type": "coherent", "center": [0.5, 0.0]}, "t": 0.5,
+        "with_fock": False,
+        "grid": {"center": [0.0, 0.0], "half_extent": [6.0, 6.0],
+                 "shape": [25, 25]},
+    })
+    assert main(["oracle-compare", "--config", cfg, "--out",
+                 str(tmp_path / "r.json")]) == 4
 
 
 def test_oracle_compare_runs_a_cat_through_the_fock_basis(tmp_path) -> None:

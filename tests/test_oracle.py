@@ -51,6 +51,16 @@ def test_coherent_density_needs_enough_levels() -> None:
         fock_cat(3.0, 10)
 
 
+def test_fock_builders_default_to_their_basis_size() -> None:
+    for hbar in (1.0, 0.5):
+        center = (0.8, -0.6)
+        assert np.array_equal(
+            fock_coherent(center, hbar=hbar).matrix,
+            fock_coherent(center, coherent_fock_dim(center, hbar), hbar).matrix)
+        assert np.array_equal(fock_cat(2.0, hbar=hbar).matrix,
+                              fock_cat(2.0, cat_fock_dim(2.0, hbar), hbar).matrix)
+
+
 @pytest.mark.parametrize("build", [
     lambda: FockDensity(np.ones((2, 3))),
     lambda: FockDensity(np.array([[np.nan, 0.0], [0.0, 1.0]])),

@@ -16,7 +16,7 @@ from lindquad import (ConfigError, GridTooCoarse,
                       damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
                       evolve_wigner_grid, evolved_state, exact_moments,
-                      photon_bath, symplectic_transform)
+                      gaussian_state, photon_bath, symplectic_transform)
 
 
 def _driven_oscillator() -> OpenSystem:
@@ -378,6 +378,18 @@ def test_wigner_grid_tail_ratio_threshold() -> None:
     with pytest.raises(GridTooCoarse):
         evolve_wigner_grid(sys, state, 0.0, centered_grid((0.0, 0.0), 20 * 0.45, 41))
     evolve_wigner_grid(sys, state, 0.0, centered_grid((0.0, 0.0), 20 * 0.35, 41))
+
+
+def test_wigner_grid_at_t_zero_is_the_state_wigner_bit_for_bit() -> None:
+    # the map at t = 0 is the identity, so the oracle comparison's initial
+    # field can come from evolve_wigner_grid without moving a bit
+    sys = photon_bath(gamma=1.0, nbar=0.5)
+    grid = centered_grid((0.0, 0.0), (7.0, 7.0), (129, 129))
+    rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+    squeezed = gaussian_state((0.3, -0.2), rot @ np.diag([2.0, 0.125]) @ rot.T)
+    for state in (coherent_state((0.5, -1.2)), squeezed, cat_state(2.0)):
+        assert np.array_equal(evolve_wigner_grid(sys, state, 0.0, grid).values,
+                              state.wigner(grid.points()))
 
 
 def test_wigner_grid_is_deterministic() -> None:

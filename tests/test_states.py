@@ -143,6 +143,30 @@ def test_cat_wigner_structure() -> None:
     assert cat.wigner(np.array([p_node, 0.0])) < 0.0
 
 
+def test_norm_squared_takes_the_determinant_of_the_extra_form() -> None:
+    # without det E, the pair sum over S = 2A + E equals the plain trace
+    # square of the state whose form is A + E/2
+    cat = cat_state(1.5)
+    for extra in (np.eye(2), np.array([[0.7, 0.3], [0.3, 0.4]])):
+        shifted = ChordState(log_weights=cat.log_weights,
+                             form=cat.form + 0.5 * extra, shifts=cat.shifts,
+                             label="shifted", pure=False)
+        assert cat.norm_squared(extra) == pytest.approx(shifted.norm_squared(),
+                                                        rel=1e-12)
+    assert cat.norm_squared(np.eye(2)) == pytest.approx(
+        cat.norm_squared(np.eye(2), 1.0), rel=1e-12)
+
+
+def test_chord_values_must_be_finite() -> None:
+    # a form that is not positive definite grows without bound
+    state = ChordState(log_weights=[np.log(1.0 / TWO_PI)],
+                       form=[[0.5, 0.0], [0.0, -0.5]], shifts=[(0.0, 0.0)],
+                       label="indefinite", pure=False)
+    assert np.isfinite(state(np.array([[0.0, 3.0]]))).all()
+    with pytest.raises(Unstable, match="not finite"):
+        state(np.array([[0.0, 3.0], [0.0, 60.0]]))
+
+
 def test_widely_separated_cat_stays_finite() -> None:
     # each lobe weight e^{-zeta^2/hbar} meets a factor e^{+zeta^2/hbar}
     # that overflows on its own once zeta^2/hbar passes ~355
