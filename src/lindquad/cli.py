@@ -197,7 +197,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if representation == "wigner":
         field = propagator.evolve_wigner_grid(system, state, t, grid)
     elif representation == "chord":
-        values = propagator.evolve_chord(system, state, t, grid.points())
+        values = propagator.evolved_state(system, state, t).chord_grid(
+            grid.p_axis, grid.q_axis)
         field = GridField(spec=grid, values=values)
     else:
         raise ConfigError(f"unknown representation: {representation!r}")
@@ -270,10 +271,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     t = _float_field(data, "t")
     floor = _float_field(data, "floor", 1e-8)
     grid = grid_from_dict(data["chord_grid"])
-    pts = grid.points()
-    reliable = analysis.reliable_chords(system, t, pts, floor)
+    reliable = analysis.reliable_chords(system, t, grid.points(), floor)
     evolved = propagator.evolved_state(system, state, t)
-    values = analysis.reconstruct(system, evolved, t)(pts)
+    values = analysis.reconstruct(system, evolved, t).chord_grid(grid.p_axis, grid.q_axis)
     write_field_csv(GridField(spec=grid, values=values), out)
     write_field_csv(GridField(spec=grid, values=reliable.astype(float)),
                     out + ".reliability.csv")

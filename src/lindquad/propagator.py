@@ -373,7 +373,7 @@ def evolve_wigner_grid(system: OpenSystem, state: ChordState, t: float,
         raise GridTooCoarse(
             f"chord function magnitude {edge:.3e} at the dual-mesh edge "
             f"(peak {peak:.3e}); decrease the grid spacing")
-    return GridField(spec=grid, values=evolved.wigner(grid.points()))
+    return GridField(spec=grid, values=evolved.wigner_grid(grid.p_axis, grid.q_axis))
 
 
 def chord_pde_residual(system: OpenSystem, state: ChordState, t: float, xi,

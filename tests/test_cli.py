@@ -339,10 +339,10 @@ def test_evolve_rejects_undersized_grid(tmp_path) -> None:
 
 def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys) -> None:
     # the allocation site fails as numpy's would, without allocating
-    def refuse(self):
+    def refuse(self, p_axis, q_axis):
         raise MemoryError("Unable to allocate 7.28 TiB")
 
-    monkeypatch.setattr(lindquad.GridSpec, "points", refuse)
+    monkeypatch.setattr(lindquad.ChordState, "wigner_grid", refuse)
     cfg = _config(tmp_path, {
         "system": PHOTON, "state": COHERENT, "t": 0.4,
         "grid": {"center": [0.0, 0.0], "half_extent": [4.0, 4.0],
@@ -456,6 +456,47 @@ def test_reconstruct_refuses_non_finite_chord_values(tmp_path) -> None:
     out = tmp_path / "recon.csv"
     assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 5
     assert list(tmp_path.glob("recon.csv*")) == []
+
+
+def test_reconstruct_refuses_through_the_chord_grid(tmp_path, monkeypatch) -> None:
+    # the saddle case above: the tiled chord grid, not a per-node sum, is what
+    # finds the overflow, and still nothing is written
+    seen = []
+    tiled = lindquad.ChordState.chord_grid
+
+    def spy(self, xi_p, xi_q):
+        try:
+            return tiled(self, xi_p, xi_q)
+        except lindquad.Unstable:
+            seen.append("Unstable")
+            raise
+
+    monkeypatch.setattr(lindquad.ChordState, "chord_grid", spy)
+    cfg = _config(tmp_path, {
+        "system": {"hamiltonian": {"matrix": [[0.0, 0.5], [0.5, 0.0]]},
+                   "channels": [{"l_re": [0.0, 0.5], "l_im": [0.5, 0.0]}]},
+        "state": {"type": "coherent", "center": [0.3, 0.1]}, "t": 20.0,
+        "chord_grid": {"center": [0.0, 0.0], "half_extent": [30.0, 30.0],
+                       "shape": [9, 9]},
+    })
+    out = tmp_path / "recon.csv"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 5
+    assert seen == ["Unstable"]
+    assert list(tmp_path.glob("recon.csv*")) == []
+
+
+def test_evolve_chord_representation_is_the_chord_grid(tmp_path) -> None:
+    cfg = _config(tmp_path, {
+        "system": PHOTON, "state": {"type": "cat", "zeta": 1.5}, "t": 0.4,
+        "grid": {"center": [0.2, -0.1], "half_extent": [3.0, 4.0], "shape": [17, 12]},
+        "representation": "chord",
+    })
+    out = tmp_path / "chord.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    field = lindquad.read_field_csv(str(out))
+    evolved = lindquad.evolved_state(photon_bath(gamma=1.0), lindquad.cat_state(1.5), 0.4)
+    nodes = evolved(field.spec.points())
+    assert np.max(np.abs(field.values - nodes)) <= 1e-12 * np.max(np.abs(nodes))
 
 
 def test_oracle_compare_report(tmp_path) -> None:

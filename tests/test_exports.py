@@ -199,3 +199,21 @@ def test_only_grid_writes_json() -> None:
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "json"]
     assert callers == ["grid.py"]
+
+
+def test_grids_are_evaluated_by_the_tiled_kernel() -> None:
+    # propagator leaves node lists to the scattered-point API, and the grid
+    # kernel sums its tiles by broadcast multiply-adds, not a BLAS product
+    root = Path(__file__).resolve().parent.parent / "src" / "lindquad"
+    tree = ast.parse((root / "propagator.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "points"] == []
+    tree = ast.parse((root / "states.py").read_text())
+    kernel = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("_grid_sum", "_axis_tiles", "_tile_size", "_step")]
+    assert len(kernel) == 4
+    products = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+    assert [node.lineno for function in kernel for node in ast.walk(function)
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Attribute) and node.attr in products)
+            or (isinstance(node, ast.Name) and node.id in products)] == []

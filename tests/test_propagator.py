@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (centre_flow, damping_bath, det2, orbit, random_symplectic,
-                      random_system)
-from lindquad import (ConfigError, GridTooCoarse,
+from conftest import (centre_flow, damping_bath, det2, grid_nodes, orbit,
+                      random_symplectic, random_system)
+from lindquad import (ChordState, ConfigError, GridTooCoarse,
                       HamiltonianForm, J, LindbladChannel, OpenSystem,
                       Unstable, affine_flow, cat_state, cat_wigner_line, centered_grid,
                       chord_pde_residual, coherent_state, damping_matrices,
@@ -388,8 +388,10 @@ def test_wigner_grid_at_t_zero_is_the_state_wigner_bit_for_bit() -> None:
     rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
     squeezed = gaussian_state((0.3, -0.2), rot @ np.diag([2.0, 0.125]) @ rot.T)
     for state in (coherent_state((0.5, -1.2)), squeezed, cat_state(2.0)):
-        assert np.array_equal(evolve_wigner_grid(sys, state, 0.0, grid).values,
-                              state.wigner(grid.points()))
+        field = evolve_wigner_grid(sys, state, 0.0, grid).values
+        assert np.array_equal(field, state.wigner_grid(grid.p_axis, grid.q_axis))
+        nodes = state.wigner(grid.points())
+        assert np.max(np.abs(field - nodes)) <= 1e-12 * np.max(np.abs(nodes))
 
 
 def test_wigner_grid_is_deterministic() -> None:
@@ -422,6 +424,38 @@ def test_wigner_grid_rejects_coarse_grids() -> None:
     grid = centered_grid((0.0, 0.0), (2.0, 2.0), (8, 8))
     with pytest.raises(GridTooCoarse):
         evolve_wigner_grid(sys, state, 0.1, grid)
+
+
+def test_coarse_grid_verdicts_do_not_depend_on_the_evaluator(monkeypatch) -> None:
+    # the dual-mesh rim check runs before either evaluator: a sweep of grid
+    # sizes across the threshold gets the same verdicts, and the same values
+    # to 1e-12 of the peak, from the tiled sum and from the per-node sum
+    sys = photon_bath(gamma=1.0, nbar=0.1)
+    rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+    states = (coherent_state((0.5, -1.2)), cat_state(2.0),
+              gaussian_state((0.3, -0.2), rot @ np.diag([2.0, 0.125]) @ rot.T))
+    grids = [centered_grid((0.3, -0.1), (7.0, 6.0), (n, n + 3)) for n in range(9, 60, 5)]
+
+    def outcomes():
+        found = []
+        for state in states:
+            for t in (0.0, 0.4):
+                for grid in grids:
+                    try:
+                        found.append(evolve_wigner_grid(sys, state, t, grid).values)
+                    except GridTooCoarse:
+                        found.append(None)
+        return found
+
+    tiled = outcomes()
+    monkeypatch.setattr(ChordState, "wigner_grid",
+                        lambda self, p, q: self.wigner(grid_nodes(p, q)))
+    nodes = outcomes()
+    assert [v is None for v in tiled] == [v is None for v in nodes]
+    assert 0 < sum(v is None for v in tiled) < len(tiled)
+    for a, b in zip(tiled, nodes):
+        if a is not None:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_state_and_system_hbar_must_match() -> None:

@@ -4,7 +4,8 @@ Systems come from the shared random builders in all three regimes (either
 sign of the dissipation coefficient), with a random linear Hamiltonian term;
 states are cats and squeezed, possibly mixed, Gaussians. Times are scaled by
 the stretching rate so hyperbolic frames stay on grids of a few hundred
-nodes per axis.
+nodes per axis. The tiled grid evaluators are checked against the per-node
+sums they replace, in random symplectic frames and at several hbar.
 """
 from __future__ import annotations
 
@@ -12,11 +13,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import det2, random_symplectic, random_system
-from lindquad import (HamiltonianForm, J, OpenSystem,
+from conftest import det2, grid_nodes, random_symplectic, random_system
+from lindquad import (ChordState, HamiltonianForm, J, OpenSystem,
                       affine_flow, affine_flow_expm, cat_state, centered_grid,
                       damping_matrices, damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
@@ -24,6 +25,7 @@ from lindquad import (HamiltonianForm, J, OpenSystem,
                       photon_bath, positivity_time, purity, purity_quadrature,
                       reconstruct, reliable_chords, symplectic_transform)
 from lindquad.propagator import _reversed_dets
+from lindquad.states import _tile_size
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -114,6 +116,147 @@ def test_reconstruction_inverts_evolution(system, state, t, seed) -> None:
     reliable = reliable_chords(system, t, xi)
     error = np.abs(recovered(xi[reliable]) - state(xi[reliable]))
     assert np.max(error, initial=0.0) <= 1e-8 / (2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# grid evaluators: the tiled sums against the per-node sums, to 1e-12 of the
+# field's peak
+
+
+def _moved(state: ChordState, c: np.ndarray) -> ChordState:
+    """``state`` in the frame x' = C x: A -> C^-T A C^-1, b -> C^-T b."""
+    cinv = np.linalg.inv(c)
+    return ChordState(log_weights=state.log_weights, form=cinv.T @ state.form @ cinv,
+                      shifts=state.shifts @ cinv, label=state.label,
+                      pure=state.pure, hbar=state.hbar)
+
+
+def _axes(center, half, shape) -> tuple[np.ndarray, np.ndarray]:
+    grid = centered_grid(center, half, shape)
+    return grid.p_axis, grid.q_axis
+
+
+def _centres(state: ChordState) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's peak: at hbar Re(b_k) J^T in phase space, and its chord
+    modulus at -A^-1 Im(b_k)."""
+    return (state.hbar * (state.shifts.real @ J.T),
+            -state.shifts.imag @ np.linalg.inv(state.form))
+
+
+def _assert_grids_match(state: ChordState, wigner_axes, chord_axes) -> None:
+    # the peak is the field's, on the grid or at a term's centre
+    wigner_at, chord_at = _centres(state)
+    nodes = state.wigner(grid_nodes(*wigner_axes))
+    tiled = state.wigner_grid(*wigner_axes)
+    peak = max(np.max(np.abs(nodes)), np.max(np.abs(state.wigner(wigner_at))))
+    assert np.max(np.abs(tiled - nodes)) <= 1e-12 * peak
+    nodes = state(grid_nodes(*chord_axes))
+    tiled = state.chord_grid(*chord_axes)
+    peak = max(np.max(np.abs(nodes)), np.max(np.abs(state(chord_at))))
+    assert np.max(np.abs(tiled - nodes)) <= 1e-12 * peak
+
+
+def _grids_about_a_term(state: ChordState, k: int, offset, reach, shape):
+    """Wigner and chord axes about term k's centres, ``reach`` widths out.
+
+    The widths are those of the Wigner covariance hbar^2 J^T A J and of
+    A^-1; ``offset`` moves both centres by that many widths.
+    """
+    wigner_at, chord_at = _centres(state)
+    cov = state.hbar ** 2 * J.T @ state.form @ J
+    width = np.sqrt(np.diag(cov))
+    chord_width = np.sqrt(np.diag(np.linalg.inv(state.form)))
+    offset = np.asarray(offset)
+    return (_axes(wigner_at[k] + offset * width, reach * width, shape),
+            _axes(chord_at[k] + offset * chord_width, reach * chord_width, shape))
+
+
+def _squeezed_state(r: float, angle: float, hbar: float) -> ChordState:
+    """A pure Gaussian squeezed by r along ``angle``, centred off the origin."""
+    rot = np.array([[math.cos(angle), -math.sin(angle)],
+                    [math.sin(angle), math.cos(angle)]])
+    cov = 0.5 * hbar * rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) @ rot.T
+    return gaussian_state(math.sqrt(hbar) * np.array([1.5, -0.7]), cov, hbar=hbar)
+
+
+shapes = st.tuples(st.integers(2, 90), st.integers(2, 90))
+offsets = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+hbars = st.sampled_from([1.0, 0.05, 3.0])
+
+# Both sums round each exponent to about eps times the size of its parts,
+# which for a cat is zeta^2/hbar times the frame's stretch squared, so random
+# frames take cats to zeta = 5 sqrt(hbar) and the shear s of the wide-cat
+# frames keeps zeta^2 (1 + s^2) <= 1600 hbar, where the per-node sums keep
+# 5e-13 of the peak (zeta = 40 sqrt(hbar) with s = 3 takes both past 1e-12).
+# Squeezing stays at r <= 1: the rounding of a form of condition number
+# e^{4r} along a 45 degree ridge reaches 3e-12 of the peak at r = 3.
+
+
+@PROPERTY
+@given(systems, st.booleans(), st.floats(0.0, 5.0), st.floats(0.0, math.pi), hbars,
+       times, st.integers(0, 2 ** 32 - 1), st.integers(0, 3), offsets,
+       st.floats(0.5, 12.0), shapes)
+def test_grid_evaluators_match_the_per_node_sums(system, cat, size, angle, hbar, t,
+                                                 seed, k, offset, reach, shape) -> None:
+    # initial and evolved states, from a random system at hbar, in a random
+    # symplectic frame
+    c = random_symplectic(np.random.default_rng(seed))
+    system = symplectic_transform(OpenSystem(hamiltonian=system.hamiltonian,
+                                             channels=system.channels, hbar=hbar), c)
+    state = (cat_state(size * math.sqrt(hbar), hbar=hbar) if cat
+             else _squeezed_state(size / 5.0, angle, hbar))
+    state = _moved(state, c)
+    evolved = evolved_state(system, state, _scaled_time(system, t))
+    k = min(k, evolved.shifts.shape[0] - 1)
+    for s in (state, evolved):
+        _assert_grids_match(s, *_grids_about_a_term(s, k, offset, reach, shape))
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), st.floats(0.0, 3.0), hbars, st.floats(0.0, 0.5),
+       st.integers(0, 3), offsets, st.floats(0.5, 12.0), shapes)
+@example(1.0, 0.0, 1.0, 0.3, 0, (0.0, 0.0), 12.0, (90, 90))
+@example(1.0, 3.0, 1.0, 0.3, 2, (0.0, 0.0), 12.0, (90, 90))
+def test_grid_evaluators_hold_for_wide_cats(share, shear, hbar, t, k, offset, reach,
+                                            shape) -> None:
+    # cats up to zeta = 40 sqrt(hbar), lobes and fringes, decohering under
+    # the photon bath in a sheared frame
+    zeta = 40.0 * share * math.sqrt(hbar / (1.0 + shear * shear))
+    c = np.array([[1.0, 0.0], [shear, 1.0]])
+    system = symplectic_transform(photon_bath(gamma=1.0, nbar=0.1, hbar=hbar), c)
+    state = _moved(cat_state(zeta, hbar=hbar), c)
+    for s in (state, evolved_state(system, state, t)):
+        _assert_grids_match(s, *_grids_about_a_term(s, k, offset, reach, shape))
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), st.floats(0.0, math.pi), st.floats(0.02, 6.0), shapes,
+       offsets)
+@example(1.0, math.pi / 4, 4.5, (41, 41), (0.0, 0.0))
+def test_grid_evaluators_hold_on_steep_forms(r, angle, spacing, shape, offset) -> None:
+    # a squeezed Gaussian on a coarse mesh has a large |F_01| h_u h_v, so
+    # tiles shrink to a few nodes and, in the example, to one (the per-node
+    # sum); its grid has a node on the centre
+    state = _squeezed_state(r, angle, 1.0)
+    center = np.array([1.5, -0.7]) + np.asarray(offset)
+    half = 0.5 * spacing * (np.array(shape) - 1)
+    _assert_grids_match(state, _axes(center, half, shape),
+                        _axes(np.asarray(offset), half, shape))
+    if (r, spacing) == (1.0, 4.5):
+        inv = np.linalg.inv(state.form)
+        assert _tile_size(inv[::-1, ::-1], spacing, spacing) < 2.0
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 77), (77, 2), (65, 129), (130, 67)])
+@pytest.mark.parametrize("state", [cat_state(3.0), _squeezed_state(0.4, 0.4, 1.0)],
+                         ids=["cat", "squeezed"])
+def test_grid_evaluators_hold_on_thin_and_ragged_grids(shape, state) -> None:
+    # a sheared frame makes F_01 nonzero, so the larger Wigner grids are cut
+    # into tiles of 22 to 34 nodes that do not divide them; the grids sit off
+    # the origin
+    state = _moved(state, np.array([[1.0, 0.0], [1.5, 1.0]]))
+    _assert_grids_match(state, _axes((0.8, -1.1), (5.0, 9.0), shape),
+                        _axes((0.3, 0.2), (4.0, 3.0), shape))
 
 
 # ---------------------------------------------------------------------------
