@@ -10,8 +10,10 @@ The bytes of a field CSV are unchanged from the per-node layout of earlier
 versions, ``f"{p!r},{q!r},{re!r},{im!r}"`` for every node with the values
 widened to complex. The writer calls ``repr`` only once per axis node;
 ``_floatrepr`` prints the same digits for whole arrays of values, and the
-writer lays a block of grid rows out as NUL-padded words and drops the
-NULs in one pass.
+writer lays a block of grid rows out as NUL-padded words, one line of
+words per node, and drops the NULs in one pass. A node's p and q cells
+share their words, so a line is as few words wide as the longest p and q
+cells need together, not each on its own.
 """
 
 from __future__ import annotations
@@ -181,14 +183,17 @@ def _csv_text(header, rows) -> str:
 
 
 def _axis_cells(spec: GridSpec) -> list[NDArray[np.uint64]]:
-    """The p and q cells, each node's ``repr`` and a comma in NUL-padded
-    words, as few words wide as the axis's longest cell needs."""
-    cells = []
-    for axis in (spec.p_axis, spec.q_axis):
-        text = np.array([repr(v) + "," for v in axis.tolist()], dtype=np.bytes_)
-        words = text.astype(f"S{-(-text.itemsize // 8) * 8}").view("<u8")
-        cells.append(words.reshape(len(text), -1))
-    return cells
+    """The p and q cells, each node's ``repr`` and a comma, in NUL-padded
+    words of one shared width: the p cells in the first bytes and the q
+    cells in the bytes after the longest p cell, so that a p row ORed with
+    the q cells lays out every node's p,q text in as few words as the two
+    longest cells need together."""
+    p, q = ([(repr(v) + ",").encode() for v in axis.tolist()]
+            for axis in (spec.p_axis, spec.q_axis))
+    start = max(map(len, p))
+    size = -(-(start + max(map(len, q))) // 8) * 8
+    return [np.array(cells, dtype=f"S{size}").view("<u8").reshape(len(cells), -1)
+            for cells in (p, [b"\0" * start + cell for cell in q])]
 
 
 def write_field_csv(field: GridField, path: str) -> None:
@@ -197,26 +202,27 @@ def write_field_csv(field: GridField, path: str) -> None:
     Values are widened to float64, or to complex when they are not real, so
     integer, boolean and float32 fields print as float64 reprs, and a real
     field's imaginary cell is always ``0.0``. Blocks of whole grid rows are
-    laid out as NUL-padded words, one line per node: the p cell, the q cell
-    (both formatted once per axis), ``value_re``, ``,``, ``value_im`` and a
-    newline. Dropping the NULs gives the text.
+    laid out as NUL-padded words, one line per node: the p and q cells in
+    shared words (the p row's words ORed with the q column's, both
+    formatted once per axis by :func:`_axis_cells`), then ``value_re``,
+    ``,``, ``value_im`` and a newline. Dropping the NULs gives the text.
     """
     has_imag = field.values.dtype.kind not in "biuf"
     values = np.asarray(field.values, dtype=complex if has_imag else float)
     p_cells, q_cells = _axis_cells(field.spec)
-    wp, wq = p_cells.shape[1], q_cells.shape[1]
-    width = wp + wq + (8 if has_imag else 5)
+    wpq = q_cells.shape[1]
+    width = wpq + (8 if has_imag else 5)
     blocks = -(-values.size // _BLOCK_NODES)
     rows = -(-len(values) // blocks)  # whole grid rows per block
     chunks = [",".join(_HEADER) + "\n"]
     for start in range(0, len(values), rows):
         block = values[start:start + rows]
         lines = np.empty(block.shape + (width,), dtype="<u8")
-        lines[:, :, wp:wp + wq] = q_cells
-        for j in range(wp):
-            lines[:, :, j] = p_cells[start:start + len(block), j, None]
+        for j in range(wpq):  # a word column at a time, so the loops run along q
+            np.bitwise_or(p_cells[start:start + len(block), j, None], q_cells[:, j],
+                          out=lines[:, :, j])
         nodes = lines.reshape(block.size, width)
-        cells = nodes[:, wp + wq:]
+        cells = nodes[:, wpq:]
         repr_words(block.real, out=cells[:, :4])
         cells[:, 3] |= _U(ord(",") << 56)
         if has_imag:
@@ -225,7 +231,9 @@ def write_field_csv(field: GridField, path: str) -> None:
         else:
             cells[:, 4] = _U(int.from_bytes(b"0.0\n", "little"))
         chunks.append(nodes.tobytes().translate(None, b"\0").decode("ascii"))
-    atomic_write_text(path, "".join(chunks))
+    text = "".join(chunks)
+    del chunks  # not held while the text is written
+    atomic_write_text(path, text)
     atomic_write_text(path + ".json", _json_text(field.spec.to_dict()))
 
 

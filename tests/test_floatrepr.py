@@ -54,3 +54,38 @@ def test_repr_words_prints_special_values() -> None:
 def test_repr_words_matches_repr_on_any_bit_pattern(patterns) -> None:
     values = np.array(patterns, dtype=np.uint64).view(np.float64)
     assert _texts(values) == [repr(v) for v in values.tolist()]
+
+
+def _joined_texts(values) -> list[str]:
+    """``_texts`` for many values: one newline in each row's free last byte
+    and one NUL drop over the whole array."""
+    words = repr_words(np.asarray(values, dtype=np.float64))
+    assert not words.view(np.uint8)[:, -1].any()
+    words[:, 3] |= np.uint64(ord("\n") << 56)
+    return words.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def _binade_sweep() -> np.ndarray:
+    """About 64 random significands in every binade, subnormals included,
+    and values whose scaled products are exact or nearly so, where the
+    carry out of the dropped low word decides a bound: whole numbers
+    d 10**j up to 1e22, short decimals of 2**53 and more, powers of two,
+    and their neighbours one unit in the last place away."""
+    rng = np.random.default_rng(2020)
+    biased = np.repeat(np.arange(2047, dtype=np.uint64), 64)
+    significands = rng.integers(0, 1 << 52, size=biased.size, dtype=np.uint64)
+    random = (biased << np.uint64(52) | significands).view(np.float64)
+    whole = np.array([float(d * 10 ** j) for d in range(1, 100) for j in range(23)
+                      if d * 10 ** j <= 10 ** 22])
+    short = np.array([float(f"{d}e{e}") for d, e in
+                      zip(rng.integers(1, 10 ** 4, size=4000),
+                          rng.integers(16, 306, size=4000))])
+    exact = np.concatenate([whole, short, np.ldexp(1.0, np.arange(-60, 80))])
+    return np.concatenate([random, exact, np.nextafter(exact, np.inf),
+                           np.nextafter(exact, 0.0)])
+
+
+def test_repr_words_matches_repr_in_every_binade() -> None:
+    values = _binade_sweep()
+    values = np.concatenate([values, -values])
+    assert _joined_texts(values) == [repr(v) for v in values.tolist()]

@@ -324,3 +324,36 @@ def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path) -> None
     with pytest.raises(TypeError):
         atomic_write_text(str(path), 123)  # not a str: the write itself raises
     assert list(tmp_path.iterdir()) == []
+
+
+def test_field_csv_row_longer_than_a_block_matches_per_node_format(tmp_path) -> None:
+    # each block holds one grid row, more than a block of nodes, with a
+    # ragged remainder; values of every size, signed zeros and specials
+    rng = np.random.default_rng(21)
+    shape = (2, 2 * grid._BLOCK_NODES + 3)
+    values = np.empty(shape, dtype=complex)
+    values.real = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    values.imag = rng.normal(size=shape)
+    values[:, :6] = [0.0, -0.0, np.inf, -np.inf, np.nan, complex(-0.0, -0.0)]
+    spec = GridSpec(origin=(-0.5, 7.25), spacing=(1.0, 1e-3), shape=shape)
+    for field in (GridField(spec=spec, values=values),
+                  GridField(spec=spec, values=values.real)):
+        path = tmp_path / "field.csv"
+        write_field_csv(field, str(path))
+        assert path.read_bytes() == _per_node_csv(field).encode()
+
+
+def test_field_csv_axis_cells_of_mixed_width_match_per_node_format(tmp_path) -> None:
+    # -1e-05 (one word with its comma) sits next to 20-character reprs
+    # such as 1.0000000000000003e-06 in the same block, on both axes
+    rng = np.random.default_rng(22)
+    shape = (7, 50)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    spec = GridSpec(origin=(-1e-5, -1e-5), spacing=(1.1e-5, 1.1e-5), shape=shape)
+    assert all(len({len(repr(v)) // 8 for v in axis.tolist()}) > 1
+               for axis in (spec.p_axis, spec.q_axis))
+    for field in (GridField(spec=spec, values=values),
+                  GridField(spec=spec, values=values.real)):
+        path = tmp_path / "field.csv"
+        write_field_csv(field, str(path))
+        assert path.read_bytes() == _per_node_csv(field).encode()

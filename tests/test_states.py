@@ -1,6 +1,8 @@
 """Tests for the built-in chord-space states."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -328,3 +330,27 @@ def test_large_cats_keep_their_lobes_as_log_weights(zeta) -> None:
     assert purity(photon_bath(gamma=1.0), cat, 0.0) == pytest.approx(1.0, abs=1e-12)
     grid = centered_grid((0.0, 0.0), (6.0, zeta + 6.0), (41, 121))
     assert np.all(np.isfinite(cat.wigner(grid.points())))
+
+
+def test_real_wigner_verdicts_match_the_modulus_check() -> None:
+    # the check the two reductions stand in for: every value finite and
+    # max|Im W| <= 1e-9 max|W|, with that max|Im W| in the message
+    state = coherent_state((0.0, 0.0))
+    edge = np.nextafter(1e-9, np.inf)
+    fields = [np.zeros(4, dtype=complex), np.array([1.0, 1e-9j]),
+              np.array([1.0, edge * 1j]), np.array([1.0 + 1e-9j]),
+              np.array([-3.0 + 1e-9j, 2e-9j]), np.array([-2.0 + edge * 2j]),
+              np.array([1e-300j, 0.0]), np.array([5e-324 + 5e-324j])]
+    for bad in (np.nan, np.inf, -np.inf):
+        fields += [np.array([1.0, complex(bad, 0.0)]),
+                   np.array([1.0, complex(0.0, bad)]),
+                   np.array([complex(bad, bad)])]
+    for out in fields:
+        imag = float(np.max(np.abs(out.imag), initial=0.0))
+        fails = (not np.all(np.isfinite(out))
+                 or imag > 1e-9 * float(np.max(np.abs(out), initial=0.0)))
+        if fails:
+            with pytest.raises(Unstable, match=re.escape(f"max|Im W| = {imag:.3e}") + "$"):
+                state._real_wigner(out)
+        else:
+            np.testing.assert_array_equal(state._real_wigner(out), out.real)
