@@ -20,9 +20,9 @@ Three deliberately different routes re-derive the dynamics from scratch:
 
 * :func:`integrate_fock_lindblad` — the operator master equation in a
   truncated number basis: build p and q from ladder operators, apply the
-  dissipator verbatim, integrate the dense matrix ODE with RK4. Population
-  reaching the truncation edge raises :class:`TruncationLeak` rather than
-  silently reflecting.
+  generator in effective-Hamiltonian form, integrate the dense matrix ODE
+  with RK4. Population reaching the truncation edge raises
+  :class:`TruncationLeak` rather than silently reflecting.
 
 :func:`wigner_from_fock` converts a number-basis density matrix to a Wigner
 function through the closed-form Laguerre kernel, which closes the loop:
@@ -144,7 +144,32 @@ _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 def fokker_planck_max_dt(system: OpenSystem, grid: GridSpec) -> float:
-    """Conservative RK4 step bound for :func:`integrate_fokker_planck`."""
+    """RK4 step bound for :func:`integrate_fokker_planck`.
+
+    The least of 0.2 h^2/|D| (h the smaller spacing, |D| the 2-norm of the
+    diffusion) and 0.75 h/v on each axis, v the largest speed along that
+    axis at the grid's corners. Both constants come from RK4's stability
+    polynomial P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and the symbols of the
+    fourth-order stencils, with the coefficients frozen:
+
+    * the _D2 symbol is -(30 - 32 cos k + 2 cos 2k)/12, at most 16/3 in
+      size (k = pi), and the _D1 symbol is i (8 sin k - sin 2k)/6, at most
+      1.372 in size. The square of the one never exceeds the other, so the
+      diffusion symbol, cross term included, is real and at most
+      (32/3)|D|/h^2 in size over both axes. RK4 reaches -2.785 on the real
+      axis, so pure diffusion is stable up to 0.261 h^2/|D|.
+    * advection adds an imaginary part of at most 2 x 1.372 x 0.75 = 2.06,
+      inside RK4's 2 sqrt 2 on the imaginary axis. Every symbol then lies
+      in a rectangle [-x, 0] x [-y, y] of these two extents, and the
+      largest |P| over all of them is 1 at (0.2, 0.75). At 0.75 diffusion
+      stays stable up to 0.247 (margin 19 %); at 0.2 advection stays
+      stable up to 0.824 (margin 9 %). (0.25, 0.75) gives |P| = 1.018 and
+      (0.2, 1.0) gives 1.645.
+
+    The flux form's variable coefficients and the zero ghost cells are
+    outside this argument; dense spectra of the assembled operator on small
+    grids (``tests/fp_stability_sweep.py``) agree with it.
+    """
     d_p, d_q = grid.spacing
     d_norm = float(np.linalg.norm(system.diffusion, 2))
     a_mat = system.drift_matrix
@@ -157,11 +182,11 @@ def fokker_planck_max_dt(system: OpenSystem, grid: GridSpec) -> float:
     v_q = float(np.max(np.abs(velocity[:, 1])))
     bound = math.inf
     if d_norm > 0.0:
-        bound = 0.1 * min(d_p, d_q) ** 2 / d_norm
+        bound = 0.2 * min(d_p, d_q) ** 2 / d_norm
     if v_p > 0.0:
-        bound = min(bound, 0.25 * d_p / v_p)
+        bound = min(bound, 0.75 * d_p / v_p)
     if v_q > 0.0:
-        bound = min(bound, 0.25 * d_q / v_q)
+        bound = min(bound, 0.75 * d_q / v_q)
     return bound
 
 
@@ -268,8 +293,11 @@ def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
     (:class:`GridTooCoarse` otherwise — enlarge the box), ``t`` must be
     finite, an explicit ``dt`` finite and within
     :func:`fokker_planck_max_dt` and the run at most a million steps
-    (:class:`ConfigError` otherwise), and sup-norm doubling or NaNs at a
-    periodic check raise :class:`Unstable`.
+    (:class:`ConfigError` otherwise). A periodic check raises
+    :class:`Unstable` when the L1 norm is not finite or exceeds twice its
+    initial value: the flux form all but conserves it, while an unstable
+    mode grows it exponentially. The peak is no such measure, since it
+    rises wherever the flow contracts phase space.
     """
     _check_run(t, dt)
     grid = initial.spec
@@ -293,13 +321,12 @@ def integrate_fokker_planck(system: OpenSystem, initial: GridField, t: float,
             f"dt={dt:g} exceeds the stability bound {bound:g} for this grid")
     if t == 0.0:
         return GridField(spec=grid, values=w)
-    sup0 = float(np.max(np.abs(w)))
 
     def check(field: np.ndarray, step: int, steps: int) -> None:
-        sup = float(np.max(np.abs(field)))
-        if not math.isfinite(sup) or sup > 2.0 * sup0 + 1e-300:
+        l1 = float(np.sum(np.abs(field))) * cell
+        if not math.isfinite(l1) or l1 > 2.0 * total:
             raise Unstable(
-                f"field sup-norm {sup:.3e} vs initial {sup0:.3e} at "
+                f"field L1 norm {l1:.3e} vs initial {total:.3e} at "
                 f"step {step}/{steps}; decrease dt or refine the grid")
 
     w = _rk4(_transport_operator(system, grid), w, t, dt, check)
@@ -440,11 +467,18 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
                             *, dt: float | None = None) -> FockDensity:
     """RK4 integration of the master equation in the truncated basis.
 
-    The generator is assembled literally: H from the quadratic form on
-    (p, q), one operator per channel, dissipator (1/2 hbar) sum (2 L rho L+
-    - L+L rho - rho L+L). Population accumulating in the top two levels
-    raises :class:`TruncationLeak` and sup-norm blowup or NaNs raise
-    :class:`Unstable`, both at a periodic check; so does end-time
+    H comes from the quadratic form on (p, q) and one operator L from each
+    channel. The generator -(i/hbar)[H, rho] + (1/2 hbar) sum (2 L rho L+
+    - L+L rho - rho L+L) is applied in effective-Hamiltonian form,
+    G rho + rho G+ + (1/hbar) sum L rho L+ with G = -(i/hbar) H
+    - (1/2 hbar) sum L+L precomputed: two products for G and two per
+    channel. rho G+ is a product of its own, not the adjoint of G rho, so
+    the end-time hermiticity check still tests the integration.
+
+    Population accumulating in the top two levels raises
+    :class:`TruncationLeak` at a periodic check; at the same check an entry
+    larger than twice the initial trace (which bounds every entry of a
+    density matrix) or NaNs raise :class:`Unstable`, and so does end-time
     trace/hermiticity drift beyond 1e-9. ``t`` must be finite, an explicit
     ``dt`` finite and positive and the run at most a million steps
     (:class:`ConfigError` otherwise).
@@ -460,7 +494,6 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
     ham = (h[0, 0] * p @ p + h[0, 1] * (p @ q + q @ p) + h[1, 1] * q @ q
            + b[0] * p + b[1] * q)
     chans = [_channel_matrix(c, p, q) for c in system.channels]
-    ldl = [c.conj().T @ c for c in chans]
 
     rate = 2.0 * float(np.linalg.norm(ham, 2)) / hbar
     rate += sum(2.0 * float(np.linalg.norm(c, 2)) ** 2 / hbar for c in chans)
@@ -470,13 +503,20 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
     if t == 0.0:
         return FockDensity(matrix=rho0.matrix.copy(), hbar=hbar)
 
+    g = (-1j / hbar) * ham - (0.5 / hbar) * sum(c.conj().T @ c for c in chans)
+    g_adj = g.conj().T
+    jumps = [(c / math.sqrt(hbar), c.conj().T / math.sqrt(hbar)) for c in chans]
+
     def rhs(rho: np.ndarray) -> np.ndarray:
-        out = (-1j / hbar) * (ham @ rho - rho @ ham)
-        for c, dd in zip(chans, ldl):
-            out += (0.5 / hbar) * (2.0 * c @ rho @ c.conj().T - dd @ rho - rho @ dd)
+        out = g @ rho
+        out += rho @ g_adj
+        for c, c_adj in jumps:
+            out += c @ rho @ c_adj
         return out
 
-    sup0 = float(np.max(np.abs(rho0.matrix)))
+    # entries of a density matrix are at most its trace; the initial peak
+    # stands in when the input is no density matrix (trace <= 0)
+    limit = 2.0 * max(rho0.trace, float(np.max(np.abs(rho0.matrix))))
 
     def check(rho: np.ndarray, step: int, steps: int) -> None:
         edge = float(rho[-1, -1].real + rho[-2, -2].real)
@@ -485,9 +525,10 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
                 f"population {edge:.3e} reached the truncation edge at "
                 f"step {step}/{steps}; increase dim={dim}")
         sup = float(np.max(np.abs(rho)))
-        if not math.isfinite(sup) or sup > 4.0 * sup0 + 1e-300:
+        if not math.isfinite(sup) or sup > limit:
             raise Unstable(
-                f"density matrix sup-norm {sup:.3e} at step {step}/{steps}")
+                f"density matrix sup-norm {sup:.3e} vs bound {limit:.3e} at "
+                f"step {step}/{steps}")
 
     rho = _rk4(rhs, rho0.matrix.copy(), t, dt, check)
     trace_drift = abs(float(np.trace(rho).real) - rho0.trace)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lindquad import HamiltonianForm, LindbladChannel, OpenSystem, affine_flow
+from lindquad import HamiltonianForm, LindbladChannel, OpenSystem, affine_flow, oracle
 
 
 def det2(m: np.ndarray) -> float:
@@ -100,3 +100,22 @@ def random_symplectic(rng: np.random.Generator, scale: float = 0.6) -> np.ndarra
     s = rng.normal(scale=scale, size=(2, 2))
     s = 0.5 * (s + s.T)
     return expm(j @ s)
+
+
+def rk4_factor(z):
+    """RK4's stability polynomial P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+
+def dense_transport(system: OpenSystem, grid) -> np.ndarray:
+    """The Fokker–Planck transport operator on ``grid`` as a dense matrix
+    over the flattened field, built one unit vector at a time."""
+    rhs = oracle._transport_operator(system, grid)
+    n = grid.shape[0] * grid.shape[1]
+    out = np.empty((n, n))
+    unit = np.zeros(n)
+    for i in range(n):
+        unit[i] = 1.0
+        out[:, i] = rhs(unit.reshape(grid.shape)).ravel()
+        unit[i] = 0.0
+    return out

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import centre_flow, damping_bath
+from conftest import centre_flow, damping_bath, dense_transport, rk4_factor
 from lindquad import (ConfigError, FockDensity, GridField, GridTooCoarse,
                       HamiltonianForm, LindbladChannel, OpenSystem,
                       TruncationLeak, Unstable, cat_fock_dim, cat_state,
@@ -192,6 +192,59 @@ def test_lindblad_integration_detects_instability() -> None:
     assert step % oracle._CHECK_EVERY == 0
 
 
+def test_lindblad_integration_lets_a_peak_grow_under_decay() -> None:
+    # loss from |alpha|^2 = 9 piles population into rho_00, which passes
+    # four times the initial peak long before the run ends; every entry
+    # stays below the trace
+    sys = photon_bath(gamma=1.0, nbar=0.0)
+    center = (0.0, math.sqrt(18.0))
+    rho0 = fock_coherent(center)
+    assert rho0.dim == 53
+    t = 3.0
+    rho_t = integrate_fock_lindblad(sys, rho0, t)
+    assert abs(rho_t.matrix[0, 0]) > 4.0 * np.max(np.abs(rho0.matrix))
+    grid = centered_grid((0.0, 0.0), (5.0, 5.0), (41, 41))
+    exact = evolve_wigner_grid(sys, coherent_state(center), t, grid)
+    assert np.max(np.abs(wigner_from_fock(rho_t, grid).values
+                         - exact.values)) < 1e-7
+
+
+def test_lindblad_integration_matches_literal_generator() -> None:
+    # the effective-Hamiltonian form against the dissipator written out
+    # term by term, stepped by the same RK4 with the same step
+    hbar = 0.5
+    sys = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.6, 0.2], [0.2, 0.4]],
+                                                 linear=[0.3, -0.2]),
+                     channels=(LindbladChannel(l_re=[0.3, 0.2], l_im=[-0.1, 0.4]),
+                               LindbladChannel(l_re=[0.0, 0.3], l_im=[0.2, 0.0])),
+                     hbar=hbar)
+    rho0 = fock_coherent((0.4, -0.3), 24, hbar)
+    p, q = fock_operators(rho0.dim, hbar)
+    h, b = sys.hamiltonian.matrix, sys.hamiltonian.linear
+    ham = (h[0, 0] * p @ p + h[0, 1] * (p @ q + q @ p) + h[1, 1] * q @ q
+           + b[0] * p + b[1] * q)
+    chans = [(c.l_re[0] + 1j * c.l_im[0]) * p + (c.l_re[1] + 1j * c.l_im[1]) * q
+             for c in sys.channels]
+
+    def rhs(rho):
+        out = (-1j / hbar) * (ham @ rho - rho @ ham)
+        for c in chans:
+            dd = c.conj().T @ c
+            out += (0.5 / hbar) * (2.0 * c @ rho @ c.conj().T - dd @ rho - rho @ dd)
+        return out
+
+    t, steps = 0.2, 20
+    expect, h_t = rho0.matrix, t / steps
+    for _ in range(steps):
+        k1 = rhs(expect)
+        k2 = rhs(expect + 0.5 * h_t * k1)
+        k3 = rhs(expect + 0.5 * h_t * k2)
+        k4 = rhs(expect + h_t * k3)
+        expect = expect + (h_t / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = integrate_fock_lindblad(sys, rho0, t, dt=h_t).matrix
+    assert np.max(np.abs(got - expect)) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # density-equation side
 
@@ -263,6 +316,22 @@ def test_density_integration_flags_non_finite_fields() -> None:
     values[16, 16] = np.nan
     with pytest.raises(Unstable):
         integrate_fokker_planck(sys, GridField(spec=grid, values=values), 0.1)
+
+
+def test_density_integration_lets_a_contracting_field_peak() -> None:
+    # a wide Gaussian contracting under loss: the peak rises fourfold while
+    # the L1 norm stays put, and the run must not read that as instability
+    sys = OpenSystem(hamiltonian=HamiltonianForm(matrix=0.5 * np.eye(2)),
+                     channels=(LindbladChannel(l_re=[0.0, 1.0], l_im=[1.0, 0.0]),))
+    state = gaussian_state((0.0, 0.0), 2.0 * np.eye(2))
+    grid = centered_grid((0.0, 0.0), (10.0, 10.0), (129, 129))
+    t = 2.0
+    initial = evolve_wigner_grid(sys, state, 0.0, grid)
+    out = integrate_fokker_planck(sys, initial, t)
+    assert np.max(out.values) > 2.0 * np.max(initial.values)
+    assert out.integral == pytest.approx(initial.integral, abs=1e-9)
+    exact = evolve_wigner_grid(sys, state, t, grid)
+    assert np.max(np.abs(out.values - exact.values)) < 1e-3
 
 
 def test_integrators_reject_non_finite_dt() -> None:
@@ -431,6 +500,111 @@ def test_density_integration_matches_stencil_reference(regime, cross) -> None:
         expect = expect + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     got = integrate_fokker_planck(sys, initial, t).values
     assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
+# ---------------------------------------------------------------------------
+# the default step
+
+
+def _old_max_dt(system: OpenSystem, grid) -> float:
+    """The earlier default step: 0.1 h^2/|D| and 0.25 h/v per axis."""
+    d_p, d_q = grid.spacing
+    d_norm = float(np.linalg.norm(system.diffusion, 2))
+    corners = np.array([[p, q] for p in grid.p_axis[[0, -1]]
+                        for q in grid.q_axis[[0, -1]]])
+    v = np.max(np.abs(corners @ system.drift_matrix.T + system.drift_offset),
+               axis=0)
+    bounds = [0.1 * min(d_p, d_q) ** 2 / d_norm if d_norm else math.inf]
+    bounds += [0.25 * h / s for h, s in zip((d_p, d_q), v) if s]
+    return min(bounds)
+
+
+_DIFFUSION_ONLY = OpenSystem(
+    hamiltonian=HamiltonianForm(matrix=np.zeros((2, 2))),
+    channels=(LindbladChannel(l_re=[0.6, 0.3], l_im=[0.0, 0.0]),
+              LindbladChannel(l_re=[-0.2, 0.5], l_im=[0.0, 0.0])))
+_ROTATION = OpenSystem(hamiltonian=HamiltonianForm(matrix=0.5 * np.eye(2)))
+
+
+def _step_systems() -> dict:
+    systems = {f"{regime}-{'cross' if cross else 'diag'}":
+               _pinned_system(regime, cross)
+               for regime in sorted(_REGIMES) for cross in (False, True)}
+    systems["diffusion-only"] = _DIFFUSION_ONLY
+    systems["rotation"] = _ROTATION
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(_step_systems()))
+def test_default_step_is_rk4_stable(name) -> None:
+    # the assembled operator as a dense matrix, one unit vector at a time,
+    # on an anisotropic grid of 391 nodes: RK4 at the default step may not
+    # amplify any of its eigenmodes
+    sys = _step_systems()[name]
+    grid = centered_grid((0.3, -0.2), (4.0, 6.5), (23, 17))
+    assert grid.spacing[0] != grid.spacing[1]
+    lam = np.linalg.eigvals(dense_transport(sys, grid))
+    dt = fokker_planck_max_dt(sys, grid)
+    assert np.max(np.abs(rk4_factor(dt * lam))) <= 1.0 + 1e-12
+
+
+def _worst_symbol_factor(c_diff: float, c_adv: float) -> float:
+    """Largest |P| over the frozen-coefficient symbols at the step
+    min(c_diff h^2/|D|, c_adv h/v). For wavenumbers (k_p, k_q) the symbol
+    lies in [-x, 0] x [-y, y] with x = c_diff (|D2(k_p)| + |D2(k_q)|) and
+    y = c_adv (|D1(k_p)| + |D1(k_q)|); |P| peaks on the two far edges."""
+    k = np.linspace(0.0, math.pi, 91)
+    d2 = (30.0 - 32.0 * np.cos(k) + 2.0 * np.cos(2.0 * k)) / 12.0
+    d1 = (8.0 * np.sin(k) - np.sin(2.0 * k)) / 6.0
+    # D1^2 <= |D2| keeps the cross term's share inside x
+    assert np.all(d1 ** 2 <= d2 + 1e-15)
+    x = (c_diff * (d2[:, None] + d2[None, :])).ravel()
+    y = (c_adv * (d1[:, None] + d1[None, :])).ravel()
+    share = np.linspace(0.0, 1.0, 51)[:, None]
+    return max(float(np.max(np.abs(rk4_factor(-x + 1j * share * y)))),
+               float(np.max(np.abs(rk4_factor(-share * x + 1j * y)))))
+
+
+def test_default_step_constants_sit_inside_the_symbol_bound() -> None:
+    # read both constants back from the step rule on a square grid
+    grid = centered_grid((0.0, 0.0), (4.0, 4.0), (33, 33))
+    h = grid.spacing[0]
+    c_diff = (fokker_planck_max_dt(_DIFFUSION_ONLY, grid)
+              * float(np.linalg.norm(_DIFFUSION_ONLY.diffusion, 2)) / h ** 2)
+    c_adv = fokker_planck_max_dt(_ROTATION, grid) * 4.0 / h  # speed 4 at corners
+    assert c_diff == pytest.approx(0.2, rel=1e-12)
+    assert c_adv == pytest.approx(0.75, rel=1e-12)
+    assert _worst_symbol_factor(c_diff, c_adv) <= 1.0 + 1e-12
+    assert _worst_symbol_factor(c_diff, 1.0) > 1.6
+    assert _worst_symbol_factor(0.25, c_adv) > 1.01
+
+
+def test_default_step_keeps_the_error_of_the_old_step() -> None:
+    # the zeta = 2 cat of the oracle comparisons: a third of the steps
+    # leaves the error against the exact field where it was
+    sys = photon_bath(gamma=1.0, nbar=0.1)
+    state = cat_state(2.0)
+    grid = centered_grid((0.0, 0.0), (7.0, 7.0), (129, 129))
+    t = 0.3
+    initial = evolve_wigner_grid(sys, state, 0.0, grid)
+    exact = evolve_wigner_grid(sys, state, t, grid).values
+    old_dt = _old_max_dt(sys, grid)
+    assert t / old_dt > 2.9 * math.ceil(t / fokker_planck_max_dt(sys, grid))
+    errors = [float(np.max(np.abs(
+        integrate_fokker_planck(sys, initial, t, dt=dt).values - exact)))
+        for dt in (None, old_dt)]
+    assert abs(errors[0] - errors[1]) <= 0.01 * errors[1]
+
+
+def test_default_step_is_never_below_the_old_rule() -> None:
+    systems = list(_step_systems().values()) + [_skew_system(),
+                                                photon_bath(gamma=1.0, nbar=0.1)]
+    for sys in systems:
+        for center, half, shape in (((0.0, 0.0), (6.0, 6.0), (65, 65)),
+                                    ((0.3, -0.2), (4.0, 6.5), (23, 17)),
+                                    ((-1.0, 2.0), (9.0, 3.0), (41, 97))):
+            grid = centered_grid(center, half, shape)
+            assert fokker_planck_max_dt(sys, grid) >= _old_max_dt(sys, grid)
 
 
 def _wigner_from_fock_scipy(rho, grid) -> np.ndarray:
