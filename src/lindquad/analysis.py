@@ -24,7 +24,8 @@ import numpy as np
 from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import _csv_text, atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import _reversed_dets, damping_matrices, damping_matrix, map_state
+from .propagator import (_chord_exponent, _reversed_dets, damping_matrices,
+                         damping_matrix, map_state)
 from .states import ChordState
 
 __all__ = [
@@ -238,14 +239,14 @@ def reliable_chords(system: OpenSystem, t: float, xi,
     True where the Gaussian factor exp(xi . M(-t) xi / 2 hbar) it divides
     out is at least ``floor``; below it, the division amplifies any noise by
     more than 1/floor. By M(-t) = -e^{2 alpha t} R_t^T M(t) R_t this is the
-    forward factor at the evolved chord. The mask depends on no state.
+    forward factor at the evolved chord. The mask depends on no state, and
+    its exponent comes from projected chords, the same in every frame.
     """
     if t < 0:
         raise ConfigError("reliable_chords requires t >= 0")
     if not 0.0 < floor <= 1.0:
         raise ConfigError("floor must lie in (0, 1]")
-    xi = np.asarray(xi, dtype=float)
-    quad = np.einsum("...i,ij,...j->...", xi, damping_matrix(system, -t), xi)
+    quad = _chord_exponent(system, -t, xi)
     return np.exp(quad / (2.0 * system.hbar)) >= floor
 
 

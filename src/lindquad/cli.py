@@ -197,8 +197,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if representation == "wigner":
         field = propagator.evolve_wigner_grid(system, state, t, grid)
     elif representation == "chord":
-        values = propagator.evolved_state(system, state, t).chord_grid(
-            grid.p_axis, grid.q_axis)
+        values = propagator.evolved_state(system, state, t).chord_grid(grid)
         field = GridField(spec=grid, values=values)
     else:
         raise ConfigError(f"unknown representation: {representation!r}")
@@ -273,7 +272,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     grid = grid_from_dict(data["chord_grid"])
     reliable = analysis.reliable_chords(system, t, grid.points(), floor)
     evolved = propagator.evolved_state(system, state, t)
-    values = analysis.reconstruct(system, evolved, t).chord_grid(grid.p_axis, grid.q_axis)
+    values = analysis.reconstruct(system, evolved, t).chord_grid(grid)
     write_field_csv(GridField(spec=grid, values=values), out)
     write_field_csv(GridField(spec=grid, values=reliable.astype(float)),
                     out + ".reliability.csv")

@@ -91,6 +91,15 @@ def whole_number(value, name: str, low: int) -> int:
     return int(value)
 
 
+def checked_hbar(value) -> float:
+    """``value`` as hbar, the one rule for every system, state and density:
+    :class:`ConfigError` naming it unless it is a positive finite number."""
+    hbar = float(finite_array(value, (), "hbar"))
+    if not hbar > 0.0:
+        raise ConfigError(f"hbar must be positive and finite, got {value!r}")
+    return hbar
+
+
 def _psd_root(c: NDArray[np.float64]) -> NDArray[np.float64]:
     """S with S S^T = c for a symmetric c, from ``eigh`` with eigenvalues
     clipped at 0 (c may be singular and then has no Cholesky factor)."""
@@ -221,8 +230,7 @@ class OpenSystem:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
+        object.__setattr__(self, "hbar", checked_hbar(self.hbar))
         object.__setattr__(self, "channels", tuple(self.channels))
 
     @cached_property
@@ -267,6 +275,19 @@ class OpenSystem:
         return _symmetric(np.stack([k, b.T @ k + k @ b, b.T @ k @ b]))
 
     @cached_property
+    def projector(self) -> Optional[tuple]:
+        """(root, P+) where sigma != 0, else None: root = sigma, real when
+        hyperbolic, and P+ = (I + B/sigma)/2, the spectral projector of B
+        with B P+ = sigma P+ (P- = I - P+)."""
+        s2 = self.sigma_squared
+        if s2 == 0.0:
+            return None
+        root = math.sqrt(s2) if s2 > 0.0 else cmath.sqrt(s2)
+        plus = (self.generator + root * np.eye(2)) / (2.0 * root)
+        plus.setflags(write=False)
+        return root, plus
+
+    @cached_property
     def damping_spectrum(self) -> Optional[tuple]:
         """(x, q, det_form) with M(t) = Re sum_r phi(x_r, t) q_r where sigma != 0,
         else None; phi(x, t) is the integral of e^{x tau} over [-t, 0].
@@ -279,11 +300,9 @@ class OpenSystem:
         det_form = ((e, f), (e_scale, f_scale)), each scale the sum of the
         magnitudes of the products in e or f, which bounds their round-off.
         """
-        s2 = self.sigma_squared
-        if s2 == 0.0:
+        if self.projector is None:
             return None
-        root = math.sqrt(s2) if s2 > 0.0 else cmath.sqrt(s2)  # real when hyperbolic
-        plus = (self.generator + root * np.eye(2)) / (2.0 * root)
+        root, plus = self.projector
         minus = np.eye(2) - plus
         k = self.k_matrix
         cross = plus.T @ k @ minus  # q_r at O(1), before any exponential

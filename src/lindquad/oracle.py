@@ -49,7 +49,7 @@ from numpy.typing import NDArray
 from ._quadrature import adaptive_tensor_gl, gauss_legendre_adaptive
 from .errors import ConfigError, GridTooCoarse, TruncationLeak, Unstable
 from .grid import GridField, GridSpec
-from .model import J, LindbladChannel, OpenSystem
+from .model import J, LindbladChannel, OpenSystem, checked_hbar, finite_array
 
 __all__ = [
     "affine_flow_expm",
@@ -353,8 +353,7 @@ class FockDensity:
         scale = max(float(np.max(np.abs(m))), 1e-300)
         if float(np.max(np.abs(m - m.conj().T))) > 1e-8 * scale:
             raise ConfigError("density matrix must be hermitian")
-        if self.hbar <= 0:
-            raise ConfigError("hbar must be positive")
+        object.__setattr__(self, "hbar", checked_hbar(self.hbar))
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -424,6 +423,7 @@ def _pure(vec: np.ndarray, expect: float, what: str, need: int,
 def fock_coherent(center, dim: int | None = None, hbar: float = 1.0) -> FockDensity:
     """Coherent state at phase-space point ``center`` = (p, q), in ``dim``
     number states (default :func:`coherent_fock_dim`)."""
+    center, hbar = finite_array(center, (2,), "coherent center"), checked_hbar(hbar)
     need = coherent_fock_dim(center, hbar)
     return _pure(_coherent_vector(center, need if dim is None else dim, hbar),
                  1.0, "coherent state", need, hbar)
@@ -432,6 +432,7 @@ def fock_coherent(center, dim: int | None = None, hbar: float = 1.0) -> FockDens
 def fock_cat(zeta: float, dim: int | None = None, hbar: float = 1.0) -> FockDensity:
     """Even cat (|+zeta> + |-zeta>)/norm along the q axis, in ``dim`` number
     states (default :func:`cat_fock_dim`)."""
+    zeta, hbar = float(finite_array(zeta, (), "cat zeta")), checked_hbar(hbar)
     if zeta < 0:
         raise ConfigError("zeta must be nonnegative")
     need = cat_fock_dim(zeta, hbar)

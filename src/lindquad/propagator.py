@@ -310,6 +310,30 @@ def damping_matrix(system: OpenSystem, t: float) -> np.ndarray:
     return damping_matrices(system, [t])[0]
 
 
+def _chord_exponent(system: OpenSystem, t: float, xi) -> np.ndarray:
+    """xi . M(t) xi at the chords ``xi`` of shape (..., 2).
+
+    Off the moment-series route this is Re sum_r phi(x_r, t) xi . q_r xi over
+    ``damping_spectrum``'s exponents x_r, with the forms taken at the
+    projected chords: (P+ xi) . K (P+ xi), 2 (P+ xi) . K (P- xi) and
+    (P- xi) . K (P- xi). A chord along P- then meets no e^{x+ t}, which a
+    dense M, or q+ in a sheared frame, spreads over entries that cancel. On
+    the route, the dense :func:`damping_matrix`, which also refuses a time
+    that is not finite. Raises :class:`Unstable` when the exponentials
+    overflow.
+    """
+    xi = np.asarray(xi, dtype=float)
+    reach = abs(4.0 * system.sigma_squared) * t * t
+    if not (_SERIES_REACH <= reach < math.inf and system.k_matrix.any()):
+        return np.einsum("...i,ij,...j->...", xi, damping_matrix(system, t), xi)
+    up = xi @ system.projector[1].T
+    down, k = xi - up, system.k_matrix
+    forms = (up @ k * up, 2.0 * up @ k * down, down @ k * down)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _finite(_phis(system.damping_spectrum[0], float(t)), "damping matrix", t)
+    return sum(p * np.sum(f, axis=-1) for p, f in zip(phi, forms)).real
+
+
 def _exact_step(system: OpenSystem, t: float) -> tuple[np.ndarray, ...]:
     """(F, o, M(t)) over t; M first, so that it reports an overflow of both."""
     m = damping_matrix(system, t)
@@ -373,7 +397,7 @@ def evolve_wigner_grid(system: OpenSystem, state: ChordState, t: float,
         raise GridTooCoarse(
             f"chord function magnitude {edge:.3e} at the dual-mesh edge "
             f"(peak {peak:.3e}); decrease the grid spacing")
-    return GridField(spec=grid, values=evolved.wigner_grid(grid.p_axis, grid.q_axis))
+    return GridField(spec=grid, values=evolved.wigner_grid(grid))
 
 
 def chord_pde_residual(system: OpenSystem, state: ChordState, t: float, xi,

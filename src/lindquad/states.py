@@ -24,7 +24,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, Unstable
-from .model import J, _as_vector, _covariance, _inv2, _require_keys, finite_array
+from .model import (J, _as_vector, _covariance, _inv2, _require_keys, checked_hbar,
+                    finite_array)
 
 __all__ = [
     "ChordState",
@@ -47,19 +48,6 @@ def _quadratic(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 _TILE_REACH = 64.0
 
 
-def _step(axis: np.ndarray) -> float:
-    """The spacing of a uniform axis, 0 for one node; :class:`ConfigError`
-    for an axis that is empty, not one-dimensional or not uniform."""
-    if axis.ndim != 1 or not axis.size:
-        raise ConfigError(f"a grid axis must be a nonempty list, got shape {axis.shape}")
-    if axis.size == 1:
-        return 0.0
-    step = (axis[-1] - axis[0]) / (axis.size - 1)
-    if np.max(np.abs(np.diff(axis) - step)) > 1e-6 * abs(step):
-        raise ConfigError("grid axes must be uniformly spaced")
-    return float(step)
-
-
 def _tile_size(form: np.ndarray, hu: float, hv: float) -> float:
     """Largest tile side T with |d . F d| / 2 <= _TILE_REACH on T x T nodes of
     spacings (hu, hv): inf where F vanishes on the mesh, under 2 (one node per
@@ -72,25 +60,25 @@ def _tile_size(form: np.ndarray, hu: float, hv: float) -> float:
         return 1.0 + 2.0 * math.sqrt(2.0 * _TILE_REACH / spread)
 
 
-def _axis_tiles(axis: np.ndarray, step: float, size: float):
+def _axis_tiles(start: float, step: float, count: int, size: float):
     """(T, centres, offsets, real) of the fewest equal tiles of at most
-    ``size`` nodes that cover ``axis``: node t of tile i sits at
-    centres[i] + offsets[t], and ``real`` (tiles, T) is False on the nodes
-    that pad the last tile."""
-    count = -(-axis.size // int(min(axis.size, size)))
-    t = -(-axis.size // count)
-    centres = axis[0] + (np.arange(count) * t + 0.5 * (t - 1)) * step
+    ``size`` nodes that cover the ``count`` nodes start + i step: node t of
+    tile i sits at centres[i] + offsets[t], and ``real`` (tiles, T) is False
+    on the nodes that pad the last tile."""
+    tiles = -(-count // int(min(count, size)))
+    t = -(-count // tiles)
+    centres = start + (np.arange(tiles) * t + 0.5 * (t - 1)) * step
     offsets = (np.arange(t) - 0.5 * (t - 1)) * step
-    return t, centres, offsets, (np.arange(count * t) < axis.size).reshape(count, t)
+    return t, centres, offsets, (np.arange(tiles * t) < count).reshape(tiles, t)
 
 
 def _grid_sum(form, anchors, lin, const, u, v) -> np.ndarray:
-    """sum_k exp(c_k + l_k . r - r . F r / 2), r = (u_i, v_j) - s_k, shape (len u, len v).
+    """sum_k exp(c_k + l_k . r - r . F r / 2), r = (u_i, v_j) - s_k, shape (Nu, Nv).
 
     ``form`` F (2, 2) real symmetric and shared by the terms, ``anchors`` s_k
-    and ``lin`` l_k (n, 2), ``const`` c_k (n,) complex, ``u`` and ``v``
-    uniform axes. Each caller writes its exponent about the point that its
-    per-node sum expands about, so the grid adds no cancellation of its own.
+    and ``lin`` l_k (n, 2), ``const`` c_k (n,) complex, ``u`` and ``v`` axes
+    (u0, hu, Nu) of nodes u0 + i hu. Each caller writes its exponent about the
+    point its per-node sum expands about, so the grid adds no cancellation.
 
     On a tile of centre z0 and node offsets d the exponent is
     E(z0) + g . d - d . F d / 2 with g = l - F (z0 - s): a function of d_u,
@@ -103,10 +91,10 @@ def _grid_sum(form, anchors, lin, const, u, v) -> np.ndarray:
     batched matrix product gives the same sum, but on these small matrices
     it costs more than it saves and can wake a second BLAS thread.
     """
-    hu, hv = _step(u), _step(v)
+    (u0, hu, nu), (v0, hv, nv) = u, v
     size = _tile_size(form, hu, hv)
-    tu, cu, du, real_u = _axis_tiles(u, hu, size)
-    tv, cv, dv, _ = _axis_tiles(v, hv, size)
+    tu, cu, du, real_u = _axis_tiles(u0, hu, nu, size)
+    tv, cv, dv, _ = _axis_tiles(v0, hv, nv, size)
     f00, f01, f11 = form[0, 0], form[0, 1], form[1, 1]
     # z0 - s per tile and term, (tiles on u, tiles on v, n) once broadcast
     r0 = cu[:, None, None] - anchors[:, 0]
@@ -132,7 +120,7 @@ def _grid_sum(form, anchors, lin, const, u, v) -> np.ndarray:
             np.multiply(us[k], vs[k], out=part)
             out += part
         out *= np.exp(-f01 * du[:, None, None] * dv)
-    return out.reshape(cu.size * tu, cv.size * tv)[:u.size, :v.size]
+    return out.reshape(cu.size * tu, cv.size * tv)[:nu, :nv]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +135,14 @@ class ChordState:
     imaginary shift).
 
     :meth:`__call__` and :meth:`wigner` take scattered points and sum the
-    terms node by node. :meth:`chord_grid` and :meth:`wigner_grid` take the
-    two axes of a uniform grid and return the same values to within 1e-12
-    of the largest: they cut the grid into T x T tiles, on which each term
-    is a product of two one-axis exponentials and one cross factor that all
-    tiles and terms share (:func:`_grid_sum`). T is the largest side with
-    |d . F d| / 2 <= 64 over a tile's offsets d from its centre, for the
-    grid's form F and spacings: the whole axis where F is flat on the mesh,
-    and T = 1, the per-node sum, where it is steep.
+    terms node by node. :meth:`chord_grid` and :meth:`wigner_grid` take a
+    :class:`~lindquad.grid.GridSpec` and return the same values on its nodes
+    to within 1e-12 of the largest: they cut the grid into T x T tiles, on
+    which each term is a product of two one-axis exponentials and one cross
+    factor that all tiles and terms share (:func:`_grid_sum`). T is the
+    largest side with |d . F d| / 2 <= 64 over a tile's offsets d from its
+    centre, for the grid's form F and spacing: the whole axis where F is flat
+    on the mesh, and T = 1, the per-node sum, where it is steep.
     """
 
     log_weights: NDArray[np.complex128]
@@ -172,6 +160,7 @@ class ChordState:
         if form.shape != (2, 2) or shifts.shape != (n, 2):
             raise ConfigError("a chord state needs (n,) log weights, a (2, 2) "
                               "form and (n, 2) shifts")
+        object.__setattr__(self, "hbar", checked_hbar(self.hbar))
         form = 0.5 * (form + form.T)
         for name, value in (("log_weights", log_weights), ("form", form),
                             ("shifts", shifts)):
@@ -197,17 +186,15 @@ class ChordState:
                 out += np.exp(log_w - quad + 1j * (xi @ b))
         return self._finite_chord(out)
 
-    def chord_grid(self, xi_p, xi_q) -> np.ndarray:
-        """Wt at the chords (xi_p[i], xi_q[j]) of two uniform axes, shape (Np, Nq).
+    def chord_grid(self, grid) -> np.ndarray:
+        """Wt at the chords (p0 + i h_p, q0 + j h_q) of ``grid``, shape (N_p, N_q).
 
         :meth:`__call__` at every node, to within 1e-12 of the largest value:
         :func:`_grid_sum` with F = A, l_k = i b_k and c_k = log w_k. Raises
-        :class:`Unstable` as :meth:`__call__` does, and :class:`ConfigError`
-        for axes that are not uniform.
+        :class:`Unstable` as :meth:`__call__` does.
         """
         out = _grid_sum(self.form, np.zeros(self.shifts.shape), 1j * self.shifts,
-                        self.log_weights, np.asarray(xi_p, dtype=float),
-                        np.asarray(xi_q, dtype=float))
+                        self.log_weights, *zip(grid.origin, grid.spacing, grid.shape))
         return self._finite_chord(out)
 
     def _finite_chord(self, out: np.ndarray) -> np.ndarray:
@@ -231,23 +218,23 @@ class ChordState:
         out /= self.hbar
         return self._real_wigner(out)
 
-    def wigner_grid(self, p_axis, q_axis) -> np.ndarray:
-        """W at the points (p_axis[i], q_axis[j]) of two uniform axes, shape (Np, Nq).
+    def wigner_grid(self, grid) -> np.ndarray:
+        """W at the points (p0 + i h_p, q0 + j h_q) of ``grid``, shape (N_p, N_q).
 
         :meth:`wigner` at every node, to within 1e-12 of the largest value.
         In z = (-p, q)/hbar, beta = b_k - (z_1, z_0), so the exponent is
         -(z - s_k) . F (z - s_k) / 2 with F = A^{-1} and s_k = b_k, each with
         its two axes swapped: :func:`_grid_sum` with l_k = 0 and
         c_k = log w_k - (log det A)/2 - log hbar. Raises :class:`Unstable` as
-        :meth:`wigner` does, and :class:`ConfigError` for axes that are not
-        uniform.
+        :meth:`wigner` does.
         """
+        (p0, q0), (hp, hq), (n_p, n_q) = grid.origin, grid.spacing, grid.shape
         log_det, inv = np.log(np.linalg.det(self.form)), _inv2(self.form)
         out = _grid_sum(inv[::-1, ::-1], self.shifts[:, ::-1],
                         np.zeros(self.shifts.shape),
                         self.log_weights - (0.5 * log_det + math.log(self.hbar)),
-                        -np.asarray(p_axis, dtype=float) / self.hbar,
-                        np.asarray(q_axis, dtype=float) / self.hbar)
+                        (-p0 / self.hbar, -hp / self.hbar, n_p),
+                        (q0 / self.hbar, hq / self.hbar, n_q))
         return self._real_wigner(out)
 
     def _real_wigner(self, out: np.ndarray) -> np.ndarray:
@@ -331,7 +318,7 @@ def coherent_state(center, hbar: float = 1.0) -> ChordState:
     Chord function (1/2 pi hbar) exp(-xi^2/4 hbar) exp((i/hbar) xi ^ center);
     Wigner function is the round Gaussian of width sqrt(hbar/2) per axis.
     """
-    c = _as_vector(center, "center")
+    c, hbar = _as_vector(center, "center"), checked_hbar(hbar)
     return _validate_builtin(ChordState(
         log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
         form=np.eye(2) / (2.0 * hbar),
@@ -344,7 +331,7 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
 
     Pure iff det cov = (hbar/2)^2; purity is (hbar/2)/sqrt(det cov).
     """
-    mean = _as_vector(mean, "mean")
+    mean, hbar = _as_vector(mean, "mean"), checked_hbar(hbar)
     cov, _ = _covariance(cov, "covariance")
     det = float(np.linalg.det(cov))
     pure = abs(det - (hbar / 2.0) ** 2) <= 1e-9 * (hbar / 2.0) ** 2
@@ -369,6 +356,7 @@ def cat_state(zeta: float, hbar: float = 1.0) -> ChordState:
     """
     if not 0.0 <= zeta < math.inf:  # false for NaN too
         raise ConfigError("zeta must be finite and nonnegative")
+    hbar = checked_hbar(hbar)
     z = zeta / hbar
     norm = 1.0 / (1.0 + math.exp(-zeta ** 2 / hbar))
     central = _log_weight(0.5 * norm / (2.0 * math.pi * hbar))

@@ -11,11 +11,6 @@ def det2(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def grid_nodes(rows, cols) -> np.ndarray:
-    """The points (rows[i], cols[j]) of a grid, shape (len rows, len cols, 2)."""
-    return np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1)
-
-
 def orbit(hamiltonian: HamiltonianForm, t: float) -> np.ndarray:
     """R_t = exp(2 J H t): the affine flow's F of the closed system."""
     return affine_flow(OpenSystem(hamiltonian=hamiltonian), t)[0]

@@ -15,7 +15,7 @@ from lindquad import (AsymptoticInvalid, ChordState, ConfigError,
                       purity_curve, reconstruct, reliable_chords,
                       symplectic_transform, write_purity_csv)
 from lindquad.grid import _json_text
-from lindquad.propagator import _reversed_dets
+from lindquad.propagator import _chord_exponent, _reversed_dets
 
 
 def _parabolic_system(d_prime: float, eps: float, d_second: float) -> OpenSystem:
@@ -403,6 +403,23 @@ def test_reconstruction_mask_follows_the_reversed_damping_matrix() -> None:
     reconstruct(saddle, evolved_state(saddle, coherent_state((0.0, 0.0)), t), t)
     xi = np.array([[30.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert reliable_chords(saddle, t, xi).tolist() == [False, True, False]
+
+
+def test_reconstruction_mask_is_the_same_in_sheared_saddle_frames() -> None:
+    # the saddle with alpha = 0.999: xi . M(-20) xi / 2 at xi = (30, 0) is
+    # -8,813.55, but a dense M(-20) in the frames k = 0.5 and 2 cancels it to
+    # 0; the projected chords give the same exponent in every frame
+    a = np.sqrt(0.999)
+    sys = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.0, 0.5], [0.5, 0.0]]),
+                     channels=(LindbladChannel(l_re=[0.0, a], l_im=[a, 0.0]),))
+    t, xi = 20.0, np.array([30.0, 0.0])
+    reference = _chord_exponent(sys, -t, xi)
+    assert reference / 2.0 == pytest.approx(-8813.55, rel=1e-6)
+    for k in (0.0, 0.5, 2.0):
+        c = np.array([[1.0, 0.0], [k, 1.0]])
+        sheared = symplectic_transform(sys, c)
+        assert _chord_exponent(sheared, -t, c @ xi) == pytest.approx(reference, rel=1e-9)
+        assert not reliable_chords(sheared, t, (c @ xi)[None])[0]
 
 
 def test_reconstruction_raises_where_its_chord_values_are_not_finite() -> None:

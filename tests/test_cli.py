@@ -339,7 +339,7 @@ def test_evolve_rejects_undersized_grid(tmp_path) -> None:
 
 def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys) -> None:
     # the allocation site fails as numpy's would, without allocating
-    def refuse(self, p_axis, q_axis):
+    def refuse(self, grid):
         raise MemoryError("Unable to allocate 7.28 TiB")
 
     monkeypatch.setattr(lindquad.ChordState, "wigner_grid", refuse)
@@ -464,9 +464,9 @@ def test_reconstruct_refuses_through_the_chord_grid(tmp_path, monkeypatch) -> No
     seen = []
     tiled = lindquad.ChordState.chord_grid
 
-    def spy(self, xi_p, xi_q):
+    def spy(self, grid):
         try:
-            return tiled(self, xi_p, xi_q)
+            return tiled(self, grid)
         except lindquad.Unstable:
             seen.append("Unstable")
             raise

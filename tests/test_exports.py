@@ -6,7 +6,10 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -210,10 +213,31 @@ def test_grids_are_evaluated_by_the_tiled_kernel() -> None:
             if isinstance(node, ast.Attribute) and node.attr == "points"] == []
     tree = ast.parse((root / "states.py").read_text())
     kernel = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and node.name in ("_grid_sum", "_axis_tiles", "_tile_size", "_step")]
-    assert len(kernel) == 4
+              and node.name in ("_grid_sum", "_axis_tiles", "_tile_size")]
+    assert len(kernel) == 3
     products = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
     assert [node.lineno for function in kernel for node in ast.walk(function)
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
             or (isinstance(node, ast.Attribute) and node.attr in products)
             or (isinstance(node, ast.Name) and node.id in products)] == []
+
+
+def test_hand_run_sweeps_still_run() -> None:
+    # the sweeps are run by hand and reach private names (conftest's dense
+    # transport operator, the _floatrepr internals); one short run of each
+    # keeps them working and checks their summary lines
+    tests = Path(__file__).resolve().parent
+    src = str(Path(lindquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(script: str, *argv: str) -> str:
+        return subprocess.run([sys.executable, str(tests / script), *argv], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=120).stdout
+
+    worst = re.search(r"^worst beyond exp = (\S+)",
+                      run("fp_stability_sweep.py", "--systems", "1"), re.MULTILINE)
+    assert worst is not None and float(worst.group(1)) <= 1e-12
+    assert "text mismatches 0  bound mismatches 0" in run(
+        "floatrepr_sweep.py", "--patterns", "2000")

@@ -1,13 +1,16 @@
 """Tests for the system description layer."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import channel_with_alpha, random_symplectic, random_system
-from lindquad import (ConfigError, HamiltonianForm, J, LindbladChannel,
-                      NonSymplectic, OpenSystem, Regime,
-                      characteristic_timescale, classify,
+from lindquad import (ChordState, ConfigError, FockDensity, HamiltonianForm, J,
+                      LindbladChannel, NonSymplectic, OpenSystem, Regime,
+                      cat_state, characteristic_timescale, classify,
+                      coherent_state, fock_cat, fock_coherent, gaussian_state,
                       photon_bath,
                       symplectic_transform, system_from_dict, system_to_dict,
                       wedge)
@@ -188,3 +191,31 @@ def test_system_from_dict_is_strict() -> None:
     bad["hbar"] = -1.0
     with pytest.raises(ConfigError):
         system_from_dict(bad)
+
+
+def test_one_hbar_rule_gives_typed_errors() -> None:
+    # hbar must be positive and finite wherever it enters, and the Fock
+    # builders read their centre and zeta as finite numbers, before any
+    # division by hbar or any basis size is worked out
+    form, shifts = np.eye(2) / 2.0, [(0.0, 0.0)]
+    probes = {
+        "coherent hbar=0": lambda: coherent_state((0.0, 0.0), hbar=0.0),
+        "gaussian hbar=0": lambda: gaussian_state((0.0, 0.0), np.eye(2) / 2, hbar=0.0),
+        "cat hbar=0": lambda: cat_state(1.0, hbar=0.0),
+        "coherent hbar=inf": lambda: coherent_state((0.0, 0.0), hbar=math.inf),
+        "fock_coherent hbar=0": lambda: fock_coherent((1.0, 0.0), hbar=0),
+        "fock_coherent hbar=-1": lambda: fock_coherent((1.0, 0.0), hbar=-1),
+        "fock_cat(nan)": lambda: fock_cat(math.nan),
+        "fock_cat(inf)": lambda: fock_cat(math.inf),
+        "fock_coherent((nan, 0))": lambda: fock_coherent((math.nan, 0.0)),
+        "fock_coherent((0, 1, 5))": lambda: fock_coherent((0.0, 1.0, 5.0)),
+        "FockDensity hbar=nan": lambda: FockDensity(np.eye(3), hbar=math.nan),
+        "FockDensity hbar=inf": lambda: FockDensity(np.eye(3), hbar=math.inf),
+        "ChordState hbar=0": lambda: ChordState(
+            log_weights=[0.0], form=form, shifts=shifts, label="x", pure=False,
+            hbar=0.0),
+    }
+    for name, probe in probes.items():
+        with pytest.raises(ConfigError):
+            probe()
+            pytest.fail(f"{name} was accepted")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (centre_flow, damping_bath, det2, grid_nodes, orbit,
+from conftest import (centre_flow, damping_bath, det2, orbit,
                       random_symplectic, random_system)
 from lindquad import (ChordState, ConfigError, GridTooCoarse,
                       HamiltonianForm, J, LindbladChannel, OpenSystem,
@@ -389,7 +389,7 @@ def test_wigner_grid_at_t_zero_is_the_state_wigner_bit_for_bit() -> None:
     squeezed = gaussian_state((0.3, -0.2), rot @ np.diag([2.0, 0.125]) @ rot.T)
     for state in (coherent_state((0.5, -1.2)), squeezed, cat_state(2.0)):
         field = evolve_wigner_grid(sys, state, 0.0, grid).values
-        assert np.array_equal(field, state.wigner_grid(grid.p_axis, grid.q_axis))
+        assert np.array_equal(field, state.wigner_grid(grid))
         nodes = state.wigner(grid.points())
         assert np.max(np.abs(field - nodes)) <= 1e-12 * np.max(np.abs(nodes))
 
@@ -449,7 +449,7 @@ def test_coarse_grid_verdicts_do_not_depend_on_the_evaluator(monkeypatch) -> Non
 
     tiled = outcomes()
     monkeypatch.setattr(ChordState, "wigner_grid",
-                        lambda self, p, q: self.wigner(grid_nodes(p, q)))
+                        lambda self, grid: self.wigner(grid.points()))
     nodes = outcomes()
     assert [v is None for v in tiled] == [v is None for v in nodes]
     assert 0 < sum(v is None for v in tiled) < len(tiled)

@@ -13,17 +13,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import det2, grid_nodes, random_symplectic, random_system
-from lindquad import (ChordState, HamiltonianForm, J, OpenSystem,
-                      affine_flow, affine_flow_expm, cat_state, centered_grid,
+from conftest import det2, random_hamiltonian, random_symplectic, random_system
+from lindquad import (ChordState, GridSpec, HamiltonianForm, J, LindbladChannel,
+                      OpenSystem, TruncationLeak, affine_flow, affine_flow_expm,
+                      cat_state, centered_grid, coherent_state,
                       damping_matrices, damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
-                      evolve_wigner_grid, evolved_state, gaussian_state,
+                      evolve_wigner_grid, evolved_state, fock_cat, fock_coherent,
+                      fock_operators, gaussian_state, integrate_fock_lindblad,
                       photon_bath, positivity_time, purity, purity_quadrature,
-                      reconstruct, reliable_chords, symplectic_transform)
+                      reconstruct, reliable_chords, symplectic_transform,
+                      wigner_from_fock)
 from lindquad.propagator import _reversed_dets
 from lindquad.states import _tile_size
 
@@ -131,9 +134,8 @@ def _moved(state: ChordState, c: np.ndarray) -> ChordState:
                       pure=state.pure, hbar=state.hbar)
 
 
-def _axes(center, half, shape) -> tuple[np.ndarray, np.ndarray]:
-    grid = centered_grid(center, half, shape)
-    return grid.p_axis, grid.q_axis
+def _axes(center, half, shape) -> GridSpec:
+    return centered_grid(center, half, shape)
 
 
 def _centres(state: ChordState) -> tuple[np.ndarray, np.ndarray]:
@@ -146,12 +148,12 @@ def _centres(state: ChordState) -> tuple[np.ndarray, np.ndarray]:
 def _assert_grids_match(state: ChordState, wigner_axes, chord_axes) -> None:
     # the peak is the field's, on the grid or at a term's centre
     wigner_at, chord_at = _centres(state)
-    nodes = state.wigner(grid_nodes(*wigner_axes))
-    tiled = state.wigner_grid(*wigner_axes)
+    nodes = state.wigner(wigner_axes.points())
+    tiled = state.wigner_grid(wigner_axes)
     peak = max(np.max(np.abs(nodes)), np.max(np.abs(state.wigner(wigner_at))))
     assert np.max(np.abs(tiled - nodes)) <= 1e-12 * peak
-    nodes = state(grid_nodes(*chord_axes))
-    tiled = state.chord_grid(*chord_axes)
+    nodes = state(chord_axes.points())
+    tiled = state.chord_grid(chord_axes)
     peak = max(np.max(np.abs(nodes)), np.max(np.abs(state(chord_at))))
     assert np.max(np.abs(tiled - nodes)) <= 1e-12 * peak
 
@@ -397,3 +399,97 @@ def test_photon_bath_threshold_takes_few_evaluations(gamma, nbar) -> None:
     assert result.t_p == pytest.approx(math.log1p(1.0 / (2.0 * nbar + 1.0)) / gamma,
                                        rel=1e-12)
     assert result.iterations <= 20
+
+
+# The number-basis oracle against the exact solver beyond the photon bath:
+# random H in each regime, one to three random channels, a random drive and
+# hbar != 1, for coherent states and cats at t = 0.3 in 40 number states.
+# Bounds, stated before any run: 1e-7 for the means, the symmetrised
+# covariances and the purity (each against max(1, its largest entry)), and
+# 2e-6 of the peak for a cat's Wigner field on a 21 x 21 grid. The oracle
+# is the reference only where its basis holds the state: an example is
+# rejected when it raises TruncationLeak (more than 1e-8 on the top two
+# levels during the run) or ends with more than 1e-11 there, since a
+# population of 1e-9 on the top levels moves the covariances by about 5e-8
+# and the cat field by up to 2e-5 of its peak.
+FOCK_DIM, FOCK_T, FOCK_EDGE = 40, 0.3, 1e-11
+
+
+def _fock_case(seed: int) -> tuple[OpenSystem, str, object]:
+    """A random system (regime, H, drive, one to three channels, hbar in
+    [0.5, 1.5]) and a coherent state's centre or a cat's zeta up to 1.5."""
+    rng = np.random.default_rng(seed)
+    regime = ("elliptic", "hyperbolic", "parabolic")[seed % 3]
+    ham = HamiltonianForm(matrix=random_hamiltonian(rng, regime).matrix,
+                          linear=rng.normal(scale=0.5, size=2))
+    channels = tuple(LindbladChannel(l_re=rng.normal(scale=0.5, size=2),
+                                     l_im=rng.normal(scale=0.5, size=2))
+                     for _ in range(rng.integers(1, 4)))
+    system = OpenSystem(hamiltonian=ham, channels=channels, hbar=rng.uniform(0.5, 1.5))
+    if seed // 3 % 2:
+        return system, "cat", rng.uniform(0.0, 1.5)
+    return system, "coherent", tuple(rng.uniform(-1.5, 1.5, size=2))
+
+
+def _term_moments(state: ChordState) -> tuple[np.ndarray, np.ndarray]:
+    """Wigner mean and covariance of a sum of Gaussian terms: term k has
+    mass 2 pi hbar w_k, mean mu_k = hbar b_k J^T and covariance hbar^2 J^T A J."""
+    mass = 2.0 * math.pi * state.hbar * state.weights
+    mu = state.hbar * state.shifts @ J.T
+    mean = mass @ mu
+    second = (state.hbar ** 2 * J.T @ state.form @ J
+              + np.einsum("k,ki,kj->ij", mass, mu, mu))
+    return mean.real, (second - np.outer(mean, mean)).real
+
+
+def _fock_moments(rho) -> tuple[np.ndarray, np.ndarray]:
+    """<x> and the symmetrised covariance <(x_i x_j + x_j x_i)/2> - <x_i><x_j>."""
+    ops = fock_operators(rho.dim, rho.hbar)
+    mean = np.array([np.trace(rho.matrix @ x).real for x in ops])
+    second = np.array([[0.5 * np.trace(rho.matrix @ (a @ b + b @ a)).real
+                        for b in ops] for a in ops])
+    return mean, second - np.outer(mean, mean)
+
+
+def _fock_oracle_errors(system: OpenSystem, kind: str, value) -> dict:
+    """Errors of the exact solver against the number-basis master equation
+    for a coherent state at ``value`` = (p, q) or a cat of zeta ``value``;
+    :class:`TruncationLeak` when the basis does not hold the state."""
+    hbar = system.hbar
+    if kind == "coherent":
+        state = coherent_state(value, hbar=hbar)
+        rho0 = fock_coherent(value, FOCK_DIM, hbar)
+    else:
+        state = cat_state(value, hbar=hbar)
+        rho0 = fock_cat(value, FOCK_DIM, hbar)
+    rho = integrate_fock_lindblad(system, rho0, FOCK_T)
+    if np.trace(rho.matrix[-2:, -2:]).real > FOCK_EDGE:
+        raise TruncationLeak("the top two levels hold more than the reference allows")
+    evolved = evolved_state(system, state, FOCK_T)
+    mean, cov = _term_moments(evolved)
+    fock_mean, fock_cov = _fock_moments(rho)
+    errors = {
+        "mean": float(np.max(np.abs(mean - fock_mean))) / max(1.0, np.max(np.abs(mean))),
+        "cov": float(np.max(np.abs(cov - fock_cov))) / max(1.0, np.max(np.abs(cov))),
+        "purity": abs(purity(system, state, FOCK_T) - rho.purity),
+    }
+    if kind == "cat":
+        half = 4.0 * np.sqrt(np.diag(cov))
+        grid = centered_grid(mean, half, 21)
+        exact = evolved.wigner_grid(grid)
+        errors["grid"] = float(np.max(np.abs(exact - wigner_from_fock(rho, grid).values))
+                               / np.max(np.abs(exact)))
+    return errors
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_exact_solver_matches_the_number_basis_master_equation(seed) -> None:
+    try:
+        errors = _fock_oracle_errors(*_fock_case(seed))
+    except TruncationLeak:
+        assume(False)
+    assert errors["mean"] <= 1e-7
+    assert errors["cov"] <= 1e-7
+    assert errors["purity"] <= 1e-7
+    assert errors.get("grid", 0.0) <= 2e-6

@@ -188,7 +188,7 @@ def test_grids_stay_finite_where_the_nodes_are() -> None:
     for grid in (centered_grid((300.0, -200.0), 0.05, (101, 83)),
                  centered_grid((0.0, 0.0), 7.0, (64, 65))):
         nodes = narrow.wigner(grid.points())
-        tiled = narrow.wigner_grid(grid.p_axis, grid.q_axis)
+        tiled = narrow.wigner_grid(grid)
         assert np.all(np.isfinite(tiled))
         # the nodes' coordinates round to 1e-16 of 300, which the slope of a
         # Gaussian of width 0.007 turns into 1e-10 of its peak in both sums
@@ -199,31 +199,20 @@ def test_grids_stay_finite_where_the_nodes_are() -> None:
     for center in ((0.0, 40.0), (0.0, -40.0), (0.0, 0.0)):
         grid = centered_grid(center, 3.0, (77, 66))
         nodes = cat.wigner(grid.points())
-        assert np.max(np.abs(cat.wigner_grid(grid.p_axis, grid.q_axis) - nodes)) <= (
+        assert np.max(np.abs(cat.wigner_grid(grid) - nodes)) <= (
             1e-12 / np.pi)
     for center in ((0.0, 80.0), (0.0, -80.0), (40.0, 0.0)):
         grid = centered_grid(center, 4.0, (70, 71))
         nodes = cat(grid.points())
-        assert np.max(np.abs(cat.chord_grid(grid.p_axis, grid.q_axis) - nodes)) <= (
+        assert np.max(np.abs(cat.chord_grid(grid) - nodes)) <= (
             1e-12 / TWO_PI)
     # a zero-weight term far off: its U and V are both zero, not 0 * inf
     state = ChordState(log_weights=[np.log(1.0 / TWO_PI), -np.inf], form=np.eye(2) / 2.0,
                        shifts=[(0.0, 0.0), (300.0, -200.0)], label="zero", pure=False)
     grid = centered_grid((0.0, 0.0), 150.0, (61, 61))
     nodes = state(grid.points())
-    assert np.max(np.abs(state.chord_grid(grid.p_axis, grid.q_axis) - nodes)) <= (
+    assert np.max(np.abs(state.chord_grid(grid) - nodes)) <= (
         1e-12 / TWO_PI)
-
-
-def test_grid_axes_must_be_uniform_and_nonempty() -> None:
-    state = coherent_state((0.0, 0.0))
-    with pytest.raises(ConfigError, match="uniformly spaced"):
-        state.wigner_grid([0.0, 0.1, 0.3], [0.0, 1.0])
-    with pytest.raises(ConfigError, match="nonempty"):
-        state.chord_grid([], [0.0, 1.0])
-    # one node per axis is a grid too
-    assert state.wigner_grid([0.2], [0.1]) == pytest.approx(
-        state.wigner(np.array([[[0.2, 0.1]]])), rel=1e-14)
 
 
 def test_cat_line_matches_wigner_at_t_zero() -> None:
