@@ -100,16 +100,16 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     (:func:`~lindquad.propagator._reversed_dets`), never from an assembled
     M(-t) whose m00 m11 - m01^2 would cancel.
 
-    The scan doubles from 1e-3 of the characteristic timescale up to
-    ``horizon``, in batches of six times, using only what the
-    point-by-point walk would have seen. A safeguarded Newton search
-    (rtsafe) then refines the bracket to 1e-13 relative, starting from the
-    crossed scan point. It takes Newton steps in sqrt(det M(-t)) while they
-    land inside the bracket and at most half as long as the step before
-    last, and bisects otherwise. A step shorter than the tolerance is
-    lengthened to land just past the root and close the bracket from the
-    other side; should it fall short, the length test turns the next step
-    into bisection.
+    The scan doubles from 1e-3 of the characteristic timescale (the horizon
+    itself where that underflows to 0) up to ``horizon``, in batches of six
+    times, using only what the point-by-point walk would have seen. A
+    safeguarded Newton search (rtsafe) then refines the bracket to 1e-13
+    relative, starting from the crossed scan point. It takes Newton steps
+    in sqrt(det M(-t)) while they land inside the bracket and at most half
+    as long as the step before last, and bisects otherwise. A step shorter
+    than the tolerance is lengthened to land just past the root and close
+    the bracket from the other side; should it fall short, the length test
+    turns the next step into bisection.
 
     ``t_p``, ``det_value`` and ``iterations`` are as in
     :class:`PositivityResult` (the scan's last batch may run past the
@@ -132,7 +132,7 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
         return [(ti, d, s, m) if math.isfinite(d) and math.isfinite(m)
                 else (ti, math.inf, s, 0.0) for ti, d, s, m in rows]
 
-    lo, t = 0.0, 1e-3 * scale
+    lo, t = 0.0, 1e-3 * scale or horizon  # 0 on a subnormal horizon
     best = -_THRESHOLD
     high = None
     while high is None:

@@ -131,8 +131,9 @@ def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
     draws through its clipped ``eigh`` root, a definite one through its
     Cholesky factor. The initial moments are read as in
     :func:`exact_moments`. ``t`` and ``dt`` must be finite, with t/dt
-    finite too, and the stored paths at most ~2 GB (:class:`ConfigError`
-    otherwise). Raises :class:`Unstable` when the paths overflow.
+    finite too, ``seed`` an integer in [0, 2**64), and the stored paths at
+    most ~2 GB (:class:`ConfigError` otherwise). Raises :class:`Unstable`
+    when the paths overflow.
     """
     mean = finite_array(initial_mean, (2,), "initial_mean")
     _, root = _covariance(initial_cov, "initial_cov", definite=False)
@@ -143,8 +144,8 @@ def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
         raise ConfigError("n_paths must be at least 1")
     if store_stride < 1:
         raise ConfigError("store_stride must be at least 1")
-    if int(seed) != seed or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if not 0 <= seed < 2 ** 64 or int(seed) != seed:  # one Philox key word
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     seed = int(seed)
     if scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")

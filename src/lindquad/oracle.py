@@ -387,7 +387,10 @@ def coherent_fock_dim(center, hbar: float = 1.0) -> int:
 
 
 def cat_fock_dim(zeta: float, hbar: float = 1.0) -> int:
-    """Basis size for a cat of half-separation ``zeta`` (components at ±zeta)."""
+    """Basis size for a cat of half-separation ``zeta`` (components at ±zeta);
+    :class:`ConfigError` when zeta^2/hbar is not finite."""
+    if not math.isfinite(zeta * zeta / hbar):
+        raise ConfigError(f"cat zeta^2/hbar must be finite, got zeta = {zeta!r}")
     return 4 * int(math.ceil(zeta ** 2 / hbar)) + 20
 
 

@@ -36,10 +36,21 @@ __all__ = [
 ]
 
 
-def _quadratic(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v . A v for a symmetric 2x2 ``a``, batched over the leading axes of ``v``."""
-    return (a[0, 0] * v[..., 0] ** 2 + 2.0 * a[0, 1] * v[..., 0] * v[..., 1]
-            + a[1, 1] * v[..., 1] ** 2)
+def _exponent(form, lin, const, r0, r1):
+    """c_k + l_k . r - r . F r / 2 at the offsets r = (r0, r1) from the anchors,
+    the terms on the last axis: the one exponent of every :class:`ChordState`
+    value, on grids (:func:`_grid_sum`) and at points (:func:`_point_sum`)."""
+    return (const + lin[:, 0] * r0 + lin[:, 1] * r1
+            - 0.5 * (form[0, 0] * r0 * r0 + 2.0 * form[0, 1] * r0 * r1
+                     + form[1, 1] * r1 * r1))
+
+
+def _point_sum(form, anchors, lin, const, u, v) -> np.ndarray:
+    """sum_k exp(c_k + l_k . r - r . F r / 2), r = (u, v) - s_k, at the nodes of
+    the same-shaped ``u`` and ``v``: the per-node sum :func:`_grid_sum` matches."""
+    r0 = np.asarray(u)[..., None] - anchors[:, 0]
+    r1 = np.asarray(v)[..., None] - anchors[:, 1]
+    return np.asarray(np.sum(np.exp(_exponent(form, lin, const, r0, r1)), axis=-1))
 
 
 # bound on |d . F d| / 2 over the offsets d from a tile's centre: it keeps the
@@ -52,12 +63,11 @@ def _tile_size(form: np.ndarray, hu: float, hv: float) -> float:
     """Largest tile side T with |d . F d| / 2 <= _TILE_REACH on T x T nodes of
     spacings (hu, hv): inf where F vanishes on the mesh, under 2 (one node per
     tile, the per-node sum) where it is steep."""
-    with np.errstate(over="ignore"):
-        spread = (abs(form[0, 0]) * hu * hu + 2.0 * abs(form[0, 1] * hu * hv)
-                  + abs(form[1, 1]) * hv * hv)
-        if not spread > 0.0:  # NaN too: the sum is NaN whatever the tiles
-            return math.inf
-        return 1.0 + 2.0 * math.sqrt(2.0 * _TILE_REACH / spread)
+    spread = (abs(form[0, 0]) * hu * hu + 2.0 * abs(form[0, 1] * hu * hv)
+              + abs(form[1, 1]) * hv * hv)
+    if not spread > 0.0:  # NaN too: the sum is NaN whatever the tiles
+        return math.inf
+    return 1.0 + 2.0 * math.sqrt(2.0 * _TILE_REACH / spread)
 
 
 def _axis_tiles(start: float, step: float, count: int, size: float):
@@ -99,27 +109,25 @@ def _grid_sum(form, anchors, lin, const, u, v) -> np.ndarray:
     # z0 - s per tile and term, (tiles on u, tiles on v, n) once broadcast
     r0 = cu[:, None, None] - anchors[:, 0]
     r1 = cv[None, :, None] - anchors[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        e0 = (const + lin[:, 0] * r0 + lin[:, 1] * r1
-              - 0.5 * (f00 * r0 * r0 + 2.0 * f01 * r0 * r1 + f11 * r1 * r1))
-        g0 = lin[:, 0] - (f00 * r0 + f01 * r1)
-        g1 = lin[:, 1] - (f01 * r0 + f11 * r1)
-        eu = e0[..., None] + g0[..., None] * du - 0.5 * f00 * du * du
-        ev = g1[..., None] * dv - 0.5 * f11 * dv * dv
-        top = np.max(np.where(real_u[:, None, None, :], eu.real, -np.inf),
-                      axis=-1, keepdims=True)
-        # node (i, j) of tile (a, b) lands at out[a, i, b, j], so the grid
-        # is a reshape of out: us is (n, a, i, b, 1) and vs (n, a, 1, b, j);
-        # a term that is zero on the tile (c_k = -inf) gets U = V = 0
-        us = np.exp(eu - np.where(top == -np.inf, 0.0, top))
-        us = us.transpose(2, 0, 3, 1)[..., None]
-        vs = np.exp(ev + top).transpose(2, 0, 1, 3)[:, :, None]
-        out = us[0] * vs[0]
-        part = np.empty_like(out)
-        for k in range(1, const.size):
-            np.multiply(us[k], vs[k], out=part)
-            out += part
-        out *= np.exp(-f01 * du[:, None, None] * dv)
+    e0 = _exponent(form, lin, const, r0, r1)
+    g0 = lin[:, 0] - (f00 * r0 + f01 * r1)
+    g1 = lin[:, 1] - (f01 * r0 + f11 * r1)
+    eu = e0[..., None] + g0[..., None] * du - 0.5 * f00 * du * du
+    ev = g1[..., None] * dv - 0.5 * f11 * dv * dv
+    top = np.max(np.where(real_u[:, None, None, :], eu.real, -np.inf),
+                  axis=-1, keepdims=True)
+    # node (i, j) of tile (a, b) lands at out[a, i, b, j], so the grid is a
+    # reshape of out: us is (n, a, i, b, 1) and vs (n, a, 1, b, j); a term
+    # that is zero on the tile (c_k = -inf) gets U = V = 0
+    us = np.exp(eu - np.where(top == -np.inf, 0.0, top))
+    us = us.transpose(2, 0, 3, 1)[..., None]
+    vs = np.exp(ev + top).transpose(2, 0, 1, 3)[:, :, None]
+    out = us[0] * vs[0]
+    part = np.empty_like(out)
+    for k in range(1, const.size):
+        np.multiply(us[k], vs[k], out=part)
+        out += part
+    out *= np.exp(-f01 * du[:, None, None] * dv)
     return out.reshape(cu.size * tu, cv.size * tv)[:nu, :nv]
 
 
@@ -134,15 +142,14 @@ class ChordState:
     cat lobe's e^{-zeta^2/hbar} against an e^{+zeta^2/hbar} from its
     imaginary shift).
 
-    :meth:`__call__` and :meth:`wigner` take scattered points and sum the
-    terms node by node. :meth:`chord_grid` and :meth:`wigner_grid` take a
+    Every value sums terms exp(c_k + l_k . r - r . F r / 2) of one exponent
+    (:func:`_exponent`), whose (F, s, l, c) each representation builds once.
+    :meth:`__call__` and :meth:`wigner` sum them at scattered points
+    (:func:`_point_sum`); :meth:`chord_grid` and :meth:`wigner_grid` take a
     :class:`~lindquad.grid.GridSpec` and return the same values on its nodes
-    to within 1e-12 of the largest: they cut the grid into T x T tiles, on
-    which each term is a product of two one-axis exponentials and one cross
-    factor that all tiles and terms share (:func:`_grid_sum`). T is the
-    largest side with |d . F d| / 2 <= 64 over a tile's offsets d from its
-    centre, for the grid's form F and spacing: the whole axis where F is flat
-    on the mesh, and T = 1, the per-node sum, where it is steep.
+    to within 1e-12 of the largest, one T x T tile at a time
+    (:func:`_grid_sum`). Each sums under ``np.errstate(all="ignore")`` and
+    raises :class:`Unstable` when a value is not finite.
     """
 
     log_weights: NDArray[np.complex128]
@@ -172,29 +179,34 @@ class ChordState:
         """The weights w_k (those below the smallest float read 0)."""
         return np.exp(self.log_weights)
 
-    def __call__(self, xi) -> np.ndarray:
-        """Wt at chords ``xi`` of shape (..., 2), complex.
+    def _chord_terms(self):
+        """(F, s, l, c) of Wt: F = A, s_k = 0, l_k = i b_k, c_k = log w_k."""
+        return self.form, np.zeros(self.shifts.shape), 1j * self.shifts, self.log_weights
 
-        Raises :class:`Unstable` when a value is not finite, as a form that
-        is not positive definite gives at large chords.
-        """
+    def _wigner_terms(self):
+        """(F, s, l, c) of W in z = (-p, q)/hbar: W(x) = (1/hbar) sum_k w_k
+        det(A)^{-1/2} exp(-beta . A^{-1} beta / 2) with beta = b_k - (x_q, -x_p)/hbar
+        = b_k - (z_1, z_0), so F = A^{-1} and s_k = b_k with both axes swapped,
+        l_k = 0 and c_k = log w_k - (log det A)/2 - log hbar."""
+        log_det, inv = np.log(np.linalg.det(self.form)), _inv2(self.form)
+        return (inv[::-1, ::-1], self.shifts[:, ::-1], np.zeros(self.shifts.shape),
+                self.log_weights - (0.5 * log_det + math.log(self.hbar)))
+
+    def __call__(self, xi) -> np.ndarray:
+        """Wt at chords ``xi`` of shape (..., 2), complex. Raises :class:`Unstable`
+        when a value is not finite, as a form that is not positive definite
+        gives at large chords."""
         xi = np.asarray(xi, dtype=float)
-        out = np.zeros(xi.shape[:-1], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            quad = 0.5 * _quadratic(self.form, xi)
-            for log_w, b in zip(self.log_weights, self.shifts):
-                out += np.exp(log_w - quad + 1j * (xi @ b))
+        with np.errstate(all="ignore"):
+            out = _point_sum(*self._chord_terms(), xi[..., 0], xi[..., 1])
         return self._finite_chord(out)
 
     def chord_grid(self, grid) -> np.ndarray:
-        """Wt at the chords (p0 + i h_p, q0 + j h_q) of ``grid``, shape (N_p, N_q).
-
-        :meth:`__call__` at every node, to within 1e-12 of the largest value:
-        :func:`_grid_sum` with F = A, l_k = i b_k and c_k = log w_k. Raises
-        :class:`Unstable` as :meth:`__call__` does.
-        """
-        out = _grid_sum(self.form, np.zeros(self.shifts.shape), 1j * self.shifts,
-                        self.log_weights, *zip(grid.origin, grid.spacing, grid.shape))
+        """Wt at the chords (p0 + i h_p, q0 + j h_q) of ``grid``, shape (N_p, N_q):
+        :meth:`__call__` at every node, to within 1e-12 of the largest value."""
+        with np.errstate(all="ignore"):
+            out = _grid_sum(*self._chord_terms(),
+                            *zip(grid.origin, grid.spacing, grid.shape))
         return self._finite_chord(out)
 
     def _finite_chord(self, out: np.ndarray) -> np.ndarray:
@@ -203,38 +215,22 @@ class ChordState:
         return out
 
     def wigner(self, x) -> np.ndarray:
-        """W(x) = (1/hbar) sum_k w_k det(A)^{-1/2} exp(-beta . A^{-1} beta / 2).
-
-        Here beta = b_k - (x_q, -x_p)/hbar, for phase-space points ``x`` of
-        shape (..., 2). Raises :class:`Unstable` when a value is not finite
-        or max|Im W| exceeds 1e-9 max|W| (a non-hermitian chord function).
-        """
-        x = np.asarray(x, dtype=float)
-        dual = (x @ J) / self.hbar  # x @ J = (x_q, -x_p)
-        log_det, inv = np.log(np.linalg.det(self.form)), _inv2(self.form)
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        for log_w, b in zip(self.log_weights, self.shifts):
-            out += np.exp(log_w - 0.5 * (log_det + _quadratic(inv, b - dual)))
-        out /= self.hbar
+        """W at phase-space points ``x`` of shape (..., 2). Raises :class:`Unstable`
+        when a value is not finite or max|Im W| exceeds 1e-9 max|W| (a
+        non-hermitian chord function)."""
+        with np.errstate(all="ignore"):
+            z = np.asarray(x, dtype=float) / self.hbar
+            out = _point_sum(*self._wigner_terms(), -z[..., 0], z[..., 1])
         return self._real_wigner(out)
 
     def wigner_grid(self, grid) -> np.ndarray:
-        """W at the points (p0 + i h_p, q0 + j h_q) of ``grid``, shape (N_p, N_q).
-
-        :meth:`wigner` at every node, to within 1e-12 of the largest value.
-        In z = (-p, q)/hbar, beta = b_k - (z_1, z_0), so the exponent is
-        -(z - s_k) . F (z - s_k) / 2 with F = A^{-1} and s_k = b_k, each with
-        its two axes swapped: :func:`_grid_sum` with l_k = 0 and
-        c_k = log w_k - (log det A)/2 - log hbar. Raises :class:`Unstable` as
-        :meth:`wigner` does.
-        """
+        """W at the points (p0 + i h_p, q0 + j h_q) of ``grid``, shape (N_p, N_q):
+        :meth:`wigner` at every node, to within 1e-12 of the largest value."""
         (p0, q0), (hp, hq), (n_p, n_q) = grid.origin, grid.spacing, grid.shape
-        log_det, inv = np.log(np.linalg.det(self.form)), _inv2(self.form)
-        out = _grid_sum(inv[::-1, ::-1], self.shifts[:, ::-1],
-                        np.zeros(self.shifts.shape),
-                        self.log_weights - (0.5 * log_det + math.log(self.hbar)),
-                        (-p0 / self.hbar, -hp / self.hbar, n_p),
-                        (q0 / self.hbar, hq / self.hbar, n_q))
+        with np.errstate(all="ignore"):
+            out = _grid_sum(*self._wigner_terms(),
+                            (-p0 / self.hbar, -hp / self.hbar, n_p),
+                            (q0 / self.hbar, hq / self.hbar, n_q))
         return self._real_wigner(out)
 
     def _real_wigner(self, out: np.ndarray) -> np.ndarray:
@@ -271,19 +267,20 @@ class ChordState:
         holds in sheared frames; None takes the dense determinant of E.
         Raises :class:`Unstable` when the sum is not finite.
         """
-        a2 = 2.0 * self.form
         e = np.zeros((2, 2)) if extra is None else np.asarray(extra, dtype=float)
-        if det_extra is None:
-            det_extra = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-        # adj(X) = J X J^T for a symmetric 2x2 X
-        det_s = (a2[0, 0] * a2[1, 1] - a2[0, 1] ** 2 + det_extra
-                 + float(np.sum(J @ a2 @ J.T * e)))
-        log_det, adj = np.log(det_s), J @ (a2 + e) @ J.T
-        total = 0j
-        for log_wk, bk in zip(self.log_weights, self.shifts):
-            for log_wl, bl in zip(self.log_weights, self.shifts):
-                total += np.exp(log_wk + np.conj(log_wl) - 0.5 * (
-                    log_det + _quadratic(adj, bk - np.conj(bl)) / det_s))
+        log_w, b = self.log_weights, self.shifts
+        with np.errstate(all="ignore"):
+            a2 = 2.0 * self.form
+            if det_extra is None:
+                det_extra = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+            # adj(X) = J X J^T for a symmetric 2x2 X
+            det_s = (a2[0, 0] * a2[1, 1] - a2[0, 1] ** 2 + det_extra
+                     + float(np.sum(J @ a2 @ J.T * e)))
+            total = _point_sum(J @ (a2 + e) @ J.T / det_s,
+                               (b[:, None] - np.conj(b)).reshape(-1, 2),
+                               np.zeros((log_w.size ** 2, 2)),
+                               (log_w[:, None] + np.conj(log_w)).ravel()
+                               - 0.5 * np.log(det_s), 0.0, 0.0)
         value = 4.0 * math.pi ** 2 * self.hbar * float(total.real)
         if not math.isfinite(value):
             raise Unstable(f"trace-square integral of '{self.label}' is not finite")
@@ -357,6 +354,8 @@ def cat_state(zeta: float, hbar: float = 1.0) -> ChordState:
     if not 0.0 <= zeta < math.inf:  # false for NaN too
         raise ConfigError("zeta must be finite and nonnegative")
     hbar = checked_hbar(hbar)
+    if not math.isfinite(zeta * zeta / hbar):
+        raise ConfigError(f"cat zeta^2/hbar must be finite, got zeta = {zeta!r}")
     z = zeta / hbar
     norm = 1.0 / (1.0 + math.exp(-zeta ** 2 / hbar))
     central = _log_weight(0.5 * norm / (2.0 * math.pi * hbar))

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindquad
 from conftest import det2, random_symplectic
 from lindquad import (AsymptoticInvalid, ChordState, ConfigError,
                       HamiltonianForm, LindbladChannel, OpenSystem, Unstable,
@@ -106,6 +111,25 @@ def test_threshold_unreached_below_horizon() -> None:
     data = result.to_dict()
     assert data["status"] == "unreached"
     assert set(data) == {"status", "limit", "horizon", "iterations"}
+
+
+def test_subnormal_horizon_ends_the_scan() -> None:
+    # 1e-3 of a horizon below ~5e-321 rounds to 0, which doubling never
+    # moves: the scan starts at the horizon instead. A subprocess with a
+    # timeout turns a regression into a failure instead of a hang
+    code = ("from lindquad import photon_bath, positivity_time; "
+            "r = positivity_time(photon_bath(gamma=1.0), horizon=1e-323); "
+            "print(r.reached, r.iterations)")
+    src = str(Path(lindquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["False", "1"], proc.stderr
+    # every horizon whose start is positive scans as before
+    for horizon, iterations in ((100.0, 18), (1e-6, 11), (5e-321, 11)):
+        assert positivity_time(photon_bath(gamma=1.0),
+                               horizon=horizon).iterations == iterations
 
 
 def test_threshold_without_noise() -> None:

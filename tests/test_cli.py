@@ -216,6 +216,71 @@ def test_cli_runs_every_subcommand_without_scipy(tmp_path) -> None:
     assert proc.stderr == ""
 
 
+def test_extreme_valid_numbers_exit_with_documented_codes(tmp_path) -> None:
+    # finite JSON numbers at the edges of the float range: every subcommand
+    # exits 0, 2, 3, 4 or 5 without a traceback, in one subprocess whose
+    # timeout turns a hang into a failure. A cat whose zeta^2 overflows and
+    # a seed past the Philox key word are refused; a subnormal horizon is
+    # unreached
+    grid = {"center": [0.0, 0.0], "half_extent": [5.0, 5.0], "shape": [17, 17]}
+    base = {
+        "classify": {"system": PHOTON},
+        "positivity": {"system": PHOTON},
+        "evolve": {"system": PHOTON, "state": COHERENT, "t": 0.2, "grid": grid},
+        "chord": {"system": PHOTON, "state": COHERENT, "t": 0.2, "grid": grid,
+                  "representation": "chord"},
+        "entropy": {"system": PHOTON, "state": COHERENT, "times": [0.2]},
+        "langevin": {"system": PHOTON, "state": COHERENT, "t": 0.3, "dt": 0.1,
+                     "n_paths": 8},
+        "reconstruct": {"system": PHOTON, "state": COHERENT, "t": 0.2,
+                        "chord_grid": grid},
+        "oracle-compare": {"system": PHOTON, "state": COHERENT, "t": 0.1,
+                           "grid": grid},
+    }
+    documented = {0, 2, 3, 4, 5}
+    systems = [dict(PHOTON, hamiltonian={"matrix": [[1e200, 0.0], [0.0, 1e200]]}),
+               dict(PHOTON, channels=[{"l_re": [1e200, 0.0], "l_im": [0.0, 1e200]}]),
+               dict(PHOTON, hbar=1e200), dict(PHOTON, hbar=1e-300)]
+    cases = [(name, {"system": system}, documented)
+             for system in systems for name in base]
+    cases += [(name, {"state": {"type": "cat", "zeta": 1e160}}, {2})
+              for name in ("evolve", "chord", "entropy", "reconstruct",
+                           "oracle-compare")]
+    cases += [(name, {"t": 1e308}, documented)
+              for name in ("evolve", "chord", "langevin", "reconstruct",
+                           "oracle-compare")]
+    cases += [("entropy", {"times": [1e308]}, documented),
+              ("reconstruct", {"chord_grid": dict(grid, half_extent=[1e308, 1e308])},
+               documented),
+              ("langevin", {"seed": 2 ** 64}, {2}),
+              ("positivity", {"horizon": 1e-323}, {0})]
+    runs, expect = [], []
+    for index, (name, override, codes) in enumerate(cases):
+        cfg = _config(tmp_path, dict(base[name], **override), name=f"{index}.json")
+        runs.append(["evolve" if name == "chord" else name, "--config", cfg,
+                     "--out", str(tmp_path / f"{index}.out")])
+        expect.append(codes)
+    horizon = _config(tmp_path, {"horizon": 1e-323}, name="horizon.json")
+    runs += [["positivity", flag, "--config", horizon, "--out",
+              str(tmp_path / f"table{flag}.csv")]
+             for flag in ("--sweep", "--paper-table")]
+    runs.append(["langevin", "--config", _config(tmp_path, base["langevin"]),
+                 "--out", str(tmp_path / "seed.csv"), "--seed", str(2 ** 64)])
+    expect += [{0}, {0}, {2}]
+    code = ("import json, sys; from lindquad.cli import main; "
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+    src = str(Path(lindquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert [(argv, got) for argv, got, ok in zip(runs, codes, expect)
+            if got not in ok] == []
+
+
 def test_sweep_reproduces_frozen_thresholds(tmp_path) -> None:
     out = tmp_path / "sweep.csv"
     assert main(["positivity", "--sweep", "--out", str(out)]) == 0
@@ -723,6 +788,16 @@ def test_non_numeric_config_values_exit_two(tmp_path, command, override) -> None
     assert not out.exists()
 
 
+def test_cats_whose_separation_overflows_exit_two(tmp_path) -> None:
+    # zeta^2 overflows from zeta ~ 1.35e154: refused before any file is made
+    for command in ("evolve", "entropy", "reconstruct", "oracle-compare"):
+        cfg = _config(tmp_path, dict(_BASE[command],
+                                     state={"type": "cat", "zeta": 1e160}))
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert list(tmp_path.glob(f"{command}.out*")) == []
+
+
 def test_positivity_sweep_lists_are_validated(tmp_path) -> None:
     for payload in ({"epsilons": ["a"]}, {"epsilons": []},
                     {"d_second": [1.0, math.inf]}, {"d_second": 0.5}):
@@ -867,6 +942,20 @@ def test_langevin_failure_writes_no_file(tmp_path) -> None:
     out = tmp_path / "p.csv"
     assert main(["langevin", "--config", cfg, "--out", str(out)]) == 5
     assert list(tmp_path.glob("p.csv*")) == []
+
+
+def test_langevin_refuses_seeds_beyond_the_philox_key(tmp_path) -> None:
+    # a Philox key word holds seeds below 2**64; the largest one still runs
+    out = tmp_path / "p.csv"
+    cfg = _langevin_config(tmp_path, seed=2 ** 64)
+    assert main(["langevin", "--config", cfg, "--out", str(out)]) == 2
+    cfg = _langevin_config(tmp_path)
+    assert main(["langevin", "--config", cfg, "--out", str(out),
+                 "--seed", str(2 ** 64)]) == 2
+    assert list(tmp_path.glob("p.csv*")) == []
+    cfg = _langevin_config(tmp_path, seed=2 ** 64 - 1)
+    assert main(["langevin", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "p.csv.json").read_text())["seed"] == 2 ** 64 - 1
 
 
 def test_langevin_samples_by_exact_transitions(tmp_path) -> None:

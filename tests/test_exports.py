@@ -222,6 +222,26 @@ def test_grids_are_evaluated_by_the_tiled_kernel() -> None:
             or (isinstance(node, ast.Name) and node.id in products)] == []
 
 
+def test_chord_state_values_share_one_exponent() -> None:
+    # the term exponent is written once and both sums call it; the
+    # evaluators build their terms and sum them without a loop over terms
+    root = Path(__file__).resolve().parent.parent / "src" / "lindquad"
+    tree = ast.parse((root / "states.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    assert sorted(name for name, function in functions.items()
+                  if any(isinstance(node, ast.Name) and node.id == "_exponent"
+                         for node in ast.walk(function))) == ["_grid_sum", "_point_sum"]
+    (state,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "ChordState"]
+    evaluators = [node for node in state.body if isinstance(node, ast.FunctionDef)
+                  and node.name in ("__call__", "chord_grid", "wigner", "wigner_grid",
+                                    "norm_squared")]
+    assert len(evaluators) == 5
+    assert [node.lineno for function in evaluators for node in ast.walk(function)
+            if isinstance(node, (ast.For, ast.comprehension))] == []
+
+
 def test_hand_run_sweeps_still_run() -> None:
     # the sweeps are run by hand and reach private names (conftest's dense
     # transport operator, the _floatrepr internals); one short run of each

@@ -1,6 +1,8 @@
 """Tests for the stochastic-trajectory correspondence."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,18 @@ def test_simulation_validation() -> None:
         simulate(sys, mean0, cov0, 0.1, 1e-2, 10, seed=0, store_stride=0)
     with pytest.raises(NotPositiveDefinite):
         simulate(sys, mean0, [[1.0, 2.0], [2.0, 1.0]], 0.1, 1e-2, 10, seed=0)
+
+
+def test_seeds_fill_one_philox_key_word() -> None:
+    # the Philox key is (seed, block), two uint64 words: 2**64 - 1 is the
+    # largest seed, and anything beyond is refused before a draw
+    sys = photon_bath(gamma=1.0)
+    ens = simulate(sys, np.zeros(2), np.eye(2), 0.1, 0.05, 4, seed=2 ** 64 - 1)
+    assert ens.seed == 2 ** 64 - 1
+    assert np.all(np.isfinite(ens.paths))
+    for seed in (2 ** 64, 2.0 ** 64, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="seed"):
+            simulate(sys, np.zeros(2), np.eye(2), 0.1, 0.05, 4, seed=seed)
 
 
 @pytest.mark.parametrize("scheme", ["euler-maruyama", "exact"])

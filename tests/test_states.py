@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from lindquad import (ChordState, ConfigError,
-                      NotPositiveDefinite, Unstable, cat_fringe_zero,
+                      NotPositiveDefinite, Unstable, cat_fock_dim, cat_fringe_zero,
                       cat_state, cat_wigner_line, cat_zero_crossing_time,
-                      centered_grid, coherent_state, gaussian_state,
-                      photon_bath, purity, state_from_dict)
+                      centered_grid, coherent_state, evolve_wigner_grid,
+                      fock_cat, gaussian_state, photon_bath, purity,
+                      state_from_dict)
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,6 +180,57 @@ def test_widely_separated_cat_stays_finite() -> None:
     p_min = np.pi / 40.0
     assert cat.wigner(np.array([p_min, 0.0])) == pytest.approx(
         -np.exp(-p_min ** 2) / np.pi, rel=1e-11)
+
+
+def test_point_sums_match_the_per_term_formulas() -> None:
+    # the closed forms written out term by term and pair by pair: the shared
+    # kernel only reorders their arithmetic, so they agree to a few ulp of
+    # the largest value (bound fixed before the first run)
+    rng = np.random.default_rng(24)
+    rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+    squeezed = gaussian_state((0.3, -0.2), rot @ np.diag([2.0, 0.125]) @ rot.T)
+    for state in (cat_state(2.0, hbar=0.7), squeezed, coherent_state((0.5, -1.2))):
+        a, hbar = state.form, state.hbar
+        x = 2.0 * rng.normal(size=(40, 2))
+        terms = list(zip(state.log_weights, state.shifts))
+        chord = sum(np.exp(lw - 0.5 * np.einsum("ni,ij,nj->n", x, a, x) + 1j * x @ b)
+                    for lw, b in terms)
+        beta = [b - np.stack([x[:, 1], -x[:, 0]], axis=-1) / hbar for _, b in terms]
+        wigner = sum(np.exp(lw - 0.5 * np.einsum("ni,ij,nj->n", d, np.linalg.inv(a), d))
+                     for (lw, _), d in zip(terms, beta)) / (hbar * np.sqrt(np.linalg.det(a)))
+        assert np.max(np.abs(state(x) - chord)) <= 1e-13 * np.max(np.abs(chord))
+        assert np.max(np.abs(state.wigner(x) - wigner)) <= 1e-13 * np.max(np.abs(wigner))
+        extra = rot @ np.diag([0.4, 3.0]) @ rot.T
+        s = 2.0 * a + extra
+        pairs = sum(np.exp(lk + np.conj(ll) - 0.5 * (bk - np.conj(bl)) @ np.linalg.inv(s)
+                           @ (bk - np.conj(bl))) for lk, bk in terms for ll, bl in terms)
+        expect = 4.0 * np.pi ** 2 * hbar * (pairs / np.sqrt(np.linalg.det(s))).real
+        assert state.norm_squared(extra) == pytest.approx(expect, rel=1e-13)
+
+
+def test_degenerate_forms_raise_typed_errors() -> None:
+    # det S underflows to 0 (hbar = 1e200) or overflows (hbar = 1e-300), and
+    # an evolved form's det A cancels to 0: each evaluator sums under one
+    # errstate, so its finiteness check reports these, not a RuntimeWarning
+    with pytest.raises(Unstable, match="trace-square"):
+        coherent_state((0.0, 0.0), hbar=1e200)
+    with pytest.raises(ConfigError, match="expected 1"):
+        coherent_state((0.0, 0.0), hbar=1e-300)
+    wide = gaussian_state((0.0, 0.0), [[1e200, 0.0], [0.0, 1.0]])
+    with pytest.raises(Unstable, match="Wigner"):
+        evolve_wigner_grid(photon_bath(1.0), wide, 0.2,
+                           centered_grid((0.0, 0.0), (5.0, 5.0), (9, 9)))
+
+
+def test_cats_whose_separation_overflows_are_refused() -> None:
+    # zeta^2/hbar beyond the float range: a typed refusal, not OverflowError
+    for zeta, hbar in ((1e160, 1.0), (1e150, 1e-100)):
+        with pytest.raises(ConfigError, match="zeta"):
+            state_from_dict({"type": "cat", "zeta": zeta}, hbar=hbar)
+        with pytest.raises(ConfigError, match="zeta"):
+            fock_cat(zeta, hbar=hbar)
+        with pytest.raises(ConfigError, match="zeta"):
+            cat_fock_dim(zeta, hbar)
 
 
 def test_grids_stay_finite_where_the_nodes_are() -> None:
