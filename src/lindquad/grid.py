@@ -95,7 +95,8 @@ def centered_grid(center, half_extent, shape) -> GridSpec:
     center = finite_array(center, (2,), "grid center")
     half = finite_array(half_extent, (2,), "grid half_extent")
     npts = np.asarray(_grid_shape(shape))
-    spacing = 2.0 * half / (npts - 1)
+    with np.errstate(over="ignore"):  # GridSpec refuses an infinite spacing
+        spacing = 2.0 * half / (npts - 1)
     origin = center - half
     return GridSpec(origin=(origin[0], origin[1]),
                     spacing=(spacing[0], spacing[1]),

@@ -169,8 +169,10 @@ class HamiltonianForm:
 
     @property
     def det(self) -> float:
+        """m00 m11 - m01 m10; inf or NaN when the entries overflow it."""
         m = self.matrix
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
     def value(self, x: NDArray[np.float64]) -> float:
         x = np.asarray(x, dtype=float)
@@ -236,12 +238,14 @@ class OpenSystem:
     @cached_property
     def alpha(self) -> float:
         """alpha = sum_j (J l''_j) . l'_j, additive over channels."""
-        return float(sum((J @ ch.l_im) @ ch.l_re for ch in self.channels))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(sum((J @ ch.l_im) @ ch.l_re for ch in self.channels))
 
     @property
     def sigma(self) -> complex:
         """sigma = 2 sqrt(-det H), branch with Re >= 0, then Im >= 0."""
-        return complex(2.0 * np.sqrt(complex(-self.hamiltonian.det)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(2.0 * np.sqrt(complex(-self.hamiltonian.det)))
 
     @property
     def regime(self) -> Regime:
@@ -251,8 +255,9 @@ class OpenSystem:
     def k_matrix(self) -> NDArray[np.float64]:
         """K = sum_j (l' l'^T + l'' l''^T), the channel second-moment matrix."""
         k = np.zeros((2, 2))
-        for ch in self.channels:
-            k += np.outer(ch.l_re, ch.l_re) + np.outer(ch.l_im, ch.l_im)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ch in self.channels:
+                k += np.outer(ch.l_re, ch.l_re) + np.outer(ch.l_im, ch.l_im)
         k.setflags(write=False)
         return k
 

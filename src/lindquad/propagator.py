@@ -225,9 +225,9 @@ def _eigen_route(system: OpenSystem, t: np.ndarray) -> np.ndarray:
 def _by_route(system: OpenSystem, t: np.ndarray, near_route, far_route) -> np.ndarray:
     """``near_route`` at the times ``t`` where |2 sigma t|^2 is small and the
     projectors of B ill-conditioned, ``far_route`` elsewhere, stacked on axis 0."""
-    near = abs(4.0 * system.sigma_squared) * (t * t) < _SERIES_REACH
-    count = np.count_nonzero(near)
     with np.errstate(over="ignore", invalid="ignore"):
+        near = abs(4.0 * system.sigma_squared) * (t * t) < _SERIES_REACH
+        count = np.count_nonzero(near)
         if count == t.size:
             return near_route(system, t)
         if not count:
@@ -326,10 +326,10 @@ def _chord_exponent(system: OpenSystem, t: float, xi) -> np.ndarray:
     reach = abs(4.0 * system.sigma_squared) * t * t
     if not (_SERIES_REACH <= reach < math.inf and system.k_matrix.any()):
         return np.einsum("...i,ij,...j->...", xi, damping_matrix(system, t), xi)
-    up = xi @ system.projector[1].T
-    down, k = xi - up, system.k_matrix
-    forms = (up @ k * up, 2.0 * up @ k * down, down @ k * down)
     with np.errstate(over="ignore", invalid="ignore"):
+        up = xi @ system.projector[1].T
+        down, k = xi - up, system.k_matrix
+        forms = (up @ k * up, 2.0 * up @ k * down, down @ k * down)
         phi = _finite(_phis(system.damping_spectrum[0], float(t)), "damping matrix", t)
     return sum(p * np.sum(f, axis=-1) for p, f in zip(phi, forms)).real
 

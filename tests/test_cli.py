@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -796,6 +797,46 @@ def test_cats_whose_separation_overflows_exit_two(tmp_path) -> None:
         out = tmp_path / f"{command}.out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert list(tmp_path.glob(f"{command}.out*")) == []
+
+
+def test_coherent_centres_whose_occupancy_overflows_exit_two(tmp_path) -> None:
+    # |c|^2 overflows: refused by coherent_fock_dim (it once exited 1 with an
+    # OverflowError from math.ceil), under pytest's error::RuntimeWarning
+    cfg = _config(tmp_path, dict(_BASE["oracle-compare"],
+                                 state={"type": "coherent", "center": [0, 1e200]}))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 2
+    assert list(tmp_path.glob("oracle.json*")) == []
+
+
+_HUGE_H = dict(PHOTON, hamiltonian={"matrix": [[1e200, 0.0], [0.0, 1e200]]})
+_HUGE_CHANNEL = dict(PHOTON, channels=[{"l_re": [1e200, 0.0], "l_im": [0.0, 1e200]}])
+_OVERFLOWING = {
+    "classify-h": ("classify", {"system": _HUGE_H}, 5),
+    "positivity-h": ("positivity", {"system": _HUGE_H}, 5),
+    "classify-channel": ("classify", {"system": _HUGE_CHANNEL}, 5),
+    "positivity-channel": ("positivity", {"system": _HUGE_CHANNEL}, 5),
+    "evolve-t": ("evolve", dict(_BASE["evolve"], t=1e308), 5),
+    "reconstruct-channel": ("reconstruct",
+                            dict(_BASE["reconstruct"], system=_HUGE_CHANNEL), 5),
+    "reconstruct-extent": ("reconstruct", dict(
+        _BASE["reconstruct"], chord_grid=dict(_GRID, half_extent=[1e308, 1e308])), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+def test_overflowing_inputs_exit_alike_under_warning_errors(tmp_path, name) -> None:
+    # each once printed a numpy RuntimeWarning before its typed exit, and so
+    # exited 1 where warnings are errors
+    command, payload, code = _OVERFLOWING[name]
+    argv = [command, "--config", _config(tmp_path, payload),
+            "--out", str(tmp_path / "out")]
+    got = []
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            got.append(main(argv))
+    assert got == [code, code]
 
 
 def test_positivity_sweep_lists_are_validated(tmp_path) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,9 @@ def test_fock_builders_default_to_their_basis_size() -> None:
     lambda: fock_thermal(-1.0, 10),
     lambda: integrate_fock_lindblad(photon_bath(gamma=1.0),
                                     fock_coherent((0.5, 0.0), 20, hbar=0.5), 0.1),
+    lambda: fock_coherent((0.0, 1e200)),
 ], ids=["non-square", "non-finite", "non-hermitian", "zero-hbar",
-        "negative-zeta", "negative-nbar", "hbar-mismatch"])
+        "negative-zeta", "negative-nbar", "hbar-mismatch", "overflowing-center"])
 def test_number_basis_inputs_are_validated(build) -> None:
     with pytest.raises(ConfigError):
         build()
@@ -652,6 +654,62 @@ def test_wigner_synthesis_recurrence_matches_scipy(kind, param, hbar) -> None:
     field = wigner_from_fock(rho, grid).values
     expect = _wigner_from_fock_scipy(rho, grid)
     assert np.max(np.abs(field - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 9, 24, 41, 60])
+def test_wigner_synthesis_of_random_densities_matches_scipy(dim) -> None:
+    # generic Hermitian rho fill every entry; hbar and the grid's centre,
+    # spacings and (non-square) shape vary with the seed
+    rng = np.random.default_rng(dim)
+    hbar = float(rng.uniform(0.3, 2.0))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = a @ a.conj().T
+    rho = FockDensity(matrix=m / np.trace(m).real, hbar=hbar)
+    reach = math.sqrt((2 * dim + 1) * hbar)
+    n_p = int(rng.integers(9, 24))
+    grid = centered_grid(rng.uniform(-1.0, 1.0, 2),
+                         reach * rng.uniform(0.5, 1.2, 2),
+                         (n_p, n_p + int(rng.integers(1, 8))))
+    field = wigner_from_fock(rho, grid).values
+    expect = _wigner_from_fock_scipy(rho, grid)
+    assert np.max(np.abs(field - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
+def test_wigner_synthesis_in_a_dim_200_basis() -> None:
+    # the outer Gauss-Hermite weights of 399 nodes underflow and e^{x^2}
+    # overflows; their product is never formed
+    grid = centered_grid((0.3, -0.2), (12.0, 10.0), (31, 27))
+    nbar = 1.2
+    thermal = wigner_from_fock(fock_thermal(nbar, 200), grid).values
+    expect = gaussian_state((0.0, 0.0),
+                            (2 * nbar + 1) / 2.0 * np.eye(2)).wigner(grid.points())
+    assert np.max(np.abs(thermal - expect)) < 1e-12
+    center = (3.0, -4.0)
+    coherent = wigner_from_fock(fock_coherent(center, 200), grid).values
+    assert np.all(np.isfinite(coherent))
+    expect = coherent_state(center).wigner(grid.points())
+    assert np.max(np.abs(coherent - expect)) < 1e-12
+
+
+def test_wigner_synthesis_memory_is_bounded() -> None:
+    # the q rows go in blocks: the whole d = 84 table on 513 rows would
+    # be about 58 MB
+    rho = fock_cat(4.0)
+    grid = centered_grid((0.0, 0.0), 9.0, 513)
+    wigner_from_fock(rho, centered_grid((0.0, 0.0), 9.0, 5))  # node cache
+    tracemalloc.start()
+    try:
+        wigner_from_fock(rho, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36e6
+
+
+def test_wigner_synthesis_refuses_bases_beyond_its_range() -> None:
+    grid = centered_grid((0.0, 0.0), 5.0, 5)
+    with pytest.raises(ConfigError, match="dim <= 500"):
+        wigner_from_fock(fock_thermal(1.0, 501), grid)
 
 
 # ---------------------------------------------------------------------------
