@@ -35,9 +35,9 @@ from .oracle import (FockDensity, affine_flow_expm, cat_fock_dim,
                      fokker_planck_max_dt, integrate_fock_lindblad,
                      integrate_fokker_planck, purity_quadrature,
                      wigner_from_fock)
-from .propagator import (affine_flow, chord_pde_residual, damping_matrices,
-                         damping_matrix, evolve_chord, evolve_wigner_grid,
-                         evolved_state, map_state)
+from .propagator import (affine_flow, chord_pde_residual, damping_matrix,
+                         evolve_chord, evolve_wigner_grid, evolved_state,
+                         map_state)
 from .states import (ChordState, cat_state, coherent_state, gaussian_state,
                      state_from_dict)
 
@@ -54,7 +54,7 @@ __all__ = [
     "cat_fock_dim", "cat_fringe_wavenumber", "cat_fringe_zero", "cat_state",
     "cat_wigner_line", "cat_zero_crossing_time", "centered_grid",
     "characteristic_timescale", "chord_pde_residual",
-    "classify", "coherent_fock_dim", "coherent_state", "damping_matrices", "damping_matrix",
+    "classify", "coherent_fock_dim", "coherent_state", "damping_matrix",
     "damping_matrix_quadrature", "ensemble_moments",
     "evolve_chord", "evolve_wigner_grid", "evolved_state", "exact_moments",
     "fock_cat", "fock_coherent", "fock_mean", "fock_operators",

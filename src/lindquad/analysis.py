@@ -11,6 +11,10 @@ trace-square integral in closed form over the state's Gaussian terms
 late-time saddle value; :func:`reconstruct` inverts the evolution, and
 :func:`reliable_chords` is its reliability mask, since division by the
 attenuation Gaussian amplifies whatever noise lives at large chords.
+
+Every function here asks the propagator's kernel for one time per call:
+the threshold depends on the system alone, so the scan and the search
+evaluate det M(-t) point by point, and a purity curve loops over its times.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ import numpy as np
 from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import _csv_text, atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import (_chord_exponent, _reversed_dets, damping_matrices,
-                         damping_matrix, map_state)
+from .propagator import _chord_exponent, _reversed_det, damping_matrix, map_state
 from .states import ChordState
 
 __all__ = [
@@ -42,8 +45,6 @@ __all__ = [
 ]
 
 _THRESHOLD = 0.25
-# times per batched evaluation of the positivity scan
-_BATCH = 6
 # -M(-t) eigenvalue above which the state-free late-time purity is used
 _EIGEN_FLOOR = 50.0
 
@@ -96,25 +97,24 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     det M(-t) is nondecreasing (its derivative is a congruence of the
     positive-semidefinite K). A time counts as crossed only where det - 1/4
     exceeds its round-off, so ``limit`` <= 1/4. Determinant, slope and
-    round-off come from scalar products of the system's cached forms
-    (:func:`~lindquad.propagator._reversed_dets`), never from an assembled
-    M(-t) whose m00 m11 - m01^2 would cancel.
+    round-off come from scalar products of the system's cached forms, one
+    time per call (:func:`~lindquad.propagator._reversed_det`), never from
+    an assembled M(-t) whose m00 m11 - m01^2 would cancel.
 
     The scan doubles from 1e-3 of the characteristic timescale (the horizon
-    itself where that underflows to 0) up to ``horizon``, in batches of six
-    times, using only what the point-by-point walk would have seen. A
-    safeguarded Newton search (rtsafe) then refines the bracket to 1e-13
-    relative, starting from the crossed scan point. It takes Newton steps
-    in sqrt(det M(-t)) while they land inside the bracket and at most half
-    as long as the step before last, and bisects otherwise. A step shorter
-    than the tolerance is lengthened to land just past the root and close
-    the bracket from the other side; should it fall short, the length test
-    turns the next step into bisection.
+    itself where that underflows to 0) up to ``horizon``, point by point,
+    and stops at the first crossed time. A safeguarded Newton search
+    (rtsafe) then refines the bracket to 1e-13 relative, starting from the
+    crossed scan point. It takes Newton steps in sqrt(det M(-t)) while they
+    land inside the bracket and at most half as long as the step before
+    last, and bisects otherwise. A step shorter than the tolerance is
+    lengthened to land just past the root and close the bracket from the
+    other side; should it fall short, the length test turns the next step
+    into bisection.
 
     ``t_p``, ``det_value`` and ``iterations`` are as in
-    :class:`PositivityResult` (the scan's last batch may run past the
-    crossing). An overflowed determinant counts as crossed, but
-    :class:`Unstable` is raised if the crossing lands on it.
+    :class:`PositivityResult`. An overflowed determinant counts as crossed,
+    but :class:`Unstable` is raised if the crossing lands on it.
     """
     if not 0.0 < horizon < math.inf:
         raise ConfigError("horizon must be positive and finite")
@@ -124,31 +124,25 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     scale = min(characteristic_timescale(system), horizon)
     evals = 0
 
-    def dets(ts: list) -> list:
-        """(t, det M(-t), slope, round-off) at ``ts``; (t, inf, slope, 0) on overflow."""
+    def det_at(t: float) -> tuple:
+        """(t, det M(-t), slope, round-off); (t, inf, slope, 0) on overflow."""
         nonlocal evals
-        evals += len(ts)
-        rows = zip(ts, *_reversed_dets(system, np.array(ts)).T.tolist())
-        return [(ti, d, s, m) if math.isfinite(d) and math.isfinite(m)
-                else (ti, math.inf, s, 0.0) for ti, d, s, m in rows]
+        evals += 1
+        d, s, m = _reversed_det(system, float(t))
+        if math.isfinite(d) and math.isfinite(m):
+            return t, d, s, m
+        return t, math.inf, s, 0.0
 
     lo, t = 0.0, 1e-3 * scale or horizon  # 0 on a subnormal horizon
     best = -_THRESHOLD
-    high = None
-    while high is None:
-        ts = [t]
-        while len(ts) < _BATCH and ts[-1] < horizon:
-            ts.append(min(2.0 * ts[-1], horizon))
-        for point in dets(ts):
-            if point[1] - _THRESHOLD > point[3]:  # crossed
-                high = point
-                break
-            best = max(best, point[1] - _THRESHOLD - point[3])
-            if point[0] >= horizon:
-                return PositivityResult(reached=False, horizon=horizon,
-                                        iterations=evals, limit=best + _THRESHOLD)
-            lo = point[0]
-        t = min(2.0 * ts[-1], horizon)
+    high = det_at(t)
+    while not high[1] - _THRESHOLD > high[3]:  # not crossed
+        best = max(best, high[1] - _THRESHOLD - high[3])
+        if t >= horizon:
+            return PositivityResult(reached=False, horizon=horizon,
+                                    iterations=evals, limit=best + _THRESHOLD)
+        lo, t = t, min(2.0 * t, horizon)
+        high = det_at(t)
 
     # safeguarded Newton (rtsafe) from the crossed scan point
     hi, point = high[0], high
@@ -164,7 +158,7 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
         else:
             x = 0.5 * (lo + hi)
         before, moved = moved, abs(x - point[0])
-        (point,) = dets([x])
+        point = det_at(x)
         if point[1] - _THRESHOLD > point[3]:
             hi, high = x, point
         else:
@@ -217,7 +211,7 @@ def purity_asymptotic(system: OpenSystem, t: float) -> float:
     if t < 0:
         raise ConfigError("purity_asymptotic requires t >= 0")
     return _purity_asymptotic(system, t, damping_matrix(system, -t),
-                              float(_reversed_dets(system, np.array([t]))[0, 0]))
+                              _reversed_det(system, float(t))[0])
 
 
 def reconstruct(system: OpenSystem, evolved: ChordState, t: float) -> ChordState:
@@ -268,21 +262,20 @@ def purity_curve(system: OpenSystem, state: ChordState,
     the average of a narrowing Gaussian (M(-t) is negative semidefinite)
     over the initial chord intensity: the closed-form pair sum
     :meth:`ChordState.norm_squared` with E = -2 M(-t)/hbar and det E from
-    the uncancelled :func:`_reversed_dets`, exact in sheared frames. M(-t)
-    and det M(-t) for the whole time list are one batched kernel evaluation
-    each. The exact rows keep the method name "quadrature" of the CSV format.
+    the uncancelled :func:`_reversed_det`, exact in sheared frames, one
+    kernel call each per time. The exact rows keep the method name
+    "quadrature" of the CSV format.
     """
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts):
         raise ConfigError("purity requires t >= 0")
-    shrinks = damping_matrices(system, [-t for t in ts])
-    dets = _reversed_dets(system, np.array(ts))[:, 0].tolist()
+    rows = [(t, damping_matrix(system, -t), _reversed_det(system, t)[0]) for t in ts]
     vals = [math.exp(2.0 * system.alpha * t) * state.norm_squared(
                 -2.0 * m / system.hbar, 4.0 * det / system.hbar ** 2)
-            for t, m, det in zip(ts, shrinks, dets)]
+            for t, m, det in rows]
     methods = ["quadrature"] * len(ts)
-    if include_asymptotic and ts:
-        for t, m, det in zip(list(ts), shrinks, dets):
+    if include_asymptotic:
+        for t, m, det in rows:
             try:
                 vals.append(_purity_asymptotic(system, t, m, det))
             except AsymptoticInvalid:

@@ -21,10 +21,12 @@ with ``J = [[0, -1], [1, 0]]`` the matrix of the wedge product,
 constant, exactly symmetric matrices of the damping matrix M(t), so M is
 symmetric too: ``K, B^T K + K B, B^T K B`` and, for sigma != 0, the forms
 ``P_i^T K P_j`` of the spectral projectors ``P+- = (I +- B/sigma)/2`` of B
-with the two coefficients that give det M from products of scalars. It also
-holds the Wigner transport's data, used by the Langevin sampler and the
-Fokker–Planck oracle alike: the drift ``2 J H - alpha I`` with offset
-``J b``, the noise vectors ``sqrt(hbar) J l`` and the diffusion
+with the two coefficients that give det M from products of scalars. They are
+built once per system, without warnings where they overflow (the kernel
+reports that), and the propagator reads them as Python scalars at one time
+per call. It also holds the Wigner transport's data, used by the Langevin
+sampler and the Fokker–Planck oracle alike: the drift ``2 J H - alpha I``
+with offset ``J b``, the noise vectors ``sqrt(hbar) J l`` and the diffusion
 ``D = (hbar/2) J K J^T``.
 """
 
@@ -277,7 +279,8 @@ class OpenSystem:
     def moment_forms(self) -> NDArray[np.float64]:
         """(K, B^T K + K B, B^T K B) stacked, the matrices of M's moment series."""
         b, k = self.generator, self.k_matrix
-        return _symmetric(np.stack([k, b.T @ k + k @ b, b.T @ k @ b]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _symmetric(np.stack([k, b.T @ k + k @ b, b.T @ k @ b]))
 
     @cached_property
     def projector(self) -> Optional[tuple]:
@@ -288,7 +291,8 @@ class OpenSystem:
         if s2 == 0.0:
             return None
         root = math.sqrt(s2) if s2 > 0.0 else cmath.sqrt(s2)
-        plus = (self.generator + root * np.eye(2)) / (2.0 * root)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plus = (self.generator + root * np.eye(2)) / (2.0 * root)
         plus.setflags(write=False)
         return root, plus
 
@@ -310,10 +314,11 @@ class OpenSystem:
         root, plus = self.projector
         minus = np.eye(2) - plus
         k = self.k_matrix
-        cross = plus.T @ k @ minus  # q_r at O(1), before any exponential
-        q = _symmetric(np.stack([plus.T @ k @ plus, cross + cross.T,
-                                 minus.T @ k @ minus]))
-        x = 2.0 * self.alpha + np.array([2.0 * root, 0.0, -2.0 * root])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = plus.T @ k @ minus  # q_r at O(1), before any exponential
+            q = _symmetric(np.stack([plus.T @ k @ plus, cross + cross.T,
+                                     minus.T @ k @ minus]))
+            x = 2.0 * self.alpha + np.array([2.0 * root, 0.0, -2.0 * root])
         (p00, p01, p11), (z00, z01, z11), (m00, m01, m11) = (
             q.reshape(3, 4)[:, [0, 1, 3]].tolist())
         e_terms = (p00 * m11, p11 * m00, -2.0 * p01 * m01)

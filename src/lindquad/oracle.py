@@ -404,6 +404,9 @@ def cat_fock_dim(zeta: float, hbar: float = 1.0) -> int:
 
 
 def _coherent_vector(center, dim: int, hbar: float) -> NDArray[np.complex128]:
+    if dim > _MAX_WIGNER_DIM:  # refused before anything of that size exists
+        raise ConfigError(f"number basis of {dim} states is above the largest, "
+                          f"{_MAX_WIGNER_DIM}")
     c = np.asarray(center, dtype=float)
     amp = (c[1] + 1j * c[0]) / math.sqrt(2.0 * hbar)
     if amp == 0:
@@ -434,7 +437,7 @@ def _pure(vec: np.ndarray, expect: float, what: str, need: int,
 
 def fock_coherent(center, dim: int | None = None, hbar: float = 1.0) -> FockDensity:
     """Coherent state at phase-space point ``center`` = (p, q), in ``dim``
-    number states (default :func:`coherent_fock_dim`)."""
+    number states (default :func:`coherent_fock_dim`), at most 500."""
     center, hbar = finite_array(center, (2,), "coherent center"), checked_hbar(hbar)
     need = coherent_fock_dim(center, hbar)
     return _pure(_coherent_vector(center, need if dim is None else dim, hbar),
@@ -443,7 +446,7 @@ def fock_coherent(center, dim: int | None = None, hbar: float = 1.0) -> FockDens
 
 def fock_cat(zeta: float, dim: int | None = None, hbar: float = 1.0) -> FockDensity:
     """Even cat (|+zeta> + |-zeta>)/norm along the q axis, in ``dim`` number
-    states (default :func:`cat_fock_dim`)."""
+    states (default :func:`cat_fock_dim`), at most 500."""
     zeta, hbar = float(finite_array(zeta, (), "cat zeta")), checked_hbar(hbar)
     if zeta < 0:
         raise ConfigError("zeta must be nonnegative")
@@ -560,7 +563,8 @@ def fock_mean(rho: FockDensity) -> NDArray[np.float64]:
                      float(np.trace(rho.matrix @ q).real)])
 
 
-# Largest basis :func:`wigner_from_fock` synthesises (see its docstring).
+# Largest basis :func:`wigner_from_fock` synthesises (see its docstring), and
+# so the largest that fock_coherent and fock_cat build.
 _MAX_WIGNER_DIM = 500
 # Most entries of one block of its table of number-state wave functions.
 _BLOCK_ENTRIES = 1 << 16

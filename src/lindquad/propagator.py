@@ -18,15 +18,15 @@ which :func:`map_state` applies to each Gaussian term of a
 :class:`~lindquad.states.ChordState`, for either sign of t, so the evolved
 Wigner function is closed form too and reconstruction is the map at -t.
 
-:func:`affine_flow` returns (F, o) and :func:`damping_matrix` (or
-:func:`damping_matrices` for many times) returns M(t) as a plain array;
-they are the only routes to orbit and damping data. Both are closed form,
-from scalars and matrices the system caches once: the offset o of a linear
-Hamiltonian term is t phi_1(t A) J b = (c1 I + s1 B) J b, and M(t) is
-Re sum_r phi(x_r, t) q_r over the projector forms of B (``damping_spectrum``),
-or moment series times K, B^T K + K B, B^T K B (``moment_forms``) where
-|sigma^2| t^2 is small. det M(-t) and its slope, for the positivity search,
-come from two scalar products per time, never from an assembled M. The
+:func:`affine_flow` returns (F, o) and :func:`damping_matrix` returns M(t)
+as plain arrays; they are the only routes to orbit and damping data. Both
+are closed form, evaluated at one time in Python scalars from data the
+system caches once: the offset o of a linear Hamiltonian term is
+t phi_1(t A) J b = (c1 I + s1 B) J b, and M(t) is Re sum_r phi(x_r, t) q_r
+over the projector forms of B (``damping_spectrum``), or moment series
+times K, B^T K + K B, B^T K B (``moment_forms``) where |sigma^2| t^2 is
+small. det M(-t) and its slope, for the positivity search, come from two
+scalar products (:func:`_reversed_det`), never from an assembled M. The
 adaptive quadrature of the same integral and the matrix exponential of the
 affine flow are audits in ``oracle``.
 """
@@ -46,7 +46,6 @@ from .states import ChordState
 __all__ = [
     "affine_flow",
     "damping_matrix",
-    "damping_matrices",
     "evolve_chord",
     "map_state",
     "evolved_state",
@@ -57,23 +56,11 @@ __all__ = [
 # |Wt| on the dual-mesh rim / Wt(0) above which a grid is too coarse
 _TAIL_RATIO = 1e-8
 _EPS = float(np.finfo(float).eps)
-
-
-def _cosh_sinh(s2: float, t):
-    """(c, s) with R_t = exp(t B) = c I + s B, elementwise in ``t``.
-
-    B = 2 J H is trace-free with B^2 = sigma^2 I = s2 I, so the exponential
-    collapses to (cosh w t, sinh w t / w) (hyperbolic, w^2 = s2),
-    (cos w t, sin w t / w) (elliptic, w^2 = -s2) or (1, t) (parabolic).
-    Overflow shows as non-finite values.
-    """
-    if s2 > 0.0:
-        w = math.sqrt(s2)
-        return np.cosh(w * t), np.sinh(w * t) / w
-    if s2 < 0.0:
-        w = math.sqrt(-s2)
-        return np.cos(w * t), np.sin(w * t) / w
-    return np.ones_like(t), t
+# (w t)^2 below which series in w^2 t^2 replace divided differences of
+# _phi at exponents -+ w (w = 2 sigma in M, sigma in the affine offset)
+_SERIES_REACH = 1e-2
+# at most this many orders of those series: (w t)^14 / 15! < 1e-26 on the reach
+_SERIES_ORDERS = 7
 
 
 def _finite(value: np.ndarray, what: str, t: float) -> np.ndarray:
@@ -82,22 +69,196 @@ def _finite(value: np.ndarray, what: str, t: float) -> np.ndarray:
     return value
 
 
+# ---------------------------------------------------------------------------
+# The scalar kernel: orbit, offset and damping data at one time, in math
+# scalars from the system's cached forms.
+
+
+def _nan_on_overflow(width: int):
+    """Decorate a kernel of ``width`` floats to give nans where math raises
+    (OverflowError past e^709.78, ValueError for cos or sin of inf) and
+    numpy gave inf or nan: the one place the callers' checks see overflow."""
+    nans = (math.nan,) * width
+
+    def decorate(kernel):
+        def guarded(*args):
+            try:
+                return kernel(*args)
+            except (OverflowError, ValueError):
+                return nans
+        return guarded
+    return decorate
+
+
+def _on_series(w2: float, t: float) -> bool:
+    """|w^2| t^2 below the series reach, or undefined (0 times an infinite t^2)."""
+    return not abs(w2) * (t * t) >= _SERIES_REACH
+
+
+@_nan_on_overflow(2)
+def _cosh_sinh(s2: float, t: float) -> tuple[float, float]:
+    """(c, s) with R_t = exp(t B) = c I + s B.
+
+    B = 2 J H is trace-free with B^2 = sigma^2 I = s2 I, so the exponential
+    collapses to (cosh w t, sinh w t / w) (hyperbolic, w^2 = s2),
+    (cos w t, sin w t / w) (elliptic, w^2 = -s2) or (1, t) (parabolic).
+    """
+    if s2 > 0.0:
+        w = math.sqrt(s2)
+        return math.cosh(w * t), math.sinh(w * t) / w
+    if s2 < 0.0:
+        w = math.sqrt(-s2)
+        return math.cos(w * t), math.sin(w * t) / w
+    return 1.0, t
+
+
+def _phi(x, t: float):
+    """Integral of e^{x tau} over [-t, 0]: -expm1(-x t)/x, or t where x = 0.
+
+    For complex x, expm1(a + ib) = expm1(a) cos b - 2 sin^2(b/2)
+    + i e^a sin b, numpy's complex expm1.
+    """
+    if x == 0:
+        return t
+    z = -x * t
+    if isinstance(z, complex):
+        half = math.sin(0.5 * z.imag)
+        z = complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * half * half,
+                    math.exp(z.real) * math.sin(z.imag))
+    else:
+        z = math.expm1(z)
+    return z / -x
+
+
+def _poly_exp_integrals(a: float, t: float, nmax: int) -> list:
+    """[J_0, ..., J_nmax] with J_n = Integral_{-t}^{0} e^{a tau} tau^n d tau.
+
+    J_n = (-1)^n t^{n+1} I_n(-a t) with I_n(x) = Integral_0^1 e^{x s} s^n ds,
+    and I_{n-1} = (e^x - x I_n)/n. Where |a t| < 1 that recurrence runs
+    down from the power series I_nmax = sum_m x^m / (m! (nmax + m + 1)),
+    else up from I_0 = expm1(x)/x; each is the stable direction.
+    """
+    x = -a * t
+    if abs(x) < 1.0:
+        # the series' terms shrink like |x|^m / m!: stop once below 1e-19
+        term, m, total = 1.0, 1, 1.0 / (nmax + 1)
+        while abs(term := term * x / m) > 1e-19:
+            total += term / (nmax + m + 1)
+            m += 1
+        grow, integrals = math.exp(x), [total]
+        for n in range(nmax, 0, -1):
+            integrals.append((grow - x * integrals[-1]) / n)
+        integrals.reverse()
+    else:
+        grow, integrals = math.exp(x), [math.expm1(x) / x]
+        for n in range(1, nmax + 1):
+            integrals.append((grow - n * integrals[-1]) / x)
+    return [t * (-t) ** n * value for n, value in enumerate(integrals)]
+
+
+def _moment_sums(a: float, u: float, t: float) -> tuple[float, float, float]:
+    """(J_0, S_1, S_2) with S_p = sum_k u^k J_{2k+p} / (2k+p)!.
+
+    These are the integrals of e^{a tau} against 1, sinh(w tau)/w and
+    (cosh(w tau) - 1)/w^2 over [-t, 0], w^2 = u, as series in u t^2. Since
+    |J_n| <= |t|^{n-1} |J_1|, order k is below (|u| t^2)^k / (2k+1)! of the
+    leading term; orders under 1e-19 of it are left out.
+    """
+    reach, orders, bound = abs(u) * (t * t), 1, 1.0
+    while orders < _SERIES_ORDERS:
+        bound *= reach / ((2 * orders) * (2 * orders + 1))
+        if bound < 1e-19:
+            break
+        orders += 1
+    js = [j / math.factorial(n)
+          for n, j in enumerate(_poly_exp_integrals(a, t, 2 * orders))]
+    odd, even, power = js[1], js[2], 1.0
+    for k in range(1, orders):
+        power *= u
+        odd += power * js[2 * k + 1]
+        even += power * js[2 * k + 2]
+    return js[0], odd, even
+
+
+@_nan_on_overflow(2)
 def _offset_scalars(system: OpenSystem, t: float) -> tuple[float, float]:
     """(c1, s1) with Integral_0^t e^{tau A} d tau = t phi_1(t A) = c1 I + s1 B.
 
     A = B - alpha I and e^{tau A} = e^{-alpha tau} (c(tau) I + s(tau) B), so
     c1 and s1 are integrals of e^{-alpha tau} cosh(sigma tau) and
     e^{-alpha tau} sinh(sigma tau)/sigma: sums and divided differences of
-    :func:`_phis` at alpha -+ sigma, or their series in sigma^2 t^2 where the
+    :func:`_phi` at alpha -+ sigma, or their series in sigma^2 t^2 where the
     divided difference would cancel.
     """
     alpha, s2 = system.alpha, system.sigma_squared
-    if abs(s2) * t * t < _SERIES_REACH:
-        j0, odd, even = _moment_sums(alpha, s2, np.array([float(t)]))
-        return float(j0[0] + s2 * even[0]), float(-odd[0])
+    if _on_series(s2, t):
+        j0, odd, even = _moment_sums(alpha, s2, t)
+        return j0 + s2 * even, -odd
     sigma = cmath.sqrt(complex(s2))
-    plus, minus = _phis(np.array([alpha + sigma, alpha - sigma]), t)
+    plus, minus = _phi(alpha + sigma, t), _phi(alpha - sigma, t)
     return (0.5 * (plus + minus)).real, ((minus - plus) / (2.0 * sigma)).real
+
+
+@_nan_on_overflow(3)
+def _spectral_phis(system: OpenSystem, t: float) -> tuple:
+    """phi(x_r, t) at ``damping_spectrum``'s x = 2 alpha + (2 sigma, 0, -2 sigma)."""
+    return tuple(_phi(x, t) for x in system.damping_spectrum[0].tolist())
+
+
+def _entries(weights, forms: list) -> tuple[float, float, float]:
+    """Entries 00, 01, 11 of Re sum_r w_r F_r, the 2x2 forms F_r as lists."""
+    (w0, w1, w2), (f0, f1, f2) = weights, forms
+    return tuple((w0 * f0[i][j] + w1 * f1[i][j] + w2 * f2[i][j]).real
+                 for i, j in ((0, 0), (0, 1), (1, 1)))
+
+
+@_nan_on_overflow(3)
+def _damping_entries(system: OpenSystem, t: float) -> tuple[float, float, float]:
+    """(m00, m01, m11) of M(t).
+
+    Off the moment-series route, M = Re sum_r phi(x_r, t) q_r over the
+    projector forms q_r of B. On it, where |2 sigma t|^2 is small and the
+    projectors are ill-conditioned, M = I_cc K + I_cs (B^T K + K B)
+    + I_ss B^T K B with the moment series I.
+    """
+    s2 = system.sigma_squared
+    if _on_series(4.0 * s2, t):
+        j0, i_cs, half_ss = _moment_sums(2.0 * system.alpha, 4.0 * s2, t)
+        i_ss = 2.0 * half_ss
+        return _entries((j0 + s2 * i_ss, i_cs, i_ss), system.moment_forms.tolist())
+    return _entries(_spectral_phis(system, t), system.damping_spectrum[1].tolist())
+
+
+@_nan_on_overflow(3)
+def _reversed_det(system: OpenSystem, t: float) -> tuple[float, float, float]:
+    """(det M(-t), d/dt det M(-t), round-off of det) at one time t >= 0.
+
+    Off the moment-series route, det M(-t) = Re(e phi+ phi- + f phi0^2) with
+    phi_r = phi(x_r, -t) and e, f from ``damping_spectrum``: two products
+    that keep their relative precision however far apart the exponentials
+    grow. On it, the series' m00 m11 - m01^2 does not cancel, and the slope
+    is tr(adj M dM/dt). Overflow is left non-finite for the caller to report.
+    """
+    s2 = system.sigma_squared
+    if _on_series(4.0 * s2, t):
+        m00, m01, m11 = _damping_entries(system, -t)
+        c, s = _cosh_sinh(s2, t)
+        # d/dt M(-t) = -e^{2 alpha t} R_t^T K R_t
+        grow = -math.exp(2.0 * system.alpha * t)
+        d00, d01, d11 = _entries((grow * c * c, grow * c * s, grow * s * s),
+                                 system.moment_forms.tolist())
+        diag, off = m00 * m11, m01 * m01
+        return (diag - off, m11 * d00 + m00 * d11 - 2.0 * m01 * d01,
+                4.0 * _EPS * (abs(diag) + off))
+    x, _, det_form = system.damping_spectrum
+    (e, f), (e_scale, f_scale) = det_form.tolist()
+    phi = _spectral_phis(system, -t)
+    pair, square = phi[0] * phi[2], phi[1] * phi[1]
+    # d/dt phi(x, -t) = -e^{x t} = x phi - 1, times the partner in each pair
+    grown = [(xr * p - 1.0) * q for xr, p, q in zip(x.tolist(), phi, phi[::-1])]
+    slope = e * (grown[0] + grown[2]) + f * (grown[1] + grown[1])
+    return ((e * pair + f * square).real, slope.real,
+            4.0 * _EPS * (e_scale * abs(pair) + f_scale * abs(square)))
 
 
 def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -109,9 +270,10 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
     exponential audit). Valid for t of either sign; raises :class:`Unstable`
     when the flow overflows.
     """
+    t = float(t)
     drive = system.drift_offset
+    c, s = _cosh_sinh(system.sigma_squared, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        c, s = _cosh_sinh(system.sigma_squared, t)
         linear = np.exp(-system.alpha * t) * (c * np.eye(2) + s * system.generator)
         if np.any(drive != 0.0):
             c1, s1 = _offset_scalars(system, t)
@@ -122,192 +284,22 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
     return linear, _finite(offset, "affine flow", t)
 
 
-# ---------------------------------------------------------------------------
-# The damping kernel: M and det M(-t) at an array of times from the system's
-# cached forms. Overflow shows as non-finite entries here and is reported by
-# the callers.
-
-# (w t)^2 below which series in w^2 t^2 replace divided differences of
-# _phis at exponents -+ w (w = 2 sigma in M, sigma in the affine offset)
-_SERIES_REACH = 1e-2
-# at most this many orders of those series: (w t)^14 / 15! < 1e-26 on the reach
-_SERIES_ORDERS = 7
-_FACTORIALS = np.array([float(math.factorial(n)) for n in range(2 * _SERIES_ORDERS + 1)])
-# _poly_exp_integrals: row n of _RATIOS[m] is (n + m) / (m (n + m + 1));
-# its series needs m <= 21 for |a t| < 1
-_N = np.arange(2 * _SERIES_ORDERS + 1.0)[:, None]
-_RATIOS = [None] + [(_N + m) / (m * (_N + m + 1)) for m in range(1, 40)]
-
-
-def _phis(x, t):
-    """Integral of e^{x tau} over [-t, 0], -expm1(-x t)/x or t where x = 0,
-    broadcast over the arrays ``x`` and ``t``."""
-    still = x == 0
-    if np.count_nonzero(still):
-        return np.where(still, t, np.expm1(-x * t) / np.where(still, -1.0, -x))
-    return np.expm1(-x * t) / -x
-
-
-def _poly_exp_integrals(a: float, t: np.ndarray, nmax: int) -> np.ndarray:
-    """J_n = Integral_{-t}^{0} e^{a tau} tau^n d tau for n = 0..nmax, shape (nmax + 1, T).
-
-    A power series in a t where |a t| < 1, else the recurrence
-    J_n = -e^{-a t} (-t)^n / a - (n / a) J_{n-1}.
-    """
-    js = np.empty((nmax + 1, t.size))
-    near = np.abs(a * t) < 1.0
-    if near.any():
-        tn, x = t[near], -a * t[near]
-        n = _N[:nmax + 1]
-        # J_n = (-1)^n t^{n+1} sum_m (-a t)^m / (m! (n + m + 1)); the terms
-        # shrink like |a t|^m / m!, so stop once that is below 1e-19
-        term = -((-tn) ** (n + 1)) / (n + 1)
-        total, reach, m, bound = term, float(np.max(np.abs(x))), 1, 1.0
-        while (bound := bound * reach / m) > 1e-19:
-            term = term * (x * _RATIOS[m][:nmax + 1])
-            total = total + term
-            m += 1
-        js[:, near] = total
-    if not near.all():
-        tf = t[~near]
-        rec = np.empty((nmax + 1, tf.size))
-        decay, power = np.exp(-a * tf), np.ones_like(tf)
-        rec[0] = -np.expm1(-a * tf) / a
-        for k in range(1, nmax + 1):
-            power = power * -tf
-            rec[k] = -decay * power / a - (k / a) * rec[k - 1]
-        js[:, ~near] = rec
-    return js
-
-
-def _moment_sums(a: float, u: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(J_0, S_1, S_2) with S_p = sum_k u^k J_{2k+p} / (2k+p)!.
-
-    These are the integrals of e^{a tau} against 1, sinh(w tau)/w and
-    (cosh(w tau) - 1)/w^2 over [-t, 0], w^2 = u, as series in u t^2. Since
-    |J_n| <= |t|^{n-1} |J_1|, order k is below (|u| t^2)^k / (2k+1)! of the
-    leading term; orders under 1e-19 of it are left out. They are summed from
-    the lowest, so the orders a longer batch keeps add nothing to a time
-    that needs fewer.
-    """
-    reach, orders, bound = abs(u) * float(np.max(t * t, initial=0.0)), 1, 1.0
-    while orders < _SERIES_ORDERS:
-        bound *= reach / ((2 * orders) * (2 * orders + 1))
-        if bound < 1e-19:
-            break
-        orders += 1
-    js = _poly_exp_integrals(a, t, 2 * orders) / _FACTORIALS[:2 * orders + 1, None]
-    odd, even, power = js[1], js[2], 1.0
-    for k in range(1, orders):
-        power *= u
-        odd = odd + power * js[2 * k + 1]
-        even = even + power * js[2 * k + 2]
-    return js[0], odd, even
-
-
-def _moment_route(system: OpenSystem, t: np.ndarray) -> np.ndarray:
-    """M = I_cc K + I_cs (B^T K + K B) + I_ss B^T K B from the moment series."""
-    s2 = system.sigma_squared
-    j0, i_cs, half_ss = _moment_sums(2.0 * system.alpha, 4.0 * s2, t)
-    i_ss = 2.0 * half_ss
-    k, sym, bkb = system.moment_forms
-    return ((j0 + s2 * i_ss)[:, None, None] * k + i_cs[:, None, None] * sym
-            + i_ss[:, None, None] * bkb)
-
-
-def _eigen_route(system: OpenSystem, t: np.ndarray) -> np.ndarray:
-    """M = Re sum_r phi(x_r, t) q_r from the spectral projectors of B."""
-    x, q, _ = system.damping_spectrum
-    phi = _phis(x[:, None], t)[:, :, None, None]
-    return (phi[0] * q[0] + phi[1] * q[1] + phi[2] * q[2]).real
-
-
-def _by_route(system: OpenSystem, t: np.ndarray, near_route, far_route) -> np.ndarray:
-    """``near_route`` at the times ``t`` where |2 sigma t|^2 is small and the
-    projectors of B ill-conditioned, ``far_route`` elsewhere, stacked on axis 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        near = abs(4.0 * system.sigma_squared) * (t * t) < _SERIES_REACH
-        count = np.count_nonzero(near)
-        if count == t.size:
-            return near_route(system, t)
-        if not count:
-            return far_route(system, t)
-        first = near_route(system, t[near])
-        out = np.empty((t.size,) + first.shape[1:])
-        out[near], out[~near] = first, far_route(system, t[~near])
-        return out
-
-
-def _moment_dets(system: OpenSystem, t: np.ndarray) -> np.ndarray:
-    """(det, slope, round-off) of M(-t) from the moment series, shape (T, 3)."""
-    m = _moment_route(system, -t)
-    c, s = _cosh_sinh(system.sigma_squared, t)
-    # d/dt M(-t) = -e^{2 alpha t} R_t^T K R_t, entries (00, 01, 10, 11)
-    dm = (np.array([c * c, c * s, s * s]).T @ system.moment_forms.reshape(3, 4)
-          * -np.exp(2.0 * system.alpha * t)[:, None])
-    m00, m01, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
-    diag, off = m00 * m11, m01 * m01
-    slope = m11 * dm[:, 0] + m00 * dm[:, 3] - 2.0 * m01 * dm[:, 1]
-    return np.array([diag - off, slope, 4.0 * _EPS * (np.abs(diag) + off)]).T
-
-
-def _spectral_dets(system: OpenSystem, t: np.ndarray) -> np.ndarray:
-    """(det, slope, round-off) of M(-t) from the cached det_form, shape (T, 3)."""
-    x, _, (weights, scales) = system.damping_spectrum
-    x = x[:, None]
-    phi = _phis(x, -t)
-    pairs = phi[:2] * phi[:0:-1]  # phi+ phi-, phi0^2
-    # d/dt phi(x, -t) = -e^{x t} = x phi - 1, times the partner in each pair
-    grown = (x * phi - 1.0) * phi[::-1]
-    slope = np.dot(weights, (grown + grown[::-1])[:2]).real
-    return np.array([np.dot(weights, pairs).real, slope,
-                     4.0 * _EPS * np.dot(scales, np.abs(pairs))]).T
-
-
-def _reversed_dets(system: OpenSystem, t: np.ndarray) -> np.ndarray:
-    """(det M(-t), d/dt det M(-t), round-off of det) at the times t >= 0, shape (T, 3).
-
-    Off the moment-series route, det M(-t) = Re(e phi+ phi- + f phi0^2) with
-    phi_r = phi(x_r, -t) and e, f from ``damping_spectrum``: two products
-    that keep their relative precision however far apart the exponentials
-    grow. On it, the series' m00 m11 - m01^2 does not cancel, and the slope
-    is tr(adj M dM/dt). Overflow is left non-finite for the caller to report.
-    """
-    return _by_route(system, t, _moment_dets, _spectral_dets)
-
-
-def damping_matrices(system: OpenSystem, times) -> np.ndarray:
-    """M(t) at every time in ``times``, shape (T, 2, 2); see :func:`damping_matrix`.
-
-    One batched evaluation of the system's cached ``moment_forms`` and
-    ``damping_spectrum``; entry i equals ``damping_matrix(system, times[i])``
-    bit for bit. Raises :class:`Unstable` naming the first time whose
-    exponentials overflow.
-    """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1:
-        raise ConfigError(f"damping matrices need a list of times, got shape {t.shape}")
-    if not np.isfinite(t).all():
-        raise ConfigError(f"damping matrix needs finite times, got {t.tolist()!r}")
-    if not (system.k_matrix.any() and t.size):
-        return np.zeros((t.size, 2, 2))
-    m = _by_route(system, t, _moment_route, _eigen_route)
-    finite = np.isfinite(m).all(axis=(1, 2))
-    if not finite.all():
-        raise Unstable(f"damping matrix overflows at t={float(t[~finite][0])!r}")
-    return m
-
-
 def damping_matrix(system: OpenSystem, t: float) -> np.ndarray:
     """M(t) = Integral_{-t}^{0} e^{2 alpha tau} R_tau^T K R_tau d tau, closed form.
 
     Positive semidefinite for t >= 0, negative semidefinite for t <= 0,
-    M(0) = 0. The batch of one of :func:`damping_matrices`: three
-    exponentials times the projector forms of B, with moment series where
-    |sigma^2| t^2 is small and the projectors are ill-conditioned. Raises
-    :class:`Unstable` when the exponentials overflow.
+    M(0) = 0. Three exponentials times the projector forms of B, with moment
+    series where |sigma^2| t^2 is small and the projectors are
+    ill-conditioned. Raises :class:`ConfigError` for a time that is not
+    finite and :class:`Unstable` when the exponentials overflow.
     """
-    return damping_matrices(system, [t])[0]
+    t = float(t)
+    if not math.isfinite(t):
+        raise ConfigError(f"damping matrix needs finite times, got {t!r}")
+    if not system.k_matrix.any():
+        return np.zeros((2, 2))
+    m00, m01, m11 = _damping_entries(system, t)
+    return _finite(np.array([[m00, m01], [m01, m11]]), "damping matrix", t)
 
 
 def _chord_exponent(system: OpenSystem, t: float, xi) -> np.ndarray:
@@ -322,15 +314,16 @@ def _chord_exponent(system: OpenSystem, t: float, xi) -> np.ndarray:
     that is not finite. Raises :class:`Unstable` when the exponentials
     overflow.
     """
+    t = float(t)
     xi = np.asarray(xi, dtype=float)
     reach = abs(4.0 * system.sigma_squared) * t * t
     if not (_SERIES_REACH <= reach < math.inf and system.k_matrix.any()):
         return np.einsum("...i,ij,...j->...", xi, damping_matrix(system, t), xi)
+    phi = _finite(_spectral_phis(system, t), "damping matrix", t)
     with np.errstate(over="ignore", invalid="ignore"):
         up = xi @ system.projector[1].T
         down, k = xi - up, system.k_matrix
         forms = (up @ k * up, 2.0 * up @ k * down, down @ k * down)
-        phi = _finite(_phis(system.damping_spectrum[0], float(t)), "damping matrix", t)
     return sum(p * np.sum(f, axis=-1) for p, f in zip(phi, forms)).real
 
 

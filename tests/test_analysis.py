@@ -20,7 +20,7 @@ from lindquad import (AsymptoticInvalid, ChordState, ConfigError,
                       purity_curve, reconstruct, reliable_chords,
                       symplectic_transform, write_purity_csv)
 from lindquad.grid import _json_text
-from lindquad.propagator import _chord_exponent, _reversed_dets
+from lindquad.propagator import _chord_exponent, _reversed_det
 
 
 def _parabolic_system(d_prime: float, eps: float, d_second: float) -> OpenSystem:
@@ -127,7 +127,7 @@ def test_subnormal_horizon_ends_the_scan() -> None:
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["False", "1"], proc.stderr
     # every horizon whose start is positive scans as before
-    for horizon, iterations in ((100.0, 18), (1e-6, 11), (5e-321, 11)):
+    for horizon, iterations in ((100.0, 17), (1e-6, 11), (5e-321, 11)):
         assert positivity_time(photon_bath(gamma=1.0),
                                horizon=horizon).iterations == iterations
 
@@ -195,7 +195,7 @@ def test_crossing_test_changes_sign_once_near_a_weak_saddle_threshold() -> None:
     system = symplectic_transform(saddle, random_symplectic(np.random.default_rng(4)))
     t_p = positivity_time(system, horizon=800.0).t_p
     times = t_p * (1.0 + np.linspace(-2e-10, 2e-10, 4001))
-    det, _, margin = _reversed_dets(system, times).T
+    det, _, margin = np.array([_reversed_det(system, t) for t in times.tolist()]).T
     crossed = det - 0.25 > margin
     assert np.count_nonzero(crossed[1:] != crossed[:-1]) == 1
 
@@ -233,6 +233,22 @@ def test_weak_coupling_elliptic_vs_hyperbolic() -> None:
     assert t_ell == pytest.approx(np.log(2.0) / (2.0 * alpha), rel=1e-6)
     assert t_hyp < t_ell
     assert t_hyp < 10.0  # saturates near the stretching time, not 1/alpha
+
+
+def test_hyperbolic_weak_coupling_law_in_sheared_frames() -> None:
+    # criterion 11's saddle: sigma = 1 and e = alpha^2, so the weak-coupling
+    # law t_p ~ (1/2 sigma) ln(sigma^2/e) reads ln(1/alpha); the threshold
+    # rises by ln 10 per decade and sits about alpha t_p below the law
+    for alpha in 10.0 ** -np.arange(1, 9):
+        r = np.sqrt(alpha)
+        saddle = OpenSystem(
+            hamiltonian=HamiltonianForm(matrix=np.diag([0.5, -0.5])),
+            channels=(LindbladChannel(l_re=[0.0, r], l_im=[r, 0.0]),))
+        law = np.log(1.0 / alpha)
+        for k in (0.0, 3.0, 1.0 / 3.0):
+            frame = symplectic_transform(saddle, np.array([[1.0, 0.0], [k, 1.0]]))
+            t_p = positivity_time(frame).t_p
+            assert abs(t_p - law) <= 1.1 * alpha * t_p, (alpha, k, t_p)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +350,7 @@ def test_purity_asymptote_holds_in_sheared_frames() -> None:
         assert purity_asymptotic(sys, t) == pytest.approx(value, rel=1e-6)
         assert purity_asymptotic(sheared, t) == pytest.approx(
             purity_asymptotic(sys, t), rel=1e-12)
-    # the curve's batched determinants give the same rows
+    # the curve's per-time determinants give the same rows
     curve = purity_curve(sys, coherent_state((0.0, 0.0)), list(expected))
     assert curve.methods == ("quadrature",) * 2 + ("asymptotic",) * 2
     assert curve.values[2:].tolist() == [purity_asymptotic(sys, t) for t in expected]

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -806,6 +807,32 @@ def test_coherent_centres_whose_occupancy_overflows_exit_two(tmp_path) -> None:
                                  state={"type": "coherent", "center": [0, 1e200]}))
     out = tmp_path / "oracle.json"
     assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 2
+    assert list(tmp_path.glob("oracle.json*")) == []
+
+
+def test_number_bases_above_the_largest_exit_two_before_any_run(tmp_path,
+                                                                monkeypatch) -> None:
+    # fock_dim 501 once exited 2 only at wigner_from_fock, after about 5 s of
+    # number-basis Lindblad run
+    def no_run(*args, **kwargs):
+        raise AssertionError("Lindblad run before the basis check")
+
+    monkeypatch.setattr(oracle, "integrate_fock_lindblad", no_run)
+    cfg = _config(tmp_path, dict(_BASE["oracle-compare"], fock_dim=501))
+    start = time.perf_counter()
+    assert main(["oracle-compare", "--config", cfg, "--out",
+                 str(tmp_path / "oracle.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert list(tmp_path.glob("oracle.json*")) == []
+
+
+def test_coherent_centres_above_the_largest_default_basis_exit_two(tmp_path) -> None:
+    # |c|^2 is finite, but its default basis of about 5e199 states once failed
+    # to allocate with an untyped ValueError (exit 1)
+    cfg = _config(tmp_path, dict(_BASE["oracle-compare"],
+                                 state={"type": "coherent", "center": [0, 1e100]}))
+    assert main(["oracle-compare", "--config", cfg, "--out",
+                 str(tmp_path / "oracle.json")]) == 2
     assert list(tmp_path.glob("oracle.json*")) == []
 
 

@@ -17,6 +17,8 @@ import pytest
 
 import lindquad
 import lindquad.cli
+from lindquad import (HamiltonianForm, LindbladChannel, OpenSystem, analysis,
+                      photon_bath, symplectic_transform)
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 _MODULES = ("analysis", "cli", "grid", "langevin", "model", "oracle",
@@ -148,6 +150,33 @@ def _unused_imports(path: Path) -> list:
             used |= set(ast.literal_eval(node.value))
     return [f"{path.name}:{line}: {name}" for name, line in imported.items()
             if name not in used]
+
+
+def test_positivity_iterations_count_determinant_calls(monkeypatch) -> None:
+    # PositivityResult.iterations, which the bench's det_evals counter reads,
+    # is the number of kernel calls the scan and the search make
+    calls = []
+    kernel = analysis._reversed_det
+
+    def counted(system, t):
+        calls.append(t)
+        return kernel(system, t)
+
+    monkeypatch.setattr(analysis, "_reversed_det", counted)
+    saddle = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.5, 0.0], [0.0, -0.5]]),
+                        channels=(LindbladChannel(l_re=[0.0, 0.1], l_im=[0.1, 0.0]),))
+    parabolic = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[1.0, 0.0], [0.0, 0.0]]),
+                           channels=(LindbladChannel(l_re=[0.3, 0.1], l_im=[0.0, 0.2]),))
+    cases = [(photon_bath(gamma=1.0, nbar=0.3), 100.0, True),
+             (symplectic_transform(saddle, [[1.0, 0.0], [3.0, 1.0]]), 100.0, True),
+             (parabolic, 100.0, True),
+             (photon_bath(gamma=1.0), 0.1, False),
+             (photon_bath(gamma=1.0), 1e-323, False)]
+    for system, horizon, reached in cases:
+        calls.clear()
+        result = analysis.positivity_time(system, horizon)
+        assert result.reached == reached
+        assert len(calls) == result.iterations > 0
 
 
 def test_no_unused_imports() -> None:

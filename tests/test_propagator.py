@@ -12,8 +12,7 @@ from conftest import (centre_flow, damping_bath, det2, orbit,
 from lindquad import (ChordState, ConfigError, GridTooCoarse,
                       HamiltonianForm, J, LindbladChannel, OpenSystem,
                       Unstable, affine_flow, cat_state, cat_wigner_line, centered_grid,
-                      chord_pde_residual, coherent_state, damping_matrices,
-                      damping_matrix,
+                      chord_pde_residual, coherent_state, damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
                       evolve_wigner_grid, evolved_state, exact_moments,
                       gaussian_state, photon_bath, symplectic_transform)
@@ -192,15 +191,18 @@ def test_damping_kernel_handles_vanishing_exponents() -> None:
             assert np.max(np.abs(mc - mq)) <= 1e-9 * max(1.0, np.max(np.abs(mc)))
 
 
-def test_damping_matrices_take_any_list_of_times() -> None:
+def test_damping_matrix_refuses_nan_and_overflow() -> None:
     sys = photon_bath(gamma=1.0)
-    assert damping_matrices(sys, []).shape == (0, 2, 2)
     with pytest.raises(ConfigError):
-        damping_matrices(sys, [0.5, float("nan")])
-    with pytest.raises(ConfigError):
-        damping_matrices(sys, [[0.5]])
+        damping_matrix(sys, float("nan"))
     with pytest.raises(Unstable):
-        damping_matrices(sys, [0.5, -2000.0])
+        damping_matrix(sys, -2000.0)
+    # a parabolic system once took the projector route where t^2 overflows
+    # and failed there with a TypeError
+    parabolic = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[1.0, 0.0], [0.0, 0.0]]),
+                           channels=(LindbladChannel(l_re=[0.3, 0.0]),))
+    with pytest.raises(Unstable):
+        damping_matrix(parabolic, 1e200)
 
 
 def test_damping_basics() -> None:

@@ -20,14 +20,14 @@ from conftest import det2, random_hamiltonian, random_symplectic, random_system
 from lindquad import (ChordState, GridSpec, HamiltonianForm, J, LindbladChannel,
                       OpenSystem, TruncationLeak, affine_flow, affine_flow_expm,
                       cat_state, centered_grid, coherent_state,
-                      damping_matrices, damping_matrix,
+                      damping_matrix,
                       damping_matrix_quadrature, evolve_chord,
                       evolve_wigner_grid, evolved_state, fock_cat, fock_coherent,
                       fock_operators, gaussian_state, integrate_fock_lindblad,
                       photon_bath, positivity_time, purity, purity_quadrature,
                       reconstruct, reliable_chords, symplectic_transform,
                       wigner_from_fock)
-from lindquad.propagator import _reversed_dets
+from lindquad.propagator import _reversed_det
 from lindquad.states import _tile_size
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -319,7 +319,7 @@ def test_damping_matrix_reversal_identity(system, t) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the batched damping kernel, the closed-form affine offset and the
+# the scalar damping kernel, the closed-form affine offset and the
 # threshold search, also on near-parabolic systems where the moment series
 # and the eigenbasis meet
 
@@ -346,17 +346,8 @@ def _rate(system) -> float:
 
 def _crossed(system, t: float) -> bool:
     """The search's crossing test: det M(-t) - 1/4 above its round-off."""
-    det, _, margin = _reversed_dets(system, np.array([t]))[0]
+    det, _, margin = _reversed_det(system, t)
     return det - 0.25 > margin
-
-
-@PROPERTY
-@given(kernel_systems, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
-def test_batched_damping_matrices_equal_per_time_calls(system, xs) -> None:
-    ts = [x / _rate(system) for x in xs]
-    batch = damping_matrices(system, ts)
-    for t, m in zip(ts, batch):
-        assert np.array_equal(m, damping_matrix(system, t))
 
 
 @PROPERTY
