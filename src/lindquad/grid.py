@@ -140,17 +140,21 @@ class GridField:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a same-directory temp file + rename."""
+    """Write ``text`` to ``path`` through a same-directory temp file + rename;
+    no failure leaves the temp file, and an ``OSError`` (a missing directory,
+    ``path`` naming a directory) raises :class:`ConfigError` naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = ""
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    finally:
+        if os.path.exists(tmp):  # renamed away once the write succeeds
             os.unlink(tmp)
-        raise
 
 
 def _read_json(path: str, what: str):

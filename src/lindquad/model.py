@@ -18,16 +18,17 @@ with ``J = [[0, -1], [1, 0]]`` the matrix of the wedge product,
 ``xi ^ x = (J xi) . x``.
 
 :class:`OpenSystem` caches ``B = 2 J H`` (``B^2 = sigma^2 I``), ``K`` and the
-constant, exactly symmetric matrices of the damping matrix M(t), so M is
-symmetric too: ``K, B^T K + K B, B^T K B`` and, for sigma != 0, the forms
-``P_i^T K P_j`` of the spectral projectors ``P+- = (I +- B/sigma)/2`` of B
-with the two coefficients that give det M from products of scalars. They are
-built once per system, without warnings where they overflow (the kernel
-reports that), and the propagator reads them as Python scalars at one time
-per call. It also holds the Wigner transport's data, used by the Langevin
-sampler and the Fokker–Planck oracle alike: the drift ``2 J H - alpha I``
-with offset ``J b``, the noise vectors ``sqrt(hbar) J l`` and the diffusion
-``D = (hbar/2) J K J^T``.
+constant, exactly symmetric forms of the damping matrix M(t), so M is
+symmetric too: ``moment_forms`` (``K, B^T K + K B, B^T K B``) and, for
+sigma != 0, ``damping_spectrum`` (the forms ``P_i^T K P_j`` of the spectral
+projectors ``P+- = (I +- B/sigma)/2`` of B, their exponents and the two
+coefficients that give det M from products of scalars). numpy builds them
+once per system, without warnings where they overflow (the kernel reports
+that), and each form is kept as its (00, 01, 11) entries in Python scalars,
+the layout the propagator reads at one time per call. It also holds the
+Wigner transport's data, used by the Langevin sampler and the Fokker–Planck
+oracle alike: the drift ``2 J H - alpha I`` with offset ``J b``, the noise
+vectors ``sqrt(hbar) J l`` and the diffusion ``D = (hbar/2) J K J^T``.
 """
 
 from __future__ import annotations
@@ -215,10 +216,11 @@ def classify(hamiltonian: HamiltonianForm) -> Regime:
     return Regime.PARABOLIC
 
 
-def _symmetric(m: np.ndarray) -> np.ndarray:
-    out = 0.5 * (m + m.swapaxes(-1, -2))
-    out.setflags(write=False)
-    return out
+def _symmetric_entries(*forms: np.ndarray) -> tuple:
+    """The (00, 01, 11) entries of each form's symmetric part, as Python scalars."""
+    stack = np.stack(forms)
+    sym = 0.5 * (stack + stack.swapaxes(-1, -2))
+    return tuple(map(tuple, sym.reshape(-1, 4)[:, [0, 1, 3]].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,58 +278,48 @@ class OpenSystem:
         return -4.0 * self.hamiltonian.det
 
     @cached_property
-    def moment_forms(self) -> NDArray[np.float64]:
-        """(K, B^T K + K B, B^T K B) stacked, the matrices of M's moment series."""
+    def moment_forms(self) -> tuple:
+        """The (00, 01, 11) entries of K, B^T K + K B and B^T K B, the forms
+        of M's moment series."""
         b, k = self.generator, self.k_matrix
         with np.errstate(over="ignore", invalid="ignore"):
-            return _symmetric(np.stack([k, b.T @ k + k @ b, b.T @ k @ b]))
+            return _symmetric_entries(k, b.T @ k + k @ b, b.T @ k @ b)
 
     @cached_property
-    def projector(self) -> Optional[tuple]:
-        """(root, P+) where sigma != 0, else None: root = sigma, real when
-        hyperbolic, and P+ = (I + B/sigma)/2, the spectral projector of B
-        with B P+ = sigma P+ (P- = I - P+)."""
+    def damping_spectrum(self) -> Optional[tuple]:
+        """(x, q, (e, f, e_scale, f_scale), P+) with M(t) = Re sum_r
+        phi(x_r, t) q_r where sigma != 0, else None; phi(x, t) is the
+        integral of e^{x tau} over [-t, 0]. P+ = (I + B/sigma)/2 is the
+        spectral projector of B (B P+ = sigma P+, P- = I - P+) and the one
+        array; the rest are Python scalars.
+
+        R_tau = e^{sigma tau} P+ + e^{-sigma tau} P-, so M's integrand has
+        exponents x = 2 alpha + (2 sigma, 0, -2 sigma) on q = (P+^T K P+,
+        P+^T K P- + P-^T K P+, P-^T K P-), each the (00, 01, 11) of its form.
+        P+- have rank one, so det q+- and the mixed determinants of q0 with
+        q+- vanish: det M = Re(e phi+ phi- + f phi0^2), e = q+00 q-11 + q+11
+        q-00 - 2 q+01 q-01, f = det q0, each scale the sum of the magnitudes
+        of the products in e or f, which bounds their round-off.
+        """
         s2 = self.sigma_squared
         if s2 == 0.0:
             return None
         root = math.sqrt(s2) if s2 > 0.0 else cmath.sqrt(s2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            plus = (self.generator + root * np.eye(2)) / (2.0 * root)
-        plus.setflags(write=False)
-        return root, plus
-
-    @cached_property
-    def damping_spectrum(self) -> Optional[tuple]:
-        """(x, q, det_form) with M(t) = Re sum_r phi(x_r, t) q_r where sigma != 0,
-        else None; phi(x, t) is the integral of e^{x tau} over [-t, 0].
-
-        R_tau = e^{sigma tau} P+ + e^{-sigma tau} P-, so M's integrand has
-        exponents x = 2 alpha + (2 sigma, 0, -2 sigma) on q = (P+^T K P+,
-        P+^T K P- + P-^T K P+, P-^T K P-). P+- have rank one, so det q+- and
-        the mixed determinants of q0 with q+- vanish: det M = Re(e phi+ phi-
-        + f phi0^2), e = q+00 q-11 + q+11 q-00 - 2 q+01 q-01, f = det q0.
-        det_form = ((e, f), (e_scale, f_scale)), each scale the sum of the
-        magnitudes of the products in e or f, which bounds their round-off.
-        """
-        if self.projector is None:
-            return None
-        root, plus = self.projector
-        minus = np.eye(2) - plus
         k = self.k_matrix
         with np.errstate(over="ignore", invalid="ignore"):
+            plus = (self.generator + root * np.eye(2)) / (2.0 * root)
+            minus = np.eye(2) - plus
             cross = plus.T @ k @ minus  # q_r at O(1), before any exponential
-            q = _symmetric(np.stack([plus.T @ k @ plus, cross + cross.T,
-                                     minus.T @ k @ minus]))
+            q = _symmetric_entries(plus.T @ k @ plus, cross + cross.T,
+                                   minus.T @ k @ minus)
             x = 2.0 * self.alpha + np.array([2.0 * root, 0.0, -2.0 * root])
-        (p00, p01, p11), (z00, z01, z11), (m00, m01, m11) = (
-            q.reshape(3, 4)[:, [0, 1, 3]].tolist())
+        plus.setflags(write=False)
+        (p00, p01, p11), (z00, z01, z11), (m00, m01, m11) = q
         e_terms = (p00 * m11, p11 * m00, -2.0 * p01 * m01)
         f_terms = (z00 * z11, -z01 * z01)
-        det_form = np.array([[sum(e_terms).real, sum(f_terms).real],
-                             [sum(map(abs, e_terms)), sum(map(abs, f_terms))]])
-        for arr in (x, det_form):
-            arr.setflags(write=False)
-        return x, q, det_form
+        det = (sum(e_terms).real, sum(f_terms).real,
+               sum(map(abs, e_terms)), sum(map(abs, f_terms)))
+        return tuple(x.tolist()), q, det, plus
 
     @property
     def drift_matrix(self) -> NDArray[np.float64]:

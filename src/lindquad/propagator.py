@@ -25,8 +25,10 @@ system caches once: the offset o of a linear Hamiltonian term is
 t phi_1(t A) J b = (c1 I + s1 B) J b, and M(t) is Re sum_r phi(x_r, t) q_r
 over the projector forms of B (``damping_spectrum``), or moment series
 times K, B^T K + K B, B^T K B (``moment_forms``) where |sigma^2| t^2 is
-small. det M(-t) and its slope, for the positivity search, come from two
-scalar products (:func:`_reversed_det`), never from an assembled M. The
+small. Both records hold each form as its (00, 01, 11) entries in Python
+scalars, which the kernel unpacks by name with no conversion per call.
+det M(-t) and its slope, for the positivity search, come from two scalar
+products (:func:`_reversed_det`), never from an assembled M. The
 adaptive quadrature of the same integral and the matrix exponential of the
 affine flow are audits in ``oracle``.
 """
@@ -200,16 +202,15 @@ def _offset_scalars(system: OpenSystem, t: float) -> tuple[float, float]:
 
 
 @_nan_on_overflow(3)
-def _spectral_phis(system: OpenSystem, t: float) -> tuple:
+def _spectral_phis(x: tuple, t: float) -> tuple:
     """phi(x_r, t) at ``damping_spectrum``'s x = 2 alpha + (2 sigma, 0, -2 sigma)."""
-    return tuple(_phi(x, t) for x in system.damping_spectrum[0].tolist())
+    return tuple(_phi(xr, t) for xr in x)
 
 
-def _entries(weights, forms: list) -> tuple[float, float, float]:
-    """Entries 00, 01, 11 of Re sum_r w_r F_r, the 2x2 forms F_r as lists."""
+def _entries(weights, forms: tuple) -> tuple[float, float, float]:
+    """Entries 00, 01, 11 of Re sum_r w_r F_r, each form F_r its (00, 01, 11)."""
     (w0, w1, w2), (f0, f1, f2) = weights, forms
-    return tuple((w0 * f0[i][j] + w1 * f1[i][j] + w2 * f2[i][j]).real
-                 for i, j in ((0, 0), (0, 1), (1, 1)))
+    return tuple((w0 * a + w1 * b + w2 * c).real for a, b, c in zip(f0, f1, f2))
 
 
 @_nan_on_overflow(3)
@@ -225,8 +226,9 @@ def _damping_entries(system: OpenSystem, t: float) -> tuple[float, float, float]
     if _on_series(4.0 * s2, t):
         j0, i_cs, half_ss = _moment_sums(2.0 * system.alpha, 4.0 * s2, t)
         i_ss = 2.0 * half_ss
-        return _entries((j0 + s2 * i_ss, i_cs, i_ss), system.moment_forms.tolist())
-    return _entries(_spectral_phis(system, t), system.damping_spectrum[1].tolist())
+        return _entries((j0 + s2 * i_ss, i_cs, i_ss), system.moment_forms)
+    x, q, _, _ = system.damping_spectrum
+    return _entries(_spectral_phis(x, t), q)
 
 
 @_nan_on_overflow(3)
@@ -246,16 +248,15 @@ def _reversed_det(system: OpenSystem, t: float) -> tuple[float, float, float]:
         # d/dt M(-t) = -e^{2 alpha t} R_t^T K R_t
         grow = -math.exp(2.0 * system.alpha * t)
         d00, d01, d11 = _entries((grow * c * c, grow * c * s, grow * s * s),
-                                 system.moment_forms.tolist())
+                                 system.moment_forms)
         diag, off = m00 * m11, m01 * m01
         return (diag - off, m11 * d00 + m00 * d11 - 2.0 * m01 * d01,
                 4.0 * _EPS * (abs(diag) + off))
-    x, _, det_form = system.damping_spectrum
-    (e, f), (e_scale, f_scale) = det_form.tolist()
-    phi = _spectral_phis(system, -t)
+    x, _, (e, f, e_scale, f_scale), _ = system.damping_spectrum
+    phi = _spectral_phis(x, -t)
     pair, square = phi[0] * phi[2], phi[1] * phi[1]
     # d/dt phi(x, -t) = -e^{x t} = x phi - 1, times the partner in each pair
-    grown = [(xr * p - 1.0) * q for xr, p, q in zip(x.tolist(), phi, phi[::-1])]
+    grown = [(xr * p - 1.0) * q for xr, p, q in zip(x, phi, phi[::-1])]
     slope = e * (grown[0] + grown[2]) + f * (grown[1] + grown[1])
     return ((e * pair + f * square).real, slope.real,
             4.0 * _EPS * (e_scale * abs(pair) + f_scale * abs(square)))
@@ -319,9 +320,10 @@ def _chord_exponent(system: OpenSystem, t: float, xi) -> np.ndarray:
     reach = abs(4.0 * system.sigma_squared) * t * t
     if not (_SERIES_REACH <= reach < math.inf and system.k_matrix.any()):
         return np.einsum("...i,ij,...j->...", xi, damping_matrix(system, t), xi)
-    phi = _finite(_spectral_phis(system, t), "damping matrix", t)
+    x, _, _, plus = system.damping_spectrum
+    phi = _finite(_spectral_phis(x, t), "damping matrix", t)
     with np.errstate(over="ignore", invalid="ignore"):
-        up = xi @ system.projector[1].T
+        up = xi @ plus.T
         down, k = xi - up, system.k_matrix
         forms = (up @ k * up, 2.0 * up @ k * down, down @ k * down)
     return sum(p * np.sum(f, axis=-1) for p, f in zip(phi, forms)).real

@@ -790,6 +790,37 @@ def test_non_numeric_config_values_exit_two(tmp_path, command, override) -> None
     assert not out.exists()
 
 
+_TABLE = {"d_second": [0.0, 1.0], "epsilons": [1.0]}
+_FINE = {"grid": dict(_GRID, half_extent=[5.0, 5.0], shape=[49, 49])}
+_WRITES = {"classify": (["classify"], {"system": PHOTON}),
+           "positivity": (["positivity"], {"system": PHOTON}),
+           "sweep": (["positivity", "--sweep"], _TABLE),
+           "paper-table": (["positivity", "--paper-table"], _TABLE),
+           "evolve": (["evolve"], dict(_BASE["evolve"], **_FINE)),
+           "oracle-compare": (["oracle-compare"], dict(
+               _BASE["oracle-compare"], t=0.15, **_FINE,
+               state={"type": "coherent", "center": [0.6, 0.0]})),
+           **{command: ([command], _BASE[command])
+              for command in ("entropy", "langevin", "reconstruct")}}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("name", sorted(_WRITES))
+def test_unwritable_out_exits_two(tmp_path, capsys, name, where) -> None:
+    # a path in a missing directory, or an existing directory, cannot be
+    # written: an error line naming it, and no temp file left behind
+    argv, payload = _WRITES[name]
+    cfg = _config(tmp_path, payload)
+    out = tmp_path / ("taken" if where == "directory" else "missing/out.csv")
+    if where == "directory":
+        out.mkdir()
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write " + str(out)), err
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob(".tmp-*.part")) == []
+
+
 def test_cats_whose_separation_overflows_exit_two(tmp_path) -> None:
     # zeta^2 overflows from zeta ~ 1.35e154: refused before any file is made
     for command in ("evolve", "entropy", "reconstruct", "oracle-compare"):

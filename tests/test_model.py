@@ -122,13 +122,17 @@ def test_cached_arrays_refuse_writes() -> None:
                         channels=(LindbladChannel(l_re=[0.0, 1.0], l_im=[-1.0, 0.0]),))
     assert 0.0 in saddle.damping_spectrum[0]  # 2 alpha + 2 sigma = 0
     for sys in (photon_bath(1.0, nbar=0.5), saddle):
-        x, q, det_form = sys.damping_spectrum
-        cached = [sys.k_matrix, sys.generator, sys.moment_forms, x, q, det_form,
-                  sys.noise_vectors, sys.diffusion]
+        x, q, det, plus = sys.damping_spectrum
+        cached = [sys.k_matrix, sys.generator, plus, sys.noise_vectors, sys.diffusion]
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+        # the kernel's per-call data are tuples of Python scalars, immutable
+        # by type: no array reaches the per-call path
+        scalars = [*x, *det, *(v for form in (*q, *sys.moment_forms) for v in form)]
+        assert len(scalars) == 3 + 4 + 18
+        assert all(type(v) in (float, complex) for v in scalars)
 
 
 def test_characteristic_timescale() -> None:

@@ -392,6 +392,71 @@ def test_photon_bath_threshold_takes_few_evaluations(gamma, nbar) -> None:
     assert result.iterations <= 20
 
 
+# The paper's weak-coupling threshold laws. det M(-t) = Re(e phi+ phi- +
+# f phi0^2) with the symplectic invariants e = det(sigma^2 K + B^T K B) and
+# f = det(sigma^2 K - B^T K B), each over 4 sigma^4, computed here from the
+# raw channels and H. alpha^2 <= det K = e + f, and e >= 0 when hyperbolic,
+# e <= 0 when elliptic, so the coupling kappa = (sqrt|e| + sqrt|f|)/|sigma|
+# bounds |alpha/sigma| and the elliptic log1p stays defined:
+# - hyperbolic, t_p ~ ln(sigma^2/e)/(2 sigma), off by about alpha/sigma
+#   relative;
+# - elliptic, t_p ~ ln(1 + alpha/sqrt f)/(2 alpha), off by O(kappa^2) plus
+#   the round-off of the phases sigma t_p.
+# Scratch sweeps of 9,000 hyperbolic and 12,000 elliptic systems (channels
+# scaled by sqrt(eps), eps = 1e-2 to 1e-6) found at worst 0.996 kappa and
+# 0.56 (kappa^2 + eps_mach |sigma| t_p); the bounds are twice those.
+
+
+def _weak_system(regime: str, log_eps: float, seed: int) -> OpenSystem:
+    """H with eigenvalues of magnitude 0.25 to 1 (either sign when
+    elliptic), one to three channels of standard normal vectors times
+    sqrt(eps), in a frame sheared by k in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.25, 1.0, size=2)
+    sign = rng.choice([-1.0, 1.0])
+    values = [a, -b] if regime == "hyperbolic" else [sign * a, sign * b]
+    angle = rng.uniform(0.0, math.pi)
+    rot = np.array([[math.cos(angle), -math.sin(angle)],
+                    [math.sin(angle), math.cos(angle)]])
+    root = math.sqrt(10.0 ** log_eps)
+    channels = tuple(LindbladChannel(l_re=root * rng.normal(size=2),
+                                     l_im=root * rng.normal(size=2))
+                     for _ in range(rng.integers(1, 4)))
+    h = HamiltonianForm(matrix=rot @ np.diag(values) @ rot.T)
+    shear = np.array([[1.0, 0.0], [rng.uniform(-3.0, 3.0), 1.0]])
+    return symplectic_transform(OpenSystem(hamiltonian=h, channels=channels), shear)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(["hyperbolic", "elliptic"]), st.floats(-6.0, -2.0),
+       st.integers(0, 2 ** 32 - 1))
+@example("hyperbolic", -6.0, 1)
+@example("elliptic", -6.0, 1)
+def test_weak_coupling_thresholds_follow_the_paper_laws(regime, log_eps, seed) -> None:
+    system = _weak_system(regime, log_eps, seed)
+    b = 2.0 * J @ system.hamiltonian.matrix
+    s2 = -4.0 * det2(system.hamiltonian.matrix)
+    k = sum(np.outer(ch.l_re, ch.l_re) + np.outer(ch.l_im, ch.l_im)
+            for ch in system.channels)
+    alpha = sum((J @ ch.l_im) @ ch.l_re for ch in system.channels)
+    e = det2(s2 * k + b.T @ k @ b) / (4.0 * s2 * s2)
+    f = det2(s2 * k - b.T @ k @ b) / (4.0 * s2 * s2)
+    rate = math.sqrt(abs(s2))
+    kappa = (math.sqrt(abs(e)) + math.sqrt(abs(f))) / rate
+    if regime == "hyperbolic":
+        law = math.log(s2 / e) / (2.0 * rate)
+    else:
+        law = math.log1p(alpha / math.sqrt(f)) / (2.0 * alpha)
+    result = positivity_time(system, horizon=4.0 * law)
+    assert result.reached
+    error = abs(result.t_p - law) / result.t_p
+    if regime == "hyperbolic":
+        assert error <= 2.0 * kappa, (error, kappa)
+    else:
+        floor = np.finfo(float).eps * rate * result.t_p
+        assert error <= 2.0 * (kappa ** 2 + floor), (error, kappa)
+
+
 # The number-basis oracle against the exact solver beyond the photon bath:
 # random H in each regime, one to three random channels, a random drive and
 # hbar != 1, for coherent states and cats at t = 0.3 in 40 number states.
