@@ -13,8 +13,9 @@ late-time saddle value; :func:`reconstruct` inverts the evolution, and
 attenuation Gaussian amplifies whatever noise lives at large chords.
 
 Every function here asks the propagator's kernel for one time per call:
-the threshold depends on the system alone, so the scan and the search
-evaluate det M(-t) point by point, and a purity curve loops over its times.
+the threshold depends on the system alone, so the bracket and the search
+evaluate det M(-t) point by point, starting from the small-time law
+det M(-t) ~ det K t^2, and a purity curve loops over its times.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class PositivityResult:
     ``reached`` with ``t_p``, the first evaluated time whose det M(-t) is
     resolved above 1/4, and ``det_value`` >= 1/4 there; or not reached
     within ``horizon``, with the supremum ``limit`` of det M(-t) seen on the
-    scan less its round-off (so <= 1/4). ``iterations`` counts the times at
+    bracket less its round-off (so <= 1/4). ``iterations`` counts the times at
     which det M(-t) was evaluated, t_p included.
     """
 
@@ -101,16 +102,18 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     time per call (:func:`~lindquad.propagator._reversed_det`), never from
     an assembled M(-t) whose m00 m11 - m01^2 would cancel.
 
-    The scan doubles from 1e-3 of the characteristic timescale (the horizon
-    itself where that underflows to 0) up to ``horizon``, point by point,
-    and stops at the first crossed time. A safeguarded Newton search
-    (rtsafe) then refines the bracket to 1e-13 relative, starting from the
-    crossed scan point. It takes Newton steps in sqrt(det M(-t)) while they
-    land inside the bracket and at most half as long as the step before
-    last, and bisects otherwise. A step shorter than the tolerance is
-    lengthened to land just past the root and close the bracket from the
-    other side; should it fall short, the length test turns the next step
-    into bisection.
+    Since M(-t) ~ -K t near t = 0, det M(-t) reaches 1/4 near 1/(2 sqrt(det
+    K)). The first evaluation is there, or at the characteristic timescale
+    where det K is 0 or not finite, or at ``horizon`` if that comes first.
+    A crossed start halves down to an uncrossed time (or to 0, where M
+    vanishes); an uncrossed one doubles up to a crossed time or the horizon.
+    A safeguarded Newton search (rtsafe) then refines that bracket to 1e-13
+    relative, starting from its crossed end. It takes Newton steps in
+    sqrt(det M(-t)) while they land inside the bracket and at most half as
+    long as the step before last, and bisects otherwise. A step shorter
+    than the tolerance is lengthened to land just past the root and close
+    the bracket from the other side; should it fall short, the length test
+    turns the next step into bisection.
 
     ``t_p``, ``det_value`` and ``iterations`` are as in
     :class:`PositivityResult`. An overflowed determinant counts as crossed,
@@ -118,10 +121,13 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     """
     if not 0.0 < horizon < math.inf:
         raise ConfigError("horizon must be positive and finite")
-    if not system.k_matrix.any():
+    k00, k01, k11 = system.moment_forms[0]
+    if not (k00 or k01 or k11):
         return PositivityResult(reached=False, horizon=horizon, iterations=0,
                                 limit=0.0)
-    scale = min(characteristic_timescale(system), horizon)
+    det_k = k00 * k11 - k01 * k01
+    scale = (0.5 / math.sqrt(det_k) if 0.0 < det_k < math.inf
+             else characteristic_timescale(system))
     evals = 0
 
     def det_at(t: float) -> tuple:
@@ -133,18 +139,23 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
             return t, d, s, m
         return t, math.inf, s, 0.0
 
-    lo, t = 0.0, 1e-3 * scale or horizon  # 0 on a subnormal horizon
-    best = -_THRESHOLD
-    high = det_at(t)
-    while not high[1] - _THRESHOLD > high[3]:  # not crossed
+    def crossed(point: tuple) -> bool:
+        return point[1] - _THRESHOLD > point[3]
+
+    high = det_at(scale if 0.0 < scale < horizon else horizon)
+    lo, best = 0.0, -_THRESHOLD
+    if crossed(high):  # halve down to an uncrossed time, or to 0 (M(0) = 0)
+        while (lo := 0.5 * high[0]) > 0.0 and crossed(point := det_at(lo)):
+            high = point
+    while not crossed(high):  # double up to a crossed time or the horizon
         best = max(best, high[1] - _THRESHOLD - high[3])
-        if t >= horizon:
+        if high[0] >= horizon:
             return PositivityResult(reached=False, horizon=horizon,
                                     iterations=evals, limit=best + _THRESHOLD)
-        lo, t = t, min(2.0 * t, horizon)
-        high = det_at(t)
+        lo = high[0]
+        high = det_at(min(2.0 * lo, horizon))
 
-    # safeguarded Newton (rtsafe) from the crossed scan point
+    # safeguarded Newton (rtsafe) from the crossed end of the bracket
     hi, point = high[0], high
     moved = before = hi - lo
     while hi - lo > 1e-13 * hi:
@@ -159,7 +170,7 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
             x = 0.5 * (lo + hi)
         before, moved = moved, abs(x - point[0])
         point = det_at(x)
-        if point[1] - _THRESHOLD > point[3]:
+        if crossed(point):
             hi, high = x, point
         else:
             lo = x

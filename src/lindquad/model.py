@@ -22,12 +22,14 @@ constant, exactly symmetric forms of the damping matrix M(t), so M is
 symmetric too: ``moment_forms`` (``K, B^T K + K B, B^T K B``) and, for
 sigma != 0, ``damping_spectrum`` (the forms ``P_i^T K P_j`` of the spectral
 projectors ``P+- = (I +- B/sigma)/2`` of B, their exponents and the two
-coefficients that give det M from products of scalars). numpy builds them
-once per system, without warnings where they overflow (the kernel reports
-that), and each form is kept as its (00, 01, 11) entries in Python scalars,
-the layout the propagator reads at one time per call. It also holds the
-Wigner transport's data, used by the Langevin sampler and the Fokker–Planck
-oracle alike: the drift ``2 J H - alpha I`` with offset ``J b``, the noise
+coefficients that give det M from products of scalars). They are built once
+per system in Python scalar arithmetic, from one read of H's and the
+channels' entries (``alpha``, ``sigma_squared`` and the arrays ``K`` and
+``B`` come from the same scalars), so overflow gives inf or nan without a
+warning (the kernel reports it). Each form is kept as its (00, 01, 11)
+entries, the layout the propagator reads at one time per call. It also
+holds the Wigner transport's data, used by the Langevin sampler and the
+Fokker–Planck oracle alike: the drift ``2 J H - alpha I`` with offset ``J b``, the noise
 vectors ``sqrt(hbar) J l`` and the diffusion ``D = (hbar/2) J K J^T``.
 """
 
@@ -71,18 +73,29 @@ def finite_array(value, shape: tuple[int, ...], name: str) -> NDArray[np.float64
     Every entry must be an int or a float (booleans, strings and misshapen
     nesting are refused) and finite; anything else raises :class:`ConfigError`.
     """
+    items = [value]
+    for size in shape:  # JSON's nested lists of plain numbers need no object array
+        if not all(type(v) in (list, tuple) and len(v) == size for v in items):
+            items = [None]
+            break
+        items = [v for row in items for v in row]
+    if not all(type(v) in (int, float) for v in items):
+        try:
+            obj = np.asarray(value, dtype=object)
+        except ValueError:  # ragged nesting numpy cannot hold
+            obj = np.asarray(None, dtype=object)
+        items = list(obj.flat)
+        if obj.shape != shape or not all(
+                isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) for v in items):
+            kind = f"numbers of shape {shape}" if shape else "a number"
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
     try:
-        arr = np.asarray(value, dtype=object)
-    except ValueError:  # ragged nesting numpy cannot hold
-        arr = np.asarray(None, dtype=object)
-    if arr.shape != shape or not all(
-            isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) for v in arr.flat):
-        kind = f"numbers of shape {shape}" if shape else "a number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    arr = arr.astype(float)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be finite, got {arr.tolist()}")
+        arr = np.array(items, dtype=float).reshape(shape)
+    except OverflowError:  # an int beyond the float range
+        arr = None
+    if arr is None or not all(map(math.isfinite, items)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return arr
 
 
@@ -216,11 +229,18 @@ def classify(hamiltonian: HamiltonianForm) -> Regime:
     return Regime.PARABOLIC
 
 
-def _symmetric_entries(*forms: np.ndarray) -> tuple:
-    """The (00, 01, 11) entries of each form's symmetric part, as Python scalars."""
-    stack = np.stack(forms)
-    sym = 0.5 * (stack + stack.swapaxes(-1, -2))
-    return tuple(map(tuple, sym.reshape(-1, 4)[:, [0, 1, 3]].tolist()))
+def _pair_form(k: tuple, a: tuple, c: tuple) -> tuple:
+    """(00, 01, 11) of a^T K c + c^T K a, with K given by its (00, 01, 11)
+    and the 2x2 a and c by their (00, 01, 10, 11), all Python scalars."""
+    k00, k01, k11 = k
+    u0, u1 = k00 * c[0] + k01 * c[2], k00 * c[1] + k01 * c[3]  # row 0 of K c
+    v0, v1 = k01 * c[0] + k11 * c[2], k01 * c[1] + k11 * c[3]  # row 1 of K c
+    x00, x11 = a[0] * u0 + a[2] * v0, a[1] * u1 + a[3] * v1
+    return (x00 + x00, a[0] * u1 + a[2] * v1 + (a[1] * u0 + a[3] * v0), x11 + x11)
+
+
+def _halved(form: tuple) -> tuple:
+    return tuple(0.5 * v for v in form)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,10 +260,18 @@ class OpenSystem:
         object.__setattr__(self, "channels", tuple(self.channels))
 
     @cached_property
+    def _scalars(self) -> tuple:
+        """((h00, h01, h11), B's (00, 01, 10, 11), one (l'_p, l'_q, l''_p,
+        l''_q) per channel): the Python floats every derived form is built
+        from, read from the arrays once."""
+        (h00, h01), (_, h11) = self.hamiltonian.matrix.tolist()
+        return ((h00, h01, h11), (-2.0 * h01, -2.0 * h11, 2.0 * h00, 2.0 * h01),
+                tuple(ch.l_re.tolist() + ch.l_im.tolist() for ch in self.channels))
+
+    @cached_property
     def alpha(self) -> float:
         """alpha = sum_j (J l''_j) . l'_j, additive over channels."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(sum((J @ ch.l_im) @ ch.l_re for ch in self.channels))
+        return float(sum(b0 * a1 - b1 * a0 for a0, a1, b0, b1 in self._scalars[2]))
 
     @property
     def sigma(self) -> complex:
@@ -258,32 +286,36 @@ class OpenSystem:
     @cached_property
     def k_matrix(self) -> NDArray[np.float64]:
         """K = sum_j (l' l'^T + l'' l''^T), the channel second-moment matrix."""
-        k = np.zeros((2, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for ch in self.channels:
-                k += np.outer(ch.l_re, ch.l_re) + np.outer(ch.l_im, ch.l_im)
+        k00, k01, k11 = self.moment_forms[0]
+        k = np.array([[k00, k01], [k01, k11]])
         k.setflags(write=False)
         return k
 
     @cached_property
     def generator(self) -> NDArray[np.float64]:
         """B = 2 J H, the generator of the orbit R_t = exp(t B)."""
-        b = 2.0 * J @ self.hamiltonian.matrix
+        b = np.array(self._scalars[1]).reshape(2, 2)
         b.setflags(write=False)
         return b
 
     @cached_property
     def sigma_squared(self) -> float:
         """sigma^2 = -4 det H, so that B^2 = sigma^2 I."""
-        return -4.0 * self.hamiltonian.det
+        h00, h01, h11 = self._scalars[0]
+        return -4.0 * (h00 * h11 - h01 * h01)
 
     @cached_property
     def moment_forms(self) -> tuple:
         """The (00, 01, 11) entries of K, B^T K + K B and B^T K B, the forms
         of M's moment series."""
-        b, k = self.generator, self.k_matrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _symmetric_entries(k, b.T @ k + k @ b, b.T @ k @ b)
+        _, b, channels = self._scalars
+        k00 = k01 = k11 = 0.0
+        for a0, a1, b0, b1 in channels:
+            k00 += a0 * a0 + b0 * b0
+            k01 += a0 * a1 + b0 * b1
+            k11 += a1 * a1 + b1 * b1
+        k = (k00, k01, k11)
+        return k, _pair_form(k, (1.0, 0.0, 0.0, 1.0), b), _halved(_pair_form(k, b, b))
 
     @cached_property
     def damping_spectrum(self) -> Optional[tuple]:
@@ -305,21 +337,20 @@ class OpenSystem:
         if s2 == 0.0:
             return None
         root = math.sqrt(s2) if s2 > 0.0 else cmath.sqrt(s2)
-        k = self.k_matrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            plus = (self.generator + root * np.eye(2)) / (2.0 * root)
-            minus = np.eye(2) - plus
-            cross = plus.T @ k @ minus  # q_r at O(1), before any exponential
-            q = _symmetric_entries(plus.T @ k @ plus, cross + cross.T,
-                                   minus.T @ k @ minus)
-            x = 2.0 * self.alpha + np.array([2.0 * root, 0.0, -2.0 * root])
-        plus.setflags(write=False)
+        b, k, twice = self._scalars[1], self.moment_forms[0], 2.0 * root
+        plus = ((b[0] + root) / twice, b[1] / twice, b[2] / twice, (b[3] + root) / twice)
+        minus = (1.0 - plus[0], -plus[1], -plus[2], 1.0 - plus[3])
+        q = (_halved(_pair_form(k, plus, plus)), _pair_form(k, plus, minus),
+             _halved(_pair_form(k, minus, minus)))
         (p00, p01, p11), (z00, z01, z11), (m00, m01, m11) = q
         e_terms = (p00 * m11, p11 * m00, -2.0 * p01 * m01)
         f_terms = (z00 * z11, -z01 * z01)
         det = (sum(e_terms).real, sum(f_terms).real,
                sum(map(abs, e_terms)), sum(map(abs, f_terms)))
-        return tuple(x.tolist()), q, det, plus
+        projector = np.array(plus).reshape(2, 2)
+        projector.setflags(write=False)
+        two_alpha = 2.0 * self.alpha
+        return (two_alpha + twice, two_alpha, two_alpha - twice), q, det, projector
 
     @property
     def drift_matrix(self) -> NDArray[np.float64]:
@@ -354,18 +385,12 @@ def characteristic_timescale(sys: OpenSystem) -> float:
 
     Used to scale positivity scans and similar searches.
     """
-    scales = []
-    if sys.alpha != 0.0:
-        scales.append(1.0 / abs(sys.alpha))
-    s = abs(sys.sigma)
-    if s != 0.0:
-        scales.append(1.0 / s)
-    if scales:
-        return min(scales)
-    knorm = float(np.linalg.norm(sys.k_matrix, 2))
-    if knorm > 0.0:
-        return 1.0 / math.sqrt(knorm)
-    return math.inf
+    rates = [r for r in (abs(sys.alpha), math.sqrt(abs(sys.sigma_squared))) if r]
+    if rates:
+        return 1.0 / max(rates)
+    k00, k01, k11 = sys.moment_forms[0]
+    knorm = 0.5 * (k00 + k11 + math.hypot(k00 - k11, 2.0 * k01))  # K's top eigenvalue
+    return 1.0 / math.sqrt(knorm) if knorm > 0.0 else math.inf
 
 
 def _inv2(c: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -462,8 +487,8 @@ def system_from_dict(data: dict) -> OpenSystem:
             raise ConfigError(f"channel {i} is empty")
         channels.append(LindbladChannel(l_re=ch.get("l_re", np.zeros(2)),
                                         l_im=ch.get("l_im")))
-    hbar = float(finite_array(data.get("hbar", 1.0), (), "'hbar'"))
-    return OpenSystem(hamiltonian=h, channels=tuple(channels), hbar=hbar)
+    return OpenSystem(hamiltonian=h, channels=tuple(channels),
+                      hbar=data.get("hbar", 1.0))
 
 
 def system_to_dict(sys: OpenSystem) -> dict:

@@ -114,9 +114,10 @@ def test_threshold_unreached_below_horizon() -> None:
 
 
 def test_subnormal_horizon_ends_the_scan() -> None:
-    # 1e-3 of a horizon below ~5e-321 rounds to 0, which doubling never
-    # moves: the scan starts at the horizon instead. A subprocess with a
-    # timeout turns a regression into a failure instead of a hang
+    # a start of 0 would never move under doubling: a horizon below the
+    # small-time scale 1/(2 sqrt(det K)), subnormal ones included, is itself
+    # the one evaluation. A subprocess with a timeout turns a regression
+    # into a failure instead of a hang
     code = ("from lindquad import photon_bath, positivity_time; "
             "r = positivity_time(photon_bath(gamma=1.0), horizon=1e-323); "
             "print(r.reached, r.iterations)")
@@ -126,10 +127,44 @@ def test_subnormal_horizon_ends_the_scan() -> None:
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["False", "1"], proc.stderr
-    # every horizon whose start is positive scans as before
-    for horizon, iterations in ((100.0, 17), (1e-6, 11), (5e-321, 11)):
+    # det K = 1/4: the bracket is [1/2, 1] after two evaluations, and rtsafe
+    # takes six more
+    for horizon, iterations in ((100.0, 8), (1e-6, 1), (5e-321, 1)):
         assert positivity_time(photon_bath(gamma=1.0),
                                horizon=horizon).iterations == iterations
+
+
+def test_threshold_bracket_takes_few_evaluations() -> None:
+    # the benchmark's threshold jobs without their jitter and frames: the
+    # 5 x 4 photon-bath grid and the unit-channel oscillators. The
+    # small-time start 1/(2 sqrt(det K)) brackets t_p within a step or two;
+    # the doubling ladder from 1e-3 of the timescale took about 15 each
+    systems = [(photon_bath(gamma=gamma, nbar=nbar), 100.0)
+               for gamma in (0.25, 0.5, 1.0, 2.0, 4.0)
+               for nbar in (0.0, 0.5, 1.0, 3.0)]
+    for alpha in (1e-1, 1e-2, 1e-3):
+        r = np.sqrt(alpha)
+        for h in (np.diag([0.5, 0.5]), np.diag([0.5, -0.5])):
+            systems.append((OpenSystem(
+                hamiltonian=HamiltonianForm(matrix=h),
+                channels=(LindbladChannel(l_re=[0.0, r], l_im=[r, 0.0]),)), 800.0))
+    results = [positivity_time(sys, horizon=horizon) for sys, horizon in systems]
+    assert all(result.reached for result in results)
+    assert np.mean([result.iterations for result in results]) <= 8.0
+
+
+def test_unreached_verdicts_keep_their_limit() -> None:
+    # pure gain approaches 1/4 from below: the limit is the supremum seen,
+    # less its round-off, the same value the doubling ladder reported
+    gain = OpenSystem(hamiltonian=HamiltonianForm(matrix=0.5 * np.eye(2)),
+                      channels=(LindbladChannel(l_re=[0.0, 0.3], l_im=[-0.3, 0.0]),))
+    result = positivity_time(gain, horizon=300.0)
+    assert not result.reached
+    assert result.limit <= 0.25
+    assert result.limit == 0.24999999999999975
+    # no noise at all: no evaluation
+    free = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.eye(2)))
+    assert positivity_time(free).iterations == 0
 
 
 def test_threshold_without_noise() -> None:
@@ -161,7 +196,8 @@ def test_threshold_found_in_short_resolved_window() -> None:
     # sigma = 1: det M(-t) ~ alpha^2 (cosh 2t - 1) / 2 while the entries of M
     # grow like alpha e^{2t}, so m00 m11 - m01^2 of an assembled M(-t) would
     # resolve the determinant above 1/4 only for t in about (16.5, 17.6);
-    # the doubling scan steps from 16.4 to 32.8 and must still find t_p
+    # the brackets (12.5, 25) and (15.6, 31.3) halved down from the horizons
+    # hold no point of it, and the search must still find t_p
     alpha = 7e-8
     r = np.sqrt(alpha)
     ham = HamiltonianForm(matrix=[[0.5, 0.0], [0.0, -0.5]])

@@ -1094,3 +1094,13 @@ def test_langevin_validation_errors(tmp_path) -> None:
     assert main(["langevin", "--config", cfg, "--out", out]) == 2
     cat_cfg = _langevin_config(tmp_path, state={"type": "cat", "zeta": 1.0})
     assert main(["langevin", "--config", cat_cfg, "--out", out]) == 2
+
+
+def test_integers_beyond_the_float_range_exit_two(tmp_path) -> None:
+    # JSON integers are exact: one past the float range once escaped
+    # finite_array as an OverflowError traceback (exit 1)
+    huge = 10 ** 400
+    for payload in (dict(PHOTON, hbar=huge),
+                    dict(PHOTON, hamiltonian={"matrix": [[huge, 0], [0, 1]]})):
+        cfg = _config(tmp_path, {"system": payload})
+        assert main(["classify", "--config", cfg]) == 2

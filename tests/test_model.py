@@ -197,6 +197,20 @@ def test_system_from_dict_is_strict() -> None:
         system_from_dict(bad)
 
 
+def test_system_hbar_is_checked_by_the_one_rule(monkeypatch) -> None:
+    # the descriptor's hbar reaches OpenSystem as given, so checked_hbar is
+    # the only check it meets, and every bad value is still typed
+    good = system_to_dict(photon_bath(gamma=1.0))
+    for hbar in (-1.0, 0.0, math.nan, math.inf, True, "1.0", [1.0]):
+        with pytest.raises(ConfigError):
+            system_from_dict(dict(good, hbar=hbar))
+    seen = []
+    monkeypatch.setattr("lindquad.model.checked_hbar",
+                        lambda value: seen.append(value) or 1.0)
+    assert system_from_dict(dict(good, hbar=2)).hbar == 1.0
+    assert seen == [2] and type(seen[0]) is int
+
+
 def test_one_hbar_rule_gives_typed_errors() -> None:
     # hbar must be positive and finite wherever it enters, and the Fock
     # builders read their centre and zeta as finite numbers, before any

@@ -379,7 +379,7 @@ def test_threshold_brackets_the_crossing(system) -> None:
         assert _crossed(system, result.t_p * (1.0 + 1e-12))
         assert not _crossed(system, result.t_p * (1.0 - 1e-12))
         assert result.det_value > 0.25
-        # about 17 typically: two scan batches and a few Newton steps
+        # a few halving or doubling steps to bracket t_p, then a few Newton steps
         assert result.iterations <= 30
 
 
@@ -455,6 +455,61 @@ def test_weak_coupling_thresholds_follow_the_paper_laws(regime, log_eps, seed) -
     else:
         floor = np.finfo(float).eps * rate * result.t_p
         assert error <= 2.0 * (kappa ** 2 + floor), (error, kappa)
+
+
+# The paper's parabolic law at alpha = 0. With sigma^2 = 0, B^2 = 0 and
+# R_tau = I + tau B, so at alpha = 0 M(-t) = -(K t + S t^2/2 + Q t^3/3)
+# with S = B^T K + K B and Q = B^T K B: t_p is the first root of
+# det(K t + S t^2/2 + Q t^3/3) = 1/4, solved here by bisection from the raw
+# H and channels. (d'' = 0 in the paper's table is its closed case
+# (3/d'^2)^(1/4).) The root is as ill-conditioned as that determinant
+# cancels: kappa = (|a00 a11| + a01^2)/det at the root. A scratch sweep of
+# 4,000 systems found at worst 1e-13 + 77 eps_mach kappa (kappa up to
+# 5e6); the bound is twice that.
+
+
+def _parabolic_system(seed: int) -> OpenSystem:
+    """Rank-one H (eigenvalue of magnitude 0.25 to 1, either sign), one to
+    three channels with l'' = c l' (so alpha = 0) of standard normal l' and
+    c, in a frame sheared by k in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, math.pi)
+    u = np.array([math.cos(angle), math.sin(angle)])
+    h = HamiltonianForm(matrix=rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 1.0)
+                        * np.outer(u, u))
+    channels = []
+    for _ in range(rng.integers(1, 4)):
+        l = rng.normal(size=2)
+        channels.append(LindbladChannel(l_re=l, l_im=rng.normal() * l))
+    shear = np.array([[1.0, 0.0], [rng.uniform(-3.0, 3.0), 1.0]])
+    return symplectic_transform(OpenSystem(hamiltonian=h, channels=tuple(channels)),
+                                shear)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_parabolic_thresholds_follow_the_cubic_moment_law(seed) -> None:
+    system = _parabolic_system(seed)
+    b = 2.0 * J @ system.hamiltonian.matrix
+    k = sum(np.outer(ch.l_re, ch.l_re) + np.outer(ch.l_im, ch.l_im)
+            for ch in system.channels)
+    s, q = b.T @ k + k @ b, b.T @ k @ b
+
+    def form(t: float) -> np.ndarray:
+        return k * t + s * (t * t / 2.0) + q * (t ** 3 / 3.0)
+
+    lo, hi = 0.0, 1.0
+    while det2(form(hi)) <= 0.25:
+        lo, hi = hi, 2.0 * hi
+        assert hi < 1e6
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if det2(form(mid)) <= 0.25 else (lo, mid)
+    a = form(hi)
+    kappa = (abs(a[0, 0] * a[1, 1]) + a[0, 1] ** 2) / 0.25
+    result = positivity_time(system, horizon=4.0 * hi)
+    assert result.reached
+    error = abs(result.t_p - hi) / hi
+    assert error <= 2e-13 + 154.0 * np.finfo(float).eps * kappa, (error, kappa)
 
 
 # The number-basis oracle against the exact solver beyond the photon bath:
