@@ -35,8 +35,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, SingularFrame, Unstable
-from .model import (J, OpenSystem, _covariance, _psd_root, finite_array,
-                    symplectic_transform)
+from .model import (J, OpenSystem, _covariance, _psd_root, _symmetrized,
+                    finite_array, symplectic_transform)
 from .propagator import _exact_step
 
 __all__ = [
@@ -191,12 +191,16 @@ def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
 
 def ensemble_moments(ensemble: TrajectoryEnsemble, index: int = -1
                      ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Sample mean and covariance (ddof=1) at a stored time index; the
-    covariance needs at least two paths (:class:`ConfigError`)."""
+    """Sample mean and covariance (ddof=1) at a stored time index: at least
+    two paths (:class:`ConfigError`), :class:`Unstable` when they overflow."""
     snap = ensemble.paths[:, index, :]
     if snap.shape[0] < 2:
         raise ConfigError("a sample covariance needs at least 2 paths")
-    return snap.mean(axis=0), np.cov(snap.T, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = snap.mean(axis=0), np.cov(snap.T, ddof=1)
+    if not np.isfinite(cov).all():  # an infinite mean leaves none finite
+        raise Unstable("sample moments overflow")
+    return mean, cov
 
 
 def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float
@@ -211,7 +215,7 @@ def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float
     linear, offset, m = _exact_step(system, t)
     mean = mean @ linear.T + offset
     cov = linear @ cov @ linear.T + system.hbar * (-J @ m @ J)
-    return mean, 0.5 * (cov + cov.T)
+    return mean, _symmetrized(cov)
 
 
 def momentum_dissipation_frame(system: OpenSystem) -> tuple[OpenSystem, NDArray[np.float64]]:

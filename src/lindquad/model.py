@@ -17,20 +17,21 @@ Derived scalars, both properties of :class:`OpenSystem`:
 with ``J = [[0, -1], [1, 0]]`` the matrix of the wedge product,
 ``xi ^ x = (J xi) . x``.
 
+Outside input is read one way: nested lists, tuples and arrays by
+:func:`finite_array`, every 2x2 form symmetrized by :func:`_symmetrized`
+alone, and det H computed once, by ``HamiltonianForm.det``.
+
 :class:`OpenSystem` caches ``B = 2 J H`` (``B^2 = sigma^2 I``), ``K`` and the
-constant, exactly symmetric forms of the damping matrix M(t), so M is
-symmetric too: ``moment_forms`` (``K, B^T K + K B, B^T K B``) and, for
-sigma != 0, ``damping_spectrum`` (the forms ``P_i^T K P_j`` of the spectral
-projectors ``P+- = (I +- B/sigma)/2`` of B, their exponents and the two
-coefficients that give det M from products of scalars). They are built once
-per system in Python scalar arithmetic, from one read of H's and the
-channels' entries (``alpha``, ``sigma_squared`` and the arrays ``K`` and
-``B`` come from the same scalars), so overflow gives inf or nan without a
-warning (the kernel reports it). Each form is kept as its (00, 01, 11)
-entries, the layout the propagator reads at one time per call. It also
-holds the Wigner transport's data, used by the Langevin sampler and the
-Fokker–Planck oracle alike: the drift ``2 J H - alpha I`` with offset ``J b``, the noise
-vectors ``sqrt(hbar) J l`` and the diffusion ``D = (hbar/2) J K J^T``.
+constant, exactly symmetric forms of the damping matrix M(t):
+``moment_forms`` (``K, B^T K + K B, B^T K B``) and, for sigma != 0,
+``damping_spectrum`` (the forms ``P_i^T K P_j`` of B's spectral projectors
+``P+- = (I +- B/sigma)/2``, their exponents and the coefficients of det M).
+They are built once per system in Python scalars from one read of H's and
+the channels' entries, each form as its (00, 01, 11), so overflow gives inf
+or nan without a warning (the kernel reports it). It also holds the Wigner
+transport's data, for the Langevin sampler and the Fokker–Planck oracle:
+the drift ``2 J H - alpha I`` with offset ``J b``, the noise vectors
+``sqrt(hbar) J l`` and the diffusion ``D = (hbar/2) J K J^T``.
 """
 
 from __future__ import annotations
@@ -68,34 +69,31 @@ _SYM_RTOL = 1e-12
 
 
 def finite_array(value, shape: tuple[int, ...], name: str) -> NDArray[np.float64]:
-    """Outside input ``value`` as a new finite float array of ``shape``.
+    """Outside input ``value`` as a new read-only finite float array of ``shape``.
 
-    Every entry must be an int or a float (booleans, strings and misshapen
-    nesting are refused) and finite; anything else raises :class:`ConfigError`.
+    ``value`` and its rows, walked one nesting level at a time, must be
+    lists, tuples or numpy arrays (read by ``tolist``) of each level's
+    length, and every entry a finite int or float; anything else (booleans
+    and strings too) raises :class:`ConfigError`.
     """
-    items = [value]
-    for size in shape:  # JSON's nested lists of plain numbers need no object array
-        if not all(type(v) in (list, tuple) and len(v) == size for v in items):
-            items = [None]
+    items = [value.tolist() if isinstance(value, np.ndarray) else value]
+    for size in shape:
+        rows = [v.tolist() if isinstance(v, np.ndarray) else v for v in items]
+        if not all(type(v) in (list, tuple) and len(v) == size for v in rows):
+            items = [None]  # refused below
             break
-        items = [v for row in items for v in row]
-    if not all(type(v) in (int, float) for v in items):
-        try:
-            obj = np.asarray(value, dtype=object)
-        except ValueError:  # ragged nesting numpy cannot hold
-            obj = np.asarray(None, dtype=object)
-        items = list(obj.flat)
-        if obj.shape != shape or not all(
-                isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool) for v in items):
-            kind = f"numbers of shape {shape}" if shape else "a number"
-            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        items = [v for row in rows for v in row]
+    if not all(isinstance(v, (int, float, np.integer, np.floating))
+               and not isinstance(v, bool) for v in items):
+        kind = f"numbers of shape {shape}" if shape else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
     try:
         arr = np.array(items, dtype=float).reshape(shape)
     except OverflowError:  # an int beyond the float range
         arr = None
     if arr is None or not all(map(math.isfinite, items)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -116,6 +114,24 @@ def checked_hbar(value) -> float:
     return hbar
 
 
+def _symmetrized(m: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The 2x2 ``m`` with its off-diagonal pair replaced by their mean, each
+    halved before the sum so that a finite pair stays finite."""
+    (a, b), (c, d) = m.tolist()
+    off = 0.5 * b + 0.5 * c
+    return np.array([[a, off], [off, d]])
+
+
+def _symmetric_input(value, name: str, error: type[Exception]) -> NDArray[np.float64]:
+    """Outside input ``value`` as a finite 2x2, symmetrized; ``error`` when its
+    off-diagonal pair differs by more than ``_SYM_RTOL * max(1, max|entry|)``."""
+    m = finite_array(value, (2, 2), name)
+    (a, b), (c, d) = m.tolist()
+    if abs(b - c) > _SYM_RTOL * max(1.0, abs(a), abs(b), abs(c), abs(d)):
+        raise error(f"{name} must be symmetric within round-off")
+    return _symmetrized(m)
+
+
 def _psd_root(c: NDArray[np.float64]) -> NDArray[np.float64]:
     """S with S S^T = c for a symmetric c, from ``eigh`` with eigenvalues
     clipped at 0 (c may be singular and then has no Cholesky factor)."""
@@ -134,25 +150,16 @@ def _covariance(value, name: str, definite: bool = True
     -1e-12 max|C_ij|, and S is :func:`_psd_root`'s. Anything else raises
     :class:`NotPositiveDefinite`.
     """
-    cov = finite_array(value, (2, 2), name)
-    scale = float(np.max(np.abs(cov)))
-    if float(np.max(np.abs(cov - cov.T))) > _SYM_RTOL * max(1.0, scale):
-        raise NotPositiveDefinite(f"{name} must be symmetric")
-    cov = 0.5 * (cov + cov.T)
+    cov = _symmetric_input(value, name, NotPositiveDefinite)
     try:
         return cov, np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
+        scale = float(np.max(np.abs(cov)))
         if definite or np.linalg.eigvalsh(cov)[0] < -_SYM_RTOL * scale:
             kind = "definite" if definite else "semidefinite"
             raise NotPositiveDefinite(
                 f"{name} is not positive {kind}: {cov.tolist()}") from None
     return cov, _psd_root(cov)
-
-
-def _as_vector(value, name: str) -> NDArray[np.float64]:
-    vec = finite_array(value, (2,), name)
-    vec.setflags(write=False)
-    return vec
 
 
 def wedge(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
@@ -165,30 +172,25 @@ class HamiltonianForm:
     """Quadratic Hamiltonian H(x) = x.Hx + linear.x.
 
     ``matrix`` must be symmetric: inputs within round-off of symmetric are
-    symmetrized exactly, anything worse is rejected.
+    symmetrized (:func:`_symmetrized`), anything worse is rejected.
     """
 
     matrix: NDArray[np.float64]
     linear: NDArray[np.float64] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        m = finite_array(self.matrix, (2, 2), "H matrix")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > _SYM_RTOL * scale:
-            raise ConfigError(
-                "H matrix must be symmetric (|H - H^T| exceeds round-off)")
-        m = 0.5 * (m + m.T)
+        m = _symmetric_input(self.matrix, "H matrix", ConfigError)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         lin = self.linear if self.linear is not None else np.zeros(2)
-        object.__setattr__(self, "linear", _as_vector(lin, "H linear term"))
+        object.__setattr__(self, "linear", finite_array(lin, (2,), "H linear term"))
 
-    @property
+    @cached_property
     def det(self) -> float:
-        """m00 m11 - m01 m10; inf or NaN when the entries overflow it."""
-        m = self.matrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        """h00 h11 - h01^2 in Python floats, the one det H (sigma, sigma^2, the
+        regime and the timescale read it); inf or NaN where the entries overflow."""
+        (h00, h01), (_, h11) = self.matrix.tolist()
+        return h00 * h11 - h01 * h01
 
     def value(self, x: NDArray[np.float64]) -> float:
         x = np.asarray(x, dtype=float)
@@ -203,9 +205,9 @@ class LindbladChannel:
     l_im: NDArray[np.float64] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l_re", _as_vector(self.l_re, "l_re"))
+        object.__setattr__(self, "l_re", finite_array(self.l_re, (2,), "l_re"))
         im = self.l_im if self.l_im is not None else np.zeros(2)
-        object.__setattr__(self, "l_im", _as_vector(im, "l_im"))
+        object.__setattr__(self, "l_im", finite_array(im, (2,), "l_im"))
 
 
 class Regime(enum.Enum):
@@ -261,23 +263,22 @@ class OpenSystem:
 
     @cached_property
     def _scalars(self) -> tuple:
-        """((h00, h01, h11), B's (00, 01, 10, 11), one (l'_p, l'_q, l''_p,
-        l''_q) per channel): the Python floats every derived form is built
-        from, read from the arrays once."""
+        """(B's (00, 01, 10, 11), one (l'_p, l'_q, l''_p, l''_q) per channel):
+        the Python floats every derived form is built from, read from the
+        arrays once."""
         (h00, h01), (_, h11) = self.hamiltonian.matrix.tolist()
-        return ((h00, h01, h11), (-2.0 * h01, -2.0 * h11, 2.0 * h00, 2.0 * h01),
+        return ((-2.0 * h01, -2.0 * h11, 2.0 * h00, 2.0 * h01),
                 tuple(ch.l_re.tolist() + ch.l_im.tolist() for ch in self.channels))
 
     @cached_property
     def alpha(self) -> float:
         """alpha = sum_j (J l''_j) . l'_j, additive over channels."""
-        return float(sum(b0 * a1 - b1 * a0 for a0, a1, b0, b1 in self._scalars[2]))
+        return float(sum(b0 * a1 - b1 * a0 for a0, a1, b0, b1 in self._scalars[1]))
 
     @property
     def sigma(self) -> complex:
         """sigma = 2 sqrt(-det H), branch with Re >= 0, then Im >= 0."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return complex(2.0 * np.sqrt(complex(-self.hamiltonian.det)))
+        return 2.0 * cmath.sqrt(-self.hamiltonian.det)
 
     @property
     def regime(self) -> Regime:
@@ -294,21 +295,20 @@ class OpenSystem:
     @cached_property
     def generator(self) -> NDArray[np.float64]:
         """B = 2 J H, the generator of the orbit R_t = exp(t B)."""
-        b = np.array(self._scalars[1]).reshape(2, 2)
+        b = np.array(self._scalars[0]).reshape(2, 2)
         b.setflags(write=False)
         return b
 
     @cached_property
     def sigma_squared(self) -> float:
         """sigma^2 = -4 det H, so that B^2 = sigma^2 I."""
-        h00, h01, h11 = self._scalars[0]
-        return -4.0 * (h00 * h11 - h01 * h01)
+        return -4.0 * self.hamiltonian.det
 
     @cached_property
     def moment_forms(self) -> tuple:
         """The (00, 01, 11) entries of K, B^T K + K B and B^T K B, the forms
         of M's moment series."""
-        _, b, channels = self._scalars
+        b, channels = self._scalars
         k00 = k01 = k11 = 0.0
         for a0, a1, b0, b1 in channels:
             k00 += a0 * a0 + b0 * b0
@@ -337,7 +337,7 @@ class OpenSystem:
         if s2 == 0.0:
             return None
         root = math.sqrt(s2) if s2 > 0.0 else cmath.sqrt(s2)
-        b, k, twice = self._scalars[1], self.moment_forms[0], 2.0 * root
+        b, k, twice = self._scalars[0], self.moment_forms[0], 2.0 * root
         plus = ((b[0] + root) / twice, b[1] / twice, b[2] / twice, (b[3] + root) / twice)
         minus = (1.0 - plus[0], -plus[1], -plus[2], 1.0 - plus[3])
         q = (_halved(_pair_form(k, plus, plus)), _pair_form(k, plus, minus),
@@ -385,7 +385,7 @@ def characteristic_timescale(sys: OpenSystem) -> float:
 
     Used to scale positivity scans and similar searches.
     """
-    rates = [r for r in (abs(sys.alpha), math.sqrt(abs(sys.sigma_squared))) if r]
+    rates = [r for r in (abs(sys.alpha), abs(sys.sigma)) if r]
     if rates:
         return 1.0 / max(rates)
     k00, k01, k11 = sys.moment_forms[0]
@@ -496,12 +496,9 @@ def system_to_dict(sys: OpenSystem) -> dict:
     return {
         "hbar": sys.hbar,
         "hamiltonian": {
-            "matrix": [[float(v) for v in row] for row in sys.hamiltonian.matrix],
-            "linear": [float(v) for v in sys.hamiltonian.linear],
+            "matrix": sys.hamiltonian.matrix.tolist(),
+            "linear": sys.hamiltonian.linear.tolist(),
         },
-        "channels": [
-            {"l_re": [float(v) for v in ch.l_re],
-             "l_im": [float(v) for v in ch.l_im]}
-            for ch in sys.channels
-        ],
+        "channels": [{"l_re": ch.l_re.tolist(), "l_im": ch.l_im.tolist()}
+                     for ch in sys.channels],
     }

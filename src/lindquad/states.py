@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, Unstable
-from .model import (J, _as_vector, _covariance, _inv2, _require_keys, checked_hbar,
+from .model import (J, _covariance, _inv2, _require_keys, _symmetrized, checked_hbar,
                     finite_array)
 
 __all__ = [
@@ -168,8 +168,7 @@ class ChordState:
             raise ConfigError("a chord state needs (n,) log weights, a (2, 2) "
                               "form and (n, 2) shifts")
         object.__setattr__(self, "hbar", checked_hbar(self.hbar))
-        form = 0.5 * (form + form.T)
-        for name, value in (("log_weights", log_weights), ("form", form),
+        for name, value in (("log_weights", log_weights), ("form", _symmetrized(form)),
                             ("shifts", shifts)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -315,7 +314,7 @@ def coherent_state(center, hbar: float = 1.0) -> ChordState:
     Chord function (1/2 pi hbar) exp(-xi^2/4 hbar) exp((i/hbar) xi ^ center);
     Wigner function is the round Gaussian of width sqrt(hbar/2) per axis.
     """
-    c, hbar = _as_vector(center, "center"), checked_hbar(hbar)
+    c, hbar = finite_array(center, (2,), "center"), checked_hbar(hbar)
     return _validate_builtin(ChordState(
         log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
         form=np.eye(2) / (2.0 * hbar),
@@ -328,7 +327,7 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
 
     Pure iff det cov = (hbar/2)^2; purity is (hbar/2)/sqrt(det cov).
     """
-    mean, hbar = _as_vector(mean, "mean"), checked_hbar(hbar)
+    mean, hbar = finite_array(mean, (2,), "mean"), checked_hbar(hbar)
     cov, _ = _covariance(cov, "covariance")
     det = float(np.linalg.det(cov))
     pure = abs(det - (hbar / 2.0) ** 2) <= 1e-9 * (hbar / 2.0) ** 2
@@ -351,9 +350,9 @@ def cat_state(zeta: float, hbar: float = 1.0) -> ChordState:
     The normalization 1/(1 + e^{-zeta^2/hbar}) keeps Wt(0) = 1/(2 pi hbar)
     exactly.
     """
-    if not 0.0 <= zeta < math.inf:  # false for NaN too
-        raise ConfigError("zeta must be finite and nonnegative")
-    hbar = checked_hbar(hbar)
+    zeta, hbar = float(finite_array(zeta, (), "cat zeta")), checked_hbar(hbar)
+    if zeta < 0.0:
+        raise ConfigError("zeta must be nonnegative")
     if not math.isfinite(zeta * zeta / hbar):
         raise ConfigError(f"cat zeta^2/hbar must be finite, got zeta = {zeta!r}")
     z = zeta / hbar
@@ -381,8 +380,7 @@ def state_from_dict(data: dict, hbar: float = 1.0) -> ChordState:
         return coherent_state(data.get("center", (0.0, 0.0)), hbar=hbar)
     if kind == "cat":
         _require_keys(data, {"type", "zeta"}, {"zeta"}, "cat state")
-        zeta = float(finite_array(data["zeta"], (), "cat zeta"))
-        return cat_state(zeta, hbar=hbar)
+        return cat_state(data["zeta"], hbar=hbar)
     if kind == "gaussian":
         _require_keys(data, {"type", "mean", "cov"}, {"cov"}, "gaussian state")
         return gaussian_state(data.get("mean", (0.0, 0.0)), data["cov"], hbar=hbar)

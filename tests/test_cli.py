@@ -869,6 +869,8 @@ def test_coherent_centres_above_the_largest_default_basis_exit_two(tmp_path) -> 
 
 _HUGE_H = dict(PHOTON, hamiltonian={"matrix": [[1e200, 0.0], [0.0, 1e200]]})
 _HUGE_CHANNEL = dict(PHOTON, channels=[{"l_re": [1e200, 0.0], "l_im": [0.0, 1e200]}])
+_HUGE_ENTRY = dict(PHOTON, hamiltonian={"matrix": [[1e308, 0.0], [0.0, 1.0]]})
+_HUGE_COV = {"type": "gaussian", "cov": [[1e308, 0.0], [0.0, 1.0]]}
 _OVERFLOWING = {
     "classify-h": ("classify", {"system": _HUGE_H}, 5),
     "positivity-h": ("positivity", {"system": _HUGE_H}, 5),
@@ -879,6 +881,10 @@ _OVERFLOWING = {
                             dict(_BASE["reconstruct"], system=_HUGE_CHANNEL), 5),
     "reconstruct-extent": ("reconstruct", dict(
         _BASE["reconstruct"], chord_grid=dict(_GRID, half_extent=[1e308, 1e308])), 2),
+    # finite entries up to the float maximum are read and symmetrized as given
+    "classify-huge-entry": ("classify", {"system": _HUGE_ENTRY}, 0),
+    "evolve-huge-cov": ("evolve", dict(_BASE["evolve"], state=_HUGE_COV), 5),
+    "langevin-huge-cov": ("langevin", dict(_BASE["langevin"], state=_HUGE_COV), 5),
 }
 
 

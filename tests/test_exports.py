@@ -233,6 +233,38 @@ def test_only_grid_writes_json() -> None:
     assert callers == ["grid.py"]
 
 
+def _adds_its_transpose(node: ast.AST) -> bool:
+    """Whether ``node`` is X + X.T or X.T + X."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(isinstance(x, ast.Attribute) and x.attr == "T"
+                    and ast.dump(x.value) == ast.dump(y)
+                    for x, y in ((node.left, node.right), (node.right, node.left))))
+
+
+def test_input_is_read_one_way() -> None:
+    # model._symmetrized is the one symmetrization of a 2x2 (the oracle's
+    # quadrature audit keeps its own, as reference code), and finite_array
+    # walks its input without building an object array
+    root = Path(__file__).resolve().parent.parent / "src" / "lindquad"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and function.name == "damping_matrix_quadrature"
+                  for node in ast.walk(function)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in exempt and _adds_its_transpose(node)]
+    assert found == []
+    tree = ast.parse((root / "model.py").read_text())
+    reader = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "finite_array")
+    assert [node.lineno for node in ast.walk(reader)
+            if isinstance(node, ast.Name) and node.id == "object"
+            or isinstance(node, ast.Attribute) and node.attr == "object_"
+            or isinstance(node, ast.Constant) and node.value in ("O", "object")] == []
+
+
 def test_grids_are_evaluated_by_the_tiled_kernel() -> None:
     # propagator leaves node lists to the scattered-point API, and the grid
     # kernel sums its tiles by broadcast multiply-adds, not a BLAS product

@@ -14,6 +14,7 @@ from lindquad import (ChordState, ConfigError, FockDensity, HamiltonianForm, J,
                       photon_bath,
                       symplectic_transform, system_from_dict, system_to_dict,
                       wedge)
+from lindquad.model import finite_array
 
 
 def test_wedge_is_antisymmetric_and_matches_j() -> None:
@@ -212,8 +213,8 @@ def test_system_hbar_is_checked_by_the_one_rule(monkeypatch) -> None:
 
 
 def test_one_hbar_rule_gives_typed_errors() -> None:
-    # hbar must be positive and finite wherever it enters, and the Fock
-    # builders read their centre and zeta as finite numbers, before any
+    # hbar must be positive and finite wherever it enters, and the state
+    # and Fock builders read their centre and zeta as finite numbers, before any
     # division by hbar or any basis size is worked out
     form, shifts = np.eye(2) / 2.0, [(0.0, 0.0)]
     probes = {
@@ -224,6 +225,8 @@ def test_one_hbar_rule_gives_typed_errors() -> None:
         "fock_coherent hbar=0": lambda: fock_coherent((1.0, 0.0), hbar=0),
         "fock_coherent hbar=-1": lambda: fock_coherent((1.0, 0.0), hbar=-1),
         "fock_cat(nan)": lambda: fock_cat(math.nan),
+        "cat_state(nan)": lambda: cat_state(math.nan),
+        "cat_state(True)": lambda: cat_state(True),
         "fock_cat(inf)": lambda: fock_cat(math.inf),
         "fock_coherent((nan, 0))": lambda: fock_coherent((math.nan, 0.0)),
         "fock_coherent((0, 1, 5))": lambda: fock_coherent((0.0, 1.0, 5.0)),
@@ -237,3 +240,82 @@ def test_one_hbar_rule_gives_typed_errors() -> None:
         with pytest.raises(ConfigError):
             probe()
             pytest.fail(f"{name} was accepted")
+
+
+_A = np.array
+# finite_array reads every nesting of outside numbers by one walk: lists,
+# tuples and numpy arrays (at the top or as rows), numpy scalars and a 0-d
+# array; the rest is refused with ConfigError, range(2) too, since only
+# lists, tuples and arrays nest.
+_FINITE_ARRAY_CASES = {
+    "json-2x2": ([[1, 2.5], [-3, 4]], (2, 2), [[1.0, 2.5], [-3.0, 4.0]]),
+    "json-vector": ([0.5, -1], (2,), [0.5, -1.0]),
+    "json-int": (3, (), 3.0),
+    "json-float": (2.5, (), 2.5),
+    "tuple-2x2": (((1.0, 2.0), (3.0, 4.0)), (2, 2), [[1.0, 2.0], [3.0, 4.0]]),
+    "tuple-vector": ((1, 2.0), (2,), [1.0, 2.0]),
+    "array-2x2": (_A([[1.0, 2.0], [3.0, 4.0]]), (2, 2), [[1.0, 2.0], [3.0, 4.0]]),
+    "int-array": (_A([1, 2]), (2,), [1.0, 2.0]),
+    "float32-array": (_A([0.1, 2.0], dtype=np.float32), (2,), [0.10000000149011612, 2.0]),
+    "object-array-of-numbers": (_A([1.0, 2.0], dtype=object), (2,), [1.0, 2.0]),
+    "array-rows-in-list": ([_A([1.0, 2.0]), _A([3.0, 4.0])], (2, 2),
+                           [[1.0, 2.0], [3.0, 4.0]]),
+    "array-row-in-tuple": ((_A([1.0, 2.0]), [3, 4]), (2, 2), [[1.0, 2.0], [3.0, 4.0]]),
+    "numpy-float": (np.float64(1.5), (), 1.5),
+    "numpy-int": (np.int64(7), (), 7.0),
+    "numpy-scalars-in-list": ([np.float32(0.5), np.int8(3)], (2,), [0.5, 3.0]),
+    "0d-array": (_A(1.25), (), 1.25),
+    "big-int": ([10 ** 300, 1], (2,), [1e300, 1.0]),
+    "true": (True, (), ConfigError),
+    "numpy-bool": (np.bool_(True), (), ConfigError),
+    "bool-in-list": ([True, 1.0], (2,), ConfigError),
+    "bool-array": (_A([True, False]), (2,), ConfigError),
+    "string": ("1.0", (), ConfigError),
+    "string-in-list": (["1", 2.0], (2,), ConfigError),
+    "none": (None, (), ConfigError),
+    "none-in-list": ([None, 1.0], (2,), ConfigError),
+    "complex": (1 + 2j, (), ConfigError),
+    "complex-array": (_A([1 + 0j, 2]), (2,), ConfigError),
+    "object-array-mixed": (_A([1.0, "a"], dtype=object), (2,), ConfigError),
+    "ragged": ([[1.0, 2.0], [3.0]], (2, 2), ConfigError),
+    "array-rows-unequal": ([_A([1.0, 2.0]), _A([3.0])], (2, 2), ConfigError),
+    "list-of-0d-arrays": ([_A(1.0), _A(2.0)], (2,), ConfigError),
+    "too-long": ([1.0, 2.0, 3.0], (2,), ConfigError),
+    "too-shallow": ([1.0, 2.0], (2, 2), ConfigError),
+    "too-deep": ([[1.0, 2.0], [3.0, 4.0]], (2,), ConfigError),
+    "array-wrong-shape": (_A([[1.0, 2.0]]), (2, 2), ConfigError),
+    "list-for-number": ([1.0], (), ConfigError),
+    "dict": ({"a": 1}, (), ConfigError),
+    "range": (range(2), (2,), ConfigError),
+    "nan": ([math.nan, 1.0], (2,), ConfigError),
+    "inf": (math.inf, (), ConfigError),
+    "nan-array": (_A([[1.0, np.nan], [0.0, 1.0]]), (2, 2), ConfigError),
+    "int-beyond-float": (10 ** 400, (), ConfigError),
+    "int-beyond-float-in-list": ([1.0, -10 ** 400], (2,), ConfigError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_ARRAY_CASES))
+def test_finite_array_reads_every_nesting_by_one_walk(name) -> None:
+    value, shape, expect = _FINITE_ARRAY_CASES[name]
+    if expect is ConfigError:
+        with pytest.raises(ConfigError):
+            finite_array(value, shape, "x")
+        return
+    arr = finite_array(value, shape, "x")
+    assert arr.dtype == np.float64 and arr.shape == shape
+    assert arr.tolist() == expect and not arr.flags.writeable
+
+
+def test_entries_up_to_the_float_maximum_are_read_as_given() -> None:
+    # halving each off-diagonal entry before the sum keeps a finite pair
+    # finite, and sigma and the timescale come from det H = 1e308 itself
+    system = system_from_dict(dict(system_to_dict(photon_bath(gamma=1.0)),
+                                   hamiltonian={"matrix": [[1e308, 0.0], [0.0, 1.0]]}))
+    assert system.hamiltonian.matrix.tolist() == [[1e308, 0.0], [0.0, 1.0]]
+    assert system.hamiltonian.det == 1e308
+    assert system.sigma == 2e154j
+    assert characteristic_timescale(system) == 5e-155
+    ham = HamiltonianForm(matrix=[[1.0, 1e308], [1e308, 1.0]])
+    assert ham.matrix.tolist() == [[1.0, 1e308], [1e308, 1.0]]
+    assert ham.det == -math.inf and classify(ham) is Regime.HYPERBOLIC

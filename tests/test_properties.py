@@ -468,10 +468,12 @@ def test_weak_coupling_thresholds_follow_the_paper_laws(regime, log_eps, seed) -
 # 5e6); the bound is twice that.
 
 
-def _parabolic_system(seed: int) -> OpenSystem:
+def _parabolic_system(seed: int, drift: bool = False) -> OpenSystem:
     """Rank-one H (eigenvalue of magnitude 0.25 to 1, either sign), one to
     three channels with l'' = c l' (so alpha = 0) of standard normal l' and
-    c, in a frame sheared by k in [-3, 3]."""
+    c, in a frame sheared by k in [-3, 3]. With ``drift``, l'' = c l' + d J l'
+    with |d| log-uniform in [0.05, 2] and either sign, so each channel adds
+    -d |l'|^2 to alpha."""
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, math.pi)
     u = np.array([math.cos(angle), math.sin(angle)])
@@ -480,7 +482,11 @@ def _parabolic_system(seed: int) -> OpenSystem:
     channels = []
     for _ in range(rng.integers(1, 4)):
         l = rng.normal(size=2)
-        channels.append(LindbladChannel(l_re=l, l_im=rng.normal() * l))
+        l_im = rng.normal() * l
+        if drift:
+            d = math.exp(rng.uniform(math.log(0.05), math.log(2.0)))
+            l_im = l_im + rng.choice([-1.0, 1.0]) * d * (J @ l)
+        channels.append(LindbladChannel(l_re=l, l_im=l_im))
     shear = np.array([[1.0, 0.0], [rng.uniform(-3.0, 3.0), 1.0]])
     return symplectic_transform(OpenSystem(hamiltonian=h, channels=tuple(channels)),
                                 shear)
@@ -510,6 +516,53 @@ def test_parabolic_thresholds_follow_the_cubic_moment_law(seed) -> None:
     assert result.reached
     error = abs(result.t_p - hi) / hi
     assert error <= 2e-13 + 154.0 * np.finfo(float).eps * kappa, (error, kappa)
+
+
+# With alpha != 0 the same expansion holds under the weight e^{2 alpha tau}:
+# det M(-t) = det(I0 K + I1 S + I2 Q) with I_n = int_0^t e^{2 alpha tau}
+# tau^n dtau, here from a fixed composite 16-node Gauss-Legendre rule of
+# panels no longer than 1/|2 alpha| (relative error far below 1e-16), with
+# alpha = sum_j (J l''_j) . l'_j from the raw channels. Where alpha < 0 the
+# weight decays and det M(-t) can flatten near 1/4, and S is indefinite, so
+# the root's condition number takes the entries' magnitudes and the slope:
+# kappa = (c00 c11 + c01^2) / (t d det/dt) at the root, with c = I0 |K| +
+# I1 |S| + I2 |Q| and d det/dt = tr(adj(a) e^{2 alpha t} R_t^T K R_t). A
+# scratch sweep of 24,000 systems (alpha from -28 to 30, t_p up to 543)
+# found at worst 1e-13 + 7.4 eps_mach kappa; the bound is twice that.
+_LEGENDRE = np.polynomial.legendre.leggauss(16)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_drifting_parabolic_thresholds_follow_the_weighted_moment_law(seed) -> None:
+    system = _parabolic_system(seed, drift=True)
+    b = 2.0 * J @ system.hamiltonian.matrix
+    k = sum(np.outer(ch.l_re, ch.l_re) + np.outer(ch.l_im, ch.l_im)
+            for ch in system.channels)
+    alpha = sum(float((J @ ch.l_im) @ ch.l_re) for ch in system.channels)
+    forms = (k, b.T @ k + k @ b, b.T @ k @ b)
+
+    def form(t: float, parts=forms) -> np.ndarray:
+        edges = np.linspace(0.0, t, max(1, math.ceil(abs(2.0 * alpha) * t)) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        tau = (edges[:-1, None] + half * (1.0 + _LEGENDRE[0])).ravel()
+        w = (half * _LEGENDRE[1]).ravel() * np.exp(2.0 * alpha * tau)
+        return sum((w @ tau ** n) * part for n, part in enumerate(parts))
+
+    lo, hi = 0.0, 1.0
+    while det2(form(hi)) <= 0.25:
+        lo, hi = hi, 2.0 * hi
+        assert hi < 1e4
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if det2(form(mid)) <= 0.25 else (lo, mid)
+    a, c, r = form(hi), form(hi, [abs(part) for part in forms]), np.eye(2) + hi * b
+    rate = math.exp(2.0 * alpha * hi) * (r.T @ k @ r)
+    slope = a[1, 1] * rate[0, 0] + a[0, 0] * rate[1, 1] - 2.0 * a[0, 1] * rate[0, 1]
+    kappa = (c[0, 0] * c[1, 1] + c[0, 1] ** 2) / (hi * slope)
+    result = positivity_time(system, horizon=4.0 * hi)
+    assert result.reached
+    error = abs(result.t_p - hi) / hi
+    assert error <= 2e-13 + 15.0 * np.finfo(float).eps * kappa, (error, kappa, alpha)
 
 
 # The number-basis oracle against the exact solver beyond the photon bath:
