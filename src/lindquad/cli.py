@@ -274,8 +274,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     evolved = propagator.evolved_state(system, state, t)
     values = analysis.reconstruct(system, evolved, t).chord_grid(grid)
     write_field_csv(GridField(spec=grid, values=values), out)
-    write_field_csv(GridField(spec=grid, values=reliable.astype(float)),
-                    out + ".reliability.csv")
+    write_field_csv(GridField(spec=grid, values=reliable), out + ".reliability.csv")
     return _EXIT_OK
 
 

@@ -13,7 +13,14 @@ widened to complex. The writer calls ``repr`` only once per axis node;
 writer lays a block of grid rows out as NUL-padded words, one line of
 words per node, and drops the NULs in one pass. A node's p and q cells
 share their words, so a line is as few words wide as the longest p and q
-cells need together, not each on its own.
+cells need together, not each on its own. A boolean field's values are
+looked up from two fixed words instead.
+
+Every result file is written as bytes by one atomic writer,
+``_atomic_write``: into a temp file in the target's directory, then
+renamed over the target. A field CSV reaches it as a stream of chunks,
+the header and then one block of grid rows at a time, so the whole text
+is never held in memory; strings go through :func:`atomic_write_text`.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ __all__ = ["GridSpec", "GridField", "centered_grid", "grid_from_dict",
 _HEADER = ("p", "q", "value_re", "value_im")
 _BLOCK_NODES = 8192  # nodes formatted at once: more holds more memory
 _U = np.uint64
+_BOOL_CELLS = np.array([b"0.0,", b"1.0,"], dtype="S8").view("<u8")  # False, True
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,15 @@ class GridSpec:
 
 
 def _grid_shape(value) -> tuple[int, int]:
+    """``value`` as (Np, Nq), each at least 2, with a complex value per node
+    (Np Nq 16 bytes) no larger than numpy can index."""
     if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
         raise ConfigError(f"grid shape must have two entries, got {value!r}")
-    return tuple(whole_number(v, "grid shape entry", 2) for v in value)
+    shape = tuple(whole_number(v, "grid shape entry", 2) for v in value)
+    if shape[0] * shape[1] > np.iinfo(np.intp).max // 16:
+        raise ConfigError(f"grid shape {list(shape)} has more nodes than an "
+                          f"array can hold")
+    return shape
 
 
 def centered_grid(center, half_extent, shape) -> GridSpec:
@@ -139,22 +153,29 @@ class GridField:
         return total.real if not np.iscomplexobj(self.values) else total
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a same-directory temp file + rename;
-    no failure leaves the temp file, and an ``OSError`` (a missing directory,
-    ``path`` naming a directory) raises :class:`ConfigError` naming ``path``."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the bytes of ``chunks``, one after another, to ``path`` through a
+    same-directory temp file + rename; no failure, one raised while making a
+    chunk included, leaves the temp file, and an ``OSError`` (a missing
+    directory, ``path`` naming a directory) raises :class:`ConfigError`
+    naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = ""
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)  # each chunk is freed before the next is made
         os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
     finally:
         if os.path.exists(tmp):  # renamed away once the write succeeds
             os.unlink(tmp)
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write the str ``text`` to ``path`` as UTF-8 by :func:`_atomic_write`."""
+    _atomic_write(path, [bytes(text, "utf-8")])
 
 
 def _read_json(path: str, what: str):
@@ -201,44 +222,58 @@ def _axis_cells(spec: GridSpec) -> list[NDArray[np.uint64]]:
             for cells in (p, [b"\0" * start + cell for cell in q])]
 
 
+def _block_bytes(block: np.ndarray, p_cells: NDArray[np.uint64],
+                 q_cells: NDArray[np.uint64]) -> bytes:
+    """The CSV lines of ``block``, whole grid rows of a bool, float64 or
+    complex field whose p cells are ``p_cells``: NUL-padded words, one line
+    of words per node, with the NULs dropped. The p and q cells share words
+    (the p row's words ORed with the q column's), then come ``value_re``,
+    ``,``, ``value_im`` and a newline; a bool prints its value by lookup."""
+    kind = block.dtype.kind
+    wpq = q_cells.shape[1]
+    width = wpq + {"b": 2, "f": 5, "c": 8}[kind]
+    lines = np.empty(block.shape + (width,), dtype="<u8")
+    for j in range(wpq):  # a word column at a time, so the loops run along q
+        np.bitwise_or(p_cells[:, j, None], q_cells[:, j], out=lines[:, :, j])
+    cells = lines.reshape(block.size, width)[:, wpq:]
+    if kind == "b":
+        cells[:, 0] = _BOOL_CELLS.take(block.ravel())
+    else:
+        repr_words(block.real, out=cells[:, :4])
+        cells[:, 3] |= _U(ord(",") << 56)
+    if kind == "c":
+        repr_words(block.imag, out=cells[:, 4:])
+        cells[:, 7] |= _U(ord("\n") << 56)
+    else:
+        cells[:, -1] = _U(int.from_bytes(b"0.0\n", "little"))
+    return lines.tobytes().translate(None, b"\0")
+
+
+def _field_bytes(field: GridField):
+    """The field CSV of ``field`` as bytes: the header, then one chunk per
+    block of whole grid rows of about ``_BLOCK_NODES`` nodes."""
+    kind = field.values.dtype.kind
+    values = (field.values if kind == "b" else
+              np.asarray(field.values, dtype=float if kind in "iuf" else complex))
+    p_cells, q_cells = _axis_cells(field.spec)
+    blocks = -(-values.size // _BLOCK_NODES)
+    rows = -(-len(values) // blocks)  # whole grid rows per block
+    yield (",".join(_HEADER) + "\n").encode()
+    for start in range(0, len(values), rows):
+        yield _block_bytes(values[start:start + rows], p_cells[start:start + rows],
+                           q_cells)
+
+
 def write_field_csv(field: GridField, path: str) -> None:
     """Write ``p,q,value_re,value_im`` rows plus a ``<path>.json`` sidecar.
 
-    Values are widened to float64, or to complex when they are not real, so
-    integer, boolean and float32 fields print as float64 reprs, and a real
-    field's imaginary cell is always ``0.0``. Blocks of whole grid rows are
-    laid out as NUL-padded words, one line per node: the p and q cells in
-    shared words (the p row's words ORed with the q column's, both
-    formatted once per axis by :func:`_axis_cells`), then ``value_re``,
-    ``,``, ``value_im`` and a newline. Dropping the NULs gives the text.
+    Values print as float64 reprs (integer, boolean and float32 fields
+    too), widened to complex when they are not real, and a real field's
+    imaginary cell is always ``0.0``. The bytes are streamed into the
+    atomic write one block of grid rows at a time (:func:`_block_bytes`),
+    so the whole text is never held.
     """
-    has_imag = field.values.dtype.kind not in "biuf"
-    values = np.asarray(field.values, dtype=complex if has_imag else float)
-    p_cells, q_cells = _axis_cells(field.spec)
-    wpq = q_cells.shape[1]
-    width = wpq + (8 if has_imag else 5)
-    blocks = -(-values.size // _BLOCK_NODES)
-    rows = -(-len(values) // blocks)  # whole grid rows per block
-    chunks = [",".join(_HEADER) + "\n"]
-    for start in range(0, len(values), rows):
-        block = values[start:start + rows]
-        lines = np.empty(block.shape + (width,), dtype="<u8")
-        for j in range(wpq):  # a word column at a time, so the loops run along q
-            np.bitwise_or(p_cells[start:start + len(block), j, None], q_cells[:, j],
-                          out=lines[:, :, j])
-        nodes = lines.reshape(block.size, width)
-        cells = nodes[:, wpq:]
-        repr_words(block.real, out=cells[:, :4])
-        cells[:, 3] |= _U(ord(",") << 56)
-        if has_imag:
-            repr_words(block.imag, out=cells[:, 4:])
-            cells[:, 7] |= _U(ord("\n") << 56)
-        else:
-            cells[:, 4] = _U(int.from_bytes(b"0.0\n", "little"))
-        chunks.append(nodes.tobytes().translate(None, b"\0").decode("ascii"))
-    text = "".join(chunks)
-    del chunks  # not held while the text is written
-    atomic_write_text(path, text)
+    _atomic_write(path, _field_bytes(field))
     atomic_write_text(path + ".json", _json_text(field.spec.to_dict()))
 
 

@@ -430,8 +430,11 @@ def photon_bath(gamma: float, nbar: float = 0.0, omega: float = 1.0,
     """Harmonic oscillator H = (omega/2)(p^2 + q^2) coupled to a thermal bath.
 
     Decay rate ``gamma`` and mean occupancy ``nbar`` give channels with
-    alpha = gamma/2 and K = (gamma(2 nbar + 1)/2) I.
+    alpha = gamma/2 and K = (gamma(2 nbar + 1)/2) I. ``gamma``, ``nbar`` and
+    ``omega`` are read by :func:`finite_array`.
     """
+    gamma, nbar, omega = (float(finite_array(v, (), name)) for v, name in
+                          ((gamma, "gamma"), (nbar, "nbar"), (omega, "omega")))
     if gamma < 0 or nbar < 0:
         raise ConfigError("gamma and nbar must be nonnegative")
     h = HamiltonianForm(matrix=0.5 * omega * np.eye(2))

@@ -326,7 +326,7 @@ def _chord_exponent(system: OpenSystem, t: float, xi) -> np.ndarray:
         up = xi @ plus.T
         down, k = xi - up, system.k_matrix
         forms = (up @ k * up, 2.0 * up @ k * down, down @ k * down)
-    return sum(p * np.sum(f, axis=-1) for p, f in zip(phi, forms)).real
+        return sum(p * np.sum(f, axis=-1) for p, f in zip(phi, forms)).real
 
 
 def _exact_step(system: OpenSystem, t: float) -> tuple[np.ndarray, ...]:

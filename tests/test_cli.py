@@ -768,6 +768,12 @@ _BAD_VALUES = {
     "fractional-shape": ("evolve", {"grid": dict(_GRID, shape=[17.5, 17])}),
     "boolean-shape": ("evolve", {"grid": dict(_GRID, shape=[True, 17])}),
     "three-entry-shape": ("evolve", {"grid": dict(_GRID, shape=[17, 17, 17])}),
+    # shapes past an array's size once exited 1 with an untyped error
+    "evolve-unbuildable-shape": ("evolve", {"grid": dict(_GRID, shape=[2 ** 63, 17])}),
+    "oracle-compare-unbuildable-shape": ("oracle-compare", {
+        "grid": dict(_GRID, shape=[10 ** 400, 17])}),
+    "reconstruct-unbuildable-shape": ("reconstruct", {
+        "chord_grid": dict(_GRID, shape=[17, 10 ** 400])}),
     "channels-object": ("evolve", {"system": dict(PHOTON, channels={})}),
     "ragged-h-matrix": ("evolve", {"system": {
         "hamiltonian": {"matrix": [[0.5, 0.0], [0.0]]}}}),
@@ -881,6 +887,13 @@ _OVERFLOWING = {
                             dict(_BASE["reconstruct"], system=_HUGE_CHANNEL), 5),
     "reconstruct-extent": ("reconstruct", dict(
         _BASE["reconstruct"], chord_grid=dict(_GRID, half_extent=[1e308, 1e308])), 2),
+    "reconstruct-photon-extent": ("reconstruct", dict(
+        _BASE["reconstruct"], chord_grid=dict(_GRID, half_extent=[1e300, 1e300])), 5),
+    "reconstruct-saddle-h": ("reconstruct", dict(_BASE["reconstruct"], system=dict(
+        _saddle(1.0), hamiltonian={"matrix": [[1e300, 0.5], [0.5, 0.0]]})), 5),
+    "reconstruct-far-centre": ("reconstruct", dict(
+        _BASE["reconstruct"],
+        chord_grid=dict(_GRID, center=[1.7e308, 0.0], half_extent=[1e-12, 1e-12])), 0),
     # finite entries up to the float maximum are read and symmetrized as given
     "classify-huge-entry": ("classify", {"system": _HUGE_ENTRY}, 0),
     "evolve-huge-cov": ("evolve", dict(_BASE["evolve"], state=_HUGE_COV), 5),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,21 +303,86 @@ def test_field_csv_larger_than_a_block_matches_per_node_format(tmp_path) -> None
         assert path.read_bytes() == _per_node_csv(field).encode()
 
 
-def test_write_field_csv_hands_whole_texts_to_atomic_write(tmp_path, monkeypatch) -> None:
+def test_write_field_csv_streams_each_file_through_one_atomic_write(
+        tmp_path, monkeypatch) -> None:
+    # the CSV goes over as bytes, one chunk per block after the header,
+    # never as one whole text; the sidecar as one chunk of its own
     writes = []
+    atomic = grid._atomic_write
 
-    def recording(path, text):
-        writes.append((path, type(text), len(text.encode("utf-8"))))
-        atomic_write_text(path, text)
+    def recording(path, chunks):
+        sizes = []
 
-    monkeypatch.setattr(grid, "atomic_write_text", recording)
+        def counted():
+            for chunk in chunks:
+                assert type(chunk) is bytes
+                sizes.append(len(chunk))
+                yield chunk
+
+        atomic(path, counted())
+        writes.append((path, sizes))
+
+    monkeypatch.setattr(grid, "_atomic_write", recording)
     spec = GridSpec(origin=(0.0, 0.0), spacing=(0.5, 0.25), shape=(40, 600))
     path = str(tmp_path / "field.csv")
     write_field_csv(GridField(spec=spec, values=np.ones(spec.shape)), path)
     assert [w[0] for w in writes] == [path, path + ".json"]
-    for written, kind, size in writes:
-        assert kind is str
-        assert size == os.path.getsize(written)
+    for written, sizes in writes:
+        assert sum(sizes) == os.path.getsize(written)
+    blocks = -(-spec.shape[0] * spec.shape[1] // grid._BLOCK_NODES)
+    assert len(writes[0][1]) == 1 + blocks
+    assert len(writes[1][1]) == 1
+
+
+def test_a_failing_block_leaves_the_target_and_no_temp_file(tmp_path,
+                                                            monkeypatch) -> None:
+    spec = GridSpec(origin=(0.0, 0.0), spacing=(0.5, 0.25), shape=(40, 600))
+    assert spec.shape[0] * spec.shape[1] > 2 * grid._BLOCK_NODES
+    path = tmp_path / "field.csv"
+    write_field_csv(GridField(spec=spec, values=np.zeros(spec.shape)), str(path))
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    calls = []
+    repr_words = grid.repr_words
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # the second block, once the first is on disk
+            raise RuntimeError("block failed")
+        return repr_words(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "repr_words", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        write_field_csv(GridField(spec=spec, values=np.ones(spec.shape)), str(path))
+    assert len(calls) == 2
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_a_field_write_holds_a_few_blocks_not_the_text(tmp_path) -> None:
+    rng = np.random.default_rng(31)
+    shape = (513, 513)
+    spec = centered_grid((0.0, 0.0), (5.0, 5.0), shape)
+    field = GridField(spec=spec, values=rng.normal(size=shape)
+                      + 1j * rng.normal(size=shape))
+    path = tmp_path / "field.csv"
+    tracemalloc.start()
+    try:
+        write_field_csv(field, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
+@pytest.mark.parametrize("fill", ["false", "true", "mixed"])
+def test_bool_fields_print_as_their_float_values(tmp_path, fill) -> None:
+    spec = GridSpec(origin=(-0.5, 3.0), spacing=(0.25, 1e-3), shape=(30, 700))
+    values = {"false": np.zeros(spec.shape, dtype=bool),
+              "true": np.ones(spec.shape, dtype=bool),
+              "mixed": np.random.default_rng(32).random(spec.shape) < 0.5}[fill]
+    path = tmp_path / "mask.csv"
+    write_field_csv(GridField(spec=spec, values=values), str(path))
+    floats = GridField(spec=spec, values=values.astype(float))
+    assert path.read_bytes() == _per_node_csv(floats).encode()
 
 
 def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path) -> None:

@@ -107,6 +107,18 @@ def test_photon_bath_rejects_bad_parameters() -> None:
         photon_bath(gamma=1.0, nbar=-0.1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"gamma": math.nan}, {"gamma": 1.0, "nbar": math.nan},
+    {"gamma": 1.0, "omega": math.nan}, {"gamma": math.inf},
+    {"gamma": 1.0, "omega": -math.inf}, {"gamma": "1.0"}, {"gamma": True},
+], ids=["nan-gamma", "nan-nbar", "nan-omega", "inf-gamma", "inf-omega",
+        "string-gamma", "boolean-gamma"])
+def test_photon_bath_rejects_values_that_are_not_finite_numbers(kwargs) -> None:
+    # a NaN decay rate once passed both sign checks and gave no channels
+    with pytest.raises(ConfigError):
+        photon_bath(**kwargs)
+
+
 def test_drift_matrix_and_offset() -> None:
     ham = HamiltonianForm(matrix=[[0.5, 0.1], [0.1, 0.3]], linear=[0.2, -0.4])
     rng = np.random.default_rng(3)
