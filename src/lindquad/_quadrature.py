@@ -1,14 +1,16 @@
 """Gauss-Legendre quadrature helpers.
 
-Two flavours used throughout the package:
+Two flavours, which no solver path calls:
 
 * a globally adaptive panel integrator for matrix-valued integrands on an
-  interval (the damping-matrix audit in ``oracle``, where the integrand
-  mixes decaying exponentials with oscillation or hyperbolic growth), and
+  interval, and
 * tensor-product rules on a 2D box with order doubling (the purity audit
-  in ``oracle``).
+  in ``tests/audits.py``).
 
 Both demand vectorized integrands: ``f(nodes)`` receives all nodes at once.
+The benchmark's tracer (``bench/tracing.py``) wraps both by name, and
+``lindquad`` imports :class:`QuadratureNotConverged` from here, which keeps
+this module loaded with the package where the tracer looks it up.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureNotConverged
+from .errors import LindquadError
+
+
+class QuadratureNotConverged(LindquadError, RuntimeError):
+    """Adaptive quadrature exhausted its refinement budget."""
 
 
 @lru_cache(maxsize=64)

@@ -36,7 +36,6 @@ __all__ = [
     "PositivityResult",
     "positivity_time",
     "purity",
-    "linear_entropy",
     "purity_asymptotic",
     "reconstruct",
     "reliable_chords",
@@ -184,11 +183,6 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
 def purity(system: OpenSystem, state: ChordState, t: float) -> float:
     """Tr rho_t^2 at one time: the exact row of :func:`purity_curve` at [t]."""
     return float(purity_curve(system, state, [t], include_asymptotic=False).values[0])
-
-
-def linear_entropy(system: OpenSystem, state: ChordState, t: float) -> float:
-    """1 - Tr rho_t^2."""
-    return 1.0 - purity(system, state, t)
 
 
 def _purity_asymptotic(system: OpenSystem, t: float, shrink: np.ndarray,

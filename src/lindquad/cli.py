@@ -86,6 +86,12 @@ def _emit(text: str, out: str | None) -> None:
         atomic_write_text(out, text)
 
 
+def _unreached(message: str) -> int:
+    """Exit 3 under ``--require-reached``, with its one ``error:`` line."""
+    print(f"error: {message}", file=sys.stderr)
+    return _EXIT_UNREACHED
+
+
 def _require_out(out: str | None) -> str:
     if out is None:
         raise ConfigError("--out is required for this command")
@@ -169,8 +175,10 @@ def cmd_positivity(args: argparse.Namespace) -> int:
                 [(eps, ds, "reached" if r.reached else "unreached", r.t_p)
                  for _, eps, ds, r, _ in rows])
         _emit(text, out)
-        if args.require_reached and not all(row[3].reached for row in rows):
-            return _EXIT_UNREACHED
+        missed = sum(not row[3].reached for row in rows)
+        if args.require_reached and missed:
+            return _unreached(f"{missed} of {len(rows)} thresholds not reached "
+                              f"within the horizon")
         return _EXIT_OK
 
     data = _load_config(args.config, {"system", "horizon"}, {"system"})
@@ -179,7 +187,8 @@ def cmd_positivity(args: argparse.Namespace) -> int:
     result = analysis.positivity_time(system, horizon=horizon)
     _emit(_json_text(result.to_dict()), args.out)
     if not result.reached and args.require_reached:
-        return _EXIT_UNREACHED
+        return _unreached(f"positivity threshold not reached within the "
+                          f"horizon {horizon!r}")
     return _EXIT_OK
 
 

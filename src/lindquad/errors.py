@@ -24,16 +24,8 @@ class NotPositiveDefinite(ConfigError):
     """A covariance matrix is not symmetric positive definite."""
 
 
-class SingularFrame(ConfigError):
-    """The momentum-dissipation frame change needs H_11 != 0."""
-
-
 class GridTooCoarse(LindquadError, ValueError):
     """A sampling grid cannot represent the field to the required tail mass."""
-
-
-class QuadratureNotConverged(LindquadError, RuntimeError):
-    """Adaptive quadrature exhausted its refinement budget."""
 
 
 class AsymptoticInvalid(LindquadError, ValueError):

@@ -155,7 +155,8 @@ class GridField:
 
 def _atomic_write(path: str, chunks) -> None:
     """Write the bytes of ``chunks``, one after another, to ``path`` through a
-    same-directory temp file + rename; no failure, one raised while making a
+    same-directory temp file + rename, with the mode a plain ``open`` would
+    give the file (0o666 less the umask); no failure, one raised while making a
     chunk included, leaves the temp file, and an ``OSError`` (a missing
     directory, ``path`` naming a directory) raises :class:`ConfigError`
     naming ``path``."""
@@ -164,6 +165,9 @@ def _atomic_write(path: str, chunks) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "wb") as handle:
+            umask = os.umask(0)  # read by setting it; restored at once
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0o600, widened as open() would
             handle.writelines(chunks)  # each chunk is freed before the next is made
         os.replace(tmp, path)
     except OSError as exc:

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, SingularFrame, Unstable
+from .errors import ConfigError, Unstable
 from .model import (J, OpenSystem, _covariance, _psd_root, _symmetrized,
-                    finite_array, symplectic_transform)
+                    finite_array)
 from .propagator import _exact_step
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "simulate",
     "ensemble_moments",
     "exact_moments",
-    "momentum_dissipation_frame",
 ]
 
 _BLOCK = 1024
@@ -156,7 +155,7 @@ def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
     estimate = n_paths * (-(-steps // store_stride) + 1) * 2 * 8
     if estimate > 2_000_000_000:
         raise ConfigError(
-            f"ensemble storage would need ~{estimate/1e9:.1f} GB; "
+            f"ensemble storage would need {estimate:,} bytes, over 2 GB; "
             f"increase store_stride")
     stored_steps = list(range(0, steps + 1, store_stride))
     if stored_steps[-1] != steps:
@@ -216,26 +215,3 @@ def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float
     mean = mean @ linear.T + offset
     cov = linear @ cov @ linear.T + system.hbar * (-J @ m @ J)
     return mean, _symmetrized(cov)
-
-
-def momentum_dissipation_frame(system: OpenSystem) -> tuple[OpenSystem, NDArray[np.float64]]:
-    """Symplectic shear making dissipation act on the momentum alone.
-
-    With k = alpha / (2 H11) and C = [[1, -k], [0, 1]], the transformed
-    drift C (2JH - alpha I) C^{-1} splits as 2 J Hbar - diag(2 alpha, 0):
-    all of the contraction is carried by the momentum row at twice the
-    original rate — convenient for comparing against classical damped-mass
-    models. Requires H11 != 0 (otherwise no shear can do it: SingularFrame).
-    Returns the transformed system and C; alpha = 0 returns the system
-    unchanged with the identity.
-    """
-    alpha = system.alpha
-    if alpha == 0.0:
-        return system, np.eye(2)
-    h = system.hamiltonian.matrix
-    if abs(h[0, 0]) <= 1e-12 * max(1.0, float(np.max(np.abs(h)))):
-        raise SingularFrame(
-            "momentum-dissipation frame needs a p^2 term (H11 != 0)")
-    k = alpha / (2.0 * h[0, 0])
-    c = np.array([[1.0, -k], [0.0, 1.0]])
-    return symplectic_transform(system, c), c

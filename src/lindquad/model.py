@@ -59,7 +59,6 @@ __all__ = [
     "photon_bath",
     "characteristic_timescale",
     "system_from_dict",
-    "system_to_dict",
 ]
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -492,16 +491,3 @@ def system_from_dict(data: dict) -> OpenSystem:
                                         l_im=ch.get("l_im")))
     return OpenSystem(hamiltonian=h, channels=tuple(channels),
                       hbar=data.get("hbar", 1.0))
-
-
-def system_to_dict(sys: OpenSystem) -> dict:
-    """Inverse of :func:`system_from_dict` (canonical field order)."""
-    return {
-        "hbar": sys.hbar,
-        "hamiltonian": {
-            "matrix": sys.hamiltonian.matrix.tolist(),
-            "linear": sys.hamiltonian.linear.tolist(),
-        },
-        "channels": [{"l_re": ch.l_re.tolist(), "l_im": ch.l_im.tolist()}
-                     for ch in sys.channels],
-    }

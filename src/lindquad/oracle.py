@@ -1,12 +1,6 @@
 """Brute-force reference integrators, independent of the exact solution.
 
-Three deliberately different routes re-derive the dynamics from scratch:
-
-* :func:`damping_matrix_quadrature` — M(t) by adaptive Gauss–Legendre
-  quadrature of its integral, with a generic matrix exponential for the flow;
-  :func:`affine_flow_expm` takes the affine flow from the same exponential;
-  :func:`purity_quadrature` integrates the trace-square of any chord callable
-  with it on a tensor Gauss–Legendre rule.
+Two deliberately different routes re-derive the dynamics from scratch:
 
 * :func:`integrate_fokker_planck` — the Wigner transport equation as a
   classical PDE on a rectangular grid: flux-form advection plus constant
@@ -30,11 +24,13 @@ integrand <q - y|rho|q + y> is a finite sum of Hermite functions in y, whose
 coefficients a Gauss–Hermite rule gives exactly and whose Fourier transforms
 are Hermite functions in p, so the grid is a few small matrix products. This
 closes the loop: exact propagation, PDE, and operator routes can all be
-compared pointwise.
+compared pointwise. The audits by quadrature and matrix exponential (M(t),
+the affine flow, purity) are test-side, in ``tests/audits.py``, so the
+package needs no ``scipy``.
 
-:func:`cat_wigner_line` and its fringe helpers are the textbook photon-bath
-closed forms for an even cat on the line q = 0, derived by hand rather than
-from the Gaussian-term evolution, so they too check it from outside.
+:func:`cat_zero_crossing_time` is the textbook photon-bath time at which an
+even cat's Wigner function on the line q = 0 loses its negative fringes,
+derived by hand rather than from the Gaussian-term evolution.
 
 None of this imports the propagator or the Gaussian state terms: agreement
 between these integrators and the exact evolution is evidence, not
@@ -51,86 +47,23 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from ._quadrature import adaptive_tensor_gl, gauss_legendre_adaptive
 from .errors import ConfigError, GridTooCoarse, TruncationLeak, Unstable
 from .grid import GridField, GridSpec
-from .model import J, LindbladChannel, OpenSystem, checked_hbar, finite_array
+from .model import LindbladChannel, OpenSystem, checked_hbar, finite_array
 
 __all__ = [
-    "affine_flow_expm",
-    "damping_matrix_quadrature",
-    "purity_quadrature",
     "FockDensity",
     "fokker_planck_max_dt",
     "integrate_fokker_planck",
     "fock_operators",
     "fock_coherent",
     "fock_cat",
-    "fock_thermal",
     "coherent_fock_dim",
     "cat_fock_dim",
     "integrate_fock_lindblad",
     "wigner_from_fock",
-    "fock_mean",
-    "cat_wigner_line",
-    "cat_fringe_wavenumber",
-    "cat_fringe_zero",
     "cat_zero_crossing_time",
 ]
-
-# ---------------------------------------------------------------------------
-# Affine flow, damping-matrix and purity quadrature
-
-
-def affine_flow_expm(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(F, o) of xdot = A x + J b from the augmented 3x3 matrix exponential.
-
-    exp(t [[A, J b], [0, 0]]) = [[F, o], [0, 1]] with A = 2 J H - alpha I,
-    by a generic Pade exponential rather than the closed form.
-    """
-    from scipy.linalg import expm
-
-    aug = np.zeros((3, 3))
-    aug[:2, :2], aug[:2, 2] = system.drift_matrix, system.drift_offset
-    e = expm(aug * float(t))
-    return e[:2, :2], e[:2, 2]
-
-
-def damping_matrix_quadrature(system: OpenSystem, t: float) -> NDArray[np.float64]:
-    """M(t) = Integral_{-t}^{0} E^T K E d tau, E = expm((2 J H + alpha) tau)."""
-    from scipy.linalg import expm
-
-    k = system.k_matrix
-    gen = 2.0 * J @ system.hamiltonian.matrix + system.alpha * np.eye(2)
-
-    def integrand(taus: NDArray[np.float64]) -> np.ndarray:
-        e = expm(taus[:, None, None] * gen)
-        return np.einsum("nji,jk,nkl->nil", e, k, e)
-
-    m = gauss_legendre_adaptive(integrand, -float(t), 0.0, rtol=1e-12)
-    return 0.5 * (m + m.T)
-
-
-def purity_quadrature(system: OpenSystem, chord, t: float,
-                      half_width: float) -> float:
-    """Tr rho_t^2 = 2 pi hbar e^{2 alpha t} Int |chord|^2 e^{xi.M(-t)xi/hbar} d xi.
-
-    ``chord`` is the initial chord function, any callable vectorized over
-    (..., 2) chords. Tensor Gauss–Legendre with order doubling to rtol 1e-8
-    over the square |xi_p|, |xi_q| <= ``half_width``, with M(-t) from
-    :func:`damping_matrix_quadrature`.
-    """
-    m = damping_matrix_quadrature(system, -t)
-    hbar = system.hbar
-
-    def f(xi: NDArray[np.float64]) -> np.ndarray:
-        quad = np.einsum("...i,ij,...j->...", xi, m, xi)
-        return np.abs(chord(xi)) ** 2 * np.exp(quad / hbar)
-
-    box = ((-half_width, half_width), (-half_width, half_width))
-    integral = adaptive_tensor_gl(f, box, rtol=1e-8).real
-    return 2.0 * math.pi * hbar * math.exp(2.0 * system.alpha * t) * integral
-
 
 # ---------------------------------------------------------------------------
 # Fokker-Planck route
@@ -458,20 +391,6 @@ def fock_cat(zeta: float, dim: int | None = None, hbar: float = 1.0) -> FockDens
                  need, hbar)
 
 
-def fock_thermal(nbar: float, dim: int, hbar: float = 1.0) -> FockDensity:
-    """Thermal state with mean occupancy ``nbar`` (renormalized after cut)."""
-    if nbar < 0:
-        raise ConfigError("nbar must be nonnegative")
-    if nbar == 0:
-        diag = np.zeros(dim)
-        diag[0] = 1.0
-    else:
-        ratio = nbar / (nbar + 1.0)
-        diag = ratio ** np.arange(dim)
-        diag /= diag.sum()
-    return FockDensity(matrix=np.diag(diag).astype(complex), hbar=hbar)
-
-
 def _channel_matrix(chan: LindbladChannel, p: np.ndarray, q: np.ndarray
                     ) -> NDArray[np.complex128]:
     lp = chan.l_re[0] + 1j * chan.l_im[0]
@@ -554,13 +473,6 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
             f"integration degraded: trace drift {trace_drift:.3e}, "
             f"hermiticity defect {herm_defect:.3e}")
     return FockDensity(matrix=rho, hbar=hbar)
-
-
-def fock_mean(rho: FockDensity) -> NDArray[np.float64]:
-    """(⟨p⟩, ⟨q⟩) of a number-basis density matrix."""
-    p, q = fock_operators(rho.dim, rho.hbar)
-    return np.array([float(np.trace(rho.matrix @ p).real),
-                     float(np.trace(rho.matrix @ q).real)])
 
 
 # Largest basis :func:`wigner_from_fock` synthesises (see its docstring), and
@@ -704,11 +616,10 @@ def wigner_from_fock(rho: FockDensity, grid: GridSpec) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# Photon-bath cat closed forms: the q = 0 Wigner section of an even cat of
-# half-separation ``zeta`` under damping rate ``gamma`` and occupancy ``nbar``
-# (in the frame co-rotating with the oscillator), with the fringe wavenumber
-# and the fringe zero that make the positivity threshold observable on one
-# line of the plane.
+# Photon-bath cat closed form: the time at which the q = 0 Wigner section of
+# an even cat under damping rate ``gamma`` and occupancy ``nbar`` (in the
+# frame co-rotating with the oscillator) loses its negative fringes, which
+# makes the positivity threshold observable on one line of the plane.
 
 
 def _beta(gamma: float, nbar: float, t: float) -> float:
@@ -718,66 +629,14 @@ def _beta(gamma: float, nbar: float, t: float) -> float:
     return 2.0 * nbar * (1.0 - math.exp(-gamma * t)) + 1.0
 
 
-def cat_wigner_line(zeta: float, gamma: float, nbar: float, t: float, p,
-                    hbar: float = 1.0):
-    """Closed-form W_t(p, q=0) of the cat under the photon bath.
-
-    With s = e^{-gamma t} and beta_t = 2 nbar (1 - s) + 1:
-
-        W_t(p, 0) = (2 NN / pi hbar beta) e^{-p^2 / hbar beta}
-                    [ e^{-A} cos(k p) + e^{-B} ],
-        A = (zeta^2/hbar)(1 - s/beta),  B = (zeta^2/hbar) s/beta,
-        k = 2 sqrt(s) zeta / (hbar beta),  NN = 1/(2 (1 + e^{-zeta^2/hbar})).
-
-    The fringe envelope e^{-A} and the Gaussian-overlap term e^{-B} swap
-    dominance exactly at the positivity time (A = B there, independent of
-    zeta); the fringe wavenumber k shrinks as the two components merge.
-    """
-    if t < 0:
-        raise ConfigError("t must be nonnegative")
-    p = np.asarray(p, dtype=float)
-    s = math.exp(-gamma * t)
-    beta = _beta(gamma, nbar, t)
-    z2 = zeta ** 2 / hbar
-    a_exp = z2 * (1.0 - s / beta)
-    b_exp = z2 * s / beta
-    k = cat_fringe_wavenumber(zeta, gamma, nbar, t, hbar)
-    scriptn = 0.5 * (1.0 / (1.0 + math.exp(-zeta ** 2 / hbar)))
-    pref = 2.0 * scriptn / (math.pi * hbar * beta)
-    return pref * np.exp(-p ** 2 / (hbar * beta)) * (
-        math.exp(-a_exp) * np.cos(k * p) + math.exp(-b_exp))
-
-
-def cat_fringe_wavenumber(zeta: float, gamma: float, nbar: float, t: float,
-                          hbar: float = 1.0) -> float:
-    """k(t) = 2 e^{-gamma t/2} zeta / (hbar beta_t), the q=0 fringe frequency."""
-    s = math.exp(-gamma * t)
-    return 2.0 * math.sqrt(s) * zeta / (hbar * _beta(gamma, nbar, t))
-
-
-def cat_fringe_zero(zeta: float, gamma: float, nbar: float, t: float,
-                    hbar: float = 1.0) -> float | None:
-    """Smallest p > 0 with W_t(p, 0) = 0, or None once fringes cannot win.
-
-    Solves cos(k p) = -e^{A-B}; a zero exists iff e^{A-B} <= 1, i.e. up to
-    (and including) the positivity time, where the zero sits at p = pi/k.
-    """
-    s = math.exp(-gamma * t)
-    beta = _beta(gamma, nbar, t)
-    z2 = zeta ** 2 / hbar
-    contrast = math.exp(z2 * (1.0 - 2.0 * s / beta))
-    if contrast > 1.0 or zeta == 0.0:
-        return None
-    k = cat_fringe_wavenumber(zeta, gamma, nbar, t, hbar)
-    return math.acos(-contrast) / k
-
-
 def cat_zero_crossing_time(gamma: float, nbar: float) -> float:
     """First t at which the cat's W_t(p, 0) loses its negative fringe minima.
 
-    The fringe-extinction condition A(t) = B(t) of :func:`cat_wigner_line`,
-    e^{-gamma t} = beta_t / 2, solved: t = ln(1 + 1/(2 nbar + 1)) / gamma.
-    It depends only on the bath, not on zeta or hbar.
+    With s = e^{-gamma t} the section is a Gaussian times e^{-A} cos(k p)
+    + e^{-B}, A = (zeta^2/hbar)(1 - s/beta_t) and B = (zeta^2/hbar) s/beta_t;
+    the fringe-extinction condition A(t) = B(t), e^{-gamma t} = beta_t / 2,
+    solved: t = ln(1 + 1/(2 nbar + 1)) / gamma. It depends only on the
+    bath, not on zeta or hbar.
     """
     if not 0.0 < gamma < math.inf:
         raise ConfigError("fringe extinction requires a finite gamma > 0")

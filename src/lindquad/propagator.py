@@ -29,8 +29,8 @@ small. Both records hold each form as its (00, 01, 11) entries in Python
 scalars, which the kernel unpacks by name with no conversion per call.
 det M(-t) and its slope, for the positivity search, come from two scalar
 products (:func:`_reversed_det`), never from an assembled M. The
-adaptive quadrature of the same integral and the matrix exponential of the
-affine flow are audits in ``oracle``.
+quadrature of the same integral (``bench/reference.py``) and the matrix
+exponential of the affine flow are test-side audits, in ``tests/audits.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "map_state",
     "evolved_state",
     "evolve_wigner_grid",
-    "chord_pde_residual",
 ]
 
 # |Wt| on the dual-mesh rim / Wt(0) above which a grid is too coarse
@@ -267,9 +266,9 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
 
     Closed form in every regime: F = e^{-alpha t} R_t, and with a linear
     Hamiltonian term o = t phi_1(t A) J b = (c1 I + s1 B) J b, see
-    :func:`_offset_scalars` (``oracle.affine_flow_expm`` is the matrix
-    exponential audit). Valid for t of either sign; raises :class:`Unstable`
-    when the flow overflows.
+    :func:`_offset_scalars` (``tests/audits.py``'s ``affine_flow_expm`` is
+    the matrix exponential audit). Valid for t of either sign; raises
+    :class:`Unstable` when the flow overflows.
     """
     t = float(t)
     drive = system.drift_offset
@@ -393,37 +392,3 @@ def evolve_wigner_grid(system: OpenSystem, state: ChordState, t: float,
             f"chord function magnitude {edge:.3e} at the dual-mesh edge "
             f"(peak {peak:.3e}); decrease the grid spacing")
     return GridField(spec=grid, values=evolved.wigner_grid(grid))
-
-
-def chord_pde_residual(system: OpenSystem, state: ChordState, t: float, xi,
-                       h: float = 1e-2) -> float:
-    """|d_t Wt + (2 J H xi + alpha xi) . grad Wt + (xi . K xi / 2 hbar) Wt
-    - (i/hbar) (J xi . J b) Wt|.
-
-    Central differences of step ``h`` in both time and chord directions
-    (O(h^2) bias), evaluated on the exact evolution — a direct check that
-    the propagated chord function satisfies its transport equation.
-    Requires 0 < h < t so both time stencil points stay in range.
-    """
-    if not 0.0 < h < t:
-        raise ConfigError("need 0 < h < t for the centered time stencil")
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (2,):
-        raise ConfigError("xi must be a single 2-vector")
-
-    w_plus = complex(evolve_chord(system, state, t + h, xi))
-    w_minus = complex(evolve_chord(system, state, t - h, xi))
-    dt_w = (w_plus - w_minus) / (2.0 * h)
-
-    offsets = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    w_near = evolve_chord(system, state, t, xi + offsets)
-    grad = np.array([(w_near[0] - w_near[1]) / (2.0 * h),
-                     (w_near[2] - w_near[3]) / (2.0 * h)])
-    w_here = complex(evolve_chord(system, state, t, xi))
-
-    drift = system.generator @ xi + system.alpha * xi
-    damp_rate = float(xi @ system.k_matrix @ xi) / (2.0 * system.hbar)
-    # the drive J b turns the phase at the rate (J xi . J b)/hbar
-    phase_rate = float((J @ xi) @ system.drift_offset) / system.hbar
-    residual = dt_w + drift @ grad + (damp_rate - 1j * phase_rate) * w_here
-    return abs(residual)

@@ -252,7 +252,7 @@ class ChordState:
                 "langevin sampling needs a gaussian-family initial state "
                 "(type 'coherent' or 'gaussian')")
         return (self.hbar * (self.shifts[0].real @ J.T),
-                self.hbar ** 2 * J.T @ self.form @ J)
+                self.hbar * (self.hbar * (J.T @ self.form @ J)))
 
     def norm_squared(self, extra: np.ndarray | None = None,
                      det_extra: float | None = None) -> float:
@@ -291,6 +291,12 @@ def _log_weight(weight: float) -> complex:
 
 
 def _validate_builtin(state: ChordState) -> ChordState:
+    # a builder divides by hbar under np.errstate; what leaves the float
+    # range is refused here
+    if not all(np.all(np.isfinite(part))
+               for part in (state.log_weights, state.form, state.shifts)):
+        raise ConfigError(f"state '{state.label}' at hbar = {state.hbar!r} has "
+                          f"terms beyond the float range")
     peak = 1.0 / (2.0 * math.pi * state.hbar)
     at_zero = complex(np.sum(state.weights))
     if abs(at_zero - peak) > 1e-12 * peak:
@@ -315,11 +321,13 @@ def coherent_state(center, hbar: float = 1.0) -> ChordState:
     Wigner function is the round Gaussian of width sqrt(hbar/2) per axis.
     """
     c, hbar = finite_array(center, (2,), "center"), checked_hbar(hbar)
-    return _validate_builtin(ChordState(
-        log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
-        form=np.eye(2) / (2.0 * hbar),
-        shifts=[(c @ J) / hbar], label=f"coherent@({c[0]:g},{c[1]:g})",
-        pure=True, hbar=hbar))
+    with np.errstate(divide="ignore", over="ignore"):
+        state = ChordState(
+            log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
+            form=np.eye(2) / (2.0 * hbar),
+            shifts=[(c @ J) / hbar], label=f"coherent@({c[0]:g},{c[1]:g})",
+            pure=True, hbar=hbar)
+    return _validate_builtin(state)
 
 
 def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
@@ -330,12 +338,15 @@ def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
     mean, hbar = finite_array(mean, (2,), "mean"), checked_hbar(hbar)
     cov, _ = _covariance(cov, "covariance")
     det = float(np.linalg.det(cov))
-    pure = abs(det - (hbar / 2.0) ** 2) <= 1e-9 * (hbar / 2.0) ** 2
+    half = hbar / 2.0
+    pure = abs(det - half * half) <= 1e-9 * half * half
     # chord form J cov J^T / hbar^2, so the Wigner transform has covariance cov
-    return _validate_builtin(ChordState(
-        log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
-        form=J @ cov @ J.T / hbar ** 2,
-        shifts=[(mean @ J) / hbar], label="gaussian", pure=pure, hbar=hbar))
+    with np.errstate(divide="ignore", over="ignore"):
+        state = ChordState(
+            log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
+            form=J @ cov @ J.T / (hbar * hbar),
+            shifts=[(mean @ J) / hbar], label="gaussian", pure=pure, hbar=hbar)
+    return _validate_builtin(state)
 
 
 def cat_state(zeta: float, hbar: float = 1.0) -> ChordState:
@@ -357,13 +368,15 @@ def cat_state(zeta: float, hbar: float = 1.0) -> ChordState:
         raise ConfigError(f"cat zeta^2/hbar must be finite, got zeta = {zeta!r}")
     z = zeta / hbar
     norm = 1.0 / (1.0 + math.exp(-zeta ** 2 / hbar))
-    central = _log_weight(0.5 * norm / (2.0 * math.pi * hbar))
-    lobe = central - zeta * z
-    return _validate_builtin(ChordState(
-        log_weights=[central, central, lobe, lobe],
-        form=np.eye(2) / (2.0 * hbar),
-        shifts=[(z, 0.0), (-z, 0.0), (0.0, -1j * z), (0.0, 1j * z)],
-        label=f"cat(zeta={zeta:g})", pure=True, hbar=hbar))
+    with np.errstate(divide="ignore", over="ignore"):
+        central = _log_weight(0.5 * norm / (2.0 * math.pi * hbar))
+        lobe = central - zeta * z
+        state = ChordState(
+            log_weights=[central, central, lobe, lobe],
+            form=np.eye(2) / (2.0 * hbar),
+            shifts=[(z, 0.0), (-z, 0.0), (0.0, -1j * z), (0.0, 1j * z)],
+            label=f"cat(zeta={zeta:g})", pure=True, hbar=hbar)
+    return _validate_builtin(state)
 
 
 def state_from_dict(data: dict, hbar: float = 1.0) -> ChordState:

@@ -21,14 +21,13 @@ import numpy as np
 from scipy.stats import multivariate_normal
 
 from conftest import damping_bath, det2, random_symplectic, random_system
-from lindquad import (GridField, HamiltonianForm,
-                      LindbladChannel, OpenSystem, Regime, cat_state,
-                      centered_grid, chord_pde_residual, coherent_state,
-                      damping_matrix, ensemble_moments, evolve_wigner_grid,
-                      evolved_state, exact_moments, fock_cat,
-                      integrate_fock_lindblad, integrate_fokker_planck,
-                      photon_bath, positivity_time, purity, reconstruct,
-                      reliable_chords, simulate, symplectic_transform)
+from lindquad import (GridField, HamiltonianForm, LindbladChannel, OpenSystem, Regime,
+                      cat_state, centered_grid, coherent_state, damping_matrix,
+                      ensemble_moments, evolve_wigner_grid, evolved_state,
+                      exact_moments, fock_cat, integrate_fock_lindblad,
+                      integrate_fokker_planck, photon_bath, positivity_time, purity,
+                      reconstruct, reliable_chords, simulate, symplectic_transform)
+from solver_audits import chord_pde_residual
 
 PRINTED_TABLE = {
     (-1.0, 0.0): 0.930, (-1.0, 0.1): 0.640, (-1.0, 1.0): 0.244,

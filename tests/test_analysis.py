@@ -12,15 +12,15 @@ import pytest
 
 import lindquad
 from conftest import det2, random_symplectic
-from lindquad import (AsymptoticInvalid, ChordState, ConfigError,
-                      HamiltonianForm, LindbladChannel, OpenSystem, Unstable,
-                      cat_state, cat_zero_crossing_time, coherent_state,
-                      evolved_state, gaussian_state, linear_entropy, photon_bath,
-                      positivity_time, purity, purity_asymptotic,
-                      purity_curve, reconstruct, reliable_chords,
+from lindquad import (AsymptoticInvalid, ChordState, ConfigError, HamiltonianForm,
+                      LindbladChannel, OpenSystem, Unstable, cat_state,
+                      cat_zero_crossing_time, coherent_state, evolved_state,
+                      gaussian_state, photon_bath, positivity_time, purity,
+                      purity_asymptotic, purity_curve, reconstruct, reliable_chords,
                       symplectic_transform, write_purity_csv)
 from lindquad.grid import _json_text
 from lindquad.propagator import _chord_exponent, _reversed_det
+from solver_audits import linear_entropy
 
 
 def _parabolic_system(d_prime: float, eps: float, d_second: float) -> OpenSystem:

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 import lindquad
+from audits import system_to_dict
 from lindquad import (analysis, coherent_state, oracle, photon_bath, purity,
-                      read_field_csv, system_to_dict)
+                      read_field_csv)
 from lindquad.cli import _build_parser, main
 
 # full-precision values behind the three-decimal sweep table

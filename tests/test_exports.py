@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import pkgutil
@@ -17,6 +16,8 @@ import pytest
 
 import lindquad
 import lindquad.cli
+from audits import bench_module as _bench_module
+from audits import system_to_dict
 from lindquad import (HamiltonianForm, LindbladChannel, OpenSystem, analysis,
                       photon_bath, symplectic_transform)
 
@@ -38,15 +39,6 @@ def test_every_module_export_resolves() -> None:
         missing += [f"{info.name}.{export}" for export in getattr(module, "__all__", ())
                     if not hasattr(module, export)]
     assert missing == []
-
-
-def _bench_module(name: str):
-    """bench/<name>.py, loaded by path."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", _BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 def _bench_tracing():
@@ -71,7 +63,7 @@ def test_every_traced_layer_resolves() -> None:
 def test_traced_jobs_count_work_and_write_the_same_bytes(tmp_path) -> None:
     # the count hooks read the arguments and results of the functions they
     # wrap, so a changed signature shows only when a traced run calls them
-    photon = lindquad.system_to_dict(lindquad.photon_bath(gamma=1.0, nbar=0.2))
+    photon = system_to_dict(lindquad.photon_bath(gamma=1.0, nbar=0.2))
     coherent = {"type": "coherent", "center": [0.6, 0.0]}
     grid = {"center": [0.0, 0.0], "half_extent": [6.0, 6.0], "shape": [49, 49]}
     jobs = {
@@ -187,6 +179,35 @@ def test_no_unused_imports() -> None:
     assert [hit for path in files for hit in _unused_imports(path)] == []
 
 
+def test_no_module_imports_scipy() -> None:
+    # scipy serves the tests alone; lazy imports inside functions count too
+    root = Path(__file__).resolve().parent.parent / "src" / "lindquad"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_every_module_imports_with_scipy_blocked() -> None:
+    code = ("import importlib, pkgutil, sys; sys.modules['scipy'] = None; "
+            "import lindquad; "
+            "names = [info.name for info in pkgutil.iter_modules(lindquad.__path__)]; "
+            "[importlib.import_module('lindquad.' + name) for name in names]; "
+            "print(len(names))")
+    src = str(Path(lindquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(list(pkgutil.iter_modules(lindquad.__path__))) > 0
+
+
 def _private_definitions(tree: ast.Module) -> set:
     """Module-level names ``tree`` defines that start with one underscore."""
     names = set()
@@ -242,19 +263,14 @@ def _adds_its_transpose(node: ast.AST) -> bool:
 
 
 def test_input_is_read_one_way() -> None:
-    # model._symmetrized is the one symmetrization of a 2x2 (the oracle's
-    # quadrature audit keeps its own, as reference code), and finite_array
+    # model._symmetrized is the one symmetrization of a 2x2, and finite_array
     # walks its input without building an object array
     root = Path(__file__).resolve().parent.parent / "src" / "lindquad"
     found = []
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        exempt = {id(node) for function in ast.walk(tree)
-                  if isinstance(function, ast.FunctionDef)
-                  and function.name == "damping_matrix_quadrature"
-                  for node in ast.walk(function)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if id(node) not in exempt and _adds_its_transpose(node)]
+                  if _adds_its_transpose(node)]
     assert found == []
     tree = ast.parse((root / "model.py").read_text())
     reader = next(node for node in tree.body

@@ -423,3 +423,21 @@ def test_field_csv_axis_cells_of_mixed_width_match_per_node_format(tmp_path) -> 
         path = tmp_path / "field.csv"
         write_field_csv(field, str(path))
         assert path.read_bytes() == _per_node_csv(field).encode()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_result_files_take_the_umask_like_open(tmp_path, umask) -> None:
+    # the temp file is made owner-only; the renamed result gets the mode a
+    # plain open() would give it, 0o666 less the umask
+    field = GridField(spec=centered_grid((0.0, 0.0), 1.0, (3, 3)), values=np.zeros((3, 3)))
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "report.json"), "{}\n")
+        write_field_csv(field, str(tmp_path / "field.csv"))
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["report.json", "field.csv", "field.csv.json",
+                                   "plain.txt"], 0o666 & ~umask)

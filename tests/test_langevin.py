@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from audits import SingularFrame, momentum_dissipation_frame
 from conftest import random_system
 from lindquad import (ConfigError, HamiltonianForm, J, LindbladChannel,
-                      NotPositiveDefinite, OpenSystem, SingularFrame,
-                      Unstable, ensemble_moments, exact_moments,
-                      momentum_dissipation_frame, photon_bath,
-                      simulate, symplectic_transform)
+                      NotPositiveDefinite, OpenSystem, Unstable, ensemble_moments,
+                      exact_moments, photon_bath, simulate, symplectic_transform)
 
 
 def test_diffusion_matches_noise_matrix() -> None:

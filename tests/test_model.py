@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from audits import system_to_dict
 from conftest import channel_with_alpha, random_symplectic, random_system
 from lindquad import (ChordState, ConfigError, FockDensity, HamiltonianForm, J,
-                      LindbladChannel, NonSymplectic, OpenSystem, Regime,
-                      cat_state, characteristic_timescale, classify,
-                      coherent_state, fock_cat, fock_coherent, gaussian_state,
-                      photon_bath,
-                      symplectic_transform, system_from_dict, system_to_dict,
-                      wedge)
+                      LindbladChannel, NonSymplectic, OpenSystem, Regime, cat_state,
+                      characteristic_timescale, classify, coherent_state, fock_cat,
+                      fock_coherent, gaussian_state, photon_bath, symplectic_transform,
+                      system_from_dict, wedge)
 from lindquad.model import finite_array
 
 

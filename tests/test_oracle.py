@@ -9,15 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from audits import cat_wigner_line, fock_mean, fock_thermal
 from conftest import centre_flow, damping_bath, dense_transport, rk4_factor
 from lindquad import (ConfigError, FockDensity, GridField, GridTooCoarse,
-                      HamiltonianForm, LindbladChannel, OpenSystem,
-                      TruncationLeak, Unstable, cat_fock_dim, cat_state,
-                      cat_wigner_line, centered_grid, coherent_fock_dim,
-                      coherent_state, evolve_wigner_grid, fock_cat,
-                      fock_coherent, fock_mean, fock_operators, fock_thermal,
-                      fokker_planck_max_dt, gaussian_state,
-                      integrate_fock_lindblad, integrate_fokker_planck,
+                      HamiltonianForm, LindbladChannel, OpenSystem, TruncationLeak,
+                      Unstable, cat_fock_dim, cat_state, centered_grid,
+                      coherent_fock_dim, coherent_state, evolve_wigner_grid, fock_cat,
+                      fock_coherent, fock_operators, fokker_planck_max_dt,
+                      gaussian_state, integrate_fock_lindblad, integrate_fokker_planck,
                       photon_bath, purity, wigner_from_fock)
 from lindquad import oracle
 
@@ -731,8 +730,8 @@ def test_oracle_imports_neither_propagator_nor_analysis() -> None:
 
 
 def test_oracle_imports_no_state_terms() -> None:
-    # purity_quadrature audits the Gaussian-term purity only while it takes
-    # the chord function as an opaque callable
+    # the number-basis routes check the Gaussian-term evolution only while
+    # they never see its terms
     tree = ast.parse(Path(oracle.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -740,3 +739,16 @@ def test_oracle_imports_no_state_terms() -> None:
             names.add(node.module or "")
             names.update(alias.name for alias in node.names)
     assert not any("states" in name.split(".") for name in names)
+
+
+def test_audits_import_neither_solver_nor_state_code() -> None:
+    # the test-side audits keep the oracle's independence; purity_quadrature
+    # audits the Gaussian-term purity only while it takes the chord function
+    # as an opaque callable
+    tree = ast.parse((Path(__file__).resolve().parent / "audits.py").read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert {name for name in modules if name.split(".")[0] == "lindquad"} <= {
+        "lindquad._quadrature", "lindquad.errors", "lindquad.model", "lindquad.oracle"}
+    assert not modules & {"conftest", "solver_audits"}

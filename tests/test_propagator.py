@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from audits import cat_wigner_line, damping_matrix_quadrature
 from conftest import (centre_flow, damping_bath, det2, orbit,
                       random_symplectic, random_system)
-from lindquad import (ChordState, ConfigError, GridTooCoarse,
-                      HamiltonianForm, J, LindbladChannel, OpenSystem,
-                      Unstable, affine_flow, cat_state, cat_wigner_line, centered_grid,
-                      chord_pde_residual, coherent_state, damping_matrix,
-                      damping_matrix_quadrature, evolve_chord,
-                      evolve_wigner_grid, evolved_state, exact_moments,
-                      gaussian_state, photon_bath, symplectic_transform)
+from lindquad import (ChordState, ConfigError, GridTooCoarse, HamiltonianForm, J,
+                      LindbladChannel, OpenSystem, Unstable, affine_flow, cat_state,
+                      centered_grid, coherent_state, damping_matrix, evolve_chord,
+                      evolve_wigner_grid, evolved_state, exact_moments, gaussian_state,
+                      photon_bath, symplectic_transform)
+from solver_audits import chord_pde_residual
 
 
 def _driven_oscillator() -> OpenSystem:

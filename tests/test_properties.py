@@ -16,17 +16,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from audits import affine_flow_expm, damping_matrix_quadrature, purity_quadrature
 from conftest import det2, random_hamiltonian, random_symplectic, random_system
 from lindquad import (ChordState, GridSpec, HamiltonianForm, J, LindbladChannel,
-                      OpenSystem, TruncationLeak, affine_flow, affine_flow_expm,
-                      cat_state, centered_grid, coherent_state,
-                      damping_matrix,
-                      damping_matrix_quadrature, evolve_chord,
-                      evolve_wigner_grid, evolved_state, fock_cat, fock_coherent,
-                      fock_operators, gaussian_state, integrate_fock_lindblad,
-                      photon_bath, positivity_time, purity, purity_quadrature,
-                      reconstruct, reliable_chords, symplectic_transform,
-                      wigner_from_fock)
+                      OpenSystem, TruncationLeak, affine_flow, cat_state, centered_grid,
+                      coherent_state, damping_matrix, evolve_chord, evolve_wigner_grid,
+                      evolved_state, fock_cat, fock_coherent, fock_operators,
+                      gaussian_state, integrate_fock_lindblad, photon_bath,
+                      positivity_time, purity, reconstruct, reliable_chords,
+                      symplectic_transform, wigner_from_fock)
 from lindquad.propagator import _reversed_det
 from lindquad.states import _tile_size
 

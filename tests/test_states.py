@@ -6,12 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from lindquad import (ChordState, ConfigError,
-                      NotPositiveDefinite, Unstable, cat_fock_dim, cat_fringe_zero,
-                      cat_state, cat_wigner_line, cat_zero_crossing_time,
-                      centered_grid, coherent_state, evolve_wigner_grid,
-                      fock_cat, gaussian_state, photon_bath, purity,
-                      state_from_dict)
+from audits import cat_fringe_zero, cat_wigner_line
+from lindquad import (ChordState, ConfigError, NotPositiveDefinite, Unstable,
+                      cat_fock_dim, cat_state, cat_zero_crossing_time, centered_grid,
+                      coherent_state, evolve_wigner_grid, fock_cat, gaussian_state,
+                      photon_bath, purity, state_from_dict)
 
 TWO_PI = 2.0 * np.pi
 
