@@ -104,8 +104,9 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
     Since M(-t) ~ -K t near t = 0, det M(-t) reaches 1/4 near 1/(2 sqrt(det
     K)). The first evaluation is there, or at the characteristic timescale
     where det K is 0 or not finite, or at ``horizon`` if that comes first.
-    A crossed start halves down to an uncrossed time (or to 0, where M
-    vanishes); an uncrossed one doubles up to a crossed time or the horizon.
+    M(0) = 0, so 0 is the uncrossed end of every bracket: a crossed start
+    t0 brackets the root in (0, t0], and an uncrossed one doubles up to a
+    crossed time or the horizon.
     A safeguarded Newton search (rtsafe) then refines that bracket to 1e-13
     relative, starting from its crossed end. It takes Newton steps in
     sqrt(det M(-t)) while they land inside the bracket and at most half as
@@ -143,9 +144,6 @@ def positivity_time(system: OpenSystem, horizon: float = 100.0) -> PositivityRes
 
     high = det_at(scale if 0.0 < scale < horizon else horizon)
     lo, best = 0.0, -_THRESHOLD
-    if crossed(high):  # halve down to an uncrossed time, or to 0 (M(0) = 0)
-        while (lo := 0.5 * high[0]) > 0.0 and crossed(point := det_at(lo)):
-            high = point
     while not crossed(high):  # double up to a crossed time or the horizon
         best = max(best, high[1] - _THRESHOLD - high[3])
         if high[0] >= horizon:
@@ -276,7 +274,7 @@ def purity_curve(system: OpenSystem, state: ChordState,
         raise ConfigError("purity requires t >= 0")
     rows = [(t, damping_matrix(system, -t), _reversed_det(system, t)[0]) for t in ts]
     vals = [math.exp(2.0 * system.alpha * t) * state.norm_squared(
-                -2.0 * m / system.hbar, 4.0 * det / system.hbar ** 2)
+                -2.0 * m / system.hbar, 4.0 * det / system.hbar / system.hbar)
             for t, m, det in rows]
     methods = ["quadrature"] * len(ts)
     if include_asymptotic:

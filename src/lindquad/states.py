@@ -314,39 +314,40 @@ def _validate_builtin(state: ChordState) -> ChordState:
     return state
 
 
-def coherent_state(center, hbar: float = 1.0) -> ChordState:
-    """Coherent state displaced to ``center`` = (p, q).
-
-    Chord function (1/2 pi hbar) exp(-xi^2/4 hbar) exp((i/hbar) xi ^ center);
-    Wigner function is the round Gaussian of width sqrt(hbar/2) per axis.
-    """
-    c, hbar = finite_array(center, (2,), "center"), checked_hbar(hbar)
+def _gaussian(mean: np.ndarray, cov: np.ndarray, hbar: float, label: str) -> ChordState:
+    """The Gaussian of Wigner mean and covariance C: the one builder of coherent
+    and Gaussian states. det C is compared with (hbar/2)^2 as det(C/hbar)/g with
+    1/(4 g), g the larger diagonal entry of C/hbar, in floats that cannot
+    overflow: below by over 1e-9 relative raises :class:`ConfigError`, within it
+    the state is pure. A C/hbar out of the float range leaves the form so."""
+    (a, b), (_, d) = [[x / hbar for x in row] for row in cov.tolist()]
+    g, pure = max(a, d), False
+    if all(map(math.isfinite, (a, b, d))):
+        schur, bound = (min(a, d) - b * (b / g), 0.25 / g) if g else (0.0, math.inf)
+        if schur < (1.0 - 1e-9) * bound:
+            raise ConfigError(f"state '{label}' violates the uncertainty bound: det C "
+                              f"/ (hbar/2)^2 = {4.0 * g * schur!r} < 1")
+        pure = abs(schur - bound) <= 1e-9 * bound
+    off = (0.0 - b) / hbar  # the form J C J^T / hbar^2, with a zero entry +0
     with np.errstate(divide="ignore", over="ignore"):
-        state = ChordState(
-            log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
-            form=np.eye(2) / (2.0 * hbar),
-            shifts=[(c @ J) / hbar], label=f"coherent@({c[0]:g},{c[1]:g})",
-            pure=True, hbar=hbar)
+        state = ChordState(log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
+                           form=[[d / hbar, off], [off, a / hbar]],
+                           shifts=[(mean @ J) / hbar], label=label, pure=pure, hbar=hbar)
     return _validate_builtin(state)
+
+
+def coherent_state(center, hbar: float = 1.0) -> ChordState:
+    """Coherent state at ``center`` = (p, q): the Gaussian of covariance (hbar/2) I,
+    whose chord function is (1/2 pi hbar) exp(-xi^2/4 hbar + (i/hbar) xi ^ center)."""
+    c, hbar = finite_array(center, (2,), "center"), checked_hbar(hbar)
+    return _gaussian(c, np.eye(2) * (0.5 * hbar), hbar, f"coherent@({c[0]:g},{c[1]:g})")
 
 
 def gaussian_state(mean, cov, hbar: float = 1.0) -> ChordState:
-    """General Gaussian state with Wigner mean and covariance as given.
-
-    Pure iff det cov = (hbar/2)^2; purity is (hbar/2)/sqrt(det cov).
-    """
+    """General Gaussian state with Wigner mean and covariance as given: pure iff
+    det cov = (hbar/2)^2, and of purity (hbar/2)/sqrt(det cov)."""
     mean, hbar = finite_array(mean, (2,), "mean"), checked_hbar(hbar)
-    cov, _ = _covariance(cov, "covariance")
-    det = float(np.linalg.det(cov))
-    half = hbar / 2.0
-    pure = abs(det - half * half) <= 1e-9 * half * half
-    # chord form J cov J^T / hbar^2, so the Wigner transform has covariance cov
-    with np.errstate(divide="ignore", over="ignore"):
-        state = ChordState(
-            log_weights=[_log_weight(1.0 / (2.0 * math.pi * hbar))],
-            form=J @ cov @ J.T / (hbar * hbar),
-            shifts=[(mean @ J) / hbar], label="gaussian", pure=pure, hbar=hbar)
-    return _validate_builtin(state)
+    return _gaussian(mean, _covariance(cov, "covariance")[0], hbar, "gaussian")
 
 
 def cat_state(zeta: float, hbar: float = 1.0) -> ChordState:

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from lindquad import HamiltonianForm, LindbladChannel, OpenSystem, affine_flow, oracle
+from lindquad import (HamiltonianForm, LindbladChannel, OpenSystem, affine_flow, oracle,
+                      photon_bath)
 
 
 def det2(m: np.ndarray) -> float:
@@ -29,13 +30,7 @@ def damping_bath(gamma: float, nbar: float = 0.0, hbar: float = 1.0) -> OpenSyst
     the co-rotating frame, so fringes of an evolving cat state stay put on
     the momentum axis.
     """
-    c = np.sqrt(gamma * (nbar + 1.0) / 2.0)
-    channels = [LindbladChannel(l_re=[0.0, c], l_im=[c, 0.0])]
-    if nbar > 0.0:
-        d = np.sqrt(gamma * nbar / 2.0)
-        channels.append(LindbladChannel(l_re=[0.0, d], l_im=[-d, 0.0]))
-    return OpenSystem(hamiltonian=HamiltonianForm(matrix=np.zeros((2, 2))),
-                      channels=tuple(channels), hbar=hbar)
+    return photon_bath(gamma, nbar, omega=0.0, hbar=hbar)
 
 
 def channel_with_alpha(rng: np.random.Generator, alpha: float) -> LindbladChannel:

@@ -127,9 +127,9 @@ def test_subnormal_horizon_ends_the_scan() -> None:
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["False", "1"], proc.stderr
-    # det K = 1/4: the bracket is [1/2, 1] after two evaluations, and rtsafe
-    # takes six more
-    for horizon, iterations in ((100.0, 8), (1e-6, 1), (5e-321, 1)):
+    # det K = 1/4: the start 1 is crossed, so the bracket is (0, 1] after
+    # one evaluation, and rtsafe takes six more
+    for horizon, iterations in ((100.0, 7), (1e-6, 1), (5e-321, 1)):
         assert positivity_time(photon_bath(gamma=1.0),
                                horizon=horizon).iterations == iterations
 

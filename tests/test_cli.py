@@ -878,6 +878,12 @@ _HUGE_H = dict(PHOTON, hamiltonian={"matrix": [[1e200, 0.0], [0.0, 1e200]]})
 _HUGE_CHANNEL = dict(PHOTON, channels=[{"l_re": [1e200, 0.0], "l_im": [0.0, 1e200]}])
 _HUGE_ENTRY = dict(PHOTON, hamiltonian={"matrix": [[1e308, 0.0], [0.0, 1.0]]})
 _HUGE_COV = {"type": "gaussian", "cov": [[1e308, 0.0], [0.0, 1.0]]}
+# hbar = 1e200 with C = 2 hbar I (purity 1/4): hbar ** 2 overflowed in
+# purity_curve; the pair sum's det S then underflows (exit 5)
+_HUGE_HBAR_ENTROPY = {
+    "system": {"hbar": 1e200, "hamiltonian": {"matrix": [[0.5, 0.0], [0.0, 0.5]]},
+               "channels": [{"l_re": [0.0, 0.7], "l_im": [0.7, 0.0]}]},
+    "state": {"type": "gaussian", "cov": [[2e200, 0.0], [0.0, 2e200]]}, "times": [0.5]}
 _OVERFLOWING = {
     "classify-h": ("classify", {"system": _HUGE_H}, 5),
     "positivity-h": ("positivity", {"system": _HUGE_H}, 5),
@@ -899,6 +905,7 @@ _OVERFLOWING = {
     "classify-huge-entry": ("classify", {"system": _HUGE_ENTRY}, 0),
     "evolve-huge-cov": ("evolve", dict(_BASE["evolve"], state=_HUGE_COV), 5),
     "langevin-huge-cov": ("langevin", dict(_BASE["langevin"], state=_HUGE_COV), 5),
+    "entropy-huge-hbar": ("entropy", _HUGE_HBAR_ENTROPY, 5),
 }
 
 
@@ -1010,6 +1017,18 @@ def test_entropy_validation_errors(tmp_path) -> None:
                              "include_asymptotic": "yes"}, name="e3.json")
     assert main(["entropy", "--config", cfg, "--out",
                  str(tmp_path / "r.csv")]) == 2
+
+
+def test_entropy_refuses_a_covariance_below_the_uncertainty_bound(
+        tmp_path, capsys) -> None:
+    # det C = 0.01 < (hbar/2)^2: it once printed purity 5 and linear
+    # entropy -4 and exited 0
+    cfg = _config(tmp_path, {"system": PHOTON, "times": [0.0, 0.5], "state": {
+        "type": "gaussian", "cov": [[0.1, 0.0], [0.0, 0.1]]}})
+    out = tmp_path / "p.csv"
+    assert main(["entropy", "--config", cfg, "--out", str(out)]) == 2
+    assert "uncertainty bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key, payload", [

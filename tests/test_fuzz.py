@@ -1,9 +1,11 @@
 """A config fuzz property for every subcommand.
 
-Each example takes a valid config of one subcommand, replaces one or two of
-its leaves with values from a fixed menu of edge cases (signed zeros, a
-subnormal, numbers near and past the float range, NaN, infinities, wrong
-types, integers past 64 bits and past the float range), and runs
+Each example takes a valid config of one subcommand, may scale hbar and the
+state's covariance jointly by 1e-150, 1e150 or 1e200 (with lengths by the
+square root), replaces up to two of its leaves with values from a fixed menu
+of edge cases (signed zeros, a subnormal, numbers near and past the float
+range, NaN, infinities, wrong types, integers past 64 bits and past the float
+range), and runs
 ``lindquad.cli.main`` in-process with ``RuntimeWarning`` as an error. Every
 run must end with a documented exit code, no traceback or warning on
 stderr, one ``error:`` line on failure, and strict JSON in every JSON file
@@ -99,10 +101,35 @@ def _refuse_constant(token: str):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+# the joint scale: x -> sqrt(lam) x with hbar -> lam hbar maps each config to
+# the same physics in other units, so hbar and the state's covariance move
+# together (one leaf of the menu cannot move both)
+_SCALES = [1e-150, 1e150, 1e200]
+# the power of lam that scales each key's numbers
+_POWERS = {"hbar": 1.0, "cov": 1.0, "mean": 0.5, "center": 0.5, "zeta": 0.5,
+           "linear": 0.5, "half_extent": 0.5, "origin": 0.5, "spacing": 0.5}
+
+
+def _scaled(node, lam: float, factor: float = 1.0):
+    """A copy of ``node`` with hbar and covariances times ``lam``, and means,
+    centres, the cat's zeta, the linear drive and grid lengths times
+    sqrt(lam)."""
+    if isinstance(node, dict):
+        return {key: _scaled(value, lam, lam ** _POWERS[key] if key in _POWERS
+                             else factor)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [_scaled(value, lam, factor) for value in node]
+    return node * factor if isinstance(node, float) else node
+
+
 @st.composite
 def _cases(draw):
     argv, config = draw(st.sampled_from(_BASES))
-    for _ in range(draw(st.integers(1, 2))):
+    lam = draw(st.sampled_from([1.0] + _SCALES))
+    if lam != 1.0:
+        config = _scaled(config, lam)
+    for _ in range(draw(st.integers(0 if lam != 1.0 else 1, 2))):
         path = draw(st.sampled_from(_leaves(config)))
         config = _replaced(config, path, draw(st.sampled_from(_MENU)))
     return argv, config
@@ -139,6 +166,12 @@ def test_fuzzed_configs_exit_cleanly(tmp_path) -> None:
         _check(tmp_path, *case)
 
     run()
+
+
+@pytest.mark.parametrize("lam", _SCALES)
+def test_jointly_scaled_configs_exit_cleanly(tmp_path, lam) -> None:
+    for argv, config in _BASES:
+        _check(tmp_path, argv, _scaled(config, lam))
 
 
 def _edited(index: int, **changes) -> tuple:

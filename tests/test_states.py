@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from audits import cat_fringe_zero, cat_wigner_line
-from lindquad import (ChordState, ConfigError, NotPositiveDefinite, Unstable,
+from lindquad import (ChordState, ConfigError, LindquadError, NotPositiveDefinite, Unstable,
                       cat_fock_dim, cat_state, cat_zero_crossing_time, centered_grid,
                       coherent_state, evolve_wigner_grid, fock_cat, gaussian_state,
                       photon_bath, purity, state_from_dict)
@@ -331,6 +332,53 @@ def test_gaussian_state_checks_its_covariance() -> None:
         gaussian_state((0.0, 0.0), [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ConfigError):
         gaussian_state((0.0, 0.0), [[1.0, np.inf], [np.inf, 1.0]])
+
+
+def test_covariance_below_the_uncertainty_bound_is_refused() -> None:
+    # det C = 0.01 < (hbar/2)^2 = 1/4 is no quantum state's: it once built
+    # with purity 5
+    with pytest.raises(ConfigError, match="uncertainty bound"):
+        gaussian_state((0.0, 0.0), 0.1 * np.eye(2))
+    for hbar in (1.0, 0.37, 1e-150, 1e200, 1e300):
+        with pytest.raises(ConfigError, match="uncertainty bound"):
+            gaussian_state((0.0, 0.0), (0.499 * hbar) * np.eye(2), hbar=hbar)
+    # within 1e-9 relative of the bound, on either side, the state is pure
+    for scale in (1.0 - 4e-10, 1.0, 1.0 + 4e-10):
+        cov = np.array([[2.0, 0.3], [0.3, (0.25 * scale + 0.09) / 2.0]]) * 0.37
+        assert gaussian_state((0.1, 0.0), cov, hbar=0.37).pure
+
+
+def test_huge_covariances_build_without_warnings() -> None:
+    # det C overflowed numpy's det with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cov in ([[1e200, 0.0], [0.0, 1e200]], [[1e300, 0.0], [0.0, 1e-300]]):
+            assert not gaussian_state((0.0, 0.0), cov).pure
+
+
+def _built(builder):
+    """``builder()``, or the type of the package error it raised, with numpy
+    warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return builder()
+        except LindquadError as exc:
+            return type(exc)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.37, 1e-150, 1e200, 1e300])
+def test_coherent_state_is_the_minimal_gaussian(hbar) -> None:
+    center = (0.1, 0.2)
+    coh = _built(lambda: coherent_state(center, hbar=hbar))
+    gauss = _built(lambda: gaussian_state(center, (hbar / 2.0) * np.eye(2), hbar=hbar))
+    if isinstance(coh, type) or isinstance(gauss, type):
+        assert coh is gauss
+        return
+    assert coh.pure and gauss.pure
+    for a, b in ((coh.log_weights, gauss.log_weights), (coh.form, gauss.form),
+                 (coh.shifts, gauss.shifts)):
+        np.testing.assert_array_max_ulp(a.view(float), b.view(float), maxulp=1)
 
 
 def test_cat_parameters_validation() -> None:
