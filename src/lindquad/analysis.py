@@ -12,10 +12,9 @@ late-time saddle value; :func:`reconstruct` inverts the evolution, and
 :func:`reliable_chords` is its reliability mask, since division by the
 attenuation Gaussian amplifies whatever noise lives at large chords.
 
-Every function here asks the propagator's kernel for one time per call:
-the threshold depends on the system alone, so the bracket and the search
-evaluate det M(-t) point by point, starting from the small-time law
-det M(-t) ~ det K t^2, and a purity curve loops over its times.
+Every function here asks the propagator's damping kernel for one time per
+call: the bracket and the search evaluate det M(-t) point by point from the
+small-time law det M(-t) ~ det K t^2, and a purity curve loops over its times.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ import numpy as np
 from .errors import AsymptoticInvalid, ConfigError, Unstable
 from .grid import _csv_text, atomic_write_text
 from .model import OpenSystem, characteristic_timescale
-from .propagator import _chord_exponent, _reversed_det, damping_matrix, map_state
+from .propagator import (_chord_exponent, _damping_kernel, _finite_time, _kernel_det,
+                         _kernel_matrix, _reversed_det, map_state)
 from .states import ChordState
 
 __all__ = [
@@ -183,11 +183,16 @@ def purity(system: OpenSystem, state: ChordState, t: float) -> float:
     return float(purity_curve(system, state, [t], include_asymptotic=False).values[0])
 
 
+def _reversed(system: OpenSystem, t: float) -> tuple:
+    """(t, M(-t), det M(-t)) at one time t >= 0, from one kernel evaluation."""
+    kernel = _damping_kernel(system, -t)
+    return t, _kernel_matrix(system, -t, kernel), _kernel_det(system, t, kernel)[0]
+
+
 def _purity_asymptotic(system: OpenSystem, t: float, shrink: np.ndarray,
                        det: float) -> float:
-    # eigenvalues of -M(-t) from its trace and the uncancelled det M(-t):
-    # eigvalsh of the dense matrix loses the small one where the entries
-    # cancel (sheared frames), and the trace squared can overflow
+    # eigenvalues of -M(-t) from its trace and the uncancelled det M(-t): a
+    # dense eigvalsh loses the small one in sheared frames, and trace^2 can overflow
     trace = -float(shrink[0, 0] + shrink[1, 1])
     ratio = det / trace / trace if trace > 0.0 else 0.0
     lam_max = 0.5 * trace * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * ratio)))
@@ -211,10 +216,8 @@ def purity_asymptotic(system: OpenSystem, t: float) -> float:
     the determinant from the uncancelled spectral products, so it holds in
     every symplectic frame.
     """
-    if t < 0:
-        raise ConfigError("purity_asymptotic requires t >= 0")
-    return _purity_asymptotic(system, t, damping_matrix(system, -t),
-                              _reversed_det(system, float(t))[0])
+    t = _finite_time(t, "purity_asymptotic", forward=True)
+    return _purity_asymptotic(system, *_reversed(system, t))
 
 
 def reconstruct(system: OpenSystem, evolved: ChordState, t: float) -> ChordState:
@@ -224,8 +227,7 @@ def reconstruct(system: OpenSystem, evolved: ChordState, t: float) -> ChordState
     the attenuation Gaussian and undoes the affine flow term by term.
     :func:`reliable_chords` marks where the result can be trusted.
     """
-    if t < 0:
-        raise ConfigError("reconstruct requires t >= 0")
+    t = _finite_time(t, "reconstruct", forward=True)
     return map_state(system, evolved, -t, label=f"reconstructed({evolved.label})")
 
 
@@ -239,8 +241,7 @@ def reliable_chords(system: OpenSystem, t: float, xi,
     forward factor at the evolved chord. The mask depends on no state, and
     its exponent comes from projected chords, the same in every frame.
     """
-    if t < 0:
-        raise ConfigError("reliable_chords requires t >= 0")
+    t = _finite_time(t, "reliable_chords", forward=True)
     if not 0.0 < floor <= 1.0:
         raise ConfigError("floor must lie in (0, 1]")
     quad = _chord_exponent(system, -t, xi)
@@ -265,14 +266,11 @@ def purity_curve(system: OpenSystem, state: ChordState,
     the average of a narrowing Gaussian (M(-t) is negative semidefinite)
     over the initial chord intensity: the closed-form pair sum
     :meth:`ChordState.norm_squared` with E = -2 M(-t)/hbar and det E from
-    the uncancelled :func:`_reversed_det`, exact in sheared frames, one
-    kernel call each per time. The exact rows keep the method name
-    "quadrature" of the CSV format.
+    the uncancelled det M(-t), exact in sheared frames, both from one kernel
+    evaluation per time. Exact rows keep the CSV method name "quadrature".
     """
-    ts = [float(t) for t in times]
-    if any(t < 0 for t in ts):
-        raise ConfigError("purity requires t >= 0")
-    rows = [(t, damping_matrix(system, -t), _reversed_det(system, t)[0]) for t in ts]
+    ts = [_finite_time(t, "purity", forward=True) for t in times]
+    rows = [_reversed(system, t) for t in ts]
     vals = [math.exp(2.0 * system.alpha * t) * state.norm_squared(
                 -2.0 * m / system.hbar, 4.0 * det / system.hbar / system.hbar)
             for t, m, det in rows]

@@ -22,13 +22,11 @@ Wigner function is closed form too and reconstruction is the map at -t.
 as plain arrays; they are the only routes to orbit and damping data. Both
 are closed form, evaluated at one time in Python scalars from data the
 system caches once: the offset o of a linear Hamiltonian term is
-t phi_1(t A) J b = (c1 I + s1 B) J b, and M(t) is Re sum_r phi(x_r, t) q_r
-over the projector forms of B (``damping_spectrum``), or moment series
-times K, B^T K + K B, B^T K B (``moment_forms``) where |sigma^2| t^2 is
-small. Both records hold each form as its (00, 01, 11) entries in Python
-scalars, which the kernel unpacks by name with no conversion per call.
-det M(-t) and its slope, for the positivity search, come from two scalar
-products (:func:`_reversed_det`), never from an assembled M. The
+t phi_1(t A) J b = (c1 I + s1 B) J b, and M(t) is Re sum_r w_r F_r, with
+phi(x_r, t) on the projector forms of B (``damping_spectrum``), or moment
+series on ``moment_forms`` where |sigma^2| t^2 is small. One kernel call
+per time (:func:`_damping_kernel`) chooses that route; M's entries, the
+chord exponent and det M(-t) with its slope all read its weights. The
 quadrature of the same integral (``bench/reference.py``) and the matrix
 exponential of the affine flow are test-side audits, in ``tests/audits.py``.
 """
@@ -62,6 +60,7 @@ _EPS = float(np.finfo(float).eps)
 _SERIES_REACH = 1e-2
 # at most this many orders of those series: (w t)^14 / 15! < 1e-26 on the reach
 _SERIES_ORDERS = 7
+_NANS = (math.nan,) * 3
 
 
 def _finite(value: np.ndarray, what: str, t: float) -> np.ndarray:
@@ -70,23 +69,30 @@ def _finite(value: np.ndarray, what: str, t: float) -> np.ndarray:
     return value
 
 
+def _finite_time(t, what: str, forward: bool = False) -> float:
+    """``t`` as a float; ConfigError if not finite, or negative and ``forward``."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ConfigError(f"{what} needs finite times, got {t!r}")
+    if forward and t < 0:
+        raise ConfigError(f"{what} requires t >= 0")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # The scalar kernel: orbit, offset and damping data at one time, in math
 # scalars from the system's cached forms.
 
 
-def _nan_on_overflow(width: int):
-    """Decorate a kernel of ``width`` floats to give nans where math raises
-    (OverflowError past e^709.78, ValueError for cos or sin of inf) and
-    numpy gave inf or nan: the one place the callers' checks see overflow."""
-    nans = (math.nan,) * width
-
+def _nan_on_overflow(fallback):
+    """Decorate a kernel to return ``fallback``, its result in nans, where math
+    raises (past e^709.78, cos or sin of inf) and numpy gives inf or nan."""
     def decorate(kernel):
         def guarded(*args):
             try:
                 return kernel(*args)
             except (OverflowError, ValueError):
-                return nans
+                return fallback
         return guarded
     return decorate
 
@@ -96,7 +102,7 @@ def _on_series(w2: float, t: float) -> bool:
     return not abs(w2) * (t * t) >= _SERIES_REACH
 
 
-@_nan_on_overflow(2)
+@_nan_on_overflow(_NANS[:2])
 def _cosh_sinh(s2: float, t: float) -> tuple[float, float]:
     """(c, s) with R_t = exp(t B) = c I + s B.
 
@@ -181,7 +187,7 @@ def _moment_sums(a: float, u: float, t: float) -> tuple[float, float, float]:
     return js[0], odd, even
 
 
-@_nan_on_overflow(2)
+@_nan_on_overflow(_NANS[:2])
 def _offset_scalars(system: OpenSystem, t: float) -> tuple[float, float]:
     """(c1, s1) with Integral_0^t e^{tau A} d tau = t phi_1(t A) = c1 I + s1 B.
 
@@ -200,39 +206,41 @@ def _offset_scalars(system: OpenSystem, t: float) -> tuple[float, float]:
     return (0.5 * (plus + minus)).real, ((minus - plus) / (2.0 * sigma)).real
 
 
-@_nan_on_overflow(3)
-def _spectral_phis(x: tuple, t: float) -> tuple:
-    """phi(x_r, t) at ``damping_spectrum``'s x = 2 alpha + (2 sigma, 0, -2 sigma)."""
-    return tuple(_phi(xr, t) for xr in x)
-
-
 def _entries(weights, forms: tuple) -> tuple[float, float, float]:
     """Entries 00, 01, 11 of Re sum_r w_r F_r, each form F_r its (00, 01, 11)."""
     (w0, w1, w2), (f0, f1, f2) = weights, forms
     return tuple((w0 * a + w1 * b + w2 * c).real for a, b, c in zip(f0, f1, f2))
 
 
-@_nan_on_overflow(3)
-def _damping_entries(system: OpenSystem, t: float) -> tuple[float, float, float]:
-    """(m00, m01, m11) of M(t).
+@_nan_on_overflow((_NANS, (_NANS,) * 3, None))
+def _damping_kernel(system: OpenSystem, t: float) -> tuple:
+    """(w, F, spectrum) with M(t) = Re sum_r w_r F_r; a nan series record on overflow.
 
-    Off the moment-series route, M = Re sum_r phi(x_r, t) q_r over the
-    projector forms q_r of B. On it, where |2 sigma t|^2 is small and the
-    projectors are ill-conditioned, M = I_cc K + I_cs (B^T K + K B)
-    + I_ss B^T K B with the moment series I.
+    Where |2 sigma t|^2 is small and the projectors are ill-conditioned, w
+    are moment series on F = ``moment_forms`` and spectrum is None: chords
+    map through the pair (I, B). Elsewhere w_r = phi(x_r, t) on the forms q_r
+    of spectrum = ``damping_spectrum``, and chords map through (P+, P-).
     """
     s2 = system.sigma_squared
     if _on_series(4.0 * s2, t):
         j0, i_cs, half_ss = _moment_sums(2.0 * system.alpha, 4.0 * s2, t)
         i_ss = 2.0 * half_ss
-        return _entries((j0 + s2 * i_ss, i_cs, i_ss), system.moment_forms)
-    x, q, _, _ = system.damping_spectrum
-    return _entries(_spectral_phis(x, t), q)
+        return (j0 + s2 * i_ss, i_cs, i_ss), system.moment_forms, None
+    spectrum = system.damping_spectrum
+    return tuple(map(_phi, spectrum[0], (t, t, t))), spectrum[1], spectrum
 
 
-@_nan_on_overflow(3)
-def _reversed_det(system: OpenSystem, t: float) -> tuple[float, float, float]:
-    """(det M(-t), d/dt det M(-t), round-off of det) at one time t >= 0.
+def _kernel_matrix(system: OpenSystem, t: float, kernel: tuple) -> np.ndarray:
+    """M(t) from the kernel at t, zeros where K = 0; Unstable where not finite."""
+    if not system.k_matrix.any():
+        return np.zeros((2, 2))
+    m00, m01, m11 = _entries(*kernel[:2])
+    return _finite(np.array([[m00, m01], [m01, m11]]), "damping matrix", t)
+
+
+@_nan_on_overflow(_NANS)
+def _kernel_det(system: OpenSystem, t: float, kernel: tuple) -> tuple:
+    """(det M(-t), d/dt det M(-t), round-off of det) from the kernel at -t.
 
     Off the moment-series route, det M(-t) = Re(e phi+ phi- + f phi0^2) with
     phi_r = phi(x_r, -t) and e, f from ``damping_spectrum``: two products
@@ -240,25 +248,28 @@ def _reversed_det(system: OpenSystem, t: float) -> tuple[float, float, float]:
     grow. On it, the series' m00 m11 - m01^2 does not cancel, and the slope
     is tr(adj M dM/dt). Overflow is left non-finite for the caller to report.
     """
-    s2 = system.sigma_squared
-    if _on_series(4.0 * s2, t):
-        m00, m01, m11 = _damping_entries(system, -t)
-        c, s = _cosh_sinh(s2, t)
+    weights, forms, spectrum = kernel
+    if spectrum is None:
+        m00, m01, m11 = _entries(weights, forms)
+        c, s = _cosh_sinh(system.sigma_squared, t)
         # d/dt M(-t) = -e^{2 alpha t} R_t^T K R_t
         grow = -math.exp(2.0 * system.alpha * t)
-        d00, d01, d11 = _entries((grow * c * c, grow * c * s, grow * s * s),
-                                 system.moment_forms)
+        d00, d01, d11 = _entries((grow * c * c, grow * c * s, grow * s * s), forms)
         diag, off = m00 * m11, m01 * m01
         return (diag - off, m11 * d00 + m00 * d11 - 2.0 * m01 * d01,
                 4.0 * _EPS * (abs(diag) + off))
-    x, _, (e, f, e_scale, f_scale), _ = system.damping_spectrum
-    phi = _spectral_phis(x, -t)
-    pair, square = phi[0] * phi[2], phi[1] * phi[1]
+    x, _, (e, f, e_scale, f_scale), _ = spectrum
+    pair, square = weights[0] * weights[2], weights[1] * weights[1]
     # d/dt phi(x, -t) = -e^{x t} = x phi - 1, times the partner in each pair
-    grown = [(xr * p - 1.0) * q for xr, p, q in zip(x, phi, phi[::-1])]
+    grown = [(xr * p - 1.0) * q for xr, p, q in zip(x, weights, weights[::-1])]
     slope = e * (grown[0] + grown[2]) + f * (grown[1] + grown[1])
     return ((e * pair + f * square).real, slope.real,
             4.0 * _EPS * (e_scale * abs(pair) + f_scale * abs(square)))
+
+
+def _reversed_det(system: OpenSystem, t: float) -> tuple[float, float, float]:
+    """:func:`_kernel_det` at one time t >= 0, from one kernel evaluation."""
+    return _kernel_det(system, t, _damping_kernel(system, -t))
 
 
 def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -267,10 +278,10 @@ def affine_flow(system: OpenSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
     Closed form in every regime: F = e^{-alpha t} R_t, and with a linear
     Hamiltonian term o = t phi_1(t A) J b = (c1 I + s1 B) J b, see
     :func:`_offset_scalars` (``tests/audits.py``'s ``affine_flow_expm`` is
-    the matrix exponential audit). Valid for t of either sign; raises
-    :class:`Unstable` when the flow overflows.
+    the matrix exponential audit). Valid for finite t of either sign, else
+    :class:`ConfigError`; raises :class:`Unstable` when the flow overflows.
     """
-    t = float(t)
+    t = _finite_time(t, "affine flow")
     drive = system.drift_offset
     c, s = _cosh_sinh(system.sigma_squared, t)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -288,44 +299,35 @@ def damping_matrix(system: OpenSystem, t: float) -> np.ndarray:
     """M(t) = Integral_{-t}^{0} e^{2 alpha tau} R_tau^T K R_tau d tau, closed form.
 
     Positive semidefinite for t >= 0, negative semidefinite for t <= 0,
-    M(0) = 0. Three exponentials times the projector forms of B, with moment
-    series where |sigma^2| t^2 is small and the projectors are
-    ill-conditioned. Raises :class:`ConfigError` for a time that is not
-    finite and :class:`Unstable` when the exponentials overflow.
+    M(0) = 0. The entries of one kernel evaluation (:func:`_damping_kernel`).
+    Raises :class:`ConfigError` for a time that is not finite and
+    :class:`Unstable` when the exponentials overflow.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ConfigError(f"damping matrix needs finite times, got {t!r}")
-    if not system.k_matrix.any():
-        return np.zeros((2, 2))
-    m00, m01, m11 = _damping_entries(system, t)
-    return _finite(np.array([[m00, m01], [m01, m11]]), "damping matrix", t)
+    t = _finite_time(t, "damping matrix")
+    return _kernel_matrix(system, t, _damping_kernel(system, t))
 
 
 def _chord_exponent(system: OpenSystem, t: float, xi) -> np.ndarray:
-    """xi . M(t) xi at the chords ``xi`` of shape (..., 2).
+    """xi . M(t) xi at the chords ``xi`` of shape (..., 2), zeros where K = 0.
 
-    Off the moment-series route this is Re sum_r phi(x_r, t) xi . q_r xi over
-    ``damping_spectrum``'s exponents x_r, with the forms taken at the
-    projected chords: (P+ xi) . K (P+ xi), 2 (P+ xi) . K (P- xi) and
-    (P- xi) . K (P- xi). A chord along P- then meets no e^{x+ t}, which a
-    dense M, or q+ in a sheared frame, spreads over entries that cancel. On
-    the route, the dense :func:`damping_matrix`, which also refuses a time
-    that is not finite. Raises :class:`Unstable` when the exponentials
-    overflow.
+    Re sum_r w_r F_r(u, v) from the kernel at t, the chords mapped through
+    the route's pair, (u, v) = (xi, B xi) or (P+ xi, P- xi), in the forms
+    u . K u, 2 u . K v and v . K v: a chord along P- meets no e^{x+ t}, which
+    a dense M, or q+ in a sheared frame, spreads over entries that cancel.
+    Errors as :func:`damping_matrix`.
     """
-    t = float(t)
+    t = _finite_time(t, "damping matrix")
     xi = np.asarray(xi, dtype=float)
-    reach = abs(4.0 * system.sigma_squared) * t * t
-    if not (_SERIES_REACH <= reach < math.inf and system.k_matrix.any()):
-        return np.einsum("...i,ij,...j->...", xi, damping_matrix(system, t), xi)
-    x, _, _, plus = system.damping_spectrum
-    phi = _finite(_spectral_phis(x, t), "damping matrix", t)
+    if not system.k_matrix.any():
+        return np.zeros(xi.shape[:-1])
+    weights, _, spectrum = _damping_kernel(system, t)
+    _finite(weights, "damping matrix", t)
     with np.errstate(over="ignore", invalid="ignore"):
-        up = xi @ plus.T
-        down, k = xi - up, system.k_matrix
-        forms = (up @ k * up, 2.0 * up @ k * down, down @ k * down)
-        return sum(p * np.sum(f, axis=-1) for p, f in zip(phi, forms)).real
+        u = xi if spectrum is None else xi @ spectrum[3].T
+        v = xi @ system.generator.T if spectrum is None else xi - u
+        k = system.k_matrix
+        forms = (u @ k * u, 2.0 * u @ k * v, v @ k * v)
+        return sum(w * np.sum(f, axis=-1) for w, f in zip(weights, forms)).real
 
 
 def _exact_step(system: OpenSystem, t: float) -> tuple[np.ndarray, ...]:
@@ -357,8 +359,7 @@ def map_state(system: OpenSystem, state: ChordState, t: float, *,
 
 def evolved_state(system: OpenSystem, state: ChordState, t: float) -> ChordState:
     """The evolved chord function, :func:`map_state` at t >= 0."""
-    if t < 0:
-        raise ConfigError("evolved_state requires t >= 0")
+    t = _finite_time(t, "evolved_state", forward=True)
     return map_state(system, state, t, label=f"{state.label}@t={t:g}")
 
 

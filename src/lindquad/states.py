@@ -41,8 +41,8 @@ def _exponent(form, lin, const, r0, r1):
     the terms on the last axis: the one exponent of every :class:`ChordState`
     value, on grids (:func:`_grid_sum`) and at points (:func:`_point_sum`)."""
     return (const + lin[:, 0] * r0 + lin[:, 1] * r1
-            - 0.5 * (form[0, 0] * r0 * r0 + 2.0 * form[0, 1] * r0 * r1
-                     + form[1, 1] * r1 * r1))
+            - (0.5 * form[0, 0] * r0 * r0 + form[0, 1] * r0 * r1
+               + 0.5 * form[1, 1] * r1 * r1))
 
 
 def _point_sum(form, anchors, lin, const, u, v) -> np.ndarray:

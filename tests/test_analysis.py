@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,11 @@ import pytest
 import lindquad
 from conftest import det2, random_symplectic
 from lindquad import (AsymptoticInvalid, ChordState, ConfigError, HamiltonianForm,
-                      LindbladChannel, OpenSystem, Unstable, cat_state,
-                      cat_zero_crossing_time, coherent_state, evolved_state,
-                      gaussian_state, photon_bath, positivity_time, purity,
-                      purity_asymptotic, purity_curve, reconstruct, reliable_chords,
-                      symplectic_transform, write_purity_csv)
+                      LindbladChannel, OpenSystem, Unstable, affine_flow, analysis,
+                      cat_state, cat_zero_crossing_time, coherent_state, damping_matrix,
+                      evolved_state, gaussian_state, photon_bath, positivity_time,
+                      propagator, purity, purity_asymptotic, purity_curve, reconstruct,
+                      reliable_chords, symplectic_transform, write_purity_csv)
 from lindquad.grid import _json_text
 from lindquad.propagator import _chord_exponent, _reversed_det
 from solver_audits import linear_entropy
@@ -340,6 +341,47 @@ def test_purity_validation() -> None:
         purity_curve(sys, state, [0.5, -0.1])
     with pytest.raises(ConfigError):
         purity_asymptotic(sys, -0.1)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_times_that_are_not_finite_raise_config_error_naming_them(t) -> None:
+    # a time that is not finite is a configuration error, never an overflow,
+    # and the message names the time given, not the -t a reversed caller uses
+    sys = photon_bath(gamma=1.0)
+    state = coherent_state((0.0, 0.0))
+    xi = np.zeros((1, 2))
+    named = re.escape(f"got {t!r}")
+    for call in (lambda: affine_flow(sys, t), lambda: damping_matrix(sys, t),
+                 lambda: _chord_exponent(sys, t, xi),
+                 lambda: purity_asymptotic(sys, t), lambda: purity(sys, state, t),
+                 lambda: purity_curve(sys, state, [0.5, t]),
+                 lambda: reliable_chords(sys, t, xi), lambda: reconstruct(sys, state, t),
+                 lambda: evolved_state(sys, state, t)):
+        with pytest.raises(ConfigError, match=named):
+            call()
+
+
+@pytest.mark.parametrize("include_asymptotic", [False, True])
+def test_purity_curve_evaluates_the_kernel_once_per_time(monkeypatch,
+                                                         include_asymptotic) -> None:
+    calls = []
+    kernel = propagator._damping_kernel
+
+    def counted(system, t):
+        calls.append(t)
+        return kernel(system, t)
+
+    # the analysis module's own name and the one the propagator's readers call
+    monkeypatch.setattr(analysis, "_damping_kernel", counted)
+    monkeypatch.setattr(propagator, "_damping_kernel", counted)
+    times = [0.0, 0.3, 1.0, 4.0, 20.0]
+    for sys in (photon_bath(gamma=1.0, nbar=0.5),
+                OpenSystem(hamiltonian=HamiltonianForm(matrix=[[1.0, 0.0], [0.0, 0.0]]),
+                           channels=(LindbladChannel(l_re=[0.3, 0.1], l_im=[0.0, 0.2]),))):
+        calls.clear()
+        purity_curve(sys, coherent_state((0.0, 0.0)), times,
+                     include_asymptotic=include_asymptotic)
+        assert calls == [-t for t in times]
 
 
 def test_purity_asymptote_matches_quadrature() -> None:

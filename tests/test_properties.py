@@ -25,7 +25,7 @@ from lindquad import (ChordState, GridSpec, HamiltonianForm, J, LindbladChannel,
                       gaussian_state, integrate_fock_lindblad, photon_bath,
                       positivity_time, purity, reconstruct, reliable_chords,
                       symplectic_transform, wigner_from_fock)
-from lindquad.propagator import _reversed_det
+from lindquad.propagator import _chord_exponent, _reversed_det
 from lindquad.states import _tile_size
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -314,6 +314,44 @@ def test_damping_matrix_reversal_identity(system, t) -> None:
     reverse = damping_matrix(system, -t)
     expect = -back.T @ damping_matrix(system, t) @ back
     assert np.max(np.abs(reverse - expect)) <= 1e-9 * _scale(reverse)
+
+
+def _series_system(regime: str, channels: str, seed: int) -> OpenSystem:
+    """A random system with no channel (K = 0), one real channel (rank-one K)
+    or two random channels."""
+    rng = np.random.default_rng(seed)
+    ham = random_hamiltonian(rng, regime)
+    if channels == "two":
+        return OpenSystem(hamiltonian=ham, channels=random_system(rng, regime).channels)
+    chosen = (LindbladChannel(l_re=rng.normal(size=2)),) if channels == "one" else ()
+    return OpenSystem(hamiltonian=ham, channels=chosen)
+
+
+@pytest.mark.parametrize("channels", ["none", "one", "two"])
+@pytest.mark.parametrize("regime", ["parabolic", "elliptic", "hyperbolic"])
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-1.0, 1.0))
+def test_chord_exponent_matches_the_dense_matrix_on_the_series_route(
+        regime, channels, seed, x) -> None:
+    # on the moment-series route, |2 sigma t|^2 < 1e-2, the exponent maps
+    # chords through (I, B); the dense xi . M xi agrees to 1e-13 of a bound
+    # on its terms, |xi|^2 |t| e^{2 |alpha t|} |K| (1 + |B| |t|)^2, plus the
+    # smallest normal float (subnormal t gives subnormal terms)
+    system = _series_system(regime, channels, seed)
+    t = 3.0 * x if regime == "parabolic" else 0.049 * x / abs(system.sigma)
+    assert 4.0 * abs(system.sigma_squared) * t * t < 1e-2
+    xi = np.random.default_rng(seed).normal(scale=2.0, size=(20, 2))
+    got = _chord_exponent(system, t, xi)
+    if channels == "none":
+        assert np.all(got == 0.0)
+        assert np.all(_chord_exponent(system, 1e3, xi) == 0.0)
+        return
+    dense = np.einsum("...i,ij,...j->...", xi, damping_matrix(system, t), xi)
+    bound = (abs(t) * math.exp(2.0 * abs(system.alpha * t))
+             * np.linalg.norm(system.k_matrix)
+             * (1.0 + np.linalg.norm(system.generator) * abs(t)) ** 2)
+    allowed = 1e-13 * np.sum(xi * xi, axis=-1) * bound + np.finfo(float).tiny
+    assert np.all(np.abs(got - dense) <= allowed)
 
 
 # ---------------------------------------------------------------------------

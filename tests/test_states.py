@@ -356,6 +356,17 @@ def test_huge_covariances_build_without_warnings() -> None:
             assert not gaussian_state((0.0, 0.0), cov).pure
 
 
+def test_forms_near_the_float_maximum_build_without_warnings() -> None:
+    # positive definite with det about 1.9e616: doubling the cross entry 1e308
+    # before the offsets scale it would overflow at the hermiticity probes,
+    # where every chord value is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = gaussian_state((0.0, 0.0), [[1.7e308, 1e308], [1e308, 1.7e308]])
+        probes = np.array([[0.3, -0.7], [1.1, 0.4], [-0.2, 0.9]])
+        assert np.all(state(probes) == 0.0) and np.all(state(-probes) == 0.0)
+
+
 def _built(builder):
     """``builder()``, or the type of the package error it raised, with numpy
     warnings as errors."""
