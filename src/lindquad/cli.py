@@ -248,20 +248,17 @@ def cmd_langevin(args: argparse.Namespace) -> int:
     ensemble = langevin.simulate(system, mean0, cov0, t, dt, n_paths, seed,
                                  store_stride=stride, scheme="exact")
     exact_mean, exact_cov = langevin.exact_moments(system, mean0, cov0, t)
-    rows = []
-    for idx, time_val in enumerate(ensemble.times):
-        mean, cov = langevin.ensemble_moments(ensemble, idx)
-        rows.append((float(time_val), float(mean[0]), float(mean[1]),
-                     float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]),
-                     n_paths))
-    sample_mean, sample_cov = langevin.ensemble_moments(ensemble, -1)
+    means, covs = langevin.ensemble_moments(ensemble, slice(None))
+    rows = [(time_val, m_p, m_q, c_pp, c_pq, c_qq, n_paths)
+            for time_val, (m_p, m_q), ((c_pp, c_pq), (_, c_qq))
+            in zip(ensemble.times.tolist(), means.tolist(), covs.tolist())]
     report = _json_text({
         "t": t, "dt": ensemble.dt, "n_paths": n_paths, "seed": seed,
         "scheme": ensemble.scheme,
-        "exact_mean": [float(v) for v in exact_mean],
-        "sample_mean": [float(v) for v in sample_mean],
-        "exact_cov": [[float(v) for v in row] for row in exact_cov],
-        "sample_cov": [[float(v) for v in row] for row in sample_cov],
+        "exact_mean": exact_mean.tolist(),
+        "sample_mean": means[-1].tolist(),
+        "exact_cov": exact_cov.tolist(),
+        "sample_cov": covs[-1].tolist(),
     })
     _emit(_csv_text(("t", "mean_p", "mean_q", "cov_pp", "cov_pq", "cov_qq",
                       "n_paths"), rows), out)

@@ -44,6 +44,7 @@ _HEADER = ("p", "q", "value_re", "value_im")
 _BLOCK_NODES = 8192  # nodes formatted at once: more holds more memory
 _U = np.uint64
 _BOOL_CELLS = np.array([b"0.0,", b"1.0,"], dtype="S8").view("<u8")  # False, True
+_VALUE_WORDS = {"b": 2, "f": 5, "c": 8}  # words after p,q: value_re, value_im, newline
 
 
 @dataclass(frozen=True)
@@ -227,19 +228,19 @@ def _axis_cells(spec: GridSpec) -> list[NDArray[np.uint64]]:
 
 
 def _block_bytes(block: np.ndarray, p_cells: NDArray[np.uint64],
-                 q_cells: NDArray[np.uint64]) -> bytes:
+                 q_cells: NDArray[np.uint64], lines: NDArray[np.uint64]) -> bytes:
     """The CSV lines of ``block``, whole grid rows of a bool, float64 or
     complex field whose p cells are ``p_cells``: NUL-padded words, one line
     of words per node, with the NULs dropped. The p and q cells share words
     (the p row's words ORed with the q column's), then come ``value_re``,
-    ``,``, ``value_im`` and a newline; a bool prints its value by lookup."""
+    ``,``, ``value_im`` and a newline; a bool prints its value by lookup.
+    The words are laid out in ``lines``, of shape ``block.shape`` plus the
+    line width in words (:data:`_VALUE_WORDS` after the p,q words)."""
     kind = block.dtype.kind
     wpq = q_cells.shape[1]
-    width = wpq + {"b": 2, "f": 5, "c": 8}[kind]
-    lines = np.empty(block.shape + (width,), dtype="<u8")
     for j in range(wpq):  # a word column at a time, so the loops run along q
         np.bitwise_or(p_cells[:, j, None], q_cells[:, j], out=lines[:, :, j])
-    cells = lines.reshape(block.size, width)[:, wpq:]
+    cells = lines.reshape(block.size, -1)[:, wpq:]
     if kind == "b":
         cells[:, 0] = _BOOL_CELLS.take(block.ravel())
     else:
@@ -262,10 +263,15 @@ def _field_bytes(field: GridField):
     p_cells, q_cells = _axis_cells(field.spec)
     blocks = -(-values.size // _BLOCK_NODES)
     rows = -(-len(values) // blocks)  # whole grid rows per block
+    # one buffer for every block: the last may be shorter and takes a view
+    lines = np.empty((rows, values.shape[1],
+                      q_cells.shape[1] + _VALUE_WORDS[values.dtype.kind]),
+                     dtype="<u8")
     yield (",".join(_HEADER) + "\n").encode()
     for start in range(0, len(values), rows):
-        yield _block_bytes(values[start:start + rows], p_cells[start:start + rows],
-                           q_cells)
+        block = values[start:start + rows]
+        yield _block_bytes(block, p_cells[start:start + rows], q_cells,
+                           lines[:len(block)])
 
 
 def write_field_csv(field: GridField, path: str) -> None:

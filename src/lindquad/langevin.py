@@ -60,7 +60,7 @@ class TrajectoryEnsemble:
     """
 
     times: NDArray[np.float64]        # (n_stored,)
-    paths: NDArray[np.float64]        # (n_paths, n_stored, 2)
+    paths: NDArray[np.float64]        # (n_paths, n_stored, 2), time-major view
     seed: int
     dt: float                         # effective step of the time grid
     store_stride: int
@@ -72,9 +72,17 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _exact_advance(system: OpenSystem, dt: float, gaps):
-    """Advance by the exact transition over ``gap`` steps of ``dt``, one
-    (block, 2) normal array per call.
+def _draw(rngs, buf: np.ndarray) -> np.ndarray:
+    """Fill ``buf`` with each block's next (block, k) normals, in block order,
+    each from that block's own stream."""
+    for block, rng in enumerate(rngs):
+        rng.standard_normal(out=buf[block * _BLOCK:(block + 1) * _BLOCK])
+    return buf
+
+
+def _exact_advance(system: OpenSystem, dt: float, gaps, rows: int):
+    """Advance every path by the exact transition over ``gap`` steps of
+    ``dt``, one (rows, 2) normal array per call.
 
     The maps are built once per distinct gap (a stored grid has at most
     two). The noise factor S with S S^T = C = hbar (-J M J) is the clipped
@@ -84,29 +92,29 @@ def _exact_advance(system: OpenSystem, dt: float, gaps):
     maps = {}
     for gap in set(gaps):
         linear, offset, m = _exact_step(system, gap * dt)
-        maps[gap] = linear.T, offset, _psd_root(system.hbar * (-J @ m @ J)).T
+        factor = _psd_root(system.hbar * (-J @ m @ J))
+        # C-ordered transposes: the same BLAS products, without the strided path
+        maps[gap] = (np.ascontiguousarray(linear.T), offset,
+                     np.ascontiguousarray(factor.T))
+    z = np.empty((rows, 2))
 
-    def advance(x, rng, gap):
+    def advance(x, rngs, gap):
         linear_t, offset, factor_t = maps[gap]
-        return x @ linear_t + offset + rng.standard_normal((_BLOCK, 2)) @ factor_t
+        return x @ linear_t + offset + _draw(rngs, z) @ factor_t
     return advance
 
 
-def _euler_advance(system: OpenSystem, dt: float):
-    """Advance by ``gap`` Euler–Maruyama steps of ``dt``, one
-    (block, channels) normal array per step when there is noise."""
+def _euler_advance(system: OpenSystem, dt: float, rows: int):
+    """Advance every path by ``gap`` Euler–Maruyama steps of ``dt``, one
+    (rows, channels) normal array per step when there is noise."""
     a_mat, offset = system.drift_matrix, system.drift_offset
     noise = system.noise_vectors
-    m_noise = noise.shape[0]
+    dw = np.empty((rows, noise.shape[0]))
     root_dt = math.sqrt(dt)
 
-    def advance(x, rng, gap):
+    def advance(x, rngs, gap):
         for _ in range(gap):
-            if m_noise:
-                dw = rng.standard_normal((_BLOCK, m_noise))
-                kick = root_dt * dw @ noise
-            else:
-                kick = 0.0
+            kick = root_dt * _draw(rngs, dw) @ noise if len(noise) else 0.0
             x = x + dt * (x @ a_mat.T + offset) + kick
         return x
     return advance
@@ -128,11 +136,12 @@ def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
     partial final blocks draw the full block and discard, keeping every
     path's noise independent of ``n_paths``; a singular ``initial_cov``
     draws through its clipped ``eigh`` root, a definite one through its
-    Cholesky factor. The initial moments are read as in
-    :func:`exact_moments`. ``t`` and ``dt`` must be finite, with t/dt
-    finite too, ``seed`` an integer in [0, 2**64), and the stored paths at
-    most ~2 GB (:class:`ConfigError` otherwise). Raises :class:`Unstable`
-    when the paths overflow.
+    Cholesky factor. All paths advance together, one interval or step at a
+    time, and are stored time-major: ``paths`` is a transposed view. The
+    initial moments are read as in :func:`exact_moments`. ``t`` and ``dt``
+    must be finite, with t/dt finite too, ``seed`` an integer in
+    [0, 2**64), and the stored paths at most ~2 GB (:class:`ConfigError`
+    otherwise). Raises :class:`Unstable` when the paths overflow.
     """
     mean = finite_array(initial_mean, (2,), "initial_mean")
     _, root = _covariance(initial_cov, "initial_cov", definite=False)
@@ -162,44 +171,56 @@ def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
         stored_steps.append(steps)
 
     gaps = np.diff(stored_steps).tolist()
-    advance = (_exact_advance(system, dt_eff, gaps) if scheme == "exact"
-               else _euler_advance(system, dt_eff))
-    out = np.empty((n_paths, len(stored_steps), 2))
     times = dt_eff * np.asarray(stored_steps, dtype=float)
-    n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
-
-    for block in range(n_blocks):
-        rng = _block_rng(seed, block)
-        lo = block * _BLOCK
-        hi = min(lo + _BLOCK, n_paths)
-        keep = hi - lo
-        x = mean + rng.standard_normal((_BLOCK, 2)) @ root.T
-        out[lo:hi, 0] = x[:keep]
-        # overflow shows as non-finite paths, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for idx, gap in enumerate(gaps, start=1):
-                x = advance(x, rng, gap)
-                out[lo:hi, idx] = x[:keep]
-        finite = np.isfinite(out[lo:hi]).all(axis=(0, 2))
-        if not finite.all():
-            raise Unstable(f"Langevin paths overflow by t={float(times[~finite][0])!r}")
-
-    return TrajectoryEnsemble(times=times, paths=out, seed=seed, dt=dt_eff,
-                              store_stride=store_stride, scheme=scheme)
-
-
-def ensemble_moments(ensemble: TrajectoryEnsemble, index: int = -1
-                     ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Sample mean and covariance (ddof=1) at a stored time index: at least
-    two paths (:class:`ConfigError`), :class:`Unstable` when they overflow."""
-    snap = ensemble.paths[:, index, :]
-    if snap.shape[0] < 2:
-        raise ConfigError("a sample covariance needs at least 2 paths")
+    rngs = [_block_rng(seed, block) for block in range(-(-n_paths // _BLOCK))]
+    rows = len(rngs) * _BLOCK
+    advance = (_exact_advance(system, dt_eff, gaps, rows) if scheme == "exact"
+               else _euler_advance(system, dt_eff, rows))
+    out = np.empty((len(stored_steps), n_paths, 2))
+    x = mean + _draw(rngs, np.empty((rows, 2))) @ np.ascontiguousarray(root.T)
+    # overflow shows as non-finite paths, reported at the first stored time
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, cov = snap.mean(axis=0), np.cov(snap.T, ddof=1)
+        for idx in range(len(stored_steps)):
+            if idx:
+                x = advance(x, rngs, gaps[idx - 1])
+            out[idx] = x[:n_paths]
+            if not np.isfinite(out[idx]).all():
+                raise Unstable(f"Langevin paths overflow by t={float(times[idx])!r}")
+
+    return TrajectoryEnsemble(times=times, paths=out.transpose(1, 0, 2), seed=seed,
+                              dt=dt_eff, store_stride=store_stride, scheme=scheme)
+
+
+def ensemble_moments(ensemble: TrajectoryEnsemble, index: int | slice = -1
+                     ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Sample mean and covariance (ddof=1) at a stored time index, or at
+    every time of a slice of them (along the results' leading axis).
+
+    The paths at the requested times are copied once into a contiguous
+    (times, 2, paths) array. Each row's mean is its running sum over n, the
+    order in which ``np.mean`` sums over a (paths, 2) slice and with which
+    ``np.cov`` centres it; one batched product of the centred rows with
+    their transpose then gives every covariance, so the moments are those
+    of ``np.mean`` and ``np.cov(ddof=1)`` at each time, to the bit. Needs at
+    least two paths (:class:`ConfigError`); raises :class:`Unstable` when
+    the moments at any requested time overflow.
+    """
+    snaps = ensemble.paths.transpose(1, 0, 2)[index]
+    n = snaps.shape[-2]
+    if n < 2:
+        raise ConfigError("a sample covariance needs at least 2 paths")
+    x = np.ascontiguousarray(snaps.reshape(-1, n, 2).transpose(0, 2, 1))
+    run = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [np.cumsum(row, out=run)[-1] for row in x.reshape(-1, n)]
+        mean = np.array(sums).reshape(x.shape[:2]) / n
+        x -= mean[..., None]
+        cov = x @ x.transpose(0, 2, 1)
+        cov *= 1.0 / (n - 1)
     if not np.isfinite(cov).all():  # an infinite mean leaves none finite
         raise Unstable("sample moments overflow")
-    return mean, cov
+    times = snaps.shape[:-2]  # () for an index
+    return mean.reshape(times + (2,)), cov.reshape(times + (2, 2))
 
 
 def exact_moments(system: OpenSystem, initial_mean, initial_cov, t: float

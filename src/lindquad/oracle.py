@@ -156,8 +156,9 @@ def _transport_operator(system: OpenSystem, grid: GridSpec):
     cells each side. The q buffer holds the transposed field, so both
     contractions run along the slow axis. Cross-diffusion 2 D_pq d2w/dpdq is
     the constant-coefficient product of the two first-derivative stencils,
-    applied only when D_pq != 0. The returned callable reuses the buffers,
-    so it serves one integration at a time.
+    applied only when D_pq != 0. The returned ``rhs(field, out=None)``
+    writes into ``out`` when given and reuses its buffers, so it serves one
+    integration at a time.
     """
     n_p, n_q = grid.shape
     h_p, h_q = grid.spacing
@@ -170,16 +171,18 @@ def _transport_operator(system: OpenSystem, grid: GridSpec):
     buf_q = np.zeros((n_q + 4, n_p))
     win_p = sliding_window_view(buf_p, 5, axis=0)
     win_q = sliding_window_view(buf_q, 5, axis=0)
+    along_p, along_q = np.empty((n_p, n_q)), np.empty((n_q, n_p))
     cross = 2.0 * diff[0, 1] / (h_p * h_q)
 
-    def rhs(field: np.ndarray) -> np.ndarray:
+    def rhs(field: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         buf_p[2:-2] = field
         buf_q[2:-2] = field.T
-        out = np.einsum("kij,ijk->ij", c_p, win_p)
-        out += np.einsum("kij,ijk->ij", c_q, win_q).T
+        out = np.einsum("kij,ijk->ij", c_p, win_p, out=out)
+        out += np.einsum("kij,ijk->ij", c_q, win_q, out=along_q).T
         if cross != 0.0:
-            buf_p[2:-2] = np.einsum("k,ijk->ij", _D1, win_q).T
-            out += cross * np.einsum("k,ijk->ij", _D1, win_p)
+            buf_p[2:-2] = np.einsum("k,ijk->ij", _D1, win_q, out=along_q).T
+            np.einsum("k,ijk->ij", _D1, win_p, out=along_p)
+            out += np.multiply(along_p, cross, out=along_p)
         return out
 
     return rhs
@@ -200,18 +203,29 @@ def _rk4(rhs, y: np.ndarray, t: float, dt: float, check) -> np.ndarray:
     ``_MAX_STEPS`` raises :class:`ConfigError` before any step is taken.
     ``check(y, step, steps)`` runs every ``_CHECK_EVERY`` steps and after
     the last one, and raises to stop the run.
+
+    ``y`` is advanced in place, and ``rhs(y, out)`` must write into ``out``.
+    Three stage buffers are allocated once: the stage input, the newest
+    slope, and the running sum ((k1 + 2 k2) + 2 k3) + k4, which is then
+    scaled by h/6, in the operation order of the textbook expression.
     """
     if t / dt > _MAX_STEPS:
         raise ConfigError(f"t={t!r} at dt={dt:g} needs {t / dt:.3g} RK4 steps, "
                           f"more than the budget of {_MAX_STEPS:,}")
     steps = 1 if math.isinf(dt) else max(1, math.ceil(t / dt))
     h = t / steps
+    stage, k, total = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     for step in range(1, steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(y, total)                              # k1
+        np.add(y, np.multiply(total, 0.5 * h, out=stage), out=stage)
+        rhs(stage, k)                              # k2
+        np.add(y, np.multiply(k, 0.5 * h, out=stage), out=stage)
+        total += np.multiply(k, 2.0, out=k)
+        rhs(stage, k)                              # k3
+        np.add(y, np.multiply(k, h, out=stage), out=stage)
+        total += np.multiply(k, 2.0, out=k)
+        total += rhs(stage, k)                     # k4
+        y += np.multiply(total, h / 6.0, out=total)
         if step % _CHECK_EVERY == 0 or step == steps:
             check(y, step, steps)
     return y
@@ -442,11 +456,13 @@ def integrate_fock_lindblad(system: OpenSystem, rho0: FockDensity, t: float,
     g_adj = g.conj().T
     jumps = [(c / math.sqrt(hbar), c.conj().T / math.sqrt(hbar)) for c in chans]
 
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        out = g @ rho
-        out += rho @ g_adj
+    product, jumped = np.empty_like(g), np.empty_like(g)
+
+    def rhs(rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(g, rho, out=out)
+        out += np.matmul(rho, g_adj, out=product)
         for c, c_adj in jumps:
-            out += c @ rho @ c_adj
+            out += np.matmul(np.matmul(c, rho, out=product), c_adj, out=jumped)
         return out
 
     # entries of a density matrix are at most its trace; the initial peak

@@ -53,6 +53,8 @@ def _point_sum(form, anchors, lin, const, u, v) -> np.ndarray:
     return np.asarray(np.sum(np.exp(_exponent(form, lin, const, r0, r1)), axis=-1))
 
 
+_NORMAL_MIN = float(np.finfo(float).tiny)  # the smallest normal float
+
 # bound on |d . F d| / 2 over the offsets d from a tile's centre: it keeps the
 # shared cross factor within e^{+-64}, and the one-axis exponents, whose sums
 # cancel to each node's exponent, within a few times 64 (a few hundred ulps)
@@ -186,8 +188,17 @@ class ChordState:
         """(F, s, l, c) of W in z = (-p, q)/hbar: W(x) = (1/hbar) sum_k w_k
         det(A)^{-1/2} exp(-beta . A^{-1} beta / 2) with beta = b_k - (x_q, -x_p)/hbar
         = b_k - (z_1, z_0), so F = A^{-1} and s_k = b_k with both axes swapped,
-        l_k = 0 and c_k = log w_k - (log det A)/2 - log hbar."""
-        log_det, inv = np.log(np.linalg.det(self.form)), _inv2(self.form)
+        l_k = 0 and c_k = log w_k - (log det A)/2 - log hbar. Where det A is
+        not a normal float, A is first scaled exactly by 2^-e, e the exponent
+        of its largest entry: log det A = log det(2^-e A) + e log 4 and
+        A^{-1} = 2^-e (2^-e A)^{-1}, neither of which overflows."""
+        form, e = self.form, 0
+        det = np.linalg.det(form)
+        if not _NORMAL_MIN <= abs(det) < math.inf:
+            e = math.frexp(float(np.max(np.abs(form))))[1]
+            form = np.ldexp(form, -e)
+            det = np.linalg.det(form)
+        log_det, inv = np.log(det) + e * math.log(4.0), np.ldexp(_inv2(form), -e)
         return (inv[::-1, ::-1], self.shifts[:, ::-1], np.zeros(self.shifts.shape),
                 self.log_weights - (0.5 * log_det + math.log(self.hbar)))
 

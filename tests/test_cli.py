@@ -20,8 +20,8 @@ import pytest
 
 import lindquad
 from audits import system_to_dict
-from lindquad import (analysis, coherent_state, oracle, photon_bath, purity,
-                      read_field_csv)
+from lindquad import (analysis, coherent_state, langevin, oracle, photon_bath,
+                      purity, read_field_csv)
 from lindquad.cli import _build_parser, main
 
 # full-precision values behind the three-decimal sweep table
@@ -473,6 +473,27 @@ def test_langevin_outputs(tmp_path) -> None:
     cov = np.asarray(report["exact_cov"])
     tol = 5.0 * np.sqrt(np.diag(cov) / 400)
     assert np.all(np.abs(sample - exact) < tol)
+
+
+def test_langevin_reads_every_time_from_one_moments_call(tmp_path, monkeypatch) -> None:
+    # the rows and the report's final moments all come from one batched call
+    calls = []
+    moments = langevin.ensemble_moments
+
+    def counted(ensemble, index=-1):
+        calls.append(index)
+        return moments(ensemble, index)
+
+    monkeypatch.setattr(langevin, "ensemble_moments", counted)
+    cfg = _langevin_config(tmp_path, seed=5)
+    out = tmp_path / "paths.csv"
+    assert main(["langevin", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [slice(None)]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    report = json.loads((tmp_path / "paths.csv.json").read_text())
+    assert [float(v) for v in rows[-1][1:3]] == report["sample_mean"]
+    cov = report["sample_cov"]
+    assert [float(v) for v in rows[-1][3:6]] == [cov[0][0], cov[0][1], cov[1][1]]
 
 
 def test_langevin_seeded_rerun_is_byte_identical(tmp_path) -> None:

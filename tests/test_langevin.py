@@ -1,6 +1,7 @@
 """Tests for the stochastic-trajectory correspondence."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from conftest import random_system
 from lindquad import (ConfigError, HamiltonianForm, J, LindbladChannel,
                       NotPositiveDefinite, OpenSystem, Unstable, ensemble_moments,
                       exact_moments, photon_bath, simulate, symplectic_transform)
+from lindquad.model import _covariance, _psd_root
+from lindquad.propagator import _exact_step
 
 
 def test_diffusion_matches_noise_matrix() -> None:
@@ -330,6 +333,103 @@ def test_storage_guard_runs_before_the_stored_times_are_listed() -> None:
     system = photon_bath(gamma=1.0)
     with pytest.raises(ConfigError, match="store_stride"):
         simulate(system, np.zeros(2), np.eye(2), 1e12, 1e-3, 8, seed=0)
+
+
+def _per_block_paths(system, mean0, cov0, t, dt, n_paths, seed, stride, scheme):
+    """Paths as one block of 1024 at a time, each block through every stored
+    time before the next starts: the loop ``simulate`` once ran."""
+    steps = max(1, round(t / dt)) if t > 0 else 0
+    dt_eff = t / steps if steps else dt
+    stored = list(range(0, steps + 1, stride))
+    if stored[-1] != steps:
+        stored.append(steps)
+    gaps = np.diff(stored).tolist()
+    _, root = _covariance(cov0, "initial_cov", definite=False)
+    maps = {}
+    for gap in set(gaps):
+        linear, offset, m = _exact_step(system, gap * dt_eff)
+        maps[gap] = linear.T, offset, _psd_root(system.hbar * (-J @ m @ J)).T
+    a_mat, drift_offset = system.drift_matrix, system.drift_offset
+    noise = system.noise_vectors
+    out = np.empty((n_paths, len(stored), 2))
+    for block in range(-(-n_paths // 1024)):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, block], dtype=np.uint64)))
+        lo, hi = block * 1024, min(block * 1024 + 1024, n_paths)
+        x = mean0 + rng.standard_normal((1024, 2)) @ root.T
+        out[lo:hi, 0] = x[:hi - lo]
+        for idx, gap in enumerate(gaps, start=1):
+            if scheme == "exact":
+                linear_t, offset, factor_t = maps[gap]
+                x = x @ linear_t + offset + rng.standard_normal((1024, 2)) @ factor_t
+            else:
+                for _ in range(gap):
+                    kick = (math.sqrt(dt_eff) * rng.standard_normal((1024, len(noise)))
+                            @ noise if len(noise) else 0.0)
+                    x = x + dt_eff * (x @ a_mat.T + drift_offset) + kick
+            out[lo:hi, idx] = x[:hi - lo]
+    return out
+
+
+@pytest.mark.parametrize("scheme", ["exact", "euler-maruyama"])
+@pytest.mark.parametrize("n_paths", [1, 1023, 1024, 1025, 3000])
+def test_paths_match_the_per_block_loop(scheme, n_paths) -> None:
+    # all paths advance together now; every path must still see its own
+    # block's normals in the same order, to the bit. 11 steps at stride 4
+    # leave a last gap of 3; the second start is singular (eigh root). Two
+    # random channels give four dense noise rows, and b a drift offset
+    base = random_system(np.random.default_rng(61), "elliptic", alpha=0.3)
+    system = OpenSystem(hamiltonian=HamiltonianForm(matrix=base.hamiltonian.matrix,
+                                                    linear=[0.3, -0.2]),
+                        channels=base.channels)
+    for cov0 in ([[0.6, 0.1], [0.1, 0.3]], [[1.0, 1.0], [1.0, 1.0]]):
+        mean0 = np.array([0.8, -0.5])
+        ens = simulate(system, mean0, cov0, 1.1, 0.1, n_paths, seed=12,
+                       store_stride=4, scheme=scheme)
+        assert np.allclose(ens.times, [0.0, 0.4, 0.8, 1.1])
+        assert ens.paths.shape == (n_paths, 4, 2)
+        expect = _per_block_paths(system, mean0, cov0, 1.1, 0.1, n_paths, 12, 4,
+                                  scheme)
+        assert np.array_equal(ens.paths, expect)
+
+
+def test_moments_match_numpy_at_every_stored_time() -> None:
+    system = photon_bath(gamma=1.0, nbar=0.3)
+    ens = simulate(system, [0.6, -0.8], [[0.5, 0.1], [0.1, 0.4]], 1.0, 0.1, 2500,
+                   seed=4, store_stride=3, scheme="exact")
+    means, covs = ensemble_moments(ens, slice(None))
+    assert means.shape == (ens.times.size, 2)
+    assert covs.shape == (ens.times.size, 2, 2)
+    for idx in range(ens.times.size):
+        # the same sums in the same order as np.mean and np.cov, so the CLI's
+        # sample-moment cells keep their bytes
+        snap = ens.paths[:, idx]
+        assert np.array_equal(means[idx], snap.mean(axis=0))
+        assert np.array_equal(covs[idx], np.cov(snap.T, ddof=1))
+        mean, cov = ensemble_moments(ens, idx)
+        assert np.array_equal(mean, means[idx])
+        assert np.array_equal(cov, covs[idx])
+    mean, cov = ensemble_moments(ens)  # the default is the last stored time
+    assert np.array_equal(mean, means[-1]) and np.array_equal(cov, covs[-1])
+    tail_means, tail_covs = ensemble_moments(ens, slice(1, None, 2))
+    assert np.array_equal(tail_means, means[1::2])
+    assert np.array_equal(tail_covs, covs[1::2])
+
+
+def test_moment_errors_hold_for_slices() -> None:
+    system = photon_bath(gamma=1.0)
+    one = simulate(system, np.zeros(2), np.eye(2), 0.2, 0.1, 1, seed=0, scheme="exact")
+    for index in (0, slice(None)):
+        with pytest.raises(ConfigError, match="2 paths"):
+            ensemble_moments(one, index)
+    ens = simulate(system, np.zeros(2), np.eye(2), 0.2, 0.1, 8, seed=0, scheme="exact")
+    paths = ens.paths.copy()
+    paths[3, 2] = [1e300, -1e300]  # finite paths whose moments overflow
+    huge = dataclasses.replace(ens, paths=paths)
+    ensemble_moments(huge, slice(0, 2))  # the times before it are fine
+    for index in (2, -1, slice(None), slice(1, None)):
+        with pytest.raises(Unstable, match="overflow"):
+            ensemble_moments(huge, index)
 
 
 def test_momentum_dissipation_frame_isolates_damping() -> None:

@@ -470,6 +470,33 @@ def _pinned_system(regime: str, cross: bool) -> OpenSystem:
                       channels=channels)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rk4_in_its_buffers_matches_the_textbook_steps(dtype) -> None:
+    # the stages share three buffers, but every sum keeps the order of
+    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4), so the result agrees to the bit
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, 6)).astype(dtype)
+    y0 = rng.standard_normal((6, 4)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal((6, 6))
+        y0 += 1j * rng.standard_normal((6, 4))
+    t, dt = 0.7, 0.2
+    steps = math.ceil(t / dt)
+    h = t / steps
+    expect = y0.copy()
+    for _ in range(steps):
+        k1 = a @ expect
+        k2 = a @ (expect + 0.5 * h * k1)
+        k3 = a @ (expect + 0.5 * h * k2)
+        k4 = a @ (expect + h * k3)
+        expect = expect + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    checked = []
+    got = oracle._rk4(lambda y, out: np.matmul(a, y, out=out), y0.copy(), t, dt,
+                      lambda y, step, total: checked.append(step))
+    assert np.array_equal(got, expect)
+    assert checked == [steps]
+
+
 @pytest.mark.parametrize("cross", [False, True])
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
 def test_transport_operator_matches_stencil_reference(regime, cross) -> None:

@@ -1,6 +1,7 @@
 """Tests for the built-in chord-space states."""
 from __future__ import annotations
 
+import math
 import re
 import warnings
 
@@ -11,7 +12,7 @@ from audits import cat_fringe_zero, cat_wigner_line
 from lindquad import (ChordState, ConfigError, LindquadError, NotPositiveDefinite, Unstable,
                       cat_fock_dim, cat_state, cat_zero_crossing_time, centered_grid,
                       coherent_state, evolve_wigner_grid, fock_cat, gaussian_state,
-                      photon_bath, purity, state_from_dict)
+                      GridSpec, photon_bath, purity, state_from_dict)
 
 TWO_PI = 2.0 * np.pi
 
@@ -365,6 +366,25 @@ def test_forms_near_the_float_maximum_build_without_warnings() -> None:
         state = gaussian_state((0.0, 0.0), [[1.7e308, 1e308], [1e308, 1.7e308]])
         probes = np.array([[0.3, -0.7], [1.1, 0.4], [-0.2, 0.9]])
         assert np.all(state(probes) == 0.0) and np.all(state(-probes) == 0.0)
+
+
+@pytest.mark.parametrize("cov", [[[1e200, 0.0], [0.0, 1e200]],
+                                 [[1.7e308, 1e308], [1e308, 1.7e308]],
+                                 [[1e300, 0.0], [0.0, 1e100]]])
+def test_wide_gaussians_have_their_wigner_peak(cov) -> None:
+    # det A = det C / hbar^4 overflowed: log det A read inf and W read 0, or
+    # A^{-1} read nan and W raised; W(0) = 1/(2 pi sqrt(det C)) is a float
+    # (1.2e-309 for the second, subnormal)
+    state = gaussian_state((0.0, 0.0), cov)
+    (a, b), (_, d) = cov
+    peak = 1.0 / (2.0 * math.pi) / math.sqrt(a) / math.sqrt(d - b * (b / a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        near = state.wigner([[0.0, 0.0], [1.0, 2.0]])
+        grid = state.wigner_grid(GridSpec(origin=(-1.0, -1.0), spacing=(1.0, 1.0),
+                                          shape=(3, 3)))
+    assert np.all(np.abs(near - peak) <= 1e-12 * peak)
+    assert np.all(np.abs(grid - peak) <= 1e-12 * peak)
 
 
 def _built(builder):
