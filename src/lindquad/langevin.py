@@ -18,12 +18,11 @@ with (F, o) the affine flow of the drift, is available in closed form. Over
 any interval the SDE therefore has an exact Gaussian transition,
 x -> F x + o + S z with S S^T = hbar (-J M J) and z standard normal.
 
-:func:`simulate` samples either by that transition between consecutive
-stored times (``scheme="exact"``, what the CLI runs) or by Euler–Maruyama
-steps (the default, kept as an audit with an O(dt) bias). Both draw from
-counter-based (Philox) streams keyed by ``(seed, block)`` with a fixed block
-of 1024 paths: path i always consumes the same normals no matter how many
-paths are requested, so ensembles are bit-reproducible and extendable.
+:func:`simulate` samples by that transition between consecutive stored
+times. It draws from counter-based (Philox) streams keyed by
+``(seed, block)`` with a fixed block of 1024 paths: path i always consumes
+the same normals no matter how many paths are requested, so ensembles are
+bit-reproducible and extendable.
 """
 
 from __future__ import annotations
@@ -47,24 +46,18 @@ __all__ = [
 ]
 
 _BLOCK = 1024
-_SCHEMES = ("euler-maruyama", "exact")
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Sample paths at the stored times.
-
-    ``scheme`` says how they were drawn: ``"exact"`` Gaussian transitions
-    between stored times, or ``"euler-maruyama"`` steps of ``dt``. Either
-    way the stored times are multiples of ``dt``, the effective step.
-    """
+    """Sample paths at the stored times, multiples of ``dt``, the effective
+    step."""
 
     times: NDArray[np.float64]        # (n_stored,)
     paths: NDArray[np.float64]        # (n_paths, n_stored, 2), time-major view
     seed: int
     dt: float                         # effective step of the time grid
     store_stride: int
-    scheme: str = "euler-maruyama"
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -80,68 +73,28 @@ def _draw(rngs, buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _exact_advance(system: OpenSystem, dt: float, gaps, rows: int):
-    """Advance every path by the exact transition over ``gap`` steps of
-    ``dt``, one (rows, 2) normal array per call.
-
-    The maps are built once per distinct gap (a stored grid has at most
-    two). The noise factor S with S S^T = C = hbar (-J M J) is the clipped
-    ``eigh`` root, since C is singular wherever M is and then has no
-    Cholesky factor.
-    """
-    maps = {}
-    for gap in set(gaps):
-        linear, offset, m = _exact_step(system, gap * dt)
-        factor = _psd_root(system.hbar * (-J @ m @ J))
-        # C-ordered transposes: the same BLAS products, without the strided path
-        maps[gap] = (np.ascontiguousarray(linear.T), offset,
-                     np.ascontiguousarray(factor.T))
-    z = np.empty((rows, 2))
-
-    def advance(x, rngs, gap):
-        linear_t, offset, factor_t = maps[gap]
-        return x @ linear_t + offset + _draw(rngs, z) @ factor_t
-    return advance
-
-
-def _euler_advance(system: OpenSystem, dt: float, rows: int):
-    """Advance every path by ``gap`` Euler–Maruyama steps of ``dt``, one
-    (rows, channels) normal array per step when there is noise."""
-    a_mat, offset = system.drift_matrix, system.drift_offset
-    noise = system.noise_vectors
-    dw = np.empty((rows, noise.shape[0]))
-    root_dt = math.sqrt(dt)
-
-    def advance(x, rngs, gap):
-        for _ in range(gap):
-            kick = root_dt * _draw(rngs, dw) @ noise if len(noise) else 0.0
-            x = x + dt * (x @ a_mat.T + offset) + kick
-        return x
-    return advance
-
-
 def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
-             n_paths: int, seed: int, *, store_stride: int = 1,
-             scheme: str = "euler-maruyama") -> TrajectoryEnsemble:
+             n_paths: int, seed: int, *, store_stride: int = 1) -> TrajectoryEnsemble:
     """Sample path ensemble from a Gaussian initial condition.
 
     The step count is round(t/dt) (at least 1) and the step is stretched to
     land exactly on ``t``; ``store_stride`` keeps every k-th step (plus the
-    last). ``scheme="exact"`` jumps between stored times by the exact
-    Gaussian transition, so there ``dt`` and ``store_stride`` only place
-    the stored times; ``"euler-maruyama"`` takes every step with the
-    system's drift and ``noise_vectors``. Initial points are drawn first
-    from each block's stream, then one (block, 2) normal array per stored
-    interval (exact) or one (block, channels) array per step (Euler);
-    partial final blocks draw the full block and discard, keeping every
-    path's noise independent of ``n_paths``; a singular ``initial_cov``
-    draws through its clipped ``eigh`` root, a definite one through its
-    Cholesky factor. All paths advance together, one interval or step at a
-    time, and are stored time-major: ``paths`` is a transposed view. The
-    initial moments are read as in :func:`exact_moments`. ``t`` and ``dt``
-    must be finite, with t/dt finite too, ``seed`` an integer in
-    [0, 2**64), and the stored paths at most ~2 GB (:class:`ConfigError`
-    otherwise). Raises :class:`Unstable` when the paths overflow.
+    last). Paths jump between stored times by the exact Gaussian
+    transition, so ``dt`` and ``store_stride`` only place the stored times.
+    The maps are built once per distinct gap (a stored grid has at most
+    two), the noise factor S with S S^T = hbar (-J M J) as the clipped
+    ``eigh`` root, since M is singular in places and then has no Cholesky
+    factor. Initial points are drawn first from each block's stream, then
+    one (block, 2) normal array per stored interval; partial final blocks
+    draw the full block and discard, keeping every path's noise independent
+    of ``n_paths``; a singular ``initial_cov`` draws through its clipped
+    ``eigh`` root, a definite one through its Cholesky factor. All paths
+    advance together, one interval at a time, and are stored time-major:
+    ``paths`` is a transposed view. The initial moments are read as in
+    :func:`exact_moments`. ``t`` and ``dt`` must be finite, with t/dt
+    finite too, ``seed`` an integer in [0, 2**64), and the stored paths at
+    most ~2 GB (:class:`ConfigError` otherwise). Raises :class:`Unstable`
+    when the paths overflow.
     """
     mean = finite_array(initial_mean, (2,), "initial_mean")
     _, root = _covariance(initial_cov, "initial_cov", definite=False)
@@ -155,8 +108,6 @@ def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
     if not 0 <= seed < 2 ** 64 or int(seed) != seed:  # one Philox key word
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     seed = int(seed)
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
 
     steps = max(1, round(t / dt)) if t > 0 else 0
     dt_eff = t / steps if steps else dt
@@ -172,23 +123,29 @@ def simulate(system: OpenSystem, initial_mean, initial_cov, t: float, dt: float,
 
     gaps = np.diff(stored_steps).tolist()
     times = dt_eff * np.asarray(stored_steps, dtype=float)
+    maps = {}
+    for gap in set(gaps):
+        linear, offset, m = _exact_step(system, gap * dt_eff)
+        factor = _psd_root(system.hbar * (-J @ m @ J))
+        # C-ordered transposes: the same BLAS products, without the strided path
+        maps[gap] = (np.ascontiguousarray(linear.T), offset,
+                     np.ascontiguousarray(factor.T))
     rngs = [_block_rng(seed, block) for block in range(-(-n_paths // _BLOCK))]
-    rows = len(rngs) * _BLOCK
-    advance = (_exact_advance(system, dt_eff, gaps, rows) if scheme == "exact"
-               else _euler_advance(system, dt_eff, rows))
+    z = np.empty((len(rngs) * _BLOCK, 2))
     out = np.empty((len(stored_steps), n_paths, 2))
-    x = mean + _draw(rngs, np.empty((rows, 2))) @ np.ascontiguousarray(root.T)
+    x = mean + _draw(rngs, z) @ np.ascontiguousarray(root.T)
     # overflow shows as non-finite paths, reported at the first stored time
     with np.errstate(over="ignore", invalid="ignore"):
         for idx in range(len(stored_steps)):
             if idx:
-                x = advance(x, rngs, gaps[idx - 1])
+                linear_t, offset, factor_t = maps[gaps[idx - 1]]
+                x = x @ linear_t + offset + _draw(rngs, z) @ factor_t
             out[idx] = x[:n_paths]
             if not np.isfinite(out[idx]).all():
                 raise Unstable(f"Langevin paths overflow by t={float(times[idx])!r}")
 
     return TrajectoryEnsemble(times=times, paths=out.transpose(1, 0, 2), seed=seed,
-                              dt=dt_eff, store_stride=store_stride, scheme=scheme)
+                              dt=dt_eff, store_stride=store_stride)
 
 
 def ensemble_moments(ensemble: TrajectoryEnsemble, index: int | slice = -1

@@ -518,7 +518,9 @@ def test_reconstruction_mask_follows_the_reversed_damping_matrix() -> None:
                         channels=photon_bath(gamma=0.6).channels)
     assert saddle.alpha == pytest.approx(0.3)
     t = 20.0
-    reconstruct(saddle, evolved_state(saddle, coherent_state((0.0, 0.0)), t), t)
+    # the recovered state itself is refused there (its form's round-off)
+    with pytest.raises(Unstable, match="positive definite"):
+        reconstruct(saddle, evolved_state(saddle, coherent_state((0.0, 0.0)), t), t)
     xi = np.array([[30.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert reliable_chords(saddle, t, xi).tolist() == [False, True, False]
 
@@ -542,15 +544,19 @@ def test_reconstruction_mask_is_the_same_in_sheared_saddle_frames() -> None:
 
 def test_reconstruction_raises_where_its_chord_values_are_not_finite() -> None:
     # on the saddle H = pq at t = 20 the reversed map's dense M(-t) cancels
-    # to a form with a large negative entry, whose chord values overflow
+    # to a form with eigenvalues -131072 and -0.167, where the exact one is
+    # the coherent state's I/2: reconstruct refuses it, and the map's own
+    # chord values overflow
     saddle = OpenSystem(
         hamiltonian=HamiltonianForm(matrix=[[0.0, 0.5], [0.5, 0.0]]),
         channels=(LindbladChannel(l_re=[0.0, 0.5], l_im=[0.5, 0.0]),))
     t = 20.0
-    recovered = reconstruct(
-        saddle, evolved_state(saddle, coherent_state((0.3, 0.1)), t), t)
+    evolved = evolved_state(saddle, coherent_state((0.3, 0.1)), t)
+    with pytest.raises(Unstable, match="positive definite"):
+        reconstruct(saddle, evolved, t)
+    reversed_map = propagator.map_state(saddle, evolved, -t, label="reversed")
     with pytest.raises(Unstable, match="not finite"):
-        recovered(np.array([[-30.0, -30.0], [0.0, 0.0]]))
+        reversed_map(np.array([[-30.0, -30.0], [0.0, 0.0]]))
 
 
 def test_reconstruction_validation() -> None:

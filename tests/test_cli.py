@@ -532,24 +532,28 @@ def test_reconstruct_outputs(tmp_path) -> None:
                                                 rel=1e-9)
 
 
-def test_reconstruct_refuses_non_finite_chord_values(tmp_path) -> None:
-    # saddle H = pq at t = 20: the recovered form cancels to a large negative
-    # entry, so chords far out overflow; nothing is written
-    cfg = _config(tmp_path, {
-        "system": {"hamiltonian": {"matrix": [[0.0, 0.5], [0.5, 0.0]]},
-                   "channels": [{"l_re": [0.0, 0.5], "l_im": [0.5, 0.0]}]},
-        "state": {"type": "coherent", "center": [0.3, 0.1]}, "t": 20.0,
-        "chord_grid": {"center": [0.0, 0.0], "half_extent": [30.0, 30.0],
-                       "shape": [9, 9]},
-    })
-    out = tmp_path / "recon.csv"
-    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 5
-    assert list(tmp_path.glob("recon.csv*")) == []
+def test_reconstruct_refuses_non_finite_chord_values(tmp_path, capsys) -> None:
+    # saddle H = pq at t = 20: the recovered form is not positive definite,
+    # so its chord values would overflow far out and pass the true modulus
+    # 1/(2 pi) near the q axis (155.9); one error line, nothing is written
+    for half_extent in ([30.0, 30.0], [2.0, 0.01]):
+        cfg = _config(tmp_path, {
+            "system": {"hamiltonian": {"matrix": [[0.0, 0.5], [0.5, 0.0]]},
+                       "channels": [{"l_re": [0.0, 0.5], "l_im": [0.5, 0.0]}]},
+            "state": {"type": "coherent", "center": [0.3, 0.1]}, "t": 20.0,
+            "chord_grid": {"center": [0.0, 0.0], "half_extent": half_extent,
+                           "shape": [9, 9]},
+        })
+        out = tmp_path / "recon.csv"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "positive definite" in err[0]
+        assert list(tmp_path.glob("recon.csv*")) == []
 
 
 def test_reconstruct_refuses_through_the_chord_grid(tmp_path, monkeypatch) -> None:
-    # the saddle case above: the tiled chord grid, not a per-node sum, is what
-    # finds the overflow, and still nothing is written
+    # a definite form on a chord grid reaching 1e300: the tiled chord grid,
+    # not a per-node sum, is what finds the overflow, and nothing is written
     seen = []
     tiled = lindquad.ChordState.chord_grid
 
@@ -562,10 +566,8 @@ def test_reconstruct_refuses_through_the_chord_grid(tmp_path, monkeypatch) -> No
 
     monkeypatch.setattr(lindquad.ChordState, "chord_grid", spy)
     cfg = _config(tmp_path, {
-        "system": {"hamiltonian": {"matrix": [[0.0, 0.5], [0.5, 0.0]]},
-                   "channels": [{"l_re": [0.0, 0.5], "l_im": [0.5, 0.0]}]},
-        "state": {"type": "coherent", "center": [0.3, 0.1]}, "t": 20.0,
-        "chord_grid": {"center": [0.0, 0.0], "half_extent": [30.0, 30.0],
+        "system": PHOTON, "state": COHERENT, "t": 0.4,
+        "chord_grid": {"center": [0.0, 0.0], "half_extent": [1e300, 1e300],
                        "shape": [9, 9]},
     })
     out = tmp_path / "recon.csv"
@@ -1127,7 +1129,7 @@ def test_langevin_samples_by_exact_transitions(tmp_path) -> None:
     system = photon_bath(gamma=1.0, nbar=0.0)
     ensemble = lindquad.simulate(
         system, [1.0, -0.5], [[0.7, 0.15], [0.15, 0.4]],
-        0.3, 1e-3, 400, 5, store_stride=100, scheme="exact")
+        0.3, 1e-3, 400, 5, store_stride=100)
     mean, cov = lindquad.ensemble_moments(ensemble)
     assert report["sample_mean"] == [float(v) for v in mean]
     assert report["sample_cov"] == [[float(v) for v in row] for row in cov]

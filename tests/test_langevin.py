@@ -14,6 +14,7 @@ from lindquad import (ConfigError, HamiltonianForm, J, LindbladChannel,
                       exact_moments, photon_bath, simulate, symplectic_transform)
 from lindquad.model import _covariance, _psd_root
 from lindquad.propagator import _exact_step
+from solver_audits import euler_maruyama
 
 
 def test_diffusion_matches_noise_matrix() -> None:
@@ -56,9 +57,9 @@ def test_path_count_does_not_reshuffle_draws() -> None:
 
 def test_store_stride_subsamples_the_same_run() -> None:
     sys = photon_bath(gamma=1.0, nbar=0.2)
-    full = simulate(sys, np.zeros(2), np.eye(2), 0.4, 1e-2, 200, seed=5)
-    thin = simulate(sys, np.zeros(2), np.eye(2), 0.4, 1e-2, 200, seed=5,
-                    store_stride=8)
+    full = euler_maruyama(sys, np.zeros(2), np.eye(2), 0.4, 1e-2, 200, seed=5)
+    thin = euler_maruyama(sys, np.zeros(2), np.eye(2), 0.4, 1e-2, 200, seed=5,
+                          store_stride=8)
     for idx, t in enumerate(thin.times):
         full_idx = int(np.argmin(np.abs(full.times - t)))
         assert full.times[full_idx] == pytest.approx(t, abs=1e-12)
@@ -74,7 +75,7 @@ def test_moments_match_exact_evolution() -> None:
     mean0 = np.array([0.8, -0.5])
     cov0 = np.array([[0.6, 0.1], [0.1, 0.3]])
     t = 0.7
-    ens = simulate(sys, mean0, cov0, t, 5e-4, 40_000, seed=11)
+    ens = euler_maruyama(sys, mean0, cov0, t, 5e-4, 40_000, seed=11)
     mean, cov = ensemble_moments(ens)
     exact_mean, exact_cov = exact_moments(sys, mean0, cov0, t)
     n = 40_000
@@ -107,7 +108,7 @@ def test_euler_bias_shrinks_with_dt() -> None:
     _, exact_cov = exact_moments(sys, mean0, cov0, t)
 
     def cov_error(dt: float) -> float:
-        ens = simulate(sys, mean0, cov0, t, dt, 300_000, seed=21)
+        ens = euler_maruyama(sys, mean0, cov0, t, dt, 300_000, seed=21)
         _, cov = ensemble_moments(ens)
         return float(np.max(np.abs(cov - exact_cov)))
 
@@ -146,9 +147,7 @@ def test_exact_scheme_moments_match_at_every_stored_time(regime, seed) -> None:
     mean0 = np.array([0.8, -0.5])
     cov0 = np.array([[0.6, 0.1], [0.1, 0.3]])
     # 13 steps with stride 4: stored gaps 4, 4, 4 and a short last one
-    ens = simulate(system, mean0, cov0, 1.3, 0.1, 20_000,
-                   seed=seed, store_stride=4, scheme="exact")
-    assert ens.scheme == "exact"
+    ens = simulate(system, mean0, cov0, 1.3, 0.1, 20_000, seed=seed, store_stride=4)
     assert np.allclose(ens.times, [0.0, 0.4, 0.8, 1.2, 1.3])
     assert np.max(_moment_z_scores(ens, system, mean0, cov0)) < 5.0
 
@@ -156,9 +155,9 @@ def test_exact_scheme_moments_match_at_every_stored_time(regime, seed) -> None:
 def test_exact_scheme_paths_do_not_depend_on_path_count() -> None:
     system = _driven_system()
     small = simulate(system, np.zeros(2), np.eye(2), 0.6, 0.1, 300, seed=3,
-                     store_stride=2, scheme="exact")
+                     store_stride=2)
     large = simulate(system, np.zeros(2), np.eye(2), 0.6, 0.1, 1500, seed=3,
-                     store_stride=2, scheme="exact")
+                     store_stride=2)
     assert np.array_equal(large.paths[:300], small.paths)
 
 
@@ -167,9 +166,8 @@ def test_exact_transitions_compose_across_strides() -> None:
     system = photon_bath(gamma=1.0, nbar=0.4)
     mean0, cov0 = np.array([1.0, -0.5]), np.array([[0.7, 0.15], [0.15, 0.4]])
     n = 20_000
-    fine = simulate(system, mean0, cov0, 1.0, 0.05, n, seed=8, scheme="exact")
-    coarse = simulate(system, mean0, cov0, 1.0, 0.05, n, seed=9, store_stride=7,
-                      scheme="exact")
+    fine = simulate(system, mean0, cov0, 1.0, 0.05, n, seed=8)
+    coarse = simulate(system, mean0, cov0, 1.0, 0.05, n, seed=9, store_stride=7)
     for idx, t in enumerate(coarse.times):
         fine_idx = int(np.argmin(np.abs(fine.times - t)))
         assert fine.times[fine_idx] == pytest.approx(t, abs=1e-12)
@@ -189,26 +187,17 @@ def test_exact_scheme_samples_a_singular_damping_matrix() -> None:
     system = OpenSystem(hamiltonian=HamiltonianForm(matrix=np.zeros((2, 2))),
                         channels=(LindbladChannel(l_re=[1.0, 0.0]),))
     mean0, cov0 = np.array([0.3, -0.2]), 0.5 * np.eye(2)
-    ens = simulate(system, mean0, cov0, 1.0, 0.25, 20_000,
-                   seed=2, scheme="exact")
+    ens = simulate(system, mean0, cov0, 1.0, 0.25, 20_000, seed=2)
     assert np.array_equal(ens.paths[:, :, 0],
                           np.broadcast_to(ens.paths[:, :1, 0], ens.paths.shape[:2]))
     assert np.max(_moment_z_scores(ens, system, mean0, cov0)) < 5.0
 
 
-def test_exact_scheme_needs_the_system() -> None:
-    system = photon_bath(gamma=1.0)
-    with pytest.raises(ConfigError, match="scheme"):
-        simulate(system, np.zeros(2), np.eye(2), 0.2, 0.1, 10, seed=0, scheme="milstein")
-
-
-@pytest.mark.parametrize("scheme, dt", [("exact", 100.0), ("euler-maruyama", 0.1)])
-def test_overflowing_paths_raise_unstable(scheme, dt) -> None:
+def test_overflowing_paths_raise_unstable() -> None:
     # sigma = 5: the saddle carries every path past the float range by t = 200
     saddle = OpenSystem(hamiltonian=HamiltonianForm(matrix=[[0.0, 2.5], [2.5, 0.0]]))
     with pytest.raises(Unstable, match="overflow"):
-        simulate(saddle, np.zeros(2), np.eye(2), 200.0, dt, 16,
-                 seed=0, scheme=scheme)
+        simulate(saddle, np.zeros(2), np.eye(2), 200.0, 100.0, 16, seed=0)
 
 
 def test_initial_conditions() -> None:
@@ -252,11 +241,11 @@ def test_seeds_fill_one_philox_key_word() -> None:
             simulate(sys, np.zeros(2), np.eye(2), 0.1, 0.05, 4, seed=seed)
 
 
-@pytest.mark.parametrize("scheme", ["euler-maruyama", "exact"])
-def test_one_path_has_no_sample_covariance(scheme) -> None:
+@pytest.mark.parametrize("sampler", [euler_maruyama, simulate],
+                         ids=["euler-maruyama", "exact"])
+def test_one_path_has_no_sample_covariance(sampler) -> None:
     # ddof = 1 needs two paths; one path once reported a zero covariance
-    ens = simulate(photon_bath(gamma=1.0), np.zeros(2), np.eye(2), 0.2, 0.1, 1,
-                   seed=0, scheme=scheme)
+    ens = sampler(photon_bath(gamma=1.0), np.zeros(2), np.eye(2), 0.2, 0.1, 1, seed=0)
     assert ens.paths.shape == (1, 3, 2)
     for index in (0, -1):
         with pytest.raises(ConfigError, match="2 paths"):
@@ -285,7 +274,7 @@ def test_initial_covariance_may_be_singular_but_not_negative() -> None:
     mean0 = np.array([0.3, -0.8])
     for cov0 in ([[1.0, 0.0], [0.0, 0.0]], [[1e-300, 0.0], [0.0, 0.0]],
                  [[1.0, 1.0], [1.0, 1.0]]):
-        ens = simulate(system, mean0, cov0, 0.2, 0.1, 4000, seed=3, scheme="exact")
+        ens = simulate(system, mean0, cov0, 0.2, 0.1, 4000, seed=3)
         start = ens.paths[:, 0]
         # the draws lie on the covariance's range through the mean
         null = np.linalg.eigh(np.asarray(cov0))[1][:, 0]
@@ -306,7 +295,7 @@ def test_definite_initial_covariance_draws_through_cholesky() -> None:
     # seeded ensembles stay bit-identical: x0 = mean + z L^T, L L^T = cov
     system = photon_bath(gamma=1.0)
     mean0, cov0 = np.array([0.1, 0.2]), np.array([[1.0, 0.3], [0.3, 0.5]])
-    ens = simulate(system, mean0, cov0, 0.1, 0.1, 100, seed=7, scheme="exact")
+    ens = simulate(system, mean0, cov0, 0.1, 0.1, 100, seed=7)
     z = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
     expect = mean0 + z.standard_normal((1024, 2)) @ np.linalg.cholesky(cov0).T
     assert np.array_equal(ens.paths[:, 0], expect[:100])
@@ -318,14 +307,13 @@ def test_storage_guard_suggests_stride() -> None:
         simulate(sys, np.zeros(2), np.eye(2), 10.0, 1e-5, 1_000_000, seed=0)
 
 
-@pytest.mark.parametrize("scheme", ["euler-maruyama", "exact"])
-def test_simulation_rejects_non_finite_times(scheme) -> None:
+def test_simulation_rejects_non_finite_times() -> None:
     # NaN t once stored one time, infinite dt took one step of size t
     system = photon_bath(gamma=1.0)
     for t, dt in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf),
                   (1e10, 5e-324)):
         with pytest.raises(ConfigError):
-            simulate(system, np.zeros(2), np.eye(2), t, dt, 8, seed=0, scheme=scheme)
+            simulate(system, np.zeros(2), np.eye(2), t, dt, 8, seed=0)
 
 
 def test_storage_guard_runs_before_the_stored_times_are_listed() -> None:
@@ -335,9 +323,10 @@ def test_storage_guard_runs_before_the_stored_times_are_listed() -> None:
         simulate(system, np.zeros(2), np.eye(2), 1e12, 1e-3, 8, seed=0)
 
 
-def _per_block_paths(system, mean0, cov0, t, dt, n_paths, seed, stride, scheme):
+def _per_block_paths(system, mean0, cov0, t, dt, n_paths, seed, stride, exact):
     """Paths as one block of 1024 at a time, each block through every stored
-    time before the next starts: the loop ``simulate`` once ran."""
+    time before the next starts: the loop ``simulate`` once ran, by exact
+    transitions or, for the audit, by Euler–Maruyama steps."""
     steps = max(1, round(t / dt)) if t > 0 else 0
     dt_eff = t / steps if steps else dt
     stored = list(range(0, steps + 1, stride))
@@ -359,7 +348,7 @@ def _per_block_paths(system, mean0, cov0, t, dt, n_paths, seed, stride, scheme):
         x = mean0 + rng.standard_normal((1024, 2)) @ root.T
         out[lo:hi, 0] = x[:hi - lo]
         for idx, gap in enumerate(gaps, start=1):
-            if scheme == "exact":
+            if exact:
                 linear_t, offset, factor_t = maps[gap]
                 x = x @ linear_t + offset + rng.standard_normal((1024, 2)) @ factor_t
             else:
@@ -371,9 +360,10 @@ def _per_block_paths(system, mean0, cov0, t, dt, n_paths, seed, stride, scheme):
     return out
 
 
-@pytest.mark.parametrize("scheme", ["exact", "euler-maruyama"])
+@pytest.mark.parametrize("sampler", [simulate, euler_maruyama],
+                         ids=["exact", "euler-maruyama"])
 @pytest.mark.parametrize("n_paths", [1, 1023, 1024, 1025, 3000])
-def test_paths_match_the_per_block_loop(scheme, n_paths) -> None:
+def test_paths_match_the_per_block_loop(sampler, n_paths) -> None:
     # all paths advance together now; every path must still see its own
     # block's normals in the same order, to the bit. 11 steps at stride 4
     # leave a last gap of 3; the second start is singular (eigh root). Two
@@ -384,19 +374,19 @@ def test_paths_match_the_per_block_loop(scheme, n_paths) -> None:
                         channels=base.channels)
     for cov0 in ([[0.6, 0.1], [0.1, 0.3]], [[1.0, 1.0], [1.0, 1.0]]):
         mean0 = np.array([0.8, -0.5])
-        ens = simulate(system, mean0, cov0, 1.1, 0.1, n_paths, seed=12,
-                       store_stride=4, scheme=scheme)
+        ens = sampler(system, mean0, cov0, 1.1, 0.1, n_paths, seed=12,
+                      store_stride=4)
         assert np.allclose(ens.times, [0.0, 0.4, 0.8, 1.1])
         assert ens.paths.shape == (n_paths, 4, 2)
         expect = _per_block_paths(system, mean0, cov0, 1.1, 0.1, n_paths, 12, 4,
-                                  scheme)
+                                  sampler is simulate)
         assert np.array_equal(ens.paths, expect)
 
 
 def test_moments_match_numpy_at_every_stored_time() -> None:
     system = photon_bath(gamma=1.0, nbar=0.3)
     ens = simulate(system, [0.6, -0.8], [[0.5, 0.1], [0.1, 0.4]], 1.0, 0.1, 2500,
-                   seed=4, store_stride=3, scheme="exact")
+                   seed=4, store_stride=3)
     means, covs = ensemble_moments(ens, slice(None))
     assert means.shape == (ens.times.size, 2)
     assert covs.shape == (ens.times.size, 2, 2)
@@ -418,11 +408,11 @@ def test_moments_match_numpy_at_every_stored_time() -> None:
 
 def test_moment_errors_hold_for_slices() -> None:
     system = photon_bath(gamma=1.0)
-    one = simulate(system, np.zeros(2), np.eye(2), 0.2, 0.1, 1, seed=0, scheme="exact")
+    one = simulate(system, np.zeros(2), np.eye(2), 0.2, 0.1, 1, seed=0)
     for index in (0, slice(None)):
         with pytest.raises(ConfigError, match="2 paths"):
             ensemble_moments(one, index)
-    ens = simulate(system, np.zeros(2), np.eye(2), 0.2, 0.1, 8, seed=0, scheme="exact")
+    ens = simulate(system, np.zeros(2), np.eye(2), 0.2, 0.1, 8, seed=0)
     paths = ens.paths.copy()
     paths[3, 2] = [1e300, -1e300]  # finite paths whose moments overflow
     huge = dataclasses.replace(ens, paths=paths)

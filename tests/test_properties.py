@@ -316,6 +316,72 @@ def test_damping_matrix_reversal_identity(system, t) -> None:
     assert np.max(np.abs(reverse - expect)) <= 1e-9 * _scale(reverse)
 
 
+# the exact channel's group identities, over signed times; each bound is a
+# stated multiple of eps times the size of the terms it compares, about four
+# times the worst of 30,000 random draws (48, 622, 35 and 385 eps), plus
+# the smallest normal float for the subnormal terms of tiny times
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+signed_times = st.floats(-2.0, 2.0)
+
+
+def _raw_k(system: OpenSystem) -> np.ndarray:
+    """K = sum_j (l' l'^T + l'' l''^T) from the channels, not the cached forms."""
+    return sum((np.outer(ch.l_re, ch.l_re) + np.outer(ch.l_im, ch.l_im)
+                for ch in system.channels), np.zeros((2, 2)))
+
+
+def _pull_back(system: OpenSystem, u: float) -> np.ndarray:
+    """G_u = -J F(u)^T J, the chord pull-back of the flow over u."""
+    return -J @ affine_flow(system, u)[0].T @ J
+
+
+def _size(*terms) -> float:
+    return max(float(np.max(np.abs(term))) for term in terms)
+
+
+@PROPERTY
+@given(systems, signed_times)
+def test_damping_matrix_solves_its_lyapunov_equation(system, t) -> None:
+    # the integrand's derivative integrates to L^T M + M L = K - E^T K E,
+    # with L = B + alpha I and E = G_t = e^{-alpha t} R_{-t}
+    t = _scaled_time(system, t)
+    k, m, e = _raw_k(system), damping_matrix(system, t), _pull_back(system, t)
+    lift = system.generator + system.alpha * np.eye(2)
+    far = e.T @ k @ e
+    residual = lift.T @ m + m @ lift - (k - far)
+    scale = max(1.0, _size(k, far), _size(lift) * _size(m))
+    assert _size(residual) <= 256 * _EPS * scale + _TINY
+
+
+@PROPERTY
+@given(systems, signed_times, st.floats(-0.05, 0.05) | signed_times)
+def test_damping_matrix_and_offset_compose_over_time(system, t, u) -> None:
+    # M(t + u) = M(u) + G_u^T M(t) G_u and o(t + u) = F(t) o(u) + o(t); a
+    # short leg u often puts M(u) and M(t + u) on different kernel routes
+    t, u = _scaled_time(system, t), _scaled_time(system, u)
+    g = _pull_back(system, u)
+    joint, near = damping_matrix(system, t + u), damping_matrix(system, u)
+    carried = g.T @ damping_matrix(system, t) @ g
+    bound = 4096 * _EPS * _size(joint, near, carried) + _TINY
+    assert _size(joint - near - carried) <= bound
+    (linear, offset), (_, short) = affine_flow(system, t), affine_flow(system, u)
+    moved, whole = linear @ short, affine_flow(system, t + u)[1]
+    bound = 256 * _EPS * _size(whole, moved, offset) + _TINY
+    assert _size(whole - moved - offset) <= bound
+
+
+@PROPERTY
+@given(systems, signed_times)
+def test_reversed_determinant_is_the_scaled_forward_one(system, t) -> None:
+    # det M(-t) = det(G_{-t})^2 det M(t) = e^{4 alpha t} det M(t)
+    t = _scaled_time(system, t)
+    m = damping_matrix(system, t)
+    reversed_det = _reversed_det(system, t)[0]
+    growth = math.exp(4.0 * system.alpha * t)
+    scale = max(abs(reversed_det), _size(m) ** 2 * growth)
+    assert abs(reversed_det - growth * det2(m)) <= 2048 * _EPS * scale + _TINY
+
+
 def _series_system(regime: str, channels: str, seed: int) -> OpenSystem:
     """A random system with no channel (K = 0), one real channel (rank-one K)
     or two random channels."""
