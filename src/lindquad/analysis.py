@@ -225,15 +225,15 @@ def reconstruct(system: OpenSystem, evolved: ChordState, t: float) -> ChordState
 
     This is :func:`~lindquad.propagator.map_state` at -t, which divides out
     the attenuation Gaussian and undoes the affine flow term by term.
-    :func:`reliable_chords` marks where the result can be trusted. The exact
-    recovered form is the initial state's, positive definite; where the
-    reversed map's round-off leaves one that is not (long-time saddles),
-    raises :class:`Unstable` instead of returning a wrong state.
+    :func:`reliable_chords` marks where the result can be trusted. Where the
+    reversed map's round-off leaves a form that is not positive definite
+    (long-time saddles), raises :class:`Unstable`; |b| < sqrt(a) sqrt(c)
+    tests it with no product that leaves the float range at any hbar.
     """
     t = _finite_time(t, "reconstruct", forward=True)
     recovered = map_state(system, evolved, -t, label=f"reconstructed({evolved.label})")
     (a, b), (_, c) = recovered.form.tolist()
-    if not (a > 0.0 and a * c - b * b > 0.0):
+    if not (a > 0.0 and c > 0.0 and abs(b) < math.sqrt(a) * math.sqrt(c)):
         raise Unstable(f"the recovered chord form at t={t!r} is not positive definite")
     return recovered
 

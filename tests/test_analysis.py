@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -557,6 +558,21 @@ def test_reconstruction_raises_where_its_chord_values_are_not_finite() -> None:
     reversed_map = propagator.map_state(saddle, evolved, -t, label="reversed")
     with pytest.raises(Unstable, match="not finite"):
         reversed_map(np.array([[-30.0, -30.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("hbar", [1e200, 1e150, 1e-150, 1e-200])
+def test_reconstruction_accepts_definite_forms_at_every_scale(hbar) -> None:
+    # the form scales like 1/hbar: at hbar = 1e200 the products a c and b^2
+    # of its entries underflow to 0, at 1e-200 they overflow to inf, and
+    # neither may refuse a definite recovered form
+    sys = photon_bath(gamma=1.0, nbar=0.5, hbar=hbar)
+    states = [gaussian_state((0.0, 0.0), hbar * np.array([[2.0, 1.9], [1.9, 2.0]]), hbar)]
+    if abs(math.log10(hbar)) <= 150:
+        states.append(cat_state(1.5 * math.sqrt(hbar), hbar))
+    for state in states:
+        recovered = reconstruct(sys, evolved_state(sys, state, 0.4), 0.4)
+        scale = np.max(np.abs(state.form))
+        assert np.max(np.abs(recovered.form - state.form)) <= 1e-12 * scale
 
 
 def test_reconstruction_validation() -> None:

@@ -551,9 +551,13 @@ def test_reconstruct_refuses_non_finite_chord_values(tmp_path, capsys) -> None:
         assert list(tmp_path.glob("recon.csv*")) == []
 
 
-def test_reconstruct_refuses_through_the_chord_grid(tmp_path, monkeypatch) -> None:
-    # a definite form on a chord grid reaching 1e300: the tiled chord grid,
-    # not a per-node sum, is what finds the overflow, and nothing is written
+def test_reconstruct_refuses_through_the_chord_grid(tmp_path, monkeypatch, capsys) -> None:
+    # saddle H = pq at t = 14.5: the cat at zeta = 100 comes back with a
+    # definite form of eigenvalues 0.4375 and 0.4999 where the exact one is
+    # I/2. A coherence lobe's log modulus, log w + Im b . A^-1 Im b / 2, then
+    # peaks at 1424 near xi = (0, +-228.6): the recovered chord values truly
+    # pass the float maximum there (at 36 of the 81 nodes). The tiled chord
+    # grid, not a per-node sum, is what finds them, and nothing is written
     seen = []
     tiled = lindquad.ChordState.chord_grid
 
@@ -566,13 +570,17 @@ def test_reconstruct_refuses_through_the_chord_grid(tmp_path, monkeypatch) -> No
 
     monkeypatch.setattr(lindquad.ChordState, "chord_grid", spy)
     cfg = _config(tmp_path, {
-        "system": PHOTON, "state": COHERENT, "t": 0.4,
-        "chord_grid": {"center": [0.0, 0.0], "half_extent": [1e300, 1e300],
+        "system": {"hamiltonian": {"matrix": [[0.0, 0.5], [0.5, 0.0]]},
+                   "channels": [{"l_re": [0.0, 0.5], "l_im": [0.5, 0.0]}]},
+        "state": {"type": "cat", "zeta": 100.0}, "t": 14.5,
+        "chord_grid": {"center": [0.0, 0.0], "half_extent": [1.0, 240.0],
                        "shape": [9, 9]},
     })
     out = tmp_path / "recon.csv"
     assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 5
     assert seen == ["Unstable"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not finite" in err[0]
     assert list(tmp_path.glob("recon.csv*")) == []
 
 
